@@ -22,13 +22,13 @@
 //! Dynamic Snitching receives its gossip/recompute ticks through the
 //! selector's `as_any_mut` hook (see [`SnitchSelector`]).
 
-use c3_core::{BacklogQueue, Feedback, Nanos, ReplicaSelector, Selection, ServerId};
+use c3_core::{Feedback, Nanos, ReplicaSelector, Selection, ServerId};
 use c3_engine::{
-    ChannelId, ChannelSet, EngineStats, EventQueue, RunMetrics, Scenario, ScenarioRunner, SeedSeq,
-    SelectorCtx, StrategyRegistry, TimerId,
+    BackpressureFront, ChannelId, ChannelSet, EngineStats, EventQueue, RunMetrics, Scenario,
+    ScenarioRunner, SeedSeq, SelectorCtx, StrategyRegistry, TimerId,
 };
 use c3_metrics::{GaugeSeries, LogHistogram, WindowedCounts};
-use c3_telemetry::{Recorder, ReplicaSnap, TracePoint, NO_SERVER, TRACE_GROUP};
+use c3_telemetry::{Recorder, TracePoint};
 use c3_workload::{Op, PoissonArrivals, RecordSizes, ScrambledZipfian, WorkloadMix};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -153,17 +153,21 @@ struct NodeState {
     perturb: NodePerturbation,
 }
 
+impl NodeState {
+    /// Pending reads (executing plus queued): the C3 feedback value and
+    /// the recorder's ground truth.
+    fn read_pending(&self) -> u32 {
+        (self.read_inflight + self.read_q.len()) as u32
+    }
+}
+
 /// Per-coordinator replica-selection state: one registry-built selector
 /// plus the backpressure backlog and the speculative-retry latency view.
 struct Coordinator {
     selector: Box<dyn ReplicaSelector>,
-    backlogs: Vec<BacklogQueue<OpId>>,
-    /// Number of non-empty backlogs: lets the per-response drain skip the
-    /// group walk entirely in the common no-backpressure case.
-    backlogged: u32,
-    /// Pending `RetryBacklog` timer per replica group, cancelled when a
-    /// response drains the backlog first (so no dead retry events fire).
-    retry_timer: Vec<Option<TimerId>>,
+    /// Reads parked per replica group while the rate limiter refuses
+    /// them, and the retry timers that re-admit them.
+    front: BackpressureFront<OpId, Ev>,
     /// Coordinator-observed replica read latencies (speculative-retry
     /// threshold source).
     replica_latency: LogHistogram,
@@ -308,7 +312,6 @@ pub struct ClusterScenario {
     issued: u64,
     spec_retries: u64,
     dead_spec_checks: u64,
-    dead_retries: u64,
     timeouts: u64,
     retries_issued: u64,
     parked: u64,
@@ -391,21 +394,20 @@ impl ClusterScenario {
 
         let coords: Vec<Coordinator> = (0..cfg.nodes)
             .map(|i| {
-                let ctx = SelectorCtx {
-                    servers: cfg.nodes,
-                    c3,
-                    seed: seeds.client_seed(i as u64),
-                    now: Nanos::ZERO,
-                };
                 let selector = registry
-                    .build(&cfg.strategy, &ctx)
-                    .unwrap_or_else(|e| panic!("{e}"))
-                    .expect_selector(&cfg.strategy);
+                    .build_client(&cfg.strategy, cfg.nodes, c3, &seeds, i)
+                    .unwrap_or_else(|| {
+                        panic!(
+                            "strategy {} needs global state the cluster does not provide",
+                            cfg.strategy
+                        )
+                    });
                 Coordinator {
                     selector,
-                    backlogs: (0..cfg.nodes).map(|_| BacklogQueue::new()).collect(),
-                    backlogged: 0,
-                    retry_timer: vec![None; cfg.nodes],
+                    front: BackpressureFront::new(i, cfg.nodes, |coord, group| Ev::RetryBacklog {
+                        coord,
+                        group,
+                    }),
                     replica_latency: LogHistogram::new(),
                     timeout_streak: vec![0; cfg.nodes],
                     evicted_until: vec![Nanos::ZERO; cfg.nodes],
@@ -452,7 +454,6 @@ impl ClusterScenario {
             issued: 0,
             spec_retries: 0,
             dead_spec_checks: 0,
-            dead_retries: 0,
             timeouts: 0,
             retries_issued: 0,
             parked: 0,
@@ -534,10 +535,8 @@ impl ClusterScenario {
     /// Assemble the public result from this scenario plus the runner's
     /// metrics and engine statistics.
     pub fn into_result(self, metrics: RunMetrics, stats: EngineStats) -> ClusterResult {
-        let mut backpressure = 0;
-        for c in &self.coords {
-            backpressure += c.backlogs.iter().map(|b| b.activations()).sum::<u64>();
-        }
+        let backpressure = self.coords.iter().map(|c| c.front.activations()).sum();
+        let dead_retries = self.dead_retries();
         let reads_completed = metrics.measured(READ_CHANNEL);
         let updates_completed = metrics.measured(UPDATE_CHANNEL);
         let (_channels, mut latency, server_load, _completions, duration) = metrics.into_parts();
@@ -560,7 +559,7 @@ impl ClusterScenario {
             backpressure_activations: backpressure,
             speculative_retries: self.spec_retries,
             dead_spec_checks: self.dead_spec_checks,
-            dead_retries: self.dead_retries,
+            dead_retries,
             events_cancelled: stats.events_cancelled,
             timeouts: self.timeouts,
             retries_issued: self.retries_issued,
@@ -584,7 +583,11 @@ impl ClusterScenario {
     /// backlog). All sources are cancelled at their trigger, so this is
     /// zero on every scenario — asserted regression-style.
     pub fn dead_events(&self) -> u64 {
-        self.dead_spec_checks + self.dead_retries + self.dead_lifecycle
+        self.dead_spec_checks + self.dead_retries() + self.dead_lifecycle
+    }
+
+    fn dead_retries(&self) -> u64 {
+        self.coords.iter().map(|c| c.front.dead_retries()).sum()
     }
 
     /// Lifecycle-hardening tallies `(timeouts, parked)` for scenario
@@ -726,11 +729,9 @@ impl ClusterScenario {
         }
     }
 
-    /// Record a selection decision into the flight recorder: what the
-    /// selector saw for every candidate (chosen replica first, so the
-    /// [`TRACE_GROUP`] truncation can never drop it) plus the ground-truth
-    /// pending depth at each node. `chosen == None` marks a backpressure
-    /// verdict. No-op unless an event-recording recorder is attached.
+    /// Snapshot a selection decision into the flight recorder (see
+    /// [`Recorder::record_decision`]); `chosen == None` is backpressure.
+    #[inline]
     fn record_decision(
         &mut self,
         op_id: OpId,
@@ -739,35 +740,13 @@ impl ClusterScenario {
         group: &[ServerId],
         now: Nanos,
     ) {
-        if self.recorder.as_ref().is_none_or(|r| r.capacity() == 0) {
-            return;
+        if let Some(rec) = &mut self.recorder {
+            let nodes = &self.nodes;
+            let selector = &self.coords[coord_id].selector;
+            rec.record_decision(now, op_id, chosen, group, |n| {
+                (selector.replica_view(n), nodes[n].read_pending())
+            });
         }
-        let mut snaps = [ReplicaSnap::empty(); TRACE_GROUP];
-        let mut len = 0usize;
-        let ordered = chosen
-            .into_iter()
-            .chain(group.iter().copied().filter(|&n| Some(n) != chosen));
-        for node in ordered.take(TRACE_GROUP) {
-            let n = &self.nodes[node];
-            let pending = (n.read_inflight + n.read_q.len()) as u32;
-            snaps[len] = match self.coords[coord_id].selector.replica_view(node) {
-                Some(view) => ReplicaSnap::from_view(node as u32, &view, pending),
-                // Baselines expose no view; keep the ground truth so
-                // queue-regret still works where score-regret cannot.
-                None => ReplicaSnap::blind(node as u32, pending),
-            };
-            len += 1;
-        }
-        let rec = self.recorder.as_mut().expect("checked above");
-        rec.record(
-            now,
-            op_id,
-            TracePoint::Decision {
-                chosen: chosen.map_or(NO_SERVER, |c| c as u32),
-                group_len: len as u8,
-                group: snaps,
-            },
-        );
     }
 
     fn dispatch_read(&mut self, op_id: OpId, now: Nanos, engine: &mut EventQueue<Ev>) {
@@ -809,24 +788,13 @@ impl ClusterScenario {
             }
             Selection::Backpressure { retry_at } => {
                 self.record_decision(op_id, coord_id, None, cand, now);
-                let group_id = op.group as usize;
-                let coord = &mut self.coords[coord_id];
-                if coord.backlogs[group_id].is_empty() {
-                    coord.backlogged += 1;
-                }
-                coord.backlogs[group_id].push(op_id);
-                let entered_backpressure = coord.backlogs[group_id].len() == 1;
-                if coord.retry_timer[group_id].is_none() {
-                    let at = retry_at.max(now + Nanos(1));
-                    let timer = engine.schedule_cancellable(
-                        at,
-                        Ev::RetryBacklog {
-                            coord: coord_id,
-                            group: group_id,
-                        },
-                    );
-                    coord.retry_timer[group_id] = Some(timer);
-                }
+                let entered_backpressure = self.coords[coord_id].front.park(
+                    op.group as usize,
+                    op_id,
+                    retry_at,
+                    now,
+                    engine,
+                );
                 if entered_backpressure {
                     for (i, &(pc, _)) in self.probes.iter().enumerate() {
                         if pc == coord_id {
@@ -839,7 +807,8 @@ impl ClusterScenario {
         self.put_group(group);
     }
 
-    /// Forward a sub-request from the coordinator to a replica node.
+    /// Forward a sub-request from the coordinator to a replica node;
+    /// returns the new send's id.
     fn forward(
         &mut self,
         op_id: OpId,
@@ -848,7 +817,7 @@ impl ClusterScenario {
         primary: bool,
         now: Nanos,
         engine: &mut EventQueue<Ev>,
-    ) {
+    ) -> SendId {
         let send_id = self.sends.len() as SendId;
         self.sends.push(SendState {
             op: op_id,
@@ -871,6 +840,7 @@ impl ClusterScenario {
             self.cfg.net_latency
         };
         engine.schedule_in(delay, Ev::ReplicaArrive { send: send_id });
+        send_id
     }
 
     fn spec_threshold(&self, coord_id: usize) -> Nanos {
@@ -1066,25 +1036,11 @@ impl ClusterScenario {
         };
         self.hedges_issued += 1;
         self.coords[coord_id].selector.on_send(alt, now);
-        let send_id = self.sends.len() as SendId;
-        self.sends.push(SendState {
-            op: op_id,
-            node: alt as u16,
-            is_write: false,
-            sent_at: now,
-            feedback: Feedback::new(0, Nanos::ZERO),
-        });
-        self.ops[op_id as usize].hedge_send = send_id;
+        self.ops[op_id as usize].hedge_send = self.forward(op_id, alt, false, false, now, engine);
         // `HedgeIssue` IS the duplicate's wire record — no separate `Send`.
         if let Some(rec) = &mut self.recorder {
             rec.record(now, op_id, TracePoint::HedgeIssue { server: alt as u32 });
         }
-        let delay = if coord_id == alt {
-            Nanos::from_micros(20)
-        } else {
-            self.cfg.net_latency
-        };
-        engine.schedule_in(delay, Ev::ReplicaArrive { send: send_id });
     }
 
     /// Failure detector: a deadline expiry charged to `node`.
@@ -1179,23 +1135,10 @@ impl ClusterScenario {
         self.coords[coord_id].selector.on_send(alt, now);
         // Whichever response arrives first completes the op (completion is
         // tracked per-op), so the duplicate is also allowed to finish it.
-        let send_id = self.sends.len() as SendId;
-        self.sends.push(SendState {
-            op: op_id,
-            node: alt as u16,
-            is_write: false,
-            sent_at: now,
-            feedback: Feedback::new(0, Nanos::ZERO),
-        });
+        self.forward(op_id, alt, false, false, now, engine);
         if let Some(rec) = &mut self.recorder {
             rec.record(now, op_id, TracePoint::Send { server: alt as u32 });
         }
-        let delay = if coord_id == alt {
-            Nanos::from_micros(20)
-        } else {
-            self.cfg.net_latency
-        };
-        engine.schedule_in(delay, Ev::ReplicaArrive { send: send_id });
     }
 
     // ---- replica side ----------------------------------------------------
@@ -1300,10 +1243,7 @@ impl ClusterScenario {
         }
 
         // Feedback: pending reads at this node when the response leaves.
-        let pending = {
-            let node = &self.nodes[node_id];
-            (node.read_inflight + node.read_q.len()) as u32
-        };
+        let pending = self.nodes[node_id].read_pending();
         self.sends[send_id as usize].feedback = Feedback::new(pending, service_time);
 
         let coord = self.ops[send.op as usize].coord as usize;
@@ -1460,10 +1400,10 @@ impl ClusterScenario {
         // have a backlog). The non-empty-backlog counter makes the common
         // nothing-backlogged case a single load; the group ids are
         // computed arithmetically, so this path never allocates.
-        if self.coords[coord_id].backlogged > 0 {
+        if self.coords[coord_id].front.any_backlogged() {
             let ring = self.ring;
             for group_id in ring.groups_of_node(node) {
-                if !self.coords[coord_id].backlogs[group_id].is_empty() {
+                if self.coords[coord_id].front.is_backlogged(group_id) {
                     self.on_retry(coord_id, group_id, now, engine, false);
                 }
             }
@@ -1478,19 +1418,11 @@ impl ClusterScenario {
         engine: &mut EventQueue<Ev>,
         from_timer: bool,
     ) {
-        if from_timer {
-            // The timer owning this event has fired; forget its handle.
-            self.coords[coord_id].retry_timer[group_id] = None;
-            if self.coords[coord_id].backlogs[group_id].is_empty() {
-                // Unreachable since draining cancels the timer; counted so
-                // a regression back to fire-and-filter is visible.
-                self.dead_retries += 1;
-                return;
-            }
-        } else if let Some(timer) = self.coords[coord_id].retry_timer[group_id].take() {
-            // A response beat the retry timer to this backlog: the drain
-            // below supersedes it, so the timer must not fire dead.
-            engine.cancel(timer);
+        if !self.coords[coord_id]
+            .front
+            .begin_drain(group_id, from_timer, engine)
+        {
+            return;
         }
         let group = self.take_group(group_id);
         // Eviction state cannot change mid-drain (no responses are
@@ -1498,18 +1430,13 @@ impl ClusterScenario {
         // once; `None` = the full group (the hot path).
         let filtered = self.filtered_candidates(coord_id, &group, None, now);
         let cand: &[ServerId] = filtered.as_deref().unwrap_or(&group);
-        'drain: while let Some(&op_id) = self.coords[coord_id].backlogs[group_id].peek() {
+        while let Some(op_id) = self.coords[coord_id].front.peek(group_id) {
             match self.coords[coord_id].selector.select(cand, now) {
                 Selection::Server(node) => {
                     self.record_decision(op_id, coord_id, Some(node), cand, now);
-                    {
-                        let coord = &mut self.coords[coord_id];
-                        coord.backlogs[group_id].pop();
-                        if coord.backlogs[group_id].is_empty() {
-                            coord.backlogged -= 1;
-                        }
-                        coord.selector.on_send(node, now);
-                    }
+                    let coord = &mut self.coords[coord_id];
+                    coord.front.pop(group_id);
+                    coord.selector.on_send(node, now);
                     self.forward(op_id, node, false, true, now, engine);
                     self.arm_lifecycle(op_id, engine);
                     let op = self.ops[op_id as usize];
@@ -1523,19 +1450,10 @@ impl ClusterScenario {
                     }
                 }
                 Selection::Backpressure { retry_at } => {
-                    let coord = &mut self.coords[coord_id];
-                    if coord.retry_timer[group_id].is_none() {
-                        let at = retry_at.max(now + Nanos(1));
-                        let timer = engine.schedule_cancellable(
-                            at,
-                            Ev::RetryBacklog {
-                                coord: coord_id,
-                                group: group_id,
-                            },
-                        );
-                        coord.retry_timer[group_id] = Some(timer);
-                    }
-                    break 'drain;
+                    self.coords[coord_id]
+                        .front
+                        .stall(group_id, retry_at, now, engine);
+                    break;
                 }
             }
         }

@@ -18,7 +18,7 @@
 //! The crate is deliberately runtime-agnostic: every entry point takes the
 //! current time as a [`Nanos`] argument, so the same code drives the
 //! deterministic discrete-event simulators (`c3-sim`, `c3-cluster`) and the
-//! real tokio/TCP implementation (`c3-net`).
+//! real socket implementation (`c3-live`).
 //!
 //! ## Quick start
 //!

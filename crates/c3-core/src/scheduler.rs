@@ -261,8 +261,7 @@ impl C3State {
 
 /// A FIFO backlog queue for one replica group, with backpressure statistics.
 ///
-/// `R` is the caller's request token type (an id in the simulators, a
-/// oneshot sender in the tokio client).
+/// `R` is the caller's request token type (a request id in the simulators).
 #[derive(Debug)]
 pub struct BacklogQueue<R> {
     queue: VecDeque<R>,

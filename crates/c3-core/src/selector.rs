@@ -1,5 +1,5 @@
 //! The [`ReplicaSelector`] abstraction shared by the simulators, the
-//! Cassandra-like cluster, and the tokio client.
+//! Cassandra-like cluster, and the live socket client.
 //!
 //! A selector is the client-side decision logic: given a replica group for
 //! a request, pick the server to send to (or signal backpressure). The

@@ -3,7 +3,7 @@
 //! The C3 algorithm is driven by timestamps (rate windows, hysteresis
 //! periods, cubic growth since the last rate decrease). To keep the core
 //! usable both from the deterministic discrete-event simulators and from the
-//! real tokio implementation, every algorithm entry point takes the current
+//! real socket implementation, every algorithm entry point takes the current
 //! time as an explicit [`Nanos`] argument instead of reading a clock.
 
 use std::fmt;

@@ -16,6 +16,10 @@
 //!   by `c3-cluster`) Dynamic Snitching, so simulators, benches and
 //!   examples select strategies with a [`Strategy`] name instead of
 //!   hand-rolled per-crate enums.
+//! - [`BackpressureFront`]: Algorithm 1's backlog/retry protocol (per-group
+//!   FIFO backlog, one cancellable retry timer per group, cancelled when a
+//!   response drains the backlog first), shared by every event loop that
+//!   drives a backpressure-capable selector.
 //! - [`ScenarioRunner`]: owns RNG seed derivation ([`SeedSeq`]), the
 //!   warm-up/measure window, and the uniform [`RunMetrics`] (named latency
 //!   channels, throughput, per-server load time series) for any
@@ -80,11 +84,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod backpressure;
 mod kernel;
 mod registry;
 mod runner;
 mod slo;
 
+pub use backpressure::BackpressureFront;
 pub use c3_metrics::{ChannelId, ChannelSet, SloMetric, SloPredicate};
 pub use kernel::{EventQueue, TimerId};
 pub use registry::{BuiltSelector, SelectorCtx, Strategy, StrategyRegistry, UnknownStrategy};

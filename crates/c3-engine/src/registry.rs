@@ -19,6 +19,8 @@ use c3_core::strategies::{
 };
 use c3_core::{C3Config, C3Selector, Nanos, ReplicaSelector};
 
+use crate::runner::SeedSeq;
+
 /// A replica-selection strategy, referenced by its registry name.
 ///
 /// This replaces the per-crate `StrategyKind`/`ClusterStrategy` enums the
@@ -305,6 +307,34 @@ impl StrategyRegistry {
             ))));
         }
         Err(UnknownStrategy(strategy.name().to_string()))
+    }
+
+    /// Build selector instance `index` for a frontend that keeps one
+    /// selector per client (or coordinator, or shard), seeding the
+    /// instance's randomness from [`SeedSeq::client_seed`]. `None` is the
+    /// Oracle: the frontend supplies the global view itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the strategy is not registered.
+    pub fn build_client(
+        &self,
+        strategy: &Strategy,
+        servers: usize,
+        c3: C3Config,
+        seeds: &SeedSeq,
+        index: usize,
+    ) -> Option<Box<dyn ReplicaSelector>> {
+        let ctx = SelectorCtx {
+            servers,
+            c3,
+            seed: seeds.client_seed(index as u64),
+            now: Nanos::ZERO,
+        };
+        match self.build(strategy, &ctx).unwrap_or_else(|e| panic!("{e}")) {
+            BuiltSelector::Selector(s) => Some(s),
+            BuiltSelector::Oracle => None,
+        }
     }
 }
 

@@ -4,9 +4,7 @@
 //! and rate control cut the tail on actual servers, not just in a
 //! discrete-event kernel. This crate is the first end-to-end path from
 //! the workspace's algorithm to real bytes on a wire, with **no runtime
-//! dependencies beyond `std::net` + `std::thread`** (the tokio-based
-//! `c3-net` client stays gated behind its non-default `rt` feature,
-//! which this environment cannot build):
+//! dependencies beyond `std::net` + `std::thread`**:
 //!
 //! - [`LiveCluster`]: N replica servers on loopback TCP — per-connection
 //!   handler threads, a sharded in-memory store, bounded execution slots

@@ -3,7 +3,7 @@
 //! `c3-net` defines the frame layout (length-delimited requests and
 //! responses with piggybacked feedback) runtime-agnostically; this module
 //! pumps those frames over blocking `std::net` streams — one read buffer
-//! per connection, decoded incrementally exactly as the tokio path would.
+//! per connection, decoded incrementally.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;

@@ -1,8 +1,8 @@
-//! Error type for the networked implementation.
+//! Error type of the wire protocol and the socket code built on it.
 
 use std::fmt;
 
-/// Errors produced by the tokio client/server.
+/// Errors produced while framing, parsing or moving protocol frames.
 #[derive(Debug)]
 pub enum NetError {
     /// Underlying socket error.

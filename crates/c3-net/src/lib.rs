@@ -1,38 +1,21 @@
-//! # c3-net — C3 over real sockets
+//! # c3-net — the C3 wire protocol
 //!
-//! A tokio/TCP implementation of the C3 client/server protocol, playing
-//! the role the Akka-based Cassandra patch plays in §4 of the paper:
+//! The frames `c3-live` and `c3-live-node` put on real sockets, playing
+//! the role the Akka messages of the Cassandra patch play in §4 of the
+//! paper: [`proto`] defines length-delimited key-value requests and
+//! responses whose every response piggybacks the server feedback
+//! (`queue_size`, `service_time`) that C3 clients smooth into `q̄_s` and
+//! `μ̄_s⁻¹`, plus the hello frame that opens a node connection.
 //!
-//! - [`KvServer`]: an async key-value server that tracks its pending
-//!   request count and per-request service times, piggybacking both on
-//!   every response ([`proto`] frames). Optional simulated service times
-//!   turn a localhost process into a convincingly loaded replica.
-//! - [`C3Client`]: a multiplexed RPC client (one connection per server,
-//!   correlation-id matching) whose read path is Algorithm 1: rank the
-//!   replica group with the cubic score, send to the best in-rate server,
-//!   or wait out backpressure when all replicas are saturated. The reader
-//!   task feeds responses into [`c3_core::C3State`] before waking callers.
-//!
-//! The crate is deliberately small and dependency-light: frames are
-//! hand-encoded with `bytes`, shared state uses `parking_lot`, and the
-//! only runtime is tokio.
+//! The crate is runtime-agnostic and dependency-light: frames are
+//! hand-encoded with `bytes`, decoding is incremental over a caller-owned
+//! buffer, and no socket is ever opened here — `c3-live`'s blocking
+//! framing helpers pump these frames over `std::net` streams.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-// The tokio client/server need `tokio` and `parking_lot`, which the
-// build environment cannot fetch (no crates registry). The wire protocol
-// and error types below always build; enable the `rt` feature after
-// adding those dependencies to Cargo.toml to compile the full stack.
-#[cfg(feature = "rt")]
-mod client;
 mod error;
 pub mod proto;
-#[cfg(feature = "rt")]
-mod server;
 
-#[cfg(feature = "rt")]
-pub use client::C3Client;
 pub use error::NetError;
-#[cfg(feature = "rt")]
-pub use server::{KvServer, ServiceProfile};

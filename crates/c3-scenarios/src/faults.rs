@@ -12,15 +12,12 @@
 //! replica silently eats requests; deadlines + retries + hedging can, and
 //! the reports carry the `timeouts`/`parked` tallies that prove it.
 
-use c3_cluster::{
-    ClusterConfig, ClusterScenario, FaultEvent, FaultKind, FaultPlan, PerturbationSpec,
-};
+use c3_cluster::{ClusterConfig, FaultEvent, FaultKind, FaultPlan, PerturbationSpec};
 use c3_core::{LifecycleConfig, Nanos};
-use c3_engine::{ScenarioRunner, Strategy, StrategyRegistry};
-use c3_telemetry::Recorder;
+use c3_engine::StrategyRegistry;
 
+use crate::cluster_backed;
 use crate::options::{RunOptions, RunOutput};
-use crate::report::ScenarioReport;
 
 /// Which fault timeline a [`FaultFluxConfig`] replays.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -158,48 +155,14 @@ impl FaultFluxConfig {
 /// Panics when the configured strategy is unknown or needs
 /// simulator-global state (`ORA`).
 pub fn run(cfg: &FaultFluxConfig, registry: &StrategyRegistry, options: RunOptions) -> RunOutput {
-    let name = cfg.name();
-    let cluster_cfg = cfg.apply();
-    cluster_cfg.validate();
-    let strategy: Strategy = cluster_cfg.strategy.clone();
-    let seed = cluster_cfg.seed;
-    let nodes = cluster_cfg.nodes;
-    let load_window = cluster_cfg.load_window;
-    let runner = ScenarioRunner::new(seed)
-        .with_warmup(cluster_cfg.warmup_ops)
-        .with_exact_latency_if(cluster_cfg.exact_latency);
-    let mut scenario = ClusterScenario::with_registry(cluster_cfg, registry);
-    if let Some(rec) = options.recorder {
-        scenario.set_recorder(rec);
-    }
-    let (metrics, stats) = runner.run(&mut scenario, nodes, load_window);
-    let recorder = scenario.take_recorder();
-    let (timeouts, parked) = scenario.lifecycle_counts();
-    let report = ScenarioReport::from_metrics(name, &strategy, seed, &metrics, &stats)
-        .with_dead_events(scenario.dead_events())
-        .with_lifecycle(timeouts, parked);
-    RunOutput { report, recorder }
-}
-
-/// Deprecated wrapper over [`run`] with a recorder attached.
-///
-/// # Panics
-///
-/// Panics when the configured strategy is unknown or needs
-/// simulator-global state (`ORA`).
-#[deprecated(note = "use run(cfg, registry, RunOptions::recorded(recorder)) instead")]
-pub fn run_recorded(
-    cfg: &FaultFluxConfig,
-    registry: &StrategyRegistry,
-    recorder: Recorder,
-) -> (ScenarioReport, Recorder) {
-    run(cfg, registry, RunOptions::recorded(recorder)).expect_recorded()
+    cluster_backed::run(cfg.name(), cfg.apply(), registry, options)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario_registry;
+    use c3_engine::Strategy;
 
     fn small(mut cfg: FaultFluxConfig, strategy: Strategy) -> FaultFluxConfig {
         cfg.cluster.nodes = 9;

@@ -10,13 +10,12 @@
 //! whole-run scripted slowdowns on top of [`c3_cluster`]'s perturbation
 //! machinery, so GC/compaction noise still rides on top of the tier skew.
 
-use c3_cluster::{ClusterConfig, ClusterScenario, ScriptedSlowdown};
+use c3_cluster::{ClusterConfig, ScriptedSlowdown};
 use c3_core::Nanos;
-use c3_engine::{ScenarioRunner, Strategy, StrategyRegistry};
-use c3_telemetry::Recorder;
+use c3_engine::StrategyRegistry;
 
+use crate::cluster_backed;
 use crate::options::{RunOptions, RunOutput};
-use crate::report::ScenarioReport;
 
 /// Configuration of a heterogeneous-fleet run.
 #[derive(Clone, Debug)]
@@ -89,47 +88,14 @@ impl HeteroFleetConfig {
 /// Panics when the configured strategy is unknown or needs
 /// simulator-global state (`ORA`).
 pub fn run(cfg: &HeteroFleetConfig, registry: &StrategyRegistry, options: RunOptions) -> RunOutput {
-    let cluster_cfg = cfg.apply();
-    let strategy: Strategy = cluster_cfg.strategy.clone();
-    let seed = cluster_cfg.seed;
-    let nodes = cluster_cfg.nodes;
-    let load_window = cluster_cfg.load_window;
-    let runner = ScenarioRunner::new(seed)
-        .with_warmup(cluster_cfg.warmup_ops)
-        .with_exact_latency_if(cluster_cfg.exact_latency);
-    let mut scenario = ClusterScenario::with_registry(cluster_cfg, registry);
-    if let Some(rec) = options.recorder {
-        scenario.set_recorder(rec);
-    }
-    let (metrics, stats) = runner.run(&mut scenario, nodes, load_window);
-    let recorder = scenario.take_recorder();
-    let (timeouts, parked) = scenario.lifecycle_counts();
-    let report =
-        ScenarioReport::from_metrics(super::HETERO_FLEET, &strategy, seed, &metrics, &stats)
-            .with_dead_events(scenario.dead_events())
-            .with_lifecycle(timeouts, parked);
-    RunOutput { report, recorder }
-}
-
-/// Deprecated wrapper over [`run`] with a recorder attached.
-///
-/// # Panics
-///
-/// Panics when the configured strategy is unknown or needs
-/// simulator-global state (`ORA`).
-#[deprecated(note = "use run(cfg, registry, RunOptions::recorded(recorder)) instead")]
-pub fn run_recorded(
-    cfg: &HeteroFleetConfig,
-    registry: &StrategyRegistry,
-    recorder: Recorder,
-) -> (ScenarioReport, Recorder) {
-    run(cfg, registry, RunOptions::recorded(recorder)).expect_recorded()
+    cluster_backed::run(super::HETERO_FLEET, cfg.apply(), registry, options)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario_registry;
+    use c3_engine::Strategy;
 
     fn small(strategy: Strategy) -> HeteroFleetConfig {
         let mut cfg = HeteroFleetConfig::default();

@@ -25,6 +25,10 @@
 //!   lifecycle — deadlines, bounded retry with backoff, hedged requests
 //!   and a failure detector.
 //!
+//! The first two are configurations of one direct-fleet event loop
+//! (clients talk straight to servers); the other four are configurations
+//! of `c3-cluster`'s coordinator loop.
+//!
 //! Every run produces the same [`ScenarioReport`] (per-channel summaries,
 //! throughput, a bit-exact [`ScenarioReport::fingerprint`]), and
 //! [`ScenarioRegistry::sweep`] fans the full scenario × strategy × seed
@@ -47,7 +51,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cluster_backed;
 mod faults;
+mod fleet;
 mod hetero;
 mod mega_fleet;
 mod multi_tenant;
@@ -58,23 +64,15 @@ mod report;
 
 pub use faults::{run as run_fault_flux, FaultFlavor, FaultFluxConfig};
 pub use hetero::{run as run_hetero_fleet, HeteroFleetConfig};
-pub use mega_fleet::{run as run_mega_fleet, MegaFleetConfig, MegaFleetScenario, MfEvent};
+pub use mega_fleet::{run as run_mega_fleet, MegaFleetConfig};
 pub use multi_tenant::{
-    run as run_multi_tenant, run_isolated as run_multi_tenant_isolated, MtEvent, MultiTenantConfig,
-    MultiTenantScenario, TenantSpec,
+    run as run_multi_tenant, run_isolated as run_multi_tenant_isolated, MultiTenantConfig,
+    TenantSpec,
 };
 pub use options::{RunOptions, RunOutput, RunTuning};
 pub use partition::{run as run_partition_flux, PartitionFluxConfig};
 pub use registry::{ScenarioError, ScenarioParams, ScenarioRegistry};
 pub use report::{ChannelReport, ScenarioReport};
-#[allow(deprecated)]
-pub use {
-    faults::run_recorded as run_fault_flux_recorded,
-    hetero::run_recorded as run_hetero_fleet_recorded,
-    mega_fleet::run_recorded as run_mega_fleet_recorded,
-    multi_tenant::run_recorded as run_multi_tenant_recorded,
-    partition::run_recorded as run_partition_flux_recorded,
-};
 
 use c3_cluster::{register_cluster_strategies, SnitchConfig};
 use c3_engine::StrategyRegistry;

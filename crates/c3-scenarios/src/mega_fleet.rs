@@ -19,20 +19,12 @@
 //! timers live on the shard, matching the shared selector whose rate
 //! limiter actually pushed back.
 
-use std::collections::VecDeque;
+use c3_core::{C3Config, Nanos};
+use c3_engine::{Strategy, StrategyRegistry};
+use c3_workload::ScrambledZipfian;
 
-use c3_cluster::SnitchSelector;
-use c3_core::{BacklogQueue, C3Config, Feedback, Nanos, ReplicaSelector, ResponseInfo, Selection};
-use c3_engine::{
-    BuiltSelector, ChannelId, ChannelSet, EventQueue, RunMetrics, Scenario, ScenarioRunner,
-    SeedSeq, SelectorCtx, Strategy, StrategyRegistry, TimerId,
-};
-use c3_telemetry::{Recorder, ReplicaSnap, TracePoint, NO_SERVER, TRACE_GROUP};
-use c3_workload::{exp_sample, ScrambledZipfian};
-use rand::rngs::SmallRng;
-
+use crate::fleet::{self, Arrivals, FleetSpec, TrafficClass};
 use crate::options::{RunOptions, RunOutput};
-use crate::report::ScenarioReport;
 
 /// Full configuration of one mega-fleet run.
 #[derive(Clone, Debug)]
@@ -130,6 +122,7 @@ impl MegaFleetConfig {
     ///
     /// Panics when a parameter is out of range.
     pub fn validate(&self) {
+        fleet::validate_id_widths(self.servers, self.clients, 1);
         assert!(self.servers >= self.replication_factor, "too few servers");
         assert!(self.clients >= 1, "need clients");
         assert!(
@@ -157,562 +150,38 @@ impl MegaFleetConfig {
         );
         self.c3.validate();
     }
-}
 
-/// The scenario's event alphabet.
-#[derive(Clone, Copy, Debug)]
-#[allow(missing_docs)]
-pub enum MfEvent {
-    /// A client's think timer fires: issue its next request.
-    Arrive { client: u32 },
-    /// A request reaches its server.
-    ServerArrive { req: u64 },
-    /// A request finishes executing at its server.
-    ServiceDone {
-        server: u32,
-        req: u64,
-        service_time: Nanos,
-    },
-    /// A response reaches its client.
-    ClientReceive { req: u64 },
-    /// A shard retries the backlog of one replica group.
-    RetryBacklog { shard: u32, group: u32 },
-    /// Dynamic Snitching selectors recompute their scores.
-    SnitchTick,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct MfRequest {
-    client: u32,
-    group: u16,
-    server: u16,
-    created: Nanos,
-    sent_at: Nanos,
-    measured: bool,
-}
-
-struct MfServer {
-    queue: VecDeque<u64>,
-    inflight: usize,
-}
-
-/// One pooled selector instance plus the backpressure state owned by it.
-struct MfShard {
-    /// `None` for the Oracle, which reads global server state instead.
-    selector: Option<Box<dyn ReplicaSelector>>,
-    backlogs: Vec<BacklogQueue<u64>>,
-    /// Pending `RetryBacklog` timer per replica group, cancelled when a
-    /// response drains the backlog first (so no dead retry events fire).
-    retry_timer: Vec<Option<TimerId>>,
-}
-
-/// The mega-fleet scenario, driven by the engine's [`ScenarioRunner`].
-pub struct MegaFleetScenario {
-    cfg: MegaFleetConfig,
-    servers: Vec<MfServer>,
-    shards: Vec<MfShard>,
-    groups: Vec<Vec<usize>>,
-    requests: Vec<MfRequest>,
-    feedbacks: Vec<Feedback>,
-    keys: ScrambledZipfian,
-    wl_rng: SmallRng,
-    srv_rng: SmallRng,
-    think_ms: f64,
-    generated: u64,
-    dead_retries: u64,
-    /// Flight recorder for the request lifecycle trace; purely
-    /// observational — a run's fingerprint is identical with and without.
-    recorder: Option<Recorder>,
-}
-
-impl MegaFleetScenario {
-    /// Build the scenario, resolving the strategy through `registry`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configured strategy is not in the registry.
-    pub fn new(cfg: MegaFleetConfig, registry: &StrategyRegistry) -> Self {
-        cfg.validate();
-        let seeds = SeedSeq::new(cfg.seed);
-        let wl_rng = seeds.workload_rng();
-        let srv_rng = seeds.service_rng(37);
-
-        let mut c3 = cfg.c3;
-        c3.concurrency_weight = cfg.selector_shards as f64;
-
-        let groups: Vec<Vec<usize>> = (0..cfg.servers)
-            .map(|g| {
-                (0..cfg.replication_factor)
-                    .map(|k| (g + k) % cfg.servers)
-                    .collect()
-            })
-            .collect();
-
-        let servers = (0..cfg.servers)
-            .map(|_| MfServer {
-                queue: VecDeque::new(),
-                inflight: 0,
-            })
-            .collect();
-
-        let shards: Vec<MfShard> = (0..cfg.selector_shards)
-            .map(|i| {
-                let ctx = SelectorCtx {
-                    servers: cfg.servers,
-                    c3,
-                    seed: seeds.client_seed(i as u64),
-                    now: Nanos::ZERO,
-                };
-                let selector = match registry
-                    .build(&cfg.strategy, &ctx)
-                    .unwrap_or_else(|e| panic!("{e}"))
-                {
-                    BuiltSelector::Selector(s) => Some(s),
-                    BuiltSelector::Oracle => None,
-                };
-                MfShard {
-                    selector,
-                    backlogs: (0..cfg.servers).map(|_| BacklogQueue::new()).collect(),
-                    retry_timer: vec![None; cfg.servers],
-                }
-            })
-            .collect();
-
-        let think_ms = cfg.effective_think_ms();
-        Self {
-            servers,
-            shards,
-            groups,
-            // In-flight requests can overshoot the completion target by up
-            // to one per client; reserve for the common case only.
-            requests: Vec::with_capacity(cfg.total_requests as usize),
-            feedbacks: Vec::with_capacity(cfg.total_requests as usize),
-            keys: ScrambledZipfian::new(cfg.keys, cfg.keys, cfg.zipf_theta),
-            wl_rng,
-            srv_rng,
-            think_ms,
-            generated: 0,
-            dead_retries: 0,
-            recorder: None,
-            cfg,
-        }
-    }
-
-    /// Attach a flight recorder: issue → decision → send → feedback →
-    /// complete events flow into its ring buffer. Recording is purely
-    /// observational; results are bit-identical with and without it.
-    pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.recorder = Some(recorder);
-    }
-
-    /// Detach the flight recorder, if any.
-    pub fn take_recorder(&mut self) -> Option<Recorder> {
-        self.recorder.take()
-    }
-
-    /// `RetryBacklog` events that fired against an already-drained
-    /// backlog. Draining cancels the pending timer, so this stays zero —
-    /// asserted regression-style across the scenario library.
-    pub fn dead_events(&self) -> u64 {
-        self.dead_retries
-    }
-
-    /// The config in force.
-    pub fn config(&self) -> &MegaFleetConfig {
-        &self.cfg
-    }
-
-    #[inline]
-    fn shard_of(&self, client: u32) -> usize {
-        client as usize % self.cfg.selector_shards
-    }
-
-    fn think_gap(&mut self) -> Nanos {
-        Nanos::from_millis_f64(exp_sample(&mut self.wl_rng, self.think_ms))
-    }
-
-    fn service_time(&mut self) -> Nanos {
-        Nanos::from_millis_f64(exp_sample(&mut self.srv_rng, self.cfg.mean_service_ms))
-    }
-
-    fn on_arrive(
-        &mut self,
-        client: u32,
-        now: Nanos,
-        engine: &mut EventQueue<MfEvent>,
-        metrics: &RunMetrics,
-    ) {
-        let issue_index = self.generated;
-        self.generated += 1;
-        let key = self.keys.sample(&mut self.wl_rng);
-        let group = (key % self.cfg.servers as u64) as usize;
-        let req = self.requests.len() as u64;
-        self.requests.push(MfRequest {
-            client,
-            group: group as u16,
-            server: u16::MAX,
-            created: now,
-            sent_at: Nanos::ZERO,
-            measured: metrics.past_warmup(issue_index),
-        });
-        self.feedbacks.push(Feedback::new(0, Nanos::ZERO));
-        if let Some(rec) = &mut self.recorder {
-            rec.record(now, req, TracePoint::Issue);
-        }
-        self.try_dispatch(req, now, engine);
-    }
-
-    /// Record a selection decision into the flight recorder: what the
-    /// shard's selector saw for every candidate (chosen replica first, so
-    /// the [`TRACE_GROUP`] truncation can never drop it) plus the
-    /// ground-truth pending depth at each server. `chosen == None` marks a
-    /// backpressure verdict. No-op unless an event-recording recorder is
-    /// attached.
-    fn record_decision(
-        &mut self,
-        req: u64,
-        shard_id: usize,
-        chosen: Option<usize>,
-        group_id: usize,
-        now: Nanos,
-    ) {
-        if self.recorder.as_ref().is_none_or(|r| r.capacity() == 0) {
-            return;
-        }
-        let mut snaps = [ReplicaSnap::empty(); TRACE_GROUP];
-        let mut len = 0usize;
-        let ordered = chosen.into_iter().chain(
-            self.groups[group_id]
-                .iter()
-                .copied()
-                .filter(|&s| Some(s) != chosen),
-        );
-        for server in ordered.take(TRACE_GROUP) {
-            let pending = (self.servers[server].inflight + self.servers[server].queue.len()) as u32;
-            let view = self.shards[shard_id]
-                .selector
-                .as_deref()
-                .and_then(|sel| sel.replica_view(server));
-            snaps[len] = match view {
-                Some(view) => ReplicaSnap::from_view(server as u32, &view, pending),
-                // The Oracle exposes no view; keep the ground truth so
-                // queue-regret still works where score-regret cannot.
-                None => ReplicaSnap::blind(server as u32, pending),
-            };
-            len += 1;
-        }
-        let rec = self.recorder.as_mut().expect("checked above");
-        rec.record(
-            now,
-            req,
-            TracePoint::Decision {
-                chosen: chosen.map_or(NO_SERVER, |c| c as u32),
-                group_len: len as u8,
-                group: snaps,
+    /// Lower into the direct-fleet loop: closed-loop clients pooled onto
+    /// `selector_shards` selector instances, reporting into the single
+    /// `fleet` channel.
+    fn lower(self) -> FleetSpec {
+        self.validate();
+        FleetSpec {
+            scenario: super::MEGA_FLEET,
+            servers: self.servers,
+            replication_factor: self.replication_factor,
+            server_concurrency: self.server_concurrency,
+            one_way_latency: self.one_way_latency,
+            total_requests: self.total_requests,
+            warmup_requests: self.warmup_requests,
+            exact_latency: self.exact_latency,
+            selectors: self.selector_shards,
+            service_stream: 37,
+            classes: vec![TrafficClass {
+                name: "fleet".to_string(),
+                mean_service_ms: self.mean_service_ms,
+            }],
+            arrivals: Arrivals::Closed {
+                clients: u32::try_from(self.clients).expect("validated to fit"),
+                mean_think_ms: self.effective_think_ms(),
+                keys: ScrambledZipfian::new(self.keys, self.keys, self.zipf_theta),
             },
-        );
-    }
-
-    fn try_dispatch(&mut self, req: u64, now: Nanos, engine: &mut EventQueue<MfEvent>) {
-        let (shard_id, group_id) = {
-            let r = &self.requests[req as usize];
-            (self.shard_of(r.client), r.group as usize)
-        };
-
-        // Oracle path: perfect knowledge of instantaneous queue depths.
-        if self.shards[shard_id].selector.is_none() {
-            let server = self.oracle_pick(group_id);
-            self.record_decision(req, shard_id, Some(server), group_id, now);
-            self.send(req, server, now, engine);
-            return;
+            strategy: self.strategy,
+            c3: self.c3,
+            snitch_tick: self.snitch_tick,
+            load_window: self.load_window,
+            seed: self.seed,
         }
-
-        let selection = {
-            let group = &self.groups[group_id];
-            let sel = self.shards[shard_id].selector.as_mut().expect("selector");
-            sel.select(group, now)
-        };
-        match selection {
-            Selection::Server(server) => {
-                self.record_decision(req, shard_id, Some(server), group_id, now);
-                self.send(req, server, now, engine)
-            }
-            Selection::Backpressure { retry_at } => {
-                self.record_decision(req, shard_id, None, group_id, now);
-                let shard = &mut self.shards[shard_id];
-                shard.backlogs[group_id].push(req);
-                if shard.retry_timer[group_id].is_none() {
-                    let at = retry_at.max(now + Nanos(1));
-                    let timer = engine.schedule_cancellable(
-                        at,
-                        MfEvent::RetryBacklog {
-                            shard: shard_id as u32,
-                            group: group_id as u32,
-                        },
-                    );
-                    shard.retry_timer[group_id] = Some(timer);
-                }
-            }
-        }
-    }
-
-    fn oracle_pick(&self, group_id: usize) -> usize {
-        *self.groups[group_id]
-            .iter()
-            .min_by_key(|&&s| self.servers[s].inflight + self.servers[s].queue.len())
-            .expect("non-empty group")
-    }
-
-    fn send(&mut self, req: u64, server: usize, now: Nanos, engine: &mut EventQueue<MfEvent>) {
-        let client = {
-            let r = &mut self.requests[req as usize];
-            r.server = server as u16;
-            r.sent_at = now;
-            r.client
-        };
-        let shard_id = self.shard_of(client);
-        if let Some(sel) = self.shards[shard_id].selector.as_mut() {
-            sel.on_send(server, now);
-        }
-        // No Send record: every send here is implied by the `Decision`
-        // event recorded at the same timestamp (attribution folds them).
-        engine.schedule_in(self.cfg.one_way_latency, MfEvent::ServerArrive { req });
-    }
-
-    fn on_server_arrive(&mut self, req: u64, engine: &mut EventQueue<MfEvent>) {
-        let server = self.requests[req as usize].server as usize;
-        if self.servers[server].inflight < self.cfg.server_concurrency {
-            self.servers[server].inflight += 1;
-            let st = self.service_time();
-            engine.schedule_in(
-                st,
-                MfEvent::ServiceDone {
-                    server: server as u32,
-                    req,
-                    service_time: st,
-                },
-            );
-        } else {
-            self.servers[server].queue.push_back(req);
-        }
-    }
-
-    fn on_service_done(
-        &mut self,
-        server: usize,
-        req: u64,
-        service_time: Nanos,
-        now: Nanos,
-        engine: &mut EventQueue<MfEvent>,
-        metrics: &mut RunMetrics,
-    ) {
-        metrics.record_service(server, now);
-        self.servers[server].inflight -= 1;
-        if let Some(next) = self.servers[server].queue.pop_front() {
-            self.servers[server].inflight += 1;
-            let st = self.service_time();
-            engine.schedule_in(
-                st,
-                MfEvent::ServiceDone {
-                    server: server as u32,
-                    req: next,
-                    service_time: st,
-                },
-            );
-        }
-        let pending = (self.servers[server].inflight + self.servers[server].queue.len()) as u32;
-        self.feedbacks[req as usize] = Feedback::new(pending, service_time);
-        engine.schedule_in(self.cfg.one_way_latency, MfEvent::ClientReceive { req });
-    }
-
-    fn on_client_receive(
-        &mut self,
-        req: u64,
-        now: Nanos,
-        engine: &mut EventQueue<MfEvent>,
-        metrics: &mut RunMetrics,
-    ) {
-        let r = self.requests[req as usize];
-        let shard_id = self.shard_of(r.client);
-        let server = r.server as usize;
-        if let Some(sel) = self.shards[shard_id].selector.as_mut() {
-            sel.on_response(
-                server,
-                &ResponseInfo {
-                    response_time: now.saturating_sub(r.sent_at),
-                    feedback: Some(self.feedbacks[req as usize]),
-                },
-                now,
-            );
-        }
-        metrics.record_completion(
-            ChannelId::new(0),
-            now,
-            now.saturating_sub(r.created),
-            r.measured,
-        );
-        if let Some(rec) = &mut self.recorder {
-            let fb = self.feedbacks[req as usize];
-            rec.record(
-                now,
-                req,
-                TracePoint::Feedback {
-                    server: server as u32,
-                    queue: fb.queue_size,
-                    service_ns: fb.service_time.as_nanos(),
-                },
-            );
-            // Warm-up requests get no Complete event, so they never join
-            // into attribution rows — matching the latency channel.
-            if r.measured {
-                rec.record(
-                    now,
-                    req,
-                    TracePoint::Complete {
-                        latency_ns: now.saturating_sub(r.created).as_nanos(),
-                    },
-                );
-            }
-        }
-        // A response may free rate for the groups containing this server.
-        let rf = self.cfg.replication_factor;
-        let n = self.cfg.servers;
-        for k in 0..rf {
-            let group_id = (server + n - k) % n;
-            if !self.shards[shard_id].backlogs[group_id].is_empty() {
-                self.on_retry(shard_id, group_id, now, engine, false);
-            }
-        }
-        // Closed loop: the client thinks, then issues its next request —
-        // exactly one pending event per client, for the whole run.
-        let gap = self.think_gap();
-        engine.schedule_in(gap, MfEvent::Arrive { client: r.client });
-    }
-
-    fn on_retry(
-        &mut self,
-        shard_id: usize,
-        group_id: usize,
-        now: Nanos,
-        engine: &mut EventQueue<MfEvent>,
-        from_timer: bool,
-    ) {
-        if from_timer {
-            // The timer owning this event has fired; forget its handle.
-            self.shards[shard_id].retry_timer[group_id] = None;
-            if self.shards[shard_id].backlogs[group_id].is_empty() {
-                // Unreachable since draining cancels the timer; counted so
-                // a regression back to fire-and-filter is visible.
-                self.dead_retries += 1;
-                return;
-            }
-        } else if let Some(timer) = self.shards[shard_id].retry_timer[group_id].take() {
-            // A response beat the retry timer to this backlog: the drain
-            // below supersedes it, so the timer must not fire dead.
-            engine.cancel(timer);
-        }
-        loop {
-            let Some(&req) = self.shards[shard_id].backlogs[group_id].peek() else {
-                return;
-            };
-            let selection = {
-                let group = &self.groups[group_id];
-                let sel = self.shards[shard_id]
-                    .selector
-                    .as_mut()
-                    .expect("backpressure implies a selector");
-                sel.select(group, now)
-            };
-            match selection {
-                Selection::Server(server) => {
-                    self.record_decision(req, shard_id, Some(server), group_id, now);
-                    self.shards[shard_id].backlogs[group_id].pop();
-                    self.send(req, server, now, engine);
-                }
-                Selection::Backpressure { retry_at } => {
-                    let shard = &mut self.shards[shard_id];
-                    if shard.retry_timer[group_id].is_none() {
-                        let at = retry_at.max(now + Nanos(1));
-                        let timer = engine.schedule_cancellable(
-                            at,
-                            MfEvent::RetryBacklog {
-                                shard: shard_id as u32,
-                                group: group_id as u32,
-                            },
-                        );
-                        shard.retry_timer[group_id] = Some(timer);
-                    }
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Feed Dynamic Snitching selectors their periodic recompute.
-    fn on_snitch_tick(&mut self, now: Nanos, engine: &mut EventQueue<MfEvent>) {
-        let servers = self.cfg.servers;
-        for shard in &mut self.shards {
-            if let Some(snitch) = shard
-                .selector
-                .as_mut()
-                .and_then(|s| s.as_any_mut())
-                .and_then(|any| any.downcast_mut::<SnitchSelector>())
-            {
-                for peer in 0..servers {
-                    snitch.snitch_mut().record_iowait(peer, 0.02);
-                }
-                snitch.snitch_mut().recompute(now);
-            }
-        }
-        engine.schedule_in(self.cfg.snitch_tick, MfEvent::SnitchTick);
-    }
-}
-
-impl Scenario for MegaFleetScenario {
-    type Event = MfEvent;
-
-    fn channels(&self) -> ChannelSet {
-        ChannelSet::of(["fleet".to_string()])
-    }
-
-    fn start(&mut self, engine: &mut EventQueue<MfEvent>) {
-        for client in 0..self.cfg.clients {
-            let jitter = self.think_gap();
-            engine.schedule(
-                jitter,
-                MfEvent::Arrive {
-                    client: client as u32,
-                },
-            );
-        }
-        engine.schedule(self.cfg.snitch_tick, MfEvent::SnitchTick);
-    }
-
-    fn handle(
-        &mut self,
-        event: MfEvent,
-        now: Nanos,
-        engine: &mut EventQueue<MfEvent>,
-        metrics: &mut RunMetrics,
-    ) {
-        match event {
-            MfEvent::Arrive { client } => self.on_arrive(client, now, engine, metrics),
-            MfEvent::ServerArrive { req } => self.on_server_arrive(req, engine),
-            MfEvent::ServiceDone {
-                server,
-                req,
-                service_time,
-            } => self.on_service_done(server as usize, req, service_time, now, engine, metrics),
-            MfEvent::ClientReceive { req } => self.on_client_receive(req, now, engine, metrics),
-            MfEvent::RetryBacklog { shard, group } => {
-                self.on_retry(shard as usize, group as usize, now, engine, true)
-            }
-            MfEvent::SnitchTick => self.on_snitch_tick(now, engine),
-        }
-    }
-
-    fn is_done(&self, metrics: &RunMetrics) -> bool {
-        metrics.total_completions() >= self.cfg.total_requests
     }
 }
 
@@ -721,38 +190,15 @@ impl Scenario for MegaFleetScenario {
 /// lifecycle trace and decision snapshots; the report is bit-identical
 /// either way.
 pub fn run(cfg: MegaFleetConfig, registry: &StrategyRegistry, options: RunOptions) -> RunOutput {
-    let runner = ScenarioRunner::new(cfg.seed)
-        .with_warmup(cfg.warmup_requests)
-        .with_exact_latency_if(cfg.exact_latency);
-    let servers = cfg.servers;
-    let load_window = cfg.load_window;
-    let strategy = cfg.strategy.clone();
-    let seed = cfg.seed;
-    let mut scenario = MegaFleetScenario::new(cfg, registry);
-    if let Some(rec) = options.recorder {
-        scenario.set_recorder(rec);
-    }
-    let (metrics, stats) = runner.run(&mut scenario, servers, load_window);
-    let recorder = scenario.take_recorder();
-    let report = ScenarioReport::from_metrics(super::MEGA_FLEET, &strategy, seed, &metrics, &stats)
-        .with_dead_events(scenario.dead_events());
-    RunOutput { report, recorder }
-}
-
-/// Deprecated wrapper over [`run`] with a recorder attached.
-#[deprecated(note = "use run(cfg, registry, RunOptions::recorded(recorder)) instead")]
-pub fn run_recorded(
-    cfg: MegaFleetConfig,
-    registry: &StrategyRegistry,
-    recorder: Recorder,
-) -> (ScenarioReport, Recorder) {
-    run(cfg, registry, RunOptions::recorded(recorder)).expect_recorded()
+    fleet::run(cfg.lower(), registry, options)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::DirectFleet;
     use crate::scenario_registry;
+    use c3_engine::{EventQueue, Scenario};
 
     /// A scaled-down fleet for quick in-crate tests; the registry tests
     /// exercise the full 120k-client default shape.
@@ -773,7 +219,7 @@ mod tests {
     fn every_client_holds_one_pending_event_at_start() {
         let cfg = small(Strategy::c3());
         let clients = cfg.clients;
-        let mut scenario = MegaFleetScenario::new(cfg, &scenario_registry());
+        let mut scenario = DirectFleet::new(cfg.lower(), &scenario_registry());
         let mut engine = EventQueue::new();
         scenario.start(&mut engine);
         // One think timer per client, plus the snitch tick.
@@ -841,6 +287,22 @@ mod tests {
     fn more_shards_than_clients_is_rejected() {
         let mut cfg = small(Strategy::c3());
         cfg.selector_shards = 4_000;
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "too many servers")]
+    fn servers_beyond_the_request_record_are_rejected() {
+        let mut cfg = small(Strategy::c3());
+        cfg.servers = usize::from(u16::MAX);
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "too many clients")]
+    fn clients_beyond_the_request_record_are_rejected() {
+        let mut cfg = small(Strategy::c3());
+        cfg.clients = u64::from(u32::MAX) + 1;
         cfg.validate();
     }
 }

@@ -12,19 +12,13 @@
 //! positional-channel era could not express: *who* pays the tail when the
 //! fleet misbehaves.
 
-use std::collections::VecDeque;
-
-use c3_cluster::SnitchSelector;
-use c3_core::{BacklogQueue, C3Config, Feedback, Nanos, ReplicaSelector, ResponseInfo, Selection};
-use c3_engine::{
-    BuiltSelector, ChannelId, ChannelSet, EventQueue, RunMetrics, Scenario, ScenarioRunner,
-    SeedSeq, SelectorCtx, Strategy, StrategyRegistry, TimerId,
-};
-use c3_telemetry::{Recorder, ReplicaSnap, TracePoint, NO_SERVER, TRACE_GROUP};
-use c3_workload::{exp_sample, PoissonArrivals, ScrambledZipfian};
+use c3_core::{C3Config, Nanos};
+use c3_engine::{SeedSeq, Strategy, StrategyRegistry};
+use c3_workload::{PoissonArrivals, ScrambledZipfian};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
+use crate::fleet::{self, Arrivals, FleetSpec, PoissonSource, TrafficClass};
 use crate::options::{RunOptions, RunOutput};
 use crate::report::ScenarioReport;
 
@@ -222,6 +216,7 @@ impl MultiTenantConfig {
     ///
     /// Panics when a parameter is out of range.
     pub fn validate(&self) {
+        fleet::validate_id_widths(self.servers, self.clients as u64, self.tenants.len());
         assert!(self.servers >= self.replication_factor, "too few servers");
         assert!(self.clients >= 1, "need clients");
         assert!(self.server_concurrency >= 1, "need execution slots");
@@ -266,578 +261,54 @@ impl MultiTenantConfig {
         }
         self.c3.validate();
     }
-}
 
-/// The scenario's event alphabet.
-#[derive(Clone, Copy, Debug)]
-#[allow(missing_docs)]
-pub enum MtEvent {
-    /// A tenant's Poisson source fires: create a request and reschedule.
-    Arrive { tenant: usize },
-    /// A request reaches its server.
-    ServerArrive { req: u64 },
-    /// A request finishes executing at its server.
-    ServiceDone {
-        server: usize,
-        req: u64,
-        service_time: Nanos,
-    },
-    /// A response reaches its client.
-    ClientReceive { req: u64 },
-    /// A client retries the backlog of one replica group.
-    RetryBacklog { client: usize, group: usize },
-    /// Dynamic Snitching selectors recompute their scores.
-    SnitchTick,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct MtRequest {
-    tenant: u16,
-    client: u16,
-    group: u16,
-    server: u16,
-    created: Nanos,
-    sent_at: Nanos,
-    measured: bool,
-}
-
-struct MtServer {
-    queue: VecDeque<u64>,
-    inflight: usize,
-}
-
-struct MtClient {
-    /// `None` for the Oracle, which reads global server state instead.
-    selector: Option<Box<dyn ReplicaSelector>>,
-    backlogs: Vec<BacklogQueue<u64>>,
-    /// Pending `RetryBacklog` timer per replica group, cancelled when a
-    /// response drains the backlog first (so no dead retry events fire).
-    retry_timer: Vec<Option<TimerId>>,
-}
-
-struct TenantState {
-    spec: TenantSpec,
-    keys: ScrambledZipfian,
-    arrivals: PoissonArrivals,
-    rng: SmallRng,
-}
-
-/// The multi-tenant scenario, driven by the engine's [`ScenarioRunner`].
-pub struct MultiTenantScenario {
-    cfg: MultiTenantConfig,
-    tenants: Vec<TenantState>,
-    servers: Vec<MtServer>,
-    clients: Vec<MtClient>,
-    groups: Vec<Vec<usize>>,
-    requests: Vec<MtRequest>,
-    feedbacks: Vec<Feedback>,
-    wl_rng: SmallRng,
-    srv_rng: SmallRng,
-    generated: u64,
-    dead_retries: u64,
-    /// Flight recorder for the request lifecycle trace; purely
-    /// observational — a run's fingerprint is identical with and without.
-    recorder: Option<Recorder>,
-}
-
-impl MultiTenantScenario {
-    /// Build the scenario, resolving the strategy through `registry`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configured strategy is not in the registry.
-    pub fn new(cfg: MultiTenantConfig, registry: &StrategyRegistry) -> Self {
-        cfg.validate();
-        let seeds = SeedSeq::new(cfg.seed);
-        let wl_rng = seeds.workload_rng();
-        let srv_rng = seeds.service_rng(21);
-
-        let mut c3 = cfg.c3;
-        c3.concurrency_weight = cfg.clients as f64;
-
-        let total_rate = cfg.total_arrival_rate();
-        let tenants: Vec<TenantState> = cfg
+    /// Lower into the direct-fleet loop: one selector per client, one
+    /// open-loop Poisson source and one latency channel per tenant, and
+    /// service time scaled by the tenant's value size.
+    fn lower(self) -> FleetSpec {
+        self.validate();
+        let seeds = SeedSeq::new(self.seed);
+        let total_rate = self.total_arrival_rate();
+        let sources = self
             .tenants
             .iter()
             .enumerate()
-            .map(|(i, spec)| TenantState {
-                spec: spec.clone(),
-                keys: ScrambledZipfian::new(cfg.keys, cfg.keys, spec.zipf_theta),
-                arrivals: PoissonArrivals::new(total_rate * spec.demand_fraction),
+            .map(|(i, t)| PoissonSource {
+                keys: ScrambledZipfian::new(self.keys, self.keys, t.zipf_theta),
+                arrivals: PoissonArrivals::new(total_rate * t.demand_fraction),
                 rng: SmallRng::seed_from_u64(seeds.tenant_seed(i as u64)),
             })
             .collect();
-
-        let groups: Vec<Vec<usize>> = (0..cfg.servers)
-            .map(|g| {
-                (0..cfg.replication_factor)
-                    .map(|k| (g + k) % cfg.servers)
-                    .collect()
-            })
-            .collect();
-
-        let servers = (0..cfg.servers)
-            .map(|_| MtServer {
-                queue: VecDeque::new(),
-                inflight: 0,
-            })
-            .collect();
-
-        let clients: Vec<MtClient> = (0..cfg.clients)
-            .map(|i| {
-                let ctx = SelectorCtx {
-                    servers: cfg.servers,
-                    c3,
-                    seed: seeds.client_seed(i as u64),
-                    now: Nanos::ZERO,
-                };
-                let selector = match registry
-                    .build(&cfg.strategy, &ctx)
-                    .unwrap_or_else(|e| panic!("{e}"))
-                {
-                    BuiltSelector::Selector(s) => Some(s),
-                    BuiltSelector::Oracle => None,
-                };
-                MtClient {
-                    selector,
-                    backlogs: (0..cfg.servers).map(|_| BacklogQueue::new()).collect(),
-                    retry_timer: vec![None; cfg.servers],
-                }
-            })
-            .collect();
-
-        Self {
-            tenants,
-            servers,
-            clients,
-            groups,
-            requests: Vec::with_capacity(cfg.total_requests as usize),
-            feedbacks: Vec::with_capacity(cfg.total_requests as usize),
-            wl_rng,
-            srv_rng,
-            generated: 0,
-            dead_retries: 0,
-            recorder: None,
-            cfg,
-        }
-    }
-
-    /// Attach a flight recorder: issue → decision → send → feedback →
-    /// complete events flow into its ring buffer. Recording is purely
-    /// observational; results are bit-identical with and without it.
-    pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.recorder = Some(recorder);
-    }
-
-    /// Detach the flight recorder, if any.
-    pub fn take_recorder(&mut self) -> Option<Recorder> {
-        self.recorder.take()
-    }
-
-    /// `RetryBacklog` events that fired against an already-drained
-    /// backlog. Draining cancels the pending timer, so this stays zero —
-    /// asserted regression-style across the scenario library.
-    pub fn dead_events(&self) -> u64 {
-        self.dead_retries
-    }
-
-    /// The config in force.
-    pub fn config(&self) -> &MultiTenantConfig {
-        &self.cfg
-    }
-
-    fn service_time(&mut self, tenant: usize) -> Nanos {
-        let scale = f64::from(self.tenants[tenant].spec.value_bytes) / 1024.0;
-        Nanos::from_millis_f64(exp_sample(
-            &mut self.srv_rng,
-            self.cfg.mean_service_ms * scale,
-        ))
-    }
-
-    fn on_arrive(
-        &mut self,
-        tenant: usize,
-        now: Nanos,
-        engine: &mut EventQueue<MtEvent>,
-        metrics: &RunMetrics,
-    ) {
-        if self.generated >= self.cfg.total_requests {
-            return;
-        }
-        let issue_index = self.generated;
-        self.generated += 1;
-        let client = self.wl_rng.gen_range(0..self.cfg.clients);
-        let key = {
-            let t = &mut self.tenants[tenant];
-            t.keys.sample(&mut t.rng)
-        };
-        let group = (key % self.cfg.servers as u64) as usize;
-        let req = self.requests.len() as u64;
-        self.requests.push(MtRequest {
-            tenant: tenant as u16,
-            client: client as u16,
-            group: group as u16,
-            server: u16::MAX,
-            created: now,
-            sent_at: Nanos::ZERO,
-            measured: metrics.past_warmup(issue_index),
-        });
-        self.feedbacks.push(Feedback::new(0, Nanos::ZERO));
-        if let Some(rec) = &mut self.recorder {
-            rec.record(now, req, TracePoint::Issue);
-        }
-        self.try_dispatch(req, now, engine);
-        if self.generated < self.cfg.total_requests {
-            let t = &mut self.tenants[tenant];
-            let gap = t.arrivals.next_gap(&mut t.rng);
-            engine.schedule_in(gap, MtEvent::Arrive { tenant });
-        }
-    }
-
-    /// Record a selection decision into the flight recorder: what the
-    /// client's selector saw for every candidate (chosen replica first, so
-    /// the [`TRACE_GROUP`] truncation can never drop it) plus the
-    /// ground-truth pending depth at each server. `chosen == None` marks a
-    /// backpressure verdict. No-op unless an event-recording recorder is
-    /// attached.
-    fn record_decision(
-        &mut self,
-        req: u64,
-        client_id: usize,
-        chosen: Option<usize>,
-        group_id: usize,
-        now: Nanos,
-    ) {
-        if self.recorder.as_ref().is_none_or(|r| r.capacity() == 0) {
-            return;
-        }
-        let mut snaps = [ReplicaSnap::empty(); TRACE_GROUP];
-        let mut len = 0usize;
-        let ordered = chosen.into_iter().chain(
-            self.groups[group_id]
-                .iter()
-                .copied()
-                .filter(|&s| Some(s) != chosen),
-        );
-        for server in ordered.take(TRACE_GROUP) {
-            let pending = (self.servers[server].inflight + self.servers[server].queue.len()) as u32;
-            let view = self.clients[client_id]
-                .selector
-                .as_deref()
-                .and_then(|sel| sel.replica_view(server));
-            snaps[len] = match view {
-                Some(view) => ReplicaSnap::from_view(server as u32, &view, pending),
-                // The Oracle exposes no view; keep the ground truth so
-                // queue-regret still works where score-regret cannot.
-                None => ReplicaSnap::blind(server as u32, pending),
-            };
-            len += 1;
-        }
-        let rec = self.recorder.as_mut().expect("checked above");
-        rec.record(
-            now,
-            req,
-            TracePoint::Decision {
-                chosen: chosen.map_or(NO_SERVER, |c| c as u32),
-                group_len: len as u8,
-                group: snaps,
-            },
-        );
-    }
-
-    fn try_dispatch(&mut self, req: u64, now: Nanos, engine: &mut EventQueue<MtEvent>) {
-        let (client_id, group_id) = {
-            let r = &self.requests[req as usize];
-            (r.client as usize, r.group as usize)
-        };
-
-        // Oracle path: perfect knowledge of instantaneous queue depths.
-        if self.clients[client_id].selector.is_none() {
-            let server = self.oracle_pick(group_id);
-            self.record_decision(req, client_id, Some(server), group_id, now);
-            self.send(req, server, now, engine);
-            return;
-        }
-
-        let selection = {
-            let group = &self.groups[group_id];
-            let sel = self.clients[client_id].selector.as_mut().expect("selector");
-            sel.select(group, now)
-        };
-        match selection {
-            Selection::Server(server) => {
-                self.record_decision(req, client_id, Some(server), group_id, now);
-                self.send(req, server, now, engine)
-            }
-            Selection::Backpressure { retry_at } => {
-                self.record_decision(req, client_id, None, group_id, now);
-                let client = &mut self.clients[client_id];
-                client.backlogs[group_id].push(req);
-                if client.retry_timer[group_id].is_none() {
-                    let at = retry_at.max(now + Nanos(1));
-                    let timer = engine.schedule_cancellable(
-                        at,
-                        MtEvent::RetryBacklog {
-                            client: client_id,
-                            group: group_id,
-                        },
-                    );
-                    client.retry_timer[group_id] = Some(timer);
-                }
-            }
-        }
-    }
-
-    fn oracle_pick(&self, group_id: usize) -> usize {
-        *self.groups[group_id]
+        let classes = self
+            .tenants
             .iter()
-            .min_by_key(|&&s| self.servers[s].inflight + self.servers[s].queue.len())
-            .expect("non-empty group")
-    }
-
-    fn send(&mut self, req: u64, server: usize, now: Nanos, engine: &mut EventQueue<MtEvent>) {
-        {
-            let r = &mut self.requests[req as usize];
-            r.server = server as u16;
-            r.sent_at = now;
+            .map(|t| TrafficClass {
+                name: t.name.clone(),
+                mean_service_ms: self.mean_service_ms * (f64::from(t.value_bytes) / 1024.0),
+            })
+            .collect();
+        FleetSpec {
+            scenario: super::MULTI_TENANT,
+            servers: self.servers,
+            replication_factor: self.replication_factor,
+            server_concurrency: self.server_concurrency,
+            one_way_latency: self.one_way_latency,
+            total_requests: self.total_requests,
+            warmup_requests: self.warmup_requests,
+            exact_latency: self.exact_latency,
+            selectors: self.clients,
+            service_stream: 21,
+            classes,
+            arrivals: Arrivals::Open {
+                clients: self.clients,
+                sources,
+            },
+            strategy: self.strategy,
+            c3: self.c3,
+            snitch_tick: self.snitch_tick,
+            load_window: self.load_window,
+            seed: self.seed,
         }
-        let client_id = self.requests[req as usize].client as usize;
-        if let Some(sel) = self.clients[client_id].selector.as_mut() {
-            sel.on_send(server, now);
-        }
-        // No Send record: every send here is implied by the `Decision`
-        // event recorded at the same timestamp (attribution folds them).
-        engine.schedule_in(self.cfg.one_way_latency, MtEvent::ServerArrive { req });
-    }
-
-    fn on_server_arrive(&mut self, req: u64, engine: &mut EventQueue<MtEvent>) {
-        let server = self.requests[req as usize].server as usize;
-        if self.servers[server].inflight < self.cfg.server_concurrency {
-            self.servers[server].inflight += 1;
-            let st = self.service_time(self.requests[req as usize].tenant as usize);
-            engine.schedule_in(
-                st,
-                MtEvent::ServiceDone {
-                    server,
-                    req,
-                    service_time: st,
-                },
-            );
-        } else {
-            self.servers[server].queue.push_back(req);
-        }
-    }
-
-    fn on_service_done(
-        &mut self,
-        server: usize,
-        req: u64,
-        service_time: Nanos,
-        now: Nanos,
-        engine: &mut EventQueue<MtEvent>,
-        metrics: &mut RunMetrics,
-    ) {
-        metrics.record_service(server, now);
-        self.servers[server].inflight -= 1;
-        if let Some(next) = self.servers[server].queue.pop_front() {
-            self.servers[server].inflight += 1;
-            let st = self.service_time(self.requests[next as usize].tenant as usize);
-            engine.schedule_in(
-                st,
-                MtEvent::ServiceDone {
-                    server,
-                    req: next,
-                    service_time: st,
-                },
-            );
-        }
-        let pending = (self.servers[server].inflight + self.servers[server].queue.len()) as u32;
-        self.feedbacks[req as usize] = Feedback::new(pending, service_time);
-        engine.schedule_in(self.cfg.one_way_latency, MtEvent::ClientReceive { req });
-    }
-
-    fn on_client_receive(
-        &mut self,
-        req: u64,
-        now: Nanos,
-        engine: &mut EventQueue<MtEvent>,
-        metrics: &mut RunMetrics,
-    ) {
-        let r = self.requests[req as usize];
-        let client_id = r.client as usize;
-        let server = r.server as usize;
-        if let Some(sel) = self.clients[client_id].selector.as_mut() {
-            sel.on_response(
-                server,
-                &ResponseInfo {
-                    response_time: now.saturating_sub(r.sent_at),
-                    feedback: Some(self.feedbacks[req as usize]),
-                },
-                now,
-            );
-        }
-        metrics.record_completion(
-            ChannelId::new(r.tenant as usize),
-            now,
-            now.saturating_sub(r.created),
-            r.measured,
-        );
-        if let Some(rec) = &mut self.recorder {
-            let fb = self.feedbacks[req as usize];
-            rec.record(
-                now,
-                req,
-                TracePoint::Feedback {
-                    server: server as u32,
-                    queue: fb.queue_size,
-                    service_ns: fb.service_time.as_nanos(),
-                },
-            );
-            // Warm-up requests get no Complete event, so they never join
-            // into attribution rows — matching the latency channels.
-            if r.measured {
-                rec.record(
-                    now,
-                    req,
-                    TracePoint::Complete {
-                        latency_ns: now.saturating_sub(r.created).as_nanos(),
-                    },
-                );
-            }
-        }
-        // A response may free rate for the groups containing this server.
-        let rf = self.cfg.replication_factor;
-        let n = self.cfg.servers;
-        for k in 0..rf {
-            let group_id = (server + n - k) % n;
-            if !self.clients[client_id].backlogs[group_id].is_empty() {
-                self.on_retry(client_id, group_id, now, engine, false);
-            }
-        }
-    }
-
-    fn on_retry(
-        &mut self,
-        client_id: usize,
-        group_id: usize,
-        now: Nanos,
-        engine: &mut EventQueue<MtEvent>,
-        from_timer: bool,
-    ) {
-        if from_timer {
-            // The timer owning this event has fired; forget its handle.
-            self.clients[client_id].retry_timer[group_id] = None;
-            if self.clients[client_id].backlogs[group_id].is_empty() {
-                // Unreachable since draining cancels the timer; counted so
-                // a regression back to fire-and-filter is visible.
-                self.dead_retries += 1;
-                return;
-            }
-        } else if let Some(timer) = self.clients[client_id].retry_timer[group_id].take() {
-            // A response beat the retry timer to this backlog: the drain
-            // below supersedes it, so the timer must not fire dead.
-            engine.cancel(timer);
-        }
-        loop {
-            let Some(&req) = self.clients[client_id].backlogs[group_id].peek() else {
-                return;
-            };
-            let selection = {
-                let group = &self.groups[group_id];
-                let sel = self.clients[client_id]
-                    .selector
-                    .as_mut()
-                    .expect("backpressure implies a selector");
-                sel.select(group, now)
-            };
-            match selection {
-                Selection::Server(server) => {
-                    self.record_decision(req, client_id, Some(server), group_id, now);
-                    self.clients[client_id].backlogs[group_id].pop();
-                    self.send(req, server, now, engine);
-                }
-                Selection::Backpressure { retry_at } => {
-                    let client = &mut self.clients[client_id];
-                    if client.retry_timer[group_id].is_none() {
-                        let at = retry_at.max(now + Nanos(1));
-                        let timer = engine.schedule_cancellable(
-                            at,
-                            MtEvent::RetryBacklog {
-                                client: client_id,
-                                group: group_id,
-                            },
-                        );
-                        client.retry_timer[group_id] = Some(timer);
-                    }
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Feed Dynamic Snitching selectors their periodic recompute (the
-    /// cluster does this through gossip; here every node idles at baseline
-    /// iowait, so only the latency reservoir matters).
-    fn on_snitch_tick(&mut self, now: Nanos, engine: &mut EventQueue<MtEvent>) {
-        let servers = self.cfg.servers;
-        for client in &mut self.clients {
-            if let Some(snitch) = client
-                .selector
-                .as_mut()
-                .and_then(|s| s.as_any_mut())
-                .and_then(|any| any.downcast_mut::<SnitchSelector>())
-            {
-                for peer in 0..servers {
-                    snitch.snitch_mut().record_iowait(peer, 0.02);
-                }
-                snitch.snitch_mut().recompute(now);
-            }
-        }
-        engine.schedule_in(self.cfg.snitch_tick, MtEvent::SnitchTick);
-    }
-}
-
-impl Scenario for MultiTenantScenario {
-    type Event = MtEvent;
-
-    fn channels(&self) -> ChannelSet {
-        ChannelSet::of(self.cfg.tenants.iter().map(|t| t.name.clone()))
-    }
-
-    fn start(&mut self, engine: &mut EventQueue<MtEvent>) {
-        for tenant in 0..self.tenants.len() {
-            let t = &mut self.tenants[tenant];
-            let jitter = t.arrivals.next_gap(&mut t.rng);
-            engine.schedule(jitter, MtEvent::Arrive { tenant });
-        }
-        engine.schedule(self.cfg.snitch_tick, MtEvent::SnitchTick);
-    }
-
-    fn handle(
-        &mut self,
-        event: MtEvent,
-        now: Nanos,
-        engine: &mut EventQueue<MtEvent>,
-        metrics: &mut RunMetrics,
-    ) {
-        match event {
-            MtEvent::Arrive { tenant } => self.on_arrive(tenant, now, engine, metrics),
-            MtEvent::ServerArrive { req } => self.on_server_arrive(req, engine),
-            MtEvent::ServiceDone {
-                server,
-                req,
-                service_time,
-            } => self.on_service_done(server, req, service_time, now, engine, metrics),
-            MtEvent::ClientReceive { req } => self.on_client_receive(req, now, engine, metrics),
-            MtEvent::RetryBacklog { client, group } => {
-                self.on_retry(client, group, now, engine, true)
-            }
-            MtEvent::SnitchTick => self.on_snitch_tick(now, engine),
-        }
-    }
-
-    fn is_done(&self, metrics: &RunMetrics) -> bool {
-        metrics.total_completions() >= self.cfg.total_requests
     }
 }
 
@@ -856,33 +327,7 @@ pub fn run_isolated(cfg: &MultiTenantConfig, registry: &StrategyRegistry) -> Vec
 /// the request lifecycle trace and decision snapshots; the report is
 /// bit-identical either way.
 pub fn run(cfg: MultiTenantConfig, registry: &StrategyRegistry, options: RunOptions) -> RunOutput {
-    let runner = ScenarioRunner::new(cfg.seed)
-        .with_warmup(cfg.warmup_requests)
-        .with_exact_latency_if(cfg.exact_latency);
-    let servers = cfg.servers;
-    let load_window = cfg.load_window;
-    let strategy = cfg.strategy.clone();
-    let seed = cfg.seed;
-    let mut scenario = MultiTenantScenario::new(cfg, registry);
-    if let Some(rec) = options.recorder {
-        scenario.set_recorder(rec);
-    }
-    let (metrics, stats) = runner.run(&mut scenario, servers, load_window);
-    let recorder = scenario.take_recorder();
-    let report =
-        ScenarioReport::from_metrics(super::MULTI_TENANT, &strategy, seed, &metrics, &stats)
-            .with_dead_events(scenario.dead_events());
-    RunOutput { report, recorder }
-}
-
-/// Deprecated wrapper over [`run`] with a recorder attached.
-#[deprecated(note = "use run(cfg, registry, RunOptions::recorded(recorder)) instead")]
-pub fn run_recorded(
-    cfg: MultiTenantConfig,
-    registry: &StrategyRegistry,
-    recorder: Recorder,
-) -> (ScenarioReport, Recorder) {
-    run(cfg, registry, RunOptions::recorded(recorder)).expect_recorded()
+    fleet::run(cfg.lower(), registry, options)
 }
 
 #[cfg(test)]
@@ -1013,6 +458,30 @@ mod tests {
     fn demand_must_sum_to_one() {
         let mut cfg = small(Strategy::c3());
         cfg.tenants[0].demand_fraction = 0.9;
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "too many servers")]
+    fn servers_beyond_the_request_record_are_rejected() {
+        let mut cfg = small(Strategy::c3());
+        cfg.servers = usize::from(u16::MAX);
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "too many clients")]
+    fn clients_beyond_the_request_record_are_rejected() {
+        let mut cfg = small(Strategy::c3());
+        cfg.clients = u32::MAX as usize + 1;
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "too many tenants")]
+    fn tenants_beyond_the_request_record_are_rejected() {
+        let mut cfg = small(Strategy::c3());
+        cfg.tenants = vec![TenantSpec::bulk(); usize::from(u16::MAX) + 1];
         cfg.validate();
     }
 }

@@ -1,10 +1,8 @@
 //! Per-run knobs shared by every scenario module's `run` entry point.
 //!
-//! Each scenario module used to export a `run`/`run_recorded`/`run_inner`
-//! triple whose only difference was whether a [`Recorder`] rode along.
-//! The single `run(cfg, strategies, RunOptions)` entry replaces that:
-//! options default to the plain run, and future knobs land here instead
-//! of multiplying entry points.
+//! Every scenario has one `run(cfg, strategies, RunOptions)` entry:
+//! options default to the plain run, and whether a [`Recorder`] rides
+//! along is an option, not a second entry point.
 
 use c3_core::kv::{encode_kv, KvError, KvMap};
 use c3_telemetry::Recorder;
@@ -30,9 +28,7 @@ impl RunOptions {
     }
 }
 
-/// Per-run tuning knobs shared by every scenario frontend — the plain
-/// struct that replaced the `with_*` builder sprawl on `ScenarioParams`.
-/// `Default` keeps every scenario's native drive; set fields directly:
+/// Per-run tuning knobs shared by every scenario frontend. `Default` keeps every scenario's native drive; set fields directly:
 ///
 /// ```
 /// use c3_scenarios::RunTuning;
@@ -144,12 +140,4 @@ pub struct RunOutput {
     pub report: ScenarioReport,
     /// The recorder, when [`RunOptions::recorder`] attached one.
     pub recorder: Option<Recorder>,
-}
-
-impl RunOutput {
-    /// Split into `(report, recorder)`, panicking when no recorder was
-    /// attached — the deprecated `run_recorded` wrappers' contract.
-    pub(crate) fn expect_recorded(self) -> (ScenarioReport, Recorder) {
-        (self.report, self.recorder.expect("recorder was attached"))
-    }
 }

@@ -12,13 +12,12 @@
 //! process per node (the "flux"), plus optional scripted windows for
 //! deterministic experiments.
 
-use c3_cluster::{ClusterConfig, ClusterScenario, EpisodeSpec, PerturbationSpec, ScriptedSlowdown};
+use c3_cluster::{ClusterConfig, EpisodeSpec, PerturbationSpec, ScriptedSlowdown};
 use c3_core::Nanos;
-use c3_engine::{ScenarioRunner, Strategy, StrategyRegistry};
-use c3_telemetry::Recorder;
+use c3_engine::StrategyRegistry;
 
+use crate::cluster_backed;
 use crate::options::{RunOptions, RunOutput};
-use crate::report::ScenarioReport;
 
 /// Configuration of a partition/flux run.
 #[derive(Clone, Debug)]
@@ -99,47 +98,14 @@ pub fn run(
     registry: &StrategyRegistry,
     options: RunOptions,
 ) -> RunOutput {
-    let cluster_cfg = cfg.apply();
-    let strategy: Strategy = cluster_cfg.strategy.clone();
-    let seed = cluster_cfg.seed;
-    let nodes = cluster_cfg.nodes;
-    let load_window = cluster_cfg.load_window;
-    let runner = ScenarioRunner::new(seed)
-        .with_warmup(cluster_cfg.warmup_ops)
-        .with_exact_latency_if(cluster_cfg.exact_latency);
-    let mut scenario = ClusterScenario::with_registry(cluster_cfg, registry);
-    if let Some(rec) = options.recorder {
-        scenario.set_recorder(rec);
-    }
-    let (metrics, stats) = runner.run(&mut scenario, nodes, load_window);
-    let recorder = scenario.take_recorder();
-    let (timeouts, parked) = scenario.lifecycle_counts();
-    let report =
-        ScenarioReport::from_metrics(super::PARTITION_FLUX, &strategy, seed, &metrics, &stats)
-            .with_dead_events(scenario.dead_events())
-            .with_lifecycle(timeouts, parked);
-    RunOutput { report, recorder }
-}
-
-/// Deprecated wrapper over [`run`] with a recorder attached.
-///
-/// # Panics
-///
-/// Panics when the configured strategy is unknown or needs
-/// simulator-global state (`ORA`).
-#[deprecated(note = "use run(cfg, registry, RunOptions::recorded(recorder)) instead")]
-pub fn run_recorded(
-    cfg: &PartitionFluxConfig,
-    registry: &StrategyRegistry,
-    recorder: Recorder,
-) -> (ScenarioReport, Recorder) {
-    run(cfg, registry, RunOptions::recorded(recorder)).expect_recorded()
+    cluster_backed::run(super::PARTITION_FLUX, cfg.apply(), registry, options)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario_registry;
+    use c3_engine::Strategy;
 
     fn small(strategy: Strategy) -> PartitionFluxConfig {
         let mut cfg = PartitionFluxConfig::default();

@@ -9,10 +9,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use c3_engine::{fan_out, Strategy};
+use c3_engine::{fan_out, Strategy, StrategyRegistry};
 use c3_telemetry::Recorder;
 
-use crate::options::{RunOptions, RunTuning};
+use crate::options::{RunOptions, RunOutput, RunTuning};
 use crate::report::ScenarioReport;
 use crate::{faults, hetero, mega_fleet, multi_tenant, partition, scenario_registry};
 use crate::{CRASH_FLUX, FLAKY_NET, HETERO_FLEET, MEGA_FLEET, MULTI_TENANT, PARTITION_FLUX};
@@ -34,8 +34,7 @@ pub struct ScenarioParams {
     /// Zipf table dominates a short run's build time).
     pub keys: Option<u64>,
     /// Per-run tuning knobs (offered rate, exact percentiles, live
-    /// client budget/connections) — one plain struct instead of the
-    /// former `with_*` builder sprawl; see [`RunTuning`].
+    /// client budget/connections); see [`RunTuning`].
     pub tuning: RunTuning,
 }
 
@@ -65,36 +64,6 @@ impl ScenarioParams {
             tuning,
             ..Self::sized(strategy, seed, ops)
         }
-    }
-
-    /// Drive the scenario open-loop at `rate` operations/second.
-    #[deprecated(note = "set `tuning.offered_rate` (see RunTuning) instead")]
-    pub fn with_offered_rate(mut self, rate: f64) -> Self {
-        self.tuning.offered_rate = Some(rate);
-        self
-    }
-
-    /// Report exact order-statistic percentiles instead of streaming
-    /// histogram buckets.
-    #[deprecated(note = "set `tuning.exact_latency` (see RunTuning) instead")]
-    pub fn with_exact_latency(mut self) -> Self {
-        self.tuning.exact_latency = true;
-        self
-    }
-
-    /// Bound the live client to `budget` total in-flight requests.
-    #[deprecated(note = "set `tuning.in_flight` (see RunTuning) instead")]
-    pub fn with_in_flight(mut self, budget: usize) -> Self {
-        self.tuning.in_flight = Some(budget);
-        self
-    }
-
-    /// Open `connections` multiplexed connections per replica (live
-    /// backends).
-    #[deprecated(note = "set `tuning.connections` (see RunTuning) instead")]
-    pub fn with_connections(mut self, connections: usize) -> Self {
-        self.tuning.connections = Some(connections);
-        self
     }
 }
 
@@ -134,21 +103,16 @@ impl fmt::Display for ScenarioError {
 impl std::error::Error for ScenarioError {}
 
 type ScenarioFn =
-    Box<dyn Fn(&ScenarioParams) -> Result<ScenarioReport, ScenarioError> + Send + Sync>;
+    Box<dyn Fn(&ScenarioParams, RunOptions) -> Result<RunOutput, ScenarioError> + Send + Sync>;
 
-type RecordedFn = Box<
-    dyn Fn(&ScenarioParams, Recorder) -> Result<(ScenarioReport, Recorder), ScenarioError>
-        + Send
-        + Sync,
->;
+/// A stock scenario's entry: params, the resolved strategy table and the
+/// run options in, the run's output back.
+type StockFn =
+    fn(&ScenarioParams, &StrategyRegistry, RunOptions) -> Result<RunOutput, ScenarioError>;
 
 /// Name → runnable-workload table.
 pub struct ScenarioRegistry {
     entries: BTreeMap<String, ScenarioFn>,
-    /// Recorded variants: the same runs with a flight recorder riding
-    /// along. Kept as a parallel table so plain registrations (e.g. the
-    /// live harness's) stay source-compatible.
-    recorded: BTreeMap<String, RecordedFn>,
 }
 
 impl Default for ScenarioRegistry {
@@ -162,7 +126,6 @@ impl ScenarioRegistry {
     pub fn empty() -> Self {
         Self {
             entries: BTreeMap::new(),
-            recorded: BTreeMap::new(),
         }
     }
 
@@ -172,103 +135,66 @@ impl ScenarioRegistry {
     /// [`ScenarioParams::ops`].
     pub fn with_defaults() -> Self {
         let mut reg = Self::empty();
-        reg.register(MEGA_FLEET, |p: &ScenarioParams| {
-            let strategies = scenario_registry();
-            let cfg = mega_fleet_cfg(p, &strategies)?;
-            Ok(mega_fleet::run(cfg, &strategies, RunOptions::default()).report)
+        reg.register_stock(MEGA_FLEET, |p, strategies, options| {
+            Ok(mega_fleet::run(mega_fleet_cfg(p), strategies, options))
         });
-        reg.register_recorded(MEGA_FLEET, |p: &ScenarioParams, rec: Recorder| {
-            let strategies = scenario_registry();
-            let cfg = mega_fleet_cfg(p, &strategies)?;
-            Ok(mega_fleet::run(cfg, &strategies, RunOptions::recorded(rec)).expect_recorded())
+        reg.register_stock(MULTI_TENANT, |p, strategies, options| {
+            Ok(multi_tenant::run(multi_tenant_cfg(p), strategies, options))
         });
-        reg.register(MULTI_TENANT, |p: &ScenarioParams| {
-            let strategies = scenario_registry();
-            let cfg = multi_tenant_cfg(p, &strategies)?;
-            Ok(multi_tenant::run(cfg, &strategies, RunOptions::default()).report)
-        });
-        reg.register_recorded(MULTI_TENANT, |p: &ScenarioParams, rec: Recorder| {
-            let strategies = scenario_registry();
-            let cfg = multi_tenant_cfg(p, &strategies)?;
-            Ok(multi_tenant::run(cfg, &strategies, RunOptions::recorded(rec)).expect_recorded())
-        });
-        reg.register(HETERO_FLEET, |p: &ScenarioParams| {
-            let strategies = scenario_registry();
+        reg.register_stock(HETERO_FLEET, |p, strategies, options| {
             let mut cfg = hetero::HeteroFleetConfig::default();
-            apply_cluster_params(&mut cfg.cluster, p, HETERO_FLEET, &strategies)?;
-            Ok(hetero::run(&cfg, &strategies, RunOptions::default()).report)
+            apply_cluster_params(&mut cfg.cluster, p, HETERO_FLEET)?;
+            Ok(hetero::run(&cfg, strategies, options))
         });
-        reg.register_recorded(HETERO_FLEET, |p: &ScenarioParams, rec: Recorder| {
-            let strategies = scenario_registry();
-            let mut cfg = hetero::HeteroFleetConfig::default();
-            apply_cluster_params(&mut cfg.cluster, p, HETERO_FLEET, &strategies)?;
-            Ok(hetero::run(&cfg, &strategies, RunOptions::recorded(rec)).expect_recorded())
-        });
-        reg.register(PARTITION_FLUX, |p: &ScenarioParams| {
-            let strategies = scenario_registry();
+        reg.register_stock(PARTITION_FLUX, |p, strategies, options| {
             let mut cfg = partition::PartitionFluxConfig::default();
-            apply_cluster_params(&mut cfg.cluster, p, PARTITION_FLUX, &strategies)?;
-            Ok(partition::run(&cfg, &strategies, RunOptions::default()).report)
+            apply_cluster_params(&mut cfg.cluster, p, PARTITION_FLUX)?;
+            Ok(partition::run(&cfg, strategies, options))
         });
-        reg.register_recorded(PARTITION_FLUX, |p: &ScenarioParams, rec: Recorder| {
-            let strategies = scenario_registry();
-            let mut cfg = partition::PartitionFluxConfig::default();
-            apply_cluster_params(&mut cfg.cluster, p, PARTITION_FLUX, &strategies)?;
-            Ok(partition::run(&cfg, &strategies, RunOptions::recorded(rec)).expect_recorded())
-        });
-        reg.register(CRASH_FLUX, |p: &ScenarioParams| {
-            let strategies = scenario_registry();
+        reg.register_stock(CRASH_FLUX, |p, strategies, options| {
             let mut cfg = faults::FaultFluxConfig::crash_flux();
-            apply_cluster_params(&mut cfg.cluster, p, CRASH_FLUX, &strategies)?;
-            Ok(faults::run(&cfg, &strategies, RunOptions::default()).report)
+            apply_cluster_params(&mut cfg.cluster, p, CRASH_FLUX)?;
+            Ok(faults::run(&cfg, strategies, options))
         });
-        reg.register_recorded(CRASH_FLUX, |p: &ScenarioParams, rec: Recorder| {
-            let strategies = scenario_registry();
-            let mut cfg = faults::FaultFluxConfig::crash_flux();
-            apply_cluster_params(&mut cfg.cluster, p, CRASH_FLUX, &strategies)?;
-            Ok(faults::run(&cfg, &strategies, RunOptions::recorded(rec)).expect_recorded())
-        });
-        reg.register(FLAKY_NET, |p: &ScenarioParams| {
-            let strategies = scenario_registry();
+        reg.register_stock(FLAKY_NET, |p, strategies, options| {
             let mut cfg = faults::FaultFluxConfig::flaky_net();
-            apply_cluster_params(&mut cfg.cluster, p, FLAKY_NET, &strategies)?;
-            Ok(faults::run(&cfg, &strategies, RunOptions::default()).report)
-        });
-        reg.register_recorded(FLAKY_NET, |p: &ScenarioParams, rec: Recorder| {
-            let strategies = scenario_registry();
-            let mut cfg = faults::FaultFluxConfig::flaky_net();
-            apply_cluster_params(&mut cfg.cluster, p, FLAKY_NET, &strategies)?;
-            Ok(faults::run(&cfg, &strategies, RunOptions::recorded(rec)).expect_recorded())
+            apply_cluster_params(&mut cfg.cluster, p, FLAKY_NET)?;
+            Ok(faults::run(&cfg, strategies, options))
         });
         reg
     }
 
-    /// Register (or replace) a named scenario.
+    /// Register a stock scenario: resolve the strategy against
+    /// [`scenario_registry`], then run with whatever options ride along.
+    fn register_stock(&mut self, name: &str, run: StockFn) {
+        self.entries.insert(
+            name.to_string(),
+            Box::new(move |p, options| {
+                let strategies = scenario_registry();
+                if !strategies.contains(&p.strategy) {
+                    return Err(ScenarioError::UnknownStrategy(p.strategy.name().into()));
+                }
+                run(p, &strategies, options)
+            }),
+        );
+    }
+
+    /// Register (or replace) a named scenario. A plain registration knows
+    /// nothing of [`RunOptions`]: under [`ScenarioRegistry::run_recorded`]
+    /// it runs unrecorded and the recorder comes back untouched.
     pub fn register<F>(&mut self, name: impl Into<String>, run: F)
     where
         F: Fn(&ScenarioParams) -> Result<ScenarioReport, ScenarioError> + Send + Sync + 'static,
     {
-        self.entries.insert(name.into(), Box::new(run));
-    }
-
-    /// Register (or replace) the recorded variant of a named scenario: the
-    /// same run with a flight recorder attached, returning the report
-    /// alongside the recorder. Variants must keep the report bit-identical
-    /// to the plain run — recording is observation, not perturbation.
-    pub fn register_recorded<F>(&mut self, name: impl Into<String>, run: F)
-    where
-        F: Fn(&ScenarioParams, Recorder) -> Result<(ScenarioReport, Recorder), ScenarioError>
-            + Send
-            + Sync
-            + 'static,
-    {
-        self.recorded.insert(name.into(), Box::new(run));
-    }
-
-    /// Whether a scenario has a recorded variant (all stock scenarios do;
-    /// externally registered ones may not).
-    pub fn has_recorded(&self, name: &str) -> bool {
-        self.recorded.contains_key(name)
+        self.entries.insert(
+            name.into(),
+            Box::new(move |p, options| {
+                Ok(RunOutput {
+                    report: run(p)?,
+                    recorder: options.recorder,
+                })
+            }),
+        );
     }
 
     /// Whether a scenario name is registered.
@@ -281,34 +207,41 @@ impl ScenarioRegistry {
         self.entries.keys().map(String::as_str).collect()
     }
 
+    fn run_with(
+        &self,
+        name: &str,
+        params: &ScenarioParams,
+        options: RunOptions,
+    ) -> Result<RunOutput, ScenarioError> {
+        let entry = self
+            .entries
+            .get(name)
+            .ok_or_else(|| ScenarioError::UnknownScenario(name.to_string()))?;
+        entry(params, options)
+    }
+
     /// Run one scenario by name.
     pub fn run(
         &self,
         name: &str,
         params: &ScenarioParams,
     ) -> Result<ScenarioReport, ScenarioError> {
-        let entry = self
-            .entries
-            .get(name)
-            .ok_or_else(|| ScenarioError::UnknownScenario(name.to_string()))?;
-        entry(params)
+        Ok(self.run_with(name, params, RunOptions::default())?.report)
     }
 
     /// Run one scenario by name with a flight recorder attached; the
-    /// lifecycle trace comes back in the returned recorder. Scenarios
-    /// without a recorded variant fall back to the plain run and return
-    /// the recorder untouched.
+    /// lifecycle trace comes back in the returned recorder. Recording is
+    /// observation, not perturbation: the report is bit-identical to
+    /// [`ScenarioRegistry::run`]'s.
     pub fn run_recorded(
         &self,
         name: &str,
         params: &ScenarioParams,
         recorder: Recorder,
     ) -> Result<(ScenarioReport, Recorder), ScenarioError> {
-        if let Some(entry) = self.recorded.get(name) {
-            return entry(params, recorder);
-        }
-        let report = self.run(name, params)?;
-        Ok((report, recorder))
+        let out = self.run_with(name, params, RunOptions::recorded(recorder))?;
+        let recorder = out.recorder.expect("every entry hands the recorder back");
+        Ok((out.report, recorder))
     }
 
     /// Sweep the full `scenarios × strategies × seeds` matrix, fanning the
@@ -346,13 +279,7 @@ impl ScenarioRegistry {
 }
 
 /// Plumb the shared params into a mega-fleet config.
-fn mega_fleet_cfg(
-    p: &ScenarioParams,
-    strategies: &c3_engine::StrategyRegistry,
-) -> Result<mega_fleet::MegaFleetConfig, ScenarioError> {
-    if !strategies.contains(&p.strategy) {
-        return Err(ScenarioError::UnknownStrategy(p.strategy.name().into()));
-    }
+fn mega_fleet_cfg(p: &ScenarioParams) -> mega_fleet::MegaFleetConfig {
     let mut cfg = mega_fleet::MegaFleetConfig {
         total_requests: p.ops,
         warmup_requests: p.warmup,
@@ -365,18 +292,11 @@ fn mega_fleet_cfg(
     if let Some(keys) = p.keys {
         cfg.keys = cfg.keys.min(keys);
     }
-    cfg.validate();
-    Ok(cfg)
+    cfg
 }
 
 /// Plumb the shared params into a multi-tenant config.
-fn multi_tenant_cfg(
-    p: &ScenarioParams,
-    strategies: &c3_engine::StrategyRegistry,
-) -> Result<multi_tenant::MultiTenantConfig, ScenarioError> {
-    if !strategies.contains(&p.strategy) {
-        return Err(ScenarioError::UnknownStrategy(p.strategy.name().into()));
-    }
+fn multi_tenant_cfg(p: &ScenarioParams) -> multi_tenant::MultiTenantConfig {
     let mut cfg = multi_tenant::MultiTenantConfig {
         total_requests: p.ops,
         warmup_requests: p.warmup,
@@ -389,8 +309,7 @@ fn multi_tenant_cfg(
     if let Some(keys) = p.keys {
         cfg.keys = cfg.keys.min(keys);
     }
-    cfg.validate();
-    Ok(cfg)
+    cfg
 }
 
 /// Plumb the shared params into a cluster-backed scenario's config,
@@ -399,11 +318,7 @@ fn apply_cluster_params(
     cfg: &mut c3_cluster::ClusterConfig,
     p: &ScenarioParams,
     scenario: &str,
-    strategies: &c3_engine::StrategyRegistry,
 ) -> Result<(), ScenarioError> {
-    if !strategies.contains(&p.strategy) {
-        return Err(ScenarioError::UnknownStrategy(p.strategy.name().into()));
-    }
     if p.strategy.is_oracle() {
         return Err(ScenarioError::UnsupportedStrategy {
             scenario: scenario.to_string(),
@@ -618,12 +533,11 @@ mod tests {
 
     #[test]
     fn recorded_runs_are_bit_identical_and_carry_a_trace() {
-        // Every stock scenario has a recorded variant, and attaching a
-        // flight recorder is pure observation: same fingerprint, same
-        // event count, plus a non-empty lifecycle trace to attribute.
+        // Every stock scenario records, and attaching a flight recorder
+        // is pure observation: same fingerprint, same event count, plus a
+        // non-empty lifecycle trace to attribute.
         let reg = ScenarioRegistry::with_defaults();
         for name in reg.names() {
-            assert!(reg.has_recorded(name), "{name} needs a recorded variant");
             let p = ScenarioParams::sized(Strategy::c3(), 2, 4_000);
             let plain = reg.run(name, &p).unwrap();
             let (recorded, rec) = reg
@@ -643,11 +557,9 @@ mod tests {
     fn run_recorded_falls_back_to_plain_entries() {
         let mut reg = ScenarioRegistry::empty();
         reg.register(MULTI_TENANT, |p: &ScenarioParams| {
-            let strategies = scenario_registry();
-            let cfg = super::multi_tenant_cfg(p, &strategies)?;
-            Ok(multi_tenant::run(cfg, &strategies, RunOptions::default()).report)
+            let cfg = super::multi_tenant_cfg(p);
+            Ok(multi_tenant::run(cfg, &scenario_registry(), RunOptions::default()).report)
         });
-        assert!(!reg.has_recorded(MULTI_TENANT));
         let p = ScenarioParams::sized(Strategy::lor(), 1, 3_000);
         let (report, rec) = reg
             .run_recorded(MULTI_TENANT, &p, Recorder::with_default_capacity())

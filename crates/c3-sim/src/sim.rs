@@ -13,17 +13,17 @@
 //!
 //! All client-local strategies come from the engine's
 //! [`StrategyRegistry`]; the `ORA` baseline reads global server state and
-//! is wired here (it resolves to [`c3_engine::BuiltSelector::Oracle`]).
+//! is wired here (the registry builds no selector for it).
 
 use c3_core::{
     BacklogQueue, Feedback, Nanos, RateStats, ReplicaSelector, ResponseInfo, Selection, ServerId,
 };
 use c3_engine::{
-    BuiltSelector, ChannelId, ChannelSet, EngineStats, EventQueue, RunMetrics, Scenario,
-    ScenarioRunner, SeedSeq, SelectorCtx, StrategyRegistry,
+    ChannelId, ChannelSet, EngineStats, EventQueue, RunMetrics, Scenario, ScenarioRunner, SeedSeq,
+    StrategyRegistry,
 };
 use c3_metrics::GaugeSeries;
-use c3_telemetry::{Recorder, ReplicaSnap, TracePoint, NO_SERVER, TRACE_GROUP};
+use c3_telemetry::{Recorder, TracePoint};
 use c3_workload::PoissonArrivals;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -181,26 +181,11 @@ impl SimScenario {
             .collect();
 
         let clients: Vec<SimClient> = (0..cfg.clients)
-            .map(|i| {
-                let ctx = SelectorCtx {
-                    servers: cfg.servers,
-                    c3,
-                    seed: seeds.client_seed(i as u64),
-                    now: Nanos::ZERO,
-                };
-                let selector = match registry
-                    .build(&cfg.strategy, &ctx)
-                    .unwrap_or_else(|e| panic!("{e}"))
-                {
-                    BuiltSelector::Selector(s) => Some(s),
-                    BuiltSelector::Oracle => None,
-                };
-                SimClient {
-                    selector,
-                    backlogs: (0..cfg.servers).map(|_| BacklogQueue::new()).collect(),
-                    retry_scheduled: vec![false; cfg.servers],
-                    backlogged: 0,
-                }
+            .map(|i| SimClient {
+                selector: registry.build_client(&cfg.strategy, cfg.servers, c3, &seeds, i),
+                backlogs: (0..cfg.servers).map(|_| BacklogQueue::new()).collect(),
+                retry_scheduled: vec![false; cfg.servers],
+                backlogged: 0,
             })
             .collect();
 
@@ -359,11 +344,9 @@ impl SimScenario {
         }
     }
 
-    /// Record a selection decision into the flight recorder: what the
-    /// selector saw for every candidate (chosen replica first, so the
-    /// [`TRACE_GROUP`] truncation can never drop it) plus the ground-truth
-    /// pending depth at each server. `chosen == None` marks a backpressure
-    /// verdict. No-op unless an event-recording recorder is attached.
+    /// Snapshot a selection decision into the flight recorder (see
+    /// [`Recorder::record_decision`]); `chosen == None` is backpressure.
+    #[inline]
     fn record_decision(
         &mut self,
         req: ReqId,
@@ -372,39 +355,16 @@ impl SimScenario {
         group_id: usize,
         now: Nanos,
     ) {
-        if self.recorder.as_ref().is_none_or(|r| r.capacity() == 0) {
-            return;
+        if let Some(rec) = &mut self.recorder {
+            let servers = &self.servers;
+            let selector = self.clients[client_id].selector.as_deref();
+            rec.record_decision(now, req, chosen, &self.groups[group_id], |s| {
+                (
+                    selector.and_then(|sel| sel.replica_view(s)),
+                    servers[s].pending() as u32,
+                )
+            });
         }
-        let mut snaps = [ReplicaSnap::empty(); TRACE_GROUP];
-        let mut len = 0usize;
-        let group = &self.groups[group_id];
-        let ordered = chosen
-            .into_iter()
-            .chain(group.iter().copied().filter(|&s| Some(s) != chosen));
-        for server in ordered.take(TRACE_GROUP) {
-            let pending = self.servers[server].pending() as u32;
-            let view = self.clients[client_id]
-                .selector
-                .as_deref()
-                .and_then(|sel| sel.replica_view(server));
-            snaps[len] = match view {
-                Some(view) => ReplicaSnap::from_view(server as u32, &view, pending),
-                // Oracle and view-less baselines: ground truth only, so
-                // queue-regret still works where score-regret cannot.
-                None => ReplicaSnap::blind(server as u32, pending),
-            };
-            len += 1;
-        }
-        let rec = self.recorder.as_mut().expect("checked above");
-        rec.record(
-            now,
-            req,
-            TracePoint::Decision {
-                chosen: chosen.map_or(NO_SERVER, |c| c as u32),
-                group_len: len as u8,
-                group: snaps,
-            },
-        );
     }
 
     /// Send the primary, plus read-repair duplicates to the rest of the

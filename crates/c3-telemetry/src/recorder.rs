@@ -391,12 +391,60 @@ impl Recorder {
             TracePoint::Evict { server } => (SlotPoint::Evict { server }, None),
             TracePoint::Reinstate { server } => (SlotPoint::Reinstate { server }, None),
         };
-        let slot = Slot {
-            at,
-            request,
-            point: slot_point,
+        let idx = self.push_slot(at, request, slot_point);
+        if let Some(group) = group {
+            self.store_snaps(idx, group);
+        }
+    }
+
+    /// Record a selection decision: what the selector saw for every
+    /// candidate plus the ground-truth pending depth at each, as a
+    /// [`TracePoint::Decision`]. `chosen == None` is a backpressure
+    /// verdict ([`NO_SERVER`]). The chosen replica is snapshotted first,
+    /// so truncating a wide group to [`TRACE_GROUP`] can never drop it.
+    /// `probe` yields a candidate's `(selector view, pending depth)`; a
+    /// selector that exposes no view (the Oracle, LOR, random) leaves a
+    /// [`ReplicaSnap::blind`] snapshot, so queue-regret still works where
+    /// score-regret cannot. No-op (and `probe` is never called) at
+    /// capacity 0.
+    #[inline]
+    pub fn record_decision(
+        &mut self,
+        at: Nanos,
+        request: u64,
+        chosen: Option<usize>,
+        candidates: &[usize],
+        mut probe: impl FnMut(usize) -> (Option<ReplicaView>, u32),
+    ) {
+        if self.capacity == 0 {
+            return;
+        }
+        let mut group = [ReplicaSnap::empty(); TRACE_GROUP];
+        let mut len = 0usize;
+        let ordered = chosen
+            .into_iter()
+            .chain(candidates.iter().copied().filter(|&s| Some(s) != chosen));
+        for server in ordered.take(TRACE_GROUP) {
+            let (view, pending) = probe(server);
+            group[len] = match view {
+                Some(view) => ReplicaSnap::from_view(server as u32, &view, pending),
+                None => ReplicaSnap::blind(server as u32, pending),
+            };
+            len += 1;
+        }
+        let point = SlotPoint::Decision {
+            chosen: chosen.map_or(NO_SERVER, |c| c as u32),
+            group_len: len as u8,
         };
-        let idx = if self.slots.len() < self.capacity {
+        let idx = self.push_slot(at, request, point);
+        self.store_snaps(idx, group);
+    }
+
+    /// Write one ring slot (drop-oldest once full); returns its index.
+    #[inline]
+    fn push_slot(&mut self, at: Nanos, request: u64, point: SlotPoint) -> usize {
+        let slot = Slot { at, request, point };
+        if self.slots.len() < self.capacity {
             self.slots.push(slot);
             self.slots.len() - 1
         } else {
@@ -405,14 +453,17 @@ impl Recorder {
             self.head = (self.head + 1) % self.capacity;
             self.dropped += 1;
             i
-        };
-        if let Some(group) = group {
-            if self.snaps.len() != self.capacity {
-                self.snaps
-                    .resize(self.capacity, [ReplicaSnap::empty(); TRACE_GROUP]);
-            }
-            self.snaps[idx] = group;
         }
+    }
+
+    /// File a decision's snapshots under its ring slot.
+    #[inline]
+    fn store_snaps(&mut self, idx: usize, group: [ReplicaSnap; TRACE_GROUP]) {
+        if self.snaps.len() != self.capacity {
+            self.snaps
+                .resize(self.capacity, [ReplicaSnap::empty(); TRACE_GROUP]);
+        }
+        self.snaps[idx] = group;
     }
 
     /// Held events, oldest first. Items are reassembled by value from the
@@ -613,6 +664,73 @@ mod tests {
         rec.record(Nanos(1), 1, TracePoint::Issue);
         assert!(rec.is_empty());
         assert_eq!(rec.dropped(), 0);
+    }
+
+    fn view(score: f64) -> ReplicaView {
+        ReplicaView {
+            score,
+            fresh_score: score,
+            ewma_latency_ms: 1.0,
+            ewma_queue: 2.0,
+            outstanding: 3,
+            srate: f64::NAN,
+        }
+    }
+
+    fn only_decision(rec: &Recorder) -> (u32, Vec<ReplicaSnap>) {
+        let mut events = rec.events();
+        let Some(TraceEvent {
+            point:
+                TracePoint::Decision {
+                    chosen,
+                    group_len,
+                    group,
+                },
+            ..
+        }) = events.next()
+        else {
+            panic!("expected one decision");
+        };
+        assert!(events.next().is_none());
+        (chosen, group[..group_len as usize].to_vec())
+    }
+
+    #[test]
+    fn decision_snapshots_the_chosen_replica_first_on_wide_groups() {
+        let mut rec = Recorder::new(8);
+        let wide: Vec<usize> = (10..10 + TRACE_GROUP + 2).collect();
+        let chosen = *wide.last().unwrap();
+        rec.record_decision(Nanos(5), 1, Some(chosen), &wide, |s| {
+            (Some(view(s as f64)), s as u32 * 2)
+        });
+        let (recorded, snaps) = only_decision(&rec);
+        assert_eq!(recorded, chosen as u32);
+        assert_eq!(snaps.len(), TRACE_GROUP, "wide groups truncate");
+        assert_eq!(snaps[0].server, chosen as u32, "chosen survives truncation");
+        assert_eq!(snaps[0].pending, chosen as u32 * 2);
+        assert_eq!(snaps[0].score, chosen as f32);
+        let rest: Vec<u32> = snaps[1..].iter().map(|s| s.server).collect();
+        assert_eq!(rest, vec![10, 11, 12], "then group order, chosen skipped");
+    }
+
+    #[test]
+    fn decision_is_blind_without_a_view_and_marks_backpressure() {
+        let mut rec = Recorder::new(8);
+        rec.record_decision(Nanos(5), 1, None, &[4, 5], |s| (None, s as u32));
+        let (chosen, snaps) = only_decision(&rec);
+        assert_eq!(chosen, NO_SERVER, "backpressure verdict");
+        let seen: Vec<(u32, u32)> = snaps.iter().map(|s| (s.server, s.pending)).collect();
+        assert_eq!(seen, vec![(4, 4), (5, 5)], "ground truth is kept");
+        assert!(snaps.iter().all(|s| s.score.is_nan() && s.srate.is_nan()));
+    }
+
+    #[test]
+    fn decision_records_nothing_at_capacity_zero() {
+        let mut rec = Recorder::new(0);
+        rec.record_decision(Nanos(5), 1, Some(0), &[0, 1], |_| {
+            panic!("capacity 0 must not probe the replicas")
+        });
+        assert!(rec.is_empty());
     }
 
     #[test]

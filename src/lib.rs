@@ -22,8 +22,7 @@
 //! - [`telemetry`] — the flight recorder (ring-buffered lifecycle trace,
 //!   score trace, gauge series) and tail-latency attribution shared by
 //!   the simulators and the live backend.
-//! - [`net`] — the C3 wire protocol (the tokio client/server sit behind
-//!   the non-default `rt` feature).
+//! - [`net`] — the C3 wire protocol the live backends speak.
 //! - [`live`] — C3 over real loopback sockets with std-only threading: a
 //!   replicated KV fleet, a threaded client driving the same selector
 //!   state as the simulators, and live twins of the scenario library
