@@ -1,4 +1,4 @@
-//! Reproduces one artifact of the C3 paper; see DESIGN.md for the index.
+//! Reproduces one artifact of the C3 paper (README "Reproducing the paper's figures").
 use c3_bench::support::Scale;
 
 fn main() {

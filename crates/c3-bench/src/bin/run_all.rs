@@ -1,6 +1,6 @@
-//! Runs the entire reproduction suite in DESIGN.md order. Honours
-//! `C3_SCALE` (quick/full) and `C3_RUNS`; output is the source for
-//! EXPERIMENTS.md.
+//! Runs the entire reproduction suite in paper order (README
+//! "Reproducing the paper's figures"). Honours `C3_SCALE` (quick/full)
+//! and `C3_RUNS`.
 use c3_bench::support::Scale;
 use c3_bench::{
     analytic, cluster_experiments as cl, scenario_experiments as sc, sim_experiments as sim,

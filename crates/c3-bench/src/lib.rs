@@ -1,15 +1,14 @@
 //! # c3-bench — the reproduction harness
 //!
-//! One experiment function per figure/table of the paper (see the
-//! per-experiment index in `DESIGN.md`), each exposed as a binary under
-//! `src/bin/`, plus Criterion micro-benchmarks under `benches/`.
+//! One experiment function per figure/table of the paper (README
+//! "Reproducing the paper's figures"), each exposed as a binary under
+//! `src/bin/`. Nothing here reads a host clock: host-time performance is
+//! measured only by the repo benchmark (`benchmark/run.sh`).
 //!
 //! All experiments honour `C3_SCALE` (`quick`/`full`) and `C3_RUNS`
-//! (repetitions per configuration); `run_all` executes the full suite and
-//! is what `EXPERIMENTS.md` is produced from. The `slo_sweep` bin runs
-//! the throughput-at-SLO tier (`slo_experiments`) and writes
-//! `BENCH_slo.json`; `bench_engine` runs the perf suite and writes
-//! `BENCH_engine.json`.
+//! (repetitions per configuration); `run_all` executes the full suite.
+//! The `slo_sweep` bin runs the throughput-at-SLO tier
+//! (`slo_experiments`) and writes `BENCH_slo.json`.
 
 pub mod analytic;
 pub mod cluster_experiments;

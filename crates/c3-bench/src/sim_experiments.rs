@@ -1,5 +1,5 @@
-//! Simulator-backed experiments: Figures 14 and 15, plus the design
-//! ablations called out in `DESIGN.md`.
+//! Simulator-backed experiments: Figures 14 and 15 (paper §6), plus the
+//! design ablations of C3's components and parameters.
 
 use c3_core::{C3Config, Nanos};
 use c3_metrics::Table;

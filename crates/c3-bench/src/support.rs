@@ -5,6 +5,10 @@
 //! - `C3_SCALE`: `quick` (default), `full` — `full` uses paper-scale
 //!   operation counts (slower by ~20×),
 //! - `C3_RUNS`: repetitions per configuration (default 3; the paper uses 5).
+//!
+//! Unset means the default; a set value the harness does not understand
+//! aborts the run rather than silently producing default-scale output
+//! under the wrong label.
 
 use std::collections::BTreeSet;
 
@@ -21,12 +25,10 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read the scale from `C3_SCALE` (default quick).
+    /// Read the scale from `C3_SCALE` (default quick); panics on a value
+    /// that is neither `quick` nor `full`.
     pub fn from_env() -> Scale {
-        match std::env::var("C3_SCALE").as_deref() {
-            Ok("full") | Ok("FULL") => Scale::Full,
-            _ => Scale::Quick,
-        }
+        parse_scale(env_value("C3_SCALE").as_deref()).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Cluster operations per run.
@@ -56,13 +58,33 @@ impl Scale {
     }
 }
 
-/// Repetitions per configuration, from `C3_RUNS` (default 3).
+/// Repetitions per configuration, from `C3_RUNS` (default 3); panics on
+/// a value that is not a positive integer.
 pub fn runs_from_env() -> u64 {
-    std::env::var("C3_RUNS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(3)
+    parse_runs(env_value("C3_RUNS").as_deref()).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// A variable's value, `None` when unset. Non-UTF-8 bytes come back as
+/// U+FFFD, which no parser below accepts.
+fn env_value(name: &str) -> Option<String> {
+    std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
+}
+
+fn parse_scale(value: Option<&str>) -> Result<Scale, String> {
+    match value {
+        None => Ok(Scale::Quick),
+        Some(v) if v.eq_ignore_ascii_case("quick") => Ok(Scale::Quick),
+        Some(v) if v.eq_ignore_ascii_case("full") => Ok(Scale::Full),
+        Some(v) => Err(format!("C3_SCALE={v:?}: expected `quick` or `full`")),
+    }
+}
+
+fn parse_runs(value: Option<&str>) -> Result<u64, String> {
+    let Some(v) = value else { return Ok(3) };
+    match v.parse() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("C3_RUNS={v:?}: expected a positive integer")),
+    }
 }
 
 /// Worker threads for seed fan-outs: the machine's parallelism, capped so
@@ -149,10 +171,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_scale_is_quick() {
-        // The test environment does not set C3_SCALE=full.
-        if std::env::var("C3_SCALE").is_err() {
-            assert_eq!(Scale::from_env(), Scale::Quick);
+    fn scale_parses_known_forms_and_rejects_the_rest() {
+        assert_eq!(parse_scale(None), Ok(Scale::Quick));
+        assert_eq!(parse_scale(Some("quick")), Ok(Scale::Quick));
+        for full in ["full", "FULL", "Full"] {
+            assert_eq!(parse_scale(Some(full)), Ok(Scale::Full));
+        }
+        for bad in ["ful", "0", "", " full"] {
+            let err = parse_scale(Some(bad)).unwrap_err();
+            assert!(err.contains("C3_SCALE") && err.contains(&format!("{bad:?}")));
+            assert!(err.contains("`quick` or `full`"), "{err}");
+        }
+    }
+
+    #[test]
+    fn runs_parse_positive_integers_and_reject_the_rest() {
+        assert_eq!(parse_runs(None), Ok(3));
+        assert_eq!(parse_runs(Some("1")), Ok(1));
+        assert_eq!(parse_runs(Some("5")), Ok(5));
+        for bad in ["0", "three", "-1", "2.5", ""] {
+            let err = parse_runs(Some(bad)).unwrap_err();
+            assert!(err.contains("C3_RUNS") && err.contains(&format!("{bad:?}")));
+            assert!(err.contains("positive integer"), "{err}");
         }
     }
 

@@ -1613,14 +1613,6 @@ impl Cluster {
         }
     }
 
-    /// Build a cluster resolving strategies through a caller-supplied
-    /// registry.
-    pub fn with_strategy_registry(cfg: ClusterConfig, registry: &StrategyRegistry) -> Self {
-        Self {
-            scenario: ClusterScenario::with_registry(cfg, registry),
-        }
-    }
-
     /// Record `(time, latency)` pairs for every completed read (Figure 11).
     pub fn with_latency_trace(mut self) -> Self {
         self.scenario.set_latency_trace();

@@ -84,7 +84,7 @@ pub use feedback::{Feedback, ServiceTimer};
 pub use lifecycle::LifecycleConfig;
 pub use rate::{cubic_rate, RateLimiter, RatePhase, RateStats};
 pub use scheduler::{BacklogQueue, C3State, SendDecision, ServerId};
-pub use score::{queue_size_estimate, rank_by_score, score};
+pub use score::{queue_size_estimate, score};
 pub use selector::{C3Selector, ReplicaSelector, ReplicaView, ResponseInfo, Selection};
 pub use time::{Clock, Nanos, WallClock};
 pub use tracker::{ServerTracker, TrackerSnapshot};

@@ -242,8 +242,8 @@ impl RateLimiter {
     /// Record a response from the server and run the adaptation step
     /// (Algorithm 2, lines 3–11).
     ///
-    /// One deliberate deviation from the paper's pseudocode, documented in
-    /// `DESIGN.md`: Algorithm 2 compares the rate *limit* (`srate`) against
+    /// One deliberate deviation from the paper's pseudocode (§3.2,
+    /// Algorithm 2): it compares the rate *limit* (`srate`) against
     /// the measured receive rate. Taken literally, a client whose demand is
     /// far below its limit always sees `srate > rrate` and decays the limit
     /// to the floor even though the server is perfectly healthy — at

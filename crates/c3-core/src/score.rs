@@ -91,22 +91,6 @@ pub(crate) fn score_raw(
     response_time_ms - service_time_ms + penalty * service_time_ms
 }
 
-/// Rank the servers in `group` by ascending score, in place, deterministically
-/// (ties keep the caller's order, which callers randomize or rotate).
-///
-/// `snapshot_of` maps a server in the group to its tracker snapshot.
-pub fn rank_by_score<S: Copy>(
-    cfg: &C3Config,
-    group: &mut [S],
-    mut snapshot_of: impl FnMut(S) -> TrackerSnapshot,
-) {
-    group.sort_by(|&a, &b| {
-        let sa = score(cfg, &snapshot_of(a));
-        let sb = score(cfg, &snapshot_of(b));
-        sa.partial_cmp(&sb).expect("C3 scores must not be NaN")
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,21 +179,6 @@ mod tests {
         let s = snap(2, 2.0, 4.0, 4.0);
         // q̂ = 1 + 2 + 2 = 5.
         assert!((queue_size_estimate(&cfg, &s) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rank_orders_by_ascending_score() {
-        let cfg = C3Config::default();
-        let snaps = [
-            snap(0, 9.0, 4.0, 4.0),   // busy fast server
-            snap(0, 0.0, 4.0, 4.0),   // idle fast server — best
-            snap(0, 0.0, 30.0, 30.0), // idle slow server
-        ];
-        let mut group = vec![0usize, 1, 2];
-        rank_by_score(&cfg, &mut group, |s| snaps[s]);
-        assert_eq!(group[0], 1);
-        assert_eq!(group[1], 2);
-        assert_eq!(group[2], 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The benchmark harness prints every reproduced figure/table as an aligned
 //! text table so the "rows/series the paper reports" can be read directly
-//! from terminal output and pasted into `EXPERIMENTS.md`.
+//! from terminal output.
 
 /// Column alignment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

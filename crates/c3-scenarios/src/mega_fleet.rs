@@ -9,8 +9,9 @@
 //! concurrent events) for the whole run. Think times (~200 ms) sit several
 //! ring spans past the calendar queue's horizon, so the far-future
 //! overflow tier — not just the ring — carries the census. That makes
-//! this scenario double as the kernel's scale proof: `bench_engine`
-//! reports its ops/sec next to the 65536-pending churn row.
+//! this scenario double as the kernel's scale proof: the repo benchmark
+//! runs it as the `sim-mega-fleet` workload, next to the 65536-pending
+//! churn probe (`engine.kernel_ns_per_event_p65536`).
 //!
 //! Selector state is pooled: clients map onto a fixed set of **selector
 //! shards** (the live client shards its baseline selector state the same

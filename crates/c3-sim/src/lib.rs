@@ -45,4 +45,4 @@ pub use c3_engine::Strategy;
 pub use config::{DemandSkew, SimConfig};
 pub use result::RunResult;
 pub use server::{ReqId, ServerAction, SimServer, SpeedState};
-pub use sim::{Event, RateProbe, SimScenario, Simulation};
+pub use sim::{Event, SimScenario, Simulation};

@@ -22,7 +22,6 @@ use c3_engine::{
     ChannelId, ChannelSet, EngineStats, EventQueue, RunMetrics, Scenario, ScenarioRunner, SeedSeq,
     StrategyRegistry,
 };
-use c3_metrics::GaugeSeries;
 use c3_telemetry::{Recorder, TracePoint};
 use c3_workload::PoissonArrivals;
 use rand::rngs::SmallRng;
@@ -99,16 +98,6 @@ struct SimClient {
     backlogged: u32,
 }
 
-/// Optional probe recording one client's sending rate towards one server
-/// over time (the simulator analogue of the paper's Figure 13 trace).
-#[derive(Clone, Copy, Debug)]
-pub struct RateProbe {
-    /// Client to observe.
-    pub client: usize,
-    /// Server whose rate limiter is sampled.
-    pub server: usize,
-}
-
 /// The §6 scenario: state plus event handlers, driven by the engine's
 /// [`ScenarioRunner`]. Build one with [`SimScenario::new`], or use the
 /// [`Simulation`] wrapper which owns the runner plumbing.
@@ -125,8 +114,6 @@ pub struct SimScenario {
     /// Service-time randomness.
     srv_rng: SmallRng,
     generated: u64,
-    probe: Option<RateProbe>,
-    probe_series: GaugeSeries,
     /// The flight recorder (lifecycle + decision snapshots). Purely
     /// observational — a run is bit-identical with and without it.
     recorder: Option<Recorder>,
@@ -201,8 +188,6 @@ impl SimScenario {
             wl_rng,
             srv_rng,
             generated: 0,
-            probe: None,
-            probe_series: GaugeSeries::new(),
             recorder: None,
             cfg,
         }
@@ -211,13 +196,6 @@ impl SimScenario {
     /// The config in force.
     pub fn config(&self) -> &SimConfig {
         &self.cfg
-    }
-
-    /// Install a sending-rate probe (only meaningful for C3-family runs).
-    pub fn set_rate_probe(&mut self, probe: RateProbe) {
-        assert!(probe.client < self.cfg.clients, "probe client out of range");
-        assert!(probe.server < self.cfg.servers, "probe server out of range");
-        self.probe = Some(probe);
     }
 
     /// Attach a flight recorder: request lifecycles (issue → select →
@@ -230,7 +208,7 @@ impl SimScenario {
 
     /// Assemble the public result from this scenario plus the runner's
     /// metrics and engine statistics.
-    pub fn into_result(self, metrics: RunMetrics, stats: EngineStats) -> (RunResult, GaugeSeries) {
+    pub fn into_result(self, metrics: RunMetrics, stats: EngineStats) -> RunResult {
         let mut backpressure = 0;
         let mut rate_stats = RateStats::default();
         for c in &self.clients {
@@ -243,21 +221,18 @@ impl SimScenario {
             }
         }
         let (_channels, mut latency, server_load, completions, duration) = metrics.into_parts();
-        (
-            RunResult {
-                strategy: self.cfg.strategy.label().to_string(),
-                seed: self.cfg.seed,
-                latency: latency.remove(LATENCY.index()),
-                server_load,
-                completed: completions[LATENCY.index()],
-                duration,
-                backpressure_activations: backpressure,
-                rate_stats,
-                recorder: self.recorder,
-                events_processed: stats.events_processed,
-            },
-            self.probe_series,
-        )
+        RunResult {
+            strategy: self.cfg.strategy.label().to_string(),
+            seed: self.cfg.seed,
+            latency: latency.remove(LATENCY.index()),
+            server_load,
+            completed: completions[LATENCY.index()],
+            duration,
+            backpressure_activations: backpressure,
+            rate_stats,
+            recorder: self.recorder,
+            events_processed: stats.events_processed,
+        }
     }
 
     fn on_generate(
@@ -552,20 +527,6 @@ impl SimScenario {
             }
         }
 
-        // Sample the probe after the rate controller reacted.
-        if let Some(p) = self.probe {
-            if p.client == client_id {
-                if let Some(c3) = self.clients[client_id]
-                    .selector
-                    .as_deref()
-                    .and_then(|sel| sel.as_c3())
-                {
-                    self.probe_series
-                        .push(now.as_nanos(), c3.state().limiter(p.server).srate());
-                }
-            }
-        }
-
         // A response may free rate for the groups containing this server.
         self.drain_groups_of_server(client_id, s.server as usize, now, engine);
     }
@@ -704,20 +665,6 @@ impl Simulation {
         }
     }
 
-    /// Build a simulation resolving strategies through a caller-supplied
-    /// registry.
-    pub fn with_strategy_registry(cfg: SimConfig, registry: &StrategyRegistry) -> Self {
-        Self {
-            scenario: SimScenario::with_registry(cfg, registry),
-        }
-    }
-
-    /// Install a sending-rate probe (only meaningful for C3-family runs).
-    pub fn with_rate_probe(mut self, probe: RateProbe) -> Self {
-        self.scenario.set_rate_probe(probe);
-        self
-    }
-
     /// Attach a flight recorder (see [`SimScenario::set_recorder`]); it
     /// comes back in `RunResult::recorder`.
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
@@ -732,11 +679,6 @@ impl Simulation {
 
     /// Run to completion and produce the result.
     pub fn run(self) -> RunResult {
-        self.run_with_probe().0
-    }
-
-    /// Run to completion, returning the result and the probe trace.
-    pub fn run_with_probe(self) -> (RunResult, GaugeSeries) {
         let cfg = self.scenario.config().clone();
         let runner = ScenarioRunner::new(cfg.seed).with_warmup(cfg.warmup_requests);
         let mut scenario = self.scenario;
@@ -883,17 +825,6 @@ mod tests {
             ora.summary().p99_ns,
             rnd.summary().p99_ns
         );
-    }
-
-    #[test]
-    fn probe_records_rate_samples_for_c3() {
-        let cfg = small_cfg(Strategy::c3());
-        let sim = Simulation::new(cfg).with_rate_probe(RateProbe {
-            client: 0,
-            server: 0,
-        });
-        let (_res, series) = sim.run_with_probe();
-        assert!(!series.is_empty(), "probe should record samples");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Hand-rolled JSONL / CSV emitters for attribution tables.
+//! Hand-rolled JSONL emitter for attribution tables.
 //!
 //! The workspace has no serde (offline, shim-only dependencies), so the
 //! export format is written by hand exactly like the `BENCH_*.json`
@@ -23,15 +23,6 @@ pub fn json_escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// Escape a CSV field (RFC 4180 quoting, only when needed).
-pub fn csv_escape(s: &str) -> String {
-    if s.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
 }
 
 /// A float as a JSON value: `null` when not finite.
@@ -92,11 +83,6 @@ impl Attribution {
 }
 
 impl TailAttribution {
-    /// CSV header matching [`Attribution::to_csv_row`].
-    pub const CSV_HEADER: &'static str = "scenario,strategy,request,latency_ms,\
-        wait_for_permit_ms,queueing_ms,service_ms,chosen,backpressured,\
-        regret,regret_rel,queue_regret";
-
     /// JSONL: one `meta` record, then one record per tail request,
     /// worst first.
     pub fn to_jsonl(&self) -> String {
@@ -144,45 +130,6 @@ impl TailAttribution {
         }
         out
     }
-
-    /// CSV rows (no header; see [`Self::CSV_HEADER`]), worst first.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        for r in &self.tail {
-            out.push_str(&format!(
-                "{},{},{},{:.3},{:.3},{:.3},{:.3},{},{},{},{},{}\n",
-                csv_escape(&self.scenario),
-                csv_escape(&self.strategy),
-                r.request,
-                r.latency_ns as f64 / 1e6,
-                r.wait_for_permit_ns as f64 / 1e6,
-                r.queueing_ns as f64 / 1e6,
-                r.service_ns as f64 / 1e6,
-                if r.chosen == NO_SERVER {
-                    "-".to_string()
-                } else {
-                    r.chosen.to_string()
-                },
-                r.backpressured,
-                if r.regret.is_finite() {
-                    format!("{:.4}", r.regret)
-                } else {
-                    "-".to_string()
-                },
-                if r.regret_rel.is_finite() {
-                    format!("{:.4}", r.regret_rel)
-                } else {
-                    "-".to_string()
-                },
-                if r.queue_regret.is_finite() {
-                    format!("{:.1}", r.queue_regret)
-                } else {
-                    "-".to_string()
-                },
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -192,8 +139,6 @@ mod tests {
     #[test]
     fn escapes() {
         assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
-        assert_eq!(csv_escape("plain"), "plain");
-        assert_eq!(csv_escape("a,b\"c"), "\"a,b\"\"c\"");
     }
 
     #[test]
@@ -250,7 +195,5 @@ mod tests {
         assert!(lines[1].starts_with("{\"kind\":\"tail_request\""));
         assert!(lines[1].contains("\"queue_regret\":null"));
         assert!(lines[1].ends_with('}'));
-        let csv = t.to_csv();
-        assert!(csv.starts_with("s,C3,1,"));
     }
 }

@@ -20,7 +20,7 @@
 //!   vs best available, measured against *freshly computed* scores so an
 //!   interval-frozen strategy cannot grade its own homework), emitted as
 //!   a [`TailAttribution`] table per `(scenario, strategy)` cell.
-//! - JSONL / CSV export for the `trace_explain` bench bin and nightly
+//! - JSONL export for the `trace_explain` bench bin and nightly
 //!   artifacts.
 //!
 //! Determinism contract: recording is purely observational. A recorder
@@ -41,7 +41,7 @@ mod process;
 mod recorder;
 
 pub use attribution::{attribute_tail, join_requests, Attribution, RequestJoin, TailAttribution};
-pub use export::{csv_escape, json_escape};
+pub use export::json_escape;
 pub use process::{node_cpu_gauge, node_rss_gauge, sample_process, ProcessSample};
 pub use recorder::{
     summarize_gauge, GaugeSeries, GaugeSummary, Recorder, ReplicaSnap, SharedRecorder, TraceEvent,

@@ -26,9 +26,9 @@ pub const NO_SERVER: u32 = u32::MAX;
 /// Fields are `f32`, not the selector's native `f64`: a snapshot is
 /// telemetry, not arithmetic input, and halving the slot width is what
 /// keeps the ring's cache footprint (and therefore the recorder's
-/// on-path cost) inside the ≤10% budget that `bench_engine --smoke`
-/// gates. Seven significant digits are plenty to rank replicas in a
-/// trace table.
+/// on-path cost) inside the ≤10% budget the repo benchmark reports as
+/// `telemetry.recorder_cost_frac`. Seven significant digits are plenty
+/// to rank replicas in a trace table.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ReplicaSnap {
     /// Server id ([`NO_SERVER`] marks an unused slot).
@@ -101,7 +101,7 @@ impl ReplicaSnap {
 /// *currency* (what `record` takes and `events` yields, all `Copy`, no
 /// allocation), not its storage — the ring keeps 40 B slots and parks the
 /// snapshot array in a side table touched only on decisions, which is how
-/// the on-path cost stays inside the ≤10% gate in `bench_engine --smoke`.
+/// the on-path cost (`telemetry.recorder_cost_frac`) stays inside ≤10%.
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TracePoint {
@@ -295,7 +295,7 @@ impl Recorder {
     /// Default ring capacity — the *always-on black box* size: the last
     /// ~400 requests of lifecycle, small enough (≈340 KB with the
     /// decision side table) that attaching it costs under the ≤10%
-    /// events/sec budget `bench_engine --smoke` gates. Forensic passes
+    /// events/sec budget (`telemetry.recorder_cost_frac`). Forensic passes
     /// that want every request joined (`trace_explain`, the experiment
     /// tables) size the ring explicitly at ~6 slots per expected request
     /// and knowingly pay the larger cache footprint.

@@ -22,13 +22,31 @@ const OPS: u64 = 20_000;
 
 /// The claim seeds: `1..=C3_CLAIM_SEEDS` (default 3). The nightly tier
 /// widens the set to harden the averaged claims against single-draw luck.
+/// Unset means the default; a set value that is not a positive integer
+/// aborts the tier instead of quietly running three seeds.
 fn claim_seeds() -> Vec<u64> {
-    let n = std::env::var("C3_CLAIM_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(3);
+    let value = std::env::var_os("C3_CLAIM_SEEDS").map(|v| v.to_string_lossy().into_owned());
+    let n = parse_claim_seeds(value.as_deref()).unwrap_or_else(|e| panic!("{e}"));
     (1..=n).collect()
+}
+
+fn parse_claim_seeds(value: Option<&str>) -> Result<u64, String> {
+    let Some(v) = value else { return Ok(3) };
+    match v.parse() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("C3_CLAIM_SEEDS={v:?}: expected a positive integer")),
+    }
+}
+
+#[test]
+fn claim_seed_count_parses_positive_integers_and_rejects_the_rest() {
+    assert_eq!(parse_claim_seeds(None), Ok(3));
+    assert_eq!(parse_claim_seeds(Some("5")), Ok(5));
+    for bad in ["0", "five", "-1", ""] {
+        let err = parse_claim_seeds(Some(bad)).unwrap_err();
+        assert!(err.contains("C3_CLAIM_SEEDS") && err.contains(&format!("{bad:?}")));
+        assert!(err.contains("positive integer"), "{err}");
+    }
 }
 
 /// Mean headline-channel p99 (ms) across the claim seeds.

@@ -154,7 +154,7 @@ fn scenario_runner_matches_legacy_entry_point() {
     assert_eq!(runner.seeds(), &SeedSeq::new(cfg.seed));
     let mut scenario = SimScenario::new(cfg.clone());
     let (metrics, stats) = runner.run(&mut scenario, cfg.servers, cfg.load_window);
-    let (via_runner, _probe) = scenario.into_result(metrics, stats);
+    let via_runner = scenario.into_result(metrics, stats);
 
     assert_eq!(via_runner.completed, legacy.completed);
     assert_eq!(via_runner.events_processed, legacy.events_processed);
