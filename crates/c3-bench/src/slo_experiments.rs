@@ -218,7 +218,6 @@ pub fn sweep_scenario(
                 RunTuning {
                     offered_rate: Some(rate),
                     exact_latency: true,
-                    ..RunTuning::default()
                 },
             );
             let report = registry

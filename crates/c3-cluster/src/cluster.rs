@@ -20,9 +20,11 @@
 //! Every coordinator drives one uniform selector path: backpressure-capable
 //! strategies (the C3 family, RR) park reads in per-group backlog queues;
 //! Dynamic Snitching receives its gossip/recompute ticks through the
-//! selector's `as_any_mut` hook (see [`SnitchSelector`]).
+//! selector's `as_any_mut` hook (see [`SnitchSelector::of`]).
 
-use c3_core::{Feedback, Nanos, ReplicaSelector, Selection, ServerId};
+use c3_core::{
+    FailureDetector, Feedback, LifecycleCounts, Nanos, ReplicaSelector, Selection, ServerId,
+};
 use c3_engine::{
     BackpressureFront, ChannelId, ChannelSet, EngineStats, EventQueue, RunMetrics, Scenario,
     ScenarioRunner, SeedSeq, SelectorCtx, StrategyRegistry, TimerId,
@@ -171,17 +173,9 @@ struct Coordinator {
     /// Coordinator-observed replica read latencies (speculative-retry
     /// threshold source).
     replica_latency: LogHistogram,
-    /// Failure detector: consecutive deadline expiries charged to each
-    /// node. Any response from the node resets its streak.
-    timeout_streak: Vec<u32>,
-    /// Node excluded from this coordinator's candidate sets until the
-    /// given instant ([`Nanos::ZERO`] = not evicted). Expiry is the
-    /// implicit probe: the node becomes selectable again and either
-    /// responds (reinstate) or times out (re-evict, longer window).
-    evicted_until: Vec<Nanos>,
-    /// Upper bound over `evicted_until`, so the no-eviction common case
-    /// costs one comparison per dispatch.
-    max_evicted_until: Nanos,
+    /// This coordinator's view of which nodes are suspect; `None` when
+    /// no deadline is configured (nothing can time out).
+    detector: Option<FailureDetector>,
 }
 
 /// Results of one cluster run.
@@ -221,21 +215,9 @@ pub struct ClusterResult {
     /// with lifecycle hardening on, deadline/hedge timers cancelled on
     /// completion).
     pub events_cancelled: u64,
-    /// Per-request deadlines that expired.
-    pub timeouts: u64,
-    /// Reads re-dispatched after a deadline expiry.
-    pub retries_issued: u64,
-    /// Reads abandoned with deadline and retry budget spent. Parked ops
-    /// never complete; they count toward run termination instead.
-    pub parked: u64,
-    /// Hedged duplicates issued.
-    pub hedges_issued: u64,
-    /// Hedged reads won by the duplicate (it responded first).
-    pub hedge_wins: u64,
-    /// Failure-detector evictions (transitions into an eviction window).
-    pub evictions: u64,
-    /// Failure-detector reinstatements (a suspected node responded).
-    pub reinstates: u64,
+    /// What the hardened lifecycle did (timeouts, retries, parks, hedges,
+    /// detector transitions); all zero without a deadline.
+    pub lifecycle: LifecycleCounts,
     /// Requests or responses destroyed by the fault plan.
     pub faults_dropped: u64,
     /// Lifecycle timers (deadline/retry/hedge) that fired after their op
@@ -312,13 +294,7 @@ pub struct ClusterScenario {
     issued: u64,
     spec_retries: u64,
     dead_spec_checks: u64,
-    timeouts: u64,
-    retries_issued: u64,
-    parked: u64,
-    hedges_issued: u64,
-    hedge_wins: u64,
-    evictions: u64,
-    reinstates: u64,
+    life: LifecycleCounts,
     faults_dropped: u64,
     dead_lifecycle: u64,
     latency_trace: Vec<(Nanos, Nanos)>,
@@ -409,9 +385,7 @@ impl ClusterScenario {
                         group,
                     }),
                     replica_latency: LogHistogram::new(),
-                    timeout_streak: vec![0; cfg.nodes],
-                    evicted_until: vec![Nanos::ZERO; cfg.nodes],
-                    max_evicted_until: Nanos::ZERO,
+                    detector: cfg.lifecycle.detector(cfg.nodes),
                 }
             })
             .collect();
@@ -454,13 +428,7 @@ impl ClusterScenario {
             issued: 0,
             spec_retries: 0,
             dead_spec_checks: 0,
-            timeouts: 0,
-            retries_issued: 0,
-            parked: 0,
-            hedges_issued: 0,
-            hedge_wins: 0,
-            evictions: 0,
-            reinstates: 0,
+            life: LifecycleCounts::default(),
             faults_dropped: 0,
             dead_lifecycle: 0,
             latency_trace: Vec::new(),
@@ -561,13 +529,7 @@ impl ClusterScenario {
             dead_spec_checks: self.dead_spec_checks,
             dead_retries,
             events_cancelled: stats.events_cancelled,
-            timeouts: self.timeouts,
-            retries_issued: self.retries_issued,
-            parked: self.parked,
-            hedges_issued: self.hedges_issued,
-            hedge_wins: self.hedge_wins,
-            evictions: self.evictions,
-            reinstates: self.reinstates,
+            lifecycle: self.life,
             faults_dropped: self.faults_dropped,
             dead_lifecycle: self.dead_lifecycle,
             latency_trace: self.latency_trace,
@@ -590,11 +552,10 @@ impl ClusterScenario {
         self.coords.iter().map(|c| c.front.dead_retries()).sum()
     }
 
-    /// Lifecycle-hardening tallies `(timeouts, parked)` for scenario
-    /// frontends that report straight from run metrics. Both stay zero
-    /// when no deadline is configured.
-    pub fn lifecycle_counts(&self) -> (u64, u64) {
-        (self.timeouts, self.parked)
+    /// The lifecycle ledger so far, for scenario frontends that report
+    /// straight from run metrics. All zero when no deadline is configured.
+    pub fn lifecycle_counts(&self) -> LifecycleCounts {
+        self.life
     }
 
     /// Fill the reusable scratch buffer with the replica group whose
@@ -754,16 +715,14 @@ impl ClusterScenario {
         let coord_id = op.coord as usize;
         let group = self.take_group(op.group as usize);
         // Retries steer away from the replica that just timed out; the
-        // failure detector additionally masks evicted nodes. `None` = no
-        // filtering (the hot path: no deadline configured, or nothing to
-        // exclude).
+        // failure detector additionally drops evicted nodes.
         let exclude = if op.attempts > 0 && op.primary_send != SendId::MAX {
             Some(self.sends[op.primary_send as usize].node as usize)
         } else {
             None
         };
-        let filtered = self.filtered_candidates(coord_id, &group, exclude, now);
-        let cand: &[ServerId] = filtered.as_deref().unwrap_or(&group);
+        let mut scratch = Vec::new();
+        let cand = self.candidates(coord_id, &group, exclude, now, &mut scratch);
 
         match self.coords[coord_id].selector.select(cand, now) {
             Selection::Server(primary) => {
@@ -853,45 +812,20 @@ impl ClusterScenario {
 
     // ---- request-lifecycle hardening --------------------------------------
 
-    /// The candidate set actually offered to the selector, or `None` when
-    /// the full group applies (the hot path — one comparison when no
-    /// deadline is configured or nothing is excluded). Filtering drops
-    /// detector-evicted nodes and, on a retry, the replica that just timed
-    /// out; a wholly-filtered group falls back ("a suspect replica beats
-    /// none") to everything but the excluded node, then to the full group.
-    fn filtered_candidates(
+    /// The candidate list offered to the selector: the whole group when
+    /// no deadline is configured (the detector does not exist), else
+    /// [`FailureDetector::candidates`].
+    fn candidates<'a>(
         &self,
         coord_id: usize,
-        group: &[ServerId],
-        exclude: Option<usize>,
+        group: &'a [ServerId],
+        exclude: Option<ServerId>,
         now: Nanos,
-    ) -> Option<Vec<ServerId>> {
-        self.cfg.lifecycle.deadline?;
-        let coord = &self.coords[coord_id];
-        let evicting = now < coord.max_evicted_until;
-        if !evicting && exclude.is_none() {
-            return None;
-        }
-        let live: Vec<ServerId> = group
-            .iter()
-            .copied()
-            .filter(|&n| Some(n) != exclude && (!evicting || coord.evicted_until[n] <= now))
-            .collect();
-        if live.len() == group.len() {
-            return None;
-        }
-        if !live.is_empty() {
-            return Some(live);
-        }
-        let relaxed: Vec<ServerId> = group
-            .iter()
-            .copied()
-            .filter(|&n| Some(n) != exclude)
-            .collect();
-        if relaxed.is_empty() {
-            None
-        } else {
-            Some(relaxed)
+        scratch: &'a mut Vec<ServerId>,
+    ) -> &'a [ServerId] {
+        match &self.coords[coord_id].detector {
+            Some(detector) => detector.candidates(group, exclude, now, scratch),
+            None => group,
         }
     }
 
@@ -924,7 +858,7 @@ impl ClusterScenario {
             self.dead_lifecycle += 1;
             return;
         }
-        self.timeouts += 1;
+        self.life.timeouts += 1;
         let node = self.sends[op.primary_send as usize].node as usize;
         self.note_timeout(op.coord as usize, node, now);
         if let Some(rec) = &mut self.recorder {
@@ -936,18 +870,18 @@ impl ClusterScenario {
                 },
             );
         }
-        if u32::from(op.attempts) < self.cfg.lifecycle.retries {
-            self.ops[op_id as usize].attempts = op.attempts + 1;
-            // Backoff before the retry goes out, doubling per attempt with
-            // jitter so synchronized expiries don't stampede the survivors.
-            let deadline = self.cfg.lifecycle.deadline.expect("deadline fired");
-            let shift = u32::from(op.attempts).min(6);
-            let base = (deadline.as_nanos() / 8).max(1) << shift;
-            let wait = Nanos((base as f64 * self.life_rng.gen_range(0.5..1.5)) as u64);
-            let timer = engine.schedule_in_cancellable(wait, Ev::RetryOp { op: op_id });
-            self.ops[op_id as usize].deadline_timer = Some(timer);
-        } else {
-            self.park(op_id, engine);
+        let life_rng = &mut self.life_rng;
+        let backoff = self
+            .cfg
+            .lifecycle
+            .retry_backoff(op.attempts.into(), || life_rng.gen_range(0.5..1.5));
+        match backoff {
+            Some(wait) => {
+                self.ops[op_id as usize].attempts = op.attempts + 1;
+                let timer = engine.schedule_in_cancellable(wait, Ev::RetryOp { op: op_id });
+                self.ops[op_id as usize].deadline_timer = Some(timer);
+            }
+            None => self.park(op_id, engine),
         }
     }
 
@@ -963,7 +897,7 @@ impl ClusterScenario {
             }
             op.thread as usize
         };
-        self.parked += 1;
+        self.life.parked += 1;
         if self.open_arrivals.is_none() {
             engine.schedule_in(Nanos::from_micros(50), Ev::ClientIssue { thread });
         }
@@ -980,7 +914,7 @@ impl ClusterScenario {
             self.dead_lifecycle += 1;
             return;
         }
-        self.retries_issued += 1;
+        self.life.retries += 1;
         // A pure marker: the retry's own send is traced by the `Decision`
         // the re-dispatch emits. `server` names the replica retried away
         // from.
@@ -1016,7 +950,7 @@ impl ClusterScenario {
         // Prefer a replica the detector trusts; any other member failing
         // that; the tried node itself as a last resort.
         let alt = {
-            let coord = &self.coords[coord_id];
+            let detector = self.coords[coord_id].detector.as_ref();
             let ring = self.ring;
             let mut fallback = None;
             let mut pick = None;
@@ -1027,14 +961,14 @@ impl ClusterScenario {
                 if fallback.is_none() {
                     fallback = Some(m);
                 }
-                if coord.evicted_until[m] <= now {
+                if !detector.is_some_and(|d| d.is_evicted(m, now)) {
                     pick = Some(m);
                     break;
                 }
             }
             pick.or(fallback).unwrap_or(tried)
         };
-        self.hedges_issued += 1;
+        self.life.hedges += 1;
         self.coords[coord_id].selector.on_send(alt, now);
         self.ops[op_id as usize].hedge_send = self.forward(op_id, alt, false, false, now, engine);
         // `HedgeIssue` IS the duplicate's wire record — no separate `Send`.
@@ -1043,31 +977,12 @@ impl ClusterScenario {
         }
     }
 
-    /// Failure detector: a deadline expiry charged to `node`.
-    /// [`c3_core::LifecycleConfig::evict_after`] consecutive expiries evict it
-    /// from this coordinator's candidate sets for a window that doubles
-    /// per further expiry.
+    /// A deadline expiry charged to `node` in `coord_id`'s detector;
+    /// counts and traces the eviction it may tip over into.
     fn note_timeout(&mut self, coord_id: usize, node: usize, now: Nanos) {
-        let evict_after = self.cfg.lifecycle.evict_after;
-        let evict_base = self.cfg.lifecycle.eviction_base;
-        let newly_evicted = {
-            let coord = &mut self.coords[coord_id];
-            coord.timeout_streak[node] += 1;
-            let streak = coord.timeout_streak[node];
-            if streak < evict_after {
-                return;
-            }
-            let over = (streak - evict_after).min(4);
-            let until = now + Nanos(evict_base.as_nanos() << over);
-            let was_active = coord.evicted_until[node] > now;
-            if until > coord.evicted_until[node] {
-                coord.evicted_until[node] = until;
-                coord.max_evicted_until = coord.max_evicted_until.max(until);
-            }
-            !was_active
-        };
-        if newly_evicted {
-            self.evictions += 1;
+        let detector = &self.coords[coord_id].detector;
+        if detector.as_ref().is_some_and(|d| d.note_timeout(node, now)) {
+            self.life.evictions += 1;
             if let Some(rec) = &mut self.recorder {
                 rec.record(
                     now,
@@ -1080,23 +995,14 @@ impl ClusterScenario {
         }
     }
 
-    /// Failure detector: any response from `node` proves it alive — the
-    /// streak resets and a standing eviction is lifted (write acks and
+    /// Any response from `node` proves it alive (write acks and
     /// read-repair fan-out keep probing evicted nodes, so recovery is
-    /// observed without dedicated probe traffic).
+    /// observed without dedicated probe traffic); counts and traces the
+    /// reinstatement when an eviction was standing.
     fn note_success(&mut self, coord_id: usize, node: usize, now: Nanos) {
-        let cleared = {
-            let coord = &mut self.coords[coord_id];
-            coord.timeout_streak[node] = 0;
-            if coord.evicted_until[node] > Nanos::ZERO {
-                coord.evicted_until[node] = Nanos::ZERO;
-                true
-            } else {
-                false
-            }
-        };
-        if cleared {
-            self.reinstates += 1;
+        let detector = &self.coords[coord_id].detector;
+        if detector.as_ref().is_some_and(|d| d.note_success(node)) {
+            self.life.reinstates += 1;
             if let Some(rec) = &mut self.recorder {
                 rec.record(
                     now,
@@ -1281,11 +1187,9 @@ impl ClusterScenario {
         let rtt = now.saturating_sub(send.sent_at);
         let feedback = send.feedback;
 
-        // Any response proves the node alive: reset its failure-detector
-        // streak and lift a standing eviction (only armed with deadlines).
-        if self.cfg.lifecycle.deadline.is_some() {
-            self.note_success(coord_id, node, now);
-        }
+        // Any response proves the node alive (a no-op without a deadline:
+        // there is no detector to tell).
+        self.note_success(coord_id, node, now);
 
         // Update the coordinator's selection state (reads only; writes are
         // fan-out sends the selector never chose).
@@ -1364,7 +1268,7 @@ impl ClusterScenario {
                 engine.cancel(timer);
             }
             if op.hedge_send == send_id {
-                self.hedge_wins += 1;
+                self.life.hedge_wins += 1;
                 if let Some(rec) = &mut self.recorder {
                     rec.record(
                         now,
@@ -1427,9 +1331,9 @@ impl ClusterScenario {
         let group = self.take_group(group_id);
         // Eviction state cannot change mid-drain (no responses are
         // processed inside the loop), so the filtered view is computed
-        // once; `None` = the full group (the hot path).
-        let filtered = self.filtered_candidates(coord_id, &group, None, now);
-        let cand: &[ServerId] = filtered.as_deref().unwrap_or(&group);
+        // once.
+        let mut scratch = Vec::new();
+        let cand = self.candidates(coord_id, &group, None, now, &mut scratch);
         while let Some(op_id) = self.coords[coord_id].front.peek(group_id) {
             match self.coords[coord_id].selector.select(cand, now) {
                 Selection::Server(node) => {
@@ -1466,11 +1370,7 @@ impl ClusterScenario {
     fn on_gossip(&mut self, now: Nanos, engine: &mut EventQueue<Ev>) {
         let iowaits: Vec<f64> = self.nodes.iter().map(|n| n.perturb.iowait(now)).collect();
         for coord in &mut self.coords {
-            if let Some(snitch) = coord
-                .selector
-                .as_any_mut()
-                .and_then(|any| any.downcast_mut::<SnitchSelector>())
-            {
+            if let Some(snitch) = SnitchSelector::of(coord.selector.as_mut()) {
                 for (peer, &io) in iowaits.iter().enumerate() {
                     snitch.snitch_mut().record_iowait(peer, io);
                 }
@@ -1481,11 +1381,7 @@ impl ClusterScenario {
 
     fn on_snitch_tick(&mut self, now: Nanos, engine: &mut EventQueue<Ev>) {
         for coord in &mut self.coords {
-            if let Some(snitch) = coord
-                .selector
-                .as_any_mut()
-                .and_then(|any| any.downcast_mut::<SnitchSelector>())
-            {
+            if let Some(snitch) = SnitchSelector::of(coord.selector.as_mut()) {
                 snitch.snitch_mut().recompute(now);
             }
         }
@@ -1595,7 +1491,7 @@ impl Scenario for ClusterScenario {
         // Parked operations never complete; they still count as finished
         // so a faulted run terminates (identical to the seed expression
         // whenever nothing parks).
-        metrics.total_completions() + self.parked >= self.cfg.total_ops
+        metrics.total_completions() + self.life.parked >= self.cfg.total_ops
     }
 }
 
@@ -1956,9 +1852,9 @@ mod tests {
         let base = Cluster::new(cfg.clone()).run();
         cfg.lifecycle.deadline = Some(Nanos::from_secs(5));
         let hard = Cluster::new(cfg).run();
-        assert_eq!(hard.timeouts, 0);
-        assert_eq!(hard.parked, 0);
-        assert_eq!(hard.evictions, 0);
+        assert_eq!(hard.lifecycle.timeouts, 0);
+        assert_eq!(hard.lifecycle.parked, 0);
+        assert_eq!(hard.lifecycle.evictions, 0);
         assert_eq!(base.duration, hard.duration);
         assert_eq!(
             base.read_latency.value_at_quantile(0.99),
@@ -1985,8 +1881,14 @@ mod tests {
         // time out once and park.
         let res = Cluster::new(crashy(Strategy::dynamic_snitching())).run();
         assert!(res.faults_dropped > 0, "crash windows must destroy sends");
-        assert!(res.timeouts > 0, "destroyed sends must expire deadlines");
-        assert!(res.parked > 0, "without retries a timed-out read parks");
+        assert!(
+            res.lifecycle.timeouts > 0,
+            "destroyed sends must expire deadlines"
+        );
+        assert!(
+            res.lifecycle.parked > 0,
+            "without retries a timed-out read parks"
+        );
         assert_eq!(res.dead_lifecycle, 0, "lifecycle timers never fire dead");
     }
 
@@ -1997,16 +1899,19 @@ mod tests {
         cfg.lifecycle.retries = 3;
         cfg.lifecycle.hedge_after = Some(Nanos::from_millis(30));
         let hardened = Cluster::new(cfg).run();
-        assert!(hardened.timeouts > 0);
-        assert!(hardened.retries_issued > 0, "timeouts must trigger retries");
-        assert!(hardened.hedges_issued > 0, "slow reads must hedge");
+        assert!(hardened.lifecycle.timeouts > 0);
+        assert!(
+            hardened.lifecycle.retries > 0,
+            "timeouts must trigger retries"
+        );
+        assert!(hardened.lifecycle.hedges > 0, "slow reads must hedge");
         assert_eq!(hardened.dead_lifecycle, 0);
         assert!(
-            hardened.parked < naked.parked,
+            hardened.lifecycle.parked < naked.lifecycle.parked,
             "retry + hedge must park fewer reads than naked deadlines \
              ({} vs {})",
-            hardened.parked,
-            naked.parked
+            hardened.lifecycle.parked,
+            naked.lifecycle.parked
         );
     }
 
@@ -2016,11 +1921,11 @@ mod tests {
         cfg.lifecycle.retries = 3;
         let res = Cluster::new(cfg).run();
         assert!(
-            res.evictions > 0,
+            res.lifecycle.evictions > 0,
             "three consecutive expiries must evict the crashed node"
         );
         assert!(
-            res.reinstates > 0,
+            res.lifecycle.reinstates > 0,
             "responses after restart must lift the eviction"
         );
     }
@@ -2035,8 +1940,8 @@ mod tests {
         cfg.lifecycle.retries = 3;
         let res = Cluster::new(cfg).run();
         assert!(res.faults_dropped > 0, "lossy windows must destroy traffic");
-        assert!(res.timeouts > 0);
-        assert!(res.retries_issued > 0);
+        assert!(res.lifecycle.timeouts > 0);
+        assert!(res.lifecycle.retries > 0);
         assert_eq!(res.dead_lifecycle, 0);
     }
 
@@ -2050,8 +1955,11 @@ mod tests {
         let res = Cluster::new(cfg)
             .with_recorder(Recorder::new(64 * 1024))
             .run();
-        assert!(res.hedges_issued > 0);
-        assert!(res.hedge_wins > 0, "some hedged duplicates must win");
+        assert!(res.lifecycle.hedges > 0);
+        assert!(
+            res.lifecycle.hedge_wins > 0,
+            "some hedged duplicates must win"
+        );
         let rec = res.recorder.expect("recorder rides along");
         let events: Vec<_> = rec.events().collect();
         assert!(events
@@ -2079,15 +1987,88 @@ mod tests {
         let a = Cluster::new(cfg.clone()).run();
         let b = Cluster::new(cfg).run();
         assert_eq!(a.events_processed, b.events_processed);
-        assert_eq!(a.timeouts, b.timeouts);
-        assert_eq!(a.retries_issued, b.retries_issued);
-        assert_eq!(a.hedges_issued, b.hedges_issued);
-        assert_eq!(a.parked, b.parked);
+        assert_eq!(a.lifecycle.timeouts, b.lifecycle.timeouts);
+        assert_eq!(a.lifecycle.retries, b.lifecycle.retries);
+        assert_eq!(a.lifecycle.hedges, b.lifecycle.hedges);
+        assert_eq!(a.lifecycle.parked, b.lifecycle.parked);
         assert_eq!(a.faults_dropped, b.faults_dropped);
         assert_eq!(
             a.read_latency.value_at_quantile(0.99),
             b.read_latency.value_at_quantile(0.99)
         );
+    }
+
+    /// `crash-flux` (`crash`) or `flaky-net` as the scenario library
+    /// configures them, at the fingerprint goldens' scale.
+    fn golden_fault_cell(crash: bool, strategy: Strategy) -> ClusterConfig {
+        use crate::fault::{FaultEvent, FaultKind};
+        use crate::perturb::PerturbationSpec;
+        let early = |node, kind, start, end, magnitude| FaultEvent {
+            node,
+            kind,
+            start: Nanos::from_millis(start),
+            end: Nanos::from_millis(end),
+            magnitude,
+        };
+        let mut cfg = ClusterConfig {
+            total_ops: 3_000,
+            warmup_ops: 150,
+            keys: 1_000_000,
+            strategy,
+            seed: 1,
+            perturbations: PerturbationSpec::none(),
+            ..ClusterConfig::default()
+        };
+        let span = Nanos::from_secs(60);
+        if crash {
+            cfg.faults = FaultPlan::crash_flux(cfg.seed, cfg.nodes, span);
+            let crash_early = early(0, FaultKind::Crash, 60, 260, 0.0);
+            cfg.faults.events.push(crash_early);
+            cfg.lifecycle = c3_core::LifecycleConfig::hardened(
+                Nanos::from_millis(75),
+                3,
+                Some(Nanos::from_millis(30)),
+            );
+        } else {
+            cfg.faults = FaultPlan::flaky_net(cfg.seed, cfg.nodes, span);
+            cfg.faults.events.extend([
+                early(1, FaultKind::ConnReset, 50, 140, 0.0),
+                early(2, FaultKind::RespDelay, 60, 300, 40.0),
+                early(3, FaultKind::RespDrop, 80, 320, 0.5),
+            ]);
+            cfg.lifecycle = c3_core::LifecycleConfig::hardened(
+                Nanos::from_millis(100),
+                3,
+                Some(Nanos::from_millis(50)),
+            );
+        }
+        cfg
+    }
+
+    #[test]
+    fn lifecycle_ledger_balances_under_faults() {
+        for crash in [true, false] {
+            for strategy in [
+                Strategy::c3(),
+                Strategy::dynamic_snitching(),
+                Strategy::lor(),
+            ] {
+                let cell = format!(
+                    "{} / {strategy}",
+                    ["flaky-net", "crash-flux"][crash as usize]
+                );
+                let res = Cluster::new(golden_fault_cell(crash, strategy)).run();
+                let l = res.lifecycle;
+                assert!(l.timeouts + l.hedges > 0, "{cell}: the plan must bite");
+                // Every expiry retries or parks — except a retry still
+                // waiting out its backoff when a late response (the
+                // abandoned attempt's, or the hedge's) completes the op.
+                assert!(l.retries + l.parked <= l.timeouts, "{cell}: {l:?}");
+                assert!(l.hedge_wins <= l.hedges, "{cell}: {l:?}");
+                assert!(l.reinstates <= l.evictions, "{cell}: {l:?}");
+                assert_eq!(res.dead_lifecycle, 0, "{cell}: a timer fired dead");
+            }
+        }
     }
 
     #[test]

@@ -142,6 +142,13 @@ impl DynamicSnitch {
         self.updates += 1;
     }
 
+    /// The recompute tick of a fleet without gossip: every peer idles at
+    /// baseline iowait, so only the latency reservoirs carry signal.
+    pub fn recompute_idle(&mut self, now: Nanos) {
+        self.iowait.fill(0.02);
+        self.recompute(now);
+    }
+
     /// The frozen score of a peer (lower ranks better).
     pub fn score(&self, peer: usize) -> f64 {
         self.scores[peer]
@@ -180,7 +187,7 @@ impl DynamicSnitch {
     }
 }
 
-/// [`DynamicSnitch`] behind the shared [`ReplicaSelector`] trait, so the
+/// [`DynamicSnitch`] behind the shared [`c3_core::ReplicaSelector`] trait, so the
 /// cluster drives DS through the same registry-built selector path as every
 /// other strategy. Read responses feed the latency reservoirs; the gossip
 /// and recompute ticks reach the wrapped snitch through the trait's
@@ -197,6 +204,12 @@ impl SnitchSelector {
         Self {
             snitch: DynamicSnitch::new(peers, cfg),
         }
+    }
+
+    /// The DS selector behind a registry-built selector, if that is what
+    /// it is: how gossip and recompute ticks reach the wrapped snitch.
+    pub fn of(selector: &mut dyn c3_core::ReplicaSelector) -> Option<&mut Self> {
+        selector.as_any_mut()?.downcast_mut::<SnitchSelector>()
     }
 
     /// The wrapped snitch (gossip feed, recompute ticks, diagnostics).

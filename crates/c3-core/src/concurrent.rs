@@ -26,7 +26,7 @@
 //! to the same fixed point as the serialized fold under quiescence, and
 //! the serialized-use tests below pin bit-equality against `C3State`.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::config::C3Config;
@@ -173,12 +173,6 @@ pub struct SharedC3State {
     cfg: C3Config,
     trackers: Vec<AtomicTracker>,
     limiters: Vec<Mutex<RateLimiter>>,
-    /// Eviction bitmask, one bit per server (64 servers per word), set by
-    /// a failure detector from any thread. `try_send` skips masked
-    /// servers unless the whole group is masked.
-    evicted: Vec<AtomicU64>,
-    /// Count of set mask bits, so the unmasked fast path is one load.
-    evicted_count: AtomicUsize,
 }
 
 impl SharedC3State {
@@ -192,10 +186,6 @@ impl SharedC3State {
             limiters: (0..num_servers)
                 .map(|_| Mutex::new(RateLimiter::new(&cfg, now)))
                 .collect(),
-            evicted: (0..num_servers.div_ceil(64))
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            evicted_count: AtomicUsize::new(0),
             cfg,
         }
     }
@@ -218,41 +208,6 @@ impl SharedC3State {
     /// Outstanding requests to a server. Lock-free.
     pub fn outstanding(&self, server: ServerId) -> u32 {
         self.trackers[server].outstanding()
-    }
-
-    /// Mark `server` as failed: [`SharedC3State::try_send`] skips it
-    /// until reinstated — unless every candidate in a group is evicted,
-    /// in which case the mask is ignored for that group. Idempotent,
-    /// callable from any thread.
-    pub fn evict(&self, server: ServerId) {
-        assert!(server < self.trackers.len(), "server id out of range");
-        let bit = 1u64 << (server % 64);
-        let prev = self.evicted[server / 64].fetch_or(bit, Ordering::AcqRel);
-        if prev & bit == 0 {
-            self.evicted_count.fetch_add(1, Ordering::AcqRel);
-        }
-    }
-
-    /// Clear a server's eviction (recovery probe succeeded). Idempotent,
-    /// callable from any thread.
-    pub fn reinstate(&self, server: ServerId) {
-        assert!(server < self.trackers.len(), "server id out of range");
-        let bit = 1u64 << (server % 64);
-        let prev = self.evicted[server / 64].fetch_and(!bit, Ordering::AcqRel);
-        if prev & bit != 0 {
-            self.evicted_count.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-
-    /// Whether a server is currently evicted. Lock-free.
-    pub fn is_evicted(&self, server: ServerId) -> bool {
-        let bit = 1u64 << (server % 64);
-        self.evicted[server / 64].load(Ordering::Acquire) & bit != 0
-    }
-
-    /// Number of currently evicted servers. Lock-free.
-    pub fn evicted_count(&self) -> usize {
-        self.evicted_count.load(Ordering::Acquire)
     }
 
     /// Algorithm 1 over the shared state: rank `group` by score and return
@@ -279,29 +234,6 @@ impl SharedC3State {
         }
         let scores = &mut scores[..group.len()];
 
-        // Eviction mask: failure-detected servers never win selection,
-        // unless the whole group is evicted — then the mask is ignored
-        // (a suspect replica beats none). The mask is snapshotted once so
-        // concurrent evict/reinstate calls cannot make this call's view
-        // inconsistent; with no evictions the cost is a single load.
-        let mut masked = [false; MAX_GROUP];
-        if self.evicted_count.load(Ordering::Acquire) > 0 {
-            let mut live = false;
-            for (i, &s) in group.iter().enumerate() {
-                masked[i] = self.is_evicted(s);
-                live |= !masked[i];
-            }
-            if live {
-                for (i, slot) in scores.iter_mut().enumerate() {
-                    if masked[i] {
-                        *slot = f64::NAN;
-                    }
-                }
-            } else {
-                masked[..group.len()].fill(false);
-            }
-        }
-
         if self.cfg.rate_control {
             // Lazy arg-min, best-first, marking tried entries NaN — the
             // same visit order as `C3State::try_send` (ties keep caller
@@ -326,9 +258,7 @@ impl SharedC3State {
             }
             let retry_at = group
                 .iter()
-                .enumerate()
-                .filter(|&(i, _)| !masked[i])
-                .map(|(_, &s)| {
+                .map(|&s| {
                     self.limiters[s]
                         .lock()
                         .expect("limiter poisoned")
@@ -344,7 +274,7 @@ impl SharedC3State {
                     best = Some((sc, i));
                 }
             }
-            let (_, i) = best.expect("a live candidate remains");
+            let (_, i) = best.expect("non-empty group");
             SendDecision::Send(group[i])
         }
     }
@@ -534,49 +464,5 @@ mod tests {
     fn empty_group_panics() {
         let shared = SharedC3State::new(1, C3Config::default(), Nanos::ZERO);
         let _ = shared.try_send(&[], Nanos::ZERO);
-    }
-
-    #[test]
-    fn eviction_mask_matches_c3state() {
-        // The shared mask must make the same decisions as the
-        // single-threaded one under serialized use: skip evicted servers,
-        // ignore the mask when the whole group is evicted, recover on
-        // reinstate.
-        let cfg = C3Config {
-            initial_rate: 100.0,
-            ..C3Config::default()
-        };
-        let mut reference = C3State::new(3, cfg, Nanos::ZERO);
-        let shared = SharedC3State::new(3, cfg, Nanos::ZERO);
-        let now = Nanos::from_millis(1);
-        reference.evict(0);
-        shared.evict(0);
-        shared.evict(0); // idempotent
-        assert_eq!(shared.evicted_count(), 1);
-        assert!(shared.is_evicted(0));
-        for step in 0..10 {
-            let a = reference.try_send(&[0, 1, 2], now);
-            let b = shared.try_send(&[0, 1, 2], now);
-            assert_eq!(a, b, "step {step} diverged under eviction");
-            if let SendDecision::Send(s) = a {
-                assert_ne!(s, 0, "evicted server must not win");
-                reference.record_send(s);
-                shared.record_send(s);
-            }
-        }
-        // Whole group evicted: the mask is ignored.
-        reference.evict(1);
-        reference.evict(2);
-        shared.evict(1);
-        shared.evict(2);
-        let a = reference.try_send(&[0, 1, 2], now);
-        let b = shared.try_send(&[0, 1, 2], now);
-        assert_eq!(a, b);
-        assert!(matches!(a, SendDecision::Send(_)));
-        // Reinstate clears the bit and the count.
-        shared.reinstate(0);
-        shared.reinstate(0); // idempotent
-        assert_eq!(shared.evicted_count(), 2);
-        assert!(!shared.is_evicted(0));
     }
 }

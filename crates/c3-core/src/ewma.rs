@@ -58,11 +58,6 @@ impl Ewma {
         self.value.unwrap_or(default)
     }
 
-    /// Whether at least one sample has been recorded.
-    pub fn is_initialized(&self) -> bool {
-        self.value.is_some()
-    }
-
     /// The configured new-sample weight.
     pub fn alpha(&self) -> f64 {
         self.alpha
@@ -131,10 +126,8 @@ mod tests {
         let mut e = Ewma::new(0.5);
         assert_eq!(e.value_or(1.5), 1.5);
         e.update(4.0);
-        assert!(e.is_initialized());
         assert_eq!(e.value_or(1.5), 4.0);
         e.reset();
-        assert!(!e.is_initialized());
         assert_eq!(e.value_or(1.5), 1.5);
     }
 

@@ -3,8 +3,7 @@
 //! C3 servers relay two numbers on every response (§3.1): the size of the
 //! request queue observed when the response is about to be dispatched
 //! (`q_s`) and the service time of the operation (`1/μ_s`). Clients smooth
-//! both with EWMAs. [`Feedback`] is the wire/in-memory representation;
-//! [`ServiceTimer`] is a small server-side helper that produces it.
+//! both with EWMAs. [`Feedback`] is the wire/in-memory representation.
 
 use crate::time::Nanos;
 
@@ -29,42 +28,6 @@ impl Feedback {
     }
 }
 
-/// Server-side helper tracking what a C3 server must report.
-///
-/// A server embeds one `ServiceTimer` and calls [`ServiceTimer::start`] when
-/// a request begins executing and [`ServiceTimer::finish`] when it completes;
-/// `finish` returns the [`Feedback`] to piggyback, given the current number
-/// of pending requests.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ServiceTimer {
-    started_at: Option<Nanos>,
-}
-
-impl ServiceTimer {
-    /// Create an idle timer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Mark the start of request execution.
-    pub fn start(&mut self, now: Nanos) {
-        self.started_at = Some(now);
-    }
-
-    /// Mark completion; returns the feedback to attach to the response.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` was not called first.
-    pub fn finish(&mut self, now: Nanos, pending_requests: u32) -> Feedback {
-        let started = self
-            .started_at
-            .take()
-            .expect("ServiceTimer::finish without start");
-        Feedback::new(pending_requests, now.saturating_sub(started))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,39 +37,5 @@ mod tests {
         let f = Feedback::new(7, Nanos::from_millis(4));
         assert_eq!(f.queue_size, 7);
         assert_eq!(f.service_time, Nanos::from_millis(4));
-    }
-
-    #[test]
-    fn timer_measures_elapsed() {
-        let mut t = ServiceTimer::new();
-        t.start(Nanos::from_millis(10));
-        let f = t.finish(Nanos::from_millis(14), 3);
-        assert_eq!(f.service_time, Nanos::from_millis(4));
-        assert_eq!(f.queue_size, 3);
-    }
-
-    #[test]
-    fn timer_is_reusable() {
-        let mut t = ServiceTimer::new();
-        t.start(Nanos::from_millis(0));
-        t.finish(Nanos::from_millis(1), 0);
-        t.start(Nanos::from_millis(5));
-        let f = t.finish(Nanos::from_millis(9), 1);
-        assert_eq!(f.service_time, Nanos::from_millis(4));
-    }
-
-    #[test]
-    #[should_panic(expected = "without start")]
-    fn finish_without_start_panics() {
-        let mut t = ServiceTimer::new();
-        t.finish(Nanos::from_millis(1), 0);
-    }
-
-    #[test]
-    fn out_of_order_clock_saturates() {
-        let mut t = ServiceTimer::new();
-        t.start(Nanos::from_millis(10));
-        let f = t.finish(Nanos::from_millis(5), 0);
-        assert_eq!(f.service_time, Nanos::ZERO);
     }
 }

@@ -5,10 +5,9 @@
 //! address files — both need a serialization format, and the vendored
 //! dependency shims rule out serde. This module is that format: one
 //! `key=value` pair per line, `#` starts a comment, blank lines are
-//! skipped, duplicate keys are an error. Every config struct that
-//! crosses a process boundary ([`crate::LifecycleConfig`], the
-//! scenario layer's `RunTuning`, the node handshake) encodes and
-//! decodes through here, so the wire text stays one dialect.
+//! skipped, duplicate keys are an error. Every config that crosses a
+//! process boundary (`FleetConfig`, `NodeConfig`, the address file)
+//! encodes and decodes through here, so the wire text stays one dialect.
 
 use std::fmt;
 
@@ -146,23 +145,6 @@ impl KvMap {
             .ok_or(KvError::Missing(key))
     }
 
-    /// Take an optional-nanoseconds key: `"none"` (or absent) is `None`,
-    /// otherwise a decimal nanosecond count.
-    pub fn take_opt_nanos(&mut self, key: &'static str) -> Result<Option<crate::Nanos>, KvError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(v) if v == "none" => Ok(None),
-            Some(v) => match v.parse::<u64>() {
-                Ok(ns) => Ok(Some(crate::Nanos(ns))),
-                Err(_) => Err(KvError::Invalid {
-                    key: key.to_string(),
-                    value: v,
-                    expected: "u64 nanoseconds or \"none\"",
-                }),
-            },
-        }
-    }
-
     /// Fail on any key no `take_*` call claimed.
     pub fn finish(self) -> Result<(), KvError> {
         match self.pairs.into_iter().next() {
@@ -186,19 +168,9 @@ pub fn encode_kv<'a>(pairs: impl IntoIterator<Item = (&'a str, String)>) -> Stri
     out
 }
 
-/// Encode an optional [`Nanos`](crate::Nanos) as decimal nanoseconds or
-/// `"none"` — the value form [`KvMap::take_opt_nanos`] parses.
-pub fn opt_nanos_value(v: Option<crate::Nanos>) -> String {
-    match v {
-        Some(n) => n.as_nanos().to_string(),
-        None => "none".to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Nanos;
 
     #[test]
     fn parses_comments_blanks_and_order() {
@@ -238,21 +210,6 @@ mod tests {
     fn unknown_keys_fail_finish() {
         let kv = KvMap::parse("typo_knob=1\n").unwrap();
         assert!(matches!(kv.finish(), Err(KvError::Unknown { .. })));
-    }
-
-    #[test]
-    fn opt_nanos_round_trips() {
-        let text = encode_kv([
-            ("deadline_ns", opt_nanos_value(Some(Nanos::from_millis(75)))),
-            ("hedge_after_ns", opt_nanos_value(None)),
-        ]);
-        let mut kv = KvMap::parse(&text).unwrap();
-        assert_eq!(
-            kv.take_opt_nanos("deadline_ns").unwrap(),
-            Some(Nanos::from_millis(75))
-        );
-        assert_eq!(kv.take_opt_nanos("hedge_after_ns").unwrap(), None);
-        kv.finish().unwrap();
     }
 
     #[test]

@@ -80,11 +80,11 @@ mod tracker;
 pub use concurrent::{AtomicTracker, SharedC3State, MAX_GROUP};
 pub use config::C3Config;
 pub use ewma::Ewma;
-pub use feedback::{Feedback, ServiceTimer};
-pub use lifecycle::LifecycleConfig;
+pub use feedback::Feedback;
+pub use lifecycle::{FailureDetector, LifecycleConfig, LifecycleCounts};
 pub use rate::{cubic_rate, RateLimiter, RatePhase, RateStats};
 pub use scheduler::{BacklogQueue, C3State, SendDecision, ServerId};
 pub use score::{queue_size_estimate, score};
 pub use selector::{C3Selector, ReplicaSelector, ReplicaView, ResponseInfo, Selection};
-pub use time::{Clock, Nanos, WallClock};
+pub use time::{Nanos, WallClock};
 pub use tracker::{ServerTracker, TrackerSnapshot};

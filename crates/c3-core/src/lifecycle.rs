@@ -1,16 +1,25 @@
-//! Request-lifecycle hardening knobs, shared by every backend.
+//! Request-lifecycle hardening, shared by every backend: the knobs and
+//! the policy that acts on them.
 //!
 //! The sim cluster, the live client, and the `c3-live-node` replica
 //! fleet all enforce the same request lifecycle: a per-read deadline,
-//! a bounded retry budget, RepNet-style hedging, and a
-//! consecutive-timeout failure detector with doubling eviction
-//! windows. These used to be parallel field triples on `ClusterConfig`
-//! and `LiveConfig` (plus compile-time detector constants), which is
-//! exactly the drift a cross-process config digest cannot tolerate —
-//! so they live here once, with a plain-text codec the coordinator
-//! uses to ship them to node processes.
+//! a bounded retry budget with jittered exponential backoff,
+//! RepNet-style hedging, and a consecutive-timeout failure detector
+//! with doubling eviction windows. [`LifecycleConfig`] holds the knobs
+//! (once — they used to be parallel field triples on `ClusterConfig` and
+//! `LiveConfig`, exactly the drift a cross-process config digest cannot
+//! tolerate). The *decisions* live here too, so the simulator's event
+//! handlers and the live client's reaper and reader threads cannot
+//! disagree on them: [`FailureDetector`] (who is suspected, for how
+//! long, and which candidates a selector is offered meanwhile),
+//! [`LifecycleConfig::retry_backoff`] (retry or park, and how long to
+//! wait first) and the [`LifecycleCounts`] ledger both report. The
+//! mechanics — timers against an event queue, or a reaper thread over
+//! correlation tables — stay with each driver.
 
-use crate::kv::{encode_kv, opt_nanos_value, KvError, KvMap};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
+
+use crate::scheduler::ServerId;
 use crate::time::Nanos;
 
 /// The shared request-lifecycle configuration.
@@ -36,7 +45,8 @@ pub struct LifecycleConfig {
     /// Consecutive deadline expiries before the failure detector evicts
     /// a replica from candidate sets.
     pub evict_after: u32,
-    /// First eviction window; consecutive evictions double it (×16 cap).
+    /// First eviction window; every further consecutive expiry doubles
+    /// it (×16 cap).
     pub eviction_base: Nanos,
 }
 
@@ -63,12 +73,6 @@ impl LifecycleConfig {
         }
     }
 
-    /// Whether any client-side lifecycle enforcement is on (the reaper
-    /// and detector only run with a deadline to expire).
-    pub fn hardened_on(&self) -> bool {
-        self.deadline.is_some()
-    }
-
     /// Validate invariants.
     ///
     /// # Panics
@@ -92,46 +96,162 @@ impl LifecycleConfig {
         );
     }
 
-    /// Encode in the shared `key=value` dialect (the node-handshake
-    /// config digest covers this text).
-    pub fn to_kv(&self) -> String {
-        encode_kv([
-            ("deadline_ns", opt_nanos_value(self.deadline)),
-            ("retries", self.retries.to_string()),
-            ("hedge_after_ns", opt_nanos_value(self.hedge_after)),
-            ("evict_after", self.evict_after.to_string()),
-            (
-                "eviction_base_ns",
-                self.eviction_base.as_nanos().to_string(),
-            ),
-        ])
-    }
-
-    /// Decode the [`LifecycleConfig::to_kv`] form. Absent keys keep
-    /// their defaults; unknown keys are an error.
-    pub fn from_kv(text: &str) -> Result<Self, KvError> {
-        let mut kv = KvMap::parse(text)?;
-        let out = Self::from_kv_map(&mut kv)?;
-        kv.finish()?;
-        Ok(out)
-    }
-
-    /// Decode from an already-parsed map, consuming only the lifecycle
-    /// keys — composite configs (the node handshake) embed it this way.
-    pub fn from_kv_map(kv: &mut KvMap) -> Result<Self, KvError> {
-        let d = Self::default();
-        Ok(Self {
-            deadline: kv.take_opt_nanos("deadline_ns")?,
-            retries: kv.take_parsed("retries", "a u32")?.unwrap_or(d.retries),
-            hedge_after: kv.take_opt_nanos("hedge_after_ns")?,
-            evict_after: kv
-                .take_parsed("evict_after", "a u32")?
-                .unwrap_or(d.evict_after),
-            eviction_base: kv
-                .take_parsed::<u64>("eviction_base_ns", "u64 nanoseconds")?
-                .map(Nanos)
-                .unwrap_or(d.eviction_base),
+    /// The failure detector this lifecycle calls for: `None` without a
+    /// deadline — nothing can time out, so nothing is ever suspected and
+    /// drivers skip the detector entirely.
+    pub fn detector(&self, nodes: usize) -> Option<FailureDetector> {
+        self.deadline.map(|_| FailureDetector {
+            evict_after: self.evict_after,
+            eviction_base: self.eviction_base,
+            streak: (0..nodes).map(|_| AtomicU32::new(0)).collect(),
+            evicted_until: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
+            max_evicted_until: AtomicU64::new(0),
         })
+    }
+
+    /// Retry or park: a read whose deadline just expired for the
+    /// `attempt`-th time (0 = the original send) either waits out the
+    /// returned backoff and goes to a different replica, or — `None`,
+    /// the retry budget is spent — is abandoned.
+    ///
+    /// The wait is `deadline/8 · 2^min(attempt, 6) · jitter`, with
+    /// `jitter` drawn from `U[0.5, 1.5)` so synchronized expiries do not
+    /// stampede the survivors. It is a closure because a parked read
+    /// must not consume a draw (the simulator's random stream is pinned).
+    ///
+    /// # Panics
+    ///
+    /// Panics when no deadline is configured: nothing can have expired.
+    pub fn retry_backoff(&self, attempt: u32, jitter: impl FnOnce() -> f64) -> Option<Nanos> {
+        if attempt >= self.retries {
+            return None;
+        }
+        let deadline = self.deadline.expect("a deadline expired");
+        let base = (deadline.as_nanos() / 8).max(1) << attempt.min(6);
+        Some(Nanos((base as f64 * jitter()) as u64))
+    }
+}
+
+/// What the hardened lifecycle did over one run; every backend reports
+/// this ledger. All zero when no deadline is configured.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LifecycleCounts {
+    /// Deadline expiries (one per op per expiry; hedge twins excluded).
+    pub timeouts: u64,
+    /// Reads re-dispatched to a different replica after an expiry.
+    pub retries: u64,
+    /// Reads abandoned with deadline and retry budget spent. Parked ops
+    /// never complete; they count toward run termination instead.
+    pub parked: u64,
+    /// Hedged duplicates issued.
+    pub hedges: u64,
+    /// Hedged reads won by the duplicate (it responded first).
+    pub hedge_wins: u64,
+    /// Failure-detector evictions (transitions into an eviction window).
+    pub evictions: u64,
+    /// Failure-detector reinstatements (a suspected node responded).
+    pub reinstates: u64,
+}
+
+/// The consecutive-timeout failure detector of one client (a cluster
+/// coordinator, or the live client).
+///
+/// [`LifecycleConfig::evict_after`] deadline expiries in a row evict a
+/// node from candidate lists for `eviction_base · 2^min(streak −
+/// evict_after, 4)`. The window lapsing is the implicit probe: the node
+/// becomes selectable again and either answers or times out once more
+/// (the streak kept counting, so the next window is longer). Any
+/// response — reads, write acks, read-repair fan-out — proves the node
+/// alive: its streak resets and a standing eviction is lifted at once.
+///
+/// Eviction is enforced in one place, [`FailureDetector::candidates`]:
+/// selectors only ever see the list it returns.
+///
+/// All methods take `&self` over `Relaxed` atomics, so an event handler
+/// and the live client's reader and reaper threads call the same code.
+/// Every cell is a standalone count or instant that publishes no other
+/// memory; a reader that races a writer sees the suspicion one call
+/// early or late, which the probing policy tolerates by design.
+#[derive(Debug)]
+pub struct FailureDetector {
+    evict_after: u32,
+    eviction_base: Nanos,
+    /// Consecutive deadline expiries charged to each node.
+    streak: Vec<AtomicU32>,
+    /// Nanos until which each node is evicted (0 = in service).
+    evicted_until: Vec<AtomicU64>,
+    /// Upper bound over `evicted_until`, so the nothing-evicted common
+    /// case costs one comparison per dispatch.
+    max_evicted_until: AtomicU64,
+}
+
+impl FailureDetector {
+    /// A deadline expiry charged to `node`; `true` when it tips the node
+    /// from in-service into an eviction window (not when it extends a
+    /// standing one).
+    pub fn note_timeout(&self, node: ServerId, now: Nanos) -> bool {
+        let streak = self.streak[node].fetch_add(1, Relaxed) + 1;
+        if streak < self.evict_after {
+            return false;
+        }
+        let over = (streak - self.evict_after).min(4);
+        let until = (now + Nanos(self.eviction_base.as_nanos() << over)).as_nanos();
+        // `fetch_max`: a shorter window never shortens a standing one.
+        let standing = self.evicted_until[node].fetch_max(until, Relaxed);
+        self.max_evicted_until.fetch_max(until, Relaxed);
+        standing <= now.as_nanos()
+    }
+
+    /// A response from `node`: zero its streak and lift a standing
+    /// eviction; `true` when there was one to lift (reported once, even
+    /// to concurrent responders — the swap elects the reporter).
+    pub fn note_success(&self, node: ServerId) -> bool {
+        self.streak[node].store(0, Relaxed);
+        let cell = &self.evicted_until[node];
+        cell.load(Relaxed) != 0 && cell.swap(0, Relaxed) != 0
+    }
+
+    /// Whether `node` is inside an eviction window at `now`.
+    pub fn is_evicted(&self, node: ServerId, now: Nanos) -> bool {
+        self.evicted_until[node].load(Relaxed) > now.as_nanos()
+    }
+
+    /// The candidate list to offer a selector: `group` minus evicted
+    /// nodes and minus `exclude` (the replica a retry steers away from).
+    /// Never empty — a suspect replica beats none: a wholly filtered
+    /// group falls back to everything but `exclude`, then to the whole
+    /// group. With nothing evicted and nothing excluded this is one
+    /// comparison and `group` itself comes back, `scratch` untouched.
+    pub fn candidates<'a>(
+        &self,
+        group: &'a [ServerId],
+        exclude: Option<ServerId>,
+        now: Nanos,
+        scratch: &'a mut Vec<ServerId>,
+    ) -> &'a [ServerId] {
+        let evicting = now.as_nanos() < self.max_evicted_until.load(Relaxed);
+        if !evicting && exclude.is_none() {
+            return group;
+        }
+        let kept = |&n: &ServerId| Some(n) != exclude;
+        scratch.clear();
+        scratch.extend(
+            group
+                .iter()
+                .copied()
+                .filter(|n| kept(n) && !(evicting && self.is_evicted(*n, now))),
+        );
+        if scratch.len() == group.len() {
+            return group;
+        }
+        if scratch.is_empty() {
+            scratch.extend(group.iter().copied().filter(kept));
+        }
+        if scratch.is_empty() {
+            group
+        } else {
+            scratch
+        }
     }
 }
 
@@ -147,29 +267,181 @@ mod tests {
         assert!(l.hedge_after.is_none());
         assert_eq!(l.evict_after, 3);
         assert_eq!(l.eviction_base, Nanos::from_millis(250));
-        assert!(!l.hardened_on());
+        assert!(l.detector(3).is_none(), "no deadline, no detector");
         l.validate();
     }
 
+    fn detector(nodes: usize) -> FailureDetector {
+        LifecycleConfig::hardened(Nanos::from_millis(75), 3, None)
+            .detector(nodes)
+            .expect("a deadline arms the detector")
+    }
+
+    const BASE: Nanos = Nanos::from_millis(250);
+
     #[test]
-    fn kv_round_trips_hardened_and_default() {
-        for l in [
-            LifecycleConfig::default(),
-            LifecycleConfig::hardened(Nanos::from_millis(75), 3, Some(Nanos::from_millis(30))),
-        ] {
-            assert_eq!(LifecycleConfig::from_kv(&l.to_kv()).unwrap(), l);
+    fn evicts_on_the_third_consecutive_timeout_and_not_before() {
+        let d = detector(2);
+        let now = Nanos::from_millis(10);
+        assert!(!d.note_timeout(0, now));
+        assert!(!d.note_timeout(0, now));
+        assert!(!d.is_evicted(0, now));
+        assert!(d.note_timeout(0, now), "the third expiry in a row evicts");
+        assert!(d.is_evicted(0, now + BASE - Nanos(1)));
+        assert!(!d.is_evicted(0, now + BASE), "the window is half-open");
+        assert!(!d.is_evicted(1, now), "suspicion is per node");
+    }
+
+    #[test]
+    fn window_doubles_with_the_streak_up_to_sixteen_times_base() {
+        let d = detector(1);
+        // Each probe expires just after the previous window lapsed, so
+        // every one of them re-evicts: streak 3, 4, … → base << 0, 1, …
+        let mut now = Nanos::ZERO;
+        d.note_timeout(0, now);
+        d.note_timeout(0, now);
+        for over in [0u32, 1, 2, 3, 4, 4, 4] {
+            assert!(d.note_timeout(0, now), "a lapsed window re-evicts");
+            let window = Nanos(BASE.as_nanos() << over);
+            assert!(d.is_evicted(0, now + window - Nanos(1)), "over {over}");
+            assert!(!d.is_evicted(0, now + window), "over {over}");
+            now += window;
         }
     }
 
     #[test]
-    fn absent_keys_keep_defaults() {
-        let l = LifecycleConfig::from_kv("retries=0\n").unwrap();
-        assert_eq!(l, LifecycleConfig::default());
+    fn a_standing_window_is_extended_silently_and_never_shortened() {
+        let d = detector(1);
+        let t0 = Nanos::from_millis(1_000);
+        d.note_timeout(0, Nanos::ZERO);
+        d.note_timeout(0, Nanos::ZERO);
+        assert!(d.note_timeout(0, t0), "inactive → active is reported");
+        // Still evicted: a further expiry lengthens the window (streak 4
+        // → 2·base from its own instant) but is not a new eviction.
+        let t1 = t0 + Nanos::from_millis(100);
+        assert!(!d.note_timeout(0, t1), "active → active is not");
+        assert!(d.is_evicted(0, t1 + Nanos::from_millis(500) - Nanos(1)));
+        assert!(!d.is_evicted(0, t1 + Nanos::from_millis(500)));
+        // The state a responder racing the reaper can leave behind: the
+        // streak restarted while a long window stands. Three more
+        // expiries ask for a shorter window; the standing one must hold.
+        let d = detector(1);
+        for _ in 0..5 {
+            d.note_timeout(0, t0); // streak 5 → 4·base, until t0 + 1 s
+        }
+        d.streak[0].store(0, Relaxed);
+        for _ in 0..3 {
+            d.note_timeout(0, t0); // streak 3 → base, until t0 + 250 ms
+        }
+        assert!(d.is_evicted(0, t0 + Nanos::from_millis(999)));
     }
 
     #[test]
-    fn unknown_keys_are_rejected() {
-        assert!(LifecycleConfig::from_kv("deadlime_ns=1\n").is_err());
+    fn any_success_zeroes_the_streak_and_lifts_the_eviction_once() {
+        let d = detector(2);
+        let now = Nanos::from_millis(5);
+        d.note_timeout(0, now);
+        d.note_timeout(0, now);
+        assert!(!d.note_success(0), "nothing standing: nothing to report");
+        // The streak restarted: two more expiries are not enough.
+        d.note_timeout(0, now);
+        assert!(!d.note_timeout(0, now));
+        assert!(d.note_timeout(0, now));
+        assert!(d.is_evicted(0, now));
+        assert!(d.note_success(0), "a response lifts a standing eviction");
+        assert!(!d.is_evicted(0, now));
+        assert!(!d.note_success(0), "and is reported exactly once");
+        // A lapsed-but-never-answered window still counts as standing.
+        for _ in 0..3 {
+            d.note_timeout(1, now);
+        }
+        assert!(d.note_success(1 /* long after */));
+    }
+
+    #[test]
+    fn candidates_is_the_group_itself_when_nothing_is_filtered() {
+        let d = detector(4);
+        let group = [0usize, 1, 2];
+        let mut scratch = Vec::new();
+        let c = d.candidates(&group, None, Nanos::ZERO, &mut scratch);
+        assert!(
+            std::ptr::eq(c, &group[..]),
+            "fast path hands back the input"
+        );
+        // Evictions elsewhere in the fleet leave this group whole too.
+        for _ in 0..3 {
+            d.note_timeout(3, Nanos::ZERO);
+        }
+        let c = d.candidates(&group, None, Nanos::ZERO, &mut scratch);
+        assert!(std::ptr::eq(c, &group[..]));
+        // As does an exclusion that names a node outside the group.
+        let c = d.candidates(&group, Some(3), Nanos::ZERO, &mut scratch);
+        assert!(std::ptr::eq(c, &group[..]));
+    }
+
+    #[test]
+    fn candidates_walks_the_fallback_chain_and_is_never_empty() {
+        let d = detector(3);
+        let now = Nanos::from_millis(1);
+        let group = [0usize, 1, 2];
+        let evict = |n| {
+            for _ in 0..3 {
+                d.note_timeout(n, now);
+            }
+        };
+        let mut scratch = Vec::new();
+        // trusted ∖ exclude
+        assert_eq!(d.candidates(&group, Some(1), now, &mut scratch), [0, 2]);
+        evict(0);
+        assert_eq!(d.candidates(&group, None, now, &mut scratch), [1, 2]);
+        assert_eq!(d.candidates(&group, Some(1), now, &mut scratch), [2]);
+        // Nothing trusted is left once the retry's own replica is out:
+        // group ∖ exclude (a suspect replica beats none).
+        evict(2);
+        assert_eq!(d.candidates(&group, None, now, &mut scratch), [1]);
+        assert_eq!(d.candidates(&group, Some(1), now, &mut scratch), [0, 2]);
+        // Everything evicted: the whole group, suspects and all.
+        evict(1);
+        assert_eq!(d.candidates(&group, None, now, &mut scratch), group);
+        // A one-replica group cannot even honour the exclusion.
+        assert_eq!(d.candidates(&[1], Some(1), now, &mut scratch), [1]);
+        // Windows lapse by the clock: later, everyone is offered again.
+        let later = now + BASE;
+        let c = d.candidates(&group, None, later, &mut scratch);
+        assert!(std::ptr::eq(c, &group[..]));
+        // A response reinstates at once.
+        assert!(d.note_success(0));
+        assert_eq!(d.candidates(&group, None, now, &mut scratch), [0]);
+    }
+
+    #[test]
+    fn retry_backoff_is_an_eighth_of_the_deadline_doubling_to_64x() {
+        let l = LifecycleConfig::hardened(Nanos::from_millis(75), 10, None);
+        for (attempt, at_half, at_one) in [
+            (0, 4_687_500, 9_375_000),
+            (1, 9_375_000, 18_750_000),
+            (6, 300_000_000, 600_000_000),
+            (9, 300_000_000, 600_000_000),
+        ] {
+            assert_eq!(l.retry_backoff(attempt, || 0.5), Some(Nanos(at_half)));
+            assert_eq!(l.retry_backoff(attempt, || 1.0), Some(Nanos(at_one)));
+        }
+    }
+
+    #[test]
+    fn a_spent_retry_budget_parks_without_drawing_jitter() {
+        let l = LifecycleConfig::hardened(Nanos::from_millis(75), 3, None);
+        assert!(l.retry_backoff(2, || 1.0).is_some());
+        let drew = std::cell::Cell::new(false);
+        let parked = l.retry_backoff(3, || {
+            drew.set(true);
+            1.0
+        });
+        assert_eq!(parked, None);
+        assert!(!drew.get(), "a parked read must not consume a draw");
+        // No retries configured: the first expiry parks.
+        let naked = LifecycleConfig::hardened(Nanos::from_millis(75), 0, None);
+        assert_eq!(naked.retry_backoff(0, || 1.0), None);
     }
 
     #[test]

@@ -118,16 +118,6 @@ impl RateLimiter {
         }
     }
 
-    /// Time of the last multiplicative decrease (the cubic curve's anchor).
-    pub fn last_decrease(&self) -> Nanos {
-        self.t_decrease
-    }
-
-    /// Time of the last rate increase.
-    pub fn last_increase(&self) -> Nanos {
-        self.t_increase
-    }
-
     /// Current sending-rate limit (requests per δ).
     pub fn srate(&self) -> f64 {
         self.srate
@@ -141,11 +131,6 @@ impl RateLimiter {
     /// Actual send rate measured over the last completed δ window.
     pub fn arate(&self) -> f64 {
         self.meter.arate
-    }
-
-    /// Last recorded saturation rate `R₀`.
-    pub fn saturation_rate(&self) -> f64 {
-        self.r0
     }
 
     /// Behaviour counters.
@@ -480,7 +465,7 @@ mod tests {
         drive(&mut rl, 0, 10, 8, 2);
         assert!(rl.stats().decreases >= 1, "should have decreased");
         assert!(rl.srate() < 10.0);
-        assert!(rl.saturation_rate() >= rl.srate());
+        assert!(rl.r0 >= rl.srate());
     }
 
     #[test]
@@ -634,7 +619,7 @@ mod tests {
         // Force a decrease to anchor t_decrease.
         drive(&mut rl, 0, 10, 8, 2);
         assert!(rl.stats().decreases >= 1, "test needs a decrease anchor");
-        let t0 = rl.last_decrease();
+        let t0 = rl.t_decrease;
         assert_eq!(rl.phase(t0 + ms(10)), RatePhase::LowRate);
         assert_eq!(rl.phase(t0 + ms(100)), RatePhase::Saddle);
         assert_eq!(rl.phase(t0 + ms(400)), RatePhase::OptimisticProbing);

@@ -46,12 +46,6 @@ pub struct C3State {
     /// computed once per call and reused across calls — the selection hot
     /// path performs no allocation.
     scores: Vec<f64>,
-    /// Eviction mask: servers a failure detector has declared dead.
-    /// `try_send` skips them unless the whole group is evicted.
-    evicted: Vec<bool>,
-    /// Count of set bits in `evicted`, so the unmasked fast path is one
-    /// integer compare.
-    evicted_count: usize,
 }
 
 impl C3State {
@@ -67,8 +61,6 @@ impl C3State {
                 .collect(),
             cfg,
             scores: Vec::new(),
-            evicted: vec![false; num_servers],
-            evicted_count: 0,
         }
     }
 
@@ -104,35 +96,6 @@ impl C3State {
         self.trackers[server].snapshot()
     }
 
-    /// Mark `server` as failed: [`C3State::try_send`] skips it until
-    /// reinstated — unless *every* candidate in a group is evicted, in
-    /// which case the mask is ignored for that group (a suspect replica
-    /// beats none). Idempotent.
-    pub fn evict(&mut self, server: ServerId) {
-        if !self.evicted[server] {
-            self.evicted[server] = true;
-            self.evicted_count += 1;
-        }
-    }
-
-    /// Clear a server's eviction (recovery probe succeeded). Idempotent.
-    pub fn reinstate(&mut self, server: ServerId) {
-        if self.evicted[server] {
-            self.evicted[server] = false;
-            self.evicted_count -= 1;
-        }
-    }
-
-    /// Whether a server is currently evicted.
-    pub fn is_evicted(&self, server: ServerId) -> bool {
-        self.evicted[server]
-    }
-
-    /// Number of currently evicted servers.
-    pub fn evicted_count(&self) -> usize {
-        self.evicted_count
-    }
-
     /// Algorithm 1: rank `group` by score and return the best server that is
     /// within its sending rate, consuming a token. With rate control
     /// disabled (ablation), the top-ranked server is returned
@@ -159,20 +122,6 @@ impl C3State {
             let score = self.trackers[s].score(&self.cfg);
             debug_assert!(!score.is_nan(), "C3 scores must not be NaN");
             self.scores.push(score);
-        }
-
-        // Eviction mask: failure-detected servers never win selection,
-        // unless the whole group is evicted — then the mask is ignored
-        // (a suspect replica beats none). NaN-marking reuses the lazy
-        // arg-min's "already tried" convention; with no evictions this
-        // block is a single integer compare.
-        let use_mask = self.evicted_count > 0 && group.iter().any(|&s| !self.evicted[s]);
-        if use_mask {
-            for (i, &s) in group.iter().enumerate() {
-                if self.evicted[s] {
-                    self.scores[i] = f64::NAN;
-                }
-            }
         }
 
         let mut decision = None;
@@ -210,7 +159,6 @@ impl C3State {
             None => {
                 let retry_at = group
                     .iter()
-                    .filter(|&&s| !use_mask || !self.evicted[s])
                     .map(|&s| self.limiters[s].next_window(now))
                     .min()
                     .expect("non-empty group");
@@ -268,8 +216,6 @@ pub struct BacklogQueue<R> {
     /// Number of times the queue transitioned empty → non-empty (the
     /// "backpressure mode entered" events marked in Figure 13).
     activations: u64,
-    /// Largest depth ever reached.
-    max_depth: usize,
 }
 
 impl<R> Default for BacklogQueue<R> {
@@ -284,7 +230,6 @@ impl<R> BacklogQueue<R> {
         Self {
             queue: VecDeque::new(),
             activations: 0,
-            max_depth: 0,
         }
     }
 
@@ -294,7 +239,6 @@ impl<R> BacklogQueue<R> {
             self.activations += 1;
         }
         self.queue.push_back(req);
-        self.max_depth = self.max_depth.max(self.queue.len());
     }
 
     /// Pop the oldest backlogged request.
@@ -320,11 +264,6 @@ impl<R> BacklogQueue<R> {
     /// Number of empty → non-empty transitions (backpressure events).
     pub fn activations(&self) -> u64 {
         self.activations
-    }
-
-    /// High-water mark of the queue depth.
-    pub fn max_depth(&self) -> usize {
-        self.max_depth
     }
 }
 
@@ -454,86 +393,12 @@ mod tests {
     }
 
     #[test]
-    fn evicted_servers_are_skipped_until_reinstated() {
-        let mut st = state(3, 100.0);
-        let now = Nanos::from_millis(1);
-        st.evict(0);
-        st.evict(0); // idempotent
-        st.evict(1);
-        assert_eq!(st.evicted_count(), 2);
-        assert!(st.is_evicted(0));
-        for _ in 0..5 {
-            match st.try_send(&[0, 1, 2], now) {
-                SendDecision::Send(s) => assert_eq!(s, 2, "only the live replica may win"),
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        st.reinstate(0);
-        st.reinstate(0); // idempotent
-        assert_eq!(st.evicted_count(), 1);
-        // Fresh state scores tie; the leftmost (server 0) wins again.
-        let mut fresh = state(3, 100.0);
-        fresh.evict(1);
-        match fresh.try_send(&[0, 1, 2], now) {
-            SendDecision::Send(s) => assert_eq!(s, 0),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn fully_evicted_group_ignores_the_mask() {
-        let mut st = state(2, 100.0);
-        st.evict(0);
-        st.evict(1);
-        match st.try_send(&[0, 1], Nanos::from_millis(1)) {
-            SendDecision::Send(_) => {}
-            other => panic!("a suspect replica beats none: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn backpressure_retry_ignores_evicted_token_windows() {
-        // Server 1 is evicted with a full token bucket; server 0 is
-        // exhausted. The retry time must come from server 0's next
-        // window, not from the evicted server's immediately-free tokens
-        // (which would spin the backlog).
-        let mut st = state(2, 2.0);
-        st.evict(1);
-        let now = Nanos::ZERO;
-        loop {
-            match st.try_send(&[0, 1], now) {
-                SendDecision::Send(s) => assert_eq!(s, 0),
-                SendDecision::Backpressure { retry_at } => {
-                    assert_eq!(retry_at, Nanos::from_millis(20));
-                    break;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn eviction_also_applies_without_rate_control() {
-        let cfg = C3Config {
-            initial_rate: 100.0,
-            ..C3Config::default()
-        }
-        .without_rate_control();
-        let mut st = C3State::new(2, cfg, Nanos::ZERO);
-        st.evict(0);
-        match st.try_send(&[0, 1], Nanos::ZERO) {
-            SendDecision::Send(s) => assert_eq!(s, 1),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
     fn backlog_queue_tracks_activations_and_depth() {
         let mut q: BacklogQueue<u32> = BacklogQueue::new();
         assert!(q.is_empty());
         q.push(1);
         q.push(2);
         assert_eq!(q.activations(), 1);
-        assert_eq!(q.max_depth(), 2);
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None);

@@ -46,7 +46,7 @@ fn q_hat_raw(cfg: &C3Config, outstanding: u32, q_bar: f64) -> f64 {
 /// feedback arrives from a server. Without it, an unknown service time would
 /// zero out the queue-penalty term and a client bursting before any response
 /// returns would dogpile a single server.
-pub const COLD_START_SERVICE_MS: f64 = 1.0;
+pub(crate) const COLD_START_SERVICE_MS: f64 = 1.0;
 
 /// Compute the C3 score `Ψ_s` for a server, in milliseconds of expected
 /// latency-proxy. Lower is better.
@@ -55,8 +55,8 @@ pub const COLD_START_SERVICE_MS: f64 = 1.0;
 /// observed response times), so fresh servers are explored before loaded
 /// ones; this mirrors the paper's Cassandra implementation where every node
 /// is periodically touched via read repair. Before the first feedback
-/// arrives the service time is assumed to be [`COLD_START_SERVICE_MS`], so
-/// outstanding requests still push the score up during cold start.
+/// arrives the service time is assumed to be 1 ms, so outstanding requests
+/// still push the score up during cold start.
 pub fn score(cfg: &C3Config, snap: &TrackerSnapshot) -> f64 {
     score_raw(
         cfg,

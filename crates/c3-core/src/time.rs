@@ -116,21 +116,15 @@ impl From<Nanos> for Duration {
     }
 }
 
-/// A source of "now" for drivers that cannot (or should not) thread an
-/// explicit timestamp through every call site.
+/// Monotonic wall-clock time since construction: the live backend's
+/// source of "now".
 ///
 /// The algorithm itself stays clock-free — every `c3-core` entry point
-/// still takes `Nanos` — but a *driver* needs to produce those values
-/// from somewhere: the simulators read their event-queue clock, while the
-/// live socket backend (`c3-live`) reads a [`WallClock`] anchored at run
-/// start. Both yield "nanoseconds since run start", so scripted slowdown
-/// timelines and score trajectories line up between sim and live runs.
-pub trait Clock: Send + Sync {
-    /// Nanoseconds elapsed since this clock's origin.
-    fn now(&self) -> Nanos;
-}
-
-/// Monotonic wall-clock time since construction (or an explicit anchor).
+/// takes `Nanos` — but a *driver* has to produce those values from
+/// somewhere: the simulators read their event-queue clock, the live socket
+/// backend (`c3-live`) reads one of these anchored at run start. Both
+/// yield "nanoseconds since run start", so scripted slowdown timelines and
+/// score trajectories line up between sim and live runs.
 ///
 /// Thread-safe and cheap: every reader shares the same `Instant` origin,
 /// so timestamps from different threads are mutually ordered the same way
@@ -148,17 +142,16 @@ impl WallClock {
             origin: std::time::Instant::now(),
         }
     }
+
+    /// Nanoseconds elapsed since this clock's origin.
+    pub fn now(&self) -> Nanos {
+        self.origin.elapsed().into()
+    }
 }
 
 impl Default for WallClock {
     fn default() -> Self {
         Self::start()
-    }
-}
-
-impl Clock for WallClock {
-    fn now(&self) -> Nanos {
-        self.origin.elapsed().into()
     }
 }
 
@@ -245,7 +238,5 @@ mod tests {
         // Same origin: the two readings differ only by the time between
         // the calls, never by a fresh anchor.
         assert!(b >= a && b.saturating_sub(a) < Nanos::from_secs(1));
-        let dyn_clock: &dyn Clock = &clock;
-        assert!(dyn_clock.now() >= b);
     }
 }

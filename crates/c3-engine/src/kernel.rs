@@ -426,53 +426,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Timestamp of the next live event, if any, without popping it.
-    pub fn next_time(&mut self) -> Option<Nanos> {
-        self.skim_stale();
-        match self.front_is_staging()? {
-            true => self.staging.peek().map(|Reverse(n)| n.time),
-            false => self.sorted.last().map(|n| n.time),
-        }
-    }
-
-    /// Drop stale (cancelled) nodes off the front of the queue, refilling
-    /// the near tier from the far tiers as needed.
-    fn skim_stale(&mut self) {
-        loop {
-            if self.sorted.is_empty() && self.staging.is_empty() {
-                if self.far_tiers_empty() {
-                    return;
-                }
-                self.advance();
-            }
-            let from_staging = self.front_is_staging().expect("refilled above");
-            let (slot, seq) = {
-                let node = if from_staging {
-                    let Reverse(n) = self.staging.peek().expect("front checked");
-                    n
-                } else {
-                    self.sorted.last().expect("front checked")
-                };
-                match node.payload {
-                    Payload::Inline(_) => return,
-                    Payload::Slab(slot) => (slot, node.seq),
-                }
-            };
-            let fresh = matches!(
-                self.slab.get(slot as usize),
-                Some(Slot::Occupied { seq: s, .. }) if *s == seq
-            );
-            if fresh {
-                return;
-            }
-            if from_staging {
-                self.staging.pop();
-            } else {
-                self.sorted.pop();
-            }
-        }
-    }
-
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(Nanos, E)> {
         loop {
@@ -511,12 +464,6 @@ impl<E> EventQueue<E> {
             self.live -= 1;
             return Some((node.time, event));
         }
-    }
-
-    /// Capacity of the backing slab (diagnostics: peak concurrent
-    /// *cancellable* events; fire-and-forget events never touch it).
-    pub fn slab_capacity(&self) -> usize {
-        self.slab.len()
     }
 }
 
@@ -593,7 +540,7 @@ mod tests {
             q.schedule_in(Nanos::from_millis(1), round);
             q.pop();
         }
-        assert_eq!(q.slab_capacity(), 0, "inline path must not use the slab");
+        assert_eq!(q.slab.len(), 0, "inline path must not use the slab");
     }
 
     #[test]
@@ -603,7 +550,7 @@ mod tests {
             q.schedule_in_cancellable(Nanos::from_millis(1), round);
             q.pop();
         }
-        assert!(q.slab_capacity() <= 2, "slab grew: {}", q.slab_capacity());
+        assert!(q.slab.len() <= 2, "slab grew: {}", q.slab.len());
     }
 
     #[test]
@@ -648,8 +595,8 @@ mod tests {
         let head = q.schedule_cancellable(Nanos::from_millis(1), "head");
         q.schedule(Nanos::from_millis(5), "tail");
         q.cancel(head);
-        assert_eq!(q.next_time(), Some(Nanos::from_millis(5)));
         assert_eq!(q.pop(), Some((Nanos::from_millis(5), "tail")));
+        assert_eq!(q.now(), Nanos::from_millis(5));
     }
 
     #[test]

@@ -222,14 +222,6 @@ impl RunMetrics {
         LatencySummary::from_histogram(&self.latency[channel.index()])
     }
 
-    /// `(name, summary)` pairs for every channel, in declaration order.
-    pub fn named_summaries(&self) -> Vec<(&str, LatencySummary)> {
-        self.channels
-            .iter()
-            .map(|(id, name)| (name, self.summary(id)))
-            .collect()
-    }
-
     /// Measured duration: first to last measured completion.
     pub fn duration(&self) -> Nanos {
         self.last_completion
@@ -553,10 +545,7 @@ mod tests {
         assert_eq!(metrics.channel("latency"), Some(CH));
         assert_eq!(metrics.channel("nope"), None);
         assert_eq!(metrics.channels().name(CH), "latency");
-        let named = metrics.named_summaries();
-        assert_eq!(named.len(), 1);
-        assert_eq!(named[0].0, "latency");
-        assert_eq!(named[0].1.count, 10);
+        assert_eq!(metrics.summary(CH).count, 10);
     }
 
     #[test]

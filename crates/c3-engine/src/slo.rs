@@ -327,15 +327,6 @@ impl SloReport {
         })
     }
 
-    /// Max sustainable rates of one `(scenario, strategy)` across seeds,
-    /// in seed order. Unsustainable cells report 0.0.
-    pub fn rates_of(&self, scenario: &str, strategy: &str) -> Vec<f64> {
-        self.ran()
-            .filter(|r| r.cell.scenario == scenario && r.cell.strategy == strategy)
-            .map(|r| r.outcome.max_rate.unwrap_or(0.0))
-            .collect()
-    }
-
     /// A deterministic digest of everything in the report: cell
     /// coordinates, windows, every probe (rate/value bits, outcome), the
     /// reported maxima and flags, and skip reasons. Bit-identical runs —
@@ -636,7 +627,6 @@ mod tests {
         // Lookup helpers.
         assert!(serial.cell("toy", "C3", 3).is_some());
         assert!(serial.cell("toy", "ORA", 3).is_none());
-        assert_eq!(serial.rates_of("toy", "C3").len(), 6);
     }
 
     #[test]

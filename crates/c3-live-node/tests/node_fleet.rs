@@ -174,7 +174,7 @@ fn node_crash_flux_meets_the_hardening_claim() {
             parked_fraction * 100.0,
             live.lifecycle.parked,
             issued,
-            live.lifecycle.reconnects,
+            live.reconnects,
         ));
         if ok {
             passes += 1;

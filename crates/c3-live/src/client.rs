@@ -28,9 +28,11 @@
 //!   correlation check — and, budget permitting, re-issued to a
 //!   *different* replica with exponential backoff and jitter. Reads
 //!   still unanswered after `hedge_after` get a duplicate on a second
-//!   replica; whichever response arrives first owns the sample.
-//!   Replicas that eat `evict_after` consecutive deadlines are evicted
-//!   from candidate sets for a doubling window, then probed back in.
+//!   replica; whichever response arrives first owns the sample. Who is
+//!   suspected, which candidates selection is offered meanwhile and how
+//!   long a retry backs off are `c3_core`'s one lifecycle policy
+//!   ([`FailureDetector`], [`c3_core::LifecycleConfig::retry_backoff`]), shared
+//!   with the cluster simulator; without a deadline none of it runs.
 //! - **Selector state**: C3-family strategies run on
 //!   [`SharedC3State`] — the packed EWMA tracker fields and outstanding
 //!   counts are atomics, so issuers read scores and readers fold
@@ -54,15 +56,15 @@
 
 use std::collections::HashSet;
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
 use c3_cluster::{register_cluster_strategies, SnitchSelector};
 use c3_core::{
-    Clock, LifecycleConfig, Nanos, ReplicaSelector, ResponseInfo, Selection, SharedC3State,
-    WallClock,
+    FailureDetector, LifecycleCounts, Nanos, ReplicaSelector, ResponseInfo, Selection,
+    SharedC3State, WallClock,
 };
 use c3_engine::{SeedSeq, SelectorCtx, StrategyRegistry};
 use c3_net::proto::{encode_request, Frame, Request};
@@ -118,65 +120,15 @@ pub(crate) struct Sample {
     pub replica: usize,
 }
 
-/// Request-lifecycle tallies of one live run — the wall-clock mirror of
-/// the sim cluster's `lifecycle_counts`, extended with what only a real
-/// transport can exhibit (reconnects, detector evictions).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LifecycleCounts {
-    /// Deadline expiries (one per op per expiry; hedge twins excluded).
-    pub timeouts: u64,
-    /// Re-issues to a different replica after a deadline expiry.
-    pub retries: u64,
-    /// Hedge duplicates issued.
-    pub hedges: u64,
-    /// Ops whose hedge answered before the original.
-    pub hedge_wins: u64,
-    /// Ops abandoned with no response after the retry budget ran out.
-    pub parked: u64,
-    /// Replica evictions by the consecutive-timeout detector.
-    pub evictions: u64,
-    /// Evicted replicas probed back into service.
-    pub reinstates: u64,
-    /// Connections redialed after a mid-run death.
-    pub reconnects: u64,
-}
-
-/// Atomic accumulators behind [`LifecycleCounts`], shared by readers,
-/// supervisors and the reaper.
-#[derive(Debug, Default)]
-struct LifecycleTallies {
-    timeouts: AtomicU64,
-    retries: AtomicU64,
-    hedges: AtomicU64,
-    hedge_wins: AtomicU64,
-    parked: AtomicU64,
-    evictions: AtomicU64,
-    reinstates: AtomicU64,
-    reconnects: AtomicU64,
-}
-
-impl LifecycleTallies {
-    fn snapshot(&self) -> LifecycleCounts {
-        LifecycleCounts {
-            timeouts: self.timeouts.load(Ordering::Acquire),
-            retries: self.retries.load(Ordering::Acquire),
-            hedges: self.hedges.load(Ordering::Acquire),
-            hedge_wins: self.hedge_wins.load(Ordering::Acquire),
-            parked: self.parked.load(Ordering::Acquire),
-            evictions: self.evictions.load(Ordering::Acquire),
-            reinstates: self.reinstates.load(Ordering::Acquire),
-            reconnects: self.reconnects.load(Ordering::Acquire),
-        }
-    }
-}
-
 /// Everything a live run produces besides the uniform report.
 pub(crate) struct ClientArtifacts {
     pub samples: Vec<Sample>,
     pub backpressure_waits: u64,
     pub issued: u64,
-    /// Lifecycle tallies (zeros when hardening was off).
+    /// The lifecycle ledger (zeros when hardening was off).
     pub lifecycle: LifecycleCounts,
+    /// Connections redialed after a mid-run death.
+    pub reconnects: u64,
     /// The flight recorder the run's sampling paths drain into: the C3
     /// per-replica score trace, plus the client-health gauge series —
     /// `"inflight"` (in-flight count sampled at every issue; a budget
@@ -263,93 +215,6 @@ impl TableState {
 }
 
 type Table = Mutex<TableState>;
-
-/// The failure detector: a replica that eats
-/// [`LifecycleConfig::evict_after`] deadlines in a row is evicted from
-/// candidate sets for a doubling window, then probed back in by time —
-/// the next requests routed to it are the probes, and a success resets
-/// its record.
-struct FailureDetector {
-    /// Consecutive expiries that trip an eviction.
-    evict_after: u32,
-    /// First eviction window; consecutive evictions double it (capped).
-    eviction_base: Nanos,
-    /// Consecutive timeouts per replica (a success resets to 0).
-    streaks: Vec<AtomicU32>,
-    /// Nanos until which the replica is evicted (0 = in service).
-    until: Vec<AtomicU64>,
-    /// Consecutive evictions, driving the doubling window.
-    over: Vec<AtomicU32>,
-}
-
-impl FailureDetector {
-    fn new(replicas: usize, lifecycle: &LifecycleConfig) -> Self {
-        Self {
-            evict_after: lifecycle.evict_after,
-            eviction_base: lifecycle.eviction_base,
-            streaks: (0..replicas).map(|_| AtomicU32::new(0)).collect(),
-            until: (0..replicas).map(|_| AtomicU64::new(0)).collect(),
-            over: (0..replicas).map(|_| AtomicU32::new(0)).collect(),
-        }
-    }
-
-    fn is_evicted(&self, replica: usize, now: Nanos) -> bool {
-        self.until[replica].load(Ordering::Acquire) > now.as_nanos()
-    }
-
-    /// Record a deadline expiry; `true` when this one tips the replica
-    /// into eviction (the caller mirrors it into the selector).
-    fn note_timeout(&self, replica: usize, now: Nanos) -> bool {
-        let streak = self.streaks[replica].fetch_add(1, Ordering::AcqRel) + 1;
-        if streak < self.evict_after || self.is_evicted(replica, now) {
-            return false;
-        }
-        let over = self.over[replica].fetch_add(1, Ordering::AcqRel).min(4);
-        let window = Nanos(self.eviction_base.as_nanos() << over);
-        self.until[replica].store((now + window).as_nanos(), Ordering::Release);
-        self.streaks[replica].store(0, Ordering::Release);
-        true
-    }
-
-    fn note_success(&self, replica: usize) {
-        self.streaks[replica].store(0, Ordering::Release);
-        self.over[replica].store(0, Ordering::Release);
-    }
-
-    /// Replicas whose eviction window just lapsed, each reported once
-    /// (the CAS elects a single reporter even with concurrent sweeps).
-    fn reinstate_due(&self, now: Nanos) -> Vec<usize> {
-        let mut due = Vec::new();
-        for replica in 0..self.until.len() {
-            let until = self.until[replica].load(Ordering::Acquire);
-            if until != 0
-                && until <= now.as_nanos()
-                && self.until[replica]
-                    .compare_exchange(until, 0, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-            {
-                due.push(replica);
-            }
-        }
-        due
-    }
-
-    /// `group` minus evicted replicas — never empty: when the whole
-    /// group is out, the original group comes back (someone has to take
-    /// the request, and those sends double as probes).
-    fn filter(&self, group: &[usize], now: Nanos) -> Vec<usize> {
-        let kept: Vec<usize> = group
-            .iter()
-            .copied()
-            .filter(|&r| !self.is_evicted(r, now))
-            .collect();
-        if kept.is_empty() {
-            group.to_vec()
-        } else {
-            kept
-        }
-    }
-}
 
 /// "No score sampled yet" sentinel for the trace cadence cell.
 const NEVER_SAMPLED: u64 = u64::MAX;
@@ -452,41 +317,15 @@ impl LiveSelector {
         }
     }
 
-    /// Mirror a detector eviction into the shared selector state, so C3
-    /// scoring skips the replica too (sharded baselines are covered by
-    /// candidate filtering alone).
-    fn evict(&self, server: usize) {
-        if let SelectorKind::SharedC3 { state, .. } = &self.kind {
-            state.evict(server);
-        }
-    }
-
-    /// Undo [`LiveSelector::evict`] when the detector probes the replica
-    /// back in.
-    fn reinstate(&self, server: usize) {
-        if let SelectorKind::SharedC3 { state, .. } = &self.kind {
-            state.reinstate(server);
-        }
-    }
-
     /// Dynamic Snitching's periodic recompute, applied to every shard
     /// (each shard is an independent snitch client at the same cadence
     /// the sim delivers through gossip tick events).
-    fn ds_tick(&self, replicas: usize, now: Nanos) {
+    fn ds_tick(&self, now: Nanos) {
         if let SelectorKind::Sharded { shards } = &self.kind {
             for shard in shards {
                 let mut sel = shard.lock().expect("selector poisoned");
-                if let Some(snitch) = sel
-                    .as_any_mut()
-                    .and_then(|any| any.downcast_mut::<SnitchSelector>())
-                {
-                    for peer in 0..replicas {
-                        // Loopback replicas idle at baseline iowait; the
-                        // latency reservoir carries the signal, as in the
-                        // multi-tenant frontend.
-                        snitch.snitch_mut().record_iowait(peer, 0.02);
-                    }
-                    snitch.snitch_mut().recompute(now);
+                if let Some(snitch) = SnitchSelector::of(sel.as_mut()) {
+                    snitch.snitch_mut().recompute_idle(now);
                 }
             }
         }
@@ -565,9 +404,16 @@ fn build_selector(cfg: &LiveConfig, registry: &StrategyRegistry) -> LiveSelector
 }
 
 /// What one connection supervisor hands back at join.
+#[derive(Default)]
 struct ReaderOut {
     samples: Vec<Sample>,
     feedback_lag: Vec<(Nanos, u64)>,
+    /// Ops whose hedge answered before the original.
+    hedge_wins: u64,
+    /// Responses that lifted a standing eviction.
+    reinstates: u64,
+    /// Redials after a mid-run connection death.
+    reconnects: u64,
 }
 
 /// THE reap path: every wire attempt that leaves a table without a
@@ -655,14 +501,14 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
     let registry = live_strategy_registry(cfg);
     let selector = Arc::new(build_selector(cfg, &registry));
     let is_ds = cfg.strategy.name() == "DS";
-    let hardened = cfg.lifecycle.hardened_on();
+    // The detector exists only with a deadline; so does the reaper, the
+    // one thread that can charge it a timeout.
+    let detector = cfg.lifecycle.detector(cfg.replicas).map(Arc::new);
     let faults_expected = !cfg.faults.is_empty();
 
     let issued = Arc::new(AtomicU64::new(0));
     let stop = Arc::new(AtomicBool::new(false));
     let budget = Arc::new(InFlightBudget::new(cfg.in_flight));
-    let detector = Arc::new(FailureDetector::new(cfg.replicas, &cfg.lifecycle));
-    let tallies = Arc::new(LifecycleTallies::default());
     let key_template = ScrambledZipfian::new(cfg.keys, cfg.keys, cfg.zipf_theta);
 
     // One correlation table + supervisor thread per connection,
@@ -693,8 +539,7 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
             let tables = Arc::clone(&tables);
             let selector = Arc::clone(&selector);
             let budget = Arc::clone(&budget);
-            let detector = Arc::clone(&detector);
-            let tallies = Arc::clone(&tallies);
+            let detector = detector.clone();
             let stop = Arc::clone(&stop);
             supervisors.push(std::thread::spawn(move || {
                 connection_loop(
@@ -703,11 +548,9 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
                     &tables[replica][conn],
                     &selector,
                     &budget,
-                    &detector,
-                    &tallies,
+                    detector.as_deref(),
                     clock,
                     &stop,
-                    hardened,
                     faults_expected,
                     expect_hello,
                 )
@@ -718,21 +561,19 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
     }
 
     // The reaper enforces the lifecycle: deadline sweep, retry queue,
-    // hedging pass, detector reinstates. It holds its own sender clones
-    // for re-issues; they drop when it exits at teardown.
-    let reaper = hardened.then(|| {
+    // hedging pass. It holds its own sender clones for re-issues; they
+    // drop when it exits at teardown.
+    let reaper = detector.clone().map(|detector| {
         let cfg = cfg.clone();
         let tables = Arc::clone(&tables);
         let senders = senders.clone();
         let selector = Arc::clone(&selector);
         let budget = Arc::clone(&budget);
-        let detector = Arc::clone(&detector);
-        let tallies = Arc::clone(&tallies);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             reaper_loop(
-                &cfg, clock, &tables, &senders, &selector, &budget, &detector, &tallies, &stop,
-            );
+                &cfg, clock, &tables, &senders, &selector, &budget, &detector, &stop,
+            )
         })
     });
 
@@ -742,7 +583,6 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
         let selector = Arc::clone(&selector);
         let stop = Arc::clone(&stop);
         let interval: Nanos = cfg.snitch.update_interval;
-        let replicas = cfg.replicas;
         std::thread::spawn(move || {
             // Sleep in short slices for stop responsiveness, but hold the
             // *recompute cadence* to the configured update interval — the
@@ -756,7 +596,7 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
                     continue;
                 }
                 last_recompute = now;
-                selector.ds_tick(replicas, now);
+                selector.ds_tick(now);
             }
         })
     });
@@ -769,11 +609,20 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
             let senders = senders.clone();
             let issued = Arc::clone(&issued);
             let budget = Arc::clone(&budget);
-            let detector = Arc::clone(&detector);
+            let detector = detector.clone();
             let keys = key_template.clone();
             std::thread::spawn(move || {
                 issuer_loop(
-                    w, &cfg, clock, &selector, &tables, &senders, &issued, &budget, &detector, keys,
+                    w,
+                    &cfg,
+                    clock,
+                    &selector,
+                    &tables,
+                    &senders,
+                    &issued,
+                    &budget,
+                    detector.as_deref(),
+                    keys,
                 )
             })
         })
@@ -797,9 +646,11 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
     drop(senders);
     let _ = budget.drained_within(Duration::from_secs(3));
     stop.store(true, Ordering::Release);
-    if let Some(r) = reaper {
-        let _ = r.join();
-    }
+    let mut lifecycle = match reaper {
+        Some(r) => r.join().expect("reaper panicked"),
+        None => LifecycleCounts::default(),
+    };
+    let mut reconnects = 0;
     let mut samples = Vec::new();
     let mut feedback_lag = Vec::new();
     let mut supervisor_err = None;
@@ -808,6 +659,9 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
             Ok(mut out) => {
                 samples.append(&mut out.samples);
                 feedback_lag.append(&mut out.feedback_lag);
+                lifecycle.hedge_wins += out.hedge_wins;
+                lifecycle.reinstates += out.reinstates;
+                reconnects += out.reconnects;
             }
             Err(e) => supervisor_err = supervisor_err.or(Some(e)),
         }
@@ -863,14 +717,15 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
         samples,
         backpressure_waits,
         issued: issued.load(Ordering::Acquire),
-        lifecycle: tallies.snapshot(),
+        lifecycle,
+        reconnects,
         recorder,
     })
 }
 
 /// One issuer: pace (Poisson intended arrivals under open loop), take an
 /// in-flight permit, select (or wait out backpressure) among the
-/// non-evicted replicas, register in the correlation table, hand the
+/// detector's candidates, register in the correlation table, hand the
 /// frame to the connection's supervisor — never blocking on any
 /// individual response.
 #[allow(clippy::too_many_arguments)]
@@ -883,7 +738,7 @@ fn issuer_loop(
     senders: &[Vec<mpsc::Sender<Request>>],
     issued: &AtomicU64,
     budget: &InFlightBudget,
-    detector: &FailureDetector,
+    detector: Option<&FailureDetector>,
     keys: ScrambledZipfian,
 ) -> io::Result<Vec<(Nanos, u64)>> {
     let deadline: Nanos = Nanos::from(cfg.run_for);
@@ -901,6 +756,7 @@ fn issuer_loop(
     let mut next_arrival = Nanos::ZERO;
 
     let mut occupancy = Vec::new();
+    let mut scratch = Vec::new();
     let mut next_id = (w as u64) << 48;
     loop {
         let now = clock.now();
@@ -935,10 +791,13 @@ fn issuer_loop(
         };
 
         let target = if is_read {
-            // Algorithm 1 over the non-evicted candidates; park on
-            // backpressure.
-            let candidates = detector.filter(&group, clock.now());
-            match select_read_target(selector, &candidates, shard, clock, deadline) {
+            // Algorithm 1 over the candidates the detector trusts (the
+            // whole group when hardening is off); park on backpressure.
+            let candidates = match detector {
+                Some(d) => d.candidates(&group, None, clock.now(), &mut scratch),
+                None => &group,
+            };
+            match select_read_target(selector, candidates, shard, clock, deadline) {
                 Some(t) => t,
                 None => {
                     budget.release();
@@ -1040,10 +899,10 @@ struct RetryItem {
 }
 
 /// The lifecycle reaper: every millisecond, sweep expired requests out
-/// of the correlation tables (tombstoning their ids), queue retries with
-/// exponential backoff + jitter, issue hedge duplicates for slow reads,
-/// and run the failure detector's evict/reinstate transitions. Runs only
-/// when a deadline is configured.
+/// of the correlation tables (tombstoning their ids) and charge them to
+/// the failure detector, queue retries behind their backoff, and issue
+/// hedge duplicates for slow reads. Runs only when a deadline is
+/// configured; returns its share of the lifecycle ledger.
 #[allow(clippy::too_many_arguments)]
 fn reaper_loop(
     cfg: &LiveConfig,
@@ -1053,9 +912,8 @@ fn reaper_loop(
     selector: &LiveSelector,
     budget: &InFlightBudget,
     detector: &FailureDetector,
-    tallies: &LifecycleTallies,
     stop: &AtomicBool,
-) {
+) -> LifecycleCounts {
     let deadline: Nanos = cfg
         .lifecycle
         .deadline
@@ -1064,14 +922,16 @@ fn reaper_loop(
     let value = Bytes::from(vec![0x5Au8; cfg.value_bytes as usize]);
     let mut rng = SmallRng::seed_from_u64(SeedSeq::new(cfg.seed).thread_seed(u64::from(u16::MAX)));
     let mut queue: Vec<RetryItem> = Vec::new();
+    let mut counts = LifecycleCounts::default();
+    let mut scratch = Vec::new();
     // Wire ids disjoint from every issuer's block (those start below
     // `threads << 48`).
     let mut next_id = (cfg.threads as u64) << 48;
 
     // Register and send one re-issued wire attempt; on a failed send
     // (its supervisor exited) the registration is reclaimed and the
-    // attempt reaped. Returns whether the frame went out.
-    let mut put_on_wire = |p: Pending, keep_permit_on_fail: bool, now: Nanos| -> bool {
+    // attempt reaped (`Err(parked)`: whether that abandoned the op).
+    let mut put_on_wire = |p: Pending, keep_permit_on_fail: bool, now: Nanos| {
         next_id += 1;
         let id = next_id;
         let request = if p.is_read {
@@ -1101,12 +961,9 @@ fn reaper_loop(
                 .live
                 .complete(id)
                 .is_ok();
-            if reclaimed && reap_send(&p, selector, budget, now, keep_permit_on_fail) {
-                tallies.parked.fetch_add(1, Ordering::Relaxed);
-            }
-            return false;
+            return Err(reclaimed && reap_send(&p, selector, budget, now, keep_permit_on_fail));
         }
-        true
+        Ok(())
     };
 
     while !stop.load(Ordering::Acquire) {
@@ -1133,32 +990,29 @@ fn reaper_loop(
                         reap_send(&p, selector, budget, now, true);
                         continue;
                     }
-                    tallies.timeouts.fetch_add(1, Ordering::Relaxed);
-                    if detector.note_timeout(p.replica, now) {
-                        selector.evict(p.replica);
-                        tallies.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if p.attempt < cfg.lifecycle.retries {
-                        reap_send(&p, selector, budget, now, true);
-                        tallies.retries.fetch_add(1, Ordering::Relaxed);
-                        // 2 ms << attempt, capped at 16 ms, jittered
-                        // ×[0.5, 1.5) so synchronized expiries spread.
-                        let base = Nanos::from_millis(2 << p.attempt.min(3));
-                        let backoff =
-                            Nanos((base.as_nanos() as f64 * (0.5 + rng.gen::<f64>())) as u64);
-                        queue.push(RetryItem {
-                            due: now + backoff,
-                            pending: p,
-                        });
-                    } else if reap_send(&p, selector, budget, now, false) {
-                        tallies.parked.fetch_add(1, Ordering::Relaxed);
+                    counts.timeouts += 1;
+                    counts.evictions += u64::from(detector.note_timeout(p.replica, now));
+                    let backoff = cfg
+                        .lifecycle
+                        .retry_backoff(p.attempt, || rng.gen_range(0.5..1.5));
+                    match backoff {
+                        Some(wait) => {
+                            reap_send(&p, selector, budget, now, true);
+                            queue.push(RetryItem {
+                                due: now + wait,
+                                pending: p,
+                            });
+                        }
+                        None => {
+                            counts.parked += u64::from(reap_send(&p, selector, budget, now, false));
+                        }
                     }
                 }
             }
         }
 
-        // 2. Due retries: re-select among the non-evicted candidates,
-        // preferring a replica other than the one that just timed out.
+        // 2. Due retries: re-select among the detector's candidates,
+        // steering away from the replica that just timed out.
         let mut i = 0;
         while i < queue.len() {
             if queue[i].due > now {
@@ -1168,11 +1022,8 @@ fn reaper_loop(
             let RetryItem { pending: p, .. } = queue.swap_remove(i);
             let target = if p.is_read {
                 let group = cfg.group_of(p.key);
-                let mut candidates = detector.filter(&group, now);
-                if candidates.len() > 1 {
-                    candidates.retain(|&r| r != p.replica);
-                }
-                match selector.try_select(&candidates, p.shard, now) {
+                let candidates = detector.candidates(&group, Some(p.replica), now, &mut scratch);
+                match selector.try_select(candidates, p.shard, now) {
                     Selection::Server(s) => s,
                     Selection::Backpressure { .. } => {
                         // Everyone is full: try again next tick.
@@ -1188,7 +1039,12 @@ fn reaper_loop(
                 p.shard
             };
             let np = reissue(&p, target, clock.now(), p.attempt + 1, false);
-            put_on_wire(np, false, now);
+            // Counted when it goes out, as the simulator does: a retry
+            // still queued at teardown is a park, not both.
+            match put_on_wire(np, false, now) {
+                Ok(()) => counts.retries += 1,
+                Err(parked) => counts.parked += u64::from(parked),
+            }
         }
 
         // 3. Hedging: reads past `hedge_after` with no response yet get
@@ -1214,17 +1070,13 @@ fn reaper_loop(
             }
             for p in to_hedge {
                 let group = cfg.group_of(p.key);
-                let mut candidates = detector.filter(&group, now);
-                candidates.retain(|&r| r != p.replica);
-                if candidates.is_empty() {
-                    p.op.hedged.store(false, Ordering::Release);
-                    continue;
-                }
-                match selector.try_select(&candidates, p.shard, now) {
+                let candidates = detector.candidates(&group, Some(p.replica), now, &mut scratch);
+                match selector.try_select(candidates, p.shard, now) {
                     Selection::Server(s) => {
                         let hp = reissue(&p, s, clock.now(), p.attempt, true);
-                        if put_on_wire(hp, true, now) {
-                            tallies.hedges.fetch_add(1, Ordering::Relaxed);
+                        match put_on_wire(hp, true, now) {
+                            Ok(()) => counts.hedges += 1,
+                            Err(parked) => counts.parked += u64::from(parked),
                         }
                     }
                     Selection::Backpressure { .. } => {
@@ -1233,23 +1085,15 @@ fn reaper_loop(
                 }
             }
         }
-
-        // 4. Detector reinstates: eviction windows are time-bounded; the
-        // next requests routed back are the probes.
-        for replica in detector.reinstate_due(now) {
-            selector.reinstate(replica);
-            tallies.reinstates.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     // Teardown: queued retries hold permits with no table entry left —
     // park them so the budget drains whole.
     let now = clock.now();
     for item in queue {
-        if reap_send(&item.pending, selector, budget, now, false) {
-            tallies.parked.fetch_add(1, Ordering::Relaxed);
-        }
+        counts.parked += u64::from(reap_send(&item.pending, selector, budget, now, false));
     }
+    counts
 }
 
 /// One connection supervisor: dial, run the write/read halves until the
@@ -1264,21 +1108,19 @@ fn connection_loop(
     table: &Table,
     selector: &LiveSelector,
     budget: &InFlightBudget,
-    detector: &FailureDetector,
-    tallies: &LifecycleTallies,
+    detector: Option<&FailureDetector>,
     clock: WallClock,
     stop: &AtomicBool,
-    hardened: bool,
     faults_expected: bool,
     expect_hello: Option<ExpectedHello>,
 ) -> io::Result<ReaderOut> {
     const WRITE_POLL: Duration = Duration::from_millis(20);
     const READ_POLL: Duration = Duration::from_millis(50);
     const COALESCE_LIMIT: usize = 64 * 1024;
-    let mut out = ReaderOut {
-        samples: Vec::new(),
-        feedback_lag: Vec::new(),
-    };
+    // A detector means a deadline, and a deadline means a reaper sweeping
+    // this connection's table.
+    let hardened = detector.is_some();
+    let mut out = ReaderOut::default();
     let mut redial = Duration::from_millis(2);
     loop {
         if stop.load(Ordering::Acquire) {
@@ -1338,8 +1180,8 @@ fn connection_loop(
         let read_res = std::thread::scope(|s| {
             let reader = s.spawn(|| {
                 read_responses(
-                    &stream, buf, table, selector, budget, detector, tallies, clock, stop,
-                    &conn_dead, &mut out,
+                    &stream, buf, table, selector, budget, detector, clock, stop, &conn_dead,
+                    &mut out,
                 )
             });
             loop {
@@ -1378,7 +1220,7 @@ fn connection_loop(
             break;
         }
         if conn_dead.load(Ordering::Acquire) {
-            tallies.reconnects.fetch_add(1, Ordering::Relaxed);
+            out.reconnects += 1;
             if !hardened {
                 // No reaper to sweep a dead connection's entries: reap
                 // them now through the same path deadlines use.
@@ -1472,8 +1314,7 @@ fn read_responses(
     table: &Table,
     selector: &LiveSelector,
     budget: &InFlightBudget,
-    detector: &FailureDetector,
-    tallies: &LifecycleTallies,
+    detector: Option<&FailureDetector>,
     clock: WallClock,
     stop: &AtomicBool,
     conn_dead: &AtomicBool,
@@ -1535,7 +1376,10 @@ fn read_responses(
             }
         };
         let now = clock.now();
-        detector.note_success(entry.replica);
+        // Any response proves the replica alive (hardened runs only).
+        if detector.is_some_and(|d| d.note_success(entry.replica)) {
+            out.reinstates += 1;
+        }
         if entry.is_read {
             let info = ResponseInfo {
                 response_time: now.saturating_sub(entry.sent_at),
@@ -1551,9 +1395,7 @@ fn read_responses(
         // Losers still fed the selector above — their on_send slots need
         // the matching on_response either way.
         if !entry.op.done.swap(true, Ordering::AcqRel) {
-            if entry.is_hedge {
-                tallies.hedge_wins.fetch_add(1, Ordering::Relaxed);
-            }
+            out.hedge_wins += u64::from(entry.is_hedge);
             out.samples.push(Sample {
                 issue_index: entry.issue_index,
                 is_read: entry.is_read,
@@ -1570,6 +1412,7 @@ fn read_responses(
 mod tests {
     use super::*;
     use c3_cluster::{FaultEvent, FaultKind, FaultPlan};
+    use c3_core::LifecycleConfig;
 
     fn write_entry(clock: WallClock, issue_index: u64) -> Pending {
         Pending {
@@ -1599,8 +1442,6 @@ mod tests {
         let registry = live_strategy_registry(&cfg);
         let selector = build_selector(&cfg, &registry);
         let budget = InFlightBudget::new(4);
-        let detector = FailureDetector::new(cfg.replicas, &cfg.lifecycle);
-        let tallies = LifecycleTallies::default();
         let table: Table = Mutex::new(TableState::new());
         let clock = WallClock::start();
         let stop = AtomicBool::new(false);
@@ -1626,12 +1467,10 @@ mod tests {
         );
 
         std::thread::scope(|s| {
-            let (table, selector, budget) = (&table, &selector, &budget);
-            let (detector, tallies, stop) = (&detector, &tallies, &stop);
+            let (table, selector, budget, stop) = (&table, &selector, &budget, &stop);
             let supervisor = s.spawn(move || {
                 connection_loop(
-                    addr, &rx, table, selector, budget, detector, tallies, clock, stop, false,
-                    false, None,
+                    addr, &rx, table, selector, budget, None, clock, stop, false, None,
                 )
             });
             // Mid-run kill: the server side of the connection goes away.
@@ -1723,7 +1562,7 @@ mod tests {
                 !artifacts.samples.is_empty(),
                 "seed {seed} completed nothing"
             );
-            reconnects += artifacts.lifecycle.reconnects;
+            reconnects += artifacts.reconnects;
         }
         assert!(
             reconnects > 0,

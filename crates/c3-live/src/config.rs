@@ -149,6 +149,13 @@ impl LiveConfig {
     pub fn validate(&self) {
         assert!(self.replicas >= self.replication_factor, "too few replicas");
         assert!(self.replication_factor >= 1, "need a replica group");
+        assert!(
+            self.replication_factor <= c3_core::MAX_GROUP,
+            "replication factor {} exceeds c3_core::MAX_GROUP ({}), the widest group \
+             the shared C3 selector ranks",
+            self.replication_factor,
+            c3_core::MAX_GROUP
+        );
         assert!(self.threads >= 1, "need client workers");
         assert!(self.in_flight >= 1, "need an in-flight budget");
         assert!(self.connections >= 1, "need connections per replica");
@@ -263,6 +270,17 @@ mod tests {
                 Some(c3_core::Nanos::from_millis(30)),
             ),
             faults: FaultPlan::crash_flux(1, 6, c3_core::Nanos::from_secs(2)),
+            ..LiveConfig::default()
+        };
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds c3_core::MAX_GROUP (16)")]
+    fn groups_wider_than_the_selector_ranks_are_rejected() {
+        let cfg = LiveConfig {
+            replicas: 17,
+            replication_factor: 17,
             ..LiveConfig::default()
         };
         cfg.validate();

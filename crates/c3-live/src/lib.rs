@@ -25,8 +25,8 @@
 //!   the lock-free `SharedC3State`, baselines sharded per replica group —
 //!   built by name through the same strategy registry (incl. `DS`, ticked
 //!   by a recompute thread);
-//! - [`LiveScenario`] adapts a run onto the engine's `Scenario` trait,
-//!   so results land in the same named `read`/`update` channels and the
+//! - [`run_live`] drives a run through the engine's `ScenarioRunner`, so
+//!   results land in the same named `read`/`update` channels and the
 //!   same [`c3_scenarios::ScenarioReport`]; [`register_live_scenarios`]
 //!   makes [`LIVE_HETERO_FLEET`] and [`LIVE_PARTITION_FLUX`] ordinary
 //!   registry names that `ScenarioRegistry::sweep` fans out like any sim
@@ -51,12 +51,12 @@ mod server;
 mod slowdown;
 mod wire;
 
-pub use client::{live_strategy_registry, LifecycleCounts, Transport};
+pub use client::{live_strategy_registry, Transport};
 pub use config::LiveConfig;
 pub use mux::{CorrelationTable, InFlightBudget, MuxError};
 pub use scenario::{
     crash_flux_config, flaky_net_config, hetero_fleet_config, live_registry, partition_flux_config,
-    register_live_scenarios, run_live, run_live_on, LiveReport, LiveScenario, HEALTH_FEEDBACK_LAG,
+    register_live_scenarios, run_live, run_live_on, LiveReport, HEALTH_FEEDBACK_LAG,
     HEALTH_INFLIGHT, LIVE_CRASH_FLUX, LIVE_FLAKY_NET, LIVE_HETERO_FLEET, LIVE_PARTITION_FLUX,
 };
 pub use server::{encode_key, LiveCluster, ReplicaServer, ReplicaSpec};

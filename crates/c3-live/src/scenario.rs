@@ -1,6 +1,6 @@
 //! The engine/registry face of the live backend.
 //!
-//! [`LiveScenario`] implements the engine's `Scenario` trait so a socket
+//! `LiveScenario` implements the engine's `Scenario` trait so a socket
 //! run rides the exact same plumbing as the simulators: the
 //! `ScenarioRunner` owns the metrics, and the run reports through the
 //! same named channels (`read`/`update`) the §5 cluster declares. The
@@ -18,16 +18,14 @@
 use std::time::Duration;
 
 use c3_cluster::{FaultEvent, FaultKind, FaultPlan, ScriptedSlowdown, CLUSTER_CHANNELS};
-use c3_core::{LifecycleConfig, Nanos};
+use c3_core::{LifecycleConfig, LifecycleCounts, Nanos};
 use c3_engine::{ChannelId, ChannelSet, EventQueue, RunMetrics, Scenario, ScenarioRunner};
 use c3_scenarios::{
     ChannelReport, ScenarioError, ScenarioParams, ScenarioRegistry, ScenarioReport,
 };
 use c3_telemetry::{summarize_gauge, Recorder};
 
-use crate::client::{
-    execute_on, live_strategy_registry, ClientArtifacts, LifecycleCounts, Transport,
-};
+use crate::client::{execute_on, live_strategy_registry, ClientArtifacts, Transport};
 use crate::config::LiveConfig;
 use crate::slowdown::SlowdownScript;
 
@@ -51,32 +49,10 @@ pub const HEALTH_FEEDBACK_LAG: &str = "feedback-lag";
 /// A live run as an engine scenario: one event, inside which the socket
 /// cluster spins up, the workers run to the stop condition, and every
 /// completion is replayed into the runner's metrics.
-pub struct LiveScenario {
+struct LiveScenario {
     cfg: LiveConfig,
     transport: Transport,
     artifacts: Option<ClientArtifacts>,
-}
-
-impl LiveScenario {
-    /// Wrap a validated config (in-process fleet).
-    pub fn new(cfg: LiveConfig) -> Self {
-        Self::on(cfg, Transport::InProcess)
-    }
-
-    /// Wrap a validated config over an explicit transport.
-    pub fn on(cfg: LiveConfig, transport: Transport) -> Self {
-        cfg.validate();
-        Self {
-            cfg,
-            transport,
-            artifacts: None,
-        }
-    }
-
-    /// The config in force.
-    pub fn config(&self) -> &LiveConfig {
-        &self.cfg
-    }
 }
 
 impl Scenario for LiveScenario {
@@ -131,11 +107,14 @@ pub struct LiveReport {
     pub backpressure_waits: u64,
     /// Operations issued (including unmeasured warm-up).
     pub ops_issued: u64,
-    /// Request-lifecycle tallies (deadlines, retries, hedges, evictions,
-    /// reconnects); all zero when the hardening knobs are off. The
-    /// `timeouts`/`parked` pair also lands in
-    /// [`LiveReport::report`], where it is fingerprinted like the sim's.
+    /// The lifecycle ledger (deadlines, retries, hedges, evictions) — the
+    /// same one the cluster simulator reports; all zero when the
+    /// hardening knobs are off. The `timeouts`/`parked` pair also lands
+    /// in [`LiveReport::report`], where it is fingerprinted like the sim's.
     pub lifecycle: LifecycleCounts,
+    /// Connections redialed after a mid-run death — what only a real
+    /// transport can exhibit, so it rides beside the shared ledger.
+    pub reconnects: u64,
     /// Client-health series, `ChannelReport`-shaped but deliberately
     /// *outside* [`LiveReport::report`]'s channels: the SLO machinery
     /// sums throughput and completions over all report channels, and
@@ -210,7 +189,11 @@ pub fn run_live_on(scenario_name: &str, cfg: LiveConfig, transport: Transport) -
     let runner = ScenarioRunner::new(seed)
         .with_warmup(cfg.warmup_ops)
         .with_exact_latency_if(cfg.exact_latency);
-    let mut scenario = LiveScenario::on(cfg, transport);
+    let mut scenario = LiveScenario {
+        cfg,
+        transport,
+        artifacts: None,
+    };
     let (metrics, stats) = runner.run(&mut scenario, replicas, Nanos::from_millis(100));
     let mut artifacts = scenario.artifacts.take().expect("run completed");
     let report = ScenarioReport::from_metrics(scenario_name, &strategy, seed, &metrics, &stats)
@@ -225,6 +208,7 @@ pub fn run_live_on(scenario_name: &str, cfg: LiveConfig, transport: Transport) -
         backpressure_waits: artifacts.backpressure_waits,
         ops_issued: artifacts.issued,
         lifecycle: artifacts.lifecycle,
+        reconnects: artifacts.reconnects,
         health,
         recorder: artifacts.recorder,
     }
@@ -349,12 +333,6 @@ fn base_config(scenario: &str, params: &ScenarioParams) -> Result<LiveConfig, Sc
     };
     if let Some(keys) = params.keys {
         cfg.keys = cfg.keys.min(keys);
-    }
-    if let Some(in_flight) = params.tuning.in_flight {
-        cfg.in_flight = in_flight;
-    }
-    if let Some(connections) = params.tuning.connections {
-        cfg.connections = connections;
     }
     if !live_strategy_registry(&cfg).contains(&cfg.strategy) {
         return Err(ScenarioError::UnknownStrategy(cfg.strategy.name().into()));
@@ -516,12 +494,17 @@ mod tests {
             "hardened runs finish despite the crash window"
         );
         assert!(
-            live.lifecycle.reconnects > 0,
+            live.reconnects > 0,
             "the crash window must sever at least one connection"
         );
-        // The report's lifecycle pair mirrors the client tallies.
-        assert_eq!(live.report.timeouts, live.lifecycle.timeouts);
-        assert_eq!(live.report.parked, live.lifecycle.parked);
+        // The report's lifecycle pair mirrors the client's ledger, which
+        // balances the way the simulator's does.
+        let l = live.lifecycle;
+        assert_eq!(live.report.timeouts, l.timeouts);
+        assert_eq!(live.report.parked, l.parked);
+        assert!(l.retries + l.parked <= l.timeouts, "{l:?}");
+        assert!(l.hedge_wins <= l.hedges, "{l:?}");
+        assert!(l.reinstates <= l.evictions, "{l:?}");
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use bytes::{Bytes, BytesMut};
-use c3_core::{Clock, Feedback, WallClock};
+use c3_core::{Feedback, WallClock};
 use c3_net::proto::{encode_hello, Frame, Hello, Request, Response, Status};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

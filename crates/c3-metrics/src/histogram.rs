@@ -197,16 +197,6 @@ impl LogHistogram {
             .filter(|(_, &c)| c > 0)
             .map(|(i, &c)| (Self::mid_of(i), c))
     }
-
-    /// Fraction of recorded values less than or equal to `value`.
-    pub fn fraction_at_or_below(&self, value: u64) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let idx = Self::index_of(value);
-        let below: u64 = self.counts[..=idx].iter().sum();
-        below as f64 / self.count as f64
-    }
 }
 
 impl std::fmt::Debug for LogHistogram {
@@ -235,7 +225,6 @@ mod tests {
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.value_at_quantile(0.5), 0);
-        assert_eq!(h.fraction_at_or_below(100), 0.0);
     }
 
     #[test]
@@ -288,9 +277,8 @@ mod tests {
         for v in 0..SUB {
             h.record(v);
         }
-        for v in 0..SUB {
-            assert!((h.fraction_at_or_below(v) - (v + 1) as f64 / SUB as f64).abs() < 1e-9);
-        }
+        let exact: Vec<(u64, u64)> = (0..SUB).map(|v| (v, 1)).collect();
+        assert_eq!(h.iter_buckets().collect::<Vec<_>>(), exact);
     }
 
     #[test]

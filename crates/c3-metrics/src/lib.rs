@@ -52,7 +52,7 @@ pub use histogram::LogHistogram;
 pub use moving::{moving_median, MovingMedian};
 pub use slo::{SloMetric, SloPredicate};
 pub use summary::{jain_index, ConfidenceInterval, LatencySummary, RunSet};
-pub use table::{f2, Align, Table};
+pub use table::{f2, Table};
 pub use timeseries::{GaugeSeries, WindowedCounts};
 
 /// Nanoseconds per millisecond, used throughout the harness when converting

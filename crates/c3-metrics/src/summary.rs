@@ -40,12 +40,6 @@ impl LatencySummary {
         }
     }
 
-    /// The paper's headline "tail-to-median" predictability metric:
-    /// `p99.9 − median`, in milliseconds (see §5, Figure 6 discussion).
-    pub fn tail_minus_median_ms(&self) -> f64 {
-        ns_to_ms(self.p999_ns.saturating_sub(self.p50_ns))
-    }
-
     /// Mean in milliseconds.
     pub fn mean_ms(&self) -> f64 {
         self.mean_ns / 1e6
@@ -234,7 +228,7 @@ mod tests {
     #[test]
     fn tail_minus_median_is_positive_for_skewed_data() {
         let s = LatencySummary::from_histogram(&filled_histogram());
-        assert!(s.tail_minus_median_ms() > 0.0);
+        assert!(s.p999_ns > s.p50_ns);
     }
 
     #[test]

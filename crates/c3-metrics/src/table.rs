@@ -4,53 +4,21 @@
 //! text table so the "rows/series the paper reports" can be read directly
 //! from terminal output.
 
-/// Column alignment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Align {
-    /// Left-aligned (labels).
-    Left,
-    /// Right-aligned (numbers).
-    Right,
-}
-
-/// A simple text table builder with a header row and per-column alignment.
+/// A simple text table builder with a header row. The first column
+/// (labels) is left-aligned, every other column (numbers) right-aligned.
 #[derive(Clone, Debug)]
 pub struct Table {
     headers: Vec<String>,
-    aligns: Vec<Align>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
-    /// Create a table with the given column headers. All columns default to
-    /// right alignment except the first, which is left-aligned.
+    /// Create a table with the given column headers.
     pub fn new<S: Into<String>>(headers: Vec<S>) -> Self {
-        let headers: Vec<String> = headers.into_iter().map(Into::into).collect();
-        let aligns = headers
-            .iter()
-            .enumerate()
-            .map(|(i, _)| if i == 0 { Align::Left } else { Align::Right })
-            .collect();
         Self {
-            headers,
-            aligns,
+            headers: headers.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
         }
-    }
-
-    /// Override column alignments (must match the number of columns).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `aligns.len()` differs from the header count.
-    pub fn with_aligns(mut self, aligns: Vec<Align>) -> Self {
-        assert_eq!(
-            aligns.len(),
-            self.headers.len(),
-            "alignment count must match column count"
-        );
-        self.aligns = aligns;
-        self
     }
 
     /// Append a row of cells.
@@ -69,11 +37,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render the table to a string with a separator under the header.
     pub fn render(&self) -> String {
         let ncols = self.headers.len();
@@ -84,7 +47,7 @@ impl Table {
             }
         }
         let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize], aligns: &[Align]| -> String {
+        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
             let mut line = String::new();
             for i in 0..ncols {
                 if i > 0 {
@@ -92,28 +55,25 @@ impl Table {
                 }
                 let cell = &cells[i];
                 let pad = widths[i] - cell.len();
-                match aligns[i] {
-                    Align::Left => {
-                        line.push_str(cell);
-                        if i + 1 < ncols {
-                            line.push_str(&" ".repeat(pad));
-                        }
-                    }
-                    Align::Right => {
+                if i == 0 {
+                    line.push_str(cell);
+                    if ncols > 1 {
                         line.push_str(&" ".repeat(pad));
-                        line.push_str(cell);
                     }
+                } else {
+                    line.push_str(&" ".repeat(pad));
+                    line.push_str(cell);
                 }
             }
             line
         };
-        out.push_str(&fmt_row(&self.headers, &widths, &self.aligns));
+        out.push_str(&fmt_row(&self.headers, &widths));
         out.push('\n');
         let total: usize = widths.iter().sum::<usize>() + 2 * (ncols - 1);
         out.push_str(&"-".repeat(total));
         out.push('\n');
         for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths, &self.aligns));
+            out.push_str(&fmt_row(row, &widths));
             out.push('\n');
         }
         out
@@ -159,26 +119,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "alignment count")]
-    fn mismatched_aligns_panic() {
-        let _ = Table::new(vec!["a", "b"]).with_aligns(vec![Align::Left]);
-    }
-
-    #[test]
     fn display_matches_render() {
         let mut t = Table::new(vec!["x"]);
         t.row(vec!["1"]);
         assert_eq!(format!("{t}"), t.render());
-        assert_eq!(t.num_rows(), 1);
     }
 
     #[test]
     fn left_alignment_pads_right() {
-        let mut t = Table::new(vec!["name", "v"]).with_aligns(vec![Align::Left, Align::Left]);
+        let mut t = Table::new(vec!["name", "v"]);
         t.row(vec!["ab", "1"]);
         t.row(vec!["abcd", "2"]);
-        let s = t.render();
-        assert!(s.contains("ab    1") || s.contains("ab  "));
+        assert!(t.render().contains("ab    1"));
     }
 
     #[test]

@@ -45,22 +45,9 @@ impl WindowedCounts {
         self.counts[idx] += 1;
     }
 
-    /// Number of windows with data (includes interior empty windows).
-    pub fn num_windows(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Per-window counts, in time order.
     pub fn counts(&self) -> &[u64] {
         &self.counts
-    }
-
-    /// Count in the window containing `t_ns` (0 if beyond the recorded end).
-    pub fn count_at(&self, t_ns: u64) -> u64 {
-        self.counts
-            .get((t_ns / self.window_ns) as usize)
-            .copied()
-            .unwrap_or(0)
     }
 
     /// Total events recorded.
@@ -160,9 +147,6 @@ mod tests {
         assert_eq!(w.counts(), &[2, 1, 1]);
         assert_eq!(w.total(), 4);
         assert_eq!(w.max(), 2);
-        assert_eq!(w.count_at(50), 2);
-        assert_eq!(w.count_at(100), 1);
-        assert_eq!(w.count_at(10_000), 0);
     }
 
     #[test]
@@ -177,7 +161,6 @@ mod tests {
         w.record(5);
         w.record(45);
         assert_eq!(w.counts(), &[1, 0, 0, 0, 1]);
-        assert_eq!(w.num_windows(), 5);
     }
 
     #[test]

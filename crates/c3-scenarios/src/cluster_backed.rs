@@ -33,10 +33,10 @@ pub(crate) fn run(
         cluster.set_recorder(rec);
     }
     let (metrics, stats) = runner.run(&mut cluster, nodes, load_window);
-    let (timeouts, parked) = cluster.lifecycle_counts();
+    let life = cluster.lifecycle_counts();
     let report = ScenarioReport::from_metrics(scenario, &strategy, seed, &metrics, &stats)
         .with_dead_events(cluster.dead_events())
-        .with_lifecycle(timeouts, parked);
+        .with_lifecycle(life.timeouts, life.parked);
     RunOutput {
         report,
         recorder: cluster.take_recorder(),

@@ -524,16 +524,11 @@ impl DirectFleet {
     /// iowait, so only the latency reservoir matters).
     fn on_snitch_tick(&mut self, now: Nanos, engine: &mut EventQueue<FleetEvent>) {
         for slot in &mut self.slots {
-            if let Some(snitch) = slot
-                .selector
-                .as_mut()
-                .and_then(|s| s.as_any_mut())
-                .and_then(|any| any.downcast_mut::<SnitchSelector>())
-            {
-                for peer in 0..self.spec.servers {
-                    snitch.snitch_mut().record_iowait(peer, 0.02);
-                }
-                snitch.snitch_mut().recompute(now);
+            let Some(selector) = slot.selector.as_deref_mut() else {
+                continue;
+            };
+            if let Some(snitch) = SnitchSelector::of(selector) {
+                snitch.snitch_mut().recompute_idle(now);
             }
         }
         engine.schedule_in(self.spec.snitch_tick, FleetEvent::SnitchTick);

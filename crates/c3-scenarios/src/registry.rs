@@ -33,8 +33,8 @@ pub struct ScenarioParams {
     /// configured default — the stock cluster uses 10 M keys, whose
     /// Zipf table dominates a short run's build time).
     pub keys: Option<u64>,
-    /// Per-run tuning knobs (offered rate, exact percentiles, live
-    /// client budget/connections); see [`RunTuning`].
+    /// Per-run tuning knobs (offered rate, exact percentiles); see
+    /// [`RunTuning`].
     pub tuning: RunTuning,
 }
 

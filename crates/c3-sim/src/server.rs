@@ -129,13 +129,6 @@ impl SimServer {
         self.recompute_speed_cache();
     }
 
-    /// Pin the speed state (used by tests and the Figure 13 scenario that
-    /// scripts a server's performance).
-    pub fn set_speed(&mut self, speed: SpeedState) {
-        self.speed = speed;
-        self.recompute_speed_cache();
-    }
-
     /// Total pending work: executing plus queued. This is the `q` the
     /// Oracle reads and the basis of the feedback queue size.
     pub fn pending(&self) -> usize {
@@ -245,9 +238,9 @@ mod tests {
 
     #[test]
     fn speed_state_scales_mean_service_time() {
-        let mut s = SimServer::new(4.0, 3.0, 4, SpeedState::Slow);
+        let s = SimServer::new(4.0, 3.0, 4, SpeedState::Slow);
         assert_eq!(s.current_mean_service_ms(), 4.0);
-        s.set_speed(SpeedState::Fast);
+        let s = SimServer::new(4.0, 3.0, 4, SpeedState::Fast);
         assert!((s.current_mean_service_ms() - 4.0 / 3.0).abs() < 1e-12);
         assert!((s.current_rate_per_ms() - 0.75).abs() < 1e-12);
     }

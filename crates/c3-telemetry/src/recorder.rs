@@ -283,7 +283,6 @@ pub struct Recorder {
     /// Index of the oldest event once the ring has wrapped.
     head: usize,
     dropped: u64,
-    score_interval: Nanos,
     last_score_sample: Option<Nanos>,
     score_trace: Vec<(Nanos, Vec<f64>)>,
     scores_truncated: u64,
@@ -300,6 +299,9 @@ impl Recorder {
     /// tables) size the ring explicitly at ~6 slots per expected request
     /// and knowingly pay the larger cache footprint.
     pub const DEFAULT_CAPACITY: usize = 2_048;
+    /// Score-trace sampling interval: the cadence the sim-vs-live parity
+    /// harness was pinned at.
+    const SCORE_INTERVAL: Nanos = Nanos::from_millis(50);
     /// Retained score samples (50 ms cadence ⇒ days of sim time).
     pub const SCORE_CAP: usize = 65_536;
     /// Retained values per gauge series.
@@ -314,7 +316,6 @@ impl Recorder {
             snaps: Vec::new(),
             head: 0,
             dropped: 0,
-            score_interval: Nanos::from_millis(50),
             last_score_sample: None,
             score_trace: Vec::new(),
             scores_truncated: 0,
@@ -326,13 +327,6 @@ impl Recorder {
     /// A recorder at [`Recorder::DEFAULT_CAPACITY`].
     pub fn with_default_capacity() -> Self {
         Self::new(Self::DEFAULT_CAPACITY)
-    }
-
-    /// Override the score-trace sampling interval (default 50 ms, the
-    /// cadence the sim-vs-live parity harness was pinned at).
-    pub fn with_score_interval(mut self, interval: Nanos) -> Self {
-        self.score_interval = interval;
-        self
     }
 
     /// Ring capacity in events.
@@ -506,14 +500,14 @@ impl Recorder {
         })
     }
 
-    /// Whether a score sample is due at `at` (throttled to the configured
-    /// interval; the first call is always due). Callers check this before
+    /// Whether a score sample is due at `at` (throttled to one per 50 ms;
+    /// the first call is always due). Callers check this before
     /// computing the score vector so the disabled/throttled path costs one
     /// branch.
     #[inline]
     pub fn scores_due(&self, at: Nanos) -> bool {
         match self.last_score_sample {
-            Some(last) => at.saturating_sub(last) >= self.score_interval,
+            Some(last) => at.saturating_sub(last) >= Self::SCORE_INTERVAL,
             None => true,
         }
     }
@@ -735,7 +729,7 @@ mod tests {
 
     #[test]
     fn score_sampling_is_throttled() {
-        let mut rec = Recorder::new(0).with_score_interval(Nanos::from_millis(50));
+        let mut rec = Recorder::new(0);
         assert!(rec.scores_due(Nanos::ZERO));
         rec.push_scores(Nanos::ZERO, vec![1.0]);
         assert!(!rec.scores_due(Nanos::from_millis(49)));

@@ -20,7 +20,6 @@ pub struct Zipfian {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2theta: f64,
 }
 
 impl Zipfian {
@@ -45,7 +44,6 @@ impl Zipfian {
             alpha,
             zetan,
             eta,
-            zeta2theta,
         }
     }
 
@@ -82,11 +80,6 @@ impl Zipfian {
     pub fn probability(&self, rank: u64) -> f64 {
         assert!(rank < self.items);
         1.0 / ((rank + 1) as f64).powf(self.theta) / self.zetan
-    }
-
-    /// The `zeta(2, θ)` constant (exposed for diagnostics).
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2theta
     }
 }
 
@@ -140,11 +133,6 @@ impl ScrambledZipfian {
     /// Sample a key in `0..keyspace`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         fnv1a(self.zipf.sample(rng)) % self.keyspace
-    }
-
-    /// The key that rank 0 (the hottest item) maps to.
-    pub fn hottest_key(&self) -> u64 {
-        fnv1a(0) % self.keyspace
     }
 
     /// Size of the keyspace.
@@ -231,8 +219,8 @@ mod tests {
         let s = ScrambledZipfian::ycsb(1_000_000);
         // The hottest key should land somewhere other than 0 with
         // overwhelming probability (it is a hash).
-        assert_ne!(s.hottest_key(), 0);
-        assert!(s.hottest_key() < s.keyspace());
+        let hottest = fnv1a(0) % s.keyspace();
+        assert_ne!(hottest, 0);
     }
 
     #[test]
@@ -240,7 +228,7 @@ mod tests {
         let s = ScrambledZipfian::new(10_000, 10_000, 0.99);
         let mut rng = SmallRng::seed_from_u64(3);
         let n = 100_000;
-        let hot = s.hottest_key();
+        let hot = fnv1a(0) % s.keyspace();
         let mut hot_count = 0u64;
         for _ in 0..n {
             if s.sample(&mut rng) == hot {

@@ -115,7 +115,6 @@ fn slo_sweep_fingerprints_are_thread_invariant() {
                     RunTuning {
                         offered_rate: Some(rate),
                         exact_latency: true,
-                        ..RunTuning::default()
                     },
                 );
                 let report = registry
