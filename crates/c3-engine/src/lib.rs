@@ -20,6 +20,9 @@
 //!   FIFO backlog, one cancellable retry timer per group, cancelled when a
 //!   response drains the backlog first), shared by every event loop that
 //!   drives a backpressure-capable selector.
+//! - [`SlotTable`]: the request/send record table of the direct-send
+//!   loops — slots recycled on release and named by [`SlotKey`], so a
+//!   run's memory is O(requests in flight), not O(requests issued).
 //! - [`ScenarioRunner`]: owns RNG seed derivation ([`SeedSeq`]), the
 //!   warm-up/measure window, and the uniform [`RunMetrics`] (named latency
 //!   channels, throughput, per-server load time series) for any
@@ -89,6 +92,7 @@ mod kernel;
 mod registry;
 mod runner;
 mod slo;
+mod slot_table;
 
 pub use backpressure::BackpressureFront;
 pub use c3_metrics::{ChannelId, ChannelSet, SloMetric, SloPredicate};
@@ -99,3 +103,4 @@ pub use slo::{
     ProbeMeasurement, RateProbe, RateWindow, SkippedCell, SloCell, SloCellReport, SloOutcome,
     SloReport, SloSearch, SloSweep,
 };
+pub use slot_table::{SlotKey, SlotTable};

@@ -14,6 +14,10 @@
 //! exponential service times; key `k` lives on replica group
 //! `k % servers`, whose members are the next `replication_factor` servers
 //! on the ring.
+//!
+//! Request records live in a recycling [`SlotTable`], released when the
+//! response is received: memory follows the requests in flight (at most
+//! one per closed-loop client), not the length of the run.
 
 use std::collections::VecDeque;
 
@@ -21,7 +25,7 @@ use c3_cluster::SnitchSelector;
 use c3_core::{C3Config, Feedback, Nanos, ReplicaSelector, ResponseInfo, Selection};
 use c3_engine::{
     BackpressureFront, ChannelId, ChannelSet, EventQueue, RunMetrics, Scenario, ScenarioRunner,
-    SeedSeq, Strategy, StrategyRegistry,
+    SeedSeq, SlotKey, SlotTable, Strategy, StrategyRegistry,
 };
 use c3_telemetry::{Recorder, TracePoint};
 use c3_workload::{exp_sample, PoissonArrivals, ScrambledZipfian};
@@ -123,15 +127,15 @@ pub(crate) enum FleetEvent {
     /// client `source` finishing its think time.
     Arrive { source: u32 },
     /// A request reaches its server.
-    ServerArrive { req: u64 },
+    ServerArrive { req: ReqId },
     /// A request finishes executing at its server.
     ServiceDone {
         server: u32,
-        req: u64,
+        req: ReqId,
         service_time: Nanos,
     },
     /// A response reaches its client.
-    ClientReceive { req: u64 },
+    ClientReceive { req: ReqId },
     /// A selector retries the backlog of one replica group.
     RetryBacklog { selector: u32, group: u32 },
     /// Dynamic Snitching selectors recompute their scores.
@@ -150,6 +154,11 @@ impl FleetEvent {
 /// Sentinel `Request::server`: not sent yet.
 const UNSENT: u16 = u16::MAX;
 
+/// A request's name inside events, server queues and backlogs: the key of
+/// its [`Request`] record while it is in flight.
+type ReqId = SlotKey;
+
+/// Lives from `Arrive` until its `ClientReceive`.
 #[derive(Clone, Copy, Debug)]
 struct Request {
     client: u32,
@@ -159,10 +168,16 @@ struct Request {
     measured: bool,
     created: Nanos,
     sent_at: Nanos,
+    /// Position in issue order: the request's name in the flight recorder
+    /// (its table key is recycled, this is not).
+    issue_index: u64,
+    /// Feedback piggybacked on the response — inline, so the response
+    /// path touches one cache line.
+    feedback: Feedback,
 }
 
 struct Server {
-    queue: VecDeque<u64>,
+    queue: VecDeque<ReqId>,
     inflight: usize,
 }
 
@@ -177,7 +192,7 @@ impl Server {
 struct SelectorSlot {
     /// `None` for the Oracle, which reads global server state instead.
     selector: Option<Box<dyn ReplicaSelector>>,
-    front: BackpressureFront<u64, FleetEvent>,
+    front: BackpressureFront<ReqId, FleetEvent>,
 }
 
 /// The direct-fleet scenario, driven by the engine's [`ScenarioRunner`].
@@ -186,8 +201,7 @@ pub(crate) struct DirectFleet {
     servers: Vec<Server>,
     slots: Vec<SelectorSlot>,
     groups: Vec<Vec<usize>>,
-    requests: Vec<Request>,
-    feedbacks: Vec<Feedback>,
+    requests: SlotTable<Request>,
     wl_rng: SmallRng,
     srv_rng: SmallRng,
     generated: u64,
@@ -231,11 +245,7 @@ impl DirectFleet {
             servers,
             slots,
             groups,
-            // A closed loop's in-flight requests can overshoot the
-            // completion target by up to one per client; reserve for the
-            // common case only.
-            requests: Vec::with_capacity(spec.total_requests as usize),
-            feedbacks: Vec::with_capacity(spec.total_requests as usize),
+            requests: SlotTable::new(),
             wl_rng: seeds.workload_rng(),
             srv_rng: seeds.service_rng(spec.service_stream),
             generated: 0,
@@ -280,8 +290,7 @@ impl DirectFleet {
         };
         let issue_index = self.generated;
         self.generated += 1;
-        let req = self.requests.len() as u64;
-        self.requests.push(Request {
+        let req = self.requests.insert(Request {
             client,
             class,
             group: (key % self.spec.servers as u64) as u16,
@@ -289,10 +298,11 @@ impl DirectFleet {
             measured: metrics.past_warmup(issue_index),
             created: now,
             sent_at: Nanos::ZERO,
+            issue_index,
+            feedback: Feedback::new(0, Nanos::ZERO),
         });
-        self.feedbacks.push(Feedback::new(0, Nanos::ZERO));
         if let Some(rec) = &mut self.recorder {
-            rec.record(now, req, TracePoint::Issue);
+            rec.record(now, issue_index, TracePoint::Issue);
         }
         self.try_dispatch(req, now, engine);
         // Open loop: the source re-arms itself regardless of how the
@@ -311,7 +321,7 @@ impl DirectFleet {
     #[inline]
     fn record_decision(
         &mut self,
-        req: u64,
+        req: ReqId,
         slot: usize,
         chosen: Option<usize>,
         group: usize,
@@ -320,7 +330,8 @@ impl DirectFleet {
         if let Some(rec) = &mut self.recorder {
             let servers = &self.servers;
             let selector = self.slots[slot].selector.as_deref();
-            rec.record_decision(now, req, chosen, &self.groups[group], |s| {
+            let issue_index = self.requests[req].issue_index;
+            rec.record_decision(now, issue_index, chosen, &self.groups[group], |s| {
                 (
                     selector.and_then(|sel| sel.replica_view(s)),
                     servers[s].pending(),
@@ -331,10 +342,9 @@ impl DirectFleet {
 
     /// Algorithm 1 for a fresh request: rank the group and send, or park
     /// the request behind the group's backlog when the limiter refuses.
-    fn try_dispatch(&mut self, req: u64, now: Nanos, engine: &mut EventQueue<FleetEvent>) {
-        let r = self.requests[req as usize];
-        let slot = self.slot_of(r.client);
-        let group = r.group as usize;
+    fn try_dispatch(&mut self, req: ReqId, now: Nanos, engine: &mut EventQueue<FleetEvent>) {
+        let r = &self.requests[req];
+        let (slot, group) = (self.slot_of(r.client), r.group as usize);
         let selection = match self.slots[slot].selector.as_mut() {
             Some(sel) => sel.select(&self.groups[group], now),
             // Oracle: perfect knowledge of instantaneous queue depths.
@@ -396,13 +406,13 @@ impl DirectFleet {
 
     fn send(
         &mut self,
-        req: u64,
+        req: ReqId,
         slot: usize,
         server: usize,
         now: Nanos,
         engine: &mut EventQueue<FleetEvent>,
     ) {
-        let r = &mut self.requests[req as usize];
+        let r = &mut self.requests[req];
         r.server = server as u16;
         r.sent_at = now;
         if let Some(sel) = self.slots[slot].selector.as_mut() {
@@ -414,9 +424,9 @@ impl DirectFleet {
     }
 
     /// Occupy an execution slot at `server` with `req`.
-    fn start_service(&mut self, server: usize, req: u64, engine: &mut EventQueue<FleetEvent>) {
+    fn start_service(&mut self, server: usize, req: ReqId, engine: &mut EventQueue<FleetEvent>) {
         self.servers[server].inflight += 1;
-        let class = self.requests[req as usize].class as usize;
+        let class = self.requests[req].class as usize;
         let service_time = Nanos::from_millis_f64(exp_sample(
             &mut self.srv_rng,
             self.spec.classes[class].mean_service_ms,
@@ -431,8 +441,8 @@ impl DirectFleet {
         );
     }
 
-    fn on_server_arrive(&mut self, req: u64, engine: &mut EventQueue<FleetEvent>) {
-        let server = self.requests[req as usize].server as usize;
+    fn on_server_arrive(&mut self, req: ReqId, engine: &mut EventQueue<FleetEvent>) {
+        let server = self.requests[req].server as usize;
         if self.servers[server].inflight < self.spec.server_concurrency {
             self.start_service(server, req, engine);
         } else {
@@ -443,7 +453,7 @@ impl DirectFleet {
     fn on_service_done(
         &mut self,
         server: usize,
-        req: u64,
+        req: ReqId,
         service_time: Nanos,
         now: Nanos,
         engine: &mut EventQueue<FleetEvent>,
@@ -454,21 +464,21 @@ impl DirectFleet {
         if let Some(next) = self.servers[server].queue.pop_front() {
             self.start_service(server, next, engine);
         }
-        self.feedbacks[req as usize] = Feedback::new(self.servers[server].pending(), service_time);
+        self.requests[req].feedback = Feedback::new(self.servers[server].pending(), service_time);
         engine.schedule_in(self.spec.one_way_latency, FleetEvent::ClientReceive { req });
     }
 
     fn on_client_receive(
         &mut self,
-        req: u64,
+        req: ReqId,
         now: Nanos,
         engine: &mut EventQueue<FleetEvent>,
         metrics: &mut RunMetrics,
     ) {
-        let r = self.requests[req as usize];
+        let r = self.requests.remove(req);
         let slot = self.slot_of(r.client);
         let server = r.server as usize;
-        let feedback = self.feedbacks[req as usize];
+        let feedback = r.feedback;
         if let Some(sel) = self.slots[slot].selector.as_mut() {
             sel.on_response(
                 server,
@@ -484,7 +494,7 @@ impl DirectFleet {
         if let Some(rec) = &mut self.recorder {
             rec.record(
                 now,
-                req,
+                r.issue_index,
                 TracePoint::Feedback {
                     server: server as u32,
                     queue: feedback.queue_size,
@@ -496,7 +506,7 @@ impl DirectFleet {
             if r.measured {
                 rec.record(
                     now,
-                    req,
+                    r.issue_index,
                     TracePoint::Complete {
                         latency_ns: latency.as_nanos(),
                     },
@@ -618,12 +628,85 @@ pub(crate) fn run(spec: FleetSpec, registry: &StrategyRegistry, options: RunOpti
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{scenario_registry, MegaFleetConfig, MultiTenantConfig};
+
+    /// Run `spec` on a bare runner so the request table can be inspected
+    /// afterwards.
+    fn run_keeping_table(spec: FleetSpec, recorder: Option<Recorder>) -> (DirectFleet, RunMetrics) {
+        let runner = ScenarioRunner::new(spec.seed).with_warmup(spec.warmup_requests);
+        let (servers, load_window) = (spec.servers, spec.load_window);
+        let mut fleet = DirectFleet::new(spec, &scenario_registry());
+        fleet.recorder = recorder;
+        let (metrics, _) = runner.run(&mut fleet, servers, load_window);
+        (fleet, metrics)
+    }
+
+    /// Open arrivals, with C3 starved of sending rate so requests wait in
+    /// the backlogs (holding their records) until the rate recovers.
+    fn open_backlogging(total_requests: u64) -> FleetSpec {
+        let mut cfg = MultiTenantConfig {
+            total_requests,
+            warmup_requests: total_requests / 20,
+            ..MultiTenantConfig::default()
+        };
+        cfg.c3.initial_rate = 1.0;
+        cfg.lower()
+    }
+
+    /// Closed arrivals: 2000 think → request → response loops.
+    fn closed(total_requests: u64) -> FleetSpec {
+        MegaFleetConfig {
+            servers: 32,
+            clients: 2_000,
+            selector_shards: 16,
+            total_requests,
+            warmup_requests: total_requests / 20,
+            ..MegaFleetConfig::default()
+        }
+        .lower()
+    }
+
+    #[test]
+    fn request_table_holds_what_is_in_flight_not_what_was_issued() {
+        let (open, _) = run_keeping_table(open_backlogging(50_000), None);
+        let parked: u64 = open.slots.iter().map(|s| s.front.activations()).sum();
+        assert!(parked > 0, "the open run must exercise the backlog");
+        let (closed, _) = run_keeping_table(closed(50_000), None);
+        for fleet in [open, closed] {
+            assert!(fleet.generated >= 50_000);
+            let slots = fleet.requests.slot_count();
+            assert!(slots <= 2_000, "{slots} slots for 50k requests");
+        }
+    }
+
+    #[test]
+    fn trace_ids_are_issue_indices_not_recycled_keys() {
+        for spec in [open_backlogging(8_000), closed(8_000)] {
+            let (fleet, metrics) = run_keeping_table(spec, Some(Recorder::new(8 * 8_000)));
+            assert!(fleet.requests.slot_count() < 2_000, "keys were recycled");
+            let rec = fleet.recorder.expect("recorder rides along");
+            assert_eq!(rec.dropped(), 0);
+            let issued = rec
+                .events()
+                .filter(|e| matches!(e.point, TracePoint::Issue))
+                .map(|e| e.request);
+            // A closed loop issues past the completion target.
+            assert!(issued.eq(0..fleet.generated), "one Issue each, in order");
+            assert!(rec.events().all(|e| e.request < fleet.generated));
+            let measured: u64 = (0..fleet.spec.classes.len())
+                .map(|c| metrics.measured(ChannelId::new(c)))
+                .sum();
+            let attr = c3_telemetry::attribute_tail(rec.events(), "fleet", "C3", 0.99);
+            assert_eq!(attr.joined as u64, measured);
+        }
+    }
 
     #[test]
     fn event_and_request_records_stay_compact() {
-        // The kernel moves events by value and a mega-fleet run holds one
-        // request record per issued request; both sizes are budgeted.
+        // The kernel moves events by value, and the response path copies
+        // the request record (issue index and feedback inline) out of its
+        // table: one cache line.
         assert!(std::mem::size_of::<FleetEvent>() <= 24);
-        assert!(std::mem::size_of::<Request>() <= 32);
+        assert!(std::mem::size_of::<Request>() <= 64);
     }
 }

@@ -155,7 +155,7 @@ impl MegaFleetConfig {
     /// Lower into the direct-fleet loop: closed-loop clients pooled onto
     /// `selector_shards` selector instances, reporting into the single
     /// `fleet` channel.
-    fn lower(self) -> FleetSpec {
+    pub(crate) fn lower(self) -> FleetSpec {
         self.validate();
         FleetSpec {
             scenario: super::MEGA_FLEET,

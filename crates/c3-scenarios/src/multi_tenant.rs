@@ -265,7 +265,7 @@ impl MultiTenantConfig {
     /// Lower into the direct-fleet loop: one selector per client, one
     /// open-loop Poisson source and one latency channel per tenant, and
     /// service time scaled by the tenant's value size.
-    fn lower(self) -> FleetSpec {
+    pub(crate) fn lower(self) -> FleetSpec {
         self.validate();
         let seeds = SeedSeq::new(self.seed);
         let total_rate = self.total_arrival_rate();

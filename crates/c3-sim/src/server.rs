@@ -8,12 +8,14 @@
 //! bimodal time-varying performance model of §6.
 
 use c3_core::{Feedback, Nanos};
+use c3_engine::SlotKey;
 use c3_workload::exp_sample;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-/// A request identifier assigned by the simulation.
-pub type ReqId = u64;
+/// A request identifier assigned by the simulation: the key of its record
+/// in the simulation's recycling table.
+pub type ReqId = SlotKey;
 
 /// Current speed state of a server.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,10 +48,6 @@ pub struct SimServer {
     /// `1 / mean_ms` under `speed`, cached at each state change so the
     /// Oracle's per-candidate scoring pays no division here.
     rate_per_ms: f64,
-    /// Cumulative requests completed (diagnostics).
-    completed: u64,
-    /// Largest queue length observed (diagnostics).
-    max_queue: usize,
 }
 
 /// What the server wants the simulation to do after an event.
@@ -84,8 +82,6 @@ impl SimServer {
             speed: initial_speed,
             mean_ms: 0.0,
             rate_per_ms: 0.0,
-            completed: 0,
-            max_queue: 0,
         };
         server.recompute_speed_cache();
         server
@@ -135,16 +131,6 @@ impl SimServer {
         self.in_service + self.queue.len()
     }
 
-    /// Requests completed so far.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Largest queue length seen.
-    pub fn max_queue(&self) -> usize {
-        self.max_queue
-    }
-
     /// A request arrives: either it enters service immediately (action says
     /// to schedule its completion) or it queues.
     pub fn on_arrival(&mut self, req: ReqId, rng: &mut SmallRng) -> ServerAction {
@@ -156,7 +142,6 @@ impl SimServer {
             }
         } else {
             self.queue.push_back(req);
-            self.max_queue = self.max_queue.max(self.queue.len());
             ServerAction::None
         }
     }
@@ -174,7 +159,6 @@ impl SimServer {
     ) -> (Feedback, ServerAction) {
         debug_assert!(self.in_service > 0);
         self.in_service -= 1;
-        self.completed += 1;
         let next = if let Some(req) = self.queue.pop_front() {
             self.in_service += 1;
             ServerAction::StartService {
@@ -205,20 +189,27 @@ mod tests {
         SmallRng::seed_from_u64(42)
     }
 
+    /// `N` distinct request ids, as the simulation would issue them.
+    fn ids<const N: usize>() -> [ReqId; N] {
+        let mut table = c3_engine::SlotTable::new();
+        std::array::from_fn(|_| table.insert(()))
+    }
+
     #[test]
     fn concurrency_limits_parallel_service() {
         let mut s = SimServer::new(4.0, 3.0, 2, SpeedState::Slow);
         let mut r = rng();
+        let [a, b, c] = ids();
         assert!(matches!(
-            s.on_arrival(1, &mut r),
-            ServerAction::StartService { req: 1, .. }
+            s.on_arrival(a, &mut r),
+            ServerAction::StartService { req, .. } if req == a
         ));
         assert!(matches!(
-            s.on_arrival(2, &mut r),
-            ServerAction::StartService { req: 2, .. }
+            s.on_arrival(b, &mut r),
+            ServerAction::StartService { req, .. } if req == b
         ));
         // Third must queue.
-        assert_eq!(s.on_arrival(3, &mut r), ServerAction::None);
+        assert_eq!(s.on_arrival(c, &mut r), ServerAction::None);
         assert_eq!(s.pending(), 3);
     }
 
@@ -226,14 +217,14 @@ mod tests {
     fn completion_dequeues_next() {
         let mut s = SimServer::new(4.0, 3.0, 1, SpeedState::Slow);
         let mut r = rng();
-        s.on_arrival(1, &mut r);
-        s.on_arrival(2, &mut r);
+        let [a, b] = ids();
+        s.on_arrival(a, &mut r);
+        s.on_arrival(b, &mut r);
         let (fb, next) = s.on_completion(Nanos::from_millis(4), &mut r);
-        assert!(matches!(next, ServerAction::StartService { req: 2, .. }));
-        // After request 1 leaves: request 2 is executing ⇒ pending = 1.
+        assert!(matches!(next, ServerAction::StartService { req, .. } if req == b));
+        // After request a leaves: request b is executing ⇒ pending = 1.
         assert_eq!(fb.queue_size, 1);
         assert_eq!(fb.service_time, Nanos::from_millis(4));
-        assert_eq!(s.completed(), 1);
     }
 
     #[test]
@@ -277,15 +268,5 @@ mod tests {
         let fast_avg = avg(&mut fast, &mut r);
         assert!((slow_avg - 4.0).abs() < 0.15, "slow {slow_avg}");
         assert!((fast_avg - 1.0).abs() < 0.05, "fast {fast_avg}");
-    }
-
-    #[test]
-    fn max_queue_high_water_mark() {
-        let mut s = SimServer::new(4.0, 3.0, 1, SpeedState::Slow);
-        let mut r = rng();
-        for i in 0..5 {
-            s.on_arrival(i, &mut r);
-        }
-        assert_eq!(s.max_queue(), 4);
     }
 }

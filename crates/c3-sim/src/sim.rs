@@ -11,6 +11,11 @@
 //! request is a read-repair and is sent to *all* replicas of its group;
 //! latency is still measured on the strategy-selected primary.
 //!
+//! Request and send records live in recycling [`SlotTable`]s: a send's
+//! record is released when its response is received, a request's when its
+//! last open send is, so a run's memory follows what is in flight
+//! (offered rate × latency — hundreds of records), not its length.
+//!
 //! All client-local strategies come from the engine's
 //! [`StrategyRegistry`]; the `ORA` baseline reads global server state and
 //! is wired here (the registry builds no selector for it).
@@ -20,7 +25,7 @@ use c3_core::{
 };
 use c3_engine::{
     ChannelId, ChannelSet, EngineStats, EventQueue, RunMetrics, Scenario, ScenarioRunner, SeedSeq,
-    StrategyRegistry,
+    SlotKey, SlotTable, StrategyRegistry,
 };
 use c3_telemetry::{Recorder, TracePoint};
 use c3_workload::PoissonArrivals;
@@ -32,8 +37,8 @@ use crate::result::RunResult;
 use crate::server::{ReqId, ServerAction, SimServer, SpeedState};
 
 /// Identifier of one send (one request may fan out into several sends via
-/// read repair).
-type SendId = u64;
+/// read repair): the key of its [`SendState`] while the send is in flight.
+type SendId = SlotKey;
 
 /// The simulator's single latency channel (named `latency`).
 const LATENCY: ChannelId = ChannelId::new(0);
@@ -61,25 +66,32 @@ pub enum Event {
     RetryBacklog { client: usize, group: usize },
 }
 
+/// Lives from `Generate` until the last of its sends is received, so
+/// read-repair stragglers still find it after the primary completed.
 #[derive(Clone, Copy, Debug)]
 struct RequestState {
     client: u32,
     group: u32,
     created: Nanos,
+    /// Position in issue order, `0..total_requests`: the request's name in
+    /// the flight recorder (its table key is recycled, this is not).
+    issue_index: u64,
+    /// Sends dispatched and not yet received.
+    open_sends: u32,
     /// Whether this request fans out to all replicas (read repair).
     read_repair: bool,
-    /// The strategy-selected send whose response defines latency
-    /// (`SendId::MAX` until dispatched).
-    primary_send: SendId,
     /// Whether this request falls in the measured (post-warm-up) window.
     measured: bool,
-    completed: bool,
 }
 
+/// Lives from dispatch until its `ClientReceive`.
 #[derive(Clone, Copy, Debug)]
 struct SendState {
     req: ReqId,
     server: u32,
+    /// Whether this is the strategy-selected send, whose response defines
+    /// the request's latency.
+    primary: bool,
     sent_at: Nanos,
     /// Feedback piggybacked on this send's response — stored inline so the
     /// per-response path touches one cache line, not two parallel arrays.
@@ -106,8 +118,8 @@ pub struct SimScenario {
     servers: Vec<SimServer>,
     clients: Vec<SimClient>,
     groups: Vec<Vec<ServerId>>,
-    requests: Vec<RequestState>,
-    sends: Vec<SendState>,
+    requests: SlotTable<RequestState>,
+    sends: SlotTable<SendState>,
     arrivals: PoissonArrivals,
     /// Workload randomness (client/group/read-repair choices, arrivals).
     wl_rng: SmallRng,
@@ -182,8 +194,8 @@ impl SimScenario {
             servers,
             clients,
             groups,
-            requests: Vec::with_capacity(cfg.total_requests as usize),
-            sends: Vec::with_capacity(cfg.total_requests as usize + 16),
+            requests: SlotTable::new(),
+            sends: SlotTable::new(),
             arrivals,
             wl_rng,
             srv_rng,
@@ -250,18 +262,17 @@ impl SimScenario {
         let client = self.pick_client();
         let group = self.wl_rng.gen_range(0..self.groups.len());
         let read_repair = self.wl_rng.gen::<f64>() < self.cfg.read_repair_prob;
-        let req_id = self.requests.len() as ReqId;
-        self.requests.push(RequestState {
+        let req_id = self.requests.insert(RequestState {
             client: client as u32,
             group: group as u32,
             created: now,
+            issue_index,
+            open_sends: 0,
             read_repair,
-            primary_send: SendId::MAX,
             measured: metrics.past_warmup(issue_index),
-            completed: false,
         });
         if let Some(rec) = &mut self.recorder {
-            rec.record(now, req_id, TracePoint::Issue);
+            rec.record(now, issue_index, TracePoint::Issue);
         }
         self.try_dispatch(req_id, now, engine);
         if self.generated < self.cfg.total_requests {
@@ -289,7 +300,7 @@ impl SimScenario {
     /// request is backlogged and retried later.
     fn try_dispatch(&mut self, req: ReqId, now: Nanos, engine: &mut EventQueue<Event>) {
         let (client_id, group_id) = {
-            let r = &self.requests[req as usize];
+            let r = &self.requests[req];
             (r.client as usize, r.group as usize)
         };
 
@@ -333,7 +344,8 @@ impl SimScenario {
         if let Some(rec) = &mut self.recorder {
             let servers = &self.servers;
             let selector = self.clients[client_id].selector.as_deref();
-            rec.record_decision(now, req, chosen, &self.groups[group_id], |s| {
+            let issue_index = self.requests[req].issue_index;
+            rec.record_decision(now, issue_index, chosen, &self.groups[group_id], |s| {
                 (
                     selector.and_then(|sel| sel.replica_view(s)),
                     servers[s].pending() as u32,
@@ -352,11 +364,11 @@ impl SimScenario {
         engine: &mut EventQueue<Event>,
     ) {
         self.send_one(req, primary, now, true, engine);
-        if self.requests[req as usize].read_repair {
+        if self.requests[req].read_repair {
             // Walk the group table by index: re-borrowing per element
             // keeps the fan-out allocation-free (this used to clone the
             // group Vec per read-repair) without re-deriving the layout.
-            let group_id = self.requests[req as usize].group as usize;
+            let group_id = self.requests[req].group as usize;
             for k in 0..self.groups[group_id].len() {
                 let s = self.groups[group_id][k];
                 if s != primary {
@@ -401,17 +413,16 @@ impl SimScenario {
         primary: bool,
         engine: &mut EventQueue<Event>,
     ) {
-        let send_id = self.sends.len() as SendId;
-        self.sends.push(SendState {
+        let send_id = self.sends.insert(SendState {
             req,
             server: server as u32,
+            primary,
             sent_at: now,
             feedback: Feedback::new(0, Nanos::ZERO),
         });
-        if primary {
-            self.requests[req as usize].primary_send = send_id;
-        }
-        let client_id = self.requests[req as usize].client as usize;
+        let r = &mut self.requests[req];
+        r.open_sends += 1;
+        let client_id = r.client as usize;
         if let Some(sel) = self.clients[client_id].selector.as_mut() {
             sel.on_send(server, now);
         }
@@ -452,7 +463,7 @@ impl SimScenario {
     ) {
         let (feedback, next) = self.servers[server].on_completion(service_time, &mut self.srv_rng);
         metrics.record_service(server, now);
-        self.sends[send as usize].feedback = feedback;
+        self.sends[send].feedback = feedback;
         engine.schedule_in(self.cfg.one_way_latency, Event::ClientReceive { send });
         if let ServerAction::StartService {
             req: next_send,
@@ -477,8 +488,8 @@ impl SimScenario {
         engine: &mut EventQueue<Event>,
         metrics: &mut RunMetrics,
     ) {
-        let s = self.sends[send as usize];
-        let client_id = self.requests[s.req as usize].client as usize;
+        let s = self.sends.remove(send);
+        let client_id = self.requests[s.req].client as usize;
         let feedback = s.feedback;
         let response_time = now.saturating_sub(s.sent_at);
 
@@ -495,7 +506,7 @@ impl SimScenario {
         if let Some(rec) = &mut self.recorder {
             rec.record(
                 now,
-                s.req,
+                self.requests[s.req].issue_index,
                 TracePoint::Feedback {
                     server: s.server,
                     queue: feedback.queue_size,
@@ -504,27 +515,29 @@ impl SimScenario {
             );
         }
 
-        {
-            let req = &mut self.requests[s.req as usize];
-            if req.primary_send == send && !req.completed {
-                req.completed = true;
-                let latency = now.saturating_sub(req.created);
-                let measured = req.measured;
-                metrics.record_completion(LATENCY, now, latency, measured);
-                // Warm-up requests get no Complete event, so they never
-                // join into attribution rows — matching the channel.
-                if measured {
-                    if let Some(rec) = &mut self.recorder {
-                        rec.record(
-                            now,
-                            s.req,
-                            TracePoint::Complete {
-                                latency_ns: latency.as_nanos(),
-                            },
-                        );
-                    }
+        let req = &mut self.requests[s.req];
+        // Each send is received once (its record was just released), so
+        // the primary's response completes the request exactly once.
+        if s.primary {
+            let latency = now.saturating_sub(req.created);
+            metrics.record_completion(LATENCY, now, latency, req.measured);
+            // Warm-up requests get no Complete event, so they never
+            // join into attribution rows — matching the channel.
+            if req.measured {
+                if let Some(rec) = &mut self.recorder {
+                    rec.record(
+                        now,
+                        req.issue_index,
+                        TracePoint::Complete {
+                            latency_ns: latency.as_nanos(),
+                        },
+                    );
                 }
             }
+        }
+        req.open_sends -= 1;
+        if req.open_sends == 0 {
+            self.requests.remove(s.req);
         }
 
         // A response may free rate for the groups containing this server.
@@ -864,6 +877,80 @@ mod tests {
         assert!(attr.joined > 0);
         assert!(attr.mean_regret.is_nan(), "oracle exposes no score view");
         assert!(attr.mean_queue_regret.is_finite(), "but pending is known");
+    }
+
+    /// Run `cfg` on a bare runner so the record tables can be inspected
+    /// afterwards: `(request slots, send slots, result)`.
+    fn run_keeping_tables(cfg: SimConfig, recorder: Option<Recorder>) -> (usize, usize, RunResult) {
+        let runner = ScenarioRunner::new(cfg.seed).with_warmup(cfg.warmup_requests);
+        let mut scenario = SimScenario::new(cfg.clone());
+        scenario.recorder = recorder;
+        let (metrics, stats) = runner.run(&mut scenario, cfg.servers, cfg.load_window);
+        let (requests, sends) = (scenario.requests.slot_count(), scenario.sends.slot_count());
+        (requests, sends, scenario.into_result(metrics, stats))
+    }
+
+    /// C3 starved of sending rate: requests queue in the clients' backlogs
+    /// (holding their records, with no send open) until the rate recovers.
+    fn backlogging_cfg() -> SimConfig {
+        let mut cfg = small_cfg(Strategy::c3());
+        cfg.c3.initial_rate = 1.0;
+        cfg
+    }
+
+    #[test]
+    fn record_tables_hold_what_is_in_flight_not_what_was_issued() {
+        // Read repair is on in both (10% of requests keep their record
+        // alive past completion, until the straggler responses arrive).
+        for (cfg, backlogs) in [
+            (small_cfg(Strategy::lor()), false),
+            (backlogging_cfg(), true),
+        ] {
+            let cfg = SimConfig {
+                total_requests: 50_000,
+                ..cfg
+            };
+            let (request_slots, send_slots, res) = run_keeping_tables(cfg, None);
+            assert_eq!(res.completed, 50_000);
+            assert_eq!(res.backpressure_activations > 0, backlogs);
+            assert!(
+                request_slots <= 2_000 && send_slots <= 2_000,
+                "{request_slots} request / {send_slots} send slots for 50k requests"
+            );
+        }
+    }
+
+    #[test]
+    fn trace_ids_are_issue_indices_not_recycled_keys() {
+        let cfg = SimConfig {
+            total_requests: 8_000,
+            warmup_requests: 400,
+            ..backlogging_cfg()
+        };
+        let (request_slots, _, res) = run_keeping_tables(cfg, Some(Recorder::new(8 * 8_000)));
+        assert!(request_slots < 2_000, "keys must have been recycled");
+        let rec = res.recorder.expect("recorder rides along");
+        assert_eq!(rec.dropped(), 0);
+        let issued = rec
+            .events()
+            .filter(|e| matches!(e.point, TracePoint::Issue))
+            .map(|e| e.request);
+        assert!(issued.eq(0..8_000), "one Issue per request, in issue order");
+        assert!(rec.events().all(|e| e.request < 8_000));
+        let attr = c3_telemetry::attribute_tail(rec.events(), "sim", "C3", 0.99);
+        assert_eq!(attr.joined as u64, res.latency.count());
+    }
+
+    #[test]
+    fn request_send_and_event_records_stay_compact() {
+        // The response path copies the send record out of its table and
+        // updates the request record in place: one cache line each.
+        assert!(std::mem::size_of::<RequestState>() <= 64);
+        assert!(std::mem::size_of::<SendState>() <= 64);
+        // The kernel moves events by value. Pinned, not bounded: packing
+        // the ids into 32 bits (and `service_time` into the send record)
+        // measured slower, not faster (ROADMAP item 2a).
+        assert_eq!(std::mem::size_of::<Event>(), 32);
     }
 
     #[test]

@@ -1,0 +1,75 @@
+//! Regression guard for the simulated loops' memory (`peak_rss_mb` in the
+//! repo benchmark): resident growth over a run must follow what is in
+//! flight, not how many requests the run issues.
+//!
+//! The §6 simulator and the direct fleet keep request/send records in
+//! recycling `c3_engine::SlotTable`s. With grow-only tables a 400k-request
+//! §6 run grew the process by 36 MB and a 400k-op `mega-fleet` cell by
+//! 50 MB; what is left is each run's fixed footprint — kernel tiers,
+//! histograms and selectors (≈ 6 MB), plus, for the mega-fleet, 120k
+//! pending think timers and 128 selector shards × 256 servers (≈ 21 MB).
+//! Peak RSS is a property of the process, so this file holds exactly one
+//! test, and CI also runs it in release — the profile the benchmark,
+//! `scenario_sweep` and the figure bins run.
+#![cfg(target_os = "linux")]
+
+use c3::engine::Strategy;
+use c3::scenarios::{ScenarioParams, ScenarioRegistry, MEGA_FLEET};
+use c3::sim::{SimConfig, Simulation};
+
+const REQUESTS: u64 = 400_000;
+
+/// A `kB` field of `/proc/self/status`.
+fn status_kb(field: &str) -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs is mounted");
+    let line = status
+        .lines()
+        .find_map(|line| line.strip_prefix(field))
+        .unwrap_or_else(|| panic!("no {field} in /proc/self/status"));
+    line.trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse()
+        .unwrap_or_else(|_| panic!("unparsable {field}{line}"))
+}
+
+/// How far `run` pushed the resident set past where it started, in MB:
+/// `VmHWM` after minus `VmRSS` before.
+fn resident_growth_mb(run: impl FnOnce()) -> f64 {
+    // Reset the peak to the current RSS (Linux ≥ 4.0) so an earlier
+    // measurement's peak cannot stand in for this one's. Where the write
+    // is refused the bound below still holds, only less sharply.
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+    let before = status_kb("VmRSS:");
+    run();
+    status_kb("VmHWM:").saturating_sub(before) as f64 / 1024.0
+}
+
+#[test]
+fn simulated_runs_grow_by_what_is_in_flight() {
+    let sim = resident_growth_mb(|| {
+        let cfg = SimConfig {
+            total_requests: REQUESTS,
+            ..SimConfig::default()
+        };
+        assert_eq!(Simulation::new(cfg).run().completed, REQUESTS);
+    });
+    let fleet = resident_growth_mb(|| {
+        let report = ScenarioRegistry::with_defaults()
+            .run(
+                MEGA_FLEET,
+                &ScenarioParams::sized(Strategy::c3(), 1, REQUESTS),
+            )
+            .expect("stock scenario, stock strategy");
+        // Measured completions: the run less its 5% warm-up.
+        assert!(report.total_completions() >= REQUESTS * 9 / 10);
+    });
+    assert!(
+        sim < 16.0,
+        "§6 run of {REQUESTS} requests grew RSS by {sim:.1} MB"
+    );
+    assert!(
+        fleet < 32.0,
+        "mega-fleet cell of {REQUESTS} ops grew RSS by {fleet:.1} MB"
+    );
+}
