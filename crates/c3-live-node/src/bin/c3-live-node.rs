@@ -4,9 +4,9 @@
 //! Protocol with the supervisor (or an operator's shell):
 //!
 //! 1. `c3-live-node --config <path>` binds the configured address and
-//!    starts the replica (frame server, sharded store, executor pool,
-//!    disk model, fault replay — the same [`ReplicaServer`] the
-//!    in-process cluster runs).
+//!    starts the replica (frame server, sharded store, one service
+//!    thread timing `concurrency` service slots, disk model, fault
+//!    replay — the same [`ReplicaServer`] the in-process cluster runs).
 //! 2. It prints exactly one line on stdout — `<replica_id>=<addr>` with
 //!    the learned port — then nothing else. Coordinators parse that
 //!    line; operators can paste it into an address file.

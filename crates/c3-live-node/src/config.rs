@@ -27,7 +27,7 @@ use c3_net::proto::Hello;
 pub struct FleetConfig {
     /// Fleet size; each node learns it to validate its own id.
     pub replicas: usize,
-    /// Executor-pool size per replica.
+    /// Service slots per replica.
     pub concurrency: usize,
     /// Disk model service times are sampled from.
     pub disk: DiskKind,

@@ -51,8 +51,9 @@
 //! `execute` asserts at teardown that the budget came back whole.
 //!
 //! On `Backpressure` an issuer sleeps until the returned token time and
-//! retries — the live analogue of the simulators' backlog queues — and
-//! the waiting time lands in the recorded latency, as it does in the sim.
+//! retries, and the waiting time lands in the recorded latency. That is
+//! *not* Algorithm 1's backlog: a sleeping issuer also delays every
+//! arrival queued behind it (ROADMAP item 1).
 
 use std::collections::HashSet;
 use std::io::{self, Write};
@@ -67,6 +68,7 @@ use c3_core::{
     SharedC3State, WallClock,
 };
 use c3_engine::{SeedSeq, SelectorCtx, StrategyRegistry};
+use c3_metrics::LogHistogram;
 use c3_net::proto::{encode_request, Frame, Request};
 use c3_telemetry::Recorder;
 use c3_workload::{PoissonArrivals, ScrambledZipfian};
@@ -109,15 +111,47 @@ struct ExpectedHello {
     digest: u64,
 }
 
-/// One completed operation, as the metrics replay sees it.
+/// One completed operation, as the metrics replay sees it. A run keeps
+/// one of these per operation, so it is kept to 24 bytes.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Sample {
-    pub issue_index: u64,
-    /// `true` = GET (read channel), `false` = PUT (update channel).
-    pub is_read: bool,
     pub completed_at: Nanos,
     pub latency: Nanos,
-    pub replica: usize,
+    pub replica: u32,
+    /// `true` = GET (read channel), `false` = PUT (update channel).
+    pub is_read: bool,
+    /// Issued after the warm-up.
+    pub measured: bool,
+}
+
+/// One thread's share of a client-health channel. Every sample lands in
+/// the fixed-size histogram the report's summary is read from; the series
+/// bound for the flight recorder keeps the first sample of each
+/// millisecond, so neither grows with the run's operation count.
+#[derive(Default)]
+pub(crate) struct HealthGauge {
+    pub hist: LogHistogram,
+    pub series: Vec<(Nanos, u64)>,
+}
+
+impl HealthGauge {
+    fn record(&mut self, at: Nanos, value: u64) {
+        const MILLI: u64 = 1_000_000;
+        self.hist.record(value);
+        let ms = at.as_nanos() / MILLI;
+        if self
+            .series
+            .last()
+            .is_none_or(|&(last, _)| last.as_nanos() / MILLI != ms)
+        {
+            self.series.push((at, value));
+        }
+    }
+
+    fn merge(&mut self, mut other: HealthGauge) {
+        self.hist.merge(&other.hist);
+        self.series.append(&mut other.series);
+    }
 }
 
 /// Everything a live run produces besides the uniform report.
@@ -129,13 +163,18 @@ pub(crate) struct ClientArtifacts {
     pub lifecycle: LifecycleCounts,
     /// Connections redialed after a mid-run death.
     pub reconnects: u64,
+    /// In-flight count sampled at every issue (a budget pinned at its
+    /// ceiling means the client, not the servers, was the bottleneck):
+    /// every sample, merged over the issuers.
+    pub inflight: LogHistogram,
+    /// Nanos a reader spent folding one read completion into selector
+    /// state: every sample, merged over the readers.
+    pub feedback_lag: LogHistogram,
     /// The flight recorder the run's sampling paths drain into: the C3
-    /// per-replica score trace, plus the client-health gauge series —
-    /// `"inflight"` (in-flight count sampled at every issue; a budget
-    /// pinned at its ceiling means the client, not the servers, was the
-    /// bottleneck) and `"feedback-lag"` (nanos a reader spent folding one
-    /// read completion into selector state). Threads keep their own
-    /// buffers on the hot path and pour them in at teardown.
+    /// per-replica score trace, plus the two client-health channels above
+    /// as gauge series thinned to one point per millisecond per thread.
+    /// Threads keep their own buffers on the hot path and pour them in at
+    /// teardown.
     pub recorder: Recorder,
 }
 
@@ -155,7 +194,8 @@ struct OpToken {
 /// fresh entries under fresh wire ids, all pointing at the same op.
 #[derive(Clone)]
 struct Pending {
-    issue_index: u64,
+    /// Issued after the warm-up: its sample counts in the report.
+    measured: bool,
     is_read: bool,
     /// Latency epoch: intended arrival under open loop, issue time
     /// closed-loop. Retries inherit it — a rescued op pays for every
@@ -183,7 +223,7 @@ struct Pending {
 /// A fresh wire attempt of the same op.
 fn reissue(p: &Pending, target: usize, sent_at: Nanos, attempt: u32, is_hedge: bool) -> Pending {
     Pending {
-        issue_index: p.issue_index,
+        measured: p.measured,
         is_read: p.is_read,
         created: p.created,
         sent_at,
@@ -407,7 +447,7 @@ fn build_selector(cfg: &LiveConfig, registry: &StrategyRegistry) -> LiveSelector
 #[derive(Default)]
 struct ReaderOut {
     samples: Vec<Sample>,
-    feedback_lag: Vec<(Nanos, u64)>,
+    feedback_lag: HealthGauge,
     /// Ops whose hedge answered before the original.
     hedge_wins: u64,
     /// Responses that lifted a standing eviction.
@@ -628,11 +668,11 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
         })
         .collect();
 
-    let mut occupancy = Vec::new();
+    let mut occupancy = HealthGauge::default();
     let mut issuer_err = None;
     for issuer in issuers {
         match issuer.join().expect("issuer panicked") {
-            Ok(mut occ) => occupancy.append(&mut occ),
+            Ok(occ) => occupancy.merge(occ),
             Err(e) => issuer_err = issuer_err.or(Some(e)),
         }
     }
@@ -651,14 +691,16 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
         None => LifecycleCounts::default(),
     };
     let mut reconnects = 0;
+    // One allocation for the merged samples: every completion was issued.
     let mut samples = Vec::new();
-    let mut feedback_lag = Vec::new();
+    samples.reserve_exact(issued.load(Ordering::Acquire) as usize);
+    let mut feedback_lag = HealthGauge::default();
     let mut supervisor_err = None;
     for handle in supervisors {
         match handle.join().expect("connection supervisor panicked") {
             Ok(mut out) => {
                 samples.append(&mut out.samples);
-                feedback_lag.append(&mut out.feedback_lag);
+                feedback_lag.merge(out.feedback_lag);
                 lifecycle.hedge_wins += out.hedge_wins;
                 lifecycle.reinstates += out.reinstates;
                 reconnects += out.reconnects;
@@ -697,9 +739,9 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
 
     // Replay order must be completion order for the metrics' first/last
     // window; wall timestamps from different threads share one origin.
-    samples.sort_by_key(|s| (s.completed_at, s.issue_index));
-    occupancy.sort_by_key(|&(at, _)| at);
-    feedback_lag.sort_by_key(|&(at, _)| at);
+    samples.sort_unstable_by_key(|s| s.completed_at);
+    occupancy.series.sort_unstable_by_key(|&(at, _)| at);
+    feedback_lag.series.sort_unstable_by_key(|&(at, _)| at);
     let selector = Arc::try_unwrap(selector)
         .map_err(|_| "selector still shared")
         .expect("all workers joined");
@@ -711,10 +753,12 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
     for (at, scores) in score_trace {
         recorder.push_scores(at, scores);
     }
-    recorder.gauge_extend(crate::scenario::HEALTH_INFLIGHT, &occupancy);
-    recorder.gauge_extend(crate::scenario::HEALTH_FEEDBACK_LAG, &feedback_lag);
+    recorder.gauge_extend(crate::scenario::HEALTH_INFLIGHT, &occupancy.series);
+    recorder.gauge_extend(crate::scenario::HEALTH_FEEDBACK_LAG, &feedback_lag.series);
     Ok(ClientArtifacts {
         samples,
+        inflight: occupancy.hist,
+        feedback_lag: feedback_lag.hist,
         backpressure_waits,
         issued: issued.load(Ordering::Acquire),
         lifecycle,
@@ -740,7 +784,7 @@ fn issuer_loop(
     budget: &InFlightBudget,
     detector: Option<&FailureDetector>,
     keys: ScrambledZipfian,
-) -> io::Result<Vec<(Nanos, u64)>> {
+) -> io::Result<HealthGauge> {
     let deadline: Nanos = Nanos::from(cfg.run_for);
     let wall_deadline = Instant::now() + cfg.run_for.saturating_sub(clock.now().into());
     let mut rng = SmallRng::seed_from_u64(SeedSeq::new(cfg.seed).thread_seed(w as u64));
@@ -755,7 +799,7 @@ fn issuer_loop(
         .map(|rate| PoissonArrivals::new(rate / cfg.threads as f64));
     let mut next_arrival = Nanos::ZERO;
 
-    let mut occupancy = Vec::new();
+    let mut occupancy = HealthGauge::default();
     let mut scratch = Vec::new();
     let mut next_id = (w as u64) << 48;
     loop {
@@ -777,7 +821,7 @@ fn issuer_loop(
             budget.release();
             break;
         }
-        occupancy.push((clock.now(), budget.in_flight() as u64));
+        occupancy.record(clock.now(), budget.in_flight() as u64);
         let key = keys.sample(&mut rng);
         let group = cfg.group_of(key);
         let shard = group[0];
@@ -825,7 +869,7 @@ fn issuer_loop(
         let conn = (id as usize) % cfg.connections;
         let sent_at = clock.now();
         let pending = Pending {
-            issue_index,
+            measured: issue_index >= cfg.warmup_ops,
             is_read,
             created,
             sent_at,
@@ -1388,7 +1432,7 @@ fn read_responses(
             selector.complete_read(entry.replica, entry.shard, &info, now);
             let updated = clock.now();
             out.feedback_lag
-                .push((updated, updated.saturating_sub(now).as_nanos()));
+                .record(updated, updated.saturating_sub(now).as_nanos());
         }
         // The op token race: only the first responder (across the
         // original, its retries, and its hedge) samples and releases.
@@ -1397,11 +1441,11 @@ fn read_responses(
         if !entry.op.done.swap(true, Ordering::AcqRel) {
             out.hedge_wins += u64::from(entry.is_hedge);
             out.samples.push(Sample {
-                issue_index: entry.issue_index,
-                is_read: entry.is_read,
                 completed_at: now,
                 latency: now.saturating_sub(entry.created),
-                replica: entry.replica,
+                replica: entry.replica as u32,
+                is_read: entry.is_read,
+                measured: entry.measured,
             });
             budget.release();
         }
@@ -1416,7 +1460,7 @@ mod tests {
 
     fn write_entry(clock: WallClock, issue_index: u64) -> Pending {
         Pending {
-            issue_index,
+            measured: true,
             is_read: false,
             created: clock.now(),
             sent_at: clock.now(),
@@ -1427,6 +1471,23 @@ mod tests {
             is_hedge: false,
             op: Arc::new(OpToken::default()),
         }
+    }
+
+    /// The two per-operation costs a live run's memory is allowed: one
+    /// 24-byte sample, and nothing for the health channels.
+    #[test]
+    fn per_op_state_is_one_small_sample() {
+        assert!(std::mem::size_of::<Sample>() <= 24);
+        // 100 000 samples over 50 ms of run time: every one is counted,
+        // at most one per millisecond is kept for the recorder.
+        let mut gauge = HealthGauge::default();
+        for i in 0..100_000u64 {
+            gauge.record(Nanos(i * 500), i % 512);
+        }
+        assert_eq!(gauge.hist.count(), 100_000);
+        assert_eq!(gauge.hist.max(), 511);
+        assert!(gauge.series.len() <= 50 + 1, "{}", gauge.series.len());
+        assert_eq!(gauge.series[0], (Nanos::ZERO, 0));
     }
 
     /// Kill a connection with requests still in flight: the dying

@@ -49,7 +49,7 @@ pub struct LiveConfig {
     /// by the service-time model).
     pub value_bytes: u32,
     /// Storage model the replicas emulate (service times are sampled from
-    /// the same `DiskModel` the §5 cluster uses, then slept for real).
+    /// the same `DiskModel` the §5 cluster uses, then waited out for real).
     pub disk: DiskKind,
     /// Requests a replica executes concurrently; arrivals beyond this
     /// queue, and the queue depth rides back on every response as C3

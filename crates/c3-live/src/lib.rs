@@ -11,7 +11,7 @@
 //!   whose queue depth rides back as piggybacked feedback
 //!   (`queue_size`, `service_time`) on every `c3-net` response frame,
 //!   and service times sampled from the §5 cluster's `DiskModel` then
-//!   *actually slept*;
+//!   *actually waited out* on the replica's one service thread;
 //! - [`Slowdown`] / [`SlowdownScript`]: the injectable adversity hook —
 //!   the same `ScriptedSlowdown` windows the sim scenarios use, replayed
 //!   against wall time, so `hetero-fleet` and `partition-flux` scripts

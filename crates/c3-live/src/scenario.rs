@@ -20,10 +20,11 @@ use std::time::Duration;
 use c3_cluster::{FaultEvent, FaultKind, FaultPlan, ScriptedSlowdown, CLUSTER_CHANNELS};
 use c3_core::{LifecycleConfig, LifecycleCounts, Nanos};
 use c3_engine::{ChannelId, ChannelSet, EventQueue, RunMetrics, Scenario, ScenarioRunner};
+use c3_metrics::{LatencySummary, LogHistogram};
 use c3_scenarios::{
     ChannelReport, ScenarioError, ScenarioParams, ScenarioRegistry, ScenarioReport,
 };
-use c3_telemetry::{summarize_gauge, Recorder};
+use c3_telemetry::Recorder;
 
 use crate::client::{execute_on, live_strategy_registry, ClientArtifacts, Transport};
 use crate::config::LiveConfig;
@@ -80,10 +81,9 @@ impl Scenario for LiveScenario {
             } else {
                 UPDATE_CHANNEL
             };
-            let measured = s.issue_index >= self.cfg.warmup_ops;
-            metrics.record_completion(channel, s.completed_at, s.latency, measured);
+            metrics.record_completion(channel, s.completed_at, s.latency, s.measured);
             if s.is_read {
-                metrics.record_service(s.replica, s.completed_at);
+                metrics.record_service(s.replica as usize, s.completed_at);
             }
         }
         self.artifacts = Some(artifacts);
@@ -115,10 +115,13 @@ pub struct LiveReport {
     /// Connections redialed after a mid-run death — what only a real
     /// transport can exhibit, so it rides beside the shared ledger.
     pub reconnects: u64,
-    /// Client-health series, `ChannelReport`-shaped but deliberately
+    /// Client-health summaries, `ChannelReport`-shaped but deliberately
     /// *outside* [`LiveReport::report`]'s channels: the SLO machinery
     /// sums throughput and completions over all report channels, and
-    /// these are diagnostics, not workload.
+    /// these are diagnostics, not workload. Each is read from a
+    /// [`LogHistogram`] that saw every sample of the run, so `completions`
+    /// is the full sample count and the percentiles are histogram
+    /// quantiles (within 0.78% of the true value, exact below 128).
     ///
     /// - `"inflight"`: in-flight occupancy sampled at every issue — the
     ///   `*_ns` fields hold raw **counts**, not times. An occupancy
@@ -128,27 +131,26 @@ pub struct LiveReport {
     ///   read completion into selector state — the latency cost of the
     ///   selector's concurrency story, per update.
     pub health: Vec<ChannelReport>,
-    /// The flight recorder the run's sampling paths drained into; the
-    /// health gauge series above are summaries of its
-    /// [`HEALTH_INFLIGHT`] / [`HEALTH_FEEDBACK_LAG`] series.
+    /// The flight recorder the run's sampling paths drained into. Its
+    /// [`HEALTH_INFLIGHT`] / [`HEALTH_FEEDBACK_LAG`] gauge series are the
+    /// two channels above *thinned* to one point per millisecond per
+    /// thread — enough to plot, not what the summaries are computed from.
     pub recorder: Recorder,
 }
 
-/// Summarize a client-health gauge series from the recorder into a
-/// `ChannelReport` — exact order statistics over every sample
-/// ("throughput" = samples per second of measured run time), via the
-/// telemetry layer's one construction path.
-fn health_channel(recorder: &Recorder, name: &str, duration: Nanos) -> ChannelReport {
-    let values = recorder
-        .gauge_series(name)
-        .map(|g| g.values.as_slice())
-        .unwrap_or(&[]);
-    let gauge = summarize_gauge(values, duration.into());
+/// Summarize a client-health histogram into a `ChannelReport`
+/// ("throughput" = samples per second of measured run time).
+fn health_channel(name: &str, hist: &LogHistogram, duration: Nanos) -> ChannelReport {
+    let secs = duration.as_secs_f64();
     ChannelReport {
         name: name.to_string(),
-        completions: gauge.count,
-        throughput: gauge.throughput,
-        summary: gauge.summary,
+        completions: hist.count(),
+        throughput: if secs > 0.0 {
+            hist.count() as f64 / secs
+        } else {
+            0.0
+        },
+        summary: LatencySummary::from_histogram(hist),
     }
 }
 
@@ -199,8 +201,12 @@ pub fn run_live_on(scenario_name: &str, cfg: LiveConfig, transport: Transport) -
     let report = ScenarioReport::from_metrics(scenario_name, &strategy, seed, &metrics, &stats)
         .with_lifecycle(artifacts.lifecycle.timeouts, artifacts.lifecycle.parked);
     let health = vec![
-        health_channel(&artifacts.recorder, HEALTH_INFLIGHT, report.duration),
-        health_channel(&artifacts.recorder, HEALTH_FEEDBACK_LAG, report.duration),
+        health_channel(HEALTH_INFLIGHT, &artifacts.inflight, report.duration),
+        health_channel(
+            HEALTH_FEEDBACK_LAG,
+            &artifacts.feedback_lag,
+            report.duration,
+        ),
     ];
     LiveReport {
         report,

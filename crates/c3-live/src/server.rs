@@ -1,35 +1,51 @@
 //! The live replica fleet: N key-value servers on loopback TCP, each a
-//! `TcpListener` with a reader thread per connection feeding a bounded
-//! *executor pool*, a sharded in-memory store, and per-replica queue-size
+//! `TcpListener` with a reader thread per connection, one *service
+//! thread* that waits out every request's service time on a single
+//! timer, a sharded in-memory store, and per-replica queue-size
 //! accounting piggybacked on every response.
 //!
 //! Service times come from the same [`DiskModel`] the §5 cluster
-//! simulates — sampled, scaled by the injected [`Slowdown`] hook at the
-//! current wall time, then *actually slept* by one of the replica's
-//! `concurrency` executor threads. Arrivals beyond the executor count
-//! queue in the replica's FIFO job queue, so the `queue_size` a response
-//! carries reflects genuine contention, exactly like the simulator's
-//! `read_inflight + read_q`.
+//! simulates — sampled from the replica's seeded rng, scaled by the
+//! injected [`Slowdown`] hook at the current wall time — and the time the
+//! replica then *actually waits* before answering is that very sample,
+//! the one the response carries back in `feedback.service_time`. A
+//! replica has `concurrency` service slots: a connection reader that
+//! finds one free starts the request itself (`due = now + service`, onto
+//! the replica's completion-time heap); arrivals beyond the slot count
+//! queue in the replica's FIFO, so the `queue_size` a response carries
+//! reflects genuine contention, exactly like the simulator's
+//! `read_inflight + read_q`. The service thread sleeps toward the
+//! earliest `due`, and on waking pops *everything* that has fallen due,
+//! frees those slots, admits from the FIFO, and only then — outside the
+//! lock — touches the store and writes the answers.
 //!
-//! Because execution is decoupled from the connection that delivered the
+//! What batches, and when: completions that fall due within one wake of
+//! the service thread share that wake, and those of them bound for the
+//! same connection share one encoded buffer and one `write_all`. Under a
+//! saturating closed loop dozens of completions fall due while the
+//! previous batch is being written; at a few thousand operations per
+//! second completions are hundreds of microseconds apart, nothing
+//! batches, and each response is its own wake and its own write.
+//!
+//! Because service is decoupled from the connection that delivered the
 //! frame, responses leave in **completion order**, not arrival order — a
 //! multiplexed client can therefore keep hundreds of requests in flight
-//! on one connection and the replica interleaves them across its
-//! executors, the behavior the correlation table on the client side
-//! exists to absorb. Serial one-request-at-a-time clients observe exactly
-//! the old semantics (their next frame is only read after they saw the
-//! previous response).
+//! on one connection and the replica overlaps them across its slots, the
+//! behavior the correlation table on the client side exists to absorb.
+//! Serial one-request-at-a-time clients observe exactly the old semantics
+//! (their next frame is only read after they saw the previous response).
 
-use std::collections::{HashMap, VecDeque};
-use std::io;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use bytes::{Bytes, BytesMut};
-use c3_core::{Feedback, WallClock};
-use c3_net::proto::{encode_hello, Frame, Hello, Request, Response, Status};
+use c3_core::{Feedback, Nanos, WallClock};
+use c3_net::proto::{encode_hello, encode_response, Frame, Hello, Request, Response, Status};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -37,37 +53,93 @@ use c3_cluster::{DiskKind, DiskModel, FaultPlan};
 
 use crate::config::LiveConfig;
 use crate::slowdown::Slowdown;
-use crate::wire::{read_frame, write_response};
+use crate::wire::read_frame;
 
 /// Store shards per replica (keyed by `key % SHARDS`; coarse, but keeps
 /// writers off each other's locks).
 const SHARDS: usize = 16;
 
-/// One unit of work for a replica's executor pool: the decoded request
-/// plus the write half of the connection it arrived on (shared with that
-/// connection's other in-flight jobs, so completed responses can leave
-/// out of order but never interleave bytes).
+/// One arrived request plus the write half of the connection it came in
+/// on. Only the replica's service thread writes responses, so the half is
+/// shared without a lock and bytes of two responses can never interleave.
 struct Job {
     req: Request,
-    writer: Arc<Mutex<TcpStream>>,
+    conn: Arc<TcpStream>,
+}
+
+/// A job holding a service slot until `due`.
+struct InService {
+    due: Nanos,
+    /// Start order; breaks `due` ties so equal completions leave FIFO.
+    seq: u64,
+    /// The sampled service time the response reports.
+    service: Nanos,
+    /// Already held back by a `RespDelay` window (at most once per job).
+    delayed: bool,
+    job: Job,
+}
+
+impl InService {
+    fn key(&self) -> Reverse<(Nanos, u64)> {
+        Reverse((self.due, self.seq))
+    }
+}
+
+impl PartialEq for InService {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for InService {}
+
+impl PartialOrd for InService {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for InService {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+/// Everything the one service mutex guards.
+struct ServiceState {
+    /// Jobs in service, earliest completion on top; its length is the
+    /// number of busy slots.
+    in_service: BinaryHeap<InService>,
+    /// Arrived-but-not-started requests (the live analogue of the
+    /// simulator node's read queue). Non-empty only while every slot is
+    /// busy.
+    waiting: VecDeque<Job>,
+    next_seq: u64,
+    /// Service-time randomness, seed-derived.
+    rng: SmallRng,
+    /// The instant the service thread is sleeping toward: `Nanos::MAX`
+    /// when it waits idle, `Nanos::ZERO` while it is awake (it re-reads
+    /// the heap before it sleeps again, so nobody needs to wake it).
+    wake_at: Nanos,
+    stop: bool,
 }
 
 /// Shared state of one replica, seen by all its connection readers and
-/// executor threads.
+/// its service thread.
 struct Replica {
     id: usize,
     shards: Vec<Mutex<HashMap<u64, Bytes>>>,
-    /// Requests arrived but not yet responded (inflight + queued) — the
+    /// Requests arrived but not yet responded (in service + queued) — the
     /// `q_s` feedback C3 smooths into its queue-size estimate.
     pending: AtomicU32,
-    /// FIFO of arrived-but-not-started requests, drained by the executor
-    /// pool (the live analogue of the simulator node's read queue).
-    queue: Mutex<VecDeque<Job>>,
-    work: Condvar,
-    stop: Arc<AtomicBool>,
+    /// Service slots: how many requests wait out their service time
+    /// concurrently.
+    slots: usize,
+    service: Mutex<ServiceState>,
+    /// Wakes the service thread; always signalled after the state change
+    /// it announces was made under `service`.
+    wake: Condvar,
     model: DiskModel,
-    /// Service-time randomness, shared so the stream is seed-derived.
-    rng: Mutex<SmallRng>,
     slowdown: Arc<dyn Slowdown>,
     /// Fault timeline replayed against wall time — the second injectable
     /// adversity hook next to [`Slowdown`]: where the slowdown hook makes
@@ -88,84 +160,163 @@ impl Replica {
         &self.shards[(key % SHARDS as u64) as usize]
     }
 
-    /// A request frame arrived: it counts as pending from this moment
-    /// (matching the old slot-gate accounting, where the handler bumped
-    /// `pending` before queueing for a slot).
-    fn enqueue(&self, req: Request, writer: Arc<Mutex<TcpStream>>) {
-        self.pending.fetch_add(1, Ordering::AcqRel);
-        self.queue
-            .lock()
-            .expect("queue poisoned")
-            .push_back(Job { req, writer });
-        self.work.notify_one();
+    fn state(&self) -> MutexGuard<'_, ServiceState> {
+        self.service.lock().expect("service state poisoned")
     }
 
-    /// Executor thread: pop jobs FIFO, execute, write the response to the
-    /// job's own connection. Exits when the cluster stops (any still-
-    /// queued jobs were abandoned by the client).
-    fn executor_loop(&self) {
-        loop {
-            let job = {
-                let mut queue = self.queue.lock().expect("queue poisoned");
-                loop {
-                    if self.stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    if let Some(job) = queue.pop_front() {
-                        break job;
-                    }
-                    queue = self.work.wait(queue).expect("queue poisoned");
+    /// A request frame arrived: it counts as pending from this moment.
+    /// With a slot free the reader starts it here; otherwise it queues
+    /// and the service thread admits it when a slot frees.
+    fn enqueue(&self, req: Request, conn: Arc<TcpStream>) {
+        self.pending.fetch_add(1, Ordering::AcqRel);
+        let job = Job { req, conn };
+        let mut state = self.state();
+        if state.in_service.len() < self.slots {
+            // Wake the service thread only when this completion precedes
+            // the instant it is already sleeping (or being woken) toward.
+            let wake = match self.start(&mut state, job) {
+                Some(due) if due < state.wake_at => {
+                    state.wake_at = due;
+                    true
                 }
+                _ => false,
             };
-            // A faulted execution produces no response: the request
-            // vanished into a crash window or its response was dropped.
-            // The client's deadline reaper is what gets its permit back.
-            let Some(resp) = self.execute(job.req) else {
-                continue;
-            };
-            // The client may already be gone at teardown; a failed
-            // response write is its problem, not the replica's.
-            let mut writer = job.writer.lock().expect("writer poisoned");
-            let _ = write_response(&mut writer, &resp);
+            drop(state);
+            if wake {
+                self.wake.notify_one();
+            }
+        } else {
+            state.waiting.push_back(job);
         }
     }
 
-    /// Execute one request: sleep the sampled service time (scaled by the
-    /// slowdown hook), touch the store, and build the response with fresh
-    /// feedback. Returns `None` when the fault plan eats the request (a
-    /// crash window at execution time) or its response (`RespDrop`).
-    fn execute(&self, req: Request) -> Option<Response> {
-        let arrived = self.clock.now();
-        if self.faults.down(self.id, arrived) {
-            // A crashed replica does no work: the request vanishes
-            // without burning an executor's time.
+    /// Put `job` into a free slot: sample its service time (scaled by the
+    /// slowdown hook) and schedule its completion. Returns the completion
+    /// instant, or `None` when a crash window ate the request — a crashed
+    /// replica does no work, so the request vanishes without holding a
+    /// slot and the client's deadline reaper is what gets its permit back.
+    fn start(&self, state: &mut ServiceState, job: Job) -> Option<Nanos> {
+        let now = self.clock.now();
+        if self.faults.down(self.id, now) {
             self.pending.fetch_sub(1, Ordering::AcqRel);
             return None;
         }
-        let multiplier = self.slowdown.multiplier(self.id, arrived);
+        let multiplier = self.slowdown.multiplier(self.id, now);
+        let service = match &job.req {
+            Request::Get { .. } => {
+                self.model
+                    .sample_read(&mut state.rng, self.nominal_bytes, multiplier)
+            }
+            Request::Put { value, .. } => {
+                self.model
+                    .sample_write(&mut state.rng, value.len() as u32, multiplier)
+            }
+        };
+        let due = now + service;
+        let seq = state.next_seq;
+        state.next_seq += 1;
+        state.in_service.push(InService {
+            due,
+            seq,
+            service,
+            delayed: false,
+            job,
+        });
+        Some(due)
+    }
+
+    /// The service thread: sleep toward the earliest completion, pop
+    /// everything that has fallen due, refill the freed slots from the
+    /// FIFO, then answer the batch outside the lock. Exits when the
+    /// replica stops (jobs still in service or queued were abandoned by
+    /// the client and are dropped unanswered).
+    fn service_loop(&self) {
+        let mut done = Vec::new();
+        let mut state = self.state();
+        loop {
+            if state.stop {
+                return;
+            }
+            let now = self.clock.now();
+            while state.in_service.peek().is_some_and(|top| top.due <= now) {
+                let mut job = state.in_service.pop().expect("peeked");
+                // A `RespDelay` window holds the finished job — and its
+                // slot — back for the injected lag.
+                let extra = if job.delayed {
+                    Nanos::ZERO
+                } else {
+                    self.faults.extra_delay(self.id, now)
+                };
+                if extra > Nanos::ZERO {
+                    job.due = now + extra;
+                    job.delayed = true;
+                    state.in_service.push(job);
+                } else {
+                    done.push(job);
+                }
+            }
+            if !done.is_empty() {
+                while state.in_service.len() < self.slots {
+                    let Some(job) = state.waiting.pop_front() else {
+                        break;
+                    };
+                    self.start(&mut state, job);
+                }
+                state.wake_at = Nanos::ZERO;
+                drop(state);
+                self.respond(&mut done);
+                state = self.state();
+                continue;
+            }
+            state = match state.in_service.peek().map(|top| top.due) {
+                Some(due) => {
+                    state.wake_at = due;
+                    self.wake
+                        .wait_timeout(state, due.saturating_sub(now).into())
+                        .expect("service state poisoned")
+                        .0
+                }
+                None => {
+                    state.wake_at = Nanos::MAX;
+                    self.wake.wait(state).expect("service state poisoned")
+                }
+            };
+        }
+    }
+
+    /// Answer a batch of finished jobs: one encoded buffer and one
+    /// `write_all` per connection touched. The client may already be gone
+    /// at teardown; a failed write is its problem, not the replica's.
+    fn respond(&self, done: &mut Vec<InService>) {
+        let mut batches: Vec<(Arc<TcpStream>, BytesMut)> = Vec::new();
+        for finished in done.drain(..) {
+            let InService { service, job, .. } = finished;
+            let Some(resp) = self.finish(job.req, service) else {
+                continue;
+            };
+            let slot = match batches.iter().position(|(c, _)| Arc::ptr_eq(c, &job.conn)) {
+                Some(i) => i,
+                None => {
+                    batches.push((job.conn, BytesMut::new()));
+                    batches.len() - 1
+                }
+            };
+            encode_response(&resp, &mut batches[slot].1);
+        }
+        for (conn, out) in batches {
+            let _ = (&*conn).write_all(&out);
+        }
+    }
+
+    /// A request's service time has elapsed: touch the store and build
+    /// the response with fresh feedback. Returns `None` when the fault
+    /// plan eats the answer (the node crashed while the request was in
+    /// service, or a `RespDrop` window).
+    fn finish(&self, req: Request, service: Nanos) -> Option<Response> {
         let (id, key, put_value) = match req {
             Request::Get { id, key } => (id, key, None),
             Request::Put { id, key, value } => (id, key, Some(value)),
         };
-        let record_bytes = put_value
-            .as_ref()
-            .map(|v| v.len() as u32)
-            .unwrap_or(self.nominal_bytes);
-        let service = {
-            let mut rng = self.rng.lock().expect("rng poisoned");
-            if put_value.is_some() {
-                self.model.sample_write(&mut rng, record_bytes, multiplier)
-            } else {
-                self.model.sample_read(&mut rng, record_bytes, multiplier)
-            }
-        };
-        std::thread::sleep(service.into());
-        let after_service = self.clock.now();
-        let extra = self.faults.extra_delay(self.id, after_service);
-        if extra > c3_core::Nanos::ZERO {
-            std::thread::sleep(extra.into());
-        }
-
         let key_id = decode_key(&key);
         let (status, value) = match put_value {
             Some(value) => {
@@ -200,7 +351,7 @@ impl Replica {
             return None;
         }
         let drop_prob = self.faults.drop_prob(self.id, departing);
-        if drop_prob > 0.0 && self.rng.lock().expect("rng poisoned").gen::<f64>() < drop_prob {
+        if drop_prob > 0.0 && self.state().rng.gen::<f64>() < drop_prob {
             return None;
         }
         Some(Response {
@@ -234,7 +385,7 @@ pub struct ReplicaSpec {
     /// Replica id within the fleet (drives fault-plan matching, slowdown
     /// scripting and the seed derivation).
     pub id: usize,
-    /// Executor-pool size: how many requests are serviced concurrently.
+    /// Service slots: how many requests are serviced concurrently.
     pub concurrency: usize,
     /// Disk model the sampled service times come from.
     pub disk: DiskKind,
@@ -269,7 +420,7 @@ impl ReplicaSpec {
 }
 
 /// One running replica server: a listener, its connection handlers and
-/// executor pool, with self-contained shutdown plumbing. This is what a
+/// service thread, with self-contained shutdown plumbing. This is what a
 /// `c3-live-node` process runs exactly one of; [`LiveCluster`] runs one
 /// per replica in-process.
 pub struct ReplicaServer {
@@ -278,14 +429,14 @@ pub struct ReplicaServer {
     accept_handle: JoinHandle<()>,
     conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
     replica: Arc<Replica>,
-    executor_handles: Vec<JoinHandle<()>>,
+    service_handle: JoinHandle<()>,
 }
 
 impl ReplicaServer {
     /// Bind `bind_addr` (use port 0 for an ephemeral port — the learned
     /// port is in [`ReplicaServer::addr`]) and start the accept loop and
-    /// `spec.concurrency` executor threads. `clock` and `slowdown` are
-    /// shared so everyone agrees on the adversity timeline.
+    /// the service thread. `clock` and `slowdown` are shared so everyone
+    /// agrees on the adversity timeline.
     pub fn bind(
         spec: &ReplicaSpec,
         bind_addr: SocketAddr,
@@ -304,36 +455,41 @@ impl ReplicaServer {
             id: spec.id,
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             pending: AtomicU32::new(0),
-            queue: Mutex::new(VecDeque::new()),
-            work: Condvar::new(),
-            stop: Arc::clone(&shutdown),
+            slots: spec.concurrency,
+            service: Mutex::new(ServiceState {
+                in_service: BinaryHeap::with_capacity(spec.concurrency),
+                waiting: VecDeque::new(),
+                next_seq: 0,
+                rng: SmallRng::seed_from_u64(
+                    spec.seed ^ 0xd1b5_4a32_d192_ed03u64.wrapping_mul(spec.id as u64 + 1),
+                ),
+                wake_at: Nanos::ZERO,
+                stop: false,
+            }),
+            wake: Condvar::new(),
             model,
-            rng: Mutex::new(SmallRng::seed_from_u64(
-                spec.seed ^ 0xd1b5_4a32_d192_ed03u64.wrapping_mul(spec.id as u64 + 1),
-            )),
             slowdown,
             faults: Arc::new(spec.faults.clone()),
             clock,
             nominal_bytes: spec.value_bytes,
             hello: spec.hello,
         });
-        let mut executor_handles = Vec::with_capacity(spec.concurrency);
-        for _ in 0..spec.concurrency {
-            let replica = Arc::clone(&replica);
-            executor_handles.push(std::thread::spawn(move || replica.executor_loop()));
-        }
+        let service_replica = Arc::clone(&replica);
+        let service_handle =
+            spawn_named(spec.id, "service", move || service_replica.service_loop());
         let stop = Arc::clone(&shutdown);
         let conns = Arc::clone(&conn_handles);
         let accept_replica = Arc::clone(&replica);
-        let accept_handle =
-            std::thread::spawn(move || accept_loop(listener, accept_replica, stop, conns));
+        let accept_handle = spawn_named(spec.id, "accept", move || {
+            accept_loop(listener, accept_replica, stop, conns)
+        });
         Ok(Self {
             addr,
             shutdown,
             accept_handle,
             conn_handles,
             replica,
-            executor_handles,
+            service_handle,
         })
     }
 
@@ -356,13 +512,13 @@ impl ReplicaServer {
         for handle in handles {
             let _ = handle.join();
         }
-        // Executors park on their queue condvar; wake them so they see
-        // the stop flag (jobs still queued at this point were abandoned
-        // by the client and are dropped unexecuted).
-        self.replica.work.notify_all();
-        for handle in self.executor_handles {
-            let _ = handle.join();
-        }
+        // The service thread may be waiting idle on its condvar: flip its
+        // stop flag under the lock it waits with, then wake it (jobs still
+        // in service or queued at this point were abandoned by the client
+        // and are dropped unanswered).
+        self.replica.state().stop = true;
+        self.replica.wake.notify_one();
+        let _ = self.service_handle.join();
     }
 }
 
@@ -411,6 +567,15 @@ impl LiveCluster {
     }
 }
 
+/// Spawn one of replica `id`'s threads under a name (`r<id>-<role>`) a
+/// profiler or `/proc/<pid>/task/*/comm` shows.
+fn spawn_named(id: usize, role: &str, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(format!("r{id}-{role}"))
+        .spawn(body)
+        .expect("failed to spawn thread")
+}
+
 fn accept_loop(
     listener: TcpListener,
     replica: Arc<Replica>,
@@ -434,7 +599,7 @@ fn accept_loop(
                     continue;
                 }
                 let replica = Arc::clone(&replica);
-                let handle = std::thread::spawn(move || {
+                let handle = spawn_named(replica.id, "conn", move || {
                     let _ = serve_connection(stream, &replica);
                 });
                 conns.lock().expect("handles poisoned").push(handle);
@@ -450,19 +615,21 @@ fn accept_loop(
 }
 
 /// Serve one client connection to completion (EOF or error): read frames
-/// and hand them to the replica's executor pool. Responses are written by
-/// the executors, through the shared write half, as each job finishes —
-/// out of arrival order when the pool has more than one thread.
+/// and start them (or queue them) on the replica. Responses are written
+/// by the service thread, through the shared write half, as each job's
+/// service time elapses — out of arrival order when the replica has more
+/// than one slot.
 fn serve_connection(stream: TcpStream, replica: &Replica) -> io::Result<()> {
     stream.set_nodelay(true)?;
-    let writer = Arc::new(Mutex::new(stream.try_clone()?));
+    let writer = Arc::new(stream.try_clone()?);
     // Node processes identify themselves before anything else so a
-    // mis-wired or stale address file is caught at connect time.
+    // mis-wired or stale address file is caught at connect time. No job
+    // of this connection exists yet, so the service thread cannot be
+    // writing to it.
     if let Some(hello) = replica.hello {
-        use std::io::Write as _;
         let mut out = BytesMut::new();
         encode_hello(&hello, &mut out);
-        writer.lock().expect("writer poisoned").write_all(&out)?;
+        (&*writer).write_all(&out)?;
     }
     let mut reader = stream;
     let mut buf = BytesMut::new();
@@ -476,7 +643,8 @@ fn serve_connection(stream: TcpStream, replica: &Replica) -> io::Result<()> {
         // A crashed or resetting replica severs the connection the moment
         // a frame reaches it — mid-stream from the client's perspective,
         // which is exactly the reset the hardened client must absorb and
-        // redial. Requests already queued are eaten by `execute`.
+        // redial. Requests already queued are eaten at admission, those
+        // in service when their time is up.
         if replica.faults.down(replica.id, replica.clock.now()) {
             return Err(io::Error::new(
                 io::ErrorKind::ConnectionReset,
@@ -506,12 +674,16 @@ mod tests {
         }
     }
 
-    fn round_trip(stream: &mut TcpStream, buf: &mut BytesMut, req: Request) -> Response {
-        write_request(stream, &req).unwrap();
+    fn next_response(stream: &mut TcpStream, buf: &mut BytesMut) -> Response {
         match read_frame(stream, buf).unwrap().expect("response") {
             Frame::Response(resp) => resp,
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    fn round_trip(stream: &mut TcpStream, buf: &mut BytesMut, req: Request) -> Response {
+        write_request(stream, &req).unwrap();
+        next_response(stream, buf)
     }
 
     #[test]
@@ -771,5 +943,274 @@ mod tests {
             "4 workers on 1 slot must queue"
         );
         cluster.shutdown();
+    }
+
+    /// A replica spec whose nominal record size puts a deterministic
+    /// `service_floor_ms` (the SSD model's transfer term, 400 bytes per
+    /// µs) under every GET's sampled service time, so timing assertions
+    /// do not ride on an exponential draw.
+    fn bare_spec(id: usize, concurrency: usize, service_floor_ms: u32) -> ReplicaSpec {
+        ReplicaSpec {
+            id,
+            concurrency,
+            disk: DiskKind::Ssd,
+            read_fraction: 1.0,
+            value_bytes: service_floor_ms * 400_000,
+            seed: 11,
+            faults: FaultPlan::none(),
+            hello: None,
+        }
+    }
+
+    fn bind_bare(spec: &ReplicaSpec, clock: WallClock) -> ReplicaServer {
+        ReplicaServer::bind(
+            spec,
+            (std::net::Ipv4Addr::LOCALHOST, 0).into(),
+            Arc::new(NoSlowdown),
+            clock,
+        )
+        .unwrap()
+    }
+
+    /// Write GETs `ids` as one buffer, so they reach the replica together.
+    fn pipeline_gets(stream: &mut TcpStream, ids: impl Iterator<Item = u64>) {
+        let mut out = BytesMut::new();
+        for id in ids {
+            c3_net::proto::encode_request(
+                &Request::Get {
+                    id,
+                    key: encode_key(id),
+                },
+                &mut out,
+            );
+        }
+        stream.write_all(&out).unwrap();
+    }
+
+    /// Three pipelined GETs against `slots` service slots: the responses
+    /// in arrival order of the wire, and how long the last one took.
+    fn three_pipelined(slots: usize) -> (Vec<Response>, Nanos) {
+        let server = bind_bare(&bare_spec(0, slots, 20), WallClock::start());
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let mut buf = BytesMut::new();
+        let started = Instant::now();
+        pipeline_gets(&mut stream, 1..=3);
+        let responses: Vec<_> = (0..3)
+            .map(|_| next_response(&mut stream, &mut buf))
+            .collect();
+        let elapsed = started.elapsed().into();
+        drop(stream);
+        server.shutdown();
+        (responses, elapsed)
+    }
+
+    #[test]
+    fn one_slot_serves_fifo_and_back_to_back() {
+        let (responses, elapsed) = three_pipelined(1);
+        let ids: Vec<u64> = responses.iter().map(|r| r.id).collect();
+        assert_eq!(ids, [1, 2, 3], "one slot answers in arrival order");
+        let sum = responses
+            .iter()
+            .fold(Nanos::ZERO, |acc, r| acc + r.feedback.service_time);
+        assert!(
+            elapsed >= sum,
+            "one slot waits the service times out one after another: {elapsed} < {sum}"
+        );
+    }
+
+    #[test]
+    fn free_slots_overlap_service_times() {
+        let (responses, elapsed) = three_pipelined(4);
+        let times = responses.iter().map(|r| r.feedback.service_time);
+        let max = times.clone().max().unwrap();
+        let sum = times.fold(Nanos::ZERO, |acc, t| acc + t);
+        assert!(elapsed >= max, "nothing answers early: {elapsed} < {max}");
+        assert!(
+            elapsed < sum,
+            "three requests in four slots overlap: {elapsed} >= {sum}"
+        );
+    }
+
+    #[test]
+    fn resp_delay_holds_the_slot() {
+        use c3_cluster::{FaultEvent, FaultKind};
+        let mut spec = bare_spec(0, 1, 0);
+        spec.faults = FaultPlan {
+            events: vec![FaultEvent {
+                node: 0,
+                kind: FaultKind::RespDelay,
+                start: Nanos::ZERO,
+                end: Nanos::from_secs(60),
+                magnitude: 40.0,
+            }],
+        };
+        let server = bind_bare(&spec, WallClock::start());
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let mut buf = BytesMut::new();
+        let started = Instant::now();
+        pipeline_gets(&mut stream, 1..=2);
+        assert_eq!(next_response(&mut stream, &mut buf).id, 1);
+        assert_eq!(next_response(&mut stream, &mut buf).id, 2);
+        let elapsed: Nanos = started.elapsed().into();
+        assert!(
+            elapsed >= Nanos::from_millis(80),
+            "the second request waits out the first's delay, then its own: {elapsed}"
+        );
+        drop(stream);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_crash_window_eats_the_queued_job_at_admission() {
+        use c3_cluster::{FaultEvent, FaultKind};
+        // One slot, ≈150 ms of service: the first request is in service
+        // and the second in the FIFO when the window opens at 100 ms; the
+        // first comes due inside it (its answer is lost), which admits the
+        // second — into a crashed replica.
+        let mut spec = bare_spec(0, 1, 150);
+        spec.faults = FaultPlan {
+            events: vec![FaultEvent {
+                node: 0,
+                kind: FaultKind::Crash,
+                start: Nanos::from_millis(100),
+                end: Nanos::from_millis(400),
+                magnitude: 0.0,
+            }],
+        };
+        let clock = WallClock::start();
+        let server = bind_bare(&spec, clock);
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        pipeline_gets(&mut stream, 1..=2);
+        assert!(
+            clock.now() < Nanos::from_millis(100),
+            "host too slow for this test's timeline"
+        );
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_millis(450)))
+            .unwrap();
+        let mut buf = BytesMut::new();
+        let err = read_frame(&mut stream, &mut buf).unwrap_err();
+        assert!(
+            matches!(
+                err.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ),
+            "neither request may ever be answered: {err:?}"
+        );
+        assert!(clock.now() >= Nanos::from_millis(400));
+
+        // Both left the accounting: a fresh request sees an empty replica.
+        let mut fresh = TcpStream::connect(server.addr()).unwrap();
+        let resp = round_trip(
+            &mut fresh,
+            &mut buf,
+            Request::Get {
+                id: 3,
+                key: encode_key(3),
+            },
+        );
+        assert_eq!(resp.id, 3);
+        assert_eq!(resp.feedback.queue_size, 0, "pending must come back");
+        drop(stream);
+        drop(fresh);
+        server.shutdown();
+    }
+
+    #[test]
+    fn batched_responses_stay_on_their_own_connection() {
+        const PER_CONN: u64 = 200;
+        let server = bind_bare(&bare_spec(0, 32, 0), WallClock::start());
+        let addr = server.addr();
+        let clients: Vec<_> = [1_000u64, 5_000]
+            .into_iter()
+            .map(|base| {
+                std::thread::spawn(move || {
+                    let mut stream = TcpStream::connect(addr).unwrap();
+                    let mut buf = BytesMut::new();
+                    pipeline_gets(&mut stream, base..base + PER_CONN);
+                    let mut ids: Vec<u64> = (0..PER_CONN)
+                        .map(|_| next_response(&mut stream, &mut buf).id)
+                        .collect();
+                    assert!(buf.is_empty(), "no stray bytes after the last frame");
+                    ids.sort_unstable();
+                    (base, ids)
+                })
+            })
+            .collect();
+        for client in clients {
+            let (base, ids) = client.join().unwrap();
+            let own: Vec<u64> = (base..base + PER_CONN).collect();
+            assert_eq!(ids, own, "each connection gets exactly its own ids");
+        }
+        server.shutdown();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_replica_runs_two_threads_whatever_its_slot_count() {
+        // Counted by name, not by the process-wide `Threads:` figure the
+        // rest of this test binary's threads move under our feet.
+        const ID: usize = 7_777;
+        let server = bind_bare(&bare_spec(ID, 32, 0), WallClock::start());
+        let roles = || {
+            let mut roles: Vec<String> = std::fs::read_dir("/proc/self/task")
+                .unwrap()
+                .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+                .filter_map(|comm| Some(comm.trim().strip_prefix("r7777-")?.to_string()))
+                .collect();
+            roles.sort();
+            roles
+        };
+        // A thread names itself as it starts: give the two we expect a
+        // moment to, then any others a moment more.
+        let patience = Instant::now() + std::time::Duration::from_secs(2);
+        while roles().len() < 2 && Instant::now() < patience {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert_eq!(roles(), ["accept", "service"], "before any connection");
+        server.shutdown();
+    }
+
+    /// Run `cycle` on its own thread and fail — rather than hang — when
+    /// it has not returned within two seconds.
+    fn within_watchdog(what: &str, cycle: impl FnOnce() + Send + 'static) {
+        let (done, finished) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            cycle();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(std::time::Duration::from_secs(2)) {
+            Ok(()) => worker.join().unwrap(),
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("{what} hung"),
+            // The cycle panicked: surface its message, not ours.
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(worker.join().unwrap_err())
+            }
+        }
+    }
+
+    #[test]
+    fn shutdown_never_misses_its_wake_up() {
+        // Idle: the service thread is (or is about to be) in its untimed
+        // wait, the one a wake-up signalled outside the lock could miss.
+        for cycle in 0..300 {
+            within_watchdog(&format!("idle shutdown, cycle {cycle}"), || {
+                bind_bare(&bare_spec(0, 1, 0), WallClock::start()).shutdown();
+            });
+        }
+        // Busy: eight requests ten seconds away from done.
+        for cycle in 0..50 {
+            within_watchdog(&format!("busy shutdown, cycle {cycle}"), || {
+                let server = bind_bare(&bare_spec(0, 8, 10_000), WallClock::start());
+                let mut stream = TcpStream::connect(server.addr()).unwrap();
+                pipeline_gets(&mut stream, 1..=8);
+                while server.replica.state().in_service.len() < 8 {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                drop(stream);
+                server.shutdown();
+            });
+        }
     }
 }

@@ -9,7 +9,7 @@ use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
 use bytes::BytesMut;
-use c3_net::proto::{decode_frame, encode_request, encode_response, Frame, Request, Response};
+use c3_net::proto::{decode_frame, encode_request, Frame, Request};
 
 /// Read one frame, blocking until it is complete. Returns `None` on a
 /// clean end-of-stream at a frame boundary; mid-frame EOF and protocol
@@ -44,13 +44,6 @@ pub fn read_frame<R: Read>(stream: &mut R, buf: &mut BytesMut) -> io::Result<Opt
 pub fn write_request(stream: &mut TcpStream, req: &Request) -> io::Result<()> {
     let mut out = BytesMut::new();
     encode_request(req, &mut out);
-    stream.write_all(&out)
-}
-
-/// Encode and send one response.
-pub fn write_response(stream: &mut TcpStream, resp: &Response) -> io::Result<()> {
-    let mut out = BytesMut::new();
-    encode_response(resp, &mut out);
     stream.write_all(&out)
 }
 

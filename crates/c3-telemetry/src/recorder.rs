@@ -552,7 +552,7 @@ impl Recorder {
     }
 
     /// Bulk-append values to a named gauge series (the live client pours
-    /// its per-thread sample vectors through here at teardown).
+    /// its per-thread, per-millisecond series through here at teardown).
     pub fn gauge_extend(&mut self, name: &str, values: &[(Nanos, u64)]) {
         for &(at, v) in values {
             self.gauge(name, at, v);
@@ -590,8 +590,7 @@ pub struct GaugeSummary {
     pub summary: LatencySummary,
 }
 
-/// Summarize a gauge series exactly (every sample, order statistics) —
-/// the one construction path for live health channels.
+/// Summarize a gauge series exactly (every sample, order statistics).
 pub fn summarize_gauge(values: &[(Nanos, u64)], duration: Duration) -> GaugeSummary {
     let mut reservoir = ExactReservoir::new();
     for &(_, v) in values {
