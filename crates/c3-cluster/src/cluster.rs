@@ -21,13 +21,31 @@
 //! strategies (the C3 family, RR) park reads in per-group backlog queues;
 //! Dynamic Snitching receives its gossip/recompute ticks through the
 //! selector's `as_any_mut` hook (see [`SnitchSelector::of`]).
+//!
+//! **Record lifetimes.** Operation and send records live in recycling
+//! [`SlotTable`]s, so a run's memory follows what is in flight, not its
+//! length. A send has one terminal event, where its record is freed: its
+//! response handled at the coordinator, or the fault plan destroying it
+//! (the request at a down replica, the response at a down or lossy one).
+//! An operation has none — a parked op may still hold a speculative check
+//! and straggling sends, a completed one may still wait in a backlog, and
+//! write acks, read-repair and hedge losers arrive after completion — so
+//! one predicate, `release_op`, frees it once nothing can name it: it is
+//! terminal (its `ClientReceive` handled, or parked), no send of it is
+//! open, none of its timers is armed and no backlog holds it. Every place
+//! one of those names disappears calls it. A freed key's slot is reused
+//! at once and release builds check no generations, so nothing is read
+//! through a send key the op merely remembers: the latest primary's node
+//! is copied into the op at `forward`, the primary and hedge keys are
+//! cleared when those sends are freed, and warm-up and the flight
+//! recorder name an op by its issue index, never by its key.
 
 use c3_core::{
     FailureDetector, Feedback, LifecycleCounts, Nanos, ReplicaSelector, Selection, ServerId,
 };
 use c3_engine::{
     BackpressureFront, ChannelId, ChannelSet, EngineStats, EventQueue, RunMetrics, Scenario,
-    ScenarioRunner, SeedSeq, SelectorCtx, StrategyRegistry, TimerId,
+    ScenarioRunner, SeedSeq, SelectorCtx, SlotKey, SlotTable, StrategyRegistry, TimerId,
 };
 use c3_metrics::{GaugeSeries, LogHistogram, WindowedCounts};
 use c3_telemetry::{Recorder, TracePoint};
@@ -41,8 +59,10 @@ use crate::ring::Ring;
 use crate::snitch::{SnitchConfig, SnitchSelector};
 use crate::storage::DiskModel;
 
-type OpId = u64;
-type SendId = u64;
+/// Key of an [`OpState`] while the operation is reachable.
+type OpId = SlotKey;
+/// Key of a [`SendState`] while the send is in flight.
+type SendId = SlotKey;
 
 /// The cluster's named latency channels (declared in this order by
 /// `Scenario::channels`).
@@ -53,9 +73,9 @@ const UPDATE_CHANNEL: ChannelId = ChannelId::new(1);
 pub const CLUSTER_CHANNELS: [&str; 2] = ["read", "update"];
 
 /// Sentinel request id under which cluster-level failure-detector events
-/// (`Evict`/`Reinstate`) are traced; never a real operation, so the
-/// request join ignores them.
-const DETECTOR_OP: OpId = OpId::MAX;
+/// (`Evict`/`Reinstate`) are traced; never an issue index, so the request
+/// join ignores them.
+const DETECTOR_OP: u64 = u64::MAX;
 
 /// Register the cluster-only strategies (Dynamic Snitching, which needs a
 /// [`SnitchConfig`] and gossip plumbing) into an engine registry.
@@ -102,6 +122,8 @@ pub enum Ev {
     HedgeCheck { op: OpId },
 }
 
+/// Lives from `ClientIssue` until nothing can name it any more (see
+/// [`ClusterScenario::release_op`]).
 #[derive(Clone, Copy, Debug)]
 struct OpState {
     thread: u32,
@@ -111,10 +133,21 @@ struct OpState {
     group: u16,
     record_bytes: u32,
     created: Nanos,
-    /// The selected replica send that defines read latency.
-    primary_send: SendId,
+    /// Position in issue order, `0..total_ops`: the op's name for warm-up
+    /// and in the flight recorder (its table key is recycled, this is not).
+    issue: u64,
+    /// The latest selected replica send, which defines read latency;
+    /// `None` once that send's record is released.
+    primary_send: Option<SendId>,
+    /// The node of the latest primary send, copied at `forward`: that
+    /// send's record may be gone by the time a deadline, retry, hedge or
+    /// speculative check asks which replica was tried. Meaningful once
+    /// the first primary send went out.
+    primary_node: u16,
     read_repair: bool,
     completed: bool,
+    /// The op's `ClientReceive` was handled.
+    received: bool,
     spec_sent: bool,
     /// The pending speculative-retry check timer, cancelled on completion
     /// so no dead `SpecCheck` events survive on the hot path.
@@ -124,15 +157,40 @@ struct OpState {
     /// The operation was abandoned: deadline and retry budget spent. A
     /// parked op never completes but still counts toward run termination.
     parked: bool,
-    /// The hedged duplicate's send; `SendId::MAX` while un-hedged.
-    hedge_send: SendId,
+    /// The hedged duplicate's send, while its record lives.
+    hedge_send: Option<SendId>,
+    /// A hedged duplicate went out (at most one per op).
+    hedged: bool,
     /// Pending deadline *or* backoff-retry timer (mutually exclusive in
     /// time), cancelled on completion so neither fires dead.
     deadline_timer: Option<TimerId>,
     /// Pending hedge-check timer, cancelled on completion/parking.
     hedge_timer: Option<TimerId>,
+    /// Waiting in a coordinator backlog (set at `front.park`, cleared at
+    /// `front.pop`).
+    in_backlog: bool,
+    /// Spec/deadline/retry/hedge events scheduled and neither fired nor
+    /// cancelled. Counted rather than read off the handles above: a retry
+    /// re-dispatch arms a fresh speculative check over a pending one, whose
+    /// handle is overwritten but which still fires.
+    armed: u8,
+    /// Sends forwarded and not yet released.
+    open_sends: u16,
 }
 
+impl OpState {
+    /// Cancel `timer` — a pending handle taken off this op — if there is
+    /// one.
+    fn disarm(&mut self, timer: Option<TimerId>, engine: &mut EventQueue<Ev>) {
+        if let Some(timer) = timer {
+            engine.cancel(timer);
+            self.armed -= 1;
+        }
+    }
+}
+
+/// Lives from `forward` until its one terminal event (see
+/// [`ClusterScenario::release_send`]).
 #[derive(Clone, Copy, Debug)]
 struct SendState {
     op: OpId,
@@ -274,8 +332,8 @@ pub struct ClusterScenario {
     ring: Ring,
     nodes: Vec<NodeState>,
     coords: Vec<Coordinator>,
-    ops: Vec<OpState>,
-    sends: Vec<SendState>,
+    ops: SlotTable<OpState>,
+    sends: SlotTable<SendState>,
     /// Key chooser + mix per generator thread.
     threads: Vec<ThreadState>,
     /// Open-loop per-thread Poisson arrival process
@@ -418,8 +476,8 @@ impl ClusterScenario {
             nodes,
             coords,
             key_template,
-            ops: Vec::with_capacity(cfg.total_ops as usize),
-            sends: Vec::with_capacity(cfg.total_ops as usize * 2),
+            ops: SlotTable::new(),
+            sends: SlotTable::new(),
             threads,
             open_arrivals,
             records,
@@ -582,6 +640,7 @@ impl ClusterScenario {
         if self.issued >= self.cfg.total_ops {
             return;
         }
+        let issue = self.issued;
         self.issued += 1;
         // Open loop: the next arrival is scheduled now, unconditionally —
         // a slow strategy cannot slow the arrival process down, so its
@@ -602,28 +661,34 @@ impl ClusterScenario {
             self.records.sample(&mut t.rng)
         };
         let read_repair = kind == Op::Read && self.wl_rng.gen::<f64>() < self.cfg.read_repair_prob;
-        let op_id = self.ops.len() as OpId;
-        self.ops.push(OpState {
+        let op_id = self.ops.insert(OpState {
             thread: thread as u32,
             kind,
             coord: coord as u16,
             group: self.ring.group_id(key) as u16,
             record_bytes,
             created: now,
-            primary_send: SendId::MAX,
+            issue,
+            primary_send: None,
+            primary_node: 0,
             read_repair,
             completed: false,
+            received: false,
             spec_sent: false,
             spec_timer: None,
             attempts: 0,
             parked: false,
-            hedge_send: SendId::MAX,
+            hedge_send: None,
+            hedged: false,
             deadline_timer: None,
             hedge_timer: None,
+            in_backlog: false,
+            armed: 0,
+            open_sends: 0,
         });
         if kind == Op::Read {
             if let Some(rec) = &mut self.recorder {
-                rec.record(now, op_id, TracePoint::Issue);
+                rec.record(now, issue, TracePoint::Issue);
             }
         }
         engine.schedule_in(self.cfg.net_latency, Ev::CoordArrive { op: op_id });
@@ -636,8 +701,8 @@ impl ClusterScenario {
         engine: &mut EventQueue<Ev>,
         metrics: &mut RunMetrics,
     ) {
-        let op = self.ops[op_id as usize];
-        let measured = metrics.past_warmup(op_id);
+        let op = self.ops[op_id];
+        let measured = metrics.past_warmup(op.issue);
         let latency = now.saturating_sub(op.created);
         let channel = match op.kind {
             Op::Read => READ_CHANNEL,
@@ -653,7 +718,7 @@ impl ClusterScenario {
             if let Some(rec) = &mut self.recorder {
                 rec.record(
                     now,
-                    op_id,
+                    op.issue,
                     TracePoint::Complete {
                         latency_ns: latency.as_nanos(),
                     },
@@ -670,12 +735,14 @@ impl ClusterScenario {
                 },
             );
         }
+        self.ops[op_id].received = true;
+        self.release_op(op_id);
     }
 
     // ---- coordinator side ------------------------------------------------
 
     fn on_coord_arrive(&mut self, op_id: OpId, now: Nanos, engine: &mut EventQueue<Ev>) {
-        let op = self.ops[op_id as usize];
+        let op = self.ops[op_id];
         match op.kind {
             Op::Update => {
                 // Writes fan out to all replicas (CL=ONE); the ring copy
@@ -695,7 +762,7 @@ impl ClusterScenario {
     #[inline]
     fn record_decision(
         &mut self,
-        op_id: OpId,
+        issue: u64,
         coord_id: usize,
         chosen: Option<ServerId>,
         group: &[ServerId],
@@ -704,29 +771,26 @@ impl ClusterScenario {
         if let Some(rec) = &mut self.recorder {
             let nodes = &self.nodes;
             let selector = &self.coords[coord_id].selector;
-            rec.record_decision(now, op_id, chosen, group, |n| {
+            rec.record_decision(now, issue, chosen, group, |n| {
                 (selector.replica_view(n), nodes[n].read_pending())
             });
         }
     }
 
     fn dispatch_read(&mut self, op_id: OpId, now: Nanos, engine: &mut EventQueue<Ev>) {
-        let op = self.ops[op_id as usize];
+        let op = self.ops[op_id];
         let coord_id = op.coord as usize;
         let group = self.take_group(op.group as usize);
-        // Retries steer away from the replica that just timed out; the
-        // failure detector additionally drops evicted nodes.
-        let exclude = if op.attempts > 0 && op.primary_send != SendId::MAX {
-            Some(self.sends[op.primary_send as usize].node as usize)
-        } else {
-            None
-        };
+        // Retries steer away from the replica that just timed out (a
+        // deadline only runs after a primary send); the failure detector
+        // additionally drops evicted nodes.
+        let exclude = (op.attempts > 0).then_some(op.primary_node as usize);
         let mut scratch = Vec::new();
         let cand = self.candidates(coord_id, &group, exclude, now, &mut scratch);
 
         match self.coords[coord_id].selector.select(cand, now) {
             Selection::Server(primary) => {
-                self.record_decision(op_id, coord_id, Some(primary), cand, now);
+                self.record_decision(op.issue, coord_id, Some(primary), cand, now);
                 self.coords[coord_id].selector.on_send(primary, now);
                 self.forward(op_id, primary, false, true, now, engine);
                 if op.read_repair {
@@ -739,14 +803,14 @@ impl ClusterScenario {
                 }
                 if self.cfg.speculative_retry {
                     let threshold = self.spec_threshold(coord_id);
-                    let timer =
-                        engine.schedule_in_cancellable(threshold, Ev::SpecCheck { op: op_id });
-                    self.ops[op_id as usize].spec_timer = Some(timer);
+                    let timer = self.arm(op_id, threshold, Ev::SpecCheck { op: op_id }, engine);
+                    self.ops[op_id].spec_timer = Some(timer);
                 }
                 self.arm_lifecycle(op_id, engine);
             }
             Selection::Backpressure { retry_at } => {
-                self.record_decision(op_id, coord_id, None, cand, now);
+                self.record_decision(op.issue, coord_id, None, cand, now);
+                self.ops[op_id].in_backlog = true;
                 let entered_backpressure = self.coords[coord_id].front.park(
                     op.group as usize,
                     op_id,
@@ -777,22 +841,24 @@ impl ClusterScenario {
         now: Nanos,
         engine: &mut EventQueue<Ev>,
     ) -> SendId {
-        let send_id = self.sends.len() as SendId;
-        self.sends.push(SendState {
+        let send_id = self.sends.insert(SendState {
             op: op_id,
             node: node as u16,
             is_write,
             sent_at: now,
             feedback: Feedback::new(0, Nanos::ZERO),
         });
+        let op = &mut self.ops[op_id];
+        op.open_sends += 1;
         if primary {
-            self.ops[op_id as usize].primary_send = send_id;
+            op.primary_send = Some(send_id);
+            op.primary_node = node as u16;
         }
         // No Send record here: the chosen read's send is folded into the
         // `Decision` event (same timestamp), and read-repair duplicates
         // carry no decision worth tracing. Speculative retries record an
         // explicit `Send` in `on_spec_check`.
-        let coord = self.ops[op_id as usize].coord as usize;
+        let coord = op.coord as usize;
         let delay = if coord == node {
             Nanos::from_micros(20) // local read: in-process handoff
         } else {
@@ -834,37 +900,61 @@ impl ClusterScenario {
     /// hedge check. No-ops when the knobs are off.
     fn arm_lifecycle(&mut self, op_id: OpId, engine: &mut EventQueue<Ev>) {
         if let Some(d) = self.cfg.lifecycle.deadline {
-            let timer = engine.schedule_in_cancellable(d, Ev::Deadline { op: op_id });
-            self.ops[op_id as usize].deadline_timer = Some(timer);
+            let timer = self.arm(op_id, d, Ev::Deadline { op: op_id }, engine);
+            self.ops[op_id].deadline_timer = Some(timer);
         }
         if let Some(h) = self.cfg.lifecycle.hedge_after {
-            let op = &self.ops[op_id as usize];
-            if op.attempts == 0 && op.hedge_send == SendId::MAX && op.hedge_timer.is_none() {
-                let timer = engine.schedule_in_cancellable(h, Ev::HedgeCheck { op: op_id });
-                self.ops[op_id as usize].hedge_timer = Some(timer);
+            let op = &self.ops[op_id];
+            if op.attempts == 0 && !op.hedged && op.hedge_timer.is_none() {
+                let timer = self.arm(op_id, h, Ev::HedgeCheck { op: op_id }, engine);
+                self.ops[op_id].hedge_timer = Some(timer);
             }
         }
+    }
+
+    /// Schedule one of `op_id`'s cancellable timers (speculative check,
+    /// deadline, backoff retry, hedge check), counting it as armed.
+    fn arm(
+        &mut self,
+        op_id: OpId,
+        delay: Nanos,
+        event: Ev,
+        engine: &mut EventQueue<Ev>,
+    ) -> TimerId {
+        self.ops[op_id].armed += 1;
+        engine.schedule_in_cancellable(delay, event)
+    }
+
+    /// One of `op_id`'s timers fired: it is no longer armed. Returns the
+    /// op as it stands.
+    fn fired(&mut self, op_id: OpId) -> OpState {
+        let op = &mut self.ops[op_id];
+        op.armed -= 1;
+        *op
     }
 
     /// A read's deadline expired: charge the failure detector, then retry
     /// (with exponential backoff and jitter) while budget remains, else
     /// park the operation.
     fn on_deadline(&mut self, op_id: OpId, now: Nanos, engine: &mut EventQueue<Ev>) {
-        self.ops[op_id as usize].deadline_timer = None;
-        let op = self.ops[op_id as usize];
+        self.ops[op_id].deadline_timer = None;
+        let op = self.fired(op_id);
         if op.completed || op.parked {
-            // Unreachable since completion/parking cancels the timer;
-            // counted so a regression back to fire-and-filter is visible.
+            // Completion and parking cancel the timer, so this is the
+            // deadline a backlog drain armed on re-dispatching an op that
+            // completed while queued; counted so a regression back to
+            // fire-and-filter is visible.
             self.dead_lifecycle += 1;
+            self.release_op(op_id);
             return;
         }
         self.life.timeouts += 1;
-        let node = self.sends[op.primary_send as usize].node as usize;
+        let node = op.primary_node as usize;
         self.note_timeout(op.coord as usize, node, now);
         if let Some(rec) = &mut self.recorder {
             rec.record(
                 now,
-                op_id,
+                op.issue,
                 TracePoint::Timeout {
                     server: node as u32,
                 },
@@ -877,9 +967,9 @@ impl ClusterScenario {
             .retry_backoff(op.attempts.into(), || life_rng.gen_range(0.5..1.5));
         match backoff {
             Some(wait) => {
-                self.ops[op_id as usize].attempts = op.attempts + 1;
-                let timer = engine.schedule_in_cancellable(wait, Ev::RetryOp { op: op_id });
-                self.ops[op_id as usize].deadline_timer = Some(timer);
+                self.ops[op_id].attempts = op.attempts + 1;
+                let timer = self.arm(op_id, wait, Ev::RetryOp { op: op_id }, engine);
+                self.ops[op_id].deadline_timer = Some(timer);
             }
             None => self.park(op_id, engine),
         }
@@ -890,17 +980,17 @@ impl ClusterScenario {
     /// workload still runs — and `is_done` counts it as finished.
     fn park(&mut self, op_id: OpId, engine: &mut EventQueue<Ev>) {
         let thread = {
-            let op = &mut self.ops[op_id as usize];
+            let op = &mut self.ops[op_id];
             op.parked = true;
-            if let Some(timer) = op.hedge_timer.take() {
-                engine.cancel(timer);
-            }
+            let hedge = op.hedge_timer.take();
+            op.disarm(hedge, engine);
             op.thread as usize
         };
         self.life.parked += 1;
         if self.open_arrivals.is_none() {
             engine.schedule_in(Nanos::from_micros(50), Ev::ClientIssue { thread });
         }
+        self.release_op(op_id);
     }
 
     /// The backoff wait ended: re-dispatch through the normal selection
@@ -908,10 +998,11 @@ impl ClusterScenario {
     /// (see `dispatch_read`) and the fresh primary send supersedes the
     /// abandoned one.
     fn on_retry_op(&mut self, op_id: OpId, now: Nanos, engine: &mut EventQueue<Ev>) {
-        self.ops[op_id as usize].deadline_timer = None;
-        let op = self.ops[op_id as usize];
+        self.ops[op_id].deadline_timer = None;
+        let op = self.fired(op_id);
         if op.completed || op.parked {
             self.dead_lifecycle += 1;
+            self.release_op(op_id);
             return;
         }
         self.life.retries += 1;
@@ -919,12 +1010,11 @@ impl ClusterScenario {
         // the re-dispatch emits. `server` names the replica retried away
         // from.
         if let Some(rec) = &mut self.recorder {
-            let prev = self.sends[op.primary_send as usize].node as u32;
             rec.record(
                 now,
-                op_id,
+                op.issue,
                 TracePoint::Retry {
-                    server: prev,
+                    server: op.primary_node.into(),
                     attempt: op.attempts,
                 },
             );
@@ -936,16 +1026,17 @@ impl ClusterScenario {
     /// to a second replica, RepNet-style. First response wins; the loser
     /// is discarded at the coordinator.
     fn on_hedge_check(&mut self, op_id: OpId, now: Nanos, engine: &mut EventQueue<Ev>) {
-        self.ops[op_id as usize].hedge_timer = None;
-        let op = self.ops[op_id as usize];
+        self.ops[op_id].hedge_timer = None;
+        let op = self.fired(op_id);
         if op.completed || op.parked {
             self.dead_lifecycle += 1;
+            self.release_op(op_id);
             return;
         }
-        if op.hedge_send != SendId::MAX {
+        if op.hedged {
             return;
         }
-        let tried = self.sends[op.primary_send as usize].node as usize;
+        let tried = op.primary_node as usize;
         let coord_id = op.coord as usize;
         // Prefer a replica the detector trusts; any other member failing
         // that; the tried node itself as a last resort.
@@ -970,10 +1061,13 @@ impl ClusterScenario {
         };
         self.life.hedges += 1;
         self.coords[coord_id].selector.on_send(alt, now);
-        self.ops[op_id as usize].hedge_send = self.forward(op_id, alt, false, false, now, engine);
+        let hedge = self.forward(op_id, alt, false, false, now, engine);
+        let op = &mut self.ops[op_id];
+        op.hedged = true;
+        op.hedge_send = Some(hedge);
         // `HedgeIssue` IS the duplicate's wire record — no separate `Send`.
         if let Some(rec) = &mut self.recorder {
-            rec.record(now, op_id, TracePoint::HedgeIssue { server: alt as u32 });
+            rec.record(now, op.issue, TracePoint::HedgeIssue { server: alt as u32 });
         }
     }
 
@@ -1016,21 +1110,25 @@ impl ClusterScenario {
     }
 
     fn on_spec_check(&mut self, op_id: OpId, now: Nanos, engine: &mut EventQueue<Ev>) {
-        self.ops[op_id as usize].spec_timer = None;
-        let op = self.ops[op_id as usize];
+        self.ops[op_id].spec_timer = None;
+        let op = self.fired(op_id);
         if op.completed {
-            // Unreachable since completion cancels the timer; counted so a
+            // Completion cancels the pending check, so this is a check
+            // whose handle a retry's re-dispatch overwrote; counted so a
             // regression back to fire-and-filter is visible in results.
             self.dead_spec_checks += 1;
+            self.release_op(op_id);
             return;
         }
         if op.spec_sent {
+            // Possibly a parked op's last straggling timer.
+            self.release_op(op_id);
             return;
         }
-        self.ops[op_id as usize].spec_sent = true;
+        self.ops[op_id].spec_sent = true;
         self.spec_retries += 1;
         // Reissue to a replica other than the one already tried.
-        let tried = self.sends[op.primary_send as usize].node as usize;
+        let tried = op.primary_node as usize;
         let primary = op.group as usize;
         let alt = self
             .ring
@@ -1043,19 +1141,20 @@ impl ClusterScenario {
         // tracked per-op), so the duplicate is also allowed to finish it.
         self.forward(op_id, alt, false, false, now, engine);
         if let Some(rec) = &mut self.recorder {
-            rec.record(now, op_id, TracePoint::Send { server: alt as u32 });
+            rec.record(now, op.issue, TracePoint::Send { server: alt as u32 });
         }
     }
 
     // ---- replica side ----------------------------------------------------
 
     fn on_replica_arrive(&mut self, send_id: SendId, now: Nanos, engine: &mut EventQueue<Ev>) {
-        let send = self.sends[send_id as usize];
+        let send = self.sends[send_id];
         if !self.cfg.faults.is_empty() && self.cfg.faults.down(send.node as usize, now) {
             // The replica is crashed or its transport is resetting: the
             // request vanishes. Recovery is the client's job (deadline →
             // retry/hedge/park).
             self.faults_dropped += 1;
+            self.release_send(send_id);
             return;
         }
         let node = &mut self.nodes[send.node as usize];
@@ -1065,7 +1164,7 @@ impl ClusterScenario {
                 node.write_inflight += 1;
                 let st = self.disk.sample_write(
                     &mut self.srv_rng,
-                    self.ops[send.op as usize].record_bytes,
+                    self.ops[send.op].record_bytes,
                     node.perturb.multiplier(now),
                 );
                 engine.schedule_in(
@@ -1082,7 +1181,7 @@ impl ClusterScenario {
             node.read_inflight += 1;
             let st = self.disk.sample_read(
                 &mut self.srv_rng,
-                self.ops[send.op as usize].record_bytes,
+                self.ops[send.op].record_bytes,
                 node.perturb.multiplier(now),
             );
             engine.schedule_in(
@@ -1105,7 +1204,7 @@ impl ClusterScenario {
         engine: &mut EventQueue<Ev>,
         metrics: &mut RunMetrics,
     ) {
-        let send = self.sends[send_id as usize];
+        let send = self.sends[send_id];
         let node_id = send.node as usize;
 
         if !send.is_write {
@@ -1121,7 +1220,7 @@ impl ClusterScenario {
                 node.write_inflight -= 1;
                 if let Some(next) = node.write_q.pop_front() {
                     node.write_inflight += 1;
-                    let bytes = self.ops[self.sends[next as usize].op as usize].record_bytes;
+                    let bytes = self.ops[self.sends[next].op].record_bytes;
                     let st = self.disk.sample_write(&mut self.srv_rng, bytes, mult);
                     engine.schedule_in(
                         st,
@@ -1135,7 +1234,7 @@ impl ClusterScenario {
                 node.read_inflight -= 1;
                 if let Some(next) = node.read_q.pop_front() {
                     node.read_inflight += 1;
-                    let bytes = self.ops[self.sends[next as usize].op as usize].record_bytes;
+                    let bytes = self.ops[self.sends[next].op].record_bytes;
                     let st = self.disk.sample_read(&mut self.srv_rng, bytes, mult);
                     engine.schedule_in(
                         st,
@@ -1150,9 +1249,9 @@ impl ClusterScenario {
 
         // Feedback: pending reads at this node when the response leaves.
         let pending = self.nodes[node_id].read_pending();
-        self.sends[send_id as usize].feedback = Feedback::new(pending, service_time);
+        self.sends[send_id].feedback = Feedback::new(pending, service_time);
 
-        let coord = self.ops[send.op as usize].coord as usize;
+        let coord = self.ops[send.op].coord as usize;
         let mut delay = if coord == node_id {
             Nanos::from_micros(20)
         } else {
@@ -1165,11 +1264,13 @@ impl ClusterScenario {
             // above already ran, so the replica itself keeps draining.
             if self.cfg.faults.down(node_id, now) {
                 self.faults_dropped += 1;
+                self.release_send(send_id);
                 return;
             }
             let p = self.cfg.faults.drop_prob(node_id, now);
             if p > 0.0 && self.life_rng.gen::<f64>() < p {
                 self.faults_dropped += 1;
+                self.release_send(send_id);
                 return;
             }
             delay += self.cfg.faults.extra_delay(node_id, now);
@@ -1180,8 +1281,8 @@ impl ClusterScenario {
     // ---- coordinator receives a sub-response ------------------------------
 
     fn on_coord_receive(&mut self, send_id: SendId, now: Nanos, engine: &mut EventQueue<Ev>) {
-        let send = self.sends[send_id as usize];
-        let op = self.ops[send.op as usize];
+        let send = self.sends[send_id];
+        let op = self.ops[send.op];
         let coord_id = op.coord as usize;
         let node = send.node as usize;
         let rtt = now.saturating_sub(send.sent_at);
@@ -1207,7 +1308,7 @@ impl ClusterScenario {
             if let Some(rec) = &mut self.recorder {
                 rec.record(
                     now,
-                    send.op,
+                    op.issue,
                     TracePoint::Feedback {
                         server: node as u32,
                         queue: feedback.queue_size,
@@ -1251,28 +1352,29 @@ impl ClusterScenario {
         } else {
             !op.completed
                 && !op.parked
-                && (op.primary_send == send_id || op.spec_sent || op.hedge_send == send_id)
+                && (op.primary_send == Some(send_id)
+                    || op.spec_sent
+                    || op.hedge_send == Some(send_id))
         };
         if completes {
-            self.ops[send.op as usize].completed = true;
+            let o = &mut self.ops[send.op];
+            o.completed = true;
             // Timers that can no longer act (speculative-retry check,
             // deadline or backoff retry, hedge check) are cancelled
             // instead of surfacing as dead events through the kernel.
-            if let Some(timer) = self.ops[send.op as usize].spec_timer.take() {
-                engine.cancel(timer);
+            for timer in [
+                o.spec_timer.take(),
+                o.deadline_timer.take(),
+                o.hedge_timer.take(),
+            ] {
+                o.disarm(timer, engine);
             }
-            if let Some(timer) = self.ops[send.op as usize].deadline_timer.take() {
-                engine.cancel(timer);
-            }
-            if let Some(timer) = self.ops[send.op as usize].hedge_timer.take() {
-                engine.cancel(timer);
-            }
-            if op.hedge_send == send_id {
+            if op.hedge_send == Some(send_id) {
                 self.life.hedge_wins += 1;
                 if let Some(rec) = &mut self.recorder {
                     rec.record(
                         now,
-                        send.op,
+                        op.issue,
                         TracePoint::HedgeWin {
                             server: node as u32,
                         },
@@ -1282,8 +1384,8 @@ impl ClusterScenario {
             engine.schedule_in(self.cfg.net_latency, Ev::ClientReceive { op: send.op });
         } else if op.completed
             && !send.is_write
-            && op.hedge_send != SendId::MAX
-            && (send_id == op.primary_send || send_id == op.hedge_send)
+            && op.hedged
+            && (op.primary_send == Some(send_id) || op.hedge_send == Some(send_id))
         {
             // The losing half of a hedged pair straggling in after the
             // winner: discarded, but traced so the hedge ledger can price
@@ -1291,7 +1393,7 @@ impl ClusterScenario {
             if let Some(rec) = &mut self.recorder {
                 rec.record(
                     now,
-                    send.op,
+                    op.issue,
                     TracePoint::HedgeLoss {
                         server: node as u32,
                     },
@@ -1312,6 +1414,7 @@ impl ClusterScenario {
                 }
             }
         }
+        self.release_send(send_id);
     }
 
     fn on_retry(
@@ -1337,13 +1440,14 @@ impl ClusterScenario {
         while let Some(op_id) = self.coords[coord_id].front.peek(group_id) {
             match self.coords[coord_id].selector.select(cand, now) {
                 Selection::Server(node) => {
-                    self.record_decision(op_id, coord_id, Some(node), cand, now);
+                    self.record_decision(self.ops[op_id].issue, coord_id, Some(node), cand, now);
                     let coord = &mut self.coords[coord_id];
                     coord.front.pop(group_id);
                     coord.selector.on_send(node, now);
+                    self.ops[op_id].in_backlog = false;
                     self.forward(op_id, node, false, true, now, engine);
                     self.arm_lifecycle(op_id, engine);
-                    let op = self.ops[op_id as usize];
+                    let op = self.ops[op_id];
                     if op.read_repair {
                         for &n in &group {
                             if n != node {
@@ -1362,6 +1466,37 @@ impl ClusterScenario {
             }
         }
         self.put_group(group);
+    }
+
+    // ---- record lifetimes -------------------------------------------------
+
+    /// A send's one terminal event — its response handled at the
+    /// coordinator, or the fault plan destroying the request or the
+    /// response — frees its record, clears the op's handle on it (the key
+    /// is recycled from here on) and may free the op.
+    fn release_send(&mut self, send_id: SendId) {
+        let op_id = self.sends.remove(send_id).op;
+        let op = &mut self.ops[op_id];
+        op.open_sends -= 1;
+        if op.primary_send == Some(send_id) {
+            op.primary_send = None;
+        }
+        if op.hedge_send == Some(send_id) {
+            op.hedge_send = None;
+        }
+        self.release_op(op_id);
+    }
+
+    /// Free `op_id`'s record once nothing can name it any more: it is
+    /// terminal (its `ClientReceive` was handled, or it parked), no send
+    /// of it is open, none of its timers is armed and no backlog holds it.
+    /// Called wherever one of those names disappears; the op's key is dead
+    /// once this frees it.
+    fn release_op(&mut self, op_id: OpId) {
+        let op = &self.ops[op_id];
+        if (op.received || op.parked) && op.open_sends == 0 && op.armed == 0 && !op.in_backlog {
+            self.ops.remove(op_id);
+        }
     }
 
     // ---- cluster-wide processes -------------------------------------------
@@ -2043,6 +2178,164 @@ mod tests {
             );
         }
         cfg
+    }
+
+    /// One of the four cluster-backed scenario cells as the scenario
+    /// library lowers them (`c3-scenarios` depends on this crate, so the
+    /// lowering is restated here), at `ops` operations.
+    fn scenario_cell(scenario: &str, strategy: Strategy, ops: u64) -> ClusterConfig {
+        use crate::perturb::{EpisodeSpec, PerturbationSpec, ScriptedSlowdown};
+        let mut cfg = match scenario {
+            "crash-flux" => golden_fault_cell(true, strategy),
+            "flaky-net" => golden_fault_cell(false, strategy),
+            _ => ClusterConfig {
+                keys: 1_000_000,
+                strategy,
+                ..ClusterConfig::default()
+            },
+        };
+        let dark = |node, start, end| ScriptedSlowdown {
+            node,
+            start: Nanos::from_millis(start),
+            end: Nanos::from_millis(end),
+            multiplier: 40.0,
+        };
+        match scenario {
+            "partition-flux" => {
+                let off = PerturbationSpec::none();
+                cfg.perturbations = PerturbationSpec {
+                    slowdown: EpisodeSpec {
+                        mean_interval_ms: 6_000.0,
+                        min_duration_ms: 400.0,
+                        max_duration_ms: 1_500.0,
+                        multiplier: 25.0,
+                        iowait: 0.95,
+                    },
+                    ..off
+                };
+                cfg.scripted = vec![dark(0, 500, 1_500), dark(1, 2_000, 2_800)];
+            }
+            "hetero-fleet" => {
+                cfg.scripted = (2..cfg.nodes)
+                    .step_by(3)
+                    .map(|node| ScriptedSlowdown {
+                        node,
+                        start: Nanos::ZERO,
+                        end: Nanos(u64::MAX),
+                        multiplier: 3.0,
+                    })
+                    .collect();
+            }
+            _ => {}
+        }
+        cfg.total_ops = ops;
+        cfg.warmup_ops = ops / 20;
+        cfg
+    }
+
+    /// Run `cfg` on a bare runner so the record tables can be inspected
+    /// afterwards: `(op slots, send slots, result)`.
+    fn run_keeping_tables(
+        cfg: ClusterConfig,
+        recorder: Option<Recorder>,
+    ) -> (usize, usize, ClusterResult) {
+        let runner = ScenarioRunner::new(cfg.seed).with_warmup(cfg.warmup_ops);
+        let mut scenario = ClusterScenario::new(cfg.clone());
+        scenario.recorder = recorder;
+        let (metrics, stats) = runner.run(&mut scenario, cfg.nodes, cfg.load_window);
+        let (ops, sends) = (scenario.ops.slot_count(), scenario.sends.slot_count());
+        (ops, sends, scenario.into_result(metrics, stats))
+    }
+
+    #[test]
+    fn record_tables_hold_what_is_in_flight_not_what_was_issued() {
+        for scenario in ["crash-flux", "flaky-net", "partition-flux", "hetero-fleet"] {
+            for strategy in [Strategy::c3(), Strategy::lor()] {
+                let cell = format!("{scenario} / {strategy}");
+                let cfg = scenario_cell(scenario, strategy, 50_000);
+                let (op_slots, send_slots, res) = run_keeping_tables(cfg, None);
+                assert!(
+                    res.reads_completed + res.updates_completed + res.lifecycle.parked >= 47_500,
+                    "{cell}: every measured op completes or parks"
+                );
+                assert!(
+                    op_slots <= 2_000 && send_slots <= 2_000,
+                    "{cell}: {op_slots} op / {send_slots} send slots for 50k ops"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn speculative_retry_under_faults_frees_no_record_early() {
+        // Every way an op outlives its terminal event happens here: parked
+        // ops keep speculative checks (a retry's re-dispatch re-arms one
+        // over a pending one) and straggling sends; C3 starved of rate
+        // backlogs retries, some of which complete — and reach their
+        // client — while still queued, to be re-dispatched on the drain.
+        // The debug build's generation checks fail on any record freed
+        // while still named; the counters are the grow-only tables' (the
+        // parent commit's), so recycling changed nothing the run does.
+        let mut cfg = golden_fault_cell(true, Strategy::c3());
+        cfg.total_ops = 20_000;
+        cfg.warmup_ops = 1_000;
+        cfg.speculative_retry = true;
+        cfg.c3.initial_rate = 1.0;
+        cfg.c3.smax = 0.5;
+        let res = Cluster::new(cfg).run();
+        assert_eq!(res.speculative_retries, 572);
+        assert_eq!(
+            res.lifecycle,
+            LifecycleCounts {
+                timeouts: 4_225,
+                retries: 3_467,
+                parked: 152,
+                hedges: 3_504,
+                hedge_wins: 1_570,
+                evictions: 253,
+                reinstates: 253,
+            }
+        );
+        assert_eq!(res.faults_dropped, 534);
+        assert_eq!(res.events_processed, 175_874);
+        assert_eq!(res.events_cancelled, 52_918);
+        // Dead speculative checks are the overwritten ones; the dead
+        // deadlines were armed on re-dispatching an already-complete op.
+        assert_eq!(
+            (res.dead_spec_checks, res.dead_retries, res.dead_lifecycle),
+            (2_558, 0, 4)
+        );
+    }
+
+    #[test]
+    fn trace_ids_are_issue_indices_not_recycled_keys() {
+        let mut cfg = golden_fault_cell(true, Strategy::c3());
+        cfg.total_ops = 20_000;
+        cfg.warmup_ops = 1_000;
+        // Every op a read, so every op traces an `Issue`.
+        cfg.mix = WorkloadMix::read_only();
+        let (op_slots, _, res) = run_keeping_tables(cfg, Some(Recorder::new(12 * 20_000)));
+        assert!(op_slots < 2_000, "keys must have been recycled");
+        let rec = res.recorder.expect("recorder rides along");
+        assert_eq!(rec.dropped(), 0);
+        let issued = rec
+            .events()
+            .filter(|e| matches!(e.point, TracePoint::Issue))
+            .map(|e| e.request);
+        assert!(issued.eq(0..20_000), "one Issue per op, in issue order");
+        assert!(rec
+            .events()
+            .all(|e| e.request < 20_000 || e.request == DETECTOR_OP));
+        let attr = c3_telemetry::attribute_tail(rec.events(), "crash-flux", "C3", 0.99);
+        assert_eq!(attr.joined as u64, res.reads_completed);
+    }
+
+    #[test]
+    fn op_send_and_event_records_stay_compact() {
+        assert!(std::mem::size_of::<OpState>() <= 160);
+        assert!(std::mem::size_of::<SendState>() <= 64);
+        // Slot keys are eight bytes like the `u64` ids they replaced.
+        assert_eq!(std::mem::size_of::<Ev>(), 24);
     }
 
     #[test]

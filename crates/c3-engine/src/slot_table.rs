@@ -20,11 +20,6 @@
 //! [`crate::TimerId`] is *legitimate* (cancelling a timer that already
 //! fired) and must be detected in release builds, a cost the request
 //! path must not carry; sharing code would mean branching on the caller.
-//!
-//! `c3-cluster`'s operation tables stay grow-only for now: an operation
-//! there has no single terminal event yet (hedge tombstones, sends
-//! dropped at crashed nodes — ROADMAP item 3), and its page-fault share
-//! of host time is under 1%.
 
 use std::ops::{Index, IndexMut};
 

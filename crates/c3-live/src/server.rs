@@ -503,7 +503,20 @@ impl ReplicaServer {
     /// server threads. Callers must have closed their client connections
     /// first (handlers exit on EOF).
     pub fn shutdown(self) {
+        self.signal_stop();
+        self.join();
+    }
+
+    /// The first half of [`ReplicaServer::shutdown`]: tell the accept loop
+    /// to stop. Split out so a fleet signals every replica before waiting
+    /// out any one's poll interval.
+    fn signal_stop(&self) {
         self.shutdown.store(true, Ordering::Release);
+    }
+
+    /// The second half of [`ReplicaServer::shutdown`]: join every server
+    /// thread.
+    fn join(self) {
         // The accept loop polls nonblockingly, so the flag alone is
         // guaranteed to stop it within one poll interval — no wake-up
         // connection whose failure could leave a thread parked forever.
@@ -560,9 +573,14 @@ impl LiveCluster {
     }
 
     /// Shut every replica server down (see [`ReplicaServer::shutdown`]).
+    /// Every replica is signalled before any is joined, so their accept
+    /// loops' poll intervals elapse together, not one after another.
     pub fn shutdown(self) {
+        for server in &self.servers {
+            server.signal_stop();
+        }
         for server in self.servers {
-            server.shutdown();
+            server.join();
         }
     }
 }

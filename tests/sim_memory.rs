@@ -2,20 +2,24 @@
 //! repo benchmark): resident growth over a run must follow what is in
 //! flight, not how many requests the run issues.
 //!
-//! The §6 simulator and the direct fleet keep request/send records in
-//! recycling `c3_engine::SlotTable`s. With grow-only tables a 400k-request
-//! §6 run grew the process by 36 MB and a 400k-op `mega-fleet` cell by
-//! 50 MB; what is left is each run's fixed footprint — kernel tiers,
-//! histograms and selectors (≈ 6 MB), plus, for the mega-fleet, 120k
-//! pending think timers and 128 selector shards × 256 servers (≈ 21 MB).
+//! The §6 simulator, the direct fleet and the §5 cluster keep their
+//! request/send records in recycling `c3_engine::SlotTable`s. With
+//! grow-only tables a 400k-request §6 run grew the process by 36 MB, a
+//! 400k-op `mega-fleet` cell by 50 MB and a recorded 400k-op `crash-flux`
+//! cell (the `cluster-faults-recorded` shape) by ≈ 76 MB; what is left is
+//! each run's fixed footprint — kernel tiers, histograms and selectors
+//! (≈ 6 MB), plus, for the mega-fleet, 120k pending think timers and 128
+//! selector shards × 256 servers (≈ 21 MB), and, for the exact-latency
+//! cluster cell, one 8-byte reservoir sample per measured op (≈ 3 MB).
 //! Peak RSS is a property of the process, so this file holds exactly one
 //! test, and CI also runs it in release — the profile the benchmark,
 //! `scenario_sweep` and the figure bins run.
 #![cfg(target_os = "linux")]
 
 use c3::engine::Strategy;
-use c3::scenarios::{ScenarioParams, ScenarioRegistry, MEGA_FLEET};
+use c3::scenarios::{RunTuning, ScenarioParams, ScenarioRegistry, CRASH_FLUX, MEGA_FLEET};
 use c3::sim::{SimConfig, Simulation};
+use c3::telemetry::Recorder;
 
 const REQUESTS: u64 = 400_000;
 
@@ -47,6 +51,20 @@ fn resident_growth_mb(run: impl FnOnce()) -> f64 {
 
 #[test]
 fn simulated_runs_grow_by_what_is_in_flight() {
+    // This cell runs first: heap an earlier cell freed but kept resident
+    // (the mega-fleet's) absorbed all of its growth unseen.
+    let cluster = resident_growth_mb(|| {
+        let tuning = RunTuning {
+            exact_latency: true,
+            ..RunTuning::default()
+        };
+        let params = ScenarioParams::tuned(Strategy::c3(), 1, REQUESTS, tuning);
+        let (report, _recorder) = ScenarioRegistry::with_defaults()
+            .run_recorded(CRASH_FLUX, &params, Recorder::with_default_capacity())
+            .expect("stock scenario, stock strategy");
+        // Less the warm-up and the reads parked after deadline + retries.
+        assert!(report.total_completions() >= REQUESTS * 9 / 10);
+    });
     let sim = resident_growth_mb(|| {
         let cfg = SimConfig {
             total_requests: REQUESTS,
@@ -71,5 +89,9 @@ fn simulated_runs_grow_by_what_is_in_flight() {
     assert!(
         fleet < 32.0,
         "mega-fleet cell of {REQUESTS} ops grew RSS by {fleet:.1} MB"
+    );
+    assert!(
+        cluster < 16.0,
+        "recorded crash-flux cell of {REQUESTS} ops grew RSS by {cluster:.1} MB"
     );
 }
