@@ -18,6 +18,21 @@
 //! the client sits near the last-known saturation rate — always spans the
 //! configured duration regardless of R₀. Past the saddle the curve grows
 //! steeply again: the *optimistic probing* region (Figure 5).
+//!
+//! Both rate comparisons carry a dead band that scales with the window's
+//! traffic: `band = max(1, (rrate − 20) / 10)` requests per δ. A server
+//! that keeps pace returns, within one window, what was sent about one
+//! response time `R` earlier, so one window's send and receive counts
+//! differ by the traffic crossing its boundary — about `R / δ` of the
+//! window's count (1.5 ms / 20 ms ≈ 7.5% on a loopback fleet). At the
+//! hundreds of receives per window a live closed loop sends to each
+//! server, a fixed one-request band reads every shift of load across a
+//! window boundary as congestion; one tenth of the count absorbs it.
+//! Below 40 receives per window the band stays under two requests, so on
+//! whole-request counts it decides exactly as a one-request band. That is
+//! every simulated cell's regime (the busiest, Figure 12's SSD cluster,
+//! peaks at 35), where a two-request excess is still worth a decrease: a
+//! band of one tenth there raises that cell's C3 p99.9 by 6%.
 
 use crate::config::C3Config;
 use crate::time::Nanos;
@@ -244,8 +259,9 @@ impl RateLimiter {
         let arate = self.meter.arate;
         let rrate = self.meter.rrate;
         let was_throttled = self.meter.was_throttled;
+        let band = DEAD_BAND.max((rrate - BAND_KNEE) * DEAD_BAND_SHARE);
 
-        if arate > rrate + DEAD_BAND
+        if arate > rrate + band
             && now.saturating_sub(self.t_increase) > self.cfg.hysteresis
             && now.saturating_sub(self.t_decrease) > self.cfg.hysteresis
         {
@@ -256,7 +272,7 @@ impl RateLimiter {
             self.t_decrease = now;
             self.anchor_offset = Nanos::ZERO;
             self.stats.decreases += 1;
-        } else if was_throttled && rrate + DEAD_BAND >= arate {
+        } else if was_throttled && rrate + band >= arate {
             // The budget was binding and the server kept pace: grow along
             // the cubic curve, at most `smax` per step.
             let dt = now.saturating_sub(self.t_decrease) + self.anchor_offset;
@@ -271,10 +287,23 @@ impl RateLimiter {
     }
 }
 
-/// Tolerance on per-window count comparisons: with only a handful of
-/// requests per δ window, off-by-one phase effects between the send and
-/// receive streams are noise, not congestion.
+/// Smallest tolerance on per-window count comparisons: with only a
+/// handful of requests per δ window, off-by-one phase effects between the
+/// send and receive streams are noise, not congestion.
 const DEAD_BAND: f64 = 1.0;
+
+/// Share of the window's receive count tolerated as phase noise. The send
+/// and receive counts of one window differ by the traffic in flight across
+/// its boundary, about `R / δ` of the count for response time `R`; one
+/// tenth bounds that while `R` stays under δ / 10 (2 ms at the default δ).
+/// A twentieth does not: at live closed-loop volume it still cut the limit
+/// 10–40 times per 1.25 s.
+const DEAD_BAND_SHARE: f64 = 0.1;
+
+/// Receives per window the share is not charged on: the band reaches two
+/// requests only at `BAND_KNEE + 2 / DEAD_BAND_SHARE` = 40 receives, so
+/// every window below that decides as under [`DEAD_BAND`] alone.
+const BAND_KNEE: f64 = 20.0;
 
 /// Per-δ-window measurement of actual traffic to one server.
 ///
@@ -645,6 +674,119 @@ mod tests {
         // Crossing the window boundary closes it out.
         assert!(rl.try_acquire(ms(20)));
         assert_eq!(rl.arate(), 4.0);
+    }
+
+    /// What one adaptation step did, read off the limiter's counters.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Step {
+        Decrease,
+        Grow,
+        Hold,
+    }
+
+    /// Run one adaptation step against a closed window of `sent` sends,
+    /// `recv` receives and `throttled` throttles, with both hysteresis
+    /// clocks long expired.
+    fn step_after_window(sent: u32, recv: u32, throttled: u32) -> Step {
+        let now = ms(1_000);
+        let mut rl = RateLimiter::new(&cfg(), Nanos::ZERO);
+        rl.t_increase = Nanos::ZERO;
+        rl.t_decrease = Nanos::ZERO;
+        rl.meter.window_start = now;
+        rl.meter.arate = f64::from(sent);
+        rl.meter.rrate = f64::from(recv);
+        rl.meter.was_throttled = throttled > 0;
+        let before = rl.stats();
+        rl.on_response(now);
+        if rl.stats().decreases > before.decreases {
+            Step::Decrease
+        } else if rl.t_increase == now {
+            Step::Grow
+        } else {
+            Step::Hold
+        }
+    }
+
+    #[test]
+    fn small_windows_decide_exactly_as_the_one_request_band() {
+        // Every simulated cell runs below 40 receives per window, where
+        // the scaled band must decide as the historical one request.
+        for recv in 0..40u32 {
+            for sent in 0..=60u32 {
+                for throttled in 0..=2u32 {
+                    let (a, r) = (f64::from(sent), f64::from(recv));
+                    let expected = if a > r + 1.0 {
+                        Step::Decrease
+                    } else if throttled > 0 && r + 1.0 >= a {
+                        Step::Grow
+                    } else {
+                        Step::Hold
+                    };
+                    assert_eq!(
+                        step_after_window(sent, recv, throttled),
+                        expected,
+                        "sent {sent}, recv {recv}, throttled {throttled}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Drive `windows` δ windows with the budget binding (twice `srate`
+    /// attempted): the server returns `recv_share(w)` of window `w`'s sends
+    /// inside the same window.
+    fn drive_shares(rl: &mut RateLimiter, windows: u64, recv_share: impl Fn(u64) -> f64) {
+        for w in 0..windows {
+            let base = w * 20;
+            let attempts = (2.0 * rl.srate()) as u64 + 2;
+            let mut sent = 0u64;
+            for i in 0..attempts {
+                if rl.try_acquire(ms(base + 1) + Nanos(i)) {
+                    sent += 1;
+                }
+            }
+            let responses = (sent as f64 * recv_share(w)).round() as u64;
+            for i in 0..responses {
+                rl.on_response(ms(base + 2) + Nanos(i * 17_000_000 / responses.max(1)));
+            }
+        }
+    }
+
+    #[test]
+    fn phase_wobble_at_volume_is_not_congestion() {
+        // 500 receives per window with ±5% send/receive wobble: a sine
+        // over eight windows, so three windows in a row return less than
+        // was sent — long enough to outlast the hysteresis, and shortfalls
+        // of 18–25 requests, far past a one-request band.
+        let c = C3Config {
+            initial_rate: 500.0,
+            ..C3Config::default()
+        };
+        let mut rl = RateLimiter::new(&c, Nanos::ZERO);
+        drive_shares(&mut rl, 100, |w| {
+            1.0 + 0.05 * (w as f64 * std::f64::consts::TAU / 8.0).sin()
+        });
+        assert_eq!(rl.stats().decreases, 0, "{:?}", rl.stats());
+        assert!(rl.srate() >= 500.0, "srate fell to {}", rl.srate());
+        assert!(rl.stats().throttled > 0, "the budget must have bound");
+    }
+
+    #[test]
+    fn a_real_shortfall_at_volume_still_decreases() {
+        // Healthy for ten windows, then three windows in which the server
+        // returns 60% of what was sent; one more window closes the last.
+        let c = C3Config {
+            initial_rate: 500.0,
+            ..C3Config::default()
+        };
+        let mut rl = RateLimiter::new(&c, Nanos::ZERO);
+        drive_shares(
+            &mut rl,
+            14,
+            |w| if (10..13).contains(&w) { 0.6 } else { 1.0 },
+        );
+        assert!(rl.stats().decreases >= 1, "{:?}", rl.stats());
+        assert!(rl.srate() < 500.0, "srate {}", rl.srate());
     }
 
     #[test]

@@ -53,7 +53,13 @@
 //! On `Backpressure` an issuer sleeps until the returned token time and
 //! retries, and the waiting time lands in the recorded latency. That is
 //! *not* Algorithm 1's backlog: a sleeping issuer also delays every
-//! arrival queued behind it (ROADMAP item 1).
+//! arrival queued behind it (ROADMAP item 1). How often the limiters cut
+//! and grew, how many sends they throttled and how long the issuers slept
+//! come back in the report beside the wait count. A closed loop sends
+//! hundreds of reads per δ window to each server; the limiter's dead band
+//! scales with that volume (`c3_core::RateLimiter`), so load shifting
+//! across a window boundary does not cut the limit to β and leave the
+//! issuers asleep on a budget the servers could have served.
 
 use std::collections::HashSet;
 use std::io::{self, Write};
@@ -64,7 +70,7 @@ use std::time::{Duration, Instant};
 use bytes::{Bytes, BytesMut};
 use c3_cluster::{register_cluster_strategies, SnitchSelector};
 use c3_core::{
-    FailureDetector, LifecycleCounts, Nanos, ReplicaSelector, ResponseInfo, Selection,
+    FailureDetector, LifecycleCounts, Nanos, RateStats, ReplicaSelector, ResponseInfo, Selection,
     SharedC3State, WallClock,
 };
 use c3_engine::{SeedSeq, SelectorCtx, StrategyRegistry};
@@ -124,6 +130,65 @@ pub(crate) struct Sample {
     pub measured: bool,
 }
 
+/// Samples per chunk of a [`SampleRun`]: 2 048 × 24 B = 48 KiB, under
+/// glibc's 128 KiB mmap threshold. A run that grew one vector by doubling
+/// would hand out multi-MB blocks, which raise the allocator's dynamic
+/// threshold and leave the memory in per-thread arenas across runs, so
+/// back-to-back runs in one process would ratchet peak RSS upward.
+const SAMPLE_CHUNK: usize = 2_048;
+
+/// One connection supervisor's completions, in completion order, held in
+/// fixed-size chunks. Its reader is the only writer, and it stamps each
+/// sample from the monotonic run clock, so `completed_at` never
+/// decreases along a run.
+#[derive(Default)]
+pub(crate) struct SampleRun {
+    chunks: Vec<Vec<Sample>>,
+}
+
+impl SampleRun {
+    fn push(&mut self, sample: Sample) {
+        debug_assert!(self
+            .chunks
+            .last()
+            .and_then(|chunk| chunk.last())
+            .is_none_or(|last| last.completed_at <= sample.completed_at));
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < SAMPLE_CHUNK => chunk.push(sample),
+            _ => {
+                let mut chunk = Vec::with_capacity(SAMPLE_CHUNK);
+                chunk.push(sample);
+                self.chunks.push(chunk);
+            }
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Sample> {
+        self.chunks.iter().flatten()
+    }
+
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
+        self.chunks.is_empty()
+    }
+}
+
+/// Every run's samples in completion order, the order the metrics'
+/// first/last window needs from the replay: a k-way merge over runs that
+/// are each already in completion order (ties go to the lower run index),
+/// so the replay needs neither a merged copy nor a sort.
+pub(crate) fn completion_order(runs: &[SampleRun]) -> impl Iterator<Item = &Sample> {
+    let mut heads: Vec<_> = runs.iter().map(|r| r.iter().peekable()).collect();
+    std::iter::from_fn(move || {
+        let (_, next) = heads
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, head)| head.peek().map(|s| (s.completed_at, i)))
+            .min()?;
+        heads[next].next()
+    })
+}
+
 /// One thread's share of a client-health channel. Every sample lands in
 /// the fixed-size histogram the report's summary is read from; the series
 /// bound for the flight recorder keeps the first sample of each
@@ -156,8 +221,15 @@ impl HealthGauge {
 
 /// Everything a live run produces besides the uniform report.
 pub(crate) struct ClientArtifacts {
-    pub samples: Vec<Sample>,
+    /// One completion-ordered run per connection supervisor; replay them
+    /// through [`completion_order`].
+    pub samples: Vec<SampleRun>,
     pub backpressure_waits: u64,
+    /// Nanos the issuers spent asleep on backpressure, summed over them.
+    pub backpressure_sleep_ns: u64,
+    /// The C3 rate limiters' counters, summed over servers (zeros for
+    /// strategies without rate control).
+    pub rate_stats: RateStats,
     pub issued: u64,
     /// The lifecycle ledger (zeros when hardening was off).
     pub lifecycle: LifecycleCounts,
@@ -281,6 +353,15 @@ enum SelectorKind {
 struct LiveSelector {
     kind: SelectorKind,
     backpressure_waits: AtomicU64,
+    backpressure_sleep_ns: AtomicU64,
+}
+
+/// What the selector hands back at teardown.
+struct SelectorParts {
+    score_trace: Vec<(Nanos, Vec<f64>)>,
+    backpressure_waits: u64,
+    backpressure_sleep_ns: u64,
+    rate_stats: RateStats,
 }
 
 impl LiveSelector {
@@ -371,13 +452,19 @@ impl LiveSelector {
         }
     }
 
-    fn into_artifact_parts(self) -> (Vec<(Nanos, Vec<f64>)>, u64) {
-        let waits = self.backpressure_waits.load(Ordering::Acquire);
-        match self.kind {
-            SelectorKind::SharedC3 { trace, .. } => {
-                (trace.into_inner().expect("trace poisoned"), waits)
-            }
-            SelectorKind::Sharded { .. } => (Vec::new(), waits),
+    fn into_artifact_parts(self) -> SelectorParts {
+        let (score_trace, rate_stats) = match self.kind {
+            SelectorKind::SharedC3 { state, trace, .. } => (
+                trace.into_inner().expect("trace poisoned"),
+                state.rate_stats(),
+            ),
+            SelectorKind::Sharded { .. } => (Vec::new(), RateStats::default()),
+        };
+        SelectorParts {
+            score_trace,
+            backpressure_waits: self.backpressure_waits.into_inner(),
+            backpressure_sleep_ns: self.backpressure_sleep_ns.into_inner(),
+            rate_stats,
         }
     }
 }
@@ -440,13 +527,14 @@ fn build_selector(cfg: &LiveConfig, registry: &StrategyRegistry) -> LiveSelector
     LiveSelector {
         kind,
         backpressure_waits: AtomicU64::new(0),
+        backpressure_sleep_ns: AtomicU64::new(0),
     }
 }
 
 /// What one connection supervisor hands back at join.
 #[derive(Default)]
 struct ReaderOut {
-    samples: Vec<Sample>,
+    samples: SampleRun,
     feedback_lag: HealthGauge,
     /// Ops whose hedge answered before the original.
     hedge_wins: u64,
@@ -691,15 +779,13 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
         None => LifecycleCounts::default(),
     };
     let mut reconnects = 0;
-    // One allocation for the merged samples: every completion was issued.
-    let mut samples = Vec::new();
-    samples.reserve_exact(issued.load(Ordering::Acquire) as usize);
+    let mut samples = Vec::with_capacity(supervisors.len());
     let mut feedback_lag = HealthGauge::default();
     let mut supervisor_err = None;
     for handle in supervisors {
         match handle.join().expect("connection supervisor panicked") {
-            Ok(mut out) => {
-                samples.append(&mut out.samples);
+            Ok(out) => {
+                samples.push(out.samples);
                 feedback_lag.merge(out.feedback_lag);
                 lifecycle.hedge_wins += out.hedge_wins;
                 lifecycle.reinstates += out.reinstates;
@@ -737,20 +823,17 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
         "in-flight permits leaked at teardown"
     );
 
-    // Replay order must be completion order for the metrics' first/last
-    // window; wall timestamps from different threads share one origin.
-    samples.sort_unstable_by_key(|s| s.completed_at);
     occupancy.series.sort_unstable_by_key(|&(at, _)| at);
     feedback_lag.series.sort_unstable_by_key(|&(at, _)| at);
     let selector = Arc::try_unwrap(selector)
         .map_err(|_| "selector still shared")
         .expect("all workers joined");
-    let (score_trace, backpressure_waits) = selector.into_artifact_parts();
+    let parts = selector.into_artifact_parts();
     // One sampling/reporting path: the per-thread buffers pour into the
     // flight recorder (capacity 0 — live runs carry series, not lifecycle
     // events), where the score trace and health gauges come back out.
     let mut recorder = Recorder::new(0);
-    for (at, scores) in score_trace {
+    for (at, scores) in parts.score_trace {
         recorder.push_scores(at, scores);
     }
     recorder.gauge_extend(crate::scenario::HEALTH_INFLIGHT, &occupancy.series);
@@ -759,7 +842,9 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
         samples,
         inflight: occupancy.hist,
         feedback_lag: feedback_lag.hist,
-        backpressure_waits,
+        backpressure_waits: parts.backpressure_waits,
+        backpressure_sleep_ns: parts.backpressure_sleep_ns,
+        rate_stats: parts.rate_stats,
         issued: issued.load(Ordering::Acquire),
         lifecycle,
         reconnects,
@@ -931,6 +1016,10 @@ fn select_read_target(
                     .max(Nanos::from_micros(100))
                     .min(Nanos::from_millis(20));
                 std::thread::sleep(wait.into());
+                let slept = clock.now().saturating_sub(now).as_nanos();
+                selector
+                    .backpressure_sleep_ns
+                    .fetch_add(slept, Ordering::Relaxed);
             }
         }
     }
@@ -1490,6 +1579,49 @@ mod tests {
         assert_eq!(gauge.series[0], (Nanos::ZERO, 0));
     }
 
+    /// The replay's k-way merge reads back exactly what the old
+    /// concatenate-and-sort produced: the same samples, completion order.
+    #[test]
+    fn merged_runs_replay_in_completion_order() {
+        let mut rng = SmallRng::seed_from_u64(9);
+        let mut runs: Vec<SampleRun> = (0..6).map(|_| SampleRun::default()).collect();
+        let mut flat = Vec::new();
+        let mut id = 0u64;
+        for (r, run) in runs.iter_mut().enumerate() {
+            // Runs of different lengths, several spanning chunk
+            // boundaries, with ties inside and across runs.
+            let mut at = 0u64;
+            for _ in 0..(r * 2_500) {
+                at += rng.gen_range(0..4u64);
+                id += 1;
+                let sample = Sample {
+                    completed_at: Nanos(at),
+                    latency: Nanos(id),
+                    replica: r as u32,
+                    is_read: !id.is_multiple_of(3),
+                    measured: !id.is_multiple_of(5),
+                };
+                run.push(sample);
+                flat.push(sample);
+            }
+        }
+        assert!(runs[5].chunks.len() > 1, "runs must cross chunk boundaries");
+        let merged: Vec<Sample> = completion_order(&runs).copied().collect();
+        assert_eq!(merged.len(), flat.len());
+        assert!(merged
+            .windows(2)
+            .all(|w| w[0].completed_at <= w[1].completed_at));
+        let key = |s: &Sample| (s.completed_at, s.latency, s.replica, s.is_read, s.measured);
+        flat.sort_unstable_by_key(|s| s.completed_at);
+        let by_time = |v: &[Sample]| v.iter().map(|s| s.completed_at).collect::<Vec<_>>();
+        assert_eq!(by_time(&merged), by_time(&flat));
+        let mut merged_keys: Vec<_> = merged.iter().map(key).collect();
+        let mut flat_keys: Vec<_> = flat.iter().map(key).collect();
+        merged_keys.sort_unstable();
+        flat_keys.sort_unstable();
+        assert_eq!(merged_keys, flat_keys);
+    }
+
     /// Kill a connection with requests still in flight: the dying
     /// supervisor must hand every parked permit back, so `drained_within`
     /// succeeds instead of issuers hanging at the budget cap against a
@@ -1620,7 +1752,7 @@ mod tests {
                 execute_on(&cfg, &Transport::InProcess).expect("hardened runs survive kills");
             assert!(artifacts.issued > 0, "seed {seed} issued nothing");
             assert!(
-                !artifacts.samples.is_empty(),
+                !artifacts.samples.iter().all(SampleRun::is_empty),
                 "seed {seed} completed nothing"
             );
             reconnects += artifacts.reconnects;

@@ -18,7 +18,7 @@
 use std::time::Duration;
 
 use c3_cluster::{FaultEvent, FaultKind, FaultPlan, ScriptedSlowdown, CLUSTER_CHANNELS};
-use c3_core::{LifecycleConfig, LifecycleCounts, Nanos};
+use c3_core::{LifecycleConfig, LifecycleCounts, Nanos, RateStats};
 use c3_engine::{ChannelId, ChannelSet, EventQueue, RunMetrics, Scenario, ScenarioRunner};
 use c3_metrics::{LatencySummary, LogHistogram};
 use c3_scenarios::{
@@ -26,7 +26,9 @@ use c3_scenarios::{
 };
 use c3_telemetry::Recorder;
 
-use crate::client::{execute_on, live_strategy_registry, ClientArtifacts, Transport};
+use crate::client::{
+    completion_order, execute_on, live_strategy_registry, ClientArtifacts, Transport,
+};
 use crate::config::LiveConfig;
 use crate::slowdown::SlowdownScript;
 
@@ -75,7 +77,7 @@ impl Scenario for LiveScenario {
         metrics: &mut RunMetrics,
     ) {
         let artifacts = execute_on(&self.cfg, &self.transport).expect("live run failed");
-        for s in &artifacts.samples {
+        for s in completion_order(&artifacts.samples) {
             let channel = if s.is_read {
                 READ_CHANNEL
             } else {
@@ -105,6 +107,11 @@ pub struct LiveReport {
     pub score_trace: Vec<(Nanos, Vec<f64>)>,
     /// Times a worker parked on `Selection::Backpressure`.
     pub backpressure_waits: u64,
+    /// Nanoseconds the issuers slept out backpressure, summed over them.
+    pub backpressure_sleep_ns: u64,
+    /// The C3 rate limiters' decreases, increases and throttled sends,
+    /// summed over servers (zeros for strategies without rate control).
+    pub rate_stats: RateStats,
     /// Operations issued (including unmeasured warm-up).
     pub ops_issued: u64,
     /// The lifecycle ledger (deadlines, retries, hedges, evictions) — the
@@ -212,6 +219,8 @@ pub fn run_live_on(scenario_name: &str, cfg: LiveConfig, transport: Transport) -
         report,
         score_trace: artifacts.recorder.take_score_trace(),
         backpressure_waits: artifacts.backpressure_waits,
+        backpressure_sleep_ns: artifacts.backpressure_sleep_ns,
+        rate_stats: artifacts.rate_stats,
         ops_issued: artifacts.issued,
         lifecycle: artifacts.lifecycle,
         reconnects: artifacts.reconnects,

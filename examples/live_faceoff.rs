@@ -46,6 +46,8 @@ fn main() {
         "p99.9 ms",
         "reads/s",
         "backpressure",
+        "bp sleep ms",
+        "rate cuts/grows/throttled",
     ]);
     let mut c3_scores = Vec::new();
     for strategy in [Strategy::c3(), Strategy::dynamic_snitching()] {
@@ -72,6 +74,11 @@ fn main() {
             format!("{:.2}", read.summary.metric_ms("p999")),
             format!("{:.0}", read.throughput),
             format!("{}", live.backpressure_waits),
+            format!("{:.1}", live.backpressure_sleep_ns as f64 / 1e6),
+            format!(
+                "{}/{}/{}",
+                live.rate_stats.decreases, live.rate_stats.increases, live.rate_stats.throttled
+            ),
         ]);
         if strategy.name() == "C3" {
             c3_scores = live.score_trace;
