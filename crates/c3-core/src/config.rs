@@ -28,7 +28,8 @@ pub struct C3Config {
     pub smax: f64,
     /// Minimum time between a rate increase and a subsequent decrease.
     pub hysteresis: Nanos,
-    /// Initial sending-rate limit per δ window before any adaptation.
+    /// The starting sending-rate limit per δ window; slow start grows it
+    /// by up to `smax` per response until the first decrease.
     pub initial_rate: f64,
     /// Floor on the sending rate so a server is never locked out entirely.
     pub min_rate: f64,

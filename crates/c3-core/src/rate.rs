@@ -11,13 +11,26 @@
 //!   decreases multiplicatively, `srate ← srate·β`;
 //! - if `srate < rrate`, the client grows along the cubic curve
 //!   `R(ΔT) = γ·(ΔT − ∛(β·R₀/γ))³ + R₀` where `ΔT` is the time since the
-//!   last decrease, capping each step at `s_max`.
+//!   last decrease, capping each step at `s_max` (before the first
+//!   decrease, slow start: below).
 //!
 //! The scaling factor γ is derived from the configured saddle duration `K`
 //! (γ = β·R₀/K³), so the curve's inflection point — the flat saddle where
 //! the client sits near the last-known saturation rate — always spans the
 //! configured duration regardless of R₀. Past the saddle the curve grows
 //! steeply again: the *optimistic probing* region (Figure 5).
+//!
+//! Until its first decrease a limiter is in *slow start*: no saturation
+//! rate has been observed, so there is no R₀ for the cubic to anchor on,
+//! and every growth step is capped only by `s_max`. The first decrease
+//! records R₀ and hands over to the cubic. Anchoring the cubic on the
+//! starting limit instead (R₀ = 50 per δ, so γ = 1e-5 per ms³) takes
+//! `50 + 1e-5·t³` ≈ 450 ms to reach the ≈ 1 000 reads per δ a loopback
+//! replica serves a closed loop — a third of a 1.25 s window spent
+//! asleep on a budget the server could have served. Slow start grows a
+//! limit only where it binds, and at the default starting limit no
+//! simulated client's does: the busiest cell (Figure 12's SSD cluster)
+//! sends at most 35 requests per δ to one server.
 //!
 //! Both rate comparisons carry a dead band that scales with the window's
 //! traffic: `band = max(1, (rrate − 20) / 10)` requests per δ. A server
@@ -37,9 +50,13 @@
 use crate::config::C3Config;
 use crate::time::Nanos;
 
-/// Operating region of the cubic growth curve (Figure 5 of the paper).
+/// Operating region of the limiter: slow start, then the regions of the
+/// cubic growth curve (Figure 5 of the paper).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RatePhase {
+    /// Before the first decrease: no saturation rate to anchor the cubic
+    /// on, so growth is capped only by `s_max` per step.
+    SlowStart,
     /// Well below the saturation rate: steep recovery growth.
     LowRate,
     /// Near the saturation rate: conservative growth.
@@ -68,13 +85,12 @@ pub struct RateLimiter {
     /// Per-window traffic measurement (sends, receives, throttles).
     meter: WindowMeter,
     cfg: RateParams,
-    /// Saturation rate `R₀`: srate at the moment of the last decrease.
-    r0: f64,
-    /// Time of the last multiplicative decrease.
+    /// Saturation rate `R₀`: srate at the moment of the last decrease;
+    /// `None` until the first one (slow start).
+    r0: Option<f64>,
+    /// Time of the last multiplicative decrease (construction time until
+    /// the first one, which keeps the hysteresis rule for it).
     t_decrease: Nanos,
-    /// Virtual extension of the elapsed-since-decrease time, non-zero only
-    /// before the first real decrease (see [`RateLimiter::new`]).
-    anchor_offset: Nanos,
     /// Time of the last rate increase.
     t_increase: Nanos,
     /// Counters for introspection.
@@ -96,7 +112,7 @@ struct RateParams {
 pub struct RateStats {
     /// Number of multiplicative decreases performed.
     pub decreases: u64,
-    /// Number of cubic increases performed.
+    /// Number of rate increases performed (slow start or cubic).
     pub increases: u64,
     /// Number of sends rejected because the window budget was exhausted.
     pub throttled: u64,
@@ -104,7 +120,7 @@ pub struct RateStats {
 
 impl RateLimiter {
     /// Create a limiter from a C3 configuration, starting at
-    /// `cfg.initial_rate` requests per δ.
+    /// `cfg.initial_rate` requests per δ in slow start.
     pub fn new(cfg: &C3Config, now: Nanos) -> Self {
         cfg.validate();
         Self {
@@ -120,14 +136,8 @@ impl RateLimiter {
             window_start: now,
             delta_ns: cfg.delta.as_nanos(),
             meter: WindowMeter::new(now),
-            r0: cfg.initial_rate,
+            r0: None,
             t_decrease: now,
-            // A fresh limiter behaves as if the last decrease happened one
-            // saddle ago: the cubic curve then evaluates to exactly
-            // `initial_rate` now, and probing can begin immediately if the
-            // server proves fast. The offset is cleared on the first real
-            // decrease.
-            anchor_offset: cfg.saddle,
             t_increase: now,
             stats: RateStats::default(),
         }
@@ -153,11 +163,15 @@ impl RateLimiter {
         self.stats
     }
 
-    /// The operating region the limiter is currently in, judged by the
-    /// elapsed time since the last decrease relative to the saddle.
+    /// The operating region the limiter is currently in: slow start before
+    /// the first decrease, then judged by the elapsed time since the last
+    /// decrease relative to the saddle.
     pub fn phase(&self, now: Nanos) -> RatePhase {
+        if self.r0.is_none() {
+            return RatePhase::SlowStart;
+        }
         let k = self.cfg.saddle.as_millis_f64();
-        let dt = (now.saturating_sub(self.t_decrease) + self.anchor_offset).as_millis_f64();
+        let dt = now.saturating_sub(self.t_decrease).as_millis_f64();
         // The saddle spans roughly [K/2, 3K/2] around the inflection at K.
         if dt < 0.5 * k {
             RatePhase::LowRate
@@ -228,17 +242,6 @@ impl RateLimiter {
         Nanos(self.window_start.as_nanos() + windows_ahead * delta)
     }
 
-    /// The cubic growth curve `R(ΔT)` anchored at the last decrease
-    /// (requests per δ). Exposed for the Figure 5 reproduction.
-    pub fn cubic_rate_at(&self, dt: Nanos) -> f64 {
-        cubic_rate(
-            self.r0,
-            self.cfg.beta,
-            self.cfg.saddle.as_millis_f64(),
-            dt.as_millis_f64(),
-        )
-    }
-
     /// Record a response from the server and run the adaptation step
     /// (Algorithm 2, lines 3–11).
     ///
@@ -251,8 +254,9 @@ impl RateLimiter {
     /// throttles the whole system. A rate limit is only falsifiable where
     /// it binds, so this implementation decreases when the **actual** send
     /// rate outruns the receive rate (the congestion signal the limit
-    /// stands in for) and grows along the cubic curve when the budget was
-    /// actually exhausted while the server kept pace.
+    /// stands in for) and grows — by `s_max` in slow start, along the cubic
+    /// curve after — when the budget was actually exhausted while the
+    /// server kept pace.
     pub fn on_response(&mut self, now: Nanos) {
         self.meter.roll(now, Nanos(self.delta_ns));
         self.meter.recv += 1;
@@ -266,19 +270,27 @@ impl RateLimiter {
             && now.saturating_sub(self.t_decrease) > self.cfg.hysteresis
         {
             // The server fell behind what we actually sent: multiplicative
-            // decrease, anchored at the observed saturation rate.
-            self.r0 = self.srate;
+            // decrease, anchored at the observed saturation rate (which
+            // ends slow start).
+            self.r0 = Some(self.srate);
             self.srate = (self.srate * self.cfg.beta).max(self.cfg.min_rate);
             self.t_decrease = now;
-            self.anchor_offset = Nanos::ZERO;
             self.stats.decreases += 1;
         } else if was_throttled && rrate + band >= arate {
-            // The budget was binding and the server kept pace: grow along
-            // the cubic curve, at most `smax` per step.
-            let dt = now.saturating_sub(self.t_decrease) + self.anchor_offset;
+            // The budget was binding and the server kept pace: grow by at
+            // most `smax` per step, along the cubic curve once a decrease
+            // has anchored it.
             self.t_increase = now;
-            let target = self.cubic_rate_at(dt);
-            let stepped = (self.srate + self.cfg.smax).min(target);
+            let mut stepped = self.srate + self.cfg.smax;
+            if let Some(r0) = self.r0 {
+                let dt = now.saturating_sub(self.t_decrease);
+                stepped = stepped.min(cubic_rate(
+                    r0,
+                    self.cfg.beta,
+                    self.cfg.saddle.as_millis_f64(),
+                    dt.as_millis_f64(),
+                ));
+            }
             if stepped > self.srate {
                 self.srate = stepped;
                 self.stats.increases += 1;
@@ -317,8 +329,8 @@ struct WindowMeter {
     sent: u32,
     recv: u32,
     throttled: u32,
-    /// Whether any send was throttled in the last completed window (or the
-    /// current one).
+    /// Whether any send was throttled in the last completed window; the
+    /// current window's throttles are not read until it closes.
     was_throttled: bool,
     /// Send rate over the last completed window.
     arate: f64,
@@ -486,6 +498,25 @@ mod tests {
         t
     }
 
+    /// A limiter past slow start: ten sends the server never answered
+    /// force its first decrease (exactly one) at 60 ms, from `rate` to
+    /// `β·rate`, anchoring the cubic at R₀ = `rate`. Returns the limiter
+    /// and the next window boundary in milliseconds.
+    fn past_slow_start(rate: f64) -> (RateLimiter, u64) {
+        let c = C3Config {
+            initial_rate: rate,
+            ..C3Config::default()
+        };
+        let mut rl = RateLimiter::new(&c, Nanos::ZERO);
+        for i in 0..10 {
+            assert!(rl.try_acquire(ms(1) + Nanos(i)));
+        }
+        rl.on_response(ms(60));
+        assert_eq!(rl.stats().decreases, 1);
+        assert_eq!(rl.r0, Some(rate));
+        (rl, 80)
+    }
+
     #[test]
     fn overload_triggers_multiplicative_decrease() {
         let mut rl = RateLimiter::new(&cfg(), Nanos::ZERO);
@@ -494,7 +525,7 @@ mod tests {
         drive(&mut rl, 0, 10, 8, 2);
         assert!(rl.stats().decreases >= 1, "should have decreased");
         assert!(rl.srate() < 10.0);
-        assert!(rl.r0 >= rl.srate());
+        assert!(rl.r0.is_some_and(|r0| r0 >= rl.srate()));
     }
 
     #[test]
@@ -587,13 +618,15 @@ mod tests {
 
     #[test]
     fn fast_server_triggers_cubic_growth() {
-        let mut rl = RateLimiter::new(&cfg(), Nanos::ZERO);
-        // Saturate the budget every window (12 attempts vs limit 10) while
-        // the server keeps pace with everything that was sent: the limit is
-        // binding and falsified ⇒ cubic growth.
-        drive(&mut rl, 0, 40, 12, u64::MAX);
+        // Past slow start at 2 per δ (R₀ = 10), saturate the budget every
+        // window (12 attempts) while the server keeps pace with everything
+        // that was sent: the limit is binding and falsified ⇒ cubic growth
+        // back to R₀ and past it.
+        let (mut rl, start) = past_slow_start(10.0);
+        drive(&mut rl, start, 40, 12, u64::MAX);
         assert!(rl.stats().increases >= 1, "should have grown");
         assert!(rl.srate() > 10.0);
+        assert_eq!(rl.stats().decreases, 1);
     }
 
     #[test]
@@ -625,11 +658,137 @@ mod tests {
     }
 
     #[test]
+    fn slow_start_reaches_a_fast_server_within_three_windows() {
+        // The paper's defaults against the loopback closed loop's shape:
+        // demand 1 200 per δ, a server that answers 1 000 (a cubic
+        // anchored on the starting 50 would need ≈ 22 windows).
+        let mut rl = RateLimiter::new(&C3Config::default(), Nanos::ZERO);
+        assert_eq!(rl.phase(Nanos::ZERO), RatePhase::SlowStart);
+        drive(&mut rl, 0, 3, 1_200, 1_000);
+        assert!(rl.srate() >= 1_000.0, "srate {}", rl.srate());
+        assert_eq!(rl.stats().decreases, 0);
+        assert_eq!(rl.phase(ms(60)), RatePhase::SlowStart);
+    }
+
+    #[test]
+    fn slow_start_overshoot_is_bounded_by_demand() {
+        // Growth needs the last *completed* window to have been throttled,
+        // so the responses of the first window the budget covers still grow
+        // it: at most `s_max` per response for two windows of at most D
+        // responses each, on top of a limit still under D.
+        let c = C3Config::default();
+        for demand in [60, 200, 1_200, 5_000] {
+            let mut rl = RateLimiter::new(&c, Nanos::ZERO);
+            drive(&mut rl, 0, 10, demand, u64::MAX);
+            let settled = rl.srate();
+            assert!(
+                settled <= (1.0 + 2.0 * c.smax) * demand as f64,
+                "demand {demand}: srate {settled}"
+            );
+            assert!(settled >= demand as f64, "demand {demand}: {settled}");
+            // Once the budget stops binding, slow start stops growing.
+            drive(&mut rl, 200, 10, demand, u64::MAX);
+            assert_eq!(rl.srate(), settled, "demand {demand}");
+            assert_eq!(rl.stats().decreases, 0);
+        }
+    }
+
+    /// The growth and decrease rules as they stood before slow start, with
+    /// the cubic anchored at the last decrease.
+    struct CubicReference {
+        srate: f64,
+        r0: f64,
+        t_decrease: Nanos,
+        t_increase: Nanos,
+    }
+
+    impl CubicReference {
+        fn on_response(&mut self, c: &C3Config, now: Nanos, meter: &WindowMeter) {
+            let band = DEAD_BAND.max((meter.rrate - BAND_KNEE) * DEAD_BAND_SHARE);
+            if meter.arate > meter.rrate + band
+                && now.saturating_sub(self.t_increase) > c.hysteresis
+                && now.saturating_sub(self.t_decrease) > c.hysteresis
+            {
+                self.r0 = self.srate;
+                self.srate = (self.srate * c.beta).max(c.min_rate);
+                self.t_decrease = now;
+            } else if meter.was_throttled && meter.rrate + band >= meter.arate {
+                let dt = now.saturating_sub(self.t_decrease);
+                self.t_increase = now;
+                let target = cubic_rate(
+                    self.r0,
+                    c.beta,
+                    c.saddle.as_millis_f64(),
+                    dt.as_millis_f64(),
+                );
+                let stepped = (self.srate + c.smax).min(target);
+                if stepped > self.srate {
+                    self.srate = stepped;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn first_decrease_hands_over_to_the_cubic_step_for_step() {
+        // Demand 1 200 per δ against a server of 1 000: slow start
+        // overshoots, the first decrease anchors R₀ where it stood, and
+        // from then on every response moves `srate` exactly as the cubic
+        // does — through further decreases and regrowth.
+        let c = C3Config::default();
+        let mut rl = RateLimiter::new(&c, Nanos::ZERO);
+        let mut reference: Option<CubicReference> = None;
+        let mut cubic_growth = 0;
+        for w in 0..100u64 {
+            let base = w * 20;
+            let mut sent = 0u64;
+            for i in 0..1_200 {
+                if rl.try_acquire(ms(base + 1) + Nanos(i)) {
+                    sent += 1;
+                }
+            }
+            let responses = sent.min(1_000);
+            for i in 0..responses {
+                let now = ms(base + 2) + Nanos(i * 17_000_000 / responses);
+                let before = rl.srate();
+                rl.on_response(now);
+                match reference.as_mut() {
+                    None if rl.stats().decreases == 0 => {
+                        assert_eq!(rl.phase(now), RatePhase::SlowStart);
+                    }
+                    None => {
+                        assert_eq!(rl.r0, Some(before), "R₀ is srate at the decrease");
+                        assert_eq!(rl.srate(), before * c.beta);
+                        reference = Some(CubicReference {
+                            srate: rl.srate(),
+                            r0: before,
+                            t_decrease: now,
+                            t_increase: rl.t_increase,
+                        });
+                    }
+                    Some(cubic) => {
+                        cubic.on_response(&c, now, &rl.meter);
+                        assert_eq!(rl.srate().to_bits(), cubic.srate.to_bits(), "at {now:?}");
+                        assert_eq!(rl.r0, Some(cubic.r0));
+                        cubic_growth += usize::from(rl.srate() > before);
+                    }
+                }
+            }
+        }
+        assert!(reference.is_some(), "slow start never ended");
+        assert!(rl.stats().decreases >= 3, "{:?}", rl.stats());
+        assert!(cubic_growth > 100, "{cubic_growth} cubic steps");
+    }
+
+    #[test]
     fn hysteresis_blocks_immediate_decrease_after_increase() {
-        let mut rl = RateLimiter::new(&cfg(), Nanos::ZERO);
         // Keep the budget saturated with a healthy server so increases keep
-        // happening right up to the end of the phase.
-        let t = drive(&mut rl, 0, 40, 1_000, u64::MAX);
+        // happening right up to the end of the phase: past slow start the
+        // cubic anchored at R₀ = 10 is still under 1 000 per δ after 40
+        // windows.
+        let (mut rl, start) = past_slow_start(10.0);
+        let t = drive(&mut rl, start, 40, 1_000, u64::MAX);
+        assert!(rl.srate() < 1_000.0, "precondition: the budget still binds");
         assert!(rl.srate() > 10.0, "precondition: growth happened");
         let decreases_before = rl.stats().decreases;
         // One bad window right after the last increase: a decrease must be
@@ -645,6 +804,7 @@ mod tests {
     #[test]
     fn phases_progress_over_time() {
         let mut rl = RateLimiter::new(&cfg(), Nanos::ZERO);
+        assert_eq!(rl.phase(ms(400)), RatePhase::SlowStart);
         // Force a decrease to anchor t_decrease.
         drive(&mut rl, 0, 10, 8, 2);
         assert!(rl.stats().decreases >= 1, "test needs a decrease anchor");
@@ -732,12 +892,18 @@ mod tests {
         }
     }
 
-    /// Drive `windows` δ windows with the budget binding (twice `srate`
-    /// attempted): the server returns `recv_share(w)` of window `w`'s sends
-    /// inside the same window.
-    fn drive_shares(rl: &mut RateLimiter, windows: u64, recv_share: impl Fn(u64) -> f64) {
+    /// Drive `windows` δ windows from `start_ms` with the budget binding
+    /// (twice `srate` attempted): the server returns `recv_share(w)` of
+    /// window `w`'s sends inside the same window. Demand that follows
+    /// `srate` never stops growing in slow start, so callers start past it.
+    fn drive_shares(
+        rl: &mut RateLimiter,
+        start_ms: u64,
+        windows: u64,
+        recv_share: impl Fn(u64) -> f64,
+    ) {
         for w in 0..windows {
-            let base = w * 20;
+            let base = start_ms + w * 20;
             let attempts = (2.0 * rl.srate()) as u64 + 2;
             let mut sent = 0u64;
             for i in 0..attempts {
@@ -757,35 +923,31 @@ mod tests {
         // 500 receives per window with ±5% send/receive wobble: a sine
         // over eight windows, so three windows in a row return less than
         // was sent — long enough to outlast the hysteresis, and shortfalls
-        // of 18–25 requests, far past a one-request band.
-        let c = C3Config {
-            initial_rate: 500.0,
-            ..C3Config::default()
-        };
-        let mut rl = RateLimiter::new(&c, Nanos::ZERO);
-        drive_shares(&mut rl, 100, |w| {
+        // of 18–25 requests, far past a one-request band. Past slow start
+        // (R₀ = 500), so the cubic bounds the demand that follows `srate`.
+        let (mut rl, start) = past_slow_start(500.0);
+        drive_shares(&mut rl, start, 100, |w| {
             1.0 + 0.05 * (w as f64 * std::f64::consts::TAU / 8.0).sin()
         });
-        assert_eq!(rl.stats().decreases, 0, "{:?}", rl.stats());
+        assert_eq!(rl.stats().decreases, 1, "{:?}", rl.stats());
         assert!(rl.srate() >= 500.0, "srate fell to {}", rl.srate());
         assert!(rl.stats().throttled > 0, "the budget must have bound");
     }
 
     #[test]
     fn a_real_shortfall_at_volume_still_decreases() {
-        // Healthy for ten windows, then three windows in which the server
-        // returns 60% of what was sent; one more window closes the last.
-        let c = C3Config {
-            initial_rate: 500.0,
-            ..C3Config::default()
-        };
-        let mut rl = RateLimiter::new(&c, Nanos::ZERO);
-        drive_shares(
-            &mut rl,
-            14,
-            |w| if (10..13).contains(&w) { 0.6 } else { 1.0 },
-        );
-        assert!(rl.stats().decreases >= 1, "{:?}", rl.stats());
+        // Past slow start (R₀ = 500), healthy for ten windows, then three
+        // windows in which the server returns 60% of what was sent; one
+        // more window closes the last.
+        let (mut rl, start) = past_slow_start(500.0);
+        drive_shares(&mut rl, start, 14, |w| {
+            if (10..13).contains(&w) {
+                0.6
+            } else {
+                1.0
+            }
+        });
+        assert!(rl.stats().decreases >= 2, "{:?}", rl.stats());
         assert!(rl.srate() < 500.0, "srate {}", rl.srate());
     }
 

@@ -58,8 +58,11 @@
 //! come back in the report beside the wait count. A closed loop sends
 //! hundreds of reads per δ window to each server; the limiter's dead band
 //! scales with that volume (`c3_core::RateLimiter`), so load shifting
-//! across a window boundary does not cut the limit to β and leave the
-//! issuers asleep on a budget the servers could have served.
+//! across a window boundary does not cut the limit to β, and a fresh
+//! limiter slow-starts from its starting 50 per δ to the ≈ 1 000 a
+//! loopback replica serves within a few windows instead of ≈ 450 ms. The
+//! few issuer sleeps left in a closed-loop run (≈ 100–150 ms, summed over
+//! the issuers, at 1.25 s and at 5 s alike) are those windows.
 
 use std::collections::HashSet;
 use std::io::{self, Write};

@@ -19,7 +19,10 @@
 //!   and the runs were copied into one vector for a sort, the multi-MB
 //!   blocks stayed in per-thread allocator arenas and every window added
 //!   to the peak (+7.6–8.7 MB over five more windows of 150k operations,
-//!   where the chunks add 0.5–0.7 MB).
+//!   where the chunks add 0.5–0.7 MB). The exact-latency reservoir the
+//!   benchmark turns on holds its values in 64 KiB chunks for the same
+//!   reason: as one vector grown by doubling it climbed ≈ 5 MB over these
+//!   windows.
 //!
 //! Peak RSS is a property of the process, so each test re-runs this binary
 //! filtered to itself and measures inside that child.
@@ -107,13 +110,12 @@ fn live_runs_keep_one_small_sample_per_operation() {
 fn back_to_back_windows_do_not_ratchet_peak_rss() {
     in_own_process("back_to_back_windows_do_not_ratchet_peak_rss", || {
         // The benchmark's closed-loop window (six replicas, two issuers,
-        // 512 in flight) without the opt-in exact-latency reservoir: that
-        // every-sample vector belongs to the metrics, not to the client,
-        // and grows by doubling too (≈ 5 MB of climb over these windows).
+        // 512 in flight, exact latency on).
         let window = || LiveConfig {
             replicas: 6,
             threads: 2,
             in_flight: 512,
+            exact_latency: true,
             ..capped(150_000)
         };
         let (_, first) = run_to(window());

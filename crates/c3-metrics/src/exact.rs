@@ -14,17 +14,33 @@
 //! Percentile convention matches the histogram's: the value at 1-based
 //! rank `ceil(q·n)` (clamped to at least 1), so the two recorders differ
 //! only by bucket quantization — a property the parity tests pin down.
+//!
+//! Values are held in fixed chunks of 8 192 (64 KiB each), never in
+//! one vector grown by doubling: a process that fills a reservoir per run
+//! window would otherwise free multi-MB blocks, which raises glibc's
+//! dynamic mmap threshold so later blocks that size come from the heap
+//! and stay resident — peak RSS ratcheting up window after window. Each
+//! chunk is sorted on demand, and the rank-r order statistic is the least
+//! value `v` whose count `Σ chunk.partition_point(≤ v)` reaches r, found
+//! by binary search over the value range: no merged copy is ever built,
+//! and every percentile equals a sort of all values.
 
 use crate::LatencySummary;
+
+/// Values per chunk: 64 KiB, under glibc's default 128 KiB mmap threshold.
+const CHUNK: usize = 8_192;
 
 /// Every recorded value, with exact order-statistic summaries.
 #[derive(Clone, Debug, Default)]
 pub struct ExactReservoir {
-    values: Vec<u64>,
+    /// The chunk taking records, held inline so a record touches no more
+    /// memory than a push onto one vector would.
+    current: Vec<u64>,
+    /// Chunks retired from `current`.
+    full: Vec<Vec<u64>>,
     sum: u128,
-    /// Whether `values` is currently sorted (sorting is deferred to
-    /// queries and cached until the next record).
-    sorted: bool,
+    /// Leading `full` chunks known sorted.
+    sorted: usize,
 }
 
 impl ExactReservoir {
@@ -36,47 +52,95 @@ impl ExactReservoir {
     /// Record one value (nanoseconds, by convention).
     #[inline]
     pub fn record(&mut self, value: u64) {
-        self.values.push(value);
+        if self.current.len() == self.current.capacity() {
+            self.next_chunk();
+        }
+        self.current.push(value);
         self.sum += value as u128;
-        self.sorted = false;
+    }
+
+    /// `current` has no room left: retire it (unless nothing was recorded
+    /// yet) and start a chunk. A clone's `current` keeps no spare capacity,
+    /// so chunks retired after a clone may be partial.
+    #[cold]
+    fn next_chunk(&mut self) {
+        let chunk = std::mem::replace(&mut self.current, Vec::with_capacity(CHUNK));
+        if !chunk.is_empty() {
+            self.full.push(chunk);
+        }
+    }
+
+    /// Every non-empty chunk.
+    fn chunks(&self) -> impl Iterator<Item = &[u64]> {
+        let current = Some(self.current.as_slice()).filter(|c| !c.is_empty());
+        self.full.iter().map(Vec::as_slice).chain(current)
     }
 
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
-        self.values.len() as u64
+        self.chunks().map(|c| c.len() as u64).sum()
     }
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.count() == 0
     }
 
     /// Exact mean (0.0 when empty).
     pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
-        self.sum as f64 / self.values.len() as f64
+        self.sum as f64 / self.count() as f64
     }
 
+    /// Sort every chunk not yet known sorted. `current` is sorted again on
+    /// every query: records may have landed in it since.
     fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.values.sort_unstable();
-            self.sorted = true;
+        for chunk in &mut self.full[self.sorted..] {
+            chunk.sort_unstable();
         }
+        self.sorted = self.full.len();
+        self.current.sort_unstable();
+    }
+
+    /// The 1-based `rank`-th smallest value; chunks sorted, `rank` in
+    /// `1..=count`.
+    fn order_statistic(&self, rank: u64) -> u64 {
+        let count_le = |v: u64| -> u64 {
+            self.chunks()
+                .map(|c| c.partition_point(|&x| x <= v) as u64)
+                .sum()
+        };
+        let mut lo = self.chunks().map(|c| c[0]).min().unwrap_or(0);
+        let mut hi = self.max();
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if count_le(mid) >= rank {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
+    }
+
+    /// Largest value; chunks sorted.
+    fn max(&self) -> u64 {
+        self.chunks().map(|c| c[c.len() - 1]).max().unwrap_or(0)
     }
 
     /// Exact value at quantile `q` ∈ [0, 1] (0 when empty), using the
     /// same rank convention as `LogHistogram::value_at_quantile`.
     pub fn value_at_quantile(&mut self, q: f64) -> u64 {
-        if self.values.is_empty() {
+        if self.is_empty() {
             return 0;
         }
         self.ensure_sorted();
         let q = q.clamp(0.0, 1.0);
-        let n = self.values.len();
-        let rank = ((q * n as f64).ceil() as usize).max(1).min(n);
-        self.values[rank - 1]
+        let n = self.count();
+        let rank = ((q * n as f64).ceil() as u64).max(1).min(n);
+        self.order_statistic(rank)
     }
 
     /// Exact latency summary at the paper's percentiles.
@@ -89,7 +153,7 @@ impl ExactReservoir {
             p95_ns: self.value_at_quantile(0.95),
             p99_ns: self.value_at_quantile(0.99),
             p999_ns: self.value_at_quantile(0.999),
-            max_ns: self.values.last().copied().unwrap_or(0),
+            max_ns: self.max(),
         }
     }
 }
@@ -131,6 +195,83 @@ mod tests {
         r.record(1);
         assert_eq!(r.value_at_quantile(0.0), 1);
         assert_eq!(r.count(), 2);
+    }
+
+    /// The summary of one sorted vector of every value: the reservoir's
+    /// arithmetic before it held chunks.
+    fn sorted_summary(values: &[u64]) -> LatencySummary {
+        let mut v = values.to_vec();
+        v.sort_unstable();
+        let n = v.len();
+        let at = |q: f64| v[((q * n as f64).ceil() as usize).max(1).min(n) - 1];
+        LatencySummary {
+            count: n as u64,
+            mean_ns: v.iter().map(|&x| x as u128).sum::<u128>() as f64 / n as f64,
+            p50_ns: at(0.50),
+            p95_ns: at(0.95),
+            p99_ns: at(0.99),
+            p999_ns: at(0.999),
+            max_ns: v[n - 1],
+        }
+    }
+
+    fn assert_same(a: LatencySummary, b: LatencySummary, what: &str) {
+        assert_eq!(a.count, b.count, "{what}");
+        assert_eq!(a.mean_ns.to_bits(), b.mean_ns.to_bits(), "{what}");
+        assert_eq!(
+            (a.p50_ns, a.p95_ns, a.p99_ns, a.p999_ns, a.max_ns),
+            (b.p50_ns, b.p95_ns, b.p99_ns, b.p999_ns, b.max_ns),
+            "{what}"
+        );
+    }
+
+    #[test]
+    fn chunked_summaries_equal_one_sorted_vector() {
+        let mut x = 0x2545f4914f6cdd1du64;
+        let mut random = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let inputs: Vec<(&str, Vec<u64>)> = vec![
+            ("single value", vec![7]),
+            ("all equal", vec![42; 3 * CHUNK + 5]),
+            (
+                "one short of a chunk",
+                (0..CHUNK as u64 - 1).rev().collect(),
+            ),
+            (
+                "one chunk",
+                (0..CHUNK as u64).map(|i| i * 7 % 1_001).collect(),
+            ),
+            ("one past a chunk", (0..CHUNK as u64 + 1).collect()),
+            ("random", (0..50_000).map(|_| random() >> 20).collect()),
+            ("full range", (0..20_000).map(|_| random()).collect()),
+        ];
+        for (what, values) in inputs {
+            let mut r = ExactReservoir::new();
+            values.iter().for_each(|&v| r.record(v));
+            assert_same(r.summary(), sorted_summary(&values), what);
+        }
+    }
+
+    #[test]
+    fn records_after_a_summary_are_counted() {
+        // Queries sort the chunks in place; records landing after one (in
+        // the partial chunk, then in new ones) must still be seen — also
+        // by a clone, whose partial chunk keeps no spare capacity.
+        let mut r = ExactReservoir::new();
+        let mut values = Vec::new();
+        for round in 0..4u64 {
+            for i in 0..(CHUNK as u64 / 2 + 3) {
+                let v = (i * 2_654_435_761 + round) % 100_003;
+                r.record(v);
+                values.push(v);
+            }
+            assert_same(r.summary(), sorted_summary(&values), "round");
+            r = r.clone();
+        }
     }
 
     #[test]
