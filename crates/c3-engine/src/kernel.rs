@@ -16,25 +16,55 @@
 //! the event later: cancellation vacates the slot in place and the stale
 //! node is skipped when it surfaces.
 //!
-//! **Three-tier ordering (calendar queue).** A single binary heap pays
-//! `O(log n)` sift depth over *all* pending events on every operation,
-//! although only the imminent few ever matter. The kernel instead keeps:
+//! **Four-tier ordering (calendar queue over a timing wheel).** A single
+//! binary heap pays `O(log n)` sift depth over *all* pending events on
+//! every operation, although only the imminent few ever matter. The
+//! kernel instead keeps:
 //!
 //! * a **near tier** for the current ~33 µs epoch: a descending-sorted
 //!   `Vec` (min-pop is `Vec::pop`, O(1)) refilled one whole epoch at a
 //!   time, plus a small `staging` heap for events scheduled *into* the
 //!   current epoch after the refill (latecomers);
-//! * a **ring tier** of `NUM_BUCKETS` unsorted epoch buckets, each
+//! * a **fine ring** of `NUM_BUCKETS` unsorted epoch buckets, each
 //!   holding exactly one epoch's events (O(1) insert, whole-bucket
 //!   `swap` + `sort_unstable` on drain — no per-node filtering);
-//! * an **overflow tier** — a min-heap for events beyond the ring span
-//!   (≈67 ms ahead), lazily merged into the ring as the horizon advances.
+//! * a **coarse ring** of `NUM_COARSE` unsorted buckets of 2^10 epochs
+//!   each (≈ 33.5 ms; ≈ 4.3 s in all) — the second level of a
+//!   hierarchical timing wheel (Varghese & Lauck, SOSP '87). A far timer
+//!   costs one `Vec::push` on the way in and one move into its fine
+//!   bucket when its coarse bucket *cascades*;
+//! * an **overflow heap** for what lies past the coarse ring's ≈ 4.3 s,
+//!   moved into the coarse ring as its window slides.
+//!
+//! **Filing invariant.** An event at or past the horizon goes to the fine
+//! ring iff its coarse index (`epoch >> 10`) is below `cascaded`, the
+//! first coarse bucket not yet cascaded — not merely because its epoch
+//! fits the fine ring's window: filed that way, a late event could pop
+//! before an earlier one still parked in an uncascaded coarse bucket.
+//! Coarse bucket `c` cascades once the horizon reaches `(c − 1)·2^10`.
+//! That is why a coarse bucket is half the fine ring wide: a whole bucket
+//! cascades a full bucket-width before its first epoch is due, so the
+//! cascade never races the drain, yet every cascaded epoch still fits the
+//! fine window `[horizon, horizon + NUM_BUCKETS)`. With the fine ring
+//! empty the horizon jumps to the next occupied coarse bucket's due
+//! point; with the coarse ring empty too, the coarse window first jumps
+//! to the overflow minimum. A cascading bucket's storage is freed, not
+//! kept as the fine ring's is: kept, each bucket holds its peak, and a
+//! 400k-op mega-fleet cell grew resident memory by ≈ 32 MB instead of
+//! ≈ 23 MB (`tests/sim_memory.rs` rejects it).
+//!
+//! The heap stays for what lies beyond 4.3 s — fault plans and hour-long
+//! test timers, which no simulated loop schedules by the thousand — so a
+//! third wheel level would buy nothing. Before the coarse ring, the heap
+//! held ≈ 72% of the mega-fleet's exp(200 ms) think timers (≈ 86k 48-byte
+//! nodes, 17 levels); a kernel-only churn of that timer pattern (120k
+//! clients, exp(200 ms) think, then a 0.25 ms / exp(2 ms) / 0.25 ms
+//! request chain) fell from ≈ 115 to ≈ 66 ns per event with the coarse
+//! ring (−43%, 2-vCPU host; the ratio held on busier runs, 150 → 85).
 //!
 //! Pop order is still *exactly* `(time, seq)` — the buckets only defer
 //! sorting until an event's epoch is reached, so runs are bit-identical
-//! to the one-heap kernel, measurably faster at every pending-count
-//! profile (the earlier two-tier design lost ~6.5% to the legacy heap at
-//! 4096 pending to per-node refill churn through multi-epoch buckets).
+//! to a one-heap kernel.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -49,15 +79,57 @@ const NIL: u32 = u32::MAX;
 /// at simulator event rates (~100 events per sim-millisecond).
 const EPOCH_SHIFT: u32 = 15;
 
-/// Number of ring buckets (must be a power of two). The ring spans
-/// `NUM_BUCKETS << EPOCH_SHIFT` ≈ 67 ms; events beyond that park in the
-/// overflow heap until the horizon's window reaches their epoch.
+/// Number of fine ring buckets (must be a power of two). The ring spans
+/// `NUM_BUCKETS << EPOCH_SHIFT` ≈ 67 ms.
 const NUM_BUCKETS: usize = 2048;
+
+/// log2 of a coarse bucket's width in epochs: 2^10 epochs ≈ 33.5 ms, half
+/// the fine ring.
+const COARSE_SHIFT: u32 = 10;
+
+/// Number of coarse buckets (must be a power of two): ≈ 4.3 s of horizon.
+/// Events beyond that park in the overflow heap.
+const NUM_COARSE: usize = 128;
+
+// The cascade rule relies on a coarse bucket being half the fine ring.
+const _: () = assert!(NUM_BUCKETS == 2 << COARSE_SHIFT);
 
 /// Epoch index of a timestamp.
 #[inline]
 fn epoch(t: Nanos) -> u64 {
     t.as_nanos() >> EPOCH_SHIFT
+}
+
+/// Ring distance in a bitmap from slot `from` to the nearest set slot
+/// (`0` when `from` itself is set). Caller guarantees a set slot exists.
+fn distance_to_occupied(bits: &[u64], from: usize) -> usize {
+    // Scan word-wise, starting inside `from`'s word.
+    let words = bits.len();
+    let (mut w, bit) = (from / 64, from % 64);
+    let masked = bits[w] >> bit;
+    if masked != 0 {
+        return masked.trailing_zeros() as usize;
+    }
+    let mut dist = 64 - bit;
+    for _ in 0..words {
+        w = (w + 1) % words;
+        let word = bits[w];
+        if word != 0 {
+            return dist + word.trailing_zeros() as usize;
+        }
+        dist += 64;
+    }
+    unreachable!("no occupied bucket in a non-empty ring");
+}
+
+/// Tier a node was filed into, counted by test builds.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug)]
+enum Tier {
+    Staging,
+    Fine,
+    Coarse,
+    Overflow,
 }
 
 /// Where a heap node's payload lives.
@@ -129,21 +201,33 @@ pub struct EventQueue<E> {
     /// scheduling a follow-up inside `t`'s own epoch). Usually tiny; a
     /// heap bounds clustered same-epoch bursts at O(log n).
     staging: BinaryHeap<Reverse<Node<E>>>,
-    /// Ring tier: events with epoch in `[horizon_epoch, horizon_epoch +
-    /// NUM_BUCKETS)`, ring-indexed by `epoch & (NUM_BUCKETS - 1)`. Each
+    /// Fine ring: events with epoch `≥ horizon_epoch` and coarse index
+    /// below `cascaded` — all inside `[horizon_epoch, horizon_epoch +
+    /// NUM_BUCKETS)` — ring-indexed by `epoch & (NUM_BUCKETS - 1)`. Each
     /// bucket holds exactly one epoch's events.
     buckets: Vec<Vec<Node<E>>>,
-    /// One bit per bucket: set iff the bucket is non-empty.
+    /// One bit per fine bucket: set iff the bucket is non-empty.
     occupied: Vec<u64>,
     /// Nodes currently parked in `buckets` (including cancelled stale
     /// ones, which are dropped when their epoch drains).
     far: usize,
-    /// Overflow tier: events at least one ring span past the horizon,
-    /// min-heap-ordered, merged into ring buckets lazily as the horizon
-    /// advances far enough for their epoch to fit in the window.
+    /// Coarse ring: events with coarse index in `[cascaded, cascaded +
+    /// NUM_COARSE)`, ring-indexed by `coarse & (NUM_COARSE - 1)`.
+    coarse: Vec<Vec<Node<E>>>,
+    /// One bit per coarse bucket: set iff the bucket is non-empty.
+    coarse_occupied: [u64; NUM_COARSE / 64],
+    /// Nodes currently parked in `coarse`.
+    coarse_len: usize,
+    /// The first coarse index not yet cascaded into the fine ring.
+    cascaded: u64,
+    /// Overflow tier: events with coarse index `≥ cascaded + NUM_COARSE`,
+    /// min-heap-ordered, moved into the coarse ring as its window slides.
     overflow: BinaryHeap<Reverse<Node<E>>>,
     /// All events in epochs below this are in `sorted`/`staging`.
     horizon_epoch: u64,
+    /// Nodes filed per tier by `schedule*` (cascades not counted).
+    #[cfg(test)]
+    filed: [u64; 4],
     /// Payload store for cancellable events only.
     slab: Vec<Slot<E>>,
     free_head: u32,
@@ -169,8 +253,16 @@ impl<E> EventQueue<E> {
             buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
             occupied: vec![0u64; NUM_BUCKETS / 64],
             far: 0,
+            coarse: (0..NUM_COARSE).map(|_| Vec::new()).collect(),
+            coarse_occupied: [0; NUM_COARSE / 64],
+            coarse_len: 0,
+            // Coarse buckets 0 and 1 are due at horizon 0: the fine ring
+            // starts out covering `[0, NUM_BUCKETS)`.
+            cascaded: 2,
             overflow: BinaryHeap::new(),
             horizon_epoch: 0,
+            #[cfg(test)]
+            filed: [0; 4],
             slab: Vec::new(),
             free_head: NIL,
             seq: 0,
@@ -186,21 +278,62 @@ impl<E> EventQueue<E> {
     fn file(&mut self, node: Node<E>) {
         let e = epoch(node.time);
         if e < self.horizon_epoch {
+            #[cfg(test)]
+            self.tally(Tier::Staging);
             self.staging.push(Reverse(node));
-        } else if e < self.horizon_epoch + NUM_BUCKETS as u64 {
-            let b = (e as usize) & (NUM_BUCKETS - 1);
-            self.buckets[b].push(node);
-            self.occupied[b / 64] |= 1u64 << (b % 64);
-            self.far += 1;
+        } else if e >> COARSE_SHIFT < self.cascaded {
+            #[cfg(test)]
+            self.tally(Tier::Fine);
+            self.file_fine(node, e);
         } else {
+            self.file_far(node, e >> COARSE_SHIFT);
+        }
+    }
+
+    /// File a node past the fine ring, by its coarse index `c`: into the
+    /// coarse ring, or past it into the overflow heap. Kept out of line so
+    /// the inlined filing path stays as small as a one-ring queue's.
+    #[inline(never)]
+    fn file_far(&mut self, node: Node<E>, c: u64) {
+        if c < self.cascaded + NUM_COARSE as u64 {
+            #[cfg(test)]
+            self.tally(Tier::Coarse);
+            self.file_coarse(node, c);
+        } else {
+            #[cfg(test)]
+            self.tally(Tier::Overflow);
             self.overflow.push(Reverse(node));
         }
     }
 
-    /// Whether the far tiers (ring + overflow) hold nothing.
+    #[cfg(test)]
+    fn tally(&mut self, tier: Tier) {
+        self.filed[tier as usize] += 1;
+    }
+
+    /// Park a node in the fine bucket of its epoch `e`.
+    #[inline]
+    fn file_fine(&mut self, node: Node<E>, e: u64) {
+        let b = (e as usize) & (NUM_BUCKETS - 1);
+        self.buckets[b].push(node);
+        self.occupied[b / 64] |= 1u64 << (b % 64);
+        self.far += 1;
+    }
+
+    /// Park a node in the coarse bucket of its coarse index `c`.
+    #[inline]
+    fn file_coarse(&mut self, node: Node<E>, c: u64) {
+        let b = (c as usize) & (NUM_COARSE - 1);
+        self.coarse[b].push(node);
+        self.coarse_occupied[b / 64] |= 1u64 << (b % 64);
+        self.coarse_len += 1;
+    }
+
+    /// Whether the far tiers (fine ring, coarse ring, overflow) hold
+    /// nothing.
     #[inline]
     fn far_tiers_empty(&self) -> bool {
-        self.far == 0 && self.overflow.is_empty()
+        self.far == 0 && self.coarse_len == 0 && self.overflow.is_empty()
     }
 
     /// Which half of the near tier holds the front (minimum `(time, seq)`)
@@ -230,66 +363,25 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Ring distance from slot `from` to the nearest occupied slot
-    /// (`0` when `from` itself is occupied). Caller guarantees at least
-    /// one occupied slot exists.
-    fn distance_to_occupied(&self, from: usize) -> usize {
-        // Scan the bitmap word-wise, starting inside `from`'s word.
-        let words = self.occupied.len();
-        let (mut w, bit) = (from / 64, from % 64);
-        let masked = self.occupied[w] >> bit;
-        if masked != 0 {
-            return masked.trailing_zeros() as usize;
-        }
-        let mut dist = 64 - bit;
-        for _ in 0..words {
-            w = (w + 1) % words;
-            let word = self.occupied[w];
-            if word != 0 {
-                return dist + word.trailing_zeros() as usize;
-            }
-            dist += 64;
-        }
-        unreachable!("no occupied bucket despite far > 0");
-    }
-
     /// Refill the near tier with the next occupied epoch's whole bucket.
     /// Caller guarantees the near tier is empty and the far tiers are
     /// not; on return `sorted` is non-empty.
     ///
-    /// Ordering invariant: when a bucket is drained here, every overflow
-    /// node's epoch is at least one ring span past the horizon the window
-    /// was last merged at — and the drained epoch sits *inside* that
-    /// window — so the drained bucket always holds the global minimum.
+    /// Ordering invariant: every fine-ring node's coarse index is below
+    /// `cascaded` and every coarse or overflow node's is not, so the
+    /// nearest occupied fine bucket always holds the global minimum.
     fn advance(&mut self) {
         debug_assert!(self.sorted.is_empty() && self.staging.is_empty());
         debug_assert!(!self.far_tiers_empty());
-        if self.far == 0 {
-            // Everything pending is beyond the ring span: jump the
-            // horizon straight to the earliest overflow epoch (the merge
-            // below then files at least that node into its bucket).
-            let Reverse(min) = self.overflow.peek().expect("overflow non-empty");
-            self.horizon_epoch = epoch(min.time);
-        }
-        // Lazy merge: overflow events whose epoch now fits inside the
-        // ring window move into their buckets.
-        let window_end = self.horizon_epoch + NUM_BUCKETS as u64;
-        while let Some(Reverse(n)) = self.overflow.peek() {
-            if epoch(n.time) >= window_end {
-                break;
-            }
-            let Reverse(node) = self.overflow.pop().expect("peeked");
-            let b = (epoch(node.time) as usize) & (NUM_BUCKETS - 1);
-            self.buckets[b].push(node);
-            self.occupied[b / 64] |= 1u64 << (b % 64);
-            self.far += 1;
+        if self.far == 0 || self.cascaded <= (self.horizon_epoch >> COARSE_SHIFT) + 1 {
+            self.cascade();
         }
         // Jump to the nearest occupied epoch (single-epoch buckets make
         // slot distance equal epoch distance) and take its whole bucket;
         // the swap hands `sorted`'s spent capacity back to the ring, so
         // the steady state allocates nothing.
         let slot = (self.horizon_epoch as usize) & (NUM_BUCKETS - 1);
-        let d = self.distance_to_occupied(slot);
+        let d = distance_to_occupied(&self.occupied, slot);
         self.horizon_epoch += d as u64;
         let b = (self.horizon_epoch as usize) & (NUM_BUCKETS - 1);
         std::mem::swap(&mut self.sorted, &mut self.buckets[b]);
@@ -297,6 +389,58 @@ impl<E> EventQueue<E> {
         self.far -= self.sorted.len();
         self.sorted.sort_unstable_by(|a, b| b.cmp(a));
         self.horizon_epoch += 1;
+    }
+
+    /// Move every coarse bucket that is due into the fine ring: bucket `c`
+    /// once the horizon reaches `(c − 1)·2^10`, when its epochs fit the
+    /// fine window. An empty fine ring first jumps the horizon to the next
+    /// occupied coarse bucket's due point — and, with the coarse ring
+    /// empty too, the coarse window to the overflow minimum. On return
+    /// the fine ring is non-empty.
+    #[cold]
+    #[inline(never)]
+    fn cascade(&mut self) {
+        if self.far == 0 {
+            if self.coarse_len == 0 {
+                let Reverse(min) = self.overflow.peek().expect("far tiers non-empty");
+                self.cascaded = epoch(min.time) >> COARSE_SHIFT;
+                self.refill_coarse();
+            }
+            // Empty coarse buckets ahead of the first occupied one count
+            // as cascaded: they hold nothing to move. (The overflow nodes
+            // their slots now cover follow with the cascade's refill.)
+            let slot = (self.cascaded as usize) & (NUM_COARSE - 1);
+            self.cascaded += distance_to_occupied(&self.coarse_occupied, slot) as u64;
+            self.horizon_epoch = self.horizon_epoch.max((self.cascaded - 1) << COARSE_SHIFT);
+        }
+        while self.cascaded <= (self.horizon_epoch >> COARSE_SHIFT) + 1 {
+            let b = (self.cascaded as usize) & (NUM_COARSE - 1);
+            // Taken, not swapped: the bucket's storage is freed.
+            let bucket = std::mem::take(&mut self.coarse[b]);
+            self.coarse_occupied[b / 64] &= !(1u64 << (b % 64));
+            self.coarse_len -= bucket.len();
+            for node in bucket {
+                let e = epoch(node.time);
+                self.file_fine(node, e);
+            }
+            self.cascaded += 1;
+            self.refill_coarse();
+        }
+        debug_assert!(self.far > 0);
+    }
+
+    /// Move the overflow nodes the coarse window now covers into their
+    /// coarse buckets.
+    fn refill_coarse(&mut self) {
+        let end = self.cascaded + NUM_COARSE as u64;
+        while let Some(Reverse(n)) = self.overflow.peek() {
+            let c = epoch(n.time) >> COARSE_SHIFT;
+            if c >= end {
+                break;
+            }
+            let Reverse(node) = self.overflow.pop().expect("peeked");
+            self.file_coarse(node, c);
+        }
     }
 
     /// Current simulation time (the timestamp of the last popped event).
@@ -601,8 +745,9 @@ mod tests {
 
     #[test]
     fn far_future_events_pop_in_order() {
-        // Events farther out than the ring span (≈67 ms) exercise the
-        // rotation-skip and global-min jump paths.
+        // Events past the fine ring (≈ 67 ms) and past the coarse ring
+        // (≈ 4.3 s) exercise both horizon jumps: to the next occupied
+        // coarse bucket, and to the overflow minimum.
         let mut q = EventQueue::new();
         q.schedule(Nanos::from_secs(30), "far");
         q.schedule(Nanos::from_millis(1), "near");
@@ -636,25 +781,133 @@ mod tests {
 
     #[test]
     fn overflow_events_entering_the_window_beat_later_ring_inserts() {
-        // A horizon jump can pull an old *overflow* event's epoch inside
-        // the ring window while a younger event is filed directly into
-        // the ring: the overflow event is earlier and must pop first.
-        let span = (NUM_BUCKETS as u64) << EPOCH_SHIFT;
+        // An old overflow event slides into the coarse ring while a
+        // younger event is filed straight into the same coarse bucket:
+        // the overflow event is earlier and must pop first.
+        let width = 1u64 << (COARSE_SHIFT + EPOCH_SHIFT);
         let mut q = EventQueue::new();
-        // Near the window's end (ring) and just past it (overflow).
-        let t_ring = Nanos(span - (1 << EPOCH_SHIFT));
-        let t_overflow = Nanos(span + (50 << EPOCH_SHIFT));
-        q.schedule(t_ring, "ring");
+        let t_first = Nanos(3 * width);
+        // Coarse index 130: past the coarse window `[2, 130)` at start.
+        let t_overflow = Nanos((NUM_COARSE as u64 + 2) * width + (50 << EPOCH_SHIFT));
         q.schedule(t_overflow, "overflow");
-        assert_eq!(q.pop(), Some((t_ring, "ring")));
-        // The horizon has advanced past t_ring's epoch; this files
-        // directly into the ring at an epoch *later* than the parked
-        // overflow event's.
-        let t_late = Nanos(span + (200 << EPOCH_SHIFT));
+        q.schedule(t_first, "first");
+        assert_eq!(q.filed[Tier::Overflow as usize], 1);
+        assert_eq!(q.pop(), Some((t_first, "first")));
+        // The coarse window has slid past index 130: this files directly
+        // into the coarse ring, later than the old overflow event.
+        let t_late = Nanos(t_overflow.as_nanos() + (100 << EPOCH_SHIFT));
         q.schedule(t_late, "late");
+        assert_eq!(q.filed[Tier::Coarse as usize], 2);
         assert_eq!(q.pop(), Some((t_overflow, "overflow")));
         assert_eq!(q.pop(), Some((t_late, "late")));
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn overflow_timers_slide_in_while_the_fine_ring_never_empties() {
+        // A 1 ms ticker keeps the fine ring busy for 10 s, so only the
+        // cascade itself can move the overflow timers into the coarse
+        // ring as its window slides over them.
+        let mut q = EventQueue::new();
+        let far = [4_500, 5_000, 9_000].map(Nanos::from_millis);
+        for t in far {
+            q.schedule(t, t.as_nanos());
+        }
+        assert_eq!(q.filed[Tier::Overflow as usize], 3);
+        q.schedule(Nanos::ZERO, 0);
+        let mut fired = Vec::new();
+        while let Some((t, ev)) = q.pop() {
+            fired.push(t);
+            if ev == 0 && t < Nanos::from_secs(10) {
+                q.schedule_in(Nanos::from_millis(1), 0);
+            }
+        }
+        assert!(fired.windows(2).all(|w| w[0] <= w[1]), "out of order");
+        assert!(far.iter().all(|t| fired.contains(t)));
+        assert_eq!(q.filed[Tier::Overflow as usize], 3);
+    }
+
+    #[test]
+    fn late_inserts_inside_the_fine_window_wait_for_their_coarse_bucket() {
+        // The filing rule is the cascade frontier, not the fine window.
+        // "early" parks in coarse bucket 2 (epochs 2048..3072) while the
+        // window is `[0, 2048)`. At horizon 11 the window reaches epoch
+        // 2058, but bucket 2 is not cascaded yet: "late", filed into the
+        // window, would pop before "early".
+        let at = |e: u64| Nanos(e << EPOCH_SHIFT);
+        let mut q = EventQueue::new();
+        q.schedule(at(10), "tick");
+        q.schedule(at(2049), "early");
+        assert_eq!(q.pop(), Some((at(10), "tick")));
+        q.schedule(at(2055), "late");
+        assert_eq!(q.pop(), Some((at(2049), "early")));
+        assert_eq!(q.pop(), Some((at(2055), "late")));
+        assert_eq!(q.filed[Tier::Coarse as usize], 2);
+    }
+
+    /// Drive the mega-fleet's timer pattern for `pops` events: `clients`
+    /// closed loops, each an exp(200 ms) think, then a 0.25 ms hop, an
+    /// exp(2 ms) service and a 0.25 ms hop back. Returns the queue, still
+    /// holding one pending event per client, and how many of the request
+    /// chain's three steps were filed past the fine ring.
+    fn mega_fleet_churn(clients: u64, pops: u64, seed: u64) -> (EventQueue<u64>, u64) {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut exp =
+            |mean_ms: f64| Nanos::from_millis_f64(-mean_ms * (1.0 - rng.gen::<f64>()).ln());
+        let mut q = EventQueue::new();
+        for client in 0..clients {
+            q.schedule_in(exp(200.0), client << 2);
+        }
+        let mut chain_past_fine = 0;
+        for _ in 0..pops {
+            let (_, ev) = q.pop().expect("one pending event per client");
+            let delay = match ev & 3 {
+                0 | 2 => Nanos::from_micros(250),
+                1 => exp(2.0),
+                _ => exp(200.0),
+            };
+            let far = |q: &EventQueue<u64>| {
+                q.filed[Tier::Coarse as usize] + q.filed[Tier::Overflow as usize]
+            };
+            let before = far(&q);
+            q.schedule_in(delay, (ev & !3) | ((ev + 1) & 3));
+            if ev & 3 != 3 {
+                chain_past_fine += far(&q) - before;
+            }
+        }
+        (q, chain_past_fine)
+    }
+
+    #[test]
+    fn mega_fleet_timers_never_touch_the_overflow_heap() {
+        let (q, chain_past_fine) = mega_fleet_churn(120_000, 480_000, 1);
+        assert_eq!(q.filed[Tier::Overflow as usize], 0, "{:?}", q.filed);
+        // ≈ 72% of the think timers land past the fine ring; the request
+        // chain never does, because coarse buckets cascade a bucket-width
+        // early.
+        assert!(q.filed[Tier::Coarse as usize] > 100_000, "{:?}", q.filed);
+        assert_eq!(chain_past_fine, 0);
+    }
+
+    #[test]
+    fn cascaded_coarse_buckets_free_their_storage() {
+        let coarse_capacity =
+            |q: &EventQueue<u64>| q.coarse.iter().map(Vec::capacity).sum::<usize>();
+        let (mut q, _) = mega_fleet_churn(120_000, 240_000, 2);
+        // Live buckets hold at most doubling slack (4 nodes when tiny).
+        let live = q.coarse.iter().filter(|b| !b.is_empty()).count();
+        assert!(q.coarse_len > 0);
+        assert!(
+            coarse_capacity(&q) <= 2 * q.coarse_len + 4 * live,
+            "{} slots for {} nodes",
+            coarse_capacity(&q),
+            q.coarse_len
+        );
+        while q.pop().is_some() {}
+        assert_eq!(q.coarse_len, 0);
+        assert_eq!(coarse_capacity(&q), 0, "cascaded buckets kept storage");
     }
 
     #[test]

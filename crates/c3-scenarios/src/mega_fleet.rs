@@ -7,11 +7,14 @@
 //! every simulated client is an independent think → request → response
 //! cycle, so the kernel holds **one pending timer per client** (100k+
 //! concurrent events) for the whole run. Think times (~200 ms) sit several
-//! ring spans past the calendar queue's horizon, so the far-future
-//! overflow tier — not just the ring — carries the census. That makes
-//! this scenario double as the kernel's scale proof: the repo benchmark
-//! runs it as the `sim-mega-fleet` workload, next to the 65536-pending
-//! churn probe (`engine.kernel_ns_per_event_p65536`).
+//! fine-ring spans (≈ 67 ms) past the kernel's horizon, so its coarse ring
+//! (33.5 ms buckets, ≈ 4.3 s in all) — not just the fine ring — carries
+//! the census, and none of it reaches the overflow heap. That makes this
+//! scenario double as the kernel's scale proof: the repo benchmark runs it
+//! as the `sim-mega-fleet` workload. The benchmark's churn probes
+//! (`engine.kernel_ns_per_event_p*`) schedule at most 1 ms ahead, so they
+//! exercise only the fine ring; this workload is where the coarse ring
+//! shows.
 //!
 //! Selector state is pooled: clients map onto a fixed set of **selector
 //! shards** (the live client shards its baseline selector state the same

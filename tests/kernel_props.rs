@@ -1,194 +1,263 @@
-//! Property tests pitting the engine's three-tier calendar queue against
-//! a naive sorted-vec model under adversarial schedules.
+//! Property tests pitting the engine's four-tier event queue — near tier,
+//! fine ring, coarse ring, overflow heap — against a plain ordered-set
+//! model under adversarial schedules.
 //!
-//! The calendar queue's correctness argument has sharp corners that unit
-//! tests hit one at a time: events landing exactly on epoch boundaries,
-//! events more than one ring span ahead (parked in the overflow tier and
-//! lazily merged as the horizon advances), bursts clustered into a single
-//! epoch (the whole-bucket swap/sort refill path), and cancellations
+//! The queue's correctness argument has sharp corners that unit tests hit
+//! one at a time: events landing exactly on epoch boundaries and on
+//! coarse-bucket boundaries, events exactly one fine-ring span or one
+//! coarse width ahead, events at the coarse ring's ≈ 4.3 s horizon and past
+//! it (parked in the overflow heap, moved into the coarse ring as its
+//! window slides, then cascaded into the fine ring), bursts clustered into
+//! a single epoch (the whole-bucket swap/sort refill path), schedules with
+//! nothing near (the horizon jumps to the next occupied coarse bucket, or
+//! the coarse window to the overflow minimum), and cancellations
 //! interleaved with all of the above (lazy slab invalidation). Here a
-//! seeded adversary mixes every one of those shapes at the bench matrix's
-//! pending-count profiles — 128, 4096 and 65536 — and every pop must
-//! match a model so simple it is obviously correct: a vector sorted by
+//! seeded adversary mixes every one of those shapes at the benchmark's
+//! pending-count profiles — 128, 4096 and 65536 — plus a mega-fleet-shaped
+//! census of 120k exp(200 ms) timers, and every pop and every cancel must
+//! match a model so simple it is obviously correct: a `BTreeSet` of
 //! `(time, seq)`.
 
+use std::collections::BTreeSet;
+
 use c3::core::Nanos;
-use c3::engine::EventQueue;
+use c3::engine::{EventQueue, TimerId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-// Private kernel geometry, restated: bucket epochs are `time >> 15`
-// (~32.8 µs) and the ring holds 2048 of them, so anything scheduled one
-// span (~67 ms) past the horizon takes the overflow tier.
+// Private kernel geometry, restated: epochs are `time >> 15` (~32.8 µs),
+// the fine ring holds 2048 of them (~67 ms), a coarse bucket 1024 (~33.5
+// ms) and the coarse ring 128 buckets (~4.3 s); past that, the overflow
+// heap.
 const EPOCH: u64 = 1 << 15;
-const RING_SPAN: u64 = 2048 << 15;
+const RING_SPAN: u64 = 2048 * EPOCH;
+const COARSE_WIDTH: u64 = 1024 * EPOCH;
+const COARSE_SPAN: u64 = 128 * COARSE_WIDTH;
 
-/// One adversarial delay, mixing the shapes the tiers disagree about.
-fn adversarial_delay(rng: &mut SmallRng) -> u64 {
-    match rng.gen_range(0..6u32) {
+/// A schedule shape: the absolute time of the next event, given `now`.
+type Shape = fn(&mut SmallRng, u64) -> u64;
+
+/// One adversarial event time, mixing the shapes the tiers disagree about.
+fn adversarial_at(rng: &mut SmallRng, now: u64) -> u64 {
+    let delay = match rng.gen_range(0..10u32) {
         // Exact epoch-boundary hits (and zero: fire "now").
         0 => rng.gen_range(0..8u64) * EPOCH,
         // Just around a boundary: the off-by-one neighborhood.
         1 => rng.gen_range(1..8u64) * EPOCH - 1 + rng.gen_range(0..3u64),
         // Clustered same-epoch burst fodder.
         2 => rng.gen_range(0..64u64),
-        // More than one ring span ahead: the overflow tier, up to ~5 spans
-        // (several horizon jumps and lazy merges before it fires).
-        3 => RING_SPAN + rng.gen_range(0..4 * RING_SPAN),
-        // Exactly one span: the first epoch past the ring's window.
-        4 => RING_SPAN,
-        // Anywhere inside the ring.
+        // Exactly one fine-ring span, or one coarse width.
+        3 => [RING_SPAN, COARSE_WIDTH][rng.gen_range(0..2usize)],
+        // The coarse ring's horizon, ± one epoch.
+        4 => COARSE_SPAN - EPOCH + rng.gen_range(0..3u64) * EPOCH,
+        // Past the coarse horizon: the overflow heap, up to four spans out.
+        5 => COARSE_SPAN + rng.gen_range(0..3 * COARSE_SPAN),
+        // Anywhere inside the coarse ring.
+        6 => rng.gen_range(0..COARSE_SPAN),
+        // An absolute coarse-bucket boundary `k·1024` epochs, ± one
+        // epoch, from the next bucket to just past the coarse window's
+        // far end.
+        7 => return coarse_boundary_at(rng, now),
+        // Anywhere inside the fine ring.
         _ => rng.gen_range(0..RING_SPAN),
+    };
+    now + delay
+}
+
+/// An absolute coarse-bucket boundary ahead of `now`, ± one epoch (never
+/// in the past).
+fn coarse_boundary_at(rng: &mut SmallRng, now: u64) -> u64 {
+    let boundary = (now / COARSE_WIDTH + rng.gen_range(1..=131u64)) * COARSE_WIDTH;
+    let offset = [0, EPOCH - 1, EPOCH, EPOCH + 1, 2 * EPOCH][rng.gen_range(0..5usize)];
+    (boundary + offset - EPOCH).max(now)
+}
+
+/// Only far events: past the fine ring, inside the coarse ring, at its
+/// boundaries, or past it. With a small census the fine ring runs empty
+/// (the horizon jumps to the next occupied coarse bucket) and so do the
+/// fine and coarse rings together (the coarse window jumps to the
+/// overflow minimum).
+fn far_only_at(rng: &mut SmallRng, now: u64) -> u64 {
+    match rng.gen_range(0..4u32) {
+        0 => now + RING_SPAN + rng.gen_range(0..COARSE_SPAN - RING_SPAN),
+        1 => coarse_boundary_at(rng, now).max(now + RING_SPAN),
+        2 => now + COARSE_SPAN - EPOCH + rng.gen_range(0..3u64) * EPOCH,
+        _ => now + COARSE_SPAN + rng.gen_range(0..4 * COARSE_SPAN),
     }
 }
 
-/// The model: `(time, seq, id)` kept sorted descending, popped off the
-/// end — ascending `(time, seq)` order, the kernel's contract.
-#[derive(Default)]
-struct Model {
-    pending: Vec<(u64, u64, u64)>,
+/// A dense near stream with a sprinkle of timers around and past the
+/// coarse horizon: the fine ring never runs empty, so only the cascade
+/// itself moves the far timers in as the windows slide over them.
+fn busy_with_far_at(rng: &mut SmallRng, now: u64) -> u64 {
+    now + if rng.gen_range(0..32u32) == 0 {
+        COARSE_SPAN - 2 * COARSE_WIDTH + rng.gen_range(0..COARSE_SPAN)
+    } else {
+        rng.gen_range(0..2_000_000u64)
+    }
 }
 
-impl Model {
-    fn insert(&mut self, time: u64, seq: u64, id: u64) {
-        let key = (time, seq);
-        let at = self.pending.partition_point(|&(t, s, _)| (t, s) > key);
-        self.pending.insert(at, (time, seq, id));
-    }
+/// The mega-fleet's timer mix: one exp(200 ms) think per three request
+/// hops (0.25 ms, exp(2 ms), 0.25 ms).
+fn mega_fleet_at(rng: &mut SmallRng, now: u64) -> u64 {
+    let mean_ns = match rng.gen_range(0..4u32) {
+        0 => 200e6,
+        1 => 2e6,
+        _ => return now + 250_000,
+    };
+    now + (-mean_ns * (1.0 - rng.gen::<f64>()).ln()) as u64
+}
 
-    fn pop(&mut self) -> Option<(u64, u64)> {
-        self.pending.pop().map(|(t, _, id)| (t, id))
-    }
+/// The kernel beside its model, driven in lockstep.
+struct Duel {
+    rng: SmallRng,
+    shape: Shape,
+    /// Each event's payload is its sequence number.
+    q: EventQueue<u64>,
+    /// The model: pending `(time, seq)` keys, popped from the front —
+    /// ascending `(time, seq)` order, the kernel's contract.
+    model: BTreeSet<(u64, u64)>,
+    /// Cancellable timers scheduled and not yet cancelled, fired or not:
+    /// `(handle, model key)`, culled once the list outgrows what is
+    /// pending.
+    timers: Vec<(TimerId, (u64, u64))>,
+    cull_at: usize,
+    /// The kernel allocates one sequence number per schedule call, in
+    /// call order.
+    next_seq: u64,
+}
 
-    fn remove_by_id(&mut self, id: u64) -> bool {
-        match self.pending.iter().rposition(|&(_, _, i)| i == id) {
-            Some(at) => {
-                self.pending.remove(at);
-                true
-            }
-            None => false,
+impl Duel {
+    fn new(seed: u64, shape: Shape) -> Self {
+        Self {
+            rng: SmallRng::seed_from_u64(seed),
+            shape,
+            q: EventQueue::new(),
+            model: BTreeSet::new(),
+            timers: Vec::new(),
+            cull_at: 64,
+            next_seq: 0,
         }
+    }
+
+    fn push(&mut self) {
+        let at = (self.shape)(&mut self.rng, self.q.now().as_nanos());
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if self.rng.gen_range(0..4u32) == 0 {
+            let timer = self.q.schedule_cancellable(Nanos(at), seq);
+            self.timers.push((timer, (at, seq)));
+        } else {
+            self.q.schedule(Nanos(at), seq);
+        }
+        self.model.insert((at, seq));
+    }
+
+    fn pop_and_check(&mut self) {
+        let got = self.q.pop().map(|(t, seq)| (t.as_nanos(), seq));
+        assert_eq!(
+            got,
+            self.model.pop_first(),
+            "pop order diverged from the model"
+        );
+    }
+
+    /// Cancel a random timer — fired, or still pending in any tier: the
+    /// kernel hands back the payload exactly when the model still holds
+    /// it. Returns whether it was pending.
+    fn cancel_one(&mut self) -> bool {
+        if self.timers.is_empty() {
+            return false;
+        }
+        let at = self.rng.gen_range(0..self.timers.len());
+        let (timer, key) = self.timers.swap_remove(at);
+        let pending = self.model.remove(&key);
+        let want = pending.then_some(key.1);
+        assert_eq!(self.q.cancel(timer), want, "cancel of the timer at {key:?}");
+        if self.timers.len() > self.cull_at {
+            let model = &self.model;
+            self.timers.retain(|(_, key)| model.contains(key));
+            self.cull_at = 2 * self.timers.len() + 64;
+        }
+        pending
     }
 }
 
 /// Fill to `pending` events, churn `steps` pop+push rounds with
-/// interleaved cancellations, then drain — asserting every pop against
-/// the model. `seq` is tracked externally: the kernel allocates one per
-/// schedule call, in call order.
-fn duel(pending: usize, steps: usize, seed: u64) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut q: EventQueue<u64> = EventQueue::new();
-    let mut model = Model::default();
-    // Live cancellable timers as (id, TimerId); stale entries are culled
-    // when their event pops.
-    let mut timers = Vec::new();
-    let mut next_seq = 0u64;
-    let mut next_id = 0u64;
-
-    let push = |q: &mut EventQueue<u64>,
-                model: &mut Model,
-                timers: &mut Vec<(u64, c3::engine::TimerId)>,
-                rng: &mut SmallRng,
-                next_seq: &mut u64,
-                next_id: &mut u64| {
-        let at = q.now().as_nanos() + adversarial_delay(rng);
-        let id = *next_id;
-        *next_id += 1;
-        if rng.gen_range(0..4u32) == 0 {
-            timers.push((id, q.schedule_cancellable(Nanos(at), id)));
-        } else {
-            q.schedule(Nanos(at), id);
-        }
-        model.insert(at, *next_seq, id);
-        *next_seq += 1;
-    };
-
+/// interleaved cancellations, then drain — asserting every pop and cancel
+/// against the model.
+fn duel(pending: usize, steps: usize, seed: u64, shape: Shape) {
+    let mut d = Duel::new(seed, shape);
     for _ in 0..pending {
-        push(
-            &mut q,
-            &mut model,
-            &mut timers,
-            &mut rng,
-            &mut next_seq,
-            &mut next_id,
-        );
+        d.push();
     }
-    assert_eq!(q.len(), pending);
-
-    let pop_and_check = |q: &mut EventQueue<u64>,
-                         model: &mut Model,
-                         timers: &mut Vec<(u64, c3::engine::TimerId)>| {
-        let got = q.pop();
-        let want = model.pop();
-        assert_eq!(
-            got.map(|(t, id)| (t.as_nanos(), id)),
-            want,
-            "pop order diverged from the sorted-vec model"
-        );
-        if let Some((_, id)) = want {
-            timers.retain(|&(tid, _)| tid != id);
-        }
-    };
-
+    assert_eq!(d.q.len(), pending);
     for _ in 0..steps {
-        pop_and_check(&mut q, &mut model, &mut timers);
-        // Interleaved cancellation of a random live timer.
-        if !timers.is_empty() && rng.gen_range(0..8u32) == 0 {
-            let at = rng.gen_range(0..timers.len());
-            let (id, timer) = timers.swap_remove(at);
-            let got = q.cancel(timer);
-            assert_eq!(got, Some(id), "timer {id} should still be live");
-            assert!(model.remove_by_id(id), "model lost timer {id}");
+        d.pop_and_check();
+        if d.rng.gen_range(0..8u32) == 0 && d.cancel_one() {
             // Keep the census: replace the cancelled event too.
-            push(
-                &mut q,
-                &mut model,
-                &mut timers,
-                &mut rng,
-                &mut next_seq,
-                &mut next_id,
-            );
+            d.push();
         }
-        push(
-            &mut q,
-            &mut model,
-            &mut timers,
-            &mut rng,
-            &mut next_seq,
-            &mut next_id,
-        );
-        assert_eq!(q.len(), model.pending.len());
+        d.push();
+        assert_eq!(d.q.len(), d.model.len());
     }
-
-    while !model.pending.is_empty() {
-        pop_and_check(&mut q, &mut model, &mut timers);
+    while !d.model.is_empty() {
+        d.pop_and_check();
     }
-    assert_eq!(q.pop(), None);
-    assert!(q.is_empty());
+    assert_eq!(d.q.pop(), None);
+    assert!(d.q.is_empty());
 }
 
 proptest! {
-    /// The bench matrix's small profile: every pop matches the model.
+    /// The benchmark's small profile: every pop matches the model.
     #[test]
     fn churn_at_128_pending_matches_the_model(seed in 0u64..1 << 32) {
-        duel(128, 400, seed);
+        duel(128, 400, seed, adversarial_at);
     }
 
-    /// The regression profile this PR fixes — 4096 pending, where the
-    /// two-tier design lost to the legacy heap.
+    /// The benchmark's middle profile.
     #[test]
     fn churn_at_4096_pending_matches_the_model(seed in 0u64..1 << 32) {
-        duel(4096, 300, seed);
+        duel(4096, 300, seed, adversarial_at);
+    }
+
+    /// Far events only, at a census small enough that the fine ring and
+    /// then the coarse ring run empty: both horizon jumps, over and over.
+    #[test]
+    fn far_only_churn_jumps_both_horizons_and_matches_the_model(
+        seed in 0u64..1 << 32,
+        pending in 1usize..24,
+    ) {
+        duel(pending, 400, seed, far_only_at);
     }
 }
 
-/// The mega-fleet profile. Too big to sample 64 ways under the default
-/// proptest budget in debug builds, so a handful of fixed seeds — the
-/// adversary inside `duel` is what carries the coverage.
+/// The largest benchmark profile. Too big to sample 64 ways under the
+/// default proptest budget in debug builds, so a handful of fixed seeds —
+/// the adversary inside `duel` is what carries the coverage.
 #[test]
 fn churn_at_65536_pending_matches_the_model() {
     for seed in [1, 7, 42] {
-        duel(65_536, 150, seed);
+        duel(65_536, 150, seed, adversarial_at);
+    }
+}
+
+/// The mega-fleet's census: 120k pending, a quarter of every push an
+/// exp(200 ms) think timer (mostly past the fine ring). The drain runs out
+/// the exponential tail, ≈ 2 s: dozens of cascades.
+#[test]
+fn mega_fleet_shaped_churn_matches_the_model() {
+    for seed in [3, 11] {
+        duel(120_000, 120_000, seed, mega_fleet_at);
+    }
+}
+
+/// Busy near traffic for ≈ 10 s of simulated time while far timers ride
+/// every tier: ≈ 300 cascades with the fine ring never empty.
+#[test]
+fn busy_churn_with_far_timers_matches_the_model() {
+    for seed in [5, 13, 21] {
+        duel(2048, 100_000, seed, busy_with_far_at);
     }
 }

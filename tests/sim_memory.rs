@@ -9,8 +9,11 @@
 //! cell (the `cluster-faults-recorded` shape) by ≈ 76 MB; what is left is
 //! each run's fixed footprint — kernel tiers, histograms and selectors
 //! (≈ 6 MB), plus, for the mega-fleet, 120k pending think timers and 128
-//! selector shards × 256 servers (≈ 21 MB), and, for the exact-latency
+//! selector shards × 256 servers (≈ 23 MB), and, for the exact-latency
 //! cluster cell, one 8-byte reservoir sample per measured op (≈ 3 MB).
+//! Most think timers wait in the kernel tiers' coarse ring, whose buckets
+//! free their storage as they cascade into the fine ring; buckets that
+//! kept it, each at its peak, grew the mega-fleet cell to ≈ 32 MB.
 //! Peak RSS is a property of the process, so this file holds exactly one
 //! test, and CI also runs it in release — the profile the benchmark,
 //! `scenario_sweep` and the figure bins run.
@@ -86,8 +89,10 @@ fn simulated_runs_grow_by_what_is_in_flight() {
         sim < 16.0,
         "§6 run of {REQUESTS} requests grew RSS by {sim:.1} MB"
     );
+    // Measured ≈ 22.7 MB, plus 25%: tight enough to reject coarse buckets
+    // that keep their storage after cascading (≈ 32 MB).
     assert!(
-        fleet < 32.0,
+        fleet < 28.0,
         "mega-fleet cell of {REQUESTS} ops grew RSS by {fleet:.1} MB"
     );
     assert!(
