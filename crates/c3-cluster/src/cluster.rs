@@ -54,6 +54,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::ClusterConfig;
+use crate::fault::NodeFaults;
 use crate::perturb::{EpisodeKind, NodePerturbation};
 use crate::ring::Ring;
 use crate::snitch::{SnitchConfig, SnitchSelector};
@@ -211,6 +212,8 @@ struct NodeState {
     write_inflight: usize,
     write_concurrency: usize,
     perturb: NodePerturbation,
+    /// The node's slice of the fault plan, split once at construction.
+    faults: NodeFaults,
 }
 
 impl NodeState {
@@ -422,6 +425,7 @@ impl ClusterScenario {
                     write_inflight: 0,
                     write_concurrency: 8,
                     perturb,
+                    faults: cfg.faults.for_node(i),
                 }
             })
             .collect();
@@ -1149,7 +1153,8 @@ impl ClusterScenario {
 
     fn on_replica_arrive(&mut self, send_id: SendId, now: Nanos, engine: &mut EventQueue<Ev>) {
         let send = self.sends[send_id];
-        if !self.cfg.faults.is_empty() && self.cfg.faults.down(send.node as usize, now) {
+        let node = &mut self.nodes[send.node as usize];
+        if node.faults.at(now).down {
             // The replica is crashed or its transport is resetting: the
             // request vanishes. Recovery is the client's job (deadline →
             // retry/hedge/park).
@@ -1157,7 +1162,6 @@ impl ClusterScenario {
             self.release_send(send_id);
             return;
         }
-        let node = &mut self.nodes[send.node as usize];
         node.perturb.expire(now);
         if send.is_write {
             if node.write_inflight < node.write_concurrency {
@@ -1257,24 +1261,17 @@ impl ClusterScenario {
         } else {
             self.cfg.net_latency
         };
-        if !self.cfg.faults.is_empty() {
-            // Response-side faults: a crash/reset window or a lossy window
-            // destroys the response after it burned service time; a laggy
-            // window stretches its return path. The stage bookkeeping
-            // above already ran, so the replica itself keeps draining.
-            if self.cfg.faults.down(node_id, now) {
-                self.faults_dropped += 1;
-                self.release_send(send_id);
-                return;
-            }
-            let p = self.cfg.faults.drop_prob(node_id, now);
-            if p > 0.0 && self.life_rng.gen::<f64>() < p {
-                self.faults_dropped += 1;
-                self.release_send(send_id);
-                return;
-            }
-            delay += self.cfg.faults.extra_delay(node_id, now);
+        // Response-side faults: a crash/reset window or a lossy window
+        // destroys the response after it burned service time; a laggy
+        // window stretches its return path. The stage bookkeeping above
+        // already ran, so the replica itself keeps draining.
+        let fault = self.nodes[node_id].faults.at(now);
+        if fault.down || (fault.drop_prob > 0.0 && self.life_rng.gen::<f64>() < fault.drop_prob) {
+            self.faults_dropped += 1;
+            self.release_send(send_id);
+            return;
         }
+        delay += fault.extra_delay;
         engine.schedule_in(delay, Ev::CoordReceive { send: send_id });
     }
 
@@ -2136,15 +2133,7 @@ mod tests {
     /// `crash-flux` (`crash`) or `flaky-net` as the scenario library
     /// configures them, at the fingerprint goldens' scale.
     fn golden_fault_cell(crash: bool, strategy: Strategy) -> ClusterConfig {
-        use crate::fault::{FaultEvent, FaultKind};
         use crate::perturb::PerturbationSpec;
-        let early = |node, kind, start, end, magnitude| FaultEvent {
-            node,
-            kind,
-            start: Nanos::from_millis(start),
-            end: Nanos::from_millis(end),
-            magnitude,
-        };
         let mut cfg = ClusterConfig {
             total_ops: 3_000,
             warmup_ops: 150,
@@ -2157,8 +2146,7 @@ mod tests {
         let span = Nanos::from_secs(60);
         if crash {
             cfg.faults = FaultPlan::crash_flux(cfg.seed, cfg.nodes, span);
-            let crash_early = early(0, FaultKind::Crash, 60, 260, 0.0);
-            cfg.faults.events.push(crash_early);
+            cfg.faults.layer(&FaultPlan::CRASH_FLUX_EARLY, cfg.nodes);
             cfg.lifecycle = c3_core::LifecycleConfig::hardened(
                 Nanos::from_millis(75),
                 3,
@@ -2166,11 +2154,7 @@ mod tests {
             );
         } else {
             cfg.faults = FaultPlan::flaky_net(cfg.seed, cfg.nodes, span);
-            cfg.faults.events.extend([
-                early(1, FaultKind::ConnReset, 50, 140, 0.0),
-                early(2, FaultKind::RespDelay, 60, 300, 40.0),
-                early(3, FaultKind::RespDrop, 80, 320, 0.5),
-            ]);
+            cfg.faults.layer(&FaultPlan::FLAKY_NET_EARLY, cfg.nodes);
             cfg.lifecycle = c3_core::LifecycleConfig::hardened(
                 Nanos::from_millis(100),
                 3,

@@ -178,8 +178,8 @@ impl ClusterConfig {
             assert!(p.extra_generators > 0, "phase must add generators");
         }
         self.lifecycle.validate();
-        for ev in &self.faults.events {
-            assert!(ev.node < self.nodes, "fault episode on unknown node");
+        if let Err(e) = self.faults.validate(self.nodes) {
+            panic!("{e}");
         }
         self.c3.validate();
     }
@@ -221,6 +221,20 @@ mod tests {
             },
             ..ClusterConfig::default()
         };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "fault episode 0 needs an end after its start")]
+    fn reversed_fault_windows_are_rejected() {
+        let mut c = ClusterConfig::default();
+        c.faults.events.push(crate::fault::FaultEvent {
+            node: 0,
+            kind: crate::fault::FaultKind::Crash,
+            start: Nanos::from_millis(200),
+            end: Nanos::from_millis(100),
+            magnitude: 0.0,
+        });
         c.validate();
     }
 

@@ -9,10 +9,15 @@
 //! live backend, so a `(scenario, seed)` cell means the same fault
 //! timeline on both.
 //!
-//! The plan is pure data queried by time: backends ask `down(node, now)`,
-//! `drop_prob(node, now)` and `extra_delay(node, now)` at each
-//! request/response boundary. No hidden state, no RNG at replay time —
-//! which is what keeps fingerprints stable and the live replay honest.
+//! The plan is pure data queried by time. A backend splits it by node
+//! once, when it builds its replicas ([`FaultPlan::for_node`]), and each
+//! replica then asks its own [`NodeFaults::at`] for the whole
+//! [`FaultState`] — down, drop probability, extra delay — in one pass over
+//! its own windows at each request/response boundary. No hidden state, no
+//! RNG at replay time — which is what keeps fingerprints stable and the
+//! live replay honest.
+
+use std::fmt;
 
 use c3_core::Nanos;
 use rand::rngs::SmallRng;
@@ -61,9 +66,9 @@ impl FaultEvent {
 
 /// A deterministic schedule of fault episodes.
 ///
-/// The default plan is empty: every query returns the no-fault answer and
-/// backends skip the fault paths entirely, which keeps unfaulted runs
-/// bit-identical to builds that predate fault injection.
+/// The default plan is empty: every node's [`NodeFaults::at`] answers the
+/// no-fault [`FaultState`], which keeps unfaulted runs bit-identical to
+/// builds that predate fault injection.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     /// The scheduled episodes, in no particular order.
@@ -167,39 +172,88 @@ impl FaultPlan {
         Self { events }
     }
 
-    /// Whether `node` is unreachable at `now` (crashed, or its transport
-    /// is resetting).
-    pub fn down(&self, node: usize, now: Nanos) -> bool {
-        self.events.iter().any(|e| {
-            e.node == node
-                && matches!(e.kind, FaultKind::Crash | FaultKind::ConnReset)
-                && e.active(now)
-        })
-    }
+    /// The deterministic early episode layered under the seeded
+    /// `crash-flux` plan (node 0 dark for 60–260 ms), so even the
+    /// shortest smoke run meets a crash inside the plan's quiet lead-in.
+    pub const CRASH_FLUX_EARLY: [FaultEvent; 1] = [FaultEvent {
+        node: 0,
+        kind: FaultKind::Crash,
+        start: Nanos::from_millis(60),
+        end: Nanos::from_millis(260),
+        magnitude: 0.0,
+    }];
 
-    /// Probability that a response from `node` at `now` is dropped
-    /// (0.0 outside [`FaultKind::RespDrop`] windows).
-    pub fn drop_prob(&self, node: usize, now: Nanos) -> f64 {
+    /// The deterministic early episodes layered under the seeded
+    /// `flaky-net` plan: one reset, one 40 ms lag and one 50% drop window
+    /// on nodes 1–3, all inside the plan's quiet lead-in.
+    pub const FLAKY_NET_EARLY: [FaultEvent; 3] = [
+        FaultEvent {
+            node: 1,
+            kind: FaultKind::ConnReset,
+            start: Nanos::from_millis(50),
+            end: Nanos::from_millis(140),
+            magnitude: 0.0,
+        },
+        FaultEvent {
+            node: 2,
+            kind: FaultKind::RespDelay,
+            start: Nanos::from_millis(60),
+            end: Nanos::from_millis(300),
+            magnitude: 40.0,
+        },
+        FaultEvent {
+            node: 3,
+            kind: FaultKind::RespDrop,
+            start: Nanos::from_millis(80),
+            end: Nanos::from_millis(320),
+            magnitude: 0.5,
+        },
+    ];
+
+    /// Append the `early` episodes that name one of `nodes` nodes, after
+    /// the episodes already planned (the stock scenarios layer
+    /// [`FaultPlan::CRASH_FLUX_EARLY`] / [`FaultPlan::FLAKY_NET_EARLY`]
+    /// under their seeded plans this way).
+    pub fn layer(&mut self, early: &[FaultEvent], nodes: usize) {
         self.events
-            .iter()
-            .filter(|e| e.node == node && e.kind == FaultKind::RespDrop && e.active(now))
-            .map(|e| e.magnitude)
-            .fold(0.0, f64::max)
+            .extend(early.iter().copied().filter(|e| e.node < nodes));
     }
 
-    /// Extra delay added to a response from `node` at `now`
-    /// ([`Nanos::ZERO`] outside [`FaultKind::RespDelay`] windows).
-    pub fn extra_delay(&self, node: usize, now: Nanos) -> Nanos {
-        let ms = self
-            .events
-            .iter()
-            .filter(|e| e.node == node && e.kind == FaultKind::RespDelay && e.active(now))
-            .map(|e| e.magnitude)
-            .sum::<f64>();
-        if ms > 0.0 {
-            Nanos::from_millis_f64(ms)
-        } else {
-            Nanos::ZERO
+    /// Check the plan against a fleet of `nodes` nodes: every episode
+    /// names a node of the fleet, ends after it starts, and carries a
+    /// magnitude its kind can apply (a drop probability in [0, 1], a
+    /// finite, non-negative delay). Reports the first episode that does
+    /// not.
+    pub fn validate(&self, nodes: usize) -> Result<(), InvalidFault> {
+        for (index, e) in self.events.iter().enumerate() {
+            let needs = if e.node >= nodes {
+                "a node below the fleet size"
+            } else if e.end <= e.start {
+                "an end after its start"
+            } else if e.kind == FaultKind::RespDrop && !(0.0..=1.0).contains(&e.magnitude) {
+                "a drop probability in [0, 1]"
+            } else if e.kind == FaultKind::RespDelay
+                && !(e.magnitude.is_finite() && e.magnitude >= 0.0)
+            {
+                "a finite, non-negative delay"
+            } else {
+                continue;
+            };
+            return Err(InvalidFault { index, needs });
+        }
+        Ok(())
+    }
+
+    /// `node`'s own windows, in plan order — what a replica queries
+    /// instead of scanning the whole plan.
+    pub fn for_node(&self, node: usize) -> NodeFaults {
+        NodeFaults {
+            windows: self
+                .events
+                .iter()
+                .copied()
+                .filter(|e| e.node == node)
+                .collect(),
         }
     }
 
@@ -214,17 +268,137 @@ impl FaultPlan {
     }
 }
 
+/// Why [`FaultPlan::validate`] refused a plan.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct InvalidFault {
+    /// Index of the offending episode in [`FaultPlan::events`].
+    pub index: usize,
+    /// What the episode lacks, phrased as the requirement.
+    pub needs: &'static str,
+}
+
+impl fmt::Display for InvalidFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "fault episode {} needs {}", self.index, self.needs)
+    }
+}
+
+impl std::error::Error for InvalidFault {}
+
+/// What the fault plan does to one node at one instant.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct FaultState {
+    /// The node is unreachable: an active [`FaultKind::Crash`] or
+    /// [`FaultKind::ConnReset`] window.
+    pub down: bool,
+    /// Probability that a response is dropped: the largest active
+    /// [`FaultKind::RespDrop`] magnitude (0.0 outside such windows).
+    pub drop_prob: f64,
+    /// Extra delay on a response: the active [`FaultKind::RespDelay`]
+    /// magnitudes summed in plan order ([`Nanos::ZERO`] outside such
+    /// windows).
+    pub extra_delay: Nanos,
+}
+
+/// One node's slice of a [`FaultPlan`] ([`FaultPlan::for_node`]), built
+/// once per replica and asked at every request/response boundary.
+#[derive(Clone, Debug, Default)]
+pub struct NodeFaults {
+    /// The node's windows, in plan order. Not sorted by start: overlapping
+    /// delays sum in plan order, and a floating-point sum of three or more
+    /// terms depends on the order it adds them in.
+    windows: Vec<FaultEvent>,
+}
+
+impl NodeFaults {
+    /// The node's fault state at `now`, in one pass over its windows.
+    pub fn at(&self, now: Nanos) -> FaultState {
+        let mut down = false;
+        let mut drop_prob = 0.0;
+        let mut delay_ms = 0.0;
+        for w in self.windows.iter().filter(|w| w.active(now)) {
+            match w.kind {
+                FaultKind::Crash | FaultKind::ConnReset => down = true,
+                FaultKind::RespDrop => drop_prob = f64::max(drop_prob, w.magnitude),
+                FaultKind::RespDelay => delay_ms += w.magnitude,
+            }
+        }
+        FaultState {
+            down,
+            drop_prob,
+            extra_delay: if delay_ms > 0.0 {
+                Nanos::from_millis_f64(delay_ms)
+            } else {
+                Nanos::ZERO
+            },
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The whole-plan scans every backend used before plans were split
+    /// per node: the oracle [`NodeFaults::at`] must match bit for bit.
+    fn oracle(plan: &FaultPlan, node: usize, now: Nanos) -> FaultState {
+        let down = plan.events.iter().any(|e| {
+            e.node == node
+                && matches!(e.kind, FaultKind::Crash | FaultKind::ConnReset)
+                && e.active(now)
+        });
+        let drop_prob = plan
+            .events
+            .iter()
+            .filter(|e| e.node == node && e.kind == FaultKind::RespDrop && e.active(now))
+            .map(|e| e.magnitude)
+            .fold(0.0, f64::max);
+        let ms = plan
+            .events
+            .iter()
+            .filter(|e| e.node == node && e.kind == FaultKind::RespDelay && e.active(now))
+            .map(|e| e.magnitude)
+            .sum::<f64>();
+        let extra_delay = if ms > 0.0 {
+            Nanos::from_millis_f64(ms)
+        } else {
+            Nanos::ZERO
+        };
+        FaultState {
+            down,
+            drop_prob,
+            extra_delay,
+        }
+    }
+
+    /// `at` equals the oracle: `down` and the delay exactly, the drop
+    /// probability by its bits.
+    fn same(got: FaultState, want: FaultState) -> bool {
+        got.down == want.down
+            && got.drop_prob.to_bits() == want.drop_prob.to_bits()
+            && got.extra_delay == want.extra_delay
+    }
+
+    fn event(node: usize, kind: FaultKind, start: u64, end: u64, magnitude: f64) -> FaultEvent {
+        FaultEvent {
+            node,
+            kind,
+            start: Nanos(start),
+            end: Nanos(end),
+            magnitude,
+        }
+    }
 
     #[test]
     fn empty_plan_answers_no_fault() {
         let p = FaultPlan::none();
         assert!(p.is_empty());
-        assert!(!p.down(0, Nanos::from_millis(100)));
-        assert_eq!(p.drop_prob(0, Nanos::from_millis(100)), 0.0);
-        assert_eq!(p.extra_delay(0, Nanos::from_millis(100)), Nanos::ZERO);
+        let state = p.for_node(0).at(Nanos::from_millis(100));
+        assert_eq!(state, FaultState::default());
+        assert!(!state.down);
+        assert_eq!(state.drop_prob, 0.0);
+        assert_eq!(state.extra_delay, Nanos::ZERO);
         assert_eq!(p.horizon(), Nanos::ZERO);
     }
 
@@ -256,10 +430,11 @@ mod tests {
     fn crash_window_reports_down_only_inside() {
         let p = FaultPlan::crash_flux(3, 9, Nanos::from_secs(5));
         let e = p.events[0];
-        assert!(p.down(e.node, e.start));
-        assert!(!p.down(e.node, e.end));
+        let node = p.for_node(e.node);
+        assert!(node.at(e.start).down);
+        assert!(!node.at(e.end).down);
         let before = Nanos::from_millis(1);
-        assert!(!p.down(e.node, before));
+        assert!(!node.at(before).down);
     }
 
     #[test]
@@ -282,14 +457,14 @@ mod tests {
             .unwrap();
         assert!((0.3..0.7).contains(&drop.magnitude));
         let mid = Nanos((drop.start.0 + drop.end.0) / 2);
-        assert!(p.drop_prob(drop.node, mid) >= 0.3);
+        assert!(p.for_node(drop.node).at(mid).drop_prob >= 0.3);
         let delay = p
             .events
             .iter()
             .find(|e| e.kind == FaultKind::RespDelay)
             .unwrap();
         let mid = Nanos((delay.start.0 + delay.end.0) / 2);
-        assert!(p.extra_delay(delay.node, mid) >= Nanos::from_millis(20));
+        assert!(p.for_node(delay.node).at(mid).extra_delay >= Nanos::from_millis(20));
     }
 
     #[test]
@@ -297,5 +472,194 @@ mod tests {
         let p = FaultPlan::flaky_net(5, 9, Nanos::from_secs(3));
         let h = p.horizon();
         assert!(p.events.iter().all(|e| e.end <= h));
+    }
+
+    #[test]
+    fn node_faults_keep_plan_order() {
+        // Plan order is the reverse of start order, and the two sums
+        // round to different nanoseconds: (a + b) + c ≠ (c + b) + a.
+        let (a, b, c) = (10.000_000_5, 10.100_000_5, 17.400_000_5);
+        let plan = FaultPlan {
+            events: vec![
+                event(4, FaultKind::RespDelay, 30, 100, a),
+                event(1, FaultKind::Crash, 0, 100, 0.0),
+                event(4, FaultKind::RespDelay, 20, 100, b),
+                event(4, FaultKind::RespDelay, 10, 100, c),
+            ],
+        };
+        let plan_order = Nanos::from_millis_f64((a + b) + c);
+        assert_ne!(plan_order, Nanos::from_millis_f64((c + b) + a));
+        let state = plan.for_node(4).at(Nanos(50));
+        assert_eq!(state.extra_delay, plan_order);
+        assert!(same(state, oracle(&plan, 4, Nanos(50))));
+        assert!(!state.down, "node 1's crash is not node 4's");
+    }
+
+    #[test]
+    fn stock_plans_and_early_episodes_validate() {
+        let span = Nanos::from_secs(60);
+        for seed in 1..=10 {
+            for nodes in [3, 6, 9, 15] {
+                let mut crash = FaultPlan::crash_flux(seed, nodes, span);
+                crash.layer(&FaultPlan::CRASH_FLUX_EARLY, nodes);
+                assert_eq!(crash.validate(nodes), Ok(()));
+                let mut flaky = FaultPlan::flaky_net(seed, nodes, span);
+                flaky.layer(&FaultPlan::FLAKY_NET_EARLY, nodes);
+                assert_eq!(flaky.validate(nodes), Ok(()));
+            }
+        }
+    }
+
+    #[test]
+    fn layer_skips_episodes_past_the_fleet() {
+        let mut plan = FaultPlan::crash_flux(1, 3, Nanos::from_secs(5));
+        let seeded = plan.events.len();
+        plan.layer(&FaultPlan::FLAKY_NET_EARLY, 3);
+        assert_eq!(
+            plan.events.len(),
+            seeded + 2,
+            "node 3 is past a 3-node fleet"
+        );
+        assert_eq!(plan.events[seeded..], FaultPlan::FLAKY_NET_EARLY[..2]);
+    }
+
+    /// The first episode of a one-episode plan fails validation with
+    /// `needs`.
+    fn rejects(e: FaultEvent, needs: &str) {
+        let plan = FaultPlan { events: vec![e] };
+        let err = plan.validate(4).unwrap_err();
+        assert_eq!(err.index, 0);
+        assert_eq!(err.needs, needs);
+    }
+
+    #[test]
+    fn validate_rejects_nodes_past_the_fleet() {
+        rejects(
+            event(4, FaultKind::Crash, 0, 10, 0.0),
+            "a node below the fleet size",
+        );
+    }
+
+    #[test]
+    fn validate_rejects_empty_and_reversed_windows() {
+        rejects(
+            event(0, FaultKind::ConnReset, 10, 10, 0.0),
+            "an end after its start",
+        );
+        rejects(
+            event(0, FaultKind::Crash, 10, 5, 0.0),
+            "an end after its start",
+        );
+    }
+
+    #[test]
+    fn validate_rejects_drop_probabilities_outside_unit() {
+        for p in [-0.1, 1.5, f64::NAN] {
+            rejects(
+                event(0, FaultKind::RespDrop, 0, 10, p),
+                "a drop probability in [0, 1]",
+            );
+        }
+        let edges = FaultPlan {
+            events: vec![
+                event(0, FaultKind::RespDrop, 0, 10, 0.0),
+                event(0, FaultKind::RespDrop, 0, 10, 1.0),
+            ],
+        };
+        assert_eq!(edges.validate(1), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_negative_or_non_finite_delays() {
+        for ms in [-1.0, f64::INFINITY, f64::NAN] {
+            rejects(
+                event(0, FaultKind::RespDelay, 0, 10, ms),
+                "a finite, non-negative delay",
+            );
+        }
+    }
+
+    #[test]
+    fn validate_reports_the_first_bad_episode() {
+        let plan = FaultPlan {
+            events: vec![
+                event(0, FaultKind::Crash, 0, 10, 0.0),
+                event(1, FaultKind::RespDelay, 0, 10, -2.0),
+                event(9, FaultKind::Crash, 0, 10, 0.0),
+            ],
+        };
+        let err = plan.validate(2).unwrap_err();
+        assert_eq!(err.index, 1);
+        assert_eq!(
+            err.to_string(),
+            "fault episode 1 needs a finite, non-negative delay"
+        );
+    }
+
+    fn kind_of(k: u8) -> FaultKind {
+        match k % 4 {
+            0 => FaultKind::Crash,
+            1 => FaultKind::ConnReset,
+            2 => FaultKind::RespDrop,
+            _ => FaultKind::RespDelay,
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn node_faults_match_the_whole_plan_scan(
+            nodes in 1usize..21,
+            windows in prop::collection::vec(
+                (0usize..24, 0u8..4, 0u64..20_000, 1u64..4_000, 0.0f64..1.0),
+                0..201,
+            ),
+            stack in (0usize..20, 0u64..20_000, 0.0f64..80.0, 0.0f64..80.0, 0.0f64..80.0),
+            probes in prop::collection::vec(0u64..26_000, 0..64),
+        ) {
+            // Drawn windows overlap freely (starts in 20 µs, spans up to
+            // 4 µs) and may name nodes past the fleet; delays are in
+            // fractional milliseconds so sums carry rounding.
+            let mut events: Vec<FaultEvent> = windows
+                .into_iter()
+                .map(|(node, k, start, span, mag)| {
+                    let kind = kind_of(k);
+                    let magnitude = match kind {
+                        FaultKind::RespDelay => mag * 80.0,
+                        FaultKind::RespDrop => mag,
+                        _ => 0.0,
+                    };
+                    event(node, kind, start, start + span, magnitude)
+                })
+                .collect();
+            // Three delays active at once on one node, interleaved with
+            // the drawn windows so start order differs from plan order.
+            let (node, start, m1, m2, m3) = stack;
+            let node = node % nodes;
+            for (i, m) in [m1, m2, m3].into_iter().enumerate() {
+                let at = (events.len() * (i + 1)) / 4;
+                let s = start + 300 * (3 - i as u64);
+                events.insert(at, event(node, FaultKind::RespDelay, s, start + 2_000, m));
+            }
+            let plan = FaultPlan { events };
+            let mut instants = probes;
+            for e in &plan.events {
+                for t in [e.start, e.end] {
+                    instants.extend([t.0.saturating_sub(1), t.0, t.0 + 1]);
+                }
+            }
+            for n in 0..nodes + 4 {
+                let faults = plan.for_node(n);
+                for &t in &instants {
+                    let got = faults.at(Nanos(t));
+                    let want = oracle(&plan, n, Nanos(t));
+                    prop_assert!(
+                        same(got, want),
+                        "node {} at {} ns: {:?} != {:?}", n, t, got, want
+                    );
+                }
+            }
+            let stacked = plan.for_node(node).at(Nanos(start + 1_000));
+            prop_assert!(stacked.extra_delay >= Nanos::from_millis_f64(m1.max(m2).max(m3)));
+        }
     }
 }

@@ -48,7 +48,7 @@ pub use cluster::{
     register_cluster_strategies, Cluster, ClusterResult, ClusterScenario, CLUSTER_CHANNELS,
 };
 pub use config::{ClusterConfig, WorkloadPhase};
-pub use fault::{FaultEvent, FaultKind, FaultPlan};
+pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultState, InvalidFault, NodeFaults};
 pub use perturb::{EpisodeKind, EpisodeSpec, NodePerturbation, PerturbationSpec, ScriptedSlowdown};
 pub use ring::Ring;
 pub use snitch::{DynamicSnitch, SnitchConfig, SnitchSelector};

@@ -77,8 +77,11 @@ impl FleetConfig {
 
     /// Decode from a map that may also hold node-local keys (the node
     /// config document embeds the fleet keys alongside its own).
+    ///
+    /// A fault plan that [`FaultPlan::validate`] refuses for this fleet
+    /// is an error naming the first offending episode.
     pub fn from_kv_map(kv: &mut KvMap) -> Result<Self, KvError> {
-        Ok(Self {
+        let fleet = Self {
             replicas: kv.take_required("replicas", "usize")?,
             concurrency: kv.take_required("concurrency", "usize")?,
             disk: parse_disk(kv.take_required::<String>("disk", "ssd|spinning")?)?,
@@ -93,7 +96,15 @@ impl FleetConfig {
                 "faults",
                 "semicolon-joined node:kind:start_ns:end_ns:magnitude or \"none\"",
             )?)?,
-        })
+        };
+        if let Err(e) = fleet.faults.validate(fleet.replicas) {
+            return Err(KvError::Invalid {
+                key: "faults".to_string(),
+                value: fault_value(&fleet.faults.events[e.index]),
+                expected: e.needs,
+            });
+        }
+        Ok(fleet)
     }
 
     /// Decode a standalone fleet document (no leftovers allowed).
@@ -264,18 +275,20 @@ fn faults_value(plan: &FaultPlan) -> String {
     }
     plan.events
         .iter()
-        .map(|e| {
-            format!(
-                "{}:{}:{}:{}:{}",
-                e.node,
-                fault_kind_value(e.kind),
-                e.start.as_nanos(),
-                e.end.as_nanos(),
-                e.magnitude
-            )
-        })
+        .map(fault_value)
         .collect::<Vec<_>>()
         .join(";")
+}
+
+fn fault_value(e: &FaultEvent) -> String {
+    format!(
+        "{}:{}:{}:{}:{}",
+        e.node,
+        fault_kind_value(e.kind),
+        e.start.as_nanos(),
+        e.end.as_nanos(),
+        e.magnitude
+    )
 }
 
 fn parse_faults(v: String) -> Result<FaultPlan, KvError> {
@@ -423,6 +436,45 @@ mod tests {
         text.push_str("bogus=1\n");
         let err = FleetConfig::from_kv(&text).unwrap_err();
         assert!(matches!(err, KvError::Unknown { ref key } if key == "bogus"));
+    }
+
+    /// `sample_fleet`'s document with its one fault episode replaced by
+    /// `episode`, decoded as a node config.
+    fn node_with_fault(episode: &str) -> Result<NodeConfig, KvError> {
+        let node = NodeConfig {
+            replica_id: 0,
+            bind: "127.0.0.1:0".parse().unwrap(),
+            fleet: sample_fleet(),
+        };
+        let text = node.to_kv().replace(
+            &format!("faults={}", faults_value(&node.fleet.faults)),
+            &format!("faults={episode}"),
+        );
+        NodeConfig::from_kv(&text)
+    }
+
+    #[test]
+    fn invalid_fault_episodes_are_rejected() {
+        for (episode, needs) in [
+            ("3:crash:0:1000:0", "a node below the fleet size"),
+            ("1:crash:5000:1000:0", "an end after its start"),
+            ("1:conn-reset:1000:1000:0", "an end after its start"),
+            ("1:resp-drop:0:1000:1.5", "a drop probability in [0, 1]"),
+            ("1:resp-delay:0:1000:-4", "a finite, non-negative delay"),
+            ("1:resp-delay:0:1000:inf", "a finite, non-negative delay"),
+        ] {
+            let err = node_with_fault(episode).unwrap_err();
+            assert_eq!(
+                err,
+                KvError::Invalid {
+                    key: "faults".to_string(),
+                    value: episode.to_string(),
+                    expected: needs,
+                },
+                "{episode}"
+            );
+        }
+        assert!(node_with_fault("2:resp-drop:0:1000:1").is_ok());
     }
 
     #[test]

@@ -47,7 +47,10 @@ fn fleet_from(
             events: faults
                 .into_iter()
                 .map(|(node, kind, start, span, magnitude)| FaultEvent {
-                    node: node as usize,
+                    // A decoded plan is validated against the fleet: keep
+                    // every episode on a node of it, and every magnitude
+                    // in [0, 1) so it suits each kind.
+                    node: usize::from(node) % replicas,
                     kind: match kind % 4 {
                         0 => FaultKind::Crash,
                         1 => FaultKind::ConnReset,
@@ -56,7 +59,7 @@ fn fleet_from(
                     },
                     start: Nanos(u64::from(start)),
                     end: Nanos(u64::from(start) + u64::from(span) + 1),
-                    magnitude: f64::from(magnitude) / 8.0,
+                    magnitude: f64::from(magnitude) / 64.0,
                 })
                 .collect(),
         },

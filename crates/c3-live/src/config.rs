@@ -179,9 +179,8 @@ impl LiveConfig {
             assert!(s.node < self.replicas, "scripted slowdown out of range");
             assert!(s.multiplier >= 1.0, "slowdowns must slow things down");
         }
-        for e in &self.faults.events {
-            assert!(e.node < self.replicas, "fault event out of range");
-            assert!(e.start < e.end, "fault window must have positive span");
+        if let Err(e) = self.faults.validate(self.replicas) {
+            panic!("{e}");
         }
         self.lifecycle.validate();
         if let (Some(h), Some(d)) = (self.lifecycle.hedge_after, self.lifecycle.deadline) {
@@ -244,7 +243,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fault event out of range")]
+    #[should_panic(expected = "fault episode 0 needs a node below the fleet size")]
     fn fault_nodes_must_exist() {
         let cfg = LiveConfig {
             faults: FaultPlan {

@@ -17,7 +17,7 @@
 
 use std::time::Duration;
 
-use c3_cluster::{FaultEvent, FaultKind, FaultPlan, ScriptedSlowdown, CLUSTER_CHANNELS};
+use c3_cluster::{FaultPlan, ScriptedSlowdown, CLUSTER_CHANNELS};
 use c3_core::{LifecycleConfig, LifecycleCounts, Nanos, RateStats};
 use c3_engine::{ChannelId, ChannelSet, EventQueue, RunMetrics, Scenario, ScenarioRunner};
 use c3_metrics::{LatencySummary, LogHistogram};
@@ -279,13 +279,7 @@ pub fn partition_flux_config(params: &ScenarioParams) -> Result<LiveConfig, Scen
 pub fn crash_flux_config(params: &ScenarioParams) -> Result<LiveConfig, ScenarioError> {
     let mut cfg = base_config(LIVE_CRASH_FLUX, params)?;
     let mut plan = FaultPlan::crash_flux(cfg.seed, cfg.replicas, Nanos::from_secs(60));
-    plan.events.push(FaultEvent {
-        node: 0,
-        kind: FaultKind::Crash,
-        start: Nanos::from_millis(60),
-        end: Nanos::from_millis(260),
-        magnitude: 0.0,
-    });
+    plan.layer(&FaultPlan::CRASH_FLUX_EARLY, cfg.replicas);
     cfg.faults = plan;
     cfg.lifecycle =
         LifecycleConfig::hardened(Nanos::from_millis(75), 3, Some(Nanos::from_millis(30)));
@@ -299,30 +293,7 @@ pub fn crash_flux_config(params: &ScenarioParams) -> Result<LiveConfig, Scenario
 pub fn flaky_net_config(params: &ScenarioParams) -> Result<LiveConfig, ScenarioError> {
     let mut cfg = base_config(LIVE_FLAKY_NET, params)?;
     let mut plan = FaultPlan::flaky_net(cfg.seed, cfg.replicas, Nanos::from_secs(60));
-    plan.events.extend([
-        FaultEvent {
-            node: 1,
-            kind: FaultKind::ConnReset,
-            start: Nanos::from_millis(50),
-            end: Nanos::from_millis(140),
-            magnitude: 0.0,
-        },
-        FaultEvent {
-            node: 2,
-            kind: FaultKind::RespDelay,
-            start: Nanos::from_millis(60),
-            end: Nanos::from_millis(300),
-            magnitude: 40.0,
-        },
-        FaultEvent {
-            node: 3,
-            kind: FaultKind::RespDrop,
-            start: Nanos::from_millis(80),
-            end: Nanos::from_millis(320),
-            magnitude: 0.5,
-        },
-    ]);
-    plan.events.retain(|e| e.node < cfg.replicas);
+    plan.layer(&FaultPlan::FLAKY_NET_EARLY, cfg.replicas);
     cfg.faults = plan;
     cfg.lifecycle =
         LifecycleConfig::hardened(Nanos::from_millis(100), 3, Some(Nanos::from_millis(50)));

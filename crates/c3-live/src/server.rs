@@ -49,7 +49,7 @@ use c3_net::proto::{encode_hello, encode_response, Frame, Hello, Request, Respon
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use c3_cluster::{DiskKind, DiskModel, FaultPlan};
+use c3_cluster::{DiskKind, DiskModel, FaultPlan, NodeFaults};
 
 use crate::config::LiveConfig;
 use crate::slowdown::Slowdown;
@@ -141,11 +141,12 @@ struct Replica {
     wake: Condvar,
     model: DiskModel,
     slowdown: Arc<dyn Slowdown>,
-    /// Fault timeline replayed against wall time — the second injectable
-    /// adversity hook next to [`Slowdown`]: where the slowdown hook makes
-    /// this replica *slow*, the plan makes it *fail* (sever connections,
-    /// swallow requests, drop or delay responses).
-    faults: Arc<FaultPlan>,
+    /// This replica's windows of the fault plan, split from the spec's
+    /// plan once at bind and replayed against wall time — the second
+    /// injectable adversity hook next to [`Slowdown`]: where the slowdown
+    /// hook makes this replica *slow*, the plan makes it *fail* (sever
+    /// connections, swallow requests, drop or delay responses).
+    faults: NodeFaults,
     clock: WallClock,
     nominal_bytes: u32,
     /// First frame written on every accepted connection, when set. Node
@@ -197,7 +198,7 @@ impl Replica {
     /// slot and the client's deadline reaper is what gets its permit back.
     fn start(&self, state: &mut ServiceState, job: Job) -> Option<Nanos> {
         let now = self.clock.now();
-        if self.faults.down(self.id, now) {
+        if self.faults.at(now).down {
             self.pending.fetch_sub(1, Ordering::AcqRel);
             return None;
         }
@@ -245,7 +246,7 @@ impl Replica {
                 let extra = if job.delayed {
                     Nanos::ZERO
                 } else {
-                    self.faults.extra_delay(self.id, now)
+                    self.faults.at(now).extra_delay
                 };
                 if extra > Nanos::ZERO {
                     job.due = now + extra;
@@ -346,12 +347,9 @@ impl Replica {
         // Response-side faults: the work was done (store touched, service
         // burned, pending decremented) but the answer is lost — or the
         // node crashed while the request was in service.
-        let departing = self.clock.now();
-        if self.faults.down(self.id, departing) {
-            return None;
-        }
-        let drop_prob = self.faults.drop_prob(self.id, departing);
-        if drop_prob > 0.0 && self.state().rng.gen::<f64>() < drop_prob {
+        let fault = self.faults.at(self.clock.now());
+        if fault.down || (fault.drop_prob > 0.0 && self.state().rng.gen::<f64>() < fault.drop_prob)
+        {
             return None;
         }
         Some(Response {
@@ -469,7 +467,7 @@ impl ReplicaServer {
             wake: Condvar::new(),
             model,
             slowdown,
-            faults: Arc::new(spec.faults.clone()),
+            faults: spec.faults.for_node(spec.id),
             clock,
             nominal_bytes: spec.value_bytes,
             hello: spec.hello,
@@ -663,7 +661,7 @@ fn serve_connection(stream: TcpStream, replica: &Replica) -> io::Result<()> {
         // which is exactly the reset the hardened client must absorb and
         // redial. Requests already queued are eaten at admission, those
         // in service when their time is up.
-        if replica.faults.down(replica.id, replica.clock.now()) {
+        if replica.faults.at(replica.clock.now()).down {
             return Err(io::Error::new(
                 io::ErrorKind::ConnectionReset,
                 "replica down: fault window severs the connection",

@@ -12,7 +12,7 @@
 //! replica silently eats requests; deadlines + retries + hedging can, and
 //! the reports carry the `timeouts`/`parked` tallies that prove it.
 
-use c3_cluster::{ClusterConfig, FaultEvent, FaultKind, FaultPlan, PerturbationSpec};
+use c3_cluster::{ClusterConfig, FaultEvent, FaultPlan, PerturbationSpec};
 use c3_core::{LifecycleConfig, Nanos};
 use c3_engine::StrategyRegistry;
 
@@ -62,13 +62,7 @@ impl FaultFluxConfig {
             cluster: ClusterConfig::default(),
             flavor: FaultFlavor::CrashFlux,
             span: Nanos::from_secs(60),
-            early: vec![FaultEvent {
-                node: 0,
-                kind: FaultKind::Crash,
-                start: Nanos::from_millis(60),
-                end: Nanos::from_millis(260),
-                magnitude: 0.0,
-            }],
+            early: FaultPlan::CRASH_FLUX_EARLY.to_vec(),
             lifecycle: LifecycleConfig::hardened(
                 Nanos::from_millis(75),
                 3,
@@ -85,29 +79,7 @@ impl FaultFluxConfig {
             cluster: ClusterConfig::default(),
             flavor: FaultFlavor::FlakyNet,
             span: Nanos::from_secs(60),
-            early: vec![
-                FaultEvent {
-                    node: 1,
-                    kind: FaultKind::ConnReset,
-                    start: Nanos::from_millis(50),
-                    end: Nanos::from_millis(140),
-                    magnitude: 0.0,
-                },
-                FaultEvent {
-                    node: 2,
-                    kind: FaultKind::RespDelay,
-                    start: Nanos::from_millis(60),
-                    end: Nanos::from_millis(300),
-                    magnitude: 40.0,
-                },
-                FaultEvent {
-                    node: 3,
-                    kind: FaultKind::RespDrop,
-                    start: Nanos::from_millis(80),
-                    end: Nanos::from_millis(320),
-                    magnitude: 0.5,
-                },
-            ],
+            early: FaultPlan::FLAKY_NET_EARLY.to_vec(),
             lifecycle: LifecycleConfig::hardened(
                 Nanos::from_millis(100),
                 3,
@@ -129,8 +101,7 @@ impl FaultFluxConfig {
             FaultFlavor::CrashFlux => FaultPlan::crash_flux(cfg.seed, cfg.nodes, self.span),
             FaultFlavor::FlakyNet => FaultPlan::flaky_net(cfg.seed, cfg.nodes, self.span),
         };
-        plan.events
-            .extend(self.early.iter().copied().filter(|e| e.node < cfg.nodes));
+        plan.layer(&self.early, cfg.nodes);
         cfg.faults = plan;
         cfg.lifecycle = self.lifecycle;
         cfg
