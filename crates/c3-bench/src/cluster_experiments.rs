@@ -2,7 +2,8 @@
 //! text experiments (skewed records, speculative retries).
 
 use c3_cluster::{
-    Cluster, ClusterConfig, DiskKind, PerturbationSpec, ScriptedSlowdown, Strategy, WorkloadPhase,
+    Cluster, ClusterConfig, DiskKind, FaultEvent, FaultKind, PerturbationSpec, Strategy,
+    WorkloadPhase,
 };
 use c3_core::Nanos;
 use c3_metrics::{moving_median, ns_to_ms, Ecdf, RunSet, Table};
@@ -386,13 +387,14 @@ pub fn fig13(scale: Scale) {
     cfg.nodes = 7;
     cfg.generators = 70;
     cfg.perturbations = PerturbationSpec::none();
-    cfg.scripted = episodes
+    cfg.faults.events = episodes
         .iter()
-        .map(|&(start, end)| ScriptedSlowdown {
+        .map(|&(start, end)| FaultEvent {
             node: tracked_node,
+            kind: FaultKind::Slow,
             start,
             end,
-            multiplier: 8.0,
+            magnitude: 8.0,
         })
         .collect();
     let res = Cluster::new(cfg)

@@ -7,9 +7,10 @@
 //! registry-built [`ReplicaSelector`] (Dynamic Snitching, C3, or a Table-1
 //! baseline) and forwards the request (local reads skip the network); the
 //! replica's read stage executes it under the disk model scaled by the
-//! node's current perturbation multiplier; the response — carrying C3
-//! feedback — returns via the coordinator to the client, which immediately
-//! issues its next operation.
+//! node's current perturbation multiplier times its fault plan's `slow`
+//! factor; the response — carrying C3 feedback — returns via the
+//! coordinator to the client, which immediately issues its next
+//! operation.
 //!
 //! Writes go to all replicas and complete on the first acknowledgement
 //! (consistency level ONE, the YCSB default the paper uses). 10% of reads
@@ -412,21 +413,15 @@ impl ClusterScenario {
         c3.concurrency_weight = cfg.nodes as f64;
 
         let nodes: Vec<NodeState> = (0..cfg.nodes)
-            .map(|i| {
-                let mut perturb = NodePerturbation::new(cfg.perturbations);
-                for s in cfg.scripted.iter().filter(|s| s.node == i) {
-                    perturb.add_scripted(*s);
-                }
-                NodeState {
-                    read_q: Default::default(),
-                    read_inflight: 0,
-                    read_concurrency: disk.concurrency,
-                    write_q: Default::default(),
-                    write_inflight: 0,
-                    write_concurrency: 8,
-                    perturb,
-                    faults: cfg.faults.for_node(i),
-                }
+            .map(|i| NodeState {
+                read_q: Default::default(),
+                read_inflight: 0,
+                read_concurrency: disk.concurrency,
+                write_q: Default::default(),
+                write_inflight: 0,
+                write_concurrency: 8,
+                perturb: NodePerturbation::new(cfg.perturbations),
+                faults: cfg.faults.for_node(i),
             })
             .collect();
 
@@ -1154,7 +1149,8 @@ impl ClusterScenario {
     fn on_replica_arrive(&mut self, send_id: SendId, now: Nanos, engine: &mut EventQueue<Ev>) {
         let send = self.sends[send_id];
         let node = &mut self.nodes[send.node as usize];
-        if node.faults.at(now).down {
+        let fault = node.faults.at(now);
+        if fault.down {
             // The replica is crashed or its transport is resetting: the
             // request vanishes. Recovery is the client's job (deadline →
             // retry/hedge/park).
@@ -1169,7 +1165,7 @@ impl ClusterScenario {
                 let st = self.disk.sample_write(
                     &mut self.srv_rng,
                     self.ops[send.op].record_bytes,
-                    node.perturb.multiplier(now),
+                    node.perturb.multiplier(now) * fault.slow,
                 );
                 engine.schedule_in(
                     st,
@@ -1186,7 +1182,7 @@ impl ClusterScenario {
             let st = self.disk.sample_read(
                 &mut self.srv_rng,
                 self.ops[send.op].record_bytes,
-                node.perturb.multiplier(now),
+                node.perturb.multiplier(now) * fault.slow,
             );
             engine.schedule_in(
                 st,
@@ -1216,10 +1212,11 @@ impl ClusterScenario {
         }
 
         // Start the next queued request of the same stage.
+        let fault = self.nodes[node_id].faults.at(now);
         {
             let node = &mut self.nodes[node_id];
             node.perturb.expire(now);
-            let mult = node.perturb.multiplier(now);
+            let mult = node.perturb.multiplier(now) * fault.slow;
             if send.is_write {
                 node.write_inflight -= 1;
                 if let Some(next) = node.write_q.pop_front() {
@@ -1265,7 +1262,6 @@ impl ClusterScenario {
         // destroys the response after it burned service time; a laggy
         // window stretches its return path. The stage bookkeeping above
         // already ran, so the replica itself keeps draining.
-        let fault = self.nodes[node_id].faults.at(now);
         if fault.down || (fault.drop_prob > 0.0 && self.life_rng.gen::<f64>() < fault.drop_prob) {
             self.faults_dropped += 1;
             self.release_send(send_id);
@@ -2168,7 +2164,8 @@ mod tests {
     /// library lowers them (`c3-scenarios` depends on this crate, so the
     /// lowering is restated here), at `ops` operations.
     fn scenario_cell(scenario: &str, strategy: Strategy, ops: u64) -> ClusterConfig {
-        use crate::perturb::{EpisodeSpec, PerturbationSpec, ScriptedSlowdown};
+        use crate::fault::{FaultEvent, FaultKind};
+        use crate::perturb::{EpisodeSpec, PerturbationSpec};
         let mut cfg = match scenario {
             "crash-flux" => golden_fault_cell(true, strategy),
             "flaky-net" => golden_fault_cell(false, strategy),
@@ -2178,11 +2175,12 @@ mod tests {
                 ..ClusterConfig::default()
             },
         };
-        let dark = |node, start, end| ScriptedSlowdown {
+        let dark = |node, start, end| FaultEvent {
             node,
+            kind: FaultKind::Slow,
             start: Nanos::from_millis(start),
             end: Nanos::from_millis(end),
-            multiplier: 40.0,
+            magnitude: 40.0,
         };
         match scenario {
             "partition-flux" => {
@@ -2197,19 +2195,9 @@ mod tests {
                     },
                     ..off
                 };
-                cfg.scripted = vec![dark(0, 500, 1_500), dark(1, 2_000, 2_800)];
+                cfg.faults.events = vec![dark(0, 500, 1_500), dark(1, 2_000, 2_800)];
             }
-            "hetero-fleet" => {
-                cfg.scripted = (2..cfg.nodes)
-                    .step_by(3)
-                    .map(|node| ScriptedSlowdown {
-                        node,
-                        start: Nanos::ZERO,
-                        end: Nanos(u64::MAX),
-                        multiplier: 3.0,
-                    })
-                    .collect();
-            }
+            "hetero-fleet" => cfg.faults = FaultPlan::tiers(&[1.0, 1.0, 3.0], cfg.nodes),
             _ => {}
         }
         cfg.total_ops = ops;
@@ -2357,15 +2345,17 @@ mod tests {
 
     #[test]
     fn scripted_slowdown_inflates_latency() {
-        use crate::perturb::{PerturbationSpec, ScriptedSlowdown};
+        use crate::fault::{FaultEvent, FaultKind};
+        use crate::perturb::PerturbationSpec;
         let mut quiet = small(Strategy::primary_only());
         quiet.perturbations = PerturbationSpec::none();
         let mut scripted = quiet.clone();
-        scripted.scripted = vec![ScriptedSlowdown {
+        scripted.faults.events = vec![FaultEvent {
             node: 0,
+            kind: FaultKind::Slow,
             start: Nanos::ZERO,
             end: Nanos::from_secs(1_000),
-            multiplier: 10.0,
+            magnitude: 10.0,
         }];
         let base = Cluster::new(quiet).run();
         let slow = Cluster::new(scripted).run();

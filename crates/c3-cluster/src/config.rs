@@ -10,7 +10,7 @@ use c3_engine::Strategy;
 use c3_workload::WorkloadMix;
 
 use crate::fault::FaultPlan;
-use crate::perturb::{PerturbationSpec, ScriptedSlowdown};
+use crate::perturb::PerturbationSpec;
 use crate::snitch::SnitchConfig;
 use crate::storage::{DiskKind, DiskModel};
 
@@ -72,14 +72,13 @@ pub struct ClusterConfig {
     pub skewed_records: bool,
     /// Stochastic perturbation environment.
     pub perturbations: PerturbationSpec,
-    /// Scripted slowdowns (Figure 13).
-    pub scripted: Vec<ScriptedSlowdown>,
     /// Enable speculative retry at the coordinator's running p99 (the
     /// paper's negative result, §5).
     pub speculative_retry: bool,
-    /// Deterministic fault-injection plan replayed as engine events
-    /// (replica crashes, connection resets, response drops/delays). Empty
-    /// by default, which leaves the replica path untouched.
+    /// Deterministic adversity plan queried by the replicas (slow windows
+    /// such as Figure 13's, replica crashes, connection resets, response
+    /// drops/delays). Empty by default, which leaves the replica path
+    /// untouched.
     pub faults: FaultPlan,
     /// Request-lifecycle hardening (deadline, retries, hedging, failure
     /// detector) — the [`LifecycleConfig`] shared with the live backends,
@@ -120,7 +119,6 @@ impl Default for ClusterConfig {
             net_latency: Nanos::from_micros(300),
             skewed_records: false,
             perturbations: PerturbationSpec::default(),
-            scripted: Vec::new(),
             speculative_retry: false,
             faults: FaultPlan::none(),
             lifecycle: LifecycleConfig::default(),
@@ -234,6 +232,20 @@ mod tests {
             start: Nanos::from_millis(200),
             end: Nanos::from_millis(100),
             magnitude: 0.0,
+        });
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "fault episode 0 needs a node below the fleet size")]
+    fn slow_windows_past_the_fleet_are_rejected() {
+        let mut c = ClusterConfig::default();
+        c.faults.events.push(crate::fault::FaultEvent {
+            node: 99,
+            kind: crate::fault::FaultKind::Slow,
+            start: Nanos::ZERO,
+            end: Nanos::from_secs(1),
+            magnitude: 8.0,
         });
         c.validate();
     }

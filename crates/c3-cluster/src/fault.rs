@@ -1,21 +1,23 @@
-//! Deterministic fault-injection plans.
+//! Deterministic adversity plans.
 //!
-//! Where [`crate::perturb`] models replicas that get *slow* (GC,
-//! compaction, noisy neighbours), this module models replicas that
+//! This module models replicas that get *slow* for a scripted window
+//! (hardware tiers, partitions, Figure 13's `tc`-degraded node) or that
 //! *fail*: crash/restart windows, connection resets mid-stream, silently
 //! dropped responses, and delayed responses. A [`FaultPlan`] is a fully
-//! materialized, seeded schedule of such episodes — the same plan replays
-//! as engine events on the simulated cluster and against wall time on the
-//! live backend, so a `(scenario, seed)` cell means the same fault
-//! timeline on both.
+//! materialized, seeded schedule of such episodes — the same plan is read
+//! against simulated time on the §5 cluster and against wall time on the
+//! live backend, so a `(scenario, seed)` cell means the same adversity
+//! timeline on both. (The stochastic §2.1 renewal processes — GC,
+//! compaction, noisy neighbours — live in [`crate::perturb`].)
 //!
 //! The plan is pure data queried by time. A backend splits it by node
 //! once, when it builds its replicas ([`FaultPlan::for_node`]), and each
 //! replica then asks its own [`NodeFaults::at`] for the whole
-//! [`FaultState`] — down, drop probability, extra delay — in one pass over
-//! its own windows at each request/response boundary. No hidden state, no
-//! RNG at replay time — which is what keeps fingerprints stable and the
-//! live replay honest.
+//! [`FaultState`] — down, drop probability, extra delay, slowdown — in one
+//! pass over its own windows at each request/response boundary.
+//! Overlapping [`FaultKind::Slow`] windows compound as one product in plan
+//! order. No hidden state, no RNG at replay time — which is what keeps
+//! fingerprints stable and the live replay honest.
 
 use std::fmt;
 
@@ -38,6 +40,9 @@ pub enum FaultKind {
     RespDrop,
     /// Responses are delayed by an extra `magnitude` milliseconds.
     RespDelay,
+    /// Every service time is `magnitude` times longer (the node is up,
+    /// just slow).
+    Slow,
 }
 
 /// One scheduled fault window on one node.
@@ -52,8 +57,9 @@ pub struct FaultEvent {
     /// Window end (exclusive).
     pub end: Nanos,
     /// Kind-specific magnitude: drop probability for [`FaultKind::RespDrop`],
-    /// extra delay in milliseconds for [`FaultKind::RespDelay`], unused
-    /// (0.0) otherwise.
+    /// extra delay in milliseconds for [`FaultKind::RespDelay`], the
+    /// service-time multiplier for [`FaultKind::Slow`], unused (0.0)
+    /// otherwise.
     pub magnitude: f64,
 }
 
@@ -172,6 +178,31 @@ impl FaultPlan {
         Self { events }
     }
 
+    /// Whole-run hardware tiers: node `i` of `nodes` runs
+    /// `multipliers[i % multipliers.len()]` times slower for the entire
+    /// run. Every multiplier other than exactly 1.0 becomes a
+    /// [`FaultKind::Slow`] window, so [`FaultPlan::validate`] judges the
+    /// tiers too.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `multipliers` is empty.
+    pub fn tiers(multipliers: &[f64], nodes: usize) -> Self {
+        assert!(!multipliers.is_empty(), "need at least one hardware tier");
+        let events = (0..nodes)
+            .map(|node| (node, multipliers[node % multipliers.len()]))
+            .filter(|&(_, m)| m != 1.0)
+            .map(|(node, magnitude)| FaultEvent {
+                node,
+                kind: FaultKind::Slow,
+                start: Nanos::ZERO,
+                end: Nanos::MAX,
+                magnitude,
+            })
+            .collect();
+        Self { events }
+    }
+
     /// The deterministic early episode layered under the seeded
     /// `crash-flux` plan (node 0 dark for 60–260 ms), so even the
     /// shortest smoke run meets a crash inside the plan's quiet lead-in.
@@ -222,8 +253,8 @@ impl FaultPlan {
     /// Check the plan against a fleet of `nodes` nodes: every episode
     /// names a node of the fleet, ends after it starts, and carries a
     /// magnitude its kind can apply (a drop probability in [0, 1], a
-    /// finite, non-negative delay). Reports the first episode that does
-    /// not.
+    /// finite, non-negative delay, a finite multiplier of at least 1).
+    /// Reports the first episode that does not.
     pub fn validate(&self, nodes: usize) -> Result<(), InvalidFault> {
         for (index, e) in self.events.iter().enumerate() {
             let needs = if e.node >= nodes {
@@ -236,6 +267,9 @@ impl FaultPlan {
                 && !(e.magnitude.is_finite() && e.magnitude >= 0.0)
             {
                 "a finite, non-negative delay"
+            } else if e.kind == FaultKind::Slow && !(e.magnitude.is_finite() && e.magnitude >= 1.0)
+            {
+                "a finite multiplier of at least 1"
             } else {
                 continue;
             };
@@ -256,16 +290,6 @@ impl FaultPlan {
                 .collect(),
         }
     }
-
-    /// End of the last scheduled window ([`Nanos::ZERO`] for the empty
-    /// plan) — lets a live replay stop polling once the plan is spent.
-    pub fn horizon(&self) -> Nanos {
-        self.events
-            .iter()
-            .map(|e| e.end)
-            .max()
-            .unwrap_or(Nanos::ZERO)
-    }
 }
 
 /// Why [`FaultPlan::validate`] refused a plan.
@@ -285,8 +309,9 @@ impl fmt::Display for InvalidFault {
 
 impl std::error::Error for InvalidFault {}
 
-/// What the fault plan does to one node at one instant.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+/// What the fault plan does to one node at one instant. The default is
+/// the no-fault state (up, no drops, no delay, `slow` 1.0).
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultState {
     /// The node is unreachable: an active [`FaultKind::Crash`] or
     /// [`FaultKind::ConnReset`] window.
@@ -298,6 +323,20 @@ pub struct FaultState {
     /// magnitudes summed in plan order ([`Nanos::ZERO`] outside such
     /// windows).
     pub extra_delay: Nanos,
+    /// Service-time multiplier: the active [`FaultKind::Slow`] magnitudes
+    /// multiplied in plan order (1.0 outside such windows).
+    pub slow: f64,
+}
+
+impl Default for FaultState {
+    fn default() -> Self {
+        Self {
+            down: false,
+            drop_prob: 0.0,
+            extra_delay: Nanos::ZERO,
+            slow: 1.0,
+        }
+    }
 }
 
 /// One node's slice of a [`FaultPlan`] ([`FaultPlan::for_node`]), built
@@ -305,8 +344,9 @@ pub struct FaultState {
 #[derive(Clone, Debug, Default)]
 pub struct NodeFaults {
     /// The node's windows, in plan order. Not sorted by start: overlapping
-    /// delays sum in plan order, and a floating-point sum of three or more
-    /// terms depends on the order it adds them in.
+    /// delays sum (and slowdowns multiply) in plan order, and a
+    /// floating-point sum or product of three or more terms depends on the
+    /// order it combines them in.
     windows: Vec<FaultEvent>,
 }
 
@@ -316,11 +356,13 @@ impl NodeFaults {
         let mut down = false;
         let mut drop_prob = 0.0;
         let mut delay_ms = 0.0;
+        let mut slow = 1.0;
         for w in self.windows.iter().filter(|w| w.active(now)) {
             match w.kind {
                 FaultKind::Crash | FaultKind::ConnReset => down = true,
                 FaultKind::RespDrop => drop_prob = f64::max(drop_prob, w.magnitude),
                 FaultKind::RespDelay => delay_ms += w.magnitude,
+                FaultKind::Slow => slow *= w.magnitude,
             }
         }
         FaultState {
@@ -331,6 +373,7 @@ impl NodeFaults {
             } else {
                 Nanos::ZERO
             },
+            slow,
         }
     }
 }
@@ -365,19 +408,26 @@ mod tests {
         } else {
             Nanos::ZERO
         };
+        let slow = plan
+            .events
+            .iter()
+            .filter(|e| e.node == node && e.kind == FaultKind::Slow && e.active(now))
+            .fold(1.0, |m, e| m * e.magnitude);
         FaultState {
             down,
             drop_prob,
             extra_delay,
+            slow,
         }
     }
 
     /// `at` equals the oracle: `down` and the delay exactly, the drop
-    /// probability by its bits.
+    /// probability and the slowdown by their bits.
     fn same(got: FaultState, want: FaultState) -> bool {
         got.down == want.down
             && got.drop_prob.to_bits() == want.drop_prob.to_bits()
             && got.extra_delay == want.extra_delay
+            && got.slow.to_bits() == want.slow.to_bits()
     }
 
     fn event(node: usize, kind: FaultKind, start: u64, end: u64, magnitude: f64) -> FaultEvent {
@@ -399,7 +449,69 @@ mod tests {
         assert!(!state.down);
         assert_eq!(state.drop_prob, 0.0);
         assert_eq!(state.extra_delay, Nanos::ZERO);
-        assert_eq!(p.horizon(), Nanos::ZERO);
+        assert_eq!(state.slow, 1.0, "an unfaulted service time is unscaled");
+    }
+
+    #[test]
+    fn slow_window_applies_only_in_range_and_on_its_node() {
+        let plan = FaultPlan {
+            events: vec![event(1, FaultKind::Slow, 100, 200, 8.0)],
+        };
+        let node = plan.for_node(1);
+        assert_eq!(node.at(Nanos(99)).slow, 1.0);
+        assert_eq!(node.at(Nanos(100)).slow, 8.0);
+        assert_eq!(node.at(Nanos(199)).slow, 8.0);
+        assert_eq!(node.at(Nanos(200)).slow, 1.0);
+        assert_eq!(plan.for_node(0).at(Nanos(150)).slow, 1.0);
+        let inside = node.at(Nanos(150));
+        assert!(!inside.down && inside.drop_prob == 0.0 && inside.extra_delay == Nanos::ZERO);
+    }
+
+    #[test]
+    fn overlapping_slow_windows_compound_in_plan_order() {
+        let plan = FaultPlan {
+            events: vec![
+                event(0, FaultKind::Slow, 0, 300, 2.0),
+                event(0, FaultKind::Slow, 100, 200, 3.0),
+            ],
+        };
+        let node = plan.for_node(0);
+        assert_eq!(node.at(Nanos(50)).slow, 2.0);
+        assert_eq!(node.at(Nanos(150)).slow, 6.0);
+        // Plan order is the reverse of start order, and the two products
+        // round differently: (a · b) · c ≠ (c · b) · a.
+        let (a, b, c) = (1.1, 1.3, 1.01);
+        assert_ne!((a * b) * c, (c * b) * a);
+        let plan = FaultPlan {
+            events: vec![
+                event(2, FaultKind::Slow, 30, 100, a),
+                event(2, FaultKind::Slow, 20, 100, b),
+                event(2, FaultKind::Slow, 10, 100, c),
+            ],
+        };
+        let state = plan.for_node(2).at(Nanos(50));
+        assert_eq!(state.slow.to_bits(), ((a * b) * c).to_bits());
+        assert!(same(state, oracle(&plan, 2, Nanos(50))));
+    }
+
+    #[test]
+    fn tiers_are_round_robin_and_skip_the_baseline() {
+        let plan = FaultPlan::tiers(&[1.0, 1.0, 3.0], 6);
+        assert_eq!(plan.events.len(), 2, "two slow nodes out of six");
+        assert_eq!(plan.validate(6), Ok(()));
+        for t in [
+            Nanos::ZERO,
+            Nanos::from_secs(1),
+            Nanos::from_secs(1_000_000),
+        ] {
+            assert_eq!(plan.for_node(2).at(t).slow, 3.0);
+            assert_eq!(plan.for_node(5).at(t).slow, 3.0);
+            assert_eq!(plan.for_node(0).at(t).slow, 1.0);
+        }
+        assert!(FaultPlan::tiers(&[1.0], 15).is_empty());
+        // A bad tier becomes a window, so validation sees it.
+        let bad = FaultPlan::tiers(&[1.0, 0.5], 4);
+        assert_eq!(bad.validate(4).unwrap_err().index, 0);
     }
 
     #[test]
@@ -465,13 +577,6 @@ mod tests {
             .unwrap();
         let mid = Nanos((delay.start.0 + delay.end.0) / 2);
         assert!(p.for_node(delay.node).at(mid).extra_delay >= Nanos::from_millis(20));
-    }
-
-    #[test]
-    fn horizon_covers_every_window() {
-        let p = FaultPlan::flaky_net(5, 9, Nanos::from_secs(3));
-        let h = p.horizon();
-        assert!(p.events.iter().all(|e| e.end <= h));
     }
 
     #[test]
@@ -580,6 +685,20 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_slow_multipliers_below_one_or_non_finite() {
+        for m in [0.5, 0.0, -1.0, f64::NAN, f64::INFINITY] {
+            rejects(
+                event(0, FaultKind::Slow, 0, 10, m),
+                "a finite multiplier of at least 1",
+            );
+        }
+        let unit = FaultPlan {
+            events: vec![event(0, FaultKind::Slow, 0, 10, 1.0)],
+        };
+        assert_eq!(unit.validate(1), Ok(()));
+    }
+
+    #[test]
     fn validate_reports_the_first_bad_episode() {
         let plan = FaultPlan {
             events: vec![
@@ -597,11 +716,12 @@ mod tests {
     }
 
     fn kind_of(k: u8) -> FaultKind {
-        match k % 4 {
+        match k % 5 {
             0 => FaultKind::Crash,
             1 => FaultKind::ConnReset,
             2 => FaultKind::RespDrop,
-            _ => FaultKind::RespDelay,
+            3 => FaultKind::RespDelay,
+            _ => FaultKind::Slow,
         }
     }
 
@@ -610,7 +730,7 @@ mod tests {
         fn node_faults_match_the_whole_plan_scan(
             nodes in 1usize..21,
             windows in prop::collection::vec(
-                (0usize..24, 0u8..4, 0u64..20_000, 1u64..4_000, 0.0f64..1.0),
+                (0usize..24, 0u8..5, 0u64..20_000, 1u64..4_000, 0.0f64..1.0),
                 0..201,
             ),
             stack in (0usize..20, 0u64..20_000, 0.0f64..80.0, 0.0f64..80.0, 0.0f64..80.0),
@@ -618,7 +738,8 @@ mod tests {
         ) {
             // Drawn windows overlap freely (starts in 20 µs, spans up to
             // 4 µs) and may name nodes past the fleet; delays are in
-            // fractional milliseconds so sums carry rounding.
+            // fractional milliseconds so sums carry rounding, and slow
+            // multipliers in [1, 41) so products do.
             let mut events: Vec<FaultEvent> = windows
                 .into_iter()
                 .map(|(node, k, start, span, mag)| {
@@ -626,6 +747,7 @@ mod tests {
                     let magnitude = match kind {
                         FaultKind::RespDelay => mag * 80.0,
                         FaultKind::RespDrop => mag,
+                        FaultKind::Slow => 1.0 + mag * 40.0,
                         _ => 0.0,
                     };
                     event(node, kind, start, start + span, magnitude)

@@ -17,7 +17,11 @@
 //! - [`Cluster`]: coordinators running any registry strategy (C3, DS, or
 //!   a Table-1 baseline) over the full read/write path, driven by
 //!   closed-loop YCSB-style generator threads; with optional speculative
-//!   retry, scripted slowdowns (Figure 13) and latency traces (Figure 11).
+//!   retry and latency traces (Figure 11),
+//! - [`FaultPlan`]: the one scripted adversity timeline — slow windows
+//!   (Figure 13, hardware tiers, partitions), crashes, connection resets,
+//!   dropped and delayed responses — that the cluster and the live
+//!   backend both replay.
 //!
 //! ```
 //! use c3_cluster::{Cluster, ClusterConfig};
@@ -49,7 +53,7 @@ pub use cluster::{
 };
 pub use config::{ClusterConfig, WorkloadPhase};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultState, InvalidFault, NodeFaults};
-pub use perturb::{EpisodeKind, EpisodeSpec, NodePerturbation, PerturbationSpec, ScriptedSlowdown};
+pub use perturb::{EpisodeKind, EpisodeSpec, NodePerturbation, PerturbationSpec};
 pub use ring::Ring;
 pub use snitch::{DynamicSnitch, SnitchConfig, SnitchSelector};
 pub use storage::{DiskKind, DiskModel};

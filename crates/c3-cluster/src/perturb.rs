@@ -1,9 +1,10 @@
-//! Per-node performance perturbations.
+//! Per-node stochastic performance perturbations.
 //!
 //! §2.1 of the paper lists the sources of time-varying performance the
 //! scheme must survive: garbage collection pauses, SSTable compactions
 //! (heavy I/O), and contention from neighbouring tenants. This module
-//! models each as an independent on/off renewal process per node:
+//! models each as an independent on/off renewal process per node, drawn
+//! lazily from the cluster's service rng:
 //!
 //! - **GC pauses**: frequent, short, severe (service nearly stops),
 //! - **compactions**: rarer, multi-second, moderate multiplier, and the
@@ -12,8 +13,10 @@
 //!   long-ish, mild multiplier.
 //!
 //! The combined effect on a node is the product of the active episodes'
-//! service-time multipliers. Scripted slowdowns (for the Figure 13
-//! rate-adaptation trace) override the stochastic processes.
+//! service-time multipliers. Scripted slow windows (hardware tiers,
+//! partitions, the Figure 13 rate-adaptation trace) are
+//! [`crate::FaultKind::Slow`] episodes of the fault plan instead; the
+//! cluster multiplies the two.
 
 use c3_core::Nanos;
 use c3_workload::exp_sample;
@@ -76,7 +79,7 @@ impl Default for PerturbationSpec {
 
 impl PerturbationSpec {
     /// A quiet environment (no stochastic perturbations) — used by tests
-    /// and by the scripted Figure 13 scenario.
+    /// and by the scenarios whose only stressor is a scripted plan.
     pub fn none() -> Self {
         let off = EpisodeSpec {
             mean_interval_ms: f64::INFINITY,
@@ -110,28 +113,12 @@ const KINDS: [EpisodeKind; 3] = [
     EpisodeKind::Slowdown,
 ];
 
-/// A scripted slowdown window (Figure 13 injects latency into one node at
-/// fixed times with `tc`).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ScriptedSlowdown {
-    /// Node to perturb.
-    pub node: usize,
-    /// Start of the window.
-    pub start: Nanos,
-    /// End of the window.
-    pub end: Nanos,
-    /// Service-time multiplier during the window.
-    pub multiplier: f64,
-}
-
 /// Per-node perturbation state.
 #[derive(Clone, Debug)]
 pub struct NodePerturbation {
     spec: PerturbationSpec,
     /// Episode end time per kind; `None` when idle.
     active_until: [Option<Nanos>; 3],
-    /// Scripted windows affecting this node.
-    scripted: Vec<ScriptedSlowdown>,
 }
 
 impl NodePerturbation {
@@ -140,13 +127,7 @@ impl NodePerturbation {
         Self {
             spec,
             active_until: [None; 3],
-            scripted: Vec::new(),
         }
-    }
-
-    /// Attach a scripted slowdown window.
-    pub fn add_scripted(&mut self, s: ScriptedSlowdown) {
-        self.scripted.push(s);
     }
 
     fn spec_of(&self, kind: EpisodeKind) -> &EpisodeSpec {
@@ -195,17 +176,13 @@ impl NodePerturbation {
         }
     }
 
-    /// Current combined service-time multiplier.
+    /// Current combined service-time multiplier of the stochastic
+    /// episodes.
     pub fn multiplier(&self, now: Nanos) -> f64 {
         let mut m = 1.0;
         for (i, kind) in KINDS.iter().enumerate() {
             if matches!(self.active_until[i], Some(end) if end > now) {
                 m *= self.spec_of(*kind).multiplier;
-            }
-        }
-        for s in &self.scripted {
-            if s.start <= now && now < s.end {
-                m *= s.multiplier;
             }
         }
         m
@@ -266,20 +243,6 @@ mod tests {
         p.begin(EpisodeKind::Gc, Nanos::ZERO, &mut r);
         p.begin(EpisodeKind::Slowdown, Nanos::ZERO, &mut r);
         assert_eq!(p.multiplier(Nanos::from_millis(1)), 20.0);
-    }
-
-    #[test]
-    fn scripted_window_applies_only_in_range() {
-        let mut p = NodePerturbation::new(PerturbationSpec::none());
-        p.add_scripted(ScriptedSlowdown {
-            node: 0,
-            start: Nanos::from_millis(100),
-            end: Nanos::from_millis(200),
-            multiplier: 5.0,
-        });
-        assert_eq!(p.multiplier(Nanos::from_millis(50)), 1.0);
-        assert_eq!(p.multiplier(Nanos::from_millis(150)), 5.0);
-        assert_eq!(p.multiplier(Nanos::from_millis(200)), 1.0);
     }
 
     #[test]

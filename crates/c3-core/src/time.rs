@@ -123,8 +123,9 @@ impl From<Nanos> for Duration {
 /// takes `Nanos` — but a *driver* has to produce those values from
 /// somewhere: the simulators read their event-queue clock, the live socket
 /// backend (`c3-live`) reads one of these anchored at run start. Both
-/// yield "nanoseconds since run start", so scripted slowdown timelines and
-/// score trajectories line up between sim and live runs.
+/// yield "nanoseconds since run start", so fault-plan timelines (slow
+/// windows included) and score trajectories line up between sim and live
+/// runs.
 ///
 /// Thread-safe and cheap: every reader shares the same `Instant` origin,
 /// so timestamps from different threads are mutually ordered the same way

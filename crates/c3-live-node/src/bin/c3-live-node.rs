@@ -16,9 +16,10 @@
 
 use std::io::Read as _;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use c3_core::WallClock;
-use c3_live::{ReplicaServer, SlowdownScript};
+use c3_live::{NoSlowdown, ReplicaServer};
 use c3_live_node::NodeConfig;
 
 fn main() -> ExitCode {
@@ -44,11 +45,10 @@ fn run() -> Result<(), String> {
         std::fs::read_to_string(&config_path).map_err(|e| format!("reading {config_path}: {e}"))?;
     let cfg = NodeConfig::from_kv(&text).map_err(|e| format!("parsing {config_path}: {e}"))?;
 
-    let script = SlowdownScript::new(cfg.fleet.scripted.clone());
     let server = ReplicaServer::bind(
         &cfg.replica_spec(),
         cfg.bind,
-        script.into_hook(),
+        Arc::new(NoSlowdown),
         WallClock::start(),
     )
     .map_err(|e| format!("binding {}: {e}", cfg.bind))?;

@@ -145,9 +145,7 @@ fn attach(
              spawn the fleet instead (drop --attach)"
         ));
     }
-    let mut fleet = FleetConfig::from_live(&cfg);
-    fleet.faults.events.retain(|e| e.kind != FaultKind::Crash);
-    let digest = fleet.digest();
+    let digest = FleetConfig::from_live(&cfg).digest();
     Ok(run_live_on(
         scenario,
         cfg,
@@ -160,8 +158,7 @@ fn attach(
 
 /// Write one node config file per replica, for hand-started fleets.
 fn emit_configs(dir: &std::path::Path, cfg: &c3_live::LiveConfig) -> Result<(), String> {
-    let mut fleet = FleetConfig::from_live(cfg);
-    fleet.faults.events.retain(|e| e.kind != FaultKind::Crash);
+    let fleet = FleetConfig::from_live(cfg);
     std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     for id in 0..fleet.replicas {
         let node = NodeConfig {

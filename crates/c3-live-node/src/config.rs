@@ -2,8 +2,8 @@
 //! process boundary, and the digest that keeps a fleet honest.
 //!
 //! A node process must agree with the coordinator (and with every other
-//! node) on the *fleet-wide* parameters — disk model, fault timeline,
-//! slowdown script, seed — or the experiment silently measures a
+//! node) on the *fleet-wide* parameters — disk model, adversity timeline
+//! (slow windows and faults), seed — or the experiment silently measures a
 //! chimera. [`FleetConfig`] is exactly that shared slice of
 //! [`LiveConfig`], canonically encodable as `key=value` text; its
 //! FNV-1a [`FleetConfig::digest`] rides in every node's hello frame so
@@ -12,7 +12,7 @@
 
 use std::net::SocketAddr;
 
-use c3_cluster::{DiskKind, FaultEvent, FaultKind, FaultPlan, ScriptedSlowdown};
+use c3_cluster::{DiskKind, FaultEvent, FaultKind, FaultPlan};
 use c3_core::kv::{encode_kv, KvError, KvMap};
 use c3_core::Nanos;
 use c3_live::{LiveConfig, ReplicaSpec};
@@ -37,17 +37,21 @@ pub struct FleetConfig {
     pub value_bytes: u32,
     /// Fleet seed; each replica derives its own rng stream from it.
     pub seed: u64,
-    /// Scripted slowdown windows, replayed against wall time.
-    pub scripted: Vec<ScriptedSlowdown>,
-    /// Fault timeline, replayed against wall time. For node fleets the
-    /// coordinator strips [`FaultKind::Crash`] events first — crashes
-    /// are real SIGKILLs delivered by the supervisor, not emulation.
+    /// Adversity timeline (slow windows and faults), replayed against
+    /// wall time. Never holds a [`FaultKind::Crash`] episode: node
+    /// crashes are real SIGKILLs delivered by the supervisor, not
+    /// emulation ([`FleetConfig::from_live`]).
     pub faults: FaultPlan,
 }
 
 impl FleetConfig {
-    /// The fleet slice of a live config, verbatim.
+    /// The fleet slice of a live config, verbatim except for the fault
+    /// plan's [`FaultKind::Crash`] episodes, which are dropped: a node
+    /// must not emulate a crash the supervisor inflicts for real. Every
+    /// other episode keeps its plan order.
     pub fn from_live(cfg: &LiveConfig) -> Self {
+        let mut faults = cfg.faults.clone();
+        faults.events.retain(|e| e.kind != FaultKind::Crash);
         Self {
             replicas: cfg.replicas,
             concurrency: cfg.concurrency,
@@ -55,8 +59,7 @@ impl FleetConfig {
             read_fraction: cfg.read_fraction,
             value_bytes: cfg.value_bytes,
             seed: cfg.seed,
-            scripted: cfg.scripted.clone(),
-            faults: cfg.faults.clone(),
+            faults,
         }
     }
 
@@ -70,7 +73,6 @@ impl FleetConfig {
             ("read_fraction", self.read_fraction.to_string()),
             ("value_bytes", self.value_bytes.to_string()),
             ("seed", self.seed.to_string()),
-            ("scripted", scripted_value(&self.scripted)),
             ("faults", faults_value(&self.faults)),
         ])
     }
@@ -88,10 +90,6 @@ impl FleetConfig {
             read_fraction: kv.take_required("read_fraction", "f64")?,
             value_bytes: kv.take_required("value_bytes", "u32")?,
             seed: kv.take_required("seed", "u64")?,
-            scripted: parse_scripted(kv.take_required::<String>(
-                "scripted",
-                "semicolon-joined node:start_ns:end_ns:multiplier or \"none\"",
-            )?)?,
             faults: parse_faults(kv.take_required::<String>(
                 "faults",
                 "semicolon-joined node:kind:start_ns:end_ns:magnitude or \"none\"",
@@ -214,58 +212,13 @@ fn parse_disk(v: String) -> Result<DiskKind, KvError> {
     }
 }
 
-fn scripted_value(windows: &[ScriptedSlowdown]) -> String {
-    if windows.is_empty() {
-        return "none".to_string();
-    }
-    windows
-        .iter()
-        .map(|w| {
-            format!(
-                "{}:{}:{}:{}",
-                w.node,
-                w.start.as_nanos(),
-                w.end.as_nanos(),
-                w.multiplier
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(";")
-}
-
-fn parse_scripted(v: String) -> Result<Vec<ScriptedSlowdown>, KvError> {
-    const EXPECTED: &str = "node:start_ns:end_ns:multiplier";
-    if v == "none" {
-        return Ok(Vec::new());
-    }
-    v.split(';')
-        .map(|entry| {
-            let invalid = || KvError::Invalid {
-                key: "scripted".to_string(),
-                value: entry.to_string(),
-                expected: EXPECTED,
-            };
-            let mut parts = entry.split(':');
-            let window = ScriptedSlowdown {
-                node: next_parsed(&mut parts).ok_or_else(invalid)?,
-                start: Nanos(next_parsed(&mut parts).ok_or_else(invalid)?),
-                end: Nanos(next_parsed(&mut parts).ok_or_else(invalid)?),
-                multiplier: next_parsed(&mut parts).ok_or_else(invalid)?,
-            };
-            if parts.next().is_some() {
-                return Err(invalid());
-            }
-            Ok(window)
-        })
-        .collect()
-}
-
 fn fault_kind_value(kind: FaultKind) -> &'static str {
     match kind {
         FaultKind::Crash => "crash",
         FaultKind::ConnReset => "conn-reset",
         FaultKind::RespDrop => "resp-drop",
         FaultKind::RespDelay => "resp-delay",
+        FaultKind::Slow => "slow",
     }
 }
 
@@ -311,6 +264,7 @@ fn parse_faults(v: String) -> Result<FaultPlan, KvError> {
                 "conn-reset" => FaultKind::ConnReset,
                 "resp-drop" => FaultKind::RespDrop,
                 "resp-delay" => FaultKind::RespDelay,
+                "slow" => FaultKind::Slow,
                 _ => return Err(invalid()),
             };
             let event = FaultEvent {
@@ -345,20 +299,23 @@ mod tests {
             read_fraction: 0.9,
             value_bytes: 1024,
             seed: 7,
-            scripted: vec![ScriptedSlowdown {
-                node: 2,
-                start: Nanos::ZERO,
-                end: Nanos(u64::MAX),
-                multiplier: 3.0,
-            }],
             faults: FaultPlan {
-                events: vec![FaultEvent {
-                    node: 1,
-                    kind: FaultKind::RespDelay,
-                    start: Nanos::from_millis(60),
-                    end: Nanos::from_millis(300),
-                    magnitude: 40.0,
-                }],
+                events: vec![
+                    FaultEvent {
+                        node: 2,
+                        kind: FaultKind::Slow,
+                        start: Nanos::ZERO,
+                        end: Nanos::MAX,
+                        magnitude: 3.0,
+                    },
+                    FaultEvent {
+                        node: 1,
+                        kind: FaultKind::RespDelay,
+                        start: Nanos::from_millis(60),
+                        end: Nanos::from_millis(300),
+                        magnitude: 40.0,
+                    },
+                ],
             },
         }
     }
@@ -462,6 +419,12 @@ mod tests {
             ("1:resp-drop:0:1000:1.5", "a drop probability in [0, 1]"),
             ("1:resp-delay:0:1000:-4", "a finite, non-negative delay"),
             ("1:resp-delay:0:1000:inf", "a finite, non-negative delay"),
+            ("3:slow:0:1000:3", "a node below the fleet size"),
+            ("1:slow:1000:1000:3", "an end after its start"),
+            ("1:slow:0:1000:0.5", "a finite multiplier of at least 1"),
+            ("1:slow:0:1000:0", "a finite multiplier of at least 1"),
+            ("1:slow:0:1000:NaN", "a finite multiplier of at least 1"),
+            ("1:slow:0:1000:inf", "a finite multiplier of at least 1"),
         ] {
             let err = node_with_fault(episode).unwrap_err();
             assert_eq!(
@@ -475,15 +438,32 @@ mod tests {
             );
         }
         assert!(node_with_fault("2:resp-drop:0:1000:1").is_ok());
+        assert!(node_with_fault("2:slow:0:18446744073709551615:3").is_ok());
     }
 
     #[test]
-    fn empty_script_and_plan_encode_as_none() {
+    fn empty_plan_encodes_as_none() {
         let mut fleet = sample_fleet();
-        fleet.scripted.clear();
         fleet.faults = FaultPlan::none();
-        assert!(fleet.to_kv().contains("scripted=none"));
         assert!(fleet.to_kv().contains("faults=none"));
         assert_eq!(FleetConfig::from_kv(&fleet.to_kv()).unwrap(), fleet);
+    }
+
+    #[test]
+    fn from_live_drops_crashes_and_keeps_every_other_episode_in_order() {
+        let mut faults = FaultPlan::tiers(&[1.0, 2.0, 3.0], 6);
+        faults
+            .events
+            .extend(FaultPlan::crash_flux(3, 6, Nanos::from_secs(10)).events);
+        faults.events.extend(FaultPlan::tiers(&[4.0], 6).events);
+        let cfg = LiveConfig {
+            replicas: 6,
+            faults,
+            ..LiveConfig::default()
+        };
+        let mut kept = cfg.faults.events.clone();
+        kept.retain(|e| e.kind == FaultKind::Slow);
+        assert_eq!(kept.len(), 4 + 6, "the crash-flux plan holds only crashes");
+        assert_eq!(FleetConfig::from_live(&cfg).faults.events, kept);
     }
 }

@@ -52,20 +52,16 @@ const GAUGE_EVERY: Duration = Duration::from_millis(50);
 /// As [`run_live_on`]; additionally when the fleet fails to spawn or
 /// leaks a process past the graceful drain.
 pub fn run_node(scenario_name: &str, cfg: LiveConfig, bin: &Path) -> LiveReport {
-    let mut fleet_cfg = FleetConfig::from_live(&cfg);
     // Crashes are the supervisor's job — delivered as real SIGKILLs on
-    // the plan's timeline. The nodes must not also emulate them.
-    let crashes: Vec<FaultEvent> = fleet_cfg
+    // the plan's timeline; `from_live` keeps them from the nodes.
+    let fleet_cfg = FleetConfig::from_live(&cfg);
+    let crashes: Vec<FaultEvent> = cfg
         .faults
         .events
         .iter()
         .filter(|e| e.kind == FaultKind::Crash)
-        .cloned()
+        .copied()
         .collect();
-    fleet_cfg
-        .faults
-        .events
-        .retain(|e| e.kind != FaultKind::Crash);
 
     let fleet = NodeFleet::spawn(bin, &fleet_cfg).expect("node fleet failed to spawn");
     let addrs = fleet.addrs().to_vec();

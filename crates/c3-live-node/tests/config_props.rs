@@ -6,7 +6,7 @@
 
 use std::net::{Ipv4Addr, SocketAddr};
 
-use c3_cluster::{FaultEvent, FaultKind, FaultPlan, ScriptedSlowdown};
+use c3_cluster::{FaultEvent, FaultKind, FaultPlan};
 use c3_core::Nanos;
 use c3_live_node::{
     encode_addresses, parse_addresses, parse_env, DiscoveryError, FleetConfig, NodeConfig,
@@ -17,12 +17,7 @@ fn addr(host: u8, port: u16) -> SocketAddr {
     (Ipv4Addr::new(127, 0, host, 1), port.max(1)).into()
 }
 
-fn fleet_from(
-    replicas: usize,
-    seed: u64,
-    windows: Vec<(u8, u32, u32, u32)>,
-    faults: Vec<(u8, u8, u32, u32, u32)>,
-) -> FleetConfig {
+fn fleet_from(replicas: usize, seed: u64, faults: Vec<(u8, u8, u32, u32, u32)>) -> FleetConfig {
     FleetConfig {
         replicas,
         concurrency: 1 + replicas % 4,
@@ -34,32 +29,33 @@ fn fleet_from(
         read_fraction: (seed % 101) as f64 / 100.0,
         value_bytes: 64 + (seed % 4096) as u32,
         seed,
-        scripted: windows
-            .into_iter()
-            .map(|(node, start, span, mult)| ScriptedSlowdown {
-                node: node as usize,
-                start: Nanos(u64::from(start)),
-                end: Nanos(u64::from(start) + u64::from(span) + 1),
-                multiplier: 1.0 + f64::from(mult) / 16.0,
-            })
-            .collect(),
         faults: FaultPlan {
             events: faults
                 .into_iter()
-                .map(|(node, kind, start, span, magnitude)| FaultEvent {
+                .map(|(node, kind, start, span, magnitude)| {
                     // A decoded plan is validated against the fleet: keep
-                    // every episode on a node of it, and every magnitude
-                    // in [0, 1) so it suits each kind.
-                    node: usize::from(node) % replicas,
-                    kind: match kind % 4 {
+                    // every episode on a node of it, every slow multiplier
+                    // at least 1, and every other magnitude in [0, 1) so
+                    // it suits each kind.
+                    let kind = match kind % 5 {
                         0 => FaultKind::Crash,
                         1 => FaultKind::ConnReset,
                         2 => FaultKind::RespDrop,
-                        _ => FaultKind::RespDelay,
-                    },
-                    start: Nanos(u64::from(start)),
-                    end: Nanos(u64::from(start) + u64::from(span) + 1),
-                    magnitude: f64::from(magnitude) / 64.0,
+                        3 => FaultKind::RespDelay,
+                        _ => FaultKind::Slow,
+                    };
+                    let magnitude = f64::from(magnitude) / 64.0;
+                    FaultEvent {
+                        node: usize::from(node) % replicas,
+                        kind,
+                        start: Nanos(u64::from(start)),
+                        end: Nanos(u64::from(start) + u64::from(span) + 1),
+                        magnitude: if kind == FaultKind::Slow {
+                            1.0 + magnitude * 4.0
+                        } else {
+                            magnitude
+                        },
+                    }
                 })
                 .collect(),
         },
@@ -71,10 +67,9 @@ proptest! {
     fn fleet_kv_round_trips(
         replicas in 1usize..9,
         seed in 0u64..u64::MAX,
-        windows in proptest::collection::vec((0u8..8, 0u32..1_000_000, 0u32..1_000_000, 0u32..64), 0..5),
-        faults in proptest::collection::vec((0u8..8, 0u8..8, 0u32..1_000_000, 0u32..1_000_000, 0u32..64), 0..5),
+        faults in proptest::collection::vec((0u8..8, 0u8..10, 0u32..1_000_000, 0u32..1_000_000, 0u32..64), 0..9),
     ) {
-        let fleet = fleet_from(replicas, seed, windows, faults);
+        let fleet = fleet_from(replicas, seed, faults);
         let decoded = FleetConfig::from_kv(&fleet.to_kv()).expect("canonical text decodes");
         prop_assert_eq!(&decoded, &fleet);
         prop_assert_eq!(decoded.digest(), fleet.digest(), "digest is a pure function of the text");
@@ -88,7 +83,7 @@ proptest! {
         host in 0u8..255,
         port in 1u16..u16::MAX,
     ) {
-        let fleet = fleet_from(replicas, seed, Vec::new(), Vec::new());
+        let fleet = fleet_from(replicas, seed, Vec::new());
         let node = NodeConfig {
             replica_id: u32::from(id) % replicas as u32,
             bind: addr(host, port),
@@ -101,7 +96,7 @@ proptest! {
 
     #[test]
     fn any_fleet_digest_tracks_the_seed(replicas in 1usize..9, seed in 0u64..u64::MAX - 1) {
-        let a = fleet_from(replicas, seed, Vec::new(), Vec::new());
+        let a = fleet_from(replicas, seed, Vec::new());
         let mut b = a.clone();
         b.seed = seed + 1;
         prop_assert!(a.digest() != b.digest(), "fleet-wide knobs must move the digest");
@@ -148,9 +143,9 @@ proptest! {
     fn corrupting_one_fleet_value_never_decodes_silently(
         replicas in 1usize..9,
         seed in 0u64..u64::MAX,
-        line in 0usize..8,
+        line in 0usize..7,
     ) {
-        let fleet = fleet_from(replicas, seed, Vec::new(), Vec::new());
+        let fleet = fleet_from(replicas, seed, Vec::new());
         let text: String = fleet
             .to_kv()
             .lines()

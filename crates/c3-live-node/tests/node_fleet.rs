@@ -31,7 +31,6 @@ fn shrink(mut cfg: LiveConfig, replicas: usize, run_ms: u64) -> LiveConfig {
     cfg.replicas = replicas;
     cfg.run_for = Duration::from_millis(run_ms);
     cfg.faults.events.retain(|e| e.node < replicas);
-    cfg.scripted.retain(|w| w.node < replicas);
     cfg
 }
 

@@ -71,7 +71,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
-use c3_cluster::{register_cluster_strategies, SnitchSelector};
+use c3_cluster::{register_cluster_strategies, FaultKind, SnitchSelector};
 use c3_core::{
     FailureDetector, LifecycleCounts, Nanos, RateStats, ReplicaSelector, ResponseInfo, Selection,
     SharedC3State, WallClock,
@@ -87,8 +87,7 @@ use std::net::SocketAddr;
 
 use crate::config::LiveConfig;
 use crate::mux::{CorrelationTable, InFlightBudget};
-use crate::server::{encode_key, LiveCluster};
-use crate::slowdown::SlowdownScript;
+use crate::server::{encode_key, LiveCluster, NoSlowdown};
 use crate::wire::read_frame;
 
 /// Where the replica fleet lives relative to the client.
@@ -606,11 +605,7 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
     let clock = WallClock::start();
     let (cluster, addrs) = match transport {
         Transport::InProcess => {
-            let cluster = LiveCluster::spawn(
-                cfg,
-                SlowdownScript::new(cfg.scripted.clone()).into_hook(),
-                clock,
-            )?;
+            let cluster = LiveCluster::spawn(cfg, Arc::new(NoSlowdown), clock)?;
             let addrs = cluster.addrs().to_vec();
             (Some(cluster), addrs)
         }
@@ -635,7 +630,9 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
     // The detector exists only with a deadline; so does the reaper, the
     // one thread that can charge it a timeout.
     let detector = cfg.lifecycle.detector(cfg.replicas).map(Arc::new);
-    let faults_expected = !cfg.faults.is_empty();
+    // Slow windows only stretch service times: a plan of nothing else
+    // expects every connection to hold, exactly like the empty plan.
+    let faults_expected = cfg.faults.events.iter().any(|e| e.kind != FaultKind::Slow);
 
     let issued = Arc::new(AtomicU64::new(0));
     let stop = Arc::new(AtomicBool::new(false));

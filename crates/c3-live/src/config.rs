@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use c3_cluster::{DiskKind, FaultPlan, ScriptedSlowdown, SnitchConfig};
+use c3_cluster::{DiskKind, FaultPlan, SnitchConfig};
 use c3_core::{C3Config, LifecycleConfig};
 use c3_engine::Strategy;
 
@@ -86,15 +86,13 @@ pub struct LiveConfig {
     pub warmup_ops: u64,
     /// Hard cap on issued operations (`u64::MAX` = run purely on time).
     pub ops_cap: u64,
-    /// Scripted slowdown windows (`node` indexes replicas; times are wall
-    /// time since run start). The same scripts drive the §5 cluster, so
-    /// sim and live timelines line up for parity checks.
-    pub scripted: Vec<ScriptedSlowdown>,
-    /// Deterministic fault episodes replayed by the replicas against wall
-    /// time since run start — the same [`FaultPlan`] the sim cluster
-    /// replays as engine events. Crashed/resetting replicas sever their
-    /// connections and swallow requests; `RespDrop`/`RespDelay` windows
-    /// lose or lag responses after service.
+    /// Deterministic adversity episodes replayed by the replicas against
+    /// wall time since run start (`node` indexes replicas) — the same
+    /// [`FaultPlan`] the sim cluster queries, so sim and live timelines
+    /// line up for parity checks. `Slow` windows scale service times;
+    /// crashed/resetting replicas sever their connections and swallow
+    /// requests; `RespDrop`/`RespDelay` windows lose or lag responses
+    /// after service.
     pub faults: FaultPlan,
     /// Request-lifecycle hardening: the shared [`LifecycleConfig`]
     /// (deadline, retries, hedging, failure-detector knobs). A `None`
@@ -131,7 +129,6 @@ impl Default for LiveConfig {
             run_for: Duration::from_millis(1_500),
             warmup_ops: 500,
             ops_cap: u64::MAX,
-            scripted: Vec::new(),
             faults: FaultPlan::none(),
             lifecycle: LifecycleConfig::default(),
             score_sample_every: Duration::from_millis(50),
@@ -175,10 +172,6 @@ impl LiveConfig {
             assert!(rate > 0.0, "offered rate must be positive");
         }
         assert!(self.ops_cap > self.warmup_ops, "warm-up swallows the run");
-        for s in &self.scripted {
-            assert!(s.node < self.replicas, "scripted slowdown out of range");
-            assert!(s.multiplier >= 1.0, "slowdowns must slow things down");
-        }
         if let Err(e) = self.faults.validate(self.replicas) {
             panic!("{e}");
         }
@@ -280,21 +273,6 @@ mod tests {
         let cfg = LiveConfig {
             replicas: 17,
             replication_factor: 17,
-            ..LiveConfig::default()
-        };
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn scripted_nodes_must_exist() {
-        let cfg = LiveConfig {
-            scripted: vec![ScriptedSlowdown {
-                node: 99,
-                start: c3_core::Nanos::ZERO,
-                end: c3_core::Nanos::from_secs(1),
-                multiplier: 2.0,
-            }],
             ..LiveConfig::default()
         };
         cfg.validate();

@@ -12,10 +12,11 @@
 //!   (`queue_size`, `service_time`) on every `c3-net` response frame,
 //!   and service times sampled from the §5 cluster's `DiskModel` then
 //!   *actually waited out* on the replica's one service thread;
-//! - [`Slowdown`] / [`SlowdownScript`]: the injectable adversity hook —
-//!   the same `ScriptedSlowdown` windows the sim scenarios use, replayed
-//!   against wall time, so `hetero-fleet` and `partition-flux` scripts
-//!   run unchanged over real sockets;
+//! - adversity from [`LiveConfig::faults`]: the same `c3_cluster`
+//!   `FaultPlan` the sim scenarios use — slow windows, crashes, resets,
+//!   dropped and delayed responses — replayed by each replica against
+//!   wall time, so `hetero-fleet`, `partition-flux` and the fault
+//!   scenarios run unchanged over real sockets;
 //! - the multiplexed client: per-replica connections each split into a
 //!   writer and a reader thread, a [`CorrelationTable`] matching
 //!   out-of-order responses back to requests by the wire id, and a global
@@ -48,7 +49,6 @@ mod config;
 mod mux;
 mod scenario;
 mod server;
-mod slowdown;
 mod wire;
 
 pub use client::{live_strategy_registry, Transport};
@@ -59,6 +59,5 @@ pub use scenario::{
     register_live_scenarios, run_live, run_live_on, LiveReport, HEALTH_FEEDBACK_LAG,
     HEALTH_INFLIGHT, LIVE_CRASH_FLUX, LIVE_FLAKY_NET, LIVE_HETERO_FLEET, LIVE_PARTITION_FLUX,
 };
-pub use server::{encode_key, LiveCluster, ReplicaServer, ReplicaSpec};
-pub use slowdown::{NoSlowdown, Slowdown, SlowdownScript};
+pub use server::{encode_key, LiveCluster, NoSlowdown, ReplicaServer, ReplicaSpec};
 pub use wire::read_frame;

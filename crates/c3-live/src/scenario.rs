@@ -17,7 +17,7 @@
 
 use std::time::Duration;
 
-use c3_cluster::{FaultPlan, ScriptedSlowdown, CLUSTER_CHANNELS};
+use c3_cluster::{FaultEvent, FaultKind, FaultPlan, CLUSTER_CHANNELS};
 use c3_core::{LifecycleConfig, LifecycleCounts, Nanos, RateStats};
 use c3_engine::{ChannelId, ChannelSet, EventQueue, RunMetrics, Scenario, ScenarioRunner};
 use c3_metrics::{LatencySummary, LogHistogram};
@@ -30,7 +30,6 @@ use crate::client::{
     completion_order, execute_on, live_strategy_registry, ClientArtifacts, Transport,
 };
 use crate::config::LiveConfig;
-use crate::slowdown::SlowdownScript;
 
 const READ_CHANNEL: ChannelId = ChannelId::new(0);
 const UPDATE_CHANNEL: ChannelId = ChannelId::new(1);
@@ -242,31 +241,23 @@ pub fn run_live_on(scenario_name: &str, cfg: LiveConfig, transport: Transport) -
 /// is queueing-decided, not client-decided.
 pub fn hetero_fleet_config(params: &ScenarioParams) -> Result<LiveConfig, ScenarioError> {
     let mut cfg = base_config(LIVE_HETERO_FLEET, params)?;
-    cfg.scripted = SlowdownScript::tiers(&[1.0, 1.0, 3.0], cfg.replicas)
-        .windows()
-        .to_vec();
+    cfg.faults = FaultPlan::tiers(&[1.0, 1.0, 3.0], cfg.replicas);
     Ok(cfg)
 }
 
-/// The live partition/flux script: two scripted blackouts early in the
-/// run (replica 0, then replica 1), the same detect → avoid → recover
-/// shape the sim scenario scripts.
+/// The live partition/flux script: two scripted blackouts (`Slow`
+/// windows) early in the run (replica 0, then replica 1), the same
+/// detect → avoid → recover shape the sim scenario scripts.
 pub fn partition_flux_config(params: &ScenarioParams) -> Result<LiveConfig, ScenarioError> {
     let mut cfg = base_config(LIVE_PARTITION_FLUX, params)?;
-    cfg.scripted = vec![
-        ScriptedSlowdown {
-            node: 0,
-            start: Nanos::from_millis(250),
-            end: Nanos::from_millis(650),
-            multiplier: 30.0,
-        },
-        ScriptedSlowdown {
-            node: 1,
-            start: Nanos::from_millis(900),
-            end: Nanos::from_millis(1_300),
-            multiplier: 30.0,
-        },
-    ];
+    let dark = |node, start, end| FaultEvent {
+        node,
+        kind: FaultKind::Slow,
+        start: Nanos::from_millis(start),
+        end: Nanos::from_millis(end),
+        magnitude: 30.0,
+    };
+    cfg.faults.events = vec![dark(0, 250, 650), dark(1, 900, 1_300)];
     Ok(cfg)
 }
 

@@ -6,9 +6,9 @@
 //!
 //! Service times come from the same [`DiskModel`] the §5 cluster
 //! simulates — sampled from the replica's seeded rng, scaled by the
-//! injected [`Slowdown`] hook at the current wall time — and the time the
-//! replica then *actually waits* before answering is that very sample,
-//! the one the response carries back in `feedback.service_time`. A
+//! `slow` factor of its fault plan at the current wall time — and the
+//! time the replica then *actually waits* before answering is that very
+//! sample, the one the response carries back in `feedback.service_time`. A
 //! replica has `concurrency` service slots: a connection reader that
 //! finds one free starts the request itself (`due = now + service`, onto
 //! the replica's completion-time heap); arrivals beyond the slot count
@@ -52,7 +52,6 @@ use rand::{Rng, SeedableRng};
 use c3_cluster::{DiskKind, DiskModel, FaultPlan, NodeFaults};
 
 use crate::config::LiveConfig;
-use crate::slowdown::Slowdown;
 use crate::wire::read_frame;
 
 /// Store shards per replica (keyed by `key % SHARDS`; coarse, but keeps
@@ -140,11 +139,9 @@ struct Replica {
     /// it announces was made under `service`.
     wake: Condvar,
     model: DiskModel,
-    slowdown: Arc<dyn Slowdown>,
     /// This replica's windows of the fault plan, split from the spec's
-    /// plan once at bind and replayed against wall time — the second
-    /// injectable adversity hook next to [`Slowdown`]: where the slowdown
-    /// hook makes this replica *slow*, the plan makes it *fail* (sever
+    /// plan once at bind and replayed against wall time: they make the
+    /// replica *slow* (scaled service times) or make it *fail* (sever
     /// connections, swallow requests, drop or delay responses).
     faults: NodeFaults,
     clock: WallClock,
@@ -192,25 +189,26 @@ impl Replica {
     }
 
     /// Put `job` into a free slot: sample its service time (scaled by the
-    /// slowdown hook) and schedule its completion. Returns the completion
-    /// instant, or `None` when a crash window ate the request — a crashed
-    /// replica does no work, so the request vanishes without holding a
-    /// slot and the client's deadline reaper is what gets its permit back.
+    /// plan's `slow` factor) and schedule its completion. Returns the
+    /// completion instant, or `None` when a crash window ate the request —
+    /// a crashed replica does no work, so the request vanishes without
+    /// holding a slot and the client's deadline reaper is what gets its
+    /// permit back.
     fn start(&self, state: &mut ServiceState, job: Job) -> Option<Nanos> {
         let now = self.clock.now();
-        if self.faults.at(now).down {
+        let fault = self.faults.at(now);
+        if fault.down {
             self.pending.fetch_sub(1, Ordering::AcqRel);
             return None;
         }
-        let multiplier = self.slowdown.multiplier(self.id, now);
         let service = match &job.req {
             Request::Get { .. } => {
                 self.model
-                    .sample_read(&mut state.rng, self.nominal_bytes, multiplier)
+                    .sample_read(&mut state.rng, self.nominal_bytes, fault.slow)
             }
             Request::Put { value, .. } => {
                 self.model
-                    .sample_write(&mut state.rng, value.len() as u32, multiplier)
+                    .sample_write(&mut state.rng, value.len() as u32, fault.slow)
             }
         };
         let due = now + service;
@@ -380,8 +378,8 @@ pub fn encode_key(key: u64) -> Bytes {
 /// the `c3-live-node` binary decodes one from its config file.
 #[derive(Clone, Debug)]
 pub struct ReplicaSpec {
-    /// Replica id within the fleet (drives fault-plan matching, slowdown
-    /// scripting and the seed derivation).
+    /// Replica id within the fleet (drives fault-plan matching and the
+    /// seed derivation).
     pub id: usize,
     /// Service slots: how many requests are serviced concurrently.
     pub concurrency: usize,
@@ -393,7 +391,8 @@ pub struct ReplicaSpec {
     pub value_bytes: u32,
     /// Fleet seed; the replica's rng stream is derived from it and `id`.
     pub seed: u64,
-    /// Fault timeline replayed against this replica's wall clock.
+    /// Adversity timeline (slow windows and faults) replayed against this
+    /// replica's wall clock.
     pub faults: FaultPlan,
     /// Identity frame written first on every accepted connection (node
     /// processes); `None` for in-process clusters.
@@ -430,15 +429,21 @@ pub struct ReplicaServer {
     service_handle: JoinHandle<()>,
 }
 
+/// Unused placeholder argument of [`ReplicaServer::bind`] and
+/// [`LiveCluster::spawn`], kept so their callers compile unchanged; slow
+/// windows are [`c3_cluster::FaultKind::Slow`] episodes of the fault plan.
+/// ROADMAP item 8 deletes it with the parameter.
+pub struct NoSlowdown;
+
 impl ReplicaServer {
     /// Bind `bind_addr` (use port 0 for an ephemeral port — the learned
     /// port is in [`ReplicaServer::addr`]) and start the accept loop and
-    /// the service thread. `clock` and `slowdown` are shared so everyone
-    /// agrees on the adversity timeline.
+    /// the service thread. `clock` is shared so everyone agrees on the
+    /// adversity timeline; the [`NoSlowdown`] argument is unused.
     pub fn bind(
         spec: &ReplicaSpec,
         bind_addr: SocketAddr,
-        slowdown: Arc<dyn Slowdown>,
+        _unused: Arc<NoSlowdown>,
         clock: WallClock,
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(bind_addr)?;
@@ -466,7 +471,6 @@ impl ReplicaServer {
             }),
             wake: Condvar::new(),
             model,
-            slowdown,
             faults: spec.faults.for_node(spec.id),
             clock,
             nominal_bytes: spec.value_bytes,
@@ -542,13 +546,10 @@ pub struct LiveCluster {
 
 impl LiveCluster {
     /// Spawn one listener (plus its handler threads) per replica on
-    /// loopback ephemeral ports, all sharing `clock` and `slowdown` so
-    /// client and servers agree on the adversity timeline.
-    pub fn spawn(
-        cfg: &LiveConfig,
-        slowdown: Arc<dyn Slowdown>,
-        clock: WallClock,
-    ) -> io::Result<Self> {
+    /// loopback ephemeral ports, all sharing `clock` so client and servers
+    /// agree on the adversity timeline; the [`NoSlowdown`] argument is
+    /// unused.
+    pub fn spawn(cfg: &LiveConfig, unused: Arc<NoSlowdown>, clock: WallClock) -> io::Result<Self> {
         cfg.validate();
         let loopback: SocketAddr = (std::net::Ipv4Addr::LOCALHOST, 0).into();
         let mut servers = Vec::with_capacity(cfg.replicas);
@@ -557,7 +558,7 @@ impl LiveCluster {
             servers.push(ReplicaServer::bind(
                 &spec,
                 loopback,
-                Arc::clone(&slowdown),
+                Arc::clone(&unused),
                 clock,
             )?);
         }
@@ -675,9 +676,8 @@ fn serve_connection(stream: TcpStream, replica: &Replica) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slowdown::{NoSlowdown, SlowdownScript};
     use crate::wire::write_request;
-    use c3_cluster::ScriptedSlowdown;
+    use c3_cluster::{FaultEvent, FaultKind};
     use c3_core::Nanos;
     use std::time::Instant;
 
@@ -786,18 +786,23 @@ mod tests {
     }
 
     #[test]
-    fn slowdown_hook_inflates_measured_service() {
+    fn slow_window_inflates_measured_service() {
         // Replica 0 slowed 20x for the whole run; replica 1 healthy. The
         // *measured wall time* of requests against replica 0 must be
-        // visibly longer — proving the hook reaches real sleeps.
-        let script = SlowdownScript::new(vec![ScriptedSlowdown {
-            node: 0,
-            start: Nanos::ZERO,
-            end: Nanos(u64::MAX),
-            multiplier: 20.0,
-        }]);
-        let cluster =
-            LiveCluster::spawn(&tiny_cfg(), script.into_hook(), WallClock::start()).unwrap();
+        // visibly longer — proving the plan's `slow` reaches real sleeps.
+        let cfg = LiveConfig {
+            faults: FaultPlan {
+                events: vec![FaultEvent {
+                    node: 0,
+                    kind: FaultKind::Slow,
+                    start: Nanos::ZERO,
+                    end: Nanos::MAX,
+                    magnitude: 20.0,
+                }],
+            },
+            ..tiny_cfg()
+        };
+        let cluster = LiveCluster::spawn(&cfg, Arc::new(NoSlowdown), WallClock::start()).unwrap();
         let mut timings = [Nanos::ZERO; 2];
         for (replica, slot) in timings.iter_mut().enumerate() {
             let mut stream = TcpStream::connect(cluster.addrs()[replica]).unwrap();
@@ -827,7 +832,6 @@ mod tests {
 
     #[test]
     fn crash_window_severs_connections_but_spares_healthy_replicas() {
-        use c3_cluster::{FaultEvent, FaultKind};
         let cfg = LiveConfig {
             faults: FaultPlan {
                 events: vec![FaultEvent {
@@ -879,7 +883,6 @@ mod tests {
 
     #[test]
     fn resp_drop_burns_service_but_loses_the_answer() {
-        use c3_cluster::{FaultEvent, FaultKind};
         let cfg = LiveConfig {
             faults: FaultPlan {
                 events: vec![FaultEvent {
@@ -1049,7 +1052,6 @@ mod tests {
 
     #[test]
     fn resp_delay_holds_the_slot() {
-        use c3_cluster::{FaultEvent, FaultKind};
         let mut spec = bare_spec(0, 1, 0);
         spec.faults = FaultPlan {
             events: vec![FaultEvent {
@@ -1078,7 +1080,6 @@ mod tests {
 
     #[test]
     fn a_crash_window_eats_the_queued_job_at_admission() {
-        use c3_cluster::{FaultEvent, FaultKind};
         // One slot, ≈150 ms of service: the first request is in service
         // and the second in the FIFO when the window opens at 100 ms; the
         // first comes due inside it (its answer is lost), which admits the

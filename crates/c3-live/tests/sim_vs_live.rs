@@ -34,7 +34,7 @@
 
 use std::time::Duration;
 
-use c3_cluster::{Cluster, ClusterConfig, PerturbationSpec, ScriptedSlowdown};
+use c3_cluster::{Cluster, ClusterConfig, FaultEvent, FaultKind, FaultPlan, PerturbationSpec};
 use c3_core::Nanos;
 use c3_engine::Strategy;
 use c3_live::{run_live, LiveConfig};
@@ -42,26 +42,23 @@ use c3_live::{run_live, LiveConfig};
 const SEEDS: [u64; 3] = [1, 2, 3];
 const REPLICAS: usize = 6;
 
-/// The shared adversity timeline: two hard blackouts, long enough that
-/// every strategy meets both, early enough that a short run covers them.
-fn blackout_script() -> Vec<ScriptedSlowdown> {
-    vec![
-        ScriptedSlowdown {
-            node: 0,
-            start: Nanos::from_millis(300),
-            end: Nanos::from_millis(1_000),
-            multiplier: 30.0,
-        },
-        ScriptedSlowdown {
-            node: 1,
-            start: Nanos::from_millis(1_300),
-            end: Nanos::from_millis(2_000),
-            multiplier: 30.0,
-        },
-    ]
+/// The shared adversity plan, handed to both instruments: two hard
+/// blackouts, long enough that every strategy meets both, early enough
+/// that a short run covers them.
+fn blackout_plan() -> FaultPlan {
+    let dark = |node, start, end| FaultEvent {
+        node,
+        kind: FaultKind::Slow,
+        start: Nanos::from_millis(start),
+        end: Nanos::from_millis(end),
+        magnitude: 30.0,
+    };
+    FaultPlan {
+        events: vec![dark(0, 300, 1_000), dark(1, 1_300, 2_000)],
+    }
 }
 
-fn live_cfg(strategy: Strategy, seed: u64) -> LiveConfig {
+fn live_cfg(strategy: Strategy, seed: u64, plan: &FaultPlan) -> LiveConfig {
     LiveConfig {
         replicas: REPLICAS,
         threads: 8,
@@ -77,13 +74,13 @@ fn live_cfg(strategy: Strategy, seed: u64) -> LiveConfig {
         offered_rate: Some(5_500.0),
         run_for: Duration::from_millis(2_300),
         warmup_ops: 300,
-        scripted: blackout_script(),
+        faults: plan.clone(),
         seed,
         ..LiveConfig::default()
     }
 }
 
-fn sim_cfg(strategy: Strategy, seed: u64) -> ClusterConfig {
+fn sim_cfg(strategy: Strategy, seed: u64, plan: &FaultPlan) -> ClusterConfig {
     ClusterConfig {
         nodes: REPLICAS,
         generators: 24,
@@ -92,7 +89,7 @@ fn sim_cfg(strategy: Strategy, seed: u64) -> ClusterConfig {
         keys: 50_000,
         // Partitions are the only stressor, exactly like the live script.
         perturbations: PerturbationSpec::none(),
-        scripted: blackout_script(),
+        faults: plan.clone(),
         strategy,
         seed,
         ..ClusterConfig::default()
@@ -137,11 +134,15 @@ fn worst_replica(scores: &[f64]) -> usize {
 
 #[test]
 fn live_c3_beats_ds_p99_and_score_rankings_match_the_sim() {
+    let plan = blackout_plan();
     let mut c3_wins = 0;
     for &seed in &SEEDS {
         // --- live: C3 vs DS on the same scripted partitions -------------
-        let c3_live = run_live("parity", live_cfg(Strategy::c3(), seed));
-        let ds_live = run_live("parity", live_cfg(Strategy::dynamic_snitching(), seed));
+        let c3_live = run_live("parity", live_cfg(Strategy::c3(), seed, &plan));
+        let ds_live = run_live(
+            "parity",
+            live_cfg(Strategy::dynamic_snitching(), seed, &plan),
+        );
         let c3_p99 = c3_live.report.p99_ms();
         let ds_p99 = ds_live.report.p99_ms();
         for (label, report) in [("C3", &c3_live.report), ("DS", &ds_live.report)] {
@@ -157,7 +158,7 @@ fn live_c3_beats_ds_p99_and_score_rankings_match_the_sim() {
         println!("seed {seed}: live p99 C3 {c3_p99:.2} ms vs DS {ds_p99:.2} ms");
 
         // --- sim: the same timeline through the deterministic kernel ----
-        let sim = Cluster::new(sim_cfg(Strategy::c3(), seed))
+        let sim = Cluster::new(sim_cfg(Strategy::c3(), seed, &plan))
             .with_score_probe(0)
             .run();
 
@@ -165,7 +166,7 @@ fn live_c3_beats_ds_p99_and_score_rankings_match_the_sim() {
         // 100 ms of detection transient). In both worlds C3's window-mean
         // ranking must put the scripted victim last — the same worst
         // replica in sim and live.
-        for window in blackout_script() {
+        for window in &plan.events {
             let from = window.start + Nanos::from_millis(100);
             let sim_scores = window_mean(&sim.score_trace, from, window.end);
             let live_scores = window_mean(&c3_live.score_trace, from, window.end);

@@ -7,11 +7,11 @@
 //! *permanent*, so a selection strategy cannot wait it out — it has to
 //! learn the slow tier and keep load off it without starving it (the slow
 //! nodes still hold a third of the replicas). The tiers are realized as
-//! whole-run scripted slowdowns on top of [`c3_cluster`]'s perturbation
-//! machinery, so GC/compaction noise still rides on top of the tier skew.
+//! whole-run `Slow` windows of the cluster's fault plan
+//! ([`FaultPlan::tiers`]), so GC/compaction noise still rides on top of
+//! the tier skew.
 
-use c3_cluster::{ClusterConfig, ScriptedSlowdown};
-use c3_core::Nanos;
+use c3_cluster::{ClusterConfig, FaultPlan};
 use c3_engine::StrategyRegistry;
 
 use crate::cluster_backed;
@@ -39,42 +39,17 @@ impl Default for HeteroFleetConfig {
 }
 
 impl HeteroFleetConfig {
-    /// The tier multiplier assigned to `node`.
+    /// The cluster config with the tier skew appended to its fault plan as
+    /// whole-run `Slow` windows (the cluster's validation rejects a tier
+    /// below 1).
     ///
     /// # Panics
     ///
     /// Panics when no tiers are configured.
-    pub fn tier_of(&self, node: usize) -> f64 {
-        assert!(
-            !self.tier_multipliers.is_empty(),
-            "need at least one hardware tier"
-        );
-        self.tier_multipliers[node % self.tier_multipliers.len()]
-    }
-
-    /// The cluster config with the tier skew materialized as whole-run
-    /// scripted slowdowns.
     pub fn apply(&self) -> ClusterConfig {
-        assert!(
-            !self.tier_multipliers.is_empty(),
-            "need at least one hardware tier"
-        );
-        assert!(
-            self.tier_multipliers.iter().all(|&m| m >= 1.0),
-            "tier multipliers must be >= 1"
-        );
         let mut cfg = self.cluster.clone();
-        for node in 0..cfg.nodes {
-            let multiplier = self.tier_of(node);
-            if multiplier > 1.0 {
-                cfg.scripted.push(ScriptedSlowdown {
-                    node,
-                    start: Nanos::ZERO,
-                    end: Nanos(u64::MAX),
-                    multiplier,
-                });
-            }
-        }
+        let tiers = FaultPlan::tiers(&self.tier_multipliers, cfg.nodes);
+        cfg.faults.events.extend(tiers.events);
         cfg
     }
 }
@@ -95,6 +70,7 @@ pub fn run(cfg: &HeteroFleetConfig, registry: &StrategyRegistry, options: RunOpt
 mod tests {
     use super::*;
     use crate::scenario_registry;
+    use c3_core::Nanos;
     use c3_engine::Strategy;
 
     fn small(strategy: Strategy) -> HeteroFleetConfig {
@@ -111,12 +87,16 @@ mod tests {
 
     #[test]
     fn tiers_map_round_robin() {
-        let cfg = HeteroFleetConfig::default();
-        assert_eq!(cfg.tier_of(0), 1.0);
-        assert_eq!(cfg.tier_of(2), 3.0);
-        assert_eq!(cfg.tier_of(5), 3.0);
-        let applied = cfg.apply();
-        assert_eq!(applied.scripted.len(), 5, "15 nodes / every third slow");
+        let applied = HeteroFleetConfig::default().apply();
+        let tier_of = |node| applied.faults.for_node(node).at(Nanos::ZERO).slow;
+        assert_eq!(tier_of(0), 1.0);
+        assert_eq!(tier_of(2), 3.0);
+        assert_eq!(tier_of(5), 3.0);
+        assert_eq!(
+            applied.faults.events.len(),
+            5,
+            "15 nodes / every third slow"
+        );
     }
 
     #[test]

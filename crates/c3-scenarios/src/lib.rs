@@ -15,10 +15,12 @@
 //!   100k+ closed-loop clients through a pool of shared selector shards —
 //!   the kernel's sustained 100k-pending-event regime;
 //! - [`HETERO_FLEET`] ([`HeteroFleetConfig`]): permanent fast/slow
-//!   hardware tiers layered on the §5 cluster's ring;
-//! - [`PARTITION_FLUX`] ([`PartitionFluxConfig`]): scripted and stochastic
-//!   replica blackouts and recoveries built on the cluster's perturbation
-//!   episodes, exercising C3's rate-control recovery path;
+//!   hardware tiers layered on the §5 cluster's ring as whole-run slow
+//!   windows of its fault plan;
+//! - [`PARTITION_FLUX`] ([`PartitionFluxConfig`]): replica blackouts and
+//!   recoveries — stochastic ones from the cluster's perturbation
+//!   episodes, scripted ones as slow windows of its fault plan —
+//!   exercising C3's rate-control recovery path;
 //! - [`CRASH_FLUX`] and [`FLAKY_NET`] ([`FaultFluxConfig`]): deterministic
 //!   fault-injection timelines (node crashes; connection resets, dropped
 //!   and delayed responses) replayed against the hardened request

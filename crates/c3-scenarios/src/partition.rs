@@ -7,12 +7,12 @@
 //! rankings (Dynamic Snitching) keep sending into the hole until the next
 //! recompute; C3's rate control is supposed to collapse the sending rate
 //! towards the dark node multiplicatively and then re-probe along the
-//! cubic curve once it recovers. Blackouts are built on
-//! [`c3_cluster`]'s perturbation episodes: a stochastic on/off renewal
-//! process per node (the "flux"), plus optional scripted windows for
-//! deterministic experiments.
+//! cubic curve once it recovers. Blackouts come from two sources: a
+//! stochastic on/off renewal process per node (the "flux", one of
+//! [`c3_cluster`]'s perturbation episodes), plus optional scripted `Slow`
+//! windows of the cluster's fault plan for deterministic experiments.
 
-use c3_cluster::{ClusterConfig, EpisodeSpec, PerturbationSpec, ScriptedSlowdown};
+use c3_cluster::{ClusterConfig, EpisodeSpec, FaultEvent, FaultKind, PerturbationSpec};
 use c3_core::Nanos;
 use c3_engine::StrategyRegistry;
 
@@ -22,16 +22,18 @@ use crate::options::{RunOptions, RunOutput};
 /// Configuration of a partition/flux run.
 #[derive(Clone, Debug)]
 pub struct PartitionFluxConfig {
-    /// The underlying cluster. Its `perturbations` and `scripted` fields
-    /// are overwritten by [`PartitionFluxConfig::apply`].
+    /// The underlying cluster. [`PartitionFluxConfig::apply`] overwrites
+    /// its `perturbations` and appends the scripted blackouts to its
+    /// `faults`.
     pub cluster: ClusterConfig,
     /// Stochastic blackout process, per node: mean gap between blackouts,
     /// duration range, and the service-time multiplier while dark. The
     /// default (25x for 0.4–1.5 s every ~6 s somewhere in the fleet)
     /// makes a dark node time out nearly every request routed to it.
     pub blackout: EpisodeSpec,
-    /// Deterministic blackout windows layered on top of the flux.
-    pub scripted_blackouts: Vec<ScriptedSlowdown>,
+    /// Deterministic blackout windows ([`FaultKind::Slow`] episodes)
+    /// layered on top of the flux.
+    pub scripted_blackouts: Vec<FaultEvent>,
 }
 
 impl Default for PartitionFluxConfig {
@@ -49,17 +51,19 @@ impl Default for PartitionFluxConfig {
             // second, then node 1 — exercising detect → avoid → recover
             // twice, deterministically, in every run length.
             scripted_blackouts: vec![
-                ScriptedSlowdown {
+                FaultEvent {
                     node: 0,
+                    kind: FaultKind::Slow,
                     start: Nanos::from_millis(500),
                     end: Nanos::from_millis(1_500),
-                    multiplier: 40.0,
+                    magnitude: 40.0,
                 },
-                ScriptedSlowdown {
+                FaultEvent {
                     node: 1,
+                    kind: FaultKind::Slow,
                     start: Nanos::from_millis(2_000),
                     end: Nanos::from_millis(2_800),
-                    multiplier: 40.0,
+                    magnitude: 40.0,
                 },
             ],
         }
@@ -70,7 +74,8 @@ impl PartitionFluxConfig {
     /// The cluster config with blackout flux installed: GC/compaction
     /// noise is switched off so partitions are the only stressor, the
     /// stochastic blackout rides on the perturbation machinery's
-    /// `slowdown` class, and the scripted windows are copied in.
+    /// `slowdown` class, and the scripted windows are appended to the
+    /// fault plan.
     pub fn apply(&self) -> ClusterConfig {
         assert!(self.blackout.multiplier > 1.0, "a blackout must slow reads");
         let mut cfg = self.cluster.clone();
@@ -80,7 +85,7 @@ impl PartitionFluxConfig {
             compaction: off.compaction,
             slowdown: self.blackout,
         };
-        cfg.scripted = self.scripted_blackouts.clone();
+        cfg.faults.events.extend(&self.scripted_blackouts);
         cfg
     }
 }
@@ -130,7 +135,7 @@ mod tests {
             .mean_interval_ms
             .is_finite());
         assert_eq!(applied.perturbations.slowdown.multiplier, 25.0);
-        assert_eq!(applied.scripted.len(), 2);
+        assert_eq!(applied.faults.events, cfg.scripted_blackouts);
     }
 
     #[test]

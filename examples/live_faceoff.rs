@@ -1,7 +1,7 @@
 //! Live face-off: C3 vs Dynamic Snitching over real loopback sockets.
 //!
-//! Spawns the std-only KV fleet, blacks out one replica mid-run with the
-//! injectable slowdown hook, and drives both strategies with the same
+//! Spawns the std-only KV fleet, blacks out one replica mid-run with a
+//! slow window of the fault plan, and drives both strategies with the same
 //! quasi-open-loop offered load — the socket twin of the partition-flux
 //! scenario. Prints the read-latency table and C3's per-replica score
 //! ranking inside the blackout window (the live half of the sim-vs-live
@@ -14,7 +14,7 @@
 
 use std::time::Duration;
 
-use c3::cluster::ScriptedSlowdown;
+use c3::cluster::{FaultEvent, FaultKind, FaultPlan};
 use c3::core::Nanos;
 use c3::engine::Strategy;
 use c3::live::{run_live, LiveConfig};
@@ -27,11 +27,12 @@ fn main() {
         .filter(|&ms| ms >= 600)
         .unwrap_or(1_000);
     // One replica goes dark for the middle ~40% of the run.
-    let window = ScriptedSlowdown {
+    let window = FaultEvent {
         node: 0,
+        kind: FaultKind::Slow,
         start: Nanos::from_millis(run_ms * 3 / 10),
         end: Nanos::from_millis(run_ms * 7 / 10),
-        multiplier: 30.0,
+        magnitude: 30.0,
     };
 
     println!(
@@ -60,7 +61,9 @@ fn main() {
             offered_rate: Some(5_000.0),
             run_for: Duration::from_millis(run_ms),
             warmup_ops: 200,
-            scripted: vec![window],
+            faults: FaultPlan {
+                events: vec![window],
+            },
             seed: 1,
             ..LiveConfig::default()
         };
