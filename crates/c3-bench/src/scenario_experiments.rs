@@ -1,13 +1,13 @@
 //! Scenario-library experiments: the full strategy × scenario matrix.
 //!
 //! Complements the per-figure reproductions: where those pin one workload
-//! and vary a knob, this sweeps **every strategy in the registry against
+//! and vary a knob, this sweeps **every built-in strategy against
 //! every scenario in the `c3-scenarios` library** (multi-tenant fleets,
 //! heterogeneous hardware tiers, partition/flux blackouts) in one shot,
 //! fanning the independent runs out across worker threads.
 
 use c3_metrics::Table;
-use c3_scenarios::{scenario_registry, ScenarioError, ScenarioRegistry, ScenarioReport};
+use c3_scenarios::{ScenarioError, ScenarioRegistry, ScenarioReport};
 
 use crate::support::{banner, fan_out_threads, runs_from_env, Scale, SkipLog};
 
@@ -17,7 +17,7 @@ pub fn sweep_threads() -> usize {
     fan_out_threads()
 }
 
-/// The strategy × scenario matrix. Every name in the strategy registry is
+/// The strategy × scenario matrix. Every built-in strategy name is
 /// swept against every scenario in the library; cells a frontend cannot
 /// drive (the simulator-global `ORA` on cluster-backed scenarios) are
 /// reported as unsupported rather than skipped silently.
@@ -25,8 +25,7 @@ pub fn scenario_matrix(scale: Scale) {
     banner("SC", "strategy × scenario sweep (c3-scenarios)");
     let scenarios = ScenarioRegistry::with_defaults();
     let scenario_names = scenarios.names();
-    let strategies: Vec<c3_engine::Strategy> = scenario_registry()
-        .names()
+    let strategies: Vec<c3_engine::Strategy> = c3_engine::Strategy::BUILTIN
         .into_iter()
         .map(c3_engine::Strategy::named)
         .collect();
@@ -123,7 +122,6 @@ pub fn multi_tenant_fairness(scale: Scale) {
         Strategy::lor(),
     ];
     let ops = scale.scenario_ops();
-    let registry = scenario_registry();
     let base = MultiTenantConfig {
         total_requests: ops,
         warmup_requests: ops / 20,
@@ -142,8 +140,8 @@ pub fn multi_tenant_fairness(scale: Scale) {
             strategy: strategies[i].clone(),
             ..base.clone()
         };
-        let shared = run_multi_tenant(cfg.clone(), &registry, RunOptions::default()).report;
-        let isolated = run_multi_tenant_isolated(&cfg, &registry);
+        let shared = run_multi_tenant(cfg.clone(), RunOptions::default()).report;
+        let isolated = run_multi_tenant_isolated(&cfg);
         let slowdowns = shared.slowdown_vs_isolated(&isolated);
         let jain = shared.jain_fairness(&isolated);
         (slowdowns, jain)

@@ -4,8 +4,8 @@
 //! Flow of a read: a closed-loop generator thread issues an operation to a
 //! coordinator node (round-robin, as the YCSB Cassandra driver does); the
 //! coordinator selects a replica from the key's replica group using its
-//! registry-built [`ReplicaSelector`] (Dynamic Snitching, C3, or a Table-1
-//! baseline) and forwards the request (local reads skip the network); the
+//! [`Selector`] (Dynamic Snitching, C3, or a Table-1 baseline) and
+//! forwards the request (local reads skip the network); the
 //! replica's read stage executes it under the disk model scaled by the
 //! node's current perturbation multiplier times its fault plan's `slow`
 //! factor; the response — carrying C3 feedback — returns via the
@@ -20,8 +20,8 @@
 //!
 //! Every coordinator drives one uniform selector path: backpressure-capable
 //! strategies (the C3 family, RR) park reads in per-group backlog queues;
-//! Dynamic Snitching receives its gossip/recompute ticks through the
-//! selector's `as_any_mut` hook (see [`SnitchSelector::of`]).
+//! Dynamic Snitching receives its gossip/recompute ticks through
+//! [`Selector::as_snitch_mut`].
 //!
 //! **Record lifetimes.** Operation and send records live in recycling
 //! [`SlotTable`]s, so a run's memory follows what is in flight, not its
@@ -42,11 +42,11 @@
 //! recorder name an op by its issue index, never by its key.
 
 use c3_core::{
-    FailureDetector, Feedback, LifecycleCounts, Nanos, ReplicaSelector, Selection, ServerId,
+    FailureDetector, Feedback, LifecycleCounts, Nanos, Selection, Selector, ServerId, SnitchConfig,
 };
 use c3_engine::{
     BackpressureFront, ChannelId, ChannelSet, EngineStats, EventQueue, RunMetrics, Scenario,
-    ScenarioRunner, SeedSeq, SelectorCtx, SlotKey, SlotTable, StrategyRegistry, TimerId,
+    ScenarioRunner, SeedSeq, SlotKey, SlotTable, TimerId,
 };
 use c3_metrics::{GaugeSeries, LogHistogram, WindowedCounts};
 use c3_telemetry::{Recorder, TracePoint};
@@ -58,7 +58,6 @@ use crate::config::ClusterConfig;
 use crate::fault::NodeFaults;
 use crate::perturb::{EpisodeKind, NodePerturbation};
 use crate::ring::Ring;
-use crate::snitch::{SnitchConfig, SnitchSelector};
 use crate::storage::DiskModel;
 
 /// Key of an [`OpState`] while the operation is reachable.
@@ -78,14 +77,6 @@ pub const CLUSTER_CHANNELS: [&str; 2] = ["read", "update"];
 /// (`Evict`/`Reinstate`) are traced; never an issue index, so the request
 /// join ignores them.
 const DETECTOR_OP: u64 = u64::MAX;
-
-/// Register the cluster-only strategies (Dynamic Snitching, which needs a
-/// [`SnitchConfig`] and gossip plumbing) into an engine registry.
-pub fn register_cluster_strategies(registry: &mut StrategyRegistry, snitch: SnitchConfig) {
-    registry.register("DS", move |ctx: &SelectorCtx| {
-        Box::new(SnitchSelector::new(ctx.servers, snitch)) as Box<dyn ReplicaSelector>
-    });
-}
 
 /// The cluster's event alphabet (public because it is the scenario's
 /// `Scenario::Event` type; construction stays internal).
@@ -225,10 +216,10 @@ impl NodeState {
     }
 }
 
-/// Per-coordinator replica-selection state: one registry-built selector
-/// plus the backpressure backlog and the speculative-retry latency view.
+/// Per-coordinator replica-selection state: one selector plus the
+/// backpressure backlog and the speculative-retry latency view.
 struct Coordinator {
-    selector: Box<dyn ReplicaSelector>,
+    selector: Selector,
     /// Reads parked per replica group while the rate limiter refuses
     /// them, and the retry timers that re-admit them.
     front: BackpressureFront<OpId, Ev>,
@@ -384,22 +375,13 @@ struct ThreadState {
 }
 
 impl ClusterScenario {
-    /// Build the scenario with the engine's default registry plus the
-    /// cluster-only strategies (DS).
-    pub fn new(cfg: ClusterConfig) -> Self {
-        let mut registry = StrategyRegistry::with_defaults();
-        register_cluster_strategies(&mut registry, cfg.snitch);
-        Self::with_registry(cfg, &registry)
-    }
-
-    /// Build the scenario resolving the configured strategy through a
-    /// caller-supplied registry.
+    /// Build the scenario.
     ///
     /// # Panics
     ///
     /// Panics when the strategy is unknown or needs simulator-global
     /// state this frontend cannot provide (`ORA`).
-    pub fn with_registry(cfg: ClusterConfig, registry: &StrategyRegistry) -> Self {
+    pub fn new(cfg: ClusterConfig) -> Self {
         cfg.validate();
         let disk = cfg.disk_model();
         let ring = Ring::new(cfg.nodes, cfg.replication_factor);
@@ -427,8 +409,9 @@ impl ClusterScenario {
 
         let coords: Vec<Coordinator> = (0..cfg.nodes)
             .map(|i| {
-                let selector = registry
-                    .build_client(&cfg.strategy, cfg.nodes, c3, &seeds, i)
+                let selector = cfg
+                    .strategy
+                    .build_client(cfg.nodes, c3, &seeds, i)
                     .unwrap_or_else(|| {
                         panic!(
                             "strategy {} needs global state the cluster does not provide",
@@ -1498,9 +1481,9 @@ impl ClusterScenario {
     fn on_gossip(&mut self, now: Nanos, engine: &mut EventQueue<Ev>) {
         let iowaits: Vec<f64> = self.nodes.iter().map(|n| n.perturb.iowait(now)).collect();
         for coord in &mut self.coords {
-            if let Some(snitch) = SnitchSelector::of(coord.selector.as_mut()) {
+            if let Some(snitch) = coord.selector.as_snitch_mut() {
                 for (peer, &io) in iowaits.iter().enumerate() {
-                    snitch.snitch_mut().record_iowait(peer, io);
+                    snitch.record_iowait(peer, io);
                 }
             }
         }
@@ -1509,11 +1492,11 @@ impl ClusterScenario {
 
     fn on_snitch_tick(&mut self, now: Nanos, engine: &mut EventQueue<Ev>) {
         for coord in &mut self.coords {
-            if let Some(snitch) = SnitchSelector::of(coord.selector.as_mut()) {
-                snitch.snitch_mut().recompute(now);
+            if let Some(snitch) = coord.selector.as_snitch_mut() {
+                snitch.recompute(now);
             }
         }
-        engine.schedule_in(self.cfg.snitch.update_interval, Ev::SnitchTick);
+        engine.schedule_in(SnitchConfig::default().update_interval, Ev::SnitchTick);
     }
 
     fn on_perturb_start(
@@ -1566,7 +1549,7 @@ impl Scenario for ClusterScenario {
             engine.schedule(jitter, Ev::ClientIssue { thread: t });
         }
         engine.schedule(self.cfg.gossip_interval, Ev::GossipTick);
-        engine.schedule(self.cfg.snitch.update_interval, Ev::SnitchTick);
+        engine.schedule(SnitchConfig::default().update_interval, Ev::SnitchTick);
         // Perturbation processes.
         for node in 0..self.cfg.nodes {
             for kind in [

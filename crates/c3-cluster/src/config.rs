@@ -11,7 +11,6 @@ use c3_workload::WorkloadMix;
 
 use crate::fault::FaultPlan;
 use crate::perturb::PerturbationSpec;
-use crate::snitch::SnitchConfig;
 use crate::storage::{DiskKind, DiskModel};
 
 /// A change in offered load at a point in time (Figure 11 adds 40
@@ -84,13 +83,11 @@ pub struct ClusterConfig {
     /// detector) — the [`LifecycleConfig`] shared with the live backends,
     /// defaulting to everything off (the seed behaviour).
     pub lifecycle: LifecycleConfig,
-    /// Replica-selection strategy under test, by registry name.
+    /// Replica-selection strategy under test, by name.
     pub strategy: Strategy,
     /// C3 parameters; `concurrency_weight` is set to the number of
     /// coordinators (= nodes), matching "w = number of clients".
     pub c3: C3Config,
-    /// Dynamic Snitching parameters.
-    pub snitch: SnitchConfig,
     /// Gossip dissemination period for iowait (Cassandra: 1 s averages).
     pub gossip_interval: Nanos,
     /// Additional workload entering mid-run (Figure 11).
@@ -124,7 +121,6 @@ impl Default for ClusterConfig {
             lifecycle: LifecycleConfig::default(),
             strategy: Strategy::c3(),
             c3: C3Config::default(),
-            snitch: SnitchConfig::default(),
             gossip_interval: Nanos::from_secs(1),
             phase: None,
             load_window: Nanos::from_millis(100),

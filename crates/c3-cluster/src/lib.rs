@@ -10,12 +10,10 @@
 //! - [`NodePerturbation`]: per-node GC pauses, compactions (which drive
 //!   `iowait`) and noisy-neighbour slowdowns — the §2.1 fluctuation
 //!   sources,
-//! - [`DynamicSnitch`]: Cassandra's Dynamic Snitching (interval-frozen
-//!   scores, gossiped iowait with dominant weight, reservoir medians),
-//!   exposed to the engine's strategy registry as [`SnitchSelector`]
-//!   through [`register_cluster_strategies`],
-//! - [`Cluster`]: coordinators running any registry strategy (C3, DS, or
-//!   a Table-1 baseline) over the full read/write path, driven by
+//! - [`Cluster`]: coordinators running any strategy (C3, Dynamic
+//!   Snitching, or a Table-1 baseline) over the full read/write path,
+//!   feeding Dynamic Snitching its gossiped iowait and recompute ticks
+//!   (the snitch itself is `c3_core::DynamicSnitch`), driven by
 //!   closed-loop YCSB-style generator threads; with optional speculative
 //!   retry and latency traces (Figure 11),
 //! - [`FaultPlan`]: the one scripted adversity timeline — slow windows
@@ -44,16 +42,12 @@ mod config;
 mod fault;
 mod perturb;
 mod ring;
-mod snitch;
 mod storage;
 
 pub use c3_engine::Strategy;
-pub use cluster::{
-    register_cluster_strategies, Cluster, ClusterResult, ClusterScenario, CLUSTER_CHANNELS,
-};
+pub use cluster::{Cluster, ClusterResult, ClusterScenario, CLUSTER_CHANNELS};
 pub use config::{ClusterConfig, WorkloadPhase};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultState, InvalidFault, NodeFaults};
 pub use perturb::{EpisodeKind, EpisodeSpec, NodePerturbation, PerturbationSpec};
 pub use ring::Ring;
-pub use snitch::{DynamicSnitch, SnitchConfig, SnitchSelector};
 pub use storage::{DiskKind, DiskModel};

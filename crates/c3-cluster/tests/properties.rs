@@ -1,7 +1,6 @@
 //! Property-based tests for the cluster substrate's structural pieces.
 
-use c3_cluster::{DynamicSnitch, Ring, SnitchConfig};
-use c3_core::Nanos;
+use c3_cluster::Ring;
 use proptest::prelude::*;
 
 proptest! {
@@ -60,41 +59,5 @@ proptest! {
                 "ownership skewed: {counts:?}"
             );
         }
-    }
-
-    /// The snitch's selection is always a member of the supplied group and
-    /// is stable between recomputations.
-    #[test]
-    fn snitch_selects_in_group(
-        peers in 3usize..16,
-        latencies in proptest::collection::vec(1u64..500, 3..16),
-    ) {
-        let mut s = DynamicSnitch::new(peers, SnitchConfig::default());
-        for (peer, &l) in latencies.iter().enumerate().take(peers) {
-            s.record_latency(peer, Nanos::from_millis(l));
-        }
-        s.recompute(Nanos::from_millis(100));
-        let group: Vec<usize> = (0..peers.min(3)).collect();
-        let first = s.select(&group);
-        prop_assert!(group.contains(&first));
-        // Feed arbitrary new evidence without a recompute: frozen choice.
-        for peer in 0..peers {
-            s.record_latency(peer, Nanos::from_millis(1));
-        }
-        prop_assert_eq!(s.select(&group), first, "ranking must stay frozen");
-    }
-
-    /// Snitch scores are monotone in the gossiped iowait.
-    #[test]
-    fn snitch_score_monotone_in_iowait(io in 0.0f64..1.0, extra in 0.01f64..0.5) {
-        let mut a = DynamicSnitch::new(1, SnitchConfig::default());
-        let mut b = DynamicSnitch::new(1, SnitchConfig::default());
-        a.record_latency(0, Nanos::from_millis(5));
-        b.record_latency(0, Nanos::from_millis(5));
-        a.record_iowait(0, io);
-        b.record_iowait(0, (io + extra).min(1.5));
-        a.recompute(Nanos::from_millis(100));
-        b.recompute(Nanos::from_millis(100));
-        prop_assert!(b.score(0) >= a.score(0));
     }
 }

@@ -105,7 +105,13 @@ impl C3Config {
             "ewma_alpha must be in (0,1]"
         );
         assert!(self.concurrency_weight >= 0.0, "w must be non-negative");
-        assert!(self.queue_exponent >= 1, "queue exponent must be >= 1");
+        // The score raises q̂ with `powi(queue_exponent as i32)`: past
+        // `i32::MAX` the cast wraps negative and the penalty would fall as
+        // the queue grows.
+        assert!(
+            (1..=i32::MAX as u32).contains(&self.queue_exponent),
+            "queue exponent must be in [1, i32::MAX]"
+        );
         assert!(self.beta > 0.0 && self.beta < 1.0, "beta must be in (0,1)");
         assert!(self.delta > Nanos::ZERO, "delta must be positive");
         assert!(self.saddle > Nanos::ZERO, "saddle must be positive");
@@ -173,5 +179,11 @@ mod tests {
             ..C3Config::default()
         };
         c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "queue exponent")]
+    fn validate_rejects_an_exponent_powi_cannot_take() {
+        C3Config::default().with_queue_exponent(u32::MAX).validate();
     }
 }

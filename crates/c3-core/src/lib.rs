@@ -56,9 +56,12 @@
 //! The [`strategies`] module implements the client-local baselines the paper
 //! compares against (least-outstanding-requests, rate-limited round-robin,
 //! uniform random, least-response-time, weighted random, power-of-two
-//! choices) behind the common [`ReplicaSelector`] trait. The Oracle baseline
-//! lives in `c3-sim` (it needs global state) and Dynamic Snitching in
-//! `c3-cluster` (it needs gossip).
+//! choices, primary-only, nearest) and [`SnitchSelector`] is Cassandra's
+//! Dynamic Snitching, each behind the common [`ReplicaSelector`] contract.
+//! The closed [`Selector`] enum holds any one of them and is what every
+//! simulator and the live client drive: a `match` per call, no vtable. The
+//! Oracle baseline is not a selector at all (it reads simulator-global
+//! state), so each simulator wires it itself.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -73,6 +76,7 @@ mod rate;
 mod scheduler;
 mod score;
 mod selector;
+mod snitch;
 pub mod strategies;
 mod time;
 mod tracker;
@@ -85,6 +89,7 @@ pub use lifecycle::{FailureDetector, LifecycleConfig, LifecycleCounts};
 pub use rate::{cubic_rate, RateLimiter, RatePhase, RateStats};
 pub use scheduler::{BacklogQueue, C3State, SendDecision, ServerId};
 pub use score::{queue_size_estimate, score};
-pub use selector::{C3Selector, ReplicaSelector, ReplicaView, ResponseInfo, Selection};
+pub use selector::{C3Selector, ReplicaSelector, ReplicaView, ResponseInfo, Selection, Selector};
+pub use snitch::{DynamicSnitch, SnitchConfig, SnitchSelector};
 pub use time::{Nanos, WallClock};
 pub use tracker::{ServerTracker, TrackerSnapshot};

@@ -1,13 +1,20 @@
-//! The [`ReplicaSelector`] abstraction shared by the simulators, the
-//! Cassandra-like cluster, and the live socket client.
+//! The [`ReplicaSelector`] contract and the closed [`Selector`] enum shared
+//! by the simulators, the Cassandra-like cluster, and the live socket
+//! client.
 //!
 //! A selector is the client-side decision logic: given a replica group for
-//! a request, pick the server to send to (or signal backpressure). The
-//! simulators drive selectors through this trait so that C3 and every
-//! baseline from the paper (§2.2, §6) can be swapped for one another.
+//! a request, pick the server to send to (or signal backpressure). Every
+//! strategy the paper compares (§2.2, §5, §6) implements the trait, and
+//! [`Selector`] holds exactly one of them, so C3 and every baseline can be
+//! swapped for one another without a trait object on the per-request path.
 
 use crate::feedback::Feedback;
 use crate::scheduler::{C3State, SendDecision, ServerId};
+use crate::snitch::{DynamicSnitch, SnitchSelector};
+use crate::strategies::{
+    LeastOutstanding, LeastResponseTime, NearestRank, PowerOfTwoChoices, PrimaryFirst,
+    RoundRobinRate, UniformRandom, WeightedRandom,
+};
 use crate::time::Nanos;
 
 /// Information available to a selector when a response arrives.
@@ -85,20 +92,6 @@ pub trait ReplicaSelector: Send {
 
     /// Short name for tables and traces ("C3", "LOR", ...).
     fn name(&self) -> &'static str;
-
-    /// Downcast hook: C3-family selectors return themselves so drivers can
-    /// introspect scores, rate limiters and backpressure statistics without
-    /// `dyn Any` plumbing. Baselines keep the default `None`.
-    fn as_c3(&self) -> Option<&C3Selector> {
-        None
-    }
-
-    /// General downcast hook for selectors that need frontend-specific
-    /// plumbing beyond this trait (e.g. Dynamic Snitching's gossip feed).
-    /// Selectors that have nothing to expose keep the default `None`.
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        None
-    }
 
     /// Decision-time snapshot of one replica's state for the flight
     /// recorder. Must be purely observational — no RNG draws, no state
@@ -179,10 +172,6 @@ impl ReplicaSelector for C3Selector {
         "C3"
     }
 
-    fn as_c3(&self) -> Option<&C3Selector> {
-        Some(self)
-    }
-
     fn replica_view(&self, server: ServerId) -> Option<ReplicaView> {
         let snap = self.state.tracker_snapshot(server);
         let score = self.state.score_of(server);
@@ -196,6 +185,108 @@ impl ReplicaSelector for C3Selector {
             outstanding: snap.outstanding,
             srate: self.state.limiter(server).srate(),
         })
+    }
+}
+
+/// Every built-in strategy, one variant each. The C3 ablations (`C3-noRC`,
+/// `C3-noCC`, `C3-b{n}`) are the [`Selector::C3`] variant under a different
+/// [`C3Config`](crate::C3Config).
+///
+/// The methods mirror [`ReplicaSelector`] (same contract, same call order)
+/// but are inherent: each is a `match` that calls its variant directly, so
+/// a driver's per-request path never goes through a vtable. `Selector`
+/// deliberately does not implement the trait — the trait is the contract
+/// each variant's type implements.
+#[derive(Debug)]
+pub enum Selector {
+    /// C3 and its ablations.
+    C3(C3Selector),
+    /// Least outstanding requests.
+    Lor(LeastOutstanding),
+    /// Rate-limited round-robin.
+    Rr(RoundRobinRate),
+    /// Uniform random.
+    Random(UniformRandom),
+    /// Least EWMA response time.
+    Lrt(LeastResponseTime),
+    /// Response-time-weighted random.
+    WRand(WeightedRandom),
+    /// Power of two choices.
+    P2c(PowerOfTwoChoices),
+    /// Always the group's primary.
+    Primary(PrimaryFirst),
+    /// Statically nearest replica.
+    Nearest(NearestRank),
+    /// Cassandra's Dynamic Snitching.
+    Ds(SnitchSelector),
+}
+
+/// Run `$body` with `$s` bound to the variant's selector, whatever the
+/// variant: the one place the variant list is spelled out for dispatch.
+macro_rules! each_variant {
+    ($sel:expr, $s:ident => $body:expr) => {
+        match $sel {
+            Selector::C3($s) => $body,
+            Selector::Lor($s) => $body,
+            Selector::Rr($s) => $body,
+            Selector::Random($s) => $body,
+            Selector::Lrt($s) => $body,
+            Selector::WRand($s) => $body,
+            Selector::P2c($s) => $body,
+            Selector::Primary($s) => $body,
+            Selector::Nearest($s) => $body,
+            Selector::Ds($s) => $body,
+        }
+    };
+}
+
+impl Selector {
+    /// See [`ReplicaSelector::select`].
+    pub fn select(&mut self, group: &[ServerId], now: Nanos) -> Selection {
+        each_variant!(self, s => s.select(group, now))
+    }
+
+    /// See [`ReplicaSelector::on_send`].
+    pub fn on_send(&mut self, server: ServerId, now: Nanos) {
+        each_variant!(self, s => s.on_send(server, now))
+    }
+
+    /// See [`ReplicaSelector::on_response`].
+    pub fn on_response(&mut self, server: ServerId, info: &ResponseInfo, now: Nanos) {
+        each_variant!(self, s => s.on_response(server, info, now))
+    }
+
+    /// See [`ReplicaSelector::on_abandoned`].
+    pub fn on_abandoned(&mut self, server: ServerId, now: Nanos) {
+        each_variant!(self, s => s.on_abandoned(server, now))
+    }
+
+    /// See [`ReplicaSelector::name`].
+    pub fn name(&self) -> &'static str {
+        each_variant!(self, s => s.name())
+    }
+
+    /// See [`ReplicaSelector::replica_view`].
+    pub fn replica_view(&self, server: ServerId) -> Option<ReplicaView> {
+        each_variant!(self, s => s.replica_view(server))
+    }
+
+    /// The C3 selector, for drivers that introspect scores, rate limiters
+    /// and backpressure statistics.
+    pub fn as_c3(&self) -> Option<&C3Selector> {
+        match self {
+            Selector::C3(c3) => Some(c3),
+            _ => None,
+        }
+    }
+
+    /// The Dynamic Snitch, for the loop that delivers its gossip and
+    /// recompute ticks.
+    pub fn as_snitch_mut(&mut self) -> Option<&mut DynamicSnitch> {
+        match self {
+            Selector::Ds(ds) => Some(ds.snitch_mut()),
+            _ => None,
+        }
     }
 }
 

@@ -14,9 +14,12 @@
 //!   synchronized herding in Figure 2;
 //! - the reservoir is reset every 10 minutes.
 //!
-//! Lower scores rank better.
+//! Lower scores rank better. The snitch has no gossip of its own: the
+//! loop that owns a [`SnitchSelector`] feeds it iowait and recompute ticks
+//! through [`crate::Selector::as_snitch_mut`].
 
-use c3_core::Nanos;
+use crate::selector::{ReplicaSelector, ReplicaView, ResponseInfo, Selection};
+use crate::time::Nanos;
 
 /// A bounded ring of the most recent latency samples (ms).
 #[derive(Clone, Debug)]
@@ -156,9 +159,10 @@ impl DynamicSnitch {
 
     /// What the score *would be* if recomputed right now, from the current
     /// reservoir and gossiped iowait. Read-only: rankings stay frozen. The
-    /// telemetry layer compares selections against this to measure how much
-    /// regret the freeze (§2.3, Fig. 2) costs.
-    pub fn fresh_score(&self, peer: usize) -> f64 {
+    /// telemetry layer compares selections against this (through
+    /// [`ReplicaView::fresh_score`]) to measure how much regret the freeze
+    /// (§2.3, Fig. 2) costs.
+    fn fresh_score(&self, peer: usize) -> f64 {
         self.samples[peer].median().unwrap_or(0.0) + self.cfg.iowait_weight * self.iowait[peer]
     }
 
@@ -180,19 +184,12 @@ impl DynamicSnitch {
     pub fn updates(&self) -> u64 {
         self.updates
     }
-
-    /// The configured update interval.
-    pub fn update_interval(&self) -> Nanos {
-        self.cfg.update_interval
-    }
 }
 
-/// [`DynamicSnitch`] behind the shared [`c3_core::ReplicaSelector`] trait, so the
-/// cluster drives DS through the same registry-built selector path as every
-/// other strategy. Read responses feed the latency reservoirs; the gossip
-/// and recompute ticks reach the wrapped snitch through the trait's
-/// `as_any_mut` downcast hook ([`Cluster`](crate::Cluster) owns those
-/// cluster-wide processes — they are not per-request selector concerns).
+/// [`DynamicSnitch`] behind the shared [`ReplicaSelector`] contract: read
+/// responses feed the latency reservoirs, while the gossip and recompute
+/// ticks — cluster-wide processes, not per-request selector concerns —
+/// reach the wrapped snitch through [`crate::Selector::as_snitch_mut`].
 #[derive(Debug)]
 pub struct SnitchSelector {
     snitch: DynamicSnitch,
@@ -206,31 +203,21 @@ impl SnitchSelector {
         }
     }
 
-    /// The DS selector behind a registry-built selector, if that is what
-    /// it is: how gossip and recompute ticks reach the wrapped snitch.
-    pub fn of(selector: &mut dyn c3_core::ReplicaSelector) -> Option<&mut Self> {
-        selector.as_any_mut()?.downcast_mut::<SnitchSelector>()
-    }
-
-    /// The wrapped snitch (gossip feed, recompute ticks, diagnostics).
-    pub fn snitch_mut(&mut self) -> &mut DynamicSnitch {
+    /// The wrapped snitch (gossip feed, recompute ticks, diagnostics),
+    /// reached from outside through [`crate::Selector::as_snitch_mut`].
+    pub(crate) fn snitch_mut(&mut self) -> &mut DynamicSnitch {
         &mut self.snitch
-    }
-
-    /// Read-only view of the wrapped snitch.
-    pub fn snitch(&self) -> &DynamicSnitch {
-        &self.snitch
     }
 }
 
-impl c3_core::ReplicaSelector for SnitchSelector {
-    fn select(&mut self, group: &[usize], _now: Nanos) -> c3_core::Selection {
-        c3_core::Selection::Server(self.snitch.select(group))
+impl ReplicaSelector for SnitchSelector {
+    fn select(&mut self, group: &[usize], _now: Nanos) -> Selection {
+        Selection::Server(self.snitch.select(group))
     }
 
     fn on_send(&mut self, _server: usize, _now: Nanos) {}
 
-    fn on_response(&mut self, server: usize, info: &c3_core::ResponseInfo, _now: Nanos) {
+    fn on_response(&mut self, server: usize, info: &ResponseInfo, _now: Nanos) {
         self.snitch.record_latency(server, info.response_time);
     }
 
@@ -240,8 +227,8 @@ impl c3_core::ReplicaSelector for SnitchSelector {
         "DS"
     }
 
-    fn replica_view(&self, server: usize) -> Option<c3_core::ReplicaView> {
-        Some(c3_core::ReplicaView {
+    fn replica_view(&self, server: usize) -> Option<ReplicaView> {
+        Some(ReplicaView {
             score: self.snitch.score(server),
             fresh_score: self.snitch.fresh_score(server),
             ewma_latency_ms: self.snitch.samples[server].median().unwrap_or(f64::NAN),
@@ -249,10 +236,6 @@ impl c3_core::ReplicaSelector for SnitchSelector {
             outstanding: 0,
             srate: f64::NAN,
         })
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
     }
 }
 
@@ -356,6 +339,6 @@ mod tests {
         s.recompute(Nanos::from_millis(100));
         s.recompute(Nanos::from_millis(200));
         assert_eq!(s.updates(), 2);
-        assert_eq!(s.update_interval(), Nanos::from_millis(100));
+        assert_eq!(s.cfg.update_interval, Nanos::from_millis(100));
     }
 }

@@ -3,19 +3,19 @@
 //! The C3 paper evaluates its mechanism twice: in an abstract §6
 //! discrete-event simulator and in a Cassandra-like §5 cluster. This crate
 //! is the machinery both of those frontends (and any future workload)
-//! share, so that adding a strategy or a scenario is a registration, not a
-//! parallel reimplementation:
+//! share, so that adding a scenario is a registration and adding a strategy
+//! is one `c3_core::Selector` variant, not a parallel reimplementation:
 //!
 //! - [`EventQueue`]: a deterministic discrete-event kernel with typed
 //!   events, `(time, insertion-seq)` ordering, **cancellable timers**
 //!   ([`TimerId`]/[`EventQueue::cancel`]) and a slab-backed event store
 //!   with an intrusive free list — no auxiliary free vector and no
 //!   per-event `Option` slots on the hot path.
-//! - [`StrategyRegistry`]: one name → selector-factory table covering C3,
-//!   its ablations, every `c3_core::strategies` baseline and (registered
-//!   by `c3-cluster`) Dynamic Snitching, so simulators, benches and
-//!   examples select strategies with a [`Strategy`] name instead of
-//!   hand-rolled per-crate enums.
+//! - [`Strategy`]: a strategy name, resolved by [`Strategy::build`] with
+//!   one `match` into the `c3_core::Selector` variant for C3, its
+//!   ablations, every `c3_core::strategies` baseline and Dynamic
+//!   Snitching, so simulators, benches and examples all select strategies
+//!   by name.
 //! - [`BackpressureFront`]: Algorithm 1's backlog/retry protocol (per-group
 //!   FIFO backlog, one cancellable retry timer per group, cancelled when a
 //!   response drains the backlog first), shared by every event loop that

@@ -262,7 +262,7 @@ fn trace_is_monotone(trace: &[RateProbe]) -> bool {
 pub struct SloCell {
     /// Scenario registry name.
     pub scenario: String,
-    /// Strategy registry name (label form, as reports print it).
+    /// Strategy name (label form, as reports print it).
     pub strategy: String,
     /// The run seed; every probe of this cell derives its streams from it.
     pub seed: u64,

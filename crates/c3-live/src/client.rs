@@ -71,12 +71,12 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
-use c3_cluster::{register_cluster_strategies, FaultKind, SnitchSelector};
+use c3_cluster::FaultKind;
 use c3_core::{
-    FailureDetector, LifecycleCounts, Nanos, RateStats, ReplicaSelector, ResponseInfo, Selection,
-    SharedC3State, WallClock,
+    FailureDetector, LifecycleCounts, Nanos, RateStats, ResponseInfo, Selection, Selector,
+    SharedC3State, SnitchConfig, WallClock,
 };
-use c3_engine::{SeedSeq, SelectorCtx, StrategyRegistry};
+use c3_engine::SeedSeq;
 use c3_metrics::LogHistogram;
 use c3_net::proto::{encode_request, Frame, Request};
 use c3_telemetry::Recorder;
@@ -347,9 +347,7 @@ enum SelectorKind {
     /// Baselines: one selector instance per replica group, the paper's
     /// independent-clients sharding (outstanding counts and reservoirs
     /// are per shard, so a shard behaves like a smaller client).
-    Sharded {
-        shards: Vec<Mutex<Box<dyn ReplicaSelector>>>,
-    },
+    Sharded { shards: Vec<Mutex<Selector>> },
 }
 
 struct LiveSelector {
@@ -447,10 +445,20 @@ impl LiveSelector {
         if let SelectorKind::Sharded { shards } = &self.kind {
             for shard in shards {
                 let mut sel = shard.lock().expect("selector poisoned");
-                if let Some(snitch) = SnitchSelector::of(sel.as_mut()) {
-                    snitch.snitch_mut().recompute_idle(now);
+                if let Some(snitch) = sel.as_snitch_mut() {
+                    snitch.recompute_idle(now);
                 }
             }
+        }
+    }
+
+    /// Whether the shards are Dynamic Snitches, which need the ticker.
+    fn is_ds(&self) -> bool {
+        match &self.kind {
+            SelectorKind::Sharded { shards } => shards
+                .iter()
+                .any(|s| matches!(*s.lock().expect("selector poisoned"), Selector::Ds(_))),
+            SelectorKind::SharedC3 { .. } => false,
         }
     }
 
@@ -471,34 +479,31 @@ impl LiveSelector {
     }
 }
 
-/// The strategy registry live runs resolve against: the engine defaults
-/// plus Dynamic Snitching with this run's snitch parameters.
-pub fn live_strategy_registry(cfg: &LiveConfig) -> StrategyRegistry {
-    let mut registry = StrategyRegistry::with_defaults();
-    register_cluster_strategies(&mut registry, cfg.snitch);
-    registry
-}
-
 /// Build the concurrency-safe selector for a run: C3-family strategies
 /// get the lock-free [`SharedC3State`] (with whatever `C3Config` variant
-/// the registry resolved — ablations included); everything else is
+/// the name resolved to — ablations included); everything else is
 /// sharded per replica group.
-fn build_selector(cfg: &LiveConfig, registry: &StrategyRegistry) -> LiveSelector {
+///
+/// # Panics
+///
+/// Panics when the strategy is unknown or is the Oracle.
+fn build_selector(cfg: &LiveConfig) -> LiveSelector {
     let seeds = SeedSeq::new(cfg.seed);
     let mut c3 = cfg.c3;
     // One shared state sees every outstanding request of this client, so
     // its counts are already the client's global concurrency: w = 1.
     c3.concurrency_weight = 1.0;
-    let ctx = SelectorCtx {
-        servers: cfg.replicas,
-        c3,
-        seed: seeds.client_seed(0),
-        now: Nanos::ZERO,
+    let shard = |g: usize| {
+        cfg.strategy
+            .build_client(cfg.replicas, c3, &seeds, g)
+            .unwrap_or_else(|| {
+                panic!(
+                    "strategy {} needs global state this frontend does not provide",
+                    cfg.strategy
+                )
+            })
     };
-    let probe = registry
-        .build(&cfg.strategy, &ctx)
-        .unwrap_or_else(|e| panic!("{e}"))
-        .expect_selector(&cfg.strategy);
+    let probe = shard(0);
     let kind = match probe.as_c3() {
         Some(c3_probe) => SelectorKind::SharedC3 {
             state: SharedC3State::new(cfg.replicas, *c3_probe.state().config(), Nanos::ZERO),
@@ -508,22 +513,7 @@ fn build_selector(cfg: &LiveConfig, registry: &StrategyRegistry) -> LiveSelector
             trace: Mutex::new(Vec::new()),
         },
         None => SelectorKind::Sharded {
-            shards: (0..cfg.replicas)
-                .map(|g| {
-                    let ctx = SelectorCtx {
-                        servers: cfg.replicas,
-                        c3,
-                        seed: seeds.client_seed(g as u64),
-                        now: Nanos::ZERO,
-                    };
-                    Mutex::new(
-                        registry
-                            .build(&cfg.strategy, &ctx)
-                            .unwrap_or_else(|e| panic!("{e}"))
-                            .expect_selector(&cfg.strategy),
-                    )
-                })
-                .collect(),
+            shards: (0..cfg.replicas).map(|g| Mutex::new(shard(g))).collect(),
         },
     };
     LiveSelector {
@@ -624,9 +614,8 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
         }
     };
 
-    let registry = live_strategy_registry(cfg);
-    let selector = Arc::new(build_selector(cfg, &registry));
-    let is_ds = cfg.strategy.name() == "DS";
+    let selector = Arc::new(build_selector(cfg));
+    let is_ds = selector.is_ds();
     // The detector exists only with a deadline; so does the reaper, the
     // one thread that can charge it a timeout.
     let detector = cfg.lifecycle.detector(cfg.replicas).map(Arc::new);
@@ -710,10 +699,10 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
     let ticker = is_ds.then(|| {
         let selector = Arc::clone(&selector);
         let stop = Arc::clone(&stop);
-        let interval: Nanos = cfg.snitch.update_interval;
+        let interval = SnitchConfig::default().update_interval;
         std::thread::spawn(move || {
             // Sleep in short slices for stop responsiveness, but hold the
-            // *recompute cadence* to the configured update interval — the
+            // *recompute cadence* to the snitch's update interval — the
             // sim's SnitchTick fires exactly that often, and the parity
             // comparison assumes live DS is no better informed.
             let mut last_recompute = Nanos::ZERO;
@@ -1632,8 +1621,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
 
         let cfg = LiveConfig::default();
-        let registry = live_strategy_registry(&cfg);
-        let selector = build_selector(&cfg, &registry);
+        let selector = build_selector(&cfg);
         let budget = InFlightBudget::new(4);
         let table: Table = Mutex::new(TableState::new());
         let clock = WallClock::start();
@@ -1687,8 +1675,7 @@ mod tests {
     #[test]
     fn reap_send_releases_each_op_once() {
         let cfg = LiveConfig::default();
-        let registry = live_strategy_registry(&cfg);
-        let selector = build_selector(&cfg, &registry);
+        let selector = build_selector(&cfg);
         let budget = InFlightBudget::new(2);
         let clock = WallClock::start();
         assert!(budget.acquire_until(Instant::now() + Duration::from_secs(1)));

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use c3_cluster::{DiskKind, FaultPlan, SnitchConfig};
+use c3_cluster::{DiskKind, FaultPlan};
 use c3_core::{C3Config, LifecycleConfig};
 use c3_engine::Strategy;
 
@@ -55,15 +55,12 @@ pub struct LiveConfig {
     /// queue, and the queue depth rides back on every response as C3
     /// feedback.
     pub concurrency: usize,
-    /// Replica-selection strategy under test, by registry name.
+    /// Replica-selection strategy under test, by name.
     pub strategy: Strategy,
     /// C3 parameters. `concurrency_weight` is set to 1 internally: all
     /// workers share one selector, so its outstanding counts are already
     /// global.
     pub c3: C3Config,
-    /// Dynamic Snitching parameters (used when `strategy` is `DS`; the
-    /// client runs the snitch's recompute tick on a timer thread).
-    pub snitch: SnitchConfig,
     /// Offered load in requests/second across all workers. `None` runs
     /// closed-loop (each worker issues as fast as responses return, like
     /// the §5 YCSB generators); `Some(rate)` runs quasi-open-loop: each
@@ -123,7 +120,6 @@ impl Default for LiveConfig {
             concurrency: 4,
             strategy: Strategy::c3(),
             c3: C3Config::default(),
-            snitch: SnitchConfig::default(),
             offered_rate: None,
             exact_latency: false,
             run_for: Duration::from_millis(1_500),

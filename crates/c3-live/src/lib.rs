@@ -24,8 +24,8 @@
 //!   requests in flight. Issuer threads drive the **same `c3-core`
 //!   selection machinery the simulators run** — C3-family strategies on
 //!   the lock-free `SharedC3State`, baselines sharded per replica group —
-//!   built by name through the same strategy registry (incl. `DS`, ticked
-//!   by a recompute thread);
+//!   built by the same `Strategy` name (incl. `DS`, ticked by a recompute
+//!   thread);
 //! - [`run_live`] drives a run through the engine's `ScenarioRunner`, so
 //!   results land in the same named `read`/`update` channels and the
 //!   same [`c3_scenarios::ScenarioReport`]; [`register_live_scenarios`]
@@ -51,7 +51,7 @@ mod scenario;
 mod server;
 mod wire;
 
-pub use client::{live_strategy_registry, Transport};
+pub use client::Transport;
 pub use config::LiveConfig;
 pub use mux::{CorrelationTable, InFlightBudget, MuxError};
 pub use scenario::{

@@ -26,9 +26,7 @@ use c3_scenarios::{
 };
 use c3_telemetry::Recorder;
 
-use crate::client::{
-    completion_order, execute_on, live_strategy_registry, ClientArtifacts, Transport,
-};
+use crate::client::{completion_order, execute_on, ClientArtifacts, Transport};
 use crate::config::LiveConfig;
 
 const READ_CHANNEL: ChannelId = ChannelId::new(0);
@@ -311,7 +309,7 @@ fn base_config(scenario: &str, params: &ScenarioParams) -> Result<LiveConfig, Sc
     if let Some(keys) = params.keys {
         cfg.keys = cfg.keys.min(keys);
     }
-    if !live_strategy_registry(&cfg).contains(&cfg.strategy) {
+    if !cfg.strategy.is_known() {
         return Err(ScenarioError::UnknownStrategy(cfg.strategy.name().into()));
     }
     if cfg.strategy.is_oracle() {

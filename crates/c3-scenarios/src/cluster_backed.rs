@@ -4,7 +4,7 @@
 //! [`ClusterConfig`] and hands it here.
 
 use c3_cluster::{ClusterConfig, ClusterScenario};
-use c3_engine::{ScenarioRunner, StrategyRegistry};
+use c3_engine::ScenarioRunner;
 
 use crate::options::{RunOptions, RunOutput};
 use crate::report::ScenarioReport;
@@ -17,18 +17,13 @@ use crate::report::ScenarioReport;
 ///
 /// Panics when the configured strategy is unknown or needs
 /// simulator-global state (`ORA`).
-pub(crate) fn run(
-    scenario: &str,
-    cfg: ClusterConfig,
-    registry: &StrategyRegistry,
-    options: RunOptions,
-) -> RunOutput {
+pub(crate) fn run(scenario: &str, cfg: ClusterConfig, options: RunOptions) -> RunOutput {
     let runner = ScenarioRunner::new(cfg.seed)
         .with_warmup(cfg.warmup_ops)
         .with_exact_latency_if(cfg.exact_latency);
     let (strategy, seed) = (cfg.strategy.clone(), cfg.seed);
     let (nodes, load_window) = (cfg.nodes, cfg.load_window);
-    let mut cluster = ClusterScenario::with_registry(cfg, registry);
+    let mut cluster = ClusterScenario::new(cfg);
     if let Some(rec) = options.recorder {
         cluster.set_recorder(rec);
     }

@@ -14,7 +14,6 @@
 
 use c3_cluster::{ClusterConfig, FaultEvent, FaultPlan, PerturbationSpec};
 use c3_core::{LifecycleConfig, Nanos};
-use c3_engine::StrategyRegistry;
 
 use crate::cluster_backed;
 use crate::options::{RunOptions, RunOutput};
@@ -125,14 +124,13 @@ impl FaultFluxConfig {
 ///
 /// Panics when the configured strategy is unknown or needs
 /// simulator-global state (`ORA`).
-pub fn run(cfg: &FaultFluxConfig, registry: &StrategyRegistry, options: RunOptions) -> RunOutput {
-    cluster_backed::run(cfg.name(), cfg.apply(), registry, options)
+pub fn run(cfg: &FaultFluxConfig, options: RunOptions) -> RunOutput {
+    cluster_backed::run(cfg.name(), cfg.apply(), options)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario_registry;
     use c3_engine::Strategy;
 
     fn small(mut cfg: FaultFluxConfig, strategy: Strategy) -> FaultFluxConfig {
@@ -170,7 +168,7 @@ mod tests {
         // timeout → retry path instead of being rescued early.
         let mut cfg = small(FaultFluxConfig::crash_flux(), Strategy::c3());
         cfg.lifecycle.hedge_after = None;
-        let report = run(&cfg, &scenario_registry(), RunOptions::default()).report;
+        let report = run(&cfg, RunOptions::default()).report;
         assert_eq!(report.scenario, crate::CRASH_FLUX);
         assert!(report.timeouts > 0, "crashes must cause deadline expiries");
         assert!(report.total_completions() > 0);
@@ -180,7 +178,6 @@ mod tests {
         // the deadline (75 ms) and absorbs most expiries.
         let hedged = run(
             &small(FaultFluxConfig::crash_flux(), Strategy::c3()),
-            &scenario_registry(),
             RunOptions::default(),
         )
         .report;
@@ -195,7 +192,7 @@ mod tests {
     #[test]
     fn flaky_net_times_out_and_recovers() {
         let cfg = small(FaultFluxConfig::flaky_net(), Strategy::dynamic_snitching());
-        let report = run(&cfg, &scenario_registry(), RunOptions::default()).report;
+        let report = run(&cfg, RunOptions::default()).report;
         assert_eq!(report.scenario, crate::FLAKY_NET);
         assert!(report.timeouts > 0, "drops must cause deadline expiries");
         assert!(report.total_completions() > 0);
@@ -208,9 +205,8 @@ mod tests {
         naked.lifecycle.retries = 0;
         naked.lifecycle.hedge_after = None;
         let hardened = small(FaultFluxConfig::crash_flux(), Strategy::lor());
-        let reg = scenario_registry();
-        let parked = run(&naked, &reg, RunOptions::default()).report.parked;
-        let rescued = run(&hardened, &reg, RunOptions::default()).report.parked;
+        let parked = run(&naked, RunOptions::default()).report.parked;
+        let rescued = run(&hardened, RunOptions::default()).report.parked;
         assert!(parked > 0, "a crash window must park naked reads");
         assert!(
             rescued < parked,
@@ -221,9 +217,8 @@ mod tests {
     #[test]
     fn fault_runs_are_deterministic() {
         let cfg = small(FaultFluxConfig::flaky_net(), Strategy::c3());
-        let reg = scenario_registry();
-        let a = run(&cfg, &reg, RunOptions::default()).report;
-        let b = run(&cfg, &reg, RunOptions::default()).report;
+        let a = run(&cfg, RunOptions::default()).report;
+        let b = run(&cfg, RunOptions::default()).report;
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
 }

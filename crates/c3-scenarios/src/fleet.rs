@@ -21,11 +21,10 @@
 
 use std::collections::VecDeque;
 
-use c3_cluster::SnitchSelector;
-use c3_core::{C3Config, Feedback, Nanos, ReplicaSelector, ResponseInfo, Selection};
+use c3_core::{C3Config, Feedback, Nanos, ResponseInfo, Selection, Selector, SnitchConfig};
 use c3_engine::{
     BackpressureFront, ChannelId, ChannelSet, EventQueue, RunMetrics, Scenario, ScenarioRunner,
-    SeedSeq, SlotKey, SlotTable, Strategy, StrategyRegistry,
+    SeedSeq, SlotKey, SlotTable, Strategy,
 };
 use c3_telemetry::{Recorder, TracePoint};
 use c3_workload::{exp_sample, PoissonArrivals, ScrambledZipfian};
@@ -90,7 +89,6 @@ pub(crate) struct FleetSpec {
     pub arrivals: Arrivals,
     pub strategy: Strategy,
     pub c3: C3Config,
-    pub snitch_tick: Nanos,
     pub load_window: Nanos,
     pub seed: u64,
 }
@@ -191,7 +189,7 @@ impl Server {
 /// One selector instance plus the backpressure state it owns.
 struct SelectorSlot {
     /// `None` for the Oracle, which reads global server state instead.
-    selector: Option<Box<dyn ReplicaSelector>>,
+    selector: Option<Selector>,
     front: BackpressureFront<ReqId, FleetEvent>,
 }
 
@@ -211,12 +209,12 @@ pub(crate) struct DirectFleet {
 }
 
 impl DirectFleet {
-    /// Build the scenario, resolving the strategy through `registry`.
+    /// Build the scenario.
     ///
     /// # Panics
     ///
-    /// Panics when the configured strategy is not in the registry.
-    pub(crate) fn new(spec: FleetSpec, registry: &StrategyRegistry) -> Self {
+    /// Panics when the configured strategy is unknown.
+    pub(crate) fn new(spec: FleetSpec) -> Self {
         let seeds = SeedSeq::new(spec.seed);
         let mut c3 = spec.c3;
         c3.concurrency_weight = spec.selectors as f64;
@@ -236,7 +234,7 @@ impl DirectFleet {
             .collect();
         let slots = (0..spec.selectors)
             .map(|i| SelectorSlot {
-                selector: registry.build_client(&spec.strategy, spec.servers, c3, &seeds, i),
+                selector: spec.strategy.build_client(spec.servers, c3, &seeds, i),
                 front: BackpressureFront::new(i, spec.servers, FleetEvent::retry_backlog),
             })
             .collect();
@@ -329,7 +327,7 @@ impl DirectFleet {
     ) {
         if let Some(rec) = &mut self.recorder {
             let servers = &self.servers;
-            let selector = self.slots[slot].selector.as_deref();
+            let selector = self.slots[slot].selector.as_ref();
             let issue_index = self.requests[req].issue_index;
             rec.record_decision(now, issue_index, chosen, &self.groups[group], |s| {
                 (
@@ -534,14 +532,14 @@ impl DirectFleet {
     /// iowait, so only the latency reservoir matters).
     fn on_snitch_tick(&mut self, now: Nanos, engine: &mut EventQueue<FleetEvent>) {
         for slot in &mut self.slots {
-            let Some(selector) = slot.selector.as_deref_mut() else {
-                continue;
-            };
-            if let Some(snitch) = SnitchSelector::of(selector) {
-                snitch.snitch_mut().recompute_idle(now);
+            if let Some(snitch) = slot.selector.as_mut().and_then(Selector::as_snitch_mut) {
+                snitch.recompute_idle(now);
             }
         }
-        engine.schedule_in(self.spec.snitch_tick, FleetEvent::SnitchTick);
+        engine.schedule_in(
+            SnitchConfig::default().update_interval,
+            FleetEvent::SnitchTick,
+        );
     }
 }
 
@@ -572,7 +570,10 @@ impl Scenario for DirectFleet {
                 }
             }
         }
-        engine.schedule(self.spec.snitch_tick, FleetEvent::SnitchTick);
+        engine.schedule(
+            SnitchConfig::default().update_interval,
+            FleetEvent::SnitchTick,
+        );
     }
 
     fn handle(
@@ -607,12 +608,12 @@ impl Scenario for DirectFleet {
 /// per traffic class. A recorder in `options` captures the request
 /// lifecycle trace and decision snapshots; the report is bit-identical
 /// either way.
-pub(crate) fn run(spec: FleetSpec, registry: &StrategyRegistry, options: RunOptions) -> RunOutput {
+pub(crate) fn run(spec: FleetSpec, options: RunOptions) -> RunOutput {
     let runner = ScenarioRunner::new(spec.seed)
         .with_warmup(spec.warmup_requests)
         .with_exact_latency_if(spec.exact_latency);
     let (servers, load_window) = (spec.servers, spec.load_window);
-    let mut fleet = DirectFleet::new(spec, registry);
+    let mut fleet = DirectFleet::new(spec);
     fleet.recorder = options.recorder;
     let (metrics, stats) = runner.run(&mut fleet, servers, load_window);
     let spec = &fleet.spec;
@@ -628,14 +629,14 @@ pub(crate) fn run(spec: FleetSpec, registry: &StrategyRegistry, options: RunOpti
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{scenario_registry, MegaFleetConfig, MultiTenantConfig};
+    use crate::{MegaFleetConfig, MultiTenantConfig};
 
     /// Run `spec` on a bare runner so the request table can be inspected
     /// afterwards.
     fn run_keeping_table(spec: FleetSpec, recorder: Option<Recorder>) -> (DirectFleet, RunMetrics) {
         let runner = ScenarioRunner::new(spec.seed).with_warmup(spec.warmup_requests);
         let (servers, load_window) = (spec.servers, spec.load_window);
-        let mut fleet = DirectFleet::new(spec, &scenario_registry());
+        let mut fleet = DirectFleet::new(spec);
         fleet.recorder = recorder;
         let (metrics, _) = runner.run(&mut fleet, servers, load_window);
         (fleet, metrics)

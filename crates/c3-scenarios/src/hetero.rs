@@ -12,7 +12,6 @@
 //! the tier skew.
 
 use c3_cluster::{ClusterConfig, FaultPlan};
-use c3_engine::StrategyRegistry;
 
 use crate::cluster_backed;
 use crate::options::{RunOptions, RunOutput};
@@ -62,14 +61,13 @@ impl HeteroFleetConfig {
 ///
 /// Panics when the configured strategy is unknown or needs
 /// simulator-global state (`ORA`).
-pub fn run(cfg: &HeteroFleetConfig, registry: &StrategyRegistry, options: RunOptions) -> RunOutput {
-    cluster_backed::run(super::HETERO_FLEET, cfg.apply(), registry, options)
+pub fn run(cfg: &HeteroFleetConfig, options: RunOptions) -> RunOutput {
+    cluster_backed::run(super::HETERO_FLEET, cfg.apply(), options)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario_registry;
     use c3_core::Nanos;
     use c3_engine::Strategy;
 
@@ -104,8 +102,8 @@ mod tests {
         let hetero = small(Strategy::primary_only());
         let mut uniform = small(Strategy::primary_only());
         uniform.tier_multipliers = vec![1.0];
-        let h = run(&hetero, &scenario_registry(), RunOptions::default()).report;
-        let u = run(&uniform, &scenario_registry(), RunOptions::default()).report;
+        let h = run(&hetero, RunOptions::default()).report;
+        let u = run(&uniform, RunOptions::default()).report;
         assert!(
             h.headline().summary.p99_ns > u.headline().summary.p99_ns,
             "a slow tier must hurt a tier-blind strategy: {} vs {}",
@@ -116,12 +114,7 @@ mod tests {
 
     #[test]
     fn reports_read_and_update_channels() {
-        let report = run(
-            &small(Strategy::c3()),
-            &scenario_registry(),
-            RunOptions::default(),
-        )
-        .report;
+        let report = run(&small(Strategy::c3()), RunOptions::default()).report;
         assert_eq!(report.headline().name, "read");
         assert!(report.channel("update").is_some());
         assert_eq!(report.total_completions(), 5_500);

@@ -5,8 +5,8 @@
 //! whose performance fluctuates or vanishes outright. This crate turns the
 //! engine's `Scenario` trait into a library of such conditions, each
 //! selectable by name through a [`ScenarioRegistry`] exactly as strategies
-//! are selectable through the engine's `StrategyRegistry` — the cross
-//! product of the two tables is the experiment matrix:
+//! are selectable by `Strategy` name — the cross product of the scenario
+//! table and the strategy names is the experiment matrix:
 //!
 //! - [`MULTI_TENANT`] ([`MultiTenantConfig`]): several tenant classes with
 //!   distinct Zipf skew, arrival rates and value sizes sharing one fleet,
@@ -76,9 +76,6 @@ pub use partition::{run as run_partition_flux, PartitionFluxConfig};
 pub use registry::{ScenarioError, ScenarioParams, ScenarioRegistry};
 pub use report::{ChannelReport, ScenarioReport};
 
-use c3_cluster::{register_cluster_strategies, SnitchConfig};
-use c3_engine::StrategyRegistry;
-
 /// Registry name of the multi-tenant scenario.
 pub const MULTI_TENANT: &str = "multi-tenant";
 /// Registry name of the mega-fleet scenario.
@@ -91,12 +88,3 @@ pub const PARTITION_FLUX: &str = "partition-flux";
 pub const CRASH_FLUX: &str = "crash-flux";
 /// Registry name of the flaky-network fault-injection scenario.
 pub const FLAKY_NET: &str = "flaky-net";
-
-/// The full strategy registry every scenario resolves against: the
-/// engine's defaults plus the cluster-only strategies (Dynamic Snitching
-/// with its default config).
-pub fn scenario_registry() -> StrategyRegistry {
-    let mut registry = StrategyRegistry::with_defaults();
-    register_cluster_strategies(&mut registry, SnitchConfig::default());
-    registry
-}

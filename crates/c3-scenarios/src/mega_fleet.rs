@@ -24,7 +24,7 @@
 //! limiter actually pushed back.
 
 use c3_core::{C3Config, Nanos};
-use c3_engine::{Strategy, StrategyRegistry};
+use c3_engine::Strategy;
 use c3_workload::ScrambledZipfian;
 
 use crate::fleet::{self, Arrivals, FleetSpec, TrafficClass};
@@ -67,12 +67,10 @@ pub struct MegaFleetConfig {
     pub total_requests: u64,
     /// Requests excluded from latency measurement while state warms up.
     pub warmup_requests: u64,
-    /// Strategy under test, by registry name.
+    /// Strategy under test, by name.
     pub strategy: Strategy,
     /// C3 parameters; `concurrency_weight` is set to the shard count.
     pub c3: C3Config,
-    /// Recompute interval for Dynamic Snitching selectors.
-    pub snitch_tick: Nanos,
     /// Window for the per-server load time series.
     pub load_window: Nanos,
     /// RNG seed.
@@ -98,7 +96,6 @@ impl Default for MegaFleetConfig {
             warmup_requests: 2_000,
             strategy: Strategy::c3(),
             c3: C3Config::default(),
-            snitch_tick: Nanos::from_millis(100),
             load_window: Nanos::from_millis(100),
             seed: 1,
         }
@@ -182,7 +179,6 @@ impl MegaFleetConfig {
             },
             strategy: self.strategy,
             c3: self.c3,
-            snitch_tick: self.snitch_tick,
             load_window: self.load_window,
             seed: self.seed,
         }
@@ -193,15 +189,14 @@ impl MegaFleetConfig {
 /// Attach a recorder via [`RunOptions::recorded`] to capture the request
 /// lifecycle trace and decision snapshots; the report is bit-identical
 /// either way.
-pub fn run(cfg: MegaFleetConfig, registry: &StrategyRegistry, options: RunOptions) -> RunOutput {
-    fleet::run(cfg.lower(), registry, options)
+pub fn run(cfg: MegaFleetConfig, options: RunOptions) -> RunOutput {
+    fleet::run(cfg.lower(), options)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fleet::DirectFleet;
-    use crate::scenario_registry;
     use c3_engine::{EventQueue, Scenario};
 
     /// A scaled-down fleet for quick in-crate tests; the registry tests
@@ -223,7 +218,7 @@ mod tests {
     fn every_client_holds_one_pending_event_at_start() {
         let cfg = small(Strategy::c3());
         let clients = cfg.clients;
-        let mut scenario = DirectFleet::new(cfg.lower(), &scenario_registry());
+        let mut scenario = DirectFleet::new(cfg.lower());
         let mut engine = EventQueue::new();
         scenario.start(&mut engine);
         // One think timer per client, plus the snitch tick.
@@ -232,12 +227,7 @@ mod tests {
 
     #[test]
     fn closed_loop_completes_and_reports_the_fleet_channel() {
-        let report = run(
-            small(Strategy::c3()),
-            &scenario_registry(),
-            RunOptions::default(),
-        )
-        .report;
+        let report = run(small(Strategy::c3()), RunOptions::default()).report;
         assert_eq!(report.channels.len(), 1);
         assert_eq!(report.headline().name, "fleet");
         assert!(report.total_completions() > 0);
@@ -246,30 +236,15 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic() {
-        let a = run(
-            small(Strategy::c3()),
-            &scenario_registry(),
-            RunOptions::default(),
-        )
-        .report;
-        let b = run(
-            small(Strategy::c3()),
-            &scenario_registry(),
-            RunOptions::default(),
-        )
-        .report;
+        let a = run(small(Strategy::c3()), RunOptions::default()).report;
+        let b = run(small(Strategy::c3()), RunOptions::default()).report;
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]
     fn oracle_and_snitch_run_on_this_frontend() {
         for strategy in [Strategy::oracle(), Strategy::dynamic_snitching()] {
-            let report = run(
-                small(strategy.clone()),
-                &scenario_registry(),
-                RunOptions::default(),
-            )
-            .report;
+            let report = run(small(strategy.clone()), RunOptions::default()).report;
             assert!(
                 report.total_completions() > 0,
                 "strategy {strategy} must complete"

@@ -13,7 +13,7 @@
 //! fleet misbehaves.
 
 use c3_core::{C3Config, Nanos};
-use c3_engine::{SeedSeq, Strategy, StrategyRegistry};
+use c3_engine::{SeedSeq, Strategy};
 use c3_workload::{PoissonArrivals, ScrambledZipfian};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -107,13 +107,10 @@ pub struct MultiTenantConfig {
     pub warmup_requests: u64,
     /// The tenant classes (channel names must be unique).
     pub tenants: Vec<TenantSpec>,
-    /// Strategy under test, by registry name.
+    /// Strategy under test, by name.
     pub strategy: Strategy,
     /// C3 parameters; `concurrency_weight` is set to the client count.
     pub c3: C3Config,
-    /// Recompute interval for Dynamic Snitching selectors (fed through the
-    /// selector's downcast hook, as the cluster does via gossip).
-    pub snitch_tick: Nanos,
     /// Window for the per-server load time series.
     pub load_window: Nanos,
     /// RNG seed.
@@ -142,7 +139,6 @@ impl Default for MultiTenantConfig {
             ],
             strategy: Strategy::c3(),
             c3: C3Config::default(),
-            snitch_tick: Nanos::from_millis(100),
             load_window: Nanos::from_millis(100),
             seed: 1,
         }
@@ -305,7 +301,6 @@ impl MultiTenantConfig {
             },
             strategy: self.strategy,
             c3: self.c3,
-            snitch_tick: self.snitch_tick,
             load_window: self.load_window,
             seed: self.seed,
         }
@@ -316,9 +311,9 @@ impl MultiTenantConfig {
 /// [`MultiTenantConfig::isolated`]), in tenant order — the shape
 /// [`ScenarioReport::slowdown_vs_isolated`] and
 /// [`ScenarioReport::jain_fairness`] take.
-pub fn run_isolated(cfg: &MultiTenantConfig, registry: &StrategyRegistry) -> Vec<ScenarioReport> {
+pub fn run_isolated(cfg: &MultiTenantConfig) -> Vec<ScenarioReport> {
     (0..cfg.tenants.len())
-        .map(|i| run(cfg.isolated(i), registry, RunOptions::default()).report)
+        .map(|i| run(cfg.isolated(i), RunOptions::default()).report)
         .collect()
 }
 
@@ -326,14 +321,13 @@ pub fn run_isolated(cfg: &MultiTenantConfig, registry: &StrategyRegistry) -> Vec
 /// channels. Attach a recorder via [`RunOptions::recorded`] to capture
 /// the request lifecycle trace and decision snapshots; the report is
 /// bit-identical either way.
-pub fn run(cfg: MultiTenantConfig, registry: &StrategyRegistry, options: RunOptions) -> RunOutput {
-    fleet::run(cfg.lower(), registry, options)
+pub fn run(cfg: MultiTenantConfig, options: RunOptions) -> RunOutput {
+    fleet::run(cfg.lower(), options)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario_registry;
 
     fn small(strategy: Strategy) -> MultiTenantConfig {
         MultiTenantConfig {
@@ -347,12 +341,7 @@ mod tests {
 
     #[test]
     fn tenants_get_their_own_channels() {
-        let report = run(
-            small(Strategy::c3()),
-            &scenario_registry(),
-            RunOptions::default(),
-        )
-        .report;
+        let report = run(small(Strategy::c3()), RunOptions::default()).report;
         assert_eq!(report.channels.len(), 3);
         assert_eq!(report.headline().name, "interactive");
         assert!(report.channel("analytics").is_some());
@@ -365,12 +354,7 @@ mod tests {
 
     #[test]
     fn heavier_values_cost_more_latency() {
-        let report = run(
-            small(Strategy::c3()),
-            &scenario_registry(),
-            RunOptions::default(),
-        )
-        .report;
+        let report = run(small(Strategy::c3()), RunOptions::default()).report;
         let interactive = report.channel("interactive").unwrap().summary.p50_ns;
         let bulk = report.channel("bulk").unwrap().summary.p50_ns;
         assert!(
@@ -381,30 +365,15 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic() {
-        let a = run(
-            small(Strategy::c3()),
-            &scenario_registry(),
-            RunOptions::default(),
-        )
-        .report;
-        let b = run(
-            small(Strategy::c3()),
-            &scenario_registry(),
-            RunOptions::default(),
-        )
-        .report;
+        let a = run(small(Strategy::c3()), RunOptions::default()).report;
+        let b = run(small(Strategy::c3()), RunOptions::default()).report;
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]
     fn oracle_and_snitch_run_on_this_frontend() {
         for strategy in [Strategy::oracle(), Strategy::dynamic_snitching()] {
-            let report = run(
-                small(strategy.clone()),
-                &scenario_registry(),
-                RunOptions::default(),
-            )
-            .report;
+            let report = run(small(strategy.clone()), RunOptions::default()).report;
             assert_eq!(
                 report.total_completions(),
                 5_500,
@@ -435,9 +404,8 @@ mod tests {
     #[test]
     fn fairness_metrics_come_out_of_isolated_baselines() {
         let cfg = small(Strategy::c3());
-        let reg = scenario_registry();
-        let shared = run(cfg.clone(), &reg, RunOptions::default()).report;
-        let isolated = run_isolated(&cfg, &reg);
+        let shared = run(cfg.clone(), RunOptions::default()).report;
+        let isolated = run_isolated(&cfg);
         let slowdowns = shared.slowdown_vs_isolated(&isolated);
         assert_eq!(slowdowns.len(), 3);
         for (name, factor) in &slowdowns {

@@ -14,7 +14,6 @@
 
 use c3_cluster::{ClusterConfig, EpisodeSpec, FaultEvent, FaultKind, PerturbationSpec};
 use c3_core::Nanos;
-use c3_engine::StrategyRegistry;
 
 use crate::cluster_backed;
 use crate::options::{RunOptions, RunOutput};
@@ -98,18 +97,13 @@ impl PartitionFluxConfig {
 ///
 /// Panics when the configured strategy is unknown or needs
 /// simulator-global state (`ORA`).
-pub fn run(
-    cfg: &PartitionFluxConfig,
-    registry: &StrategyRegistry,
-    options: RunOptions,
-) -> RunOutput {
-    cluster_backed::run(super::PARTITION_FLUX, cfg.apply(), registry, options)
+pub fn run(cfg: &PartitionFluxConfig, options: RunOptions) -> RunOutput {
+    cluster_backed::run(super::PARTITION_FLUX, cfg.apply(), options)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario_registry;
     use c3_engine::Strategy;
 
     fn small(strategy: Strategy) -> PartitionFluxConfig {
@@ -146,8 +140,8 @@ mod tests {
         quiet.blackout.min_duration_ms = 0.0;
         quiet.blackout.max_duration_ms = 0.0;
         quiet.scripted_blackouts.clear();
-        let dark = run(&flux, &scenario_registry(), RunOptions::default()).report;
-        let calm = run(&quiet, &scenario_registry(), RunOptions::default()).report;
+        let dark = run(&flux, RunOptions::default()).report;
+        let calm = run(&quiet, RunOptions::default()).report;
         assert!(
             dark.headline().summary.p999_ns > calm.headline().summary.p999_ns,
             "blackouts must show up in the tail: {} vs {}",
@@ -158,12 +152,7 @@ mod tests {
 
     #[test]
     fn c3_completes_and_reports_under_flux() {
-        let report = run(
-            &small(Strategy::c3()),
-            &scenario_registry(),
-            RunOptions::default(),
-        )
-        .report;
+        let report = run(&small(Strategy::c3()), RunOptions::default()).report;
         assert_eq!(report.total_completions(), 5_500);
         assert_eq!(report.headline().name, "read");
     }

@@ -1,26 +1,26 @@
 //! The scenario registry: named workloads, runnable by `(strategy, seed)`,
 //! with parallel sweeps.
 //!
-//! Mirrors the engine's `StrategyRegistry` on the workload axis: where
-//! that table resolves *how to pick replicas*, this one resolves *what the
-//! world does* — and the cross product of the two is the experiment matrix
-//! the bench harness sweeps.
+//! The workload axis of the experiment matrix: where a `Strategy` name
+//! resolves *how to pick replicas*, this table resolves *what the world
+//! does* — and the cross product of the two is the matrix the bench
+//! harness sweeps.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use c3_engine::{fan_out, Strategy, StrategyRegistry};
+use c3_engine::{fan_out, Strategy};
 use c3_telemetry::Recorder;
 
 use crate::options::{RunOptions, RunOutput, RunTuning};
 use crate::report::ScenarioReport;
-use crate::{faults, hetero, mega_fleet, multi_tenant, partition, scenario_registry};
+use crate::{faults, hetero, mega_fleet, multi_tenant, partition};
 use crate::{CRASH_FLUX, FLAKY_NET, HETERO_FLEET, MEGA_FLEET, MULTI_TENANT, PARTITION_FLUX};
 
 /// Everything a scenario needs to produce one run.
 #[derive(Clone, Debug)]
 pub struct ScenarioParams {
-    /// Strategy under test, by registry name.
+    /// Strategy under test, by name.
     pub strategy: Strategy,
     /// RNG seed; a `(scenario, strategy, seed, ops)` tuple fully
     /// determines a run.
@@ -72,7 +72,7 @@ impl ScenarioParams {
 pub enum ScenarioError {
     /// The scenario name is not registered.
     UnknownScenario(String),
-    /// The strategy name does not resolve in the strategy registry.
+    /// The strategy name does not resolve.
     UnknownStrategy(String),
     /// The strategy resolves, but this scenario's frontend cannot drive it
     /// (the `ORA` baseline needs simulator-global state only the
@@ -105,10 +105,9 @@ impl std::error::Error for ScenarioError {}
 type ScenarioFn =
     Box<dyn Fn(&ScenarioParams, RunOptions) -> Result<RunOutput, ScenarioError> + Send + Sync>;
 
-/// A stock scenario's entry: params, the resolved strategy table and the
-/// run options in, the run's output back.
-type StockFn =
-    fn(&ScenarioParams, &StrategyRegistry, RunOptions) -> Result<RunOutput, ScenarioError>;
+/// A stock scenario's entry: params and the run options in, the run's
+/// output back.
+type StockFn = fn(&ScenarioParams, RunOptions) -> Result<RunOutput, ScenarioError>;
 
 /// Name → runnable-workload table.
 pub struct ScenarioRegistry {
@@ -135,46 +134,45 @@ impl ScenarioRegistry {
     /// [`ScenarioParams::ops`].
     pub fn with_defaults() -> Self {
         let mut reg = Self::empty();
-        reg.register_stock(MEGA_FLEET, |p, strategies, options| {
-            Ok(mega_fleet::run(mega_fleet_cfg(p), strategies, options))
+        reg.register_stock(MEGA_FLEET, |p, options| {
+            Ok(mega_fleet::run(mega_fleet_cfg(p), options))
         });
-        reg.register_stock(MULTI_TENANT, |p, strategies, options| {
-            Ok(multi_tenant::run(multi_tenant_cfg(p), strategies, options))
+        reg.register_stock(MULTI_TENANT, |p, options| {
+            Ok(multi_tenant::run(multi_tenant_cfg(p), options))
         });
-        reg.register_stock(HETERO_FLEET, |p, strategies, options| {
+        reg.register_stock(HETERO_FLEET, |p, options| {
             let mut cfg = hetero::HeteroFleetConfig::default();
             apply_cluster_params(&mut cfg.cluster, p, HETERO_FLEET)?;
-            Ok(hetero::run(&cfg, strategies, options))
+            Ok(hetero::run(&cfg, options))
         });
-        reg.register_stock(PARTITION_FLUX, |p, strategies, options| {
+        reg.register_stock(PARTITION_FLUX, |p, options| {
             let mut cfg = partition::PartitionFluxConfig::default();
             apply_cluster_params(&mut cfg.cluster, p, PARTITION_FLUX)?;
-            Ok(partition::run(&cfg, strategies, options))
+            Ok(partition::run(&cfg, options))
         });
-        reg.register_stock(CRASH_FLUX, |p, strategies, options| {
+        reg.register_stock(CRASH_FLUX, |p, options| {
             let mut cfg = faults::FaultFluxConfig::crash_flux();
             apply_cluster_params(&mut cfg.cluster, p, CRASH_FLUX)?;
-            Ok(faults::run(&cfg, strategies, options))
+            Ok(faults::run(&cfg, options))
         });
-        reg.register_stock(FLAKY_NET, |p, strategies, options| {
+        reg.register_stock(FLAKY_NET, |p, options| {
             let mut cfg = faults::FaultFluxConfig::flaky_net();
             apply_cluster_params(&mut cfg.cluster, p, FLAKY_NET)?;
-            Ok(faults::run(&cfg, strategies, options))
+            Ok(faults::run(&cfg, options))
         });
         reg
     }
 
-    /// Register a stock scenario: resolve the strategy against
-    /// [`scenario_registry`], then run with whatever options ride along.
+    /// Register a stock scenario: reject a strategy name that does not
+    /// resolve, then run with whatever options ride along.
     fn register_stock(&mut self, name: &str, run: StockFn) {
         self.entries.insert(
             name.to_string(),
             Box::new(move |p, options| {
-                let strategies = scenario_registry();
-                if !strategies.contains(&p.strategy) {
+                if !p.strategy.is_known() {
                     return Err(ScenarioError::UnknownStrategy(p.strategy.name().into()));
                 }
-                run(p, &strategies, options)
+                run(p, options)
             }),
         );
     }
@@ -440,7 +438,7 @@ mod tests {
         tight.c3.initial_rate = 0.5;
         tight.c3.min_rate = 0.5;
         tight.c3.smax = 0.2;
-        let report = multi_tenant::run(tight, &scenario_registry(), RunOptions::default()).report;
+        let report = multi_tenant::run(tight, RunOptions::default()).report;
         assert!(
             report.events_cancelled > 0,
             "tight rate cap must exercise retry-timer cancellation"
@@ -558,7 +556,7 @@ mod tests {
         let mut reg = ScenarioRegistry::empty();
         reg.register(MULTI_TENANT, |p: &ScenarioParams| {
             let cfg = super::multi_tenant_cfg(p);
-            Ok(multi_tenant::run(cfg, &scenario_registry(), RunOptions::default()).report)
+            Ok(multi_tenant::run(cfg, RunOptions::default()).report)
         });
         let p = ScenarioParams::sized(Strategy::lor(), 1, 3_000);
         let (report, rec) = reg

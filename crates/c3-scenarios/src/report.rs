@@ -27,7 +27,7 @@ pub struct ChannelReport {
 pub struct ScenarioReport {
     /// Scenario registry name.
     pub scenario: String,
-    /// Strategy registry name.
+    /// Strategy name.
     pub strategy: String,
     /// Seed of the run.
     pub seed: u64,

@@ -7,9 +7,9 @@
 //! driving 150–300 clients, replication factor 3, 10% read repair, 250 µs
 //! one-way network latency, and 600,000 requests per run.
 //!
-//! Strategies are referenced by [`Strategy`] name and resolved through the
-//! shared `c3-engine` [`c3_engine::StrategyRegistry`]; the simulator itself
-//! provides the global state the `ORA` baseline needs.
+//! Strategies are referenced by [`Strategy`] name and built by
+//! [`Strategy::build`]; the simulator itself provides the global state the
+//! `ORA` baseline needs.
 
 use c3_core::{C3Config, Nanos};
 use c3_engine::Strategy;
@@ -69,7 +69,7 @@ pub struct SimConfig {
     pub warmup_requests: u64,
     /// Optional client demand skew (Figure 15).
     pub demand_skew: Option<DemandSkew>,
-    /// The strategy under test, by registry name.
+    /// The strategy under test, by name (Dynamic Snitching excepted).
     pub strategy: Strategy,
     /// C3 parameters (also supplies rate parameters to the RR baseline).
     /// `concurrency_weight` is overwritten with `clients` unless

@@ -13,7 +13,7 @@
 //! global-knowledge `ORA` baseline. Every other strategy — full **C3**,
 //! **LOR**, rate-limited **RR**, uniform random, least-response-time,
 //! weighted random, power-of-two-choices, and the C3 ablations — is
-//! resolved by name through the engine's `StrategyRegistry`.
+//! built by name with `Strategy::build`.
 //!
 //! ```
 //! use c3_sim::{SimConfig, Simulation, Strategy};

@@ -16,16 +16,17 @@
 //! last open send is, so a run's memory follows what is in flight
 //! (offered rate × latency — hundreds of records), not its length.
 //!
-//! All client-local strategies come from the engine's
-//! [`StrategyRegistry`]; the `ORA` baseline reads global server state and
-//! is wired here (the registry builds no selector for it).
+//! Every client-local strategy is a [`Selector`] built from its
+//! [`Strategy`](c3_engine::Strategy) name; the `ORA` baseline reads global
+//! server state and is wired here (its name builds no selector). Dynamic
+//! Snitching is refused: this loop delivers no recompute tick.
 
 use c3_core::{
-    BacklogQueue, Feedback, Nanos, RateStats, ReplicaSelector, ResponseInfo, Selection, ServerId,
+    BacklogQueue, Feedback, Nanos, RateStats, ResponseInfo, Selection, Selector, ServerId,
 };
 use c3_engine::{
     ChannelId, ChannelSet, EngineStats, EventQueue, RunMetrics, Scenario, ScenarioRunner, SeedSeq,
-    SlotKey, SlotTable, StrategyRegistry,
+    SlotKey, SlotTable,
 };
 use c3_telemetry::{Recorder, TracePoint};
 use c3_workload::PoissonArrivals;
@@ -100,7 +101,7 @@ struct SendState {
 
 struct SimClient {
     /// `None` for the Oracle, which reads global server state instead.
-    selector: Option<Box<dyn ReplicaSelector>>,
+    selector: Option<Selector>,
     /// Per-replica-group backlog of requests awaiting rate tokens.
     backlogs: Vec<BacklogQueue<ReqId>>,
     /// Whether a retry event is already scheduled per group.
@@ -132,18 +133,14 @@ pub struct SimScenario {
 }
 
 impl SimScenario {
-    /// Build the scenario with the engine's default strategy registry.
-    pub fn new(cfg: SimConfig) -> Self {
-        Self::with_registry(cfg, &StrategyRegistry::with_defaults())
-    }
-
-    /// Build the scenario resolving the configured strategy through a
-    /// caller-supplied registry.
+    /// Build the scenario.
     ///
     /// # Panics
     ///
-    /// Panics when the configured strategy is not in the registry.
-    pub fn with_registry(cfg: SimConfig, registry: &StrategyRegistry) -> Self {
+    /// Panics when the configured strategy is unknown, or is Dynamic
+    /// Snitching: its scores only move on a recompute tick, which this
+    /// loop does not deliver, so it would rank on scores frozen at zero.
+    pub fn new(cfg: SimConfig) -> Self {
         cfg.validate();
         let seeds = SeedSeq::new(cfg.seed);
         let mut wl_rng = seeds.workload_rng();
@@ -181,7 +178,12 @@ impl SimScenario {
 
         let clients: Vec<SimClient> = (0..cfg.clients)
             .map(|i| SimClient {
-                selector: registry.build_client(&cfg.strategy, cfg.servers, c3, &seeds, i),
+                selector: match cfg.strategy.build_client(cfg.servers, c3, &seeds, i) {
+                    Some(Selector::Ds(_)) => panic!(
+                        "strategy DS needs a recompute tick the §6 simulator does not deliver"
+                    ),
+                    selector => selector,
+                },
                 backlogs: (0..cfg.servers).map(|_| BacklogQueue::new()).collect(),
                 retry_scheduled: vec![false; cfg.servers],
                 backlogged: 0,
@@ -225,7 +227,7 @@ impl SimScenario {
         let mut rate_stats = RateStats::default();
         for c in &self.clients {
             backpressure += c.backlogs.iter().map(|b| b.activations()).sum::<u64>();
-            if let Some(c3) = c.selector.as_deref().and_then(|s| s.as_c3()) {
+            if let Some(c3) = c.selector.as_ref().and_then(Selector::as_c3) {
                 let s = c3.state().rate_stats();
                 rate_stats.decreases += s.decreases;
                 rate_stats.increases += s.increases;
@@ -343,7 +345,7 @@ impl SimScenario {
     ) {
         if let Some(rec) = &mut self.recorder {
             let servers = &self.servers;
-            let selector = self.clients[client_id].selector.as_deref();
+            let selector = self.clients[client_id].selector.as_ref();
             let issue_index = self.requests[req].issue_index;
             rec.record_decision(now, issue_index, chosen, &self.groups[group_id], |s| {
                 (
@@ -971,5 +973,11 @@ mod tests {
         .unwrap_err();
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("NoSuchStrategy"), "got: {msg}");
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a recompute tick the §6 simulator does not deliver")]
+    fn dynamic_snitching_is_refused() {
+        let _ = Simulation::new(small_cfg(Strategy::dynamic_snitching()));
     }
 }

@@ -5,17 +5,19 @@
 //! use the entire system through a single dependency:
 //!
 //! - [`core`] — the C3 algorithm itself (replica ranking, cubic rate
-//!   control, backpressure) plus the baseline client-local strategies.
+//!   control, backpressure) plus the baseline client-local strategies and
+//!   Dynamic Snitching, all held by the closed `Selector` enum.
 //! - [`engine`] — the shared deterministic event engine: slab-backed
-//!   event queue with cancellable timers, the name → selector
-//!   `StrategyRegistry`, and the `ScenarioRunner` (seeds, warm-up,
-//!   uniform run metrics) both simulators run on.
+//!   event queue with cancellable timers, `Strategy` names resolved to
+//!   selectors, and the `ScenarioRunner` (seeds, warm-up, uniform run
+//!   metrics) both simulators run on.
 //! - [`metrics`] — histograms, ECDFs, windowed time series and summaries.
 //! - [`workload`] — YCSB-like workload generation (Zipfian keys, workload
 //!   mixes, arrival processes, record sizes).
 //! - [`sim`] — the paper's §6 discrete-event simulator.
-//! - [`cluster`] — the Cassandra-like replicated data store substrate with
-//!   Dynamic Snitching, used by the paper's §5 system evaluation.
+//! - [`cluster`] — the Cassandra-like replicated data store substrate
+//!   (gossip feeds Dynamic Snitching), used by the paper's §5 system
+//!   evaluation.
 //! - [`scenarios`] — the named workload scenario library (multi-tenant,
 //!   heterogeneous fleets, partition/flux) with registry-driven parallel
 //!   sweeps.

@@ -13,8 +13,8 @@
 
 use c3::engine::Strategy;
 use c3::scenarios::{
-    run_fault_flux, scenario_registry, FaultFluxConfig, RunOptions, ScenarioParams,
-    ScenarioRegistry, CRASH_FLUX, HETERO_FLEET, MULTI_TENANT, PARTITION_FLUX,
+    run_fault_flux, FaultFluxConfig, RunOptions, ScenarioParams, ScenarioRegistry, CRASH_FLUX,
+    HETERO_FLEET, MULTI_TENANT, PARTITION_FLUX,
 };
 use c3::telemetry::{attribute_tail, Recorder, TracePoint};
 
@@ -138,7 +138,6 @@ fn hardening_bounds_every_strategy_under_crash_flux_where_naked_ds_parks() {
     // Naked DS — deadline only, no retries, no hedging — parks over 1% of
     // its ops in the crash windows: the PR 6 live-partition-flux zero as a
     // measured mechanism rather than a mystery.
-    let strategies = scenario_registry();
     let mut parked_frac_sum = 0.0;
     for &seed in &seeds {
         let mut naked = FaultFluxConfig::crash_flux();
@@ -148,7 +147,7 @@ fn hardening_bounds_every_strategy_under_crash_flux_where_naked_ds_parks() {
         naked.cluster.seed = seed;
         naked.cluster.total_ops = OPS;
         naked.cluster.warmup_ops = OPS / 20;
-        let report = run_fault_flux(&naked, &strategies, RunOptions::default()).report;
+        let report = run_fault_flux(&naked, RunOptions::default()).report;
         let ops = report.total_completions() + report.parked;
         parked_frac_sum += report.parked as f64 / ops as f64;
     }

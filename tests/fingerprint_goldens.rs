@@ -33,10 +33,9 @@ const UNSUPPORTED: u64 = 0;
 /// order)`.
 fn compute_cells() -> Vec<(String, u64)> {
     let scenarios = ScenarioRegistry::with_defaults();
-    let strategies = c3::scenarios::scenario_registry();
     let mut out = Vec::new();
     for scenario in scenarios.names() {
-        for strategy in strategies.names() {
+        for strategy in Strategy::BUILTIN {
             let params = ScenarioParams::sized(Strategy::named(strategy), SEED, OPS);
             let fp = match scenarios.run(scenario, &params) {
                 Ok(report) => report.fingerprint(),
@@ -253,11 +252,10 @@ fn scenario_fingerprints_match_pre_rewrite_goldens() {
 fn scenario_fingerprints_are_recorder_neutral() {
     use c3::telemetry::Recorder;
     let scenarios = ScenarioRegistry::with_defaults();
-    let strategies = c3::scenarios::scenario_registry();
     let mut traced_cells = 0u32;
     let mut got = Vec::new();
     for scenario in scenarios.names() {
-        for strategy in strategies.names() {
+        for strategy in Strategy::BUILTIN {
             let params = ScenarioParams::sized(Strategy::named(strategy), SEED, OPS);
             let fp = match scenarios.run_recorded(
                 scenario,
