@@ -6,20 +6,23 @@
 //! coordinator selects a replica from the key's replica group using its
 //! [`Selector`] (Dynamic Snitching, C3, or a Table-1 baseline) and
 //! forwards the request (local reads skip the network); the
-//! replica's read stage executes it under the disk model scaled by the
-//! node's current perturbation multiplier times its fault plan's `slow`
-//! factor; the response — carrying C3 feedback — returns via the
-//! coordinator to the client, which immediately issues its next
-//! operation.
+//! replica's read stage — a [`ServiceStage`], FIFO in front of the disk's
+//! concurrency, as every simulated replica is — executes it under the
+//! disk model scaled by the node's current perturbation multiplier times
+//! its fault plan's `slow` factor; the response — carrying C3 feedback —
+//! returns via the coordinator to the client, which immediately issues
+//! its next operation.
 //!
-//! Writes go to all replicas and complete on the first acknowledgement
-//! (consistency level ONE, the YCSB default the paper uses). 10% of reads
-//! fan out to every replica (read repair). Optional speculative retry
-//! reissues a read to the next-best replica once it outlives the
-//! coordinator's running 99th-percentile estimate.
+//! Writes go to all replicas, through each one's 8-slot mutation stage,
+//! and complete on the first acknowledgement (consistency level ONE, the
+//! YCSB default the paper uses). 10% of reads fan out to every replica
+//! (read repair). Optional speculative retry reissues a read to the
+//! next-best replica once it outlives the coordinator's running
+//! 99th-percentile estimate.
 //!
 //! Every coordinator drives one uniform selector path: backpressure-capable
-//! strategies (the C3 family, RR) park reads in per-group backlog queues;
+//! strategies (the C3 family, RR) park reads in the coordinator's
+//! [`BackpressureFront`], the backlog protocol every simulated loop uses;
 //! Dynamic Snitching receives its gossip/recompute ticks through
 //! [`Selector::as_snitch_mut`].
 //!
@@ -42,7 +45,8 @@
 //! recorder name an op by its issue index, never by its key.
 
 use c3_core::{
-    FailureDetector, Feedback, LifecycleCounts, Nanos, Selection, Selector, ServerId, SnitchConfig,
+    FailureDetector, Feedback, LifecycleCounts, Nanos, Selection, Selector, ServerId, ServiceStage,
+    SnitchConfig,
 };
 use c3_engine::{
     BackpressureFront, ChannelId, ChannelSet, EngineStats, EventQueue, RunMetrics, Scenario,
@@ -195,24 +199,24 @@ struct SendState {
     feedback: Feedback,
 }
 
-/// Per-node service stages.
+/// Per-node service stages: the read stage (`disk.concurrency` slots)
+/// and the mutation stage (8 slots). Only reads count toward the C3
+/// feedback value and the recorder's ground truth (`reads.pending()`).
 struct NodeState {
-    read_q: std::collections::VecDeque<SendId>,
-    read_inflight: usize,
-    read_concurrency: usize,
-    write_q: std::collections::VecDeque<SendId>,
-    write_inflight: usize,
-    write_concurrency: usize,
+    reads: ServiceStage<SendId>,
+    writes: ServiceStage<SendId>,
     perturb: NodePerturbation,
     /// The node's slice of the fault plan, split once at construction.
     faults: NodeFaults,
 }
 
 impl NodeState {
-    /// Pending reads (executing plus queued): the C3 feedback value and
-    /// the recorder's ground truth.
-    fn read_pending(&self) -> u32 {
-        (self.read_inflight + self.read_q.len()) as u32
+    fn stage(&mut self, is_write: bool) -> &mut ServiceStage<SendId> {
+        if is_write {
+            &mut self.writes
+        } else {
+            &mut self.reads
+        }
     }
 }
 
@@ -396,12 +400,8 @@ impl ClusterScenario {
 
         let nodes: Vec<NodeState> = (0..cfg.nodes)
             .map(|i| NodeState {
-                read_q: Default::default(),
-                read_inflight: 0,
-                read_concurrency: disk.concurrency,
-                write_q: Default::default(),
-                write_inflight: 0,
-                write_concurrency: 8,
+                reads: ServiceStage::new(disk.concurrency),
+                writes: ServiceStage::new(8),
                 perturb: NodePerturbation::new(cfg.perturbations),
                 faults: cfg.faults.for_node(i),
             })
@@ -754,7 +754,7 @@ impl ClusterScenario {
             let nodes = &self.nodes;
             let selector = &self.coords[coord_id].selector;
             rec.record_decision(now, issue, chosen, group, |n| {
-                (selector.replica_view(n), nodes[n].read_pending())
+                (selector.replica_view(n), nodes[n].reads.pending() as u32)
             });
         }
     }
@@ -1142,41 +1142,30 @@ impl ClusterScenario {
             return;
         }
         node.perturb.expire(now);
-        if send.is_write {
-            if node.write_inflight < node.write_concurrency {
-                node.write_inflight += 1;
-                let st = self.disk.sample_write(
-                    &mut self.srv_rng,
-                    self.ops[send.op].record_bytes,
-                    node.perturb.multiplier(now) * fault.slow,
-                );
-                engine.schedule_in(
-                    st,
-                    Ev::ReplicaDone {
-                        send: send_id,
-                        service_time: st,
-                    },
-                );
-            } else {
-                node.write_q.push_back(send_id);
-            }
-        } else if node.read_inflight < node.read_concurrency {
-            node.read_inflight += 1;
-            let st = self.disk.sample_read(
-                &mut self.srv_rng,
-                self.ops[send.op].record_bytes,
-                node.perturb.multiplier(now) * fault.slow,
-            );
-            engine.schedule_in(
-                st,
-                Ev::ReplicaDone {
-                    send: send_id,
-                    service_time: st,
-                },
-            );
-        } else {
-            node.read_q.push_back(send_id);
+        if node.stage(send.is_write).arrive(send_id) {
+            let mult = node.perturb.multiplier(now) * fault.slow;
+            self.start_service(send_id, mult, engine);
         }
+    }
+
+    /// `send_id` takes an execution slot at its node: sample its service
+    /// time under the node's current multiplier `mult` and schedule its
+    /// completion.
+    fn start_service(&mut self, send_id: SendId, mult: f64, engine: &mut EventQueue<Ev>) {
+        let send = self.sends[send_id];
+        let bytes = self.ops[send.op].record_bytes;
+        let st = if send.is_write {
+            self.disk.sample_write(&mut self.srv_rng, bytes, mult)
+        } else {
+            self.disk.sample_read(&mut self.srv_rng, bytes, mult)
+        };
+        engine.schedule_in(
+            st,
+            Ev::ReplicaDone {
+                send: send_id,
+                service_time: st,
+            },
+        );
     }
 
     fn on_replica_done(
@@ -1195,44 +1184,16 @@ impl ClusterScenario {
         }
 
         // Start the next queued request of the same stage.
-        let fault = self.nodes[node_id].faults.at(now);
-        {
-            let node = &mut self.nodes[node_id];
-            node.perturb.expire(now);
-            let mult = node.perturb.multiplier(now) * fault.slow;
-            if send.is_write {
-                node.write_inflight -= 1;
-                if let Some(next) = node.write_q.pop_front() {
-                    node.write_inflight += 1;
-                    let bytes = self.ops[self.sends[next].op].record_bytes;
-                    let st = self.disk.sample_write(&mut self.srv_rng, bytes, mult);
-                    engine.schedule_in(
-                        st,
-                        Ev::ReplicaDone {
-                            send: next,
-                            service_time: st,
-                        },
-                    );
-                }
-            } else {
-                node.read_inflight -= 1;
-                if let Some(next) = node.read_q.pop_front() {
-                    node.read_inflight += 1;
-                    let bytes = self.ops[self.sends[next].op].record_bytes;
-                    let st = self.disk.sample_read(&mut self.srv_rng, bytes, mult);
-                    engine.schedule_in(
-                        st,
-                        Ev::ReplicaDone {
-                            send: next,
-                            service_time: st,
-                        },
-                    );
-                }
-            }
+        let node = &mut self.nodes[node_id];
+        let fault = node.faults.at(now);
+        node.perturb.expire(now);
+        let mult = node.perturb.multiplier(now) * fault.slow;
+        if let Some(next) = node.stage(send.is_write).finish() {
+            self.start_service(next, mult, engine);
         }
 
         // Feedback: pending reads at this node when the response leaves.
-        let pending = self.nodes[node_id].read_pending();
+        let pending = self.nodes[node_id].reads.pending() as u32;
         self.sends[send_id].feedback = Feedback::new(pending, service_time);
 
         let coord = self.ops[send.op].coord as usize;

@@ -165,6 +165,10 @@ impl ClusterConfig {
         assert!(self.warmup_ops < self.total_ops, "warm-up swallows the run");
         assert!(self.keys > 0, "need keys");
         assert!(
+            self.gossip_interval > Nanos::ZERO,
+            "gossip_interval must be positive"
+        );
+        assert!(
             (0.0..=1.0).contains(&self.read_repair_prob),
             "read-repair probability out of range"
         );
@@ -203,6 +207,16 @@ mod tests {
         assert!(c.lifecycle.deadline.is_none());
         assert_eq!(c.lifecycle.retries, 0);
         assert!(c.lifecycle.hedge_after.is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "gossip_interval must be positive")]
+    fn validate_rejects_zero_gossip_interval() {
+        let c = ClusterConfig {
+            gossip_interval: Nanos::ZERO,
+            ..ClusterConfig::default()
+        };
+        c.validate();
     }
 
     #[test]

@@ -12,13 +12,18 @@
 //! 2. **Distributed rate control and backpressure** — each client limits
 //!    its sending rate to every server with a token bucket whose budget
 //!    adapts along a CUBIC-style growth curve, and holds requests in a
-//!    backlog queue when all replicas of a group are saturated
-//!    ([`RateLimiter`], [`C3State`], [`BacklogQueue`]).
+//!    backlog when all replicas of a group are saturated ([`RateLimiter`],
+//!    [`C3State`]).
 //!
 //! The crate is deliberately runtime-agnostic: every entry point takes the
 //! current time as a [`Nanos`] argument, so the same code drives the
 //! deterministic discrete-event simulators (`c3-sim`, `c3-cluster`) and the
 //! real socket implementation (`c3-live`).
+//!
+//! On the server side, [`ServiceStage`] (a FIFO queue in front of a fixed
+//! number of execution slots) is the admission rule of every simulated
+//! server: the §6 simulator's, the direct fleet's and both stages of a §5
+//! cluster node.
 //!
 //! ## Quick start
 //!
@@ -77,6 +82,7 @@ mod scheduler;
 mod score;
 mod selector;
 mod snitch;
+mod stage;
 pub mod strategies;
 mod time;
 mod tracker;
@@ -87,9 +93,10 @@ pub use ewma::Ewma;
 pub use feedback::Feedback;
 pub use lifecycle::{FailureDetector, LifecycleConfig, LifecycleCounts};
 pub use rate::{cubic_rate, RateLimiter, RatePhase, RateStats};
-pub use scheduler::{BacklogQueue, C3State, SendDecision, ServerId};
+pub use scheduler::{C3State, SendDecision, ServerId};
 pub use score::{queue_size_estimate, score};
 pub use selector::{C3Selector, ReplicaSelector, ReplicaView, ResponseInfo, Selection, Selector};
 pub use snitch::{DynamicSnitch, SnitchConfig, SnitchSelector};
+pub use stage::ServiceStage;
 pub use time::{Nanos, WallClock};
 pub use tracker::{ServerTracker, TrackerSnapshot};

@@ -5,14 +5,11 @@
 //! the replica group by the cubic score, pick the first server within its
 //! rate, consume a token and account the outstanding request. When every
 //! replica is rate-saturated the caller must hold the request in a backlog
-//! queue — [`BacklogQueue`] provides that, with the statistics the paper's
-//! Figure 13 reports (backpressure activation events).
+//! (the simulators' `c3_engine::BackpressureFront`).
 //!
 //! One `C3State` serves all replica groups of a client (rate limiters are
-//! per *server* and shared across groups); backlog queues are per *replica
+//! per *server* and shared across groups); backlogs are per *replica
 //! group*, mirroring the paper's per-group Akka schedulers.
-
-use std::collections::VecDeque;
 
 use crate::config::C3Config;
 use crate::feedback::Feedback;
@@ -207,66 +204,6 @@ impl C3State {
     }
 }
 
-/// A FIFO backlog queue for one replica group, with backpressure statistics.
-///
-/// `R` is the caller's request token type (a request id in the simulators).
-#[derive(Debug)]
-pub struct BacklogQueue<R> {
-    queue: VecDeque<R>,
-    /// Number of times the queue transitioned empty → non-empty (the
-    /// "backpressure mode entered" events marked in Figure 13).
-    activations: u64,
-}
-
-impl<R> Default for BacklogQueue<R> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<R> BacklogQueue<R> {
-    /// Create an empty backlog.
-    pub fn new() -> Self {
-        Self {
-            queue: VecDeque::new(),
-            activations: 0,
-        }
-    }
-
-    /// Push a request that could not be sent.
-    pub fn push(&mut self, req: R) {
-        if self.queue.is_empty() {
-            self.activations += 1;
-        }
-        self.queue.push_back(req);
-    }
-
-    /// Pop the oldest backlogged request.
-    pub fn pop(&mut self) -> Option<R> {
-        self.queue.pop_front()
-    }
-
-    /// Peek at the oldest backlogged request without removing it.
-    pub fn peek(&self) -> Option<&R> {
-        self.queue.front()
-    }
-
-    /// Requests currently backlogged.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether the backlog is empty.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Number of empty → non-empty transitions (backpressure events).
-    pub fn activations(&self) -> u64 {
-        self.activations
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,21 +327,6 @@ mod tests {
     fn empty_group_panics() {
         let mut st = state(1, 10.0);
         let _ = st.try_send(&[], Nanos::ZERO);
-    }
-
-    #[test]
-    fn backlog_queue_tracks_activations_and_depth() {
-        let mut q: BacklogQueue<u32> = BacklogQueue::new();
-        assert!(q.is_empty());
-        q.push(1);
-        q.push(2);
-        assert_eq!(q.activations(), 1);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
-        q.push(3);
-        assert_eq!(q.activations(), 2, "re-entering backpressure counts again");
-        assert_eq!(q.len(), 1);
     }
 
     #[test]

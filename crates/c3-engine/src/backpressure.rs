@@ -1,14 +1,17 @@
-//! Algorithm 1's backlog/retry protocol, once, for every event loop.
+//! Algorithm 1's backlog/retry protocol, once, for every simulated event
+//! loop: the §6 simulator, the direct fleet and the §5 cluster's
+//! coordinators each drive one [`BackpressureFront`] per selector
+//! instance.
 //!
 //! When a selector's rate limiter refuses every replica of a group, the
-//! request waits in that group's [`BacklogQueue`] until either a response
+//! request waits in that group's FIFO backlog until either a response
 //! frees rate or the limiter's `retry_at` comes round. The protocol around
-//! that queue — at most one pending retry timer per group, cancelled when
-//! a response drains the backlog first so it never fires dead — is the
-//! same for every frontend, so it lives here: a [`BackpressureFront`] per
-//! selector instance. The caller keeps everything that differs between
-//! frontends (ranking the candidates, the send itself, read-repair
-//! fan-out, lifecycle timers) and drives the front step by step:
+//! that backlog — at most one pending retry timer per group, cancelled
+//! when a response drains the backlog first so it never fires dead — is
+//! the same for every frontend, so it lives here. The caller keeps
+//! everything that differs between frontends (ranking the candidates, the
+//! send itself, read-repair fan-out, lifecycle timers) and drives the
+//! front step by step:
 //!
 //! ```text
 //! fresh request:  select → Server(s):      send
@@ -18,7 +21,9 @@
 //!                          Backpressure:   front.stall(..); stop
 //! ```
 
-use c3_core::{BacklogQueue, Nanos};
+use std::collections::VecDeque;
+
+use c3_core::Nanos;
 
 use crate::kernel::{EventQueue, TimerId};
 
@@ -149,6 +154,46 @@ impl<R: Copy, E> BackpressureFront<R, E> {
     }
 }
 
+/// A FIFO backlog for one replica group, counting its empty → non-empty
+/// transitions (the "backpressure mode entered" events of Figure 13).
+#[derive(Debug)]
+struct BacklogQueue<R> {
+    queue: VecDeque<R>,
+    activations: u64,
+}
+
+impl<R> BacklogQueue<R> {
+    fn new() -> Self {
+        Self {
+            queue: VecDeque::new(),
+            activations: 0,
+        }
+    }
+
+    fn push(&mut self, req: R) {
+        if self.queue.is_empty() {
+            self.activations += 1;
+        }
+        self.queue.push_back(req);
+    }
+
+    fn pop(&mut self) -> Option<R> {
+        self.queue.pop_front()
+    }
+
+    fn peek(&self) -> Option<&R> {
+        self.queue.front()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.queue.is_empty()
+    }
+
+    fn activations(&self) -> u64 {
+        self.activations
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,5 +282,20 @@ mod tests {
         }
         assert_eq!(order, vec![5, 3, 9]);
         assert_eq!(f.peek(2), Some(4), "groups do not mix");
+    }
+
+    #[test]
+    fn backlog_queue_tracks_activations_and_depth() {
+        let mut q: BacklogQueue<u32> = BacklogQueue::new();
+        assert!(q.is_empty());
+        q.push(1);
+        q.push(2);
+        assert_eq!(q.activations(), 1);
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), None);
+        q.push(3);
+        assert_eq!(q.activations(), 2, "re-entering backpressure counts again");
+        assert_eq!(q.peek(), Some(&3));
     }
 }

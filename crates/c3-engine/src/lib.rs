@@ -18,8 +18,9 @@
 //!   by name.
 //! - [`BackpressureFront`]: Algorithm 1's backlog/retry protocol (per-group
 //!   FIFO backlog, one cancellable retry timer per group, cancelled when a
-//!   response drains the backlog first), shared by every event loop that
-//!   drives a backpressure-capable selector.
+//!   response drains the backlog first), shared by every simulated loop
+//!   that drives a backpressure-capable selector: the §6 simulator, the
+//!   direct fleet and the §5 cluster.
 //! - [`SlotTable`]: the request/send record table of the direct-send
 //!   loops — slots recycled on release and named by [`SlotKey`], so a
 //!   run's memory is O(requests in flight), not O(requests issued).

@@ -14,7 +14,7 @@
 //! the replica's completion-time heap); arrivals beyond the slot count
 //! queue in the replica's FIFO, so the `queue_size` a response carries
 //! reflects genuine contention, exactly like the simulator's
-//! `read_inflight + read_q`. The service thread sleeps toward the
+//! `reads.pending()`. The service thread sleeps toward the
 //! earliest `due`, and on waking pops *everything* that has fallen due,
 //! frees those slots, admits from the FIFO, and only then — outside the
 //! lock — touches the store and writes the answers.

@@ -10,8 +10,9 @@
 //! channel per traffic class. [`crate::MultiTenantConfig`] and
 //! [`crate::MegaFleetConfig`] lower into it.
 //!
-//! Servers are FIFO with `server_concurrency` execution slots and
-//! exponential service times; key `k` lives on replica group
+//! Each server is a [`ServiceStage`] (FIFO in front of
+//! `server_concurrency` execution slots, as in the other simulated loops)
+//! with exponential service times; key `k` lives on replica group
 //! `k % servers`, whose members are the next `replication_factor` servers
 //! on the ring.
 //!
@@ -19,9 +20,9 @@
 //! response is received: memory follows the requests in flight (at most
 //! one per closed-loop client), not the length of the run.
 
-use std::collections::VecDeque;
-
-use c3_core::{C3Config, Feedback, Nanos, ResponseInfo, Selection, Selector, SnitchConfig};
+use c3_core::{
+    C3Config, Feedback, Nanos, ResponseInfo, Selection, Selector, ServiceStage, SnitchConfig,
+};
 use c3_engine::{
     BackpressureFront, ChannelId, ChannelSet, EventQueue, RunMetrics, Scenario, ScenarioRunner,
     SeedSeq, SlotKey, SlotTable, Strategy,
@@ -174,18 +175,6 @@ struct Request {
     feedback: Feedback,
 }
 
-struct Server {
-    queue: VecDeque<ReqId>,
-    inflight: usize,
-}
-
-impl Server {
-    /// Ground-truth pending depth: executing plus queued.
-    fn pending(&self) -> u32 {
-        (self.inflight + self.queue.len()) as u32
-    }
-}
-
 /// One selector instance plus the backpressure state it owns.
 struct SelectorSlot {
     /// `None` for the Oracle, which reads global server state instead.
@@ -196,7 +185,7 @@ struct SelectorSlot {
 /// The direct-fleet scenario, driven by the engine's [`ScenarioRunner`].
 pub(crate) struct DirectFleet {
     spec: FleetSpec,
-    servers: Vec<Server>,
+    servers: Vec<ServiceStage<ReqId>>,
     slots: Vec<SelectorSlot>,
     groups: Vec<Vec<usize>>,
     requests: SlotTable<Request>,
@@ -227,10 +216,7 @@ impl DirectFleet {
             })
             .collect();
         let servers = (0..spec.servers)
-            .map(|_| Server {
-                queue: VecDeque::new(),
-                inflight: 0,
-            })
+            .map(|_| ServiceStage::new(spec.server_concurrency))
             .collect();
         let slots = (0..spec.selectors)
             .map(|i| SelectorSlot {
@@ -332,7 +318,7 @@ impl DirectFleet {
             rec.record_decision(now, issue_index, chosen, &self.groups[group], |s| {
                 (
                     selector.and_then(|sel| sel.replica_view(s)),
-                    servers[s].pending(),
+                    servers[s].pending() as u32,
                 )
             });
         }
@@ -421,9 +407,9 @@ impl DirectFleet {
         engine.schedule_in(self.spec.one_way_latency, FleetEvent::ServerArrive { req });
     }
 
-    /// Occupy an execution slot at `server` with `req`.
+    /// `req` took an execution slot at `server`: sample its service time
+    /// and schedule its completion.
     fn start_service(&mut self, server: usize, req: ReqId, engine: &mut EventQueue<FleetEvent>) {
-        self.servers[server].inflight += 1;
         let class = self.requests[req].class as usize;
         let service_time = Nanos::from_millis_f64(exp_sample(
             &mut self.srv_rng,
@@ -441,10 +427,8 @@ impl DirectFleet {
 
     fn on_server_arrive(&mut self, req: ReqId, engine: &mut EventQueue<FleetEvent>) {
         let server = self.requests[req].server as usize;
-        if self.servers[server].inflight < self.spec.server_concurrency {
+        if self.servers[server].arrive(req) {
             self.start_service(server, req, engine);
-        } else {
-            self.servers[server].queue.push_back(req);
         }
     }
 
@@ -458,11 +442,11 @@ impl DirectFleet {
         metrics: &mut RunMetrics,
     ) {
         metrics.record_service(server, now);
-        self.servers[server].inflight -= 1;
-        if let Some(next) = self.servers[server].queue.pop_front() {
+        if let Some(next) = self.servers[server].finish() {
             self.start_service(server, next, engine);
         }
-        self.requests[req].feedback = Feedback::new(self.servers[server].pending(), service_time);
+        let pending = self.servers[server].pending() as u32;
+        self.requests[req].feedback = Feedback::new(pending, service_time);
         engine.schedule_in(self.spec.one_way_latency, FleetEvent::ClientReceive { req });
     }
 

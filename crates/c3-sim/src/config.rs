@@ -159,6 +159,10 @@ impl SimConfig {
         assert!(self.mean_service_ms > 0.0, "service time must be positive");
         assert!(self.range_d >= 1.0, "D must be >= 1");
         assert!(
+            self.fluctuation_interval > Nanos::ZERO,
+            "fluctuation_interval must be positive"
+        );
+        assert!(
             self.utilization > 0.0 && self.utilization < 1.0,
             "utilization must be in (0,1)"
         );
@@ -250,6 +254,16 @@ mod tests {
     fn validate_rejects_overload() {
         let c = SimConfig {
             utilization: 1.2,
+            ..SimConfig::default()
+        };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "fluctuation_interval must be positive")]
+    fn validate_rejects_zero_fluctuation_interval() {
+        let c = SimConfig {
+            fluctuation_interval: Nanos::ZERO,
             ..SimConfig::default()
         };
         c.validate();

@@ -7,9 +7,12 @@
 //! exponential service times, and bimodal time-varying service rates
 //! (μ vs μ·D re-sampled every fluctuation interval).
 //!
-//! The event loop, strategy resolution and run metrics all come from the
-//! shared [`c3_engine`] crate: this crate contributes the §6 scenario
-//! ([`SimScenario`], driven by `c3_engine::ScenarioRunner`) and the
+//! The event loop, strategy resolution, Algorithm 1's backlog
+//! (`c3_engine::BackpressureFront`) and run metrics all come from the
+//! shared [`c3_engine`] crate, and each server admits through
+//! `c3_core::ServiceStage`, as the other simulated loops' replicas do:
+//! this crate contributes the §6 scenario ([`SimScenario`], driven by
+//! `c3_engine::ScenarioRunner`), the bimodal rate model and the
 //! global-knowledge `ORA` baseline. Every other strategy — full **C3**,
 //! **LOR**, rate-limited **RR**, uniform random, least-response-time,
 //! weighted random, power-of-two-choices, and the C3 ablations — is
@@ -38,11 +41,9 @@
 
 mod config;
 mod result;
-mod server;
 mod sim;
 
 pub use c3_engine::Strategy;
 pub use config::{DemandSkew, SimConfig};
 pub use result::RunResult;
-pub use server::{ReqId, ServerAction, SimServer, SpeedState};
 pub use sim::{Event, SimScenario, Simulation};

@@ -5,11 +5,17 @@
 //! generators create requests at clients; each request targets a uniformly
 //! chosen replica group (keys are not modelled); the client's strategy
 //! picks one replica (C3 may backpressure); the request crosses a 250 µs
-//! one-way network, queues at the server (FIFO, 4-way concurrency,
-//! exponential service times under a bimodal time-varying rate), and the
-//! response returns with piggybacked feedback. With probability 10% a
-//! request is a read-repair and is sent to *all* replicas of its group;
-//! latency is still measured on the strategy-selected primary.
+//! one-way network, queues at the server, and the response returns with
+//! piggybacked feedback. With probability 10% a request is a read-repair
+//! and is sent to *all* replicas of its group; latency is still measured
+//! on the strategy-selected primary.
+//!
+//! A server is a [`ServiceStage`] (FIFO, 4-way concurrency) under the
+//! bimodal time-varying rate: exponential service times whose mean flips
+//! between `1/μ` and `1/(μ·D)` at every fluctuation interval. A client
+//! that a rate-limited strategy backpressures parks the request in its
+//! [`BackpressureFront`], Algorithm 1's backlog shared with the other
+//! simulated loops.
 //!
 //! Request and send records live in recycling [`SlotTable`]s: a send's
 //! record is released when its response is received, a request's when its
@@ -22,20 +28,23 @@
 //! Snitching is refused: this loop delivers no recompute tick.
 
 use c3_core::{
-    BacklogQueue, Feedback, Nanos, RateStats, ResponseInfo, Selection, Selector, ServerId,
+    Feedback, Nanos, RateStats, ResponseInfo, Selection, Selector, ServerId, ServiceStage,
 };
 use c3_engine::{
-    ChannelId, ChannelSet, EngineStats, EventQueue, RunMetrics, Scenario, ScenarioRunner, SeedSeq,
-    SlotKey, SlotTable,
+    BackpressureFront, ChannelId, ChannelSet, EngineStats, EventQueue, RunMetrics, Scenario,
+    ScenarioRunner, SeedSeq, SlotKey, SlotTable,
 };
 use c3_telemetry::{Recorder, TracePoint};
-use c3_workload::PoissonArrivals;
+use c3_workload::{exp_sample, PoissonArrivals};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::config::SimConfig;
 use crate::result::RunResult;
-use crate::server::{ReqId, ServerAction, SimServer, SpeedState};
+
+/// Identifier of one request: the key of its [`RequestState`] while any
+/// of its sends is open or it waits in a backlog.
+type ReqId = SlotKey;
 
 /// Identifier of one send (one request may fan out into several sends via
 /// read repair): the key of its [`SendState`] while the send is in flight.
@@ -99,16 +108,57 @@ struct SendState {
     feedback: Feedback,
 }
 
+/// One §6 server: a FIFO stage in front of `server_concurrency` slots,
+/// under the current speed state of the bimodal rate.
+struct Server {
+    stage: ServiceStage<SendId>,
+    /// Mean service time under the current speed state, in ms: every
+    /// service-time sample reads it.
+    mean_ms: f64,
+    /// `1 / mean_ms`, cached at each speed change so the Oracle's
+    /// per-candidate scoring pays no division.
+    rate_per_ms: f64,
+}
+
+impl Server {
+    /// An idle server whose initial speed state is drawn from `rng`.
+    fn new(cfg: &SimConfig, rng: &mut SmallRng) -> Self {
+        let mut server = Self {
+            stage: ServiceStage::new(cfg.server_concurrency),
+            mean_ms: 0.0,
+            rate_per_ms: 0.0,
+        };
+        server.fluctuate(cfg, rng);
+        server
+    }
+
+    /// Re-sample the speed state: the base rate μ or the boosted μ·D,
+    /// with probability ½ each.
+    fn fluctuate(&mut self, cfg: &SimConfig, rng: &mut SmallRng) {
+        self.set_speed(rng.gen::<bool>(), cfg);
+    }
+
+    fn set_speed(&mut self, fast: bool, cfg: &SimConfig) {
+        self.mean_ms = if fast {
+            cfg.mean_service_ms / cfg.range_d
+        } else {
+            cfg.mean_service_ms
+        };
+        self.rate_per_ms = 1.0 / self.mean_ms;
+    }
+
+    /// An exponential service time under the current speed state.
+    fn sample_service(&self, rng: &mut SmallRng) -> Nanos {
+        let ms = exp_sample(rng, self.mean_ms);
+        Nanos::from_millis_f64(ms.max(0.000_001))
+    }
+}
+
 struct SimClient {
     /// `None` for the Oracle, which reads global server state instead.
     selector: Option<Selector>,
-    /// Per-replica-group backlog of requests awaiting rate tokens.
-    backlogs: Vec<BacklogQueue<ReqId>>,
-    /// Whether a retry event is already scheduled per group.
-    retry_scheduled: Vec<bool>,
-    /// Number of non-empty backlogs: lets the per-response drain scan skip
-    /// the group walk entirely in the common no-backpressure case.
-    backlogged: u32,
+    /// Per-replica-group backlogs of requests awaiting rate tokens.
+    front: BackpressureFront<ReqId, Event>,
 }
 
 /// The §6 scenario: state plus event handlers, driven by the engine's
@@ -116,7 +166,7 @@ struct SimClient {
 /// [`Simulation`] wrapper which owns the runner plumbing.
 pub struct SimScenario {
     cfg: SimConfig,
-    servers: Vec<SimServer>,
+    servers: Vec<Server>,
     clients: Vec<SimClient>,
     groups: Vec<Vec<ServerId>>,
     requests: SlotTable<RequestState>,
@@ -160,20 +210,8 @@ impl SimScenario {
             })
             .collect();
 
-        let servers: Vec<SimServer> = (0..cfg.servers)
-            .map(|_| {
-                let speed = if wl_rng.gen::<bool>() {
-                    SpeedState::Fast
-                } else {
-                    SpeedState::Slow
-                };
-                SimServer::new(
-                    cfg.mean_service_ms,
-                    cfg.range_d,
-                    cfg.server_concurrency,
-                    speed,
-                )
-            })
+        let servers: Vec<Server> = (0..cfg.servers)
+            .map(|_| Server::new(&cfg, &mut wl_rng))
             .collect();
 
         let clients: Vec<SimClient> = (0..cfg.clients)
@@ -184,9 +222,9 @@ impl SimScenario {
                     ),
                     selector => selector,
                 },
-                backlogs: (0..cfg.servers).map(|_| BacklogQueue::new()).collect(),
-                retry_scheduled: vec![false; cfg.servers],
-                backlogged: 0,
+                front: BackpressureFront::new(i, cfg.servers, |client, group| {
+                    Event::RetryBacklog { client, group }
+                }),
             })
             .collect();
 
@@ -226,7 +264,7 @@ impl SimScenario {
         let mut backpressure = 0;
         let mut rate_stats = RateStats::default();
         for c in &self.clients {
-            backpressure += c.backlogs.iter().map(|b| b.activations()).sum::<u64>();
+            backpressure += c.front.activations();
             if let Some(c3) = c.selector.as_ref().and_then(Selector::as_c3) {
                 let s = c3.state().rate_stats();
                 rate_stats.decreases += s.decreases;
@@ -327,7 +365,9 @@ impl SimScenario {
             }
             Selection::Backpressure { retry_at } => {
                 self.record_decision(req, client_id, None, group_id, now);
-                self.backlog(client_id, group_id, req, retry_at, now, engine)
+                self.clients[client_id]
+                    .front
+                    .park(group_id, req, retry_at, now, engine);
             }
         }
     }
@@ -350,7 +390,7 @@ impl SimScenario {
             rec.record_decision(now, issue_index, chosen, &self.groups[group_id], |s| {
                 (
                     selector.and_then(|sel| sel.replica_view(s)),
-                    servers[s].pending() as u32,
+                    servers[s].stage.pending() as u32,
                 )
             });
         }
@@ -377,33 +417,6 @@ impl SimScenario {
                     self.send_one(req, s, now, false, engine);
                 }
             }
-        }
-    }
-
-    fn backlog(
-        &mut self,
-        client_id: usize,
-        group_id: usize,
-        req: ReqId,
-        retry_at: Nanos,
-        now: Nanos,
-        engine: &mut EventQueue<Event>,
-    ) {
-        let client = &mut self.clients[client_id];
-        if client.backlogs[group_id].is_empty() {
-            client.backlogged += 1;
-        }
-        client.backlogs[group_id].push(req);
-        if !client.retry_scheduled[group_id] {
-            client.retry_scheduled[group_id] = true;
-            let at = retry_at.max(now + Nanos(1));
-            engine.schedule(
-                at,
-                Event::RetryBacklog {
-                    client: client_id,
-                    group: group_id,
-                },
-            );
         }
     }
 
@@ -440,14 +453,14 @@ impl SimScenario {
     }
 
     fn on_server_arrive(&mut self, server: usize, send: SendId, engine: &mut EventQueue<Event>) {
-        if let ServerAction::StartService { req, service_time } =
-            self.servers[server].on_arrival(send, &mut self.srv_rng)
-        {
+        let s = &mut self.servers[server];
+        if s.stage.arrive(send) {
+            let service_time = s.sample_service(&mut self.srv_rng);
             engine.schedule_in(
                 service_time,
                 Event::ServiceDone {
                     server,
-                    send: req,
+                    send,
                     service_time,
                 },
             );
@@ -463,20 +476,22 @@ impl SimScenario {
         engine: &mut EventQueue<Event>,
         metrics: &mut RunMetrics,
     ) {
-        let (feedback, next) = self.servers[server].on_completion(service_time, &mut self.srv_rng);
+        let s = &mut self.servers[server];
+        let next = s
+            .stage
+            .finish()
+            .map(|next| (next, s.sample_service(&mut self.srv_rng)));
+        // Feedback follows the paper: what is still pending when the
+        // response leaves, the request just promoted included.
+        self.sends[send].feedback = Feedback::new(s.stage.pending() as u32, service_time);
         metrics.record_service(server, now);
-        self.sends[send].feedback = feedback;
         engine.schedule_in(self.cfg.one_way_latency, Event::ClientReceive { send });
-        if let ServerAction::StartService {
-            req: next_send,
-            service_time: st,
-        } = next
-        {
+        if let Some((next, st)) = next {
             engine.schedule_in(
                 st,
                 Event::ServiceDone {
                     server,
-                    send: next_send,
+                    send: next,
                     service_time: st,
                 },
             );
@@ -553,7 +568,7 @@ impl SimScenario {
         now: Nanos,
         engine: &mut EventQueue<Event>,
     ) {
-        if self.clients[client_id].backlogged == 0 {
+        if !self.clients[client_id].front.any_backlogged() {
             // Common case: nothing backlogged anywhere, skip the group walk.
             return;
         }
@@ -561,24 +576,30 @@ impl SimScenario {
         let n = self.cfg.servers;
         for k in 0..rf {
             let group_id = (server + n - k) % n;
-            if !self.clients[client_id].backlogs[group_id].is_empty() {
-                self.on_retry(client_id, group_id, now, engine);
+            if self.clients[client_id].front.is_backlogged(group_id) {
+                self.on_retry(client_id, group_id, now, engine, false);
             }
         }
     }
 
+    /// Drain `group_id`'s backlog at `client_id` until it empties or the
+    /// limiter refuses again, either because its retry timer fired
+    /// (`from_timer`) or because a response may have freed rate.
     fn on_retry(
         &mut self,
         client_id: usize,
         group_id: usize,
         now: Nanos,
         engine: &mut EventQueue<Event>,
+        from_timer: bool,
     ) {
-        self.clients[client_id].retry_scheduled[group_id] = false;
-        loop {
-            let Some(&req) = self.clients[client_id].backlogs[group_id].peek() else {
-                return;
-            };
+        if !self.clients[client_id]
+            .front
+            .begin_drain(group_id, from_timer, engine)
+        {
+            return;
+        }
+        while let Some(req) = self.clients[client_id].front.peek(group_id) {
             let selection = {
                 let group = &self.groups[group_id];
                 let sel = self.clients[client_id]
@@ -590,26 +611,13 @@ impl SimScenario {
             match selection {
                 Selection::Server(server) => {
                     self.record_decision(req, client_id, Some(server), group_id, now);
-                    let client = &mut self.clients[client_id];
-                    client.backlogs[group_id].pop();
-                    if client.backlogs[group_id].is_empty() {
-                        client.backlogged -= 1;
-                    }
+                    self.clients[client_id].front.pop(group_id);
                     self.fan_out(req, server, now, engine);
                 }
                 Selection::Backpressure { retry_at } => {
-                    let client = &mut self.clients[client_id];
-                    if !client.retry_scheduled[group_id] {
-                        client.retry_scheduled[group_id] = true;
-                        let at = retry_at.max(now + Nanos(1));
-                        engine.schedule(
-                            at,
-                            Event::RetryBacklog {
-                                client: client_id,
-                                group: group_id,
-                            },
-                        );
-                    }
+                    self.clients[client_id]
+                        .front
+                        .stall(group_id, retry_at, now, engine);
                     return;
                 }
             }
@@ -618,7 +626,7 @@ impl SimScenario {
 
     fn on_fluctuate(&mut self, engine: &mut EventQueue<Event>) {
         for s in &mut self.servers {
-            s.fluctuate(&mut self.srv_rng);
+            s.fluctuate(&self.cfg, &mut self.srv_rng);
         }
         engine.schedule_in(self.cfg.fluctuation_interval, Event::Fluctuate);
     }
@@ -657,7 +665,9 @@ impl Scenario for SimScenario {
             } => self.on_service_done(server, send, service_time, now, engine, metrics),
             Event::ClientReceive { send } => self.on_client_receive(send, now, engine, metrics),
             Event::Fluctuate => self.on_fluctuate(engine),
-            Event::RetryBacklog { client, group } => self.on_retry(client, group, now, engine),
+            Event::RetryBacklog { client, group } => {
+                self.on_retry(client, group, now, engine, true)
+            }
         }
     }
 
@@ -704,12 +714,12 @@ impl Simulation {
 
 /// The ORA baseline: perfect knowledge of the instantaneous `q/μ` ratio of
 /// every replica (§6), no feedback, no rate control.
-fn oracle_pick(servers: &[SimServer], group: &[ServerId]) -> ServerId {
+fn oracle_pick(servers: &[Server], group: &[ServerId]) -> ServerId {
     *group
         .iter()
         .min_by(|&&a, &&b| {
-            let qa = servers[a].pending() as f64 / servers[a].current_rate_per_ms();
-            let qb = servers[b].pending() as f64 / servers[b].current_rate_per_ms();
+            let qa = servers[a].stage.pending() as f64 / servers[a].rate_per_ms;
+            let qb = servers[b].stage.pending() as f64 / servers[b].rate_per_ms;
             qa.partial_cmp(&qb).expect("no NaN")
         })
         .expect("non-empty group")
@@ -953,6 +963,95 @@ mod tests {
         // the ids into 32 bits (and `service_time` into the send record)
         // measured slower, not faster (ROADMAP item 2a).
         assert_eq!(std::mem::size_of::<Event>(), 32);
+    }
+
+    /// A server of the default config (4 ms base mean), pinned to
+    /// `fast` or not; `D` as given.
+    fn server(range_d: f64, fast: bool) -> (Server, SimConfig) {
+        let cfg = SimConfig {
+            range_d,
+            ..SimConfig::default()
+        };
+        let mut s = Server::new(&cfg, &mut SeedSeq::new(1).workload_rng());
+        s.set_speed(fast, &cfg);
+        (s, cfg)
+    }
+
+    #[test]
+    fn speed_state_scales_mean_service_time() {
+        let (slow, _) = server(3.0, false);
+        assert_eq!(slow.mean_ms, 4.0);
+        assert_eq!(slow.rate_per_ms, 0.25);
+        let (fast, _) = server(3.0, true);
+        assert!((fast.mean_ms - 4.0 / 3.0).abs() < 1e-12);
+        assert!((fast.rate_per_ms - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn fluctuation_hits_both_states() {
+        let (mut s, cfg) = server(3.0, false);
+        let mut rng = SeedSeq::new(42).service_rng(1);
+        let (mut seen_fast, mut seen_slow) = (false, false);
+        for _ in 0..100 {
+            s.fluctuate(&cfg, &mut rng);
+            if s.mean_ms == cfg.mean_service_ms {
+                seen_slow = true;
+            } else {
+                assert_eq!(s.mean_ms, cfg.mean_service_ms / cfg.range_d);
+                seen_fast = true;
+            }
+        }
+        assert!(seen_fast && seen_slow);
+    }
+
+    #[test]
+    fn service_times_follow_current_mean() {
+        let mut rng = SeedSeq::new(42).service_rng(1);
+        let n = 20_000;
+        let mut avg = |s: &Server| -> f64 {
+            (0..n)
+                .map(|_| s.sample_service(&mut rng).as_millis_f64())
+                .sum::<f64>()
+                / n as f64
+        };
+        let slow_avg = avg(&server(4.0, false).0);
+        let fast_avg = avg(&server(4.0, true).0);
+        assert!((slow_avg - 4.0).abs() < 0.15, "slow {slow_avg}");
+        assert!((fast_avg - 1.0).abs() < 0.05, "fast {fast_avg}");
+    }
+
+    #[test]
+    fn retry_timers_never_fire_dead() {
+        // Figure 15's backpressure-heavy cell: RR under 20%/80% demand
+        // skew, 150 clients, 10 ms fluctuations. Responses drain backlogs
+        // ahead of their retry timers all the time; each such drain must
+        // cancel the timer it supersedes.
+        let cfg = SimConfig {
+            servers: 50,
+            clients: 150,
+            generators: 200,
+            total_requests: 60_000,
+            fluctuation_interval: Nanos::from_millis(10),
+            demand_skew: Some(crate::config::DemandSkew {
+                fraction_of_clients: 0.2,
+                fraction_of_demand: 0.8,
+            }),
+            strategy: Strategy::round_robin(),
+            seed: 51,
+            ..SimConfig::default()
+        };
+        let runner = ScenarioRunner::new(cfg.seed);
+        let mut scenario = SimScenario::new(cfg.clone());
+        let (metrics, stats) = runner.run(&mut scenario, cfg.servers, cfg.load_window);
+        let dead: u64 = scenario
+            .clients
+            .iter()
+            .map(|c| c.front.dead_retries())
+            .sum();
+        let res = scenario.into_result(metrics, stats);
+        assert_eq!(res.completed, 60_000);
+        assert!(res.backpressure_activations > 0, "the cell must backlog");
+        assert_eq!(dead, 0, "a retry timer fired on a drained backlog");
     }
 
     #[test]
