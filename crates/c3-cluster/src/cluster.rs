@@ -45,8 +45,8 @@
 //! recorder name an op by its issue index, never by its key.
 
 use c3_core::{
-    FailureDetector, Feedback, LifecycleCounts, Nanos, Selection, Selector, ServerId, ServiceStage,
-    SnitchConfig,
+    Attempt, Expiry, FailureDetector, Fate, Feedback, LifecycleCounts, Nanos, OpLife, Outcome,
+    Selection, Selector, ServerId, ServiceStage, SnitchConfig,
 };
 use c3_engine::{
     BackpressureFront, ChannelId, ChannelSet, EngineStats, EventQueue, RunMetrics, Scenario,
@@ -107,16 +107,26 @@ pub enum Ev {
     PerturbStart { node: usize, kind: EpisodeKind },
     /// A coordinator retries a backlogged replica group.
     RetryBacklog { coord: usize, group: usize },
-    /// Speculative-retry timeout check for a read.
-    SpecCheck { op: OpId },
     /// Extra generators enter the system (Figure 11).
     PhaseStart,
-    /// A read's per-request deadline expires (lifecycle hardening).
-    Deadline { op: OpId },
-    /// A read's backoff wait ends and its retry goes out.
-    RetryOp { op: OpId },
-    /// Hedge threshold check: duplicate a slow read to a second replica.
-    HedgeCheck { op: OpId },
+    /// One of a read's lifecycle timers fires.
+    Life { op: OpId, timer: LifeTimer },
+}
+
+/// The four timers a read's lifecycle arms; each asks its op's
+/// [`OpLife`] whether to act when it fires.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LifeTimer {
+    /// The per-request deadline expires: retry or park.
+    Deadline,
+    /// The backoff wait ends: the retry goes out.
+    Retry,
+    /// The hedge threshold passed: duplicate the read to a second
+    /// replica.
+    Hedge,
+    /// The speculative-retry threshold passed: reissue the read to the
+    /// next replica.
+    Spec,
 }
 
 /// Lives from `ClientIssue` until nothing can name it any more (see
@@ -142,22 +152,17 @@ struct OpState {
     /// the first primary send went out.
     primary_node: u16,
     read_repair: bool,
-    completed: bool,
+    /// The op's fate across its sends, which makes every lifecycle
+    /// decision; the fields around it are the mechanics. A parked op
+    /// never completes but still counts toward run termination.
+    life: OpLife,
     /// The op's `ClientReceive` was handled.
     received: bool,
-    spec_sent: bool,
     /// The pending speculative-retry check timer, cancelled on completion
-    /// so no dead `SpecCheck` events survive on the hot path.
+    /// so no dead speculative checks survive on the hot path.
     spec_timer: Option<TimerId>,
-    /// Deadline expiries consumed so far (bounded by `cfg.lifecycle.retries`).
-    attempts: u8,
-    /// The operation was abandoned: deadline and retry budget spent. A
-    /// parked op never completes but still counts toward run termination.
-    parked: bool,
     /// The hedged duplicate's send, while its record lives.
     hedge_send: Option<SendId>,
-    /// A hedged duplicate went out (at most one per op).
-    hedged: bool,
     /// Pending deadline *or* backoff-retry timer (mutually exclusive in
     /// time), cancelled on completion so neither fires dead.
     deadline_timer: Option<TimerId>,
@@ -166,8 +171,7 @@ struct OpState {
     /// Waiting in a coordinator backlog (set at `front.park`, cleared at
     /// `front.pop`).
     in_backlog: bool,
-    /// Spec/deadline/retry/hedge events scheduled and neither fired nor
-    /// cancelled. Counted rather than read off the handles above: a retry
+    /// Lifecycle timers scheduled and neither fired nor cancelled. Counted rather than read off the handles above: a retry
     /// re-dispatch arms a fresh speculative check over a pending one, whose
     /// handle is overwritten but which still fires.
     armed: u8,
@@ -176,11 +180,20 @@ struct OpState {
 }
 
 impl OpState {
-    /// Cancel `timer` — a pending handle taken off this op — if there is
-    /// one.
-    fn disarm(&mut self, timer: Option<TimerId>, engine: &mut EventQueue<Ev>) {
-        if let Some(timer) = timer {
-            engine.cancel(timer);
+    /// The pending handle `timer` is kept under; a deadline and its
+    /// backoff retry share one (they are mutually exclusive in time).
+    fn handle(&mut self, timer: LifeTimer) -> &mut Option<TimerId> {
+        match timer {
+            LifeTimer::Deadline | LifeTimer::Retry => &mut self.deadline_timer,
+            LifeTimer::Hedge => &mut self.hedge_timer,
+            LifeTimer::Spec => &mut self.spec_timer,
+        }
+    }
+
+    /// Cancel the pending `timer`, if there is one.
+    fn disarm(&mut self, timer: LifeTimer, engine: &mut EventQueue<Ev>) {
+        if let Some(id) = self.handle(timer).take() {
+            engine.cancel(id);
             self.armed -= 1;
         }
     }
@@ -259,9 +272,8 @@ pub struct ClusterResult {
     pub backpressure_activations: u64,
     /// Speculative retries issued.
     pub speculative_retries: u64,
-    /// `SpecCheck` events that fired after their operation had already
-    /// completed. Completion cancels the timer, so this stays zero; the
-    /// field exists to prove that regression-style.
+    /// Speculative checks that fired after their op completed: ones whose
+    /// handle a retry's re-dispatch overwrote (completion cancels the rest).
     pub dead_spec_checks: u64,
     /// `RetryBacklog` events that fired against an already-drained
     /// backlog. Draining cancels the pending timer, so this stays zero;
@@ -277,9 +289,8 @@ pub struct ClusterResult {
     pub lifecycle: LifecycleCounts,
     /// Requests or responses destroyed by the fault plan.
     pub faults_dropped: u64,
-    /// Lifecycle timers (deadline/retry/hedge) that fired after their op
-    /// completed or parked. Completion cancels them, so this stays zero;
-    /// the field exists to prove that regression-style.
+    /// Deadline, retry and hedge timers that fired after their op
+    /// completed or parked (see `ClusterScenario::dead_events`).
     pub dead_lifecycle: u64,
     /// Optional `(time, read latency)` trace (Figure 11).
     pub latency_trace: Vec<(Nanos, Nanos)>,
@@ -654,14 +665,10 @@ impl ClusterScenario {
             primary_send: None,
             primary_node: 0,
             read_repair,
-            completed: false,
+            life: OpLife::default(),
             received: false,
-            spec_sent: false,
             spec_timer: None,
-            attempts: 0,
-            parked: false,
             hedge_send: None,
-            hedged: false,
             deadline_timer: None,
             hedge_timer: None,
             in_backlog: false,
@@ -766,29 +773,14 @@ impl ClusterScenario {
         // Retries steer away from the replica that just timed out (a
         // deadline only runs after a primary send); the failure detector
         // additionally drops evicted nodes.
-        let exclude = (op.attempts > 0).then_some(op.primary_node as usize);
+        let exclude = (op.life.attempts() > 0).then_some(op.primary_node as usize);
         let mut scratch = Vec::new();
         let cand = self.candidates(coord_id, &group, exclude, now, &mut scratch);
 
         match self.coords[coord_id].selector.select(cand, now) {
             Selection::Server(primary) => {
                 self.record_decision(op.issue, coord_id, Some(primary), cand, now);
-                self.coords[coord_id].selector.on_send(primary, now);
-                self.forward(op_id, primary, false, true, now, engine);
-                if op.read_repair {
-                    for &node in &group {
-                        if node != primary {
-                            self.coords[coord_id].selector.on_send(node, now);
-                            self.forward(op_id, node, false, false, now, engine);
-                        }
-                    }
-                }
-                if self.cfg.speculative_retry {
-                    let threshold = self.spec_threshold(coord_id);
-                    let timer = self.arm(op_id, threshold, Ev::SpecCheck { op: op_id }, engine);
-                    self.ops[op_id].spec_timer = Some(timer);
-                }
-                self.arm_lifecycle(op_id, engine);
+                self.send_read(op_id, primary, &group, true, now, engine);
             }
             Selection::Backpressure { retry_at } => {
                 self.record_decision(op.issue, coord_id, None, cand, now);
@@ -839,7 +831,7 @@ impl ClusterScenario {
         // No Send record here: the chosen read's send is folded into the
         // `Decision` event (same timestamp), and read-repair duplicates
         // carry no decision worth tracing. Speculative retries record an
-        // explicit `Send` in `on_spec_check`.
+        // explicit `Send` in `speculate`.
         let coord = op.coord as usize;
         let delay = if coord == node {
             Nanos::from_micros(20) // local read: in-process handoff
@@ -877,62 +869,102 @@ impl ClusterScenario {
         }
     }
 
-    /// Arm the per-request timers on dispatch: the deadline (whose expiry
-    /// retries or parks the read) and, on the first attempt only, the
-    /// hedge check. No-ops when the knobs are off.
-    fn arm_lifecycle(&mut self, op_id: OpId, engine: &mut EventQueue<Ev>) {
-        if let Some(d) = self.cfg.lifecycle.deadline {
-            let timer = self.arm(op_id, d, Ev::Deadline { op: op_id }, engine);
-            self.ops[op_id].deadline_timer = Some(timer);
-        }
-        if let Some(h) = self.cfg.lifecycle.hedge_after {
-            let op = &self.ops[op_id];
-            if op.attempts == 0 && !op.hedged && op.hedge_timer.is_none() {
-                let timer = self.arm(op_id, h, Ev::HedgeCheck { op: op_id }, engine);
-                self.ops[op_id].hedge_timer = Some(timer);
-            }
-        }
-    }
-
-    /// Schedule one of `op_id`'s cancellable timers (speculative check,
-    /// deadline, backoff retry, hedge check), counting it as armed.
-    fn arm(
+    /// Put a read on the wire to its selected `primary` (and, for a
+    /// read-repair read, to every other member of `group`), then arm its
+    /// lifecycle timers: the speculative check when `speculate` (a read
+    /// re-admitted from a backlog gets none), the deadline (whose expiry
+    /// retries or parks it) and, on the first attempt only, the hedge
+    /// check. A knob that is off arms nothing.
+    fn send_read(
         &mut self,
         op_id: OpId,
-        delay: Nanos,
-        event: Ev,
+        primary: ServerId,
+        group: &[ServerId],
+        speculate: bool,
+        now: Nanos,
         engine: &mut EventQueue<Ev>,
-    ) -> TimerId {
-        self.ops[op_id].armed += 1;
-        engine.schedule_in_cancellable(delay, event)
+    ) {
+        let op = self.ops[op_id];
+        let coord_id = op.coord as usize;
+        let repair = group.iter().filter(|&&n| op.read_repair && n != primary);
+        for &node in std::iter::once(&primary).chain(repair) {
+            self.coords[coord_id].selector.on_send(node, now);
+            self.forward(op_id, node, false, node == primary, now, engine);
+        }
+        if speculate && self.cfg.speculative_retry {
+            let threshold = self.spec_threshold(coord_id);
+            self.arm(op_id, threshold, LifeTimer::Spec, engine);
+        }
+        let lc = self.cfg.lifecycle;
+        if let Some(deadline) = lc.deadline {
+            self.arm(op_id, deadline, LifeTimer::Deadline, engine);
+        }
+        if let (Some(hedge_after), 0) = (lc.hedge_after, op.life.attempts()) {
+            self.arm(op_id, hedge_after, LifeTimer::Hedge, engine);
+        }
     }
 
-    /// One of `op_id`'s timers fired: it is no longer armed. Returns the
-    /// op as it stands.
-    fn fired(&mut self, op_id: OpId) -> OpState {
+    /// Schedule one of `op_id`'s cancellable lifecycle timers, counting
+    /// it as armed and keeping its handle (over any still pending: see
+    /// `OpState::armed`).
+    fn arm(&mut self, op_id: OpId, delay: Nanos, timer: LifeTimer, engine: &mut EventQueue<Ev>) {
+        let op = &mut self.ops[op_id];
+        op.armed += 1;
+        *op.handle(timer) =
+            Some(engine.schedule_in_cancellable(delay, Ev::Life { op: op_id, timer }));
+    }
+
+    /// One of `op_id`'s lifecycle timers fired: the op's [`OpLife`]
+    /// decides whether it acts. One with nothing left to decide is dead —
+    /// a deadline a backlog drain armed on re-dispatching an op that
+    /// completed while queued, or a speculative check whose handle a
+    /// retry's re-dispatch overwrote; completion and parking cancel the
+    /// rest — counted, so a return to fire-and-filter shows, and may free
+    /// the op.
+    fn on_life(&mut self, op_id: OpId, timer: LifeTimer, now: Nanos, engine: &mut EventQueue<Ev>) {
         let op = &mut self.ops[op_id];
         op.armed -= 1;
-        *op
+        *op.handle(timer) = None;
+        let life = &mut op.life;
+        match timer {
+            LifeTimer::Deadline => {
+                let rng = &mut self.life_rng;
+                let jitter = || rng.gen_range(0.5..1.5);
+                match life.expire(&self.cfg.lifecycle, jitter, &mut self.life) {
+                    Expiry::Retry(wait) => return self.on_expiry(op_id, Some(wait), now, engine),
+                    Expiry::Park => return self.on_expiry(op_id, None, now, engine),
+                    Expiry::Dead => {}
+                }
+            }
+            LifeTimer::Retry if life.retry_due() => return self.retry(op_id, now, engine),
+            LifeTimer::Hedge if life.elect_hedge() => return self.hedge(op_id, now, engine),
+            LifeTimer::Spec if life.elect_speculative() => {
+                return self.speculate(op_id, now, engine)
+            }
+            _ => {}
+        }
+        let fate = self.ops[op_id].life.fate();
+        if timer == LifeTimer::Spec {
+            self.dead_spec_checks += u64::from(fate == Fate::Completed);
+        } else {
+            self.dead_lifecycle += u64::from(fate != Fate::Open);
+        }
+        self.release_op(op_id);
     }
 
-    /// A read's deadline expired: charge the failure detector, then retry
-    /// (with exponential backoff and jitter) while budget remains, else
-    /// park the operation.
-    fn on_deadline(&mut self, op_id: OpId, now: Nanos, engine: &mut EventQueue<Ev>) {
-        self.ops[op_id].deadline_timer = None;
-        let op = self.fired(op_id);
-        if op.completed || op.parked {
-            // Completion and parking cancel the timer, so this is the
-            // deadline a backlog drain armed on re-dispatching an op that
-            // completed while queued; counted so a regression back to
-            // fire-and-filter is visible.
-            self.dead_lifecycle += 1;
-            self.release_op(op_id);
-            return;
-        }
-        self.life.timeouts += 1;
+    /// A read's deadline expired and counted: charge the failure
+    /// detector, then arm the retry behind its backoff `retry`, or — the
+    /// budget spent, `None` — park the op.
+    fn on_expiry(
+        &mut self,
+        op_id: OpId,
+        retry: Option<Nanos>,
+        now: Nanos,
+        engine: &mut EventQueue<Ev>,
+    ) {
+        let op = self.ops[op_id];
         let node = op.primary_node as usize;
-        self.note_timeout(op.coord as usize, node, now);
+        self.note_detector(op.coord as usize, node, true, now);
         if let Some(rec) = &mut self.recorder {
             rec.record(
                 now,
@@ -942,52 +974,32 @@ impl ClusterScenario {
                 },
             );
         }
-        let life_rng = &mut self.life_rng;
-        let backoff = self
-            .cfg
-            .lifecycle
-            .retry_backoff(op.attempts.into(), || life_rng.gen_range(0.5..1.5));
-        match backoff {
-            Some(wait) => {
-                self.ops[op_id].attempts = op.attempts + 1;
-                let timer = self.arm(op_id, wait, Ev::RetryOp { op: op_id }, engine);
-                self.ops[op_id].deadline_timer = Some(timer);
-            }
+        match retry {
+            Some(wait) => self.arm(op_id, wait, LifeTimer::Retry, engine),
             None => self.park(op_id, engine),
         }
     }
 
-    /// Give up on an operation: deadline and retry budget spent. The op
-    /// never completes — its generator thread moves on so the rest of the
+    /// The op parked: deadline and retry budget spent. It never
+    /// completes — its generator thread moves on so the rest of the
     /// workload still runs — and `is_done` counts it as finished.
     fn park(&mut self, op_id: OpId, engine: &mut EventQueue<Ev>) {
-        let thread = {
-            let op = &mut self.ops[op_id];
-            op.parked = true;
-            let hedge = op.hedge_timer.take();
-            op.disarm(hedge, engine);
-            op.thread as usize
-        };
-        self.life.parked += 1;
+        let op = &mut self.ops[op_id];
+        op.disarm(LifeTimer::Hedge, engine);
+        let thread = op.thread as usize;
         if self.open_arrivals.is_none() {
             engine.schedule_in(Nanos::from_micros(50), Ev::ClientIssue { thread });
         }
         self.release_op(op_id);
     }
 
-    /// The backoff wait ended: re-dispatch through the normal selection
-    /// path. The replica that timed out is excluded from the candidate set
-    /// (see `dispatch_read`) and the fresh primary send supersedes the
-    /// abandoned one.
-    fn on_retry_op(&mut self, op_id: OpId, now: Nanos, engine: &mut EventQueue<Ev>) {
-        self.ops[op_id].deadline_timer = None;
-        let op = self.fired(op_id);
-        if op.completed || op.parked {
-            self.dead_lifecycle += 1;
-            self.release_op(op_id);
-            return;
-        }
+    /// The backoff wait ended and the retry is due: re-dispatch through
+    /// the normal selection path. The replica that timed out is excluded
+    /// from the candidate set (see `dispatch_read`) and the fresh primary
+    /// send supersedes the abandoned one.
+    fn retry(&mut self, op_id: OpId, now: Nanos, engine: &mut EventQueue<Ev>) {
         self.life.retries += 1;
+        let op = self.ops[op_id];
         // A pure marker: the retry's own send is traced by the `Decision`
         // the re-dispatch emits. `server` names the replica retried away
         // from.
@@ -997,119 +1009,72 @@ impl ClusterScenario {
                 op.issue,
                 TracePoint::Retry {
                     server: op.primary_node.into(),
-                    attempt: op.attempts,
+                    attempt: op.life.attempts(),
                 },
             );
         }
         self.dispatch_read(op_id, now, engine);
     }
 
-    /// The hedge threshold passed without a response: duplicate the read
-    /// to a second replica, RepNet-style. First response wins; the loser
-    /// is discarded at the coordinator.
-    fn on_hedge_check(&mut self, op_id: OpId, now: Nanos, engine: &mut EventQueue<Ev>) {
-        self.ops[op_id].hedge_timer = None;
-        let op = self.fired(op_id);
-        if op.completed || op.parked {
-            self.dead_lifecycle += 1;
-            self.release_op(op_id);
-            return;
-        }
-        if op.hedged {
-            return;
-        }
+    /// The hedge threshold passed without a response and the op elected
+    /// a hedge: duplicate the read to a second replica, RepNet-style.
+    /// First response wins; the loser is discarded at the coordinator.
+    fn hedge(&mut self, op_id: OpId, now: Nanos, engine: &mut EventQueue<Ev>) {
+        let op = self.ops[op_id];
         let tried = op.primary_node as usize;
         let coord_id = op.coord as usize;
         // Prefer a replica the detector trusts; any other member failing
         // that; the tried node itself as a last resort.
-        let alt = {
-            let detector = self.coords[coord_id].detector.as_ref();
-            let ring = self.ring;
-            let mut fallback = None;
-            let mut pick = None;
-            for m in ring.group_members(op.group as usize) {
-                if m == tried {
-                    continue;
-                }
-                if fallback.is_none() {
-                    fallback = Some(m);
-                }
-                if !detector.is_some_and(|d| d.is_evicted(m, now)) {
-                    pick = Some(m);
-                    break;
-                }
-            }
-            pick.or(fallback).unwrap_or(tried)
+        let ring = self.ring;
+        let others = || {
+            ring.group_members(op.group as usize)
+                .filter(|&m| m != tried)
         };
+        let detector = self.coords[coord_id].detector.as_ref();
+        let alt = others()
+            .find(|&m| !detector.is_some_and(|d| d.is_evicted(m, now)))
+            .or_else(|| others().next())
+            .unwrap_or(tried);
         self.life.hedges += 1;
         self.coords[coord_id].selector.on_send(alt, now);
         let hedge = self.forward(op_id, alt, false, false, now, engine);
-        let op = &mut self.ops[op_id];
-        op.hedged = true;
-        op.hedge_send = Some(hedge);
+        self.ops[op_id].hedge_send = Some(hedge);
         // `HedgeIssue` IS the duplicate's wire record — no separate `Send`.
         if let Some(rec) = &mut self.recorder {
             rec.record(now, op.issue, TracePoint::HedgeIssue { server: alt as u32 });
         }
     }
 
-    /// A deadline expiry charged to `node` in `coord_id`'s detector;
-    /// counts and traces the eviction it may tip over into.
-    fn note_timeout(&mut self, coord_id: usize, node: usize, now: Nanos) {
-        let detector = &self.coords[coord_id].detector;
-        if detector.as_ref().is_some_and(|d| d.note_timeout(node, now)) {
+    /// Tell `coord_id`'s detector that `node` timed out or — any
+    /// response proves a node alive; write acks and read-repair fan-out
+    /// keep probing evicted nodes, so recovery is observed without
+    /// dedicated probe traffic — responded. Counts and traces the
+    /// eviction or reinstatement that tips; a no-op without a deadline.
+    fn note_detector(&mut self, coord_id: usize, node: usize, timed_out: bool, now: Nanos) {
+        let Some(detector) = &self.coords[coord_id].detector else {
+            return;
+        };
+        let server = node as u32;
+        let point = if timed_out && detector.note_timeout(node, now) {
             self.life.evictions += 1;
-            if let Some(rec) = &mut self.recorder {
-                rec.record(
-                    now,
-                    DETECTOR_OP,
-                    TracePoint::Evict {
-                        server: node as u32,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Any response from `node` proves it alive (write acks and
-    /// read-repair fan-out keep probing evicted nodes, so recovery is
-    /// observed without dedicated probe traffic); counts and traces the
-    /// reinstatement when an eviction was standing.
-    fn note_success(&mut self, coord_id: usize, node: usize, now: Nanos) {
-        let detector = &self.coords[coord_id].detector;
-        if detector.as_ref().is_some_and(|d| d.note_success(node)) {
+            TracePoint::Evict { server }
+        } else if !timed_out && detector.note_success(node) {
             self.life.reinstates += 1;
-            if let Some(rec) = &mut self.recorder {
-                rec.record(
-                    now,
-                    DETECTOR_OP,
-                    TracePoint::Reinstate {
-                        server: node as u32,
-                    },
-                );
-            }
+            TracePoint::Reinstate { server }
+        } else {
+            return;
+        };
+        if let Some(rec) = &mut self.recorder {
+            rec.record(now, DETECTOR_OP, point);
         }
     }
 
-    fn on_spec_check(&mut self, op_id: OpId, now: Nanos, engine: &mut EventQueue<Ev>) {
-        self.ops[op_id].spec_timer = None;
-        let op = self.fired(op_id);
-        if op.completed {
-            // Completion cancels the pending check, so this is a check
-            // whose handle a retry's re-dispatch overwrote; counted so a
-            // regression back to fire-and-filter is visible in results.
-            self.dead_spec_checks += 1;
-            self.release_op(op_id);
-            return;
-        }
-        if op.spec_sent {
-            // Possibly a parked op's last straggling timer.
-            self.release_op(op_id);
-            return;
-        }
-        self.ops[op_id].spec_sent = true;
+    /// The read outlived its coordinator's latency estimate and the op
+    /// elected a speculative duplicate: reissue it to a replica other
+    /// than the one already tried.
+    fn speculate(&mut self, op_id: OpId, now: Nanos, engine: &mut EventQueue<Ev>) {
         self.spec_retries += 1;
-        // Reissue to a replica other than the one already tried.
+        let op = self.ops[op_id];
         let tried = op.primary_node as usize;
         let primary = op.group as usize;
         let alt = self
@@ -1119,8 +1084,8 @@ impl ClusterScenario {
             .unwrap_or(primary);
         let coord_id = op.coord as usize;
         self.coords[coord_id].selector.on_send(alt, now);
-        // Whichever response arrives first completes the op (completion is
-        // tracked per-op), so the duplicate is also allowed to finish it.
+        // Whichever response arrives first completes the op (see
+        // `OpLife::respond`), so the duplicate is also allowed to finish it.
         self.forward(op_id, alt, false, false, now, engine);
         if let Some(rec) = &mut self.recorder {
             rec.record(now, op.issue, TracePoint::Send { server: alt as u32 });
@@ -1225,9 +1190,7 @@ impl ClusterScenario {
         let rtt = now.saturating_sub(send.sent_at);
         let feedback = send.feedback;
 
-        // Any response proves the node alive (a no-op without a deadline:
-        // there is no detector to tell).
-        self.note_success(coord_id, node, now);
+        self.note_detector(coord_id, node, false, now);
 
         // Update the coordinator's selection state (reads only; writes are
         // fan-out sends the selector never chose).
@@ -1280,62 +1243,36 @@ impl ClusterScenario {
             }
         }
 
-        // Completion semantics: reads complete on the primary (or any
-        // speculative duplicate, or the hedged duplicate — first response
-        // wins); writes complete on the first ack. Parked ops are already
-        // charged to their thread and can no longer complete.
-        let completes = if send.is_write {
-            !op.completed
+        // Completion: the op's machine decides which response wins. Every
+        // write ack answers as the primary (writes complete on the first
+        // ack); a read's send is the latest primary, the hedge, or stale.
+        let from = if send.is_write || op.primary_send == Some(send_id) {
+            Attempt::Primary
+        } else if op.hedge_send == Some(send_id) {
+            Attempt::Hedge
         } else {
-            !op.completed
-                && !op.parked
-                && (op.primary_send == Some(send_id)
-                    || op.spec_sent
-                    || op.hedge_send == Some(send_id))
+            Attempt::Stale
         };
-        if completes {
-            let o = &mut self.ops[send.op];
-            o.completed = true;
-            // Timers that can no longer act (speculative-retry check,
-            // deadline or backoff retry, hedge check) are cancelled
-            // instead of surfacing as dead events through the kernel.
-            for timer in [
-                o.spec_timer.take(),
-                o.deadline_timer.take(),
-                o.hedge_timer.take(),
-            ] {
-                o.disarm(timer, engine);
-            }
-            if op.hedge_send == Some(send_id) {
-                self.life.hedge_wins += 1;
-                if let Some(rec) = &mut self.recorder {
-                    rec.record(
-                        now,
-                        op.issue,
-                        TracePoint::HedgeWin {
-                            server: node as u32,
-                        },
-                    );
+        let server = node as u32;
+        let point = match self.ops[send.op].life.respond(from, &mut self.life) {
+            Outcome::Complete { hedge_win } => {
+                // Timers that can no longer act (speculative-retry check,
+                // deadline or backoff retry, hedge check) are cancelled
+                // instead of surfacing as dead events through the kernel.
+                for timer in [LifeTimer::Spec, LifeTimer::Deadline, LifeTimer::Hedge] {
+                    self.ops[send.op].disarm(timer, engine);
                 }
+                engine.schedule_in(self.cfg.net_latency, Ev::ClientReceive { op: send.op });
+                hedge_win.then_some(TracePoint::HedgeWin { server })
             }
-            engine.schedule_in(self.cfg.net_latency, Ev::ClientReceive { op: send.op });
-        } else if op.completed
-            && !send.is_write
-            && op.hedged
-            && (op.primary_send == Some(send_id) || op.hedge_send == Some(send_id))
-        {
             // The losing half of a hedged pair straggling in after the
             // winner: discarded, but traced so the hedge ledger can price
             // the duplicate's flight time.
-            if let Some(rec) = &mut self.recorder {
-                rec.record(
-                    now,
-                    op.issue,
-                    TracePoint::HedgeLoss {
-                        server: node as u32,
-                    },
-                );
-            }
+            Outcome::HedgeLoss => Some(TracePoint::HedgeLoss { server }),
+            Outcome::Late => None,
+        };
+        if let (Some(point), Some(rec)) = (point, &mut self.recorder) {
+            rec.record(now, op.issue, point);
         }
 
         // A response may free rate for the backlogged groups containing
@@ -1378,21 +1315,9 @@ impl ClusterScenario {
             match self.coords[coord_id].selector.select(cand, now) {
                 Selection::Server(node) => {
                     self.record_decision(self.ops[op_id].issue, coord_id, Some(node), cand, now);
-                    let coord = &mut self.coords[coord_id];
-                    coord.front.pop(group_id);
-                    coord.selector.on_send(node, now);
+                    self.coords[coord_id].front.pop(group_id);
                     self.ops[op_id].in_backlog = false;
-                    self.forward(op_id, node, false, true, now, engine);
-                    self.arm_lifecycle(op_id, engine);
-                    let op = self.ops[op_id];
-                    if op.read_repair {
-                        for &n in &group {
-                            if n != node {
-                                self.coords[coord_id].selector.on_send(n, now);
-                                self.forward(op_id, n, false, false, now, engine);
-                            }
-                        }
-                    }
+                    self.send_read(op_id, node, &group, false, now, engine);
                 }
                 Selection::Backpressure { retry_at } => {
                     self.coords[coord_id]
@@ -1431,7 +1356,8 @@ impl ClusterScenario {
     /// once this frees it.
     fn release_op(&mut self, op_id: OpId) {
         let op = &self.ops[op_id];
-        if (op.received || op.parked) && op.open_sends == 0 && op.armed == 0 && !op.in_backlog {
+        let terminal = op.received || op.life.fate() == Fate::Parked;
+        if terminal && op.open_sends == 0 && op.armed == 0 && !op.in_backlog {
             self.ops.remove(op_id);
         }
     }
@@ -1551,11 +1477,8 @@ impl Scenario for ClusterScenario {
             Ev::SnitchTick => self.on_snitch_tick(now, engine),
             Ev::PerturbStart { node, kind } => self.on_perturb_start(node, kind, now, engine),
             Ev::RetryBacklog { coord, group } => self.on_retry(coord, group, now, engine, true),
-            Ev::SpecCheck { op } => self.on_spec_check(op, now, engine),
             Ev::PhaseStart => self.on_phase_start(now, engine),
-            Ev::Deadline { op } => self.on_deadline(op, now, engine),
-            Ev::RetryOp { op } => self.on_retry_op(op, now, engine),
-            Ev::HedgeCheck { op } => self.on_hedge_check(op, now, engine),
+            Ev::Life { op, timer } => self.on_life(op, timer, now, engine),
         }
     }
 
@@ -1886,7 +1809,7 @@ mod tests {
         let res = Cluster::new(cfg).run();
         assert_eq!(
             res.dead_spec_checks, 0,
-            "no SpecCheck may fire after its op completed"
+            "no speculative check may fire after its op completed"
         );
         assert!(
             res.events_cancelled > 0,

@@ -91,7 +91,9 @@ pub use concurrent::{AtomicTracker, SharedC3State, MAX_GROUP};
 pub use config::C3Config;
 pub use ewma::Ewma;
 pub use feedback::Feedback;
-pub use lifecycle::{FailureDetector, LifecycleConfig, LifecycleCounts};
+pub use lifecycle::{
+    Attempt, Expiry, FailureDetector, Fate, LifecycleConfig, LifecycleCounts, OpLife, Outcome,
+};
 pub use rate::{cubic_rate, RateLimiter, RatePhase, RateStats};
 pub use scheduler::{C3State, SendDecision, ServerId};
 pub use score::{queue_size_estimate, score};

@@ -10,12 +10,13 @@
 //! `LiveConfig`, exactly the drift a cross-process config digest cannot
 //! tolerate). The *decisions* live here too, so the simulator's event
 //! handlers and the live client's reaper and reader threads cannot
-//! disagree on them: [`FailureDetector`] (who is suspected, for how
-//! long, and which candidates a selector is offered meanwhile),
-//! [`LifecycleConfig::retry_backoff`] (retry or park, and how long to
-//! wait first) and the [`LifecycleCounts`] ledger both report. The
-//! mechanics — timers against an event queue, or a reaper thread over
-//! correlation tables — stay with each driver.
+//! disagree on them: [`OpLife`] (an op's expiry, retry, hedge and
+//! speculative elections, and which response wins), [`FailureDetector`]
+//! (who is suspected, for how long, and which candidates a selector is
+//! offered meanwhile) and the [`LifecycleCounts`] ledger both report.
+//! The mechanics — *when* to ask (timers against an event queue, or a
+//! reaper sweeping correlation tables), *where* a send goes, records,
+//! permits and traces — stay with each driver.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
 
@@ -86,6 +87,11 @@ impl LifecycleConfig {
             self.retries == 0 || self.deadline.is_some(),
             "retries need a deadline to trigger them; set a deadline"
         );
+        assert!(
+            self.retries <= u32::from(u8::MAX),
+            "retry budget above {} (an op counts its attempts in a byte)",
+            u8::MAX
+        );
         if let Some(h) = self.hedge_after {
             assert!(h > Nanos::ZERO, "hedge delay must be positive");
         }
@@ -151,6 +157,166 @@ pub struct LifecycleCounts {
     pub evictions: u64,
     /// Failure-detector reinstatements (a suspected node responded).
     pub reinstates: u64,
+}
+
+impl LifecycleCounts {
+    /// Assert the conservation laws every run keeps by construction —
+    /// `hedge_wins ≤ hedges` (a win is a hedge that went out) and
+    /// `retries + parked ≤ timeouts` (each follows one counted expiry) —
+    /// panicking with the counts if one breaks.
+    pub fn check(&self) {
+        assert!(
+            self.hedge_wins <= self.hedges && self.retries + self.parked <= self.timeouts,
+            "lifecycle ledger breaks hedge_wins ≤ hedges or retries + parked ≤ timeouts: {self:?}"
+        );
+    }
+}
+
+/// Which send of an op a response answers, as its driver tags it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Attempt {
+    /// The latest selected send (original or retry); every write ack.
+    Primary,
+    /// The hedged duplicate.
+    Hedge,
+    /// Any other send — a superseded primary, a read-repair fan-out, the
+    /// speculative duplicate — which completes the op only once a
+    /// speculative duplicate is out (the first replica to answer wins).
+    Stale,
+}
+
+/// Where an op stands; `Completed` and `Parked` are terminal.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[allow(missing_docs)]
+pub enum Fate {
+    #[default]
+    Open,
+    Completed,
+    Parked,
+}
+
+/// What a deadline expiry asks of the driver ([`OpLife::expire`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Expiry {
+    /// The op is already terminal: nothing to do, nothing counted.
+    Dead,
+    /// Wait this long, then re-dispatch to a different replica.
+    Retry(Nanos),
+    /// The retry budget is spent: this expiry parked the op.
+    Park,
+}
+
+/// What a response means for its op ([`OpLife::respond`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Outcome {
+    /// The first response that can complete the op: it owns the op's
+    /// one sample and release.
+    #[allow(missing_docs)]
+    Complete { hedge_win: bool },
+    /// The losing half of a hedged pair, after the winner.
+    HedgeLoss,
+    /// Anything else: discarded.
+    Late,
+}
+
+/// One operation's fate across all its sends, as a sans-I/O machine:
+/// each transition returns what the driver must do, and books the counts
+/// it decides (`timeouts`, `parked` at an expiry, `hedge_wins`) into the
+/// ledger it is handed. `retries` and `hedges` are counted by the driver
+/// when the send goes out. After a terminal fate every transition
+/// answers `Dead`, `Late` (or `HedgeLoss`) or `false` — save
+/// [`OpLife::elect_speculative`], which still elects for a parked op.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OpLife {
+    attempts: u8,
+    hedged: bool,
+    spec_sent: bool,
+    fate: Fate,
+}
+
+impl OpLife {
+    /// Expiries that retried so far: 0 on the original send.
+    pub fn attempts(self) -> u8 {
+        self.attempts
+    }
+
+    /// Where the op stands.
+    pub fn fate(self) -> Fate {
+        self.fate
+    }
+
+    /// The outstanding primary's deadline expired: count the timeout,
+    /// then retry after [`LifecycleConfig::retry_backoff`]'s wait (the
+    /// only case that draws `jitter`) or park once the budget is spent.
+    pub fn expire(
+        &mut self,
+        cfg: &LifecycleConfig,
+        jitter: impl FnOnce() -> f64,
+        counts: &mut LifecycleCounts,
+    ) -> Expiry {
+        if self.fate != Fate::Open {
+            return Expiry::Dead;
+        }
+        counts.timeouts += 1;
+        if let Some(wait) = cfg.retry_backoff(self.attempts.into(), jitter) {
+            self.attempts += 1;
+            return Expiry::Retry(wait);
+        }
+        counts.parked += 1;
+        self.fate = Fate::Parked;
+        Expiry::Park
+    }
+
+    /// Whether a retry whose backoff ended still goes out.
+    pub fn retry_due(self) -> bool {
+        self.fate == Fate::Open
+    }
+
+    /// Elect a hedge: at most one per open op, unless handed back.
+    pub fn elect_hedge(&mut self) -> bool {
+        let elected = self.fate == Fate::Open && !self.hedged;
+        self.hedged |= elected;
+        elected
+    }
+
+    /// The elected hedge could not be sent: a later check may elect one.
+    pub fn hedge_refused(&mut self) {
+        self.hedged = false;
+    }
+
+    /// Elect a speculative duplicate: at most one per op, never for a
+    /// completed op.
+    pub fn elect_speculative(&mut self) -> bool {
+        let elected = self.fate != Fate::Completed && !self.spec_sent;
+        self.spec_sent |= elected;
+        elected
+    }
+
+    /// A response to the `from` send arrived: first response wins.
+    pub fn respond(&mut self, from: Attempt, counts: &mut LifecycleCounts) -> Outcome {
+        let paired = from != Attempt::Stale;
+        match self.fate {
+            Fate::Open if paired || self.spec_sent => {
+                self.fate = Fate::Completed;
+                let hedge_win = from == Attempt::Hedge;
+                counts.hedge_wins += u64::from(hedge_win);
+                Outcome::Complete { hedge_win }
+            }
+            Fate::Completed if paired && self.hedged => Outcome::HedgeLoss,
+            _ => Outcome::Late,
+        }
+    }
+
+    /// Abandon the op outside an expiry (the live client's teardown,
+    /// dead-connection and failed-resend reaps): `true` for the one
+    /// caller that made it terminal, which owns the op's release.
+    pub fn park(&mut self) -> bool {
+        let open = self.fate == Fate::Open;
+        if open {
+            self.fate = Fate::Parked;
+        }
+        open
+    }
 }
 
 /// The consecutive-timeout failure detector of one client (a cluster

@@ -28,11 +28,10 @@
 //!   correlation check — and, budget permitting, re-issued to a
 //!   *different* replica with exponential backoff and jitter. Reads
 //!   still unanswered after `hedge_after` get a duplicate on a second
-//!   replica; whichever response arrives first owns the sample. Who is
-//!   suspected, which candidates selection is offered meanwhile and how
-//!   long a retry backs off are `c3_core`'s one lifecycle policy
-//!   ([`FailureDetector`], [`c3_core::LifecycleConfig::retry_backoff`]), shared
-//!   with the cluster simulator; without a deadline none of it runs.
+//!   replica; whichever response arrives first owns the sample. Each
+//!   decision is the op's [`OpLife`] or the [`FailureDetector`]'s —
+//!   `c3_core`'s one lifecycle policy, shared with the cluster simulator;
+//!   without a deadline none of it runs.
 //! - **Selector state**: C3-family strategies run on
 //!   [`SharedC3State`] — the packed EWMA tracker fields and outstanding
 //!   counts are atomics, so issuers read scores and readers fold
@@ -44,11 +43,12 @@
 //!   snitch's configured cadence.
 //!
 //! Permit accounting is per *operation*, not per wire attempt: retries
-//! and hedges share the original's [`OpToken`], and whoever flips its
-//! `done` flag first — a response, a park, a teardown sweep — owns the
-//! op's single sample and single permit release. Every path a request
-//! can leave a table without a response funnels through [`reap_send`];
-//! `execute` asserts at teardown that the budget came back whole.
+//! and hedges share the original's `Mutex<OpLife>`, and whoever makes it
+//! terminal — a response, an expiry that parks, a sweep that wins
+//! [`OpLife::park`] — owns the op's single sample or permit release.
+//! Every path a request can leave a table without a response funnels
+//! through [`reap_send`]; `execute` asserts at teardown that the budget
+//! came back whole and the ledger balances ([`LifecycleCounts::check`]).
 //!
 //! On `Backpressure` an issuer sleeps until the returned token time and
 //! retries, and the waiting time lands in the recorded latency. That is
@@ -67,14 +67,14 @@
 use std::collections::HashSet;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
 use c3_cluster::FaultKind;
 use c3_core::{
-    FailureDetector, LifecycleCounts, Nanos, RateStats, ResponseInfo, Selection, Selector,
-    SharedC3State, SnitchConfig, WallClock,
+    Attempt, Expiry, FailureDetector, LifecycleCounts, Nanos, OpLife, Outcome, RateStats,
+    ResponseInfo, Selection, Selector, SharedC3State, SnitchConfig, WallClock,
 };
 use c3_engine::SeedSeq;
 use c3_metrics::LogHistogram;
@@ -252,17 +252,6 @@ pub(crate) struct ClientArtifacts {
     pub recorder: Recorder,
 }
 
-/// The shared fate of one operation across all its wire attempts.
-#[derive(Debug, Default)]
-struct OpToken {
-    /// Whoever swaps this to `true` owns the op's single sample and
-    /// single permit release; everyone after is a late arrival.
-    done: AtomicBool,
-    /// At most one hedge per op; rolled back when the hedge could not be
-    /// put on the wire (backpressure) so a later tick can try again.
-    hedged: AtomicBool,
-}
-
 /// Per-request bookkeeping parked in the correlation table between issue
 /// and completion. One entry per *wire attempt*: retries and hedges get
 /// fresh entries under fresh wire ids, all pointing at the same op.
@@ -285,28 +274,17 @@ struct Pending {
     /// Workload key, kept so retries and hedges can re-derive the
     /// replica group and re-encode the request.
     key: u64,
-    /// 0 = the original issue; each retry increments.
-    attempt: u32,
-    /// A hedge duplicate: never retried itself, never counted as the
-    /// op's timeout — the original attempt owns the op's lifecycle.
-    is_hedge: bool,
-    /// The op this wire attempt belongs to.
-    op: Arc<OpToken>,
+    /// The original or a retry, or the hedge — never retried, its expiry
+    /// no timeout of the op: the primary owns the op's lifecycle.
+    attempt: Attempt,
+    /// The fate of the op, shared by all its wire attempts.
+    op: Arc<Mutex<OpLife>>,
 }
 
-/// A fresh wire attempt of the same op.
-fn reissue(p: &Pending, target: usize, sent_at: Nanos, attempt: u32, is_hedge: bool) -> Pending {
-    Pending {
-        measured: p.measured,
-        is_read: p.is_read,
-        created: p.created,
-        sent_at,
-        replica: target,
-        shard: p.shard,
-        key: p.key,
-        attempt,
-        is_hedge,
-        op: Arc::clone(&p.op),
+impl Pending {
+    /// The op's machine, locked; no other lock is taken while it is held.
+    fn life(&self) -> MutexGuard<'_, OpLife> {
+        self.op.lock().expect("op poisoned")
     }
 }
 
@@ -314,17 +292,18 @@ fn reissue(p: &Pending, target: usize, sent_at: Nanos, attempt: u32, is_hedge: b
 /// A response for a tombstoned id is a late arrival to discard — the
 /// request was already reaped, retried, or outraced by its hedge — not
 /// the correlation bug the `UnknownId` check exists to catch.
+#[derive(Default)]
 struct TableState {
     live: CorrelationTable<Pending>,
     reaped: HashSet<u64>,
 }
 
 impl TableState {
-    fn new() -> Self {
-        Self {
-            live: CorrelationTable::new(),
-            reaped: HashSet::new(),
-        }
+    /// Take the entries `pick` selects off the table, tombstoning them.
+    fn reap(&mut self, pick: impl FnMut(&Pending) -> bool) -> Vec<(u64, Pending)> {
+        let entries = self.live.take_matching(pick);
+        self.reaped.extend(entries.iter().map(|&(id, _)| id));
+        entries
     }
 }
 
@@ -528,10 +507,8 @@ fn build_selector(cfg: &LiveConfig) -> LiveSelector {
 struct ReaderOut {
     samples: SampleRun,
     feedback_lag: HealthGauge,
-    /// Ops whose hedge answered before the original.
-    hedge_wins: u64,
-    /// Responses that lifted a standing eviction.
-    reinstates: u64,
+    /// The readers' share of the lifecycle ledger: hedge wins, reinstates.
+    life: LifecycleCounts,
     /// Redials after a mid-run connection death.
     reconnects: u64,
 }
@@ -540,8 +517,9 @@ struct ReaderOut {
 /// response funnels through here — deadline sweeps, dead-connection
 /// reaps, failed re-sends, and the end-of-run straggler sweep alike.
 /// Abandons the read's selector slot; unless the permit is being kept
-/// (a retry inherits it), races the op token for the single release.
-/// Returns whether this call became the op's owner.
+/// (a retry inherits it, or an expiry already decided the op's fate),
+/// races for [`OpLife::park`] and the single release. Returns whether
+/// this call became the op's owner.
 fn reap_send(
     p: &Pending,
     selector: &LiveSelector,
@@ -555,7 +533,7 @@ fn reap_send(
     if keep_permit {
         return false;
     }
-    let owner = !p.op.done.swap(true, Ordering::AcqRel);
+    let owner = p.life().park();
     if owner {
         budget.release();
     }
@@ -566,16 +544,54 @@ fn reap_send(
 /// [`reap_send`], tombstoning the ids so responses that straggle in
 /// after a redial are discarded instead of failing correlation.
 fn reap_connection(table: &Table, selector: &LiveSelector, budget: &InFlightBudget, now: Nanos) {
-    let entries = {
-        let mut t = table.lock().expect("table poisoned");
-        let entries = t.live.drain_entries();
-        for (id, _) in &entries {
-            t.reaped.insert(*id);
-        }
-        entries
-    };
+    let entries = table.lock().expect("table poisoned").reap(|_| true);
     for (_, p) in entries {
         reap_send(&p, selector, budget, now, false);
+    }
+}
+
+/// The issue side's handle on the wire, cloned into every issuing thread
+/// (the issuers and the reaper): the correlation tables and supervisor
+/// channels per replica and connection — each holder owns its sender
+/// clones, so the supervisors see the issue side close once the last one
+/// exits — and the selector and budget a failed send hands back to.
+#[derive(Clone)]
+struct Wire {
+    tables: Arc<Vec<Vec<Table>>>,
+    senders: Vec<Vec<mpsc::Sender<Request>>>,
+    selector: Arc<LiveSelector>,
+    budget: Arc<InFlightBudget>,
+    /// The PUT payload.
+    value: Bytes,
+}
+
+impl Wire {
+    /// Register a wire attempt under `id` on connection `id % connections`
+    /// of its replica and hand its frame to that supervisor. If it is gone,
+    /// the registration is reclaimed — when still ours: a dying supervisor
+    /// reaps its table, and whoever removes the entry owns its reap — and
+    /// reaped; `Err` carries whether that made the op terminal.
+    fn send(&self, id: u64, p: Pending, keep_permit: bool, now: Nanos) -> Result<(), bool> {
+        let key = encode_key(p.key);
+        let request = if p.is_read {
+            Request::Get { id, key }
+        } else {
+            let value = self.value.clone();
+            Request::Put { id, key, value }
+        };
+        let conn = id as usize % self.senders[p.replica].len();
+        let (table, sender) = (
+            &self.tables[p.replica][conn],
+            &self.senders[p.replica][conn],
+        );
+        (table.lock().expect("table poisoned").live)
+            .register(id, p)
+            .expect("wire ids are unique");
+        if sender.send(request).is_ok() {
+            return Ok(());
+        }
+        let reclaimed = table.lock().expect("table poisoned").live.complete(id);
+        Err(reclaimed.is_ok_and(|p| reap_send(&p, &self.selector, &self.budget, now, keep_permit)))
     }
 }
 
@@ -616,6 +632,7 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
 
     let selector = Arc::new(build_selector(cfg));
     let is_ds = selector.is_ds();
+    let budget = Arc::new(InFlightBudget::new(cfg.in_flight));
     // The detector exists only with a deadline; so does the reaper, the
     // one thread that can charge it a timeout.
     let detector = cfg.lifecycle.detector(cfg.replicas).map(Arc::new);
@@ -625,18 +642,13 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
 
     let issued = Arc::new(AtomicU64::new(0));
     let stop = Arc::new(AtomicBool::new(false));
-    let budget = Arc::new(InFlightBudget::new(cfg.in_flight));
     let key_template = ScrambledZipfian::new(cfg.keys, cfg.keys, cfg.zipf_theta);
 
     // One correlation table + supervisor thread per connection,
     // `cfg.connections` connections per replica.
     let tables: Arc<Vec<Vec<Table>>> = Arc::new(
         (0..cfg.replicas)
-            .map(|_| {
-                (0..cfg.connections)
-                    .map(|_| Mutex::new(TableState::new()))
-                    .collect()
-            })
+            .map(|_| (0..cfg.connections).map(|_| Mutex::default()).collect())
             .collect(),
     );
     let mut senders: Vec<Vec<mpsc::Sender<Request>>> = Vec::with_capacity(cfg.replicas);
@@ -676,28 +688,25 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
         }
         senders.push(replica_senders);
     }
+    let mut wire = Wire {
+        tables,
+        senders,
+        selector,
+        budget,
+        value: Bytes::from(vec![0x5Au8; cfg.value_bytes as usize]),
+    };
 
     // The reaper enforces the lifecycle: deadline sweep, retry queue,
-    // hedging pass. It holds its own sender clones for re-issues; they
-    // drop when it exits at teardown.
+    // hedging pass. Its sender clones drop when it exits at teardown.
     let reaper = detector.clone().map(|detector| {
-        let cfg = cfg.clone();
-        let tables = Arc::clone(&tables);
-        let senders = senders.clone();
-        let selector = Arc::clone(&selector);
-        let budget = Arc::clone(&budget);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            reaper_loop(
-                &cfg, clock, &tables, &senders, &selector, &budget, &detector, &stop,
-            )
-        })
+        let (cfg, wire, stop) = (cfg.clone(), wire.clone(), Arc::clone(&stop));
+        std::thread::spawn(move || reaper_loop(&cfg, clock, &wire, &detector, &stop))
     });
 
     // Dynamic Snitching gets its periodic recompute from a ticker thread
     // (the cluster delivers the same through gossip/snitch tick events).
     let ticker = is_ds.then(|| {
-        let selector = Arc::clone(&selector);
+        let selector = Arc::clone(&wire.selector);
         let stop = Arc::clone(&stop);
         let interval = SnitchConfig::default().update_interval;
         std::thread::spawn(move || {
@@ -720,27 +729,10 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
 
     let issuers: Vec<_> = (0..cfg.threads)
         .map(|w| {
-            let cfg = cfg.clone();
-            let selector = Arc::clone(&selector);
-            let tables = Arc::clone(&tables);
-            let senders = senders.clone();
-            let issued = Arc::clone(&issued);
-            let budget = Arc::clone(&budget);
-            let detector = detector.clone();
-            let keys = key_template.clone();
+            let (cfg, wire, issued) = (cfg.clone(), wire.clone(), Arc::clone(&issued));
+            let (detector, keys) = (detector.clone(), key_template.clone());
             std::thread::spawn(move || {
-                issuer_loop(
-                    w,
-                    &cfg,
-                    clock,
-                    &selector,
-                    &tables,
-                    &senders,
-                    &issued,
-                    &budget,
-                    detector.as_deref(),
-                    keys,
-                )
+                issuer_loop(w, &cfg, clock, &wire, &issued, detector.as_deref(), keys)
             })
         })
         .collect();
@@ -760,8 +752,8 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
     // everyone. The reaper goes first (flushing its retry queue as
     // parks); its sender clones drop with it, so the supervisors' write
     // loops see disconnect and finish their drain.
-    drop(senders);
-    let _ = budget.drained_within(Duration::from_secs(3));
+    wire.senders.clear();
+    let _ = wire.budget.drained_within(Duration::from_secs(3));
     stop.store(true, Ordering::Release);
     let mut lifecycle = match reaper {
         Some(r) => r.join().expect("reaper panicked"),
@@ -776,8 +768,8 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
             Ok(out) => {
                 samples.push(out.samples);
                 feedback_lag.merge(out.feedback_lag);
-                lifecycle.hedge_wins += out.hedge_wins;
-                lifecycle.reinstates += out.reinstates;
+                lifecycle.hedge_wins += out.life.hedge_wins;
+                lifecycle.reinstates += out.life.reinstates;
                 reconnects += out.reconnects;
             }
             Err(e) => supervisor_err = supervisor_err.or(Some(e)),
@@ -786,9 +778,9 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
     // Supervisors reap their own tables on exit; what's left here are
     // entries registered in the race window after a supervisor was
     // already gone. Their permits come back like any other straggler's.
-    for replica_tables in tables.iter() {
+    for replica_tables in wire.tables.iter() {
         for table in replica_tables {
-            reap_connection(table, &selector, &budget, clock.now());
+            reap_connection(table, &wire.selector, &wire.budget, clock.now());
         }
     }
     if let Some(t) = ticker {
@@ -804,17 +796,18 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
         return Err(e);
     }
     // The leak invariant: every permit funneled back through a response
-    // or reap_send. A shortfall means a correlation entry or op token
-    // got lost — fail loudly rather than ship corrupt accounting.
+    // or reap_send. A shortfall means a correlation entry or op got
+    // lost — fail loudly rather than ship corrupt accounting.
     assert_eq!(
-        budget.in_flight(),
+        wire.budget.in_flight(),
         0,
         "in-flight permits leaked at teardown"
     );
+    lifecycle.check();
 
     occupancy.series.sort_unstable_by_key(|&(at, _)| at);
     feedback_lag.series.sort_unstable_by_key(|&(at, _)| at);
-    let selector = Arc::try_unwrap(selector)
+    let selector = Arc::try_unwrap(wire.selector)
         .map_err(|_| "selector still shared")
         .expect("all workers joined");
     let parts = selector.into_artifact_parts();
@@ -843,26 +836,21 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
 
 /// One issuer: pace (Poisson intended arrivals under open loop), take an
 /// in-flight permit, select (or wait out backpressure) among the
-/// detector's candidates, register in the correlation table, hand the
-/// frame to the connection's supervisor — never blocking on any
-/// individual response.
-#[allow(clippy::too_many_arguments)]
+/// detector's candidates, put the request on the wire — never blocking
+/// on any individual response.
 fn issuer_loop(
     w: usize,
     cfg: &LiveConfig,
     clock: WallClock,
-    selector: &LiveSelector,
-    tables: &[Vec<Table>],
-    senders: &[Vec<mpsc::Sender<Request>>],
+    wire: &Wire,
     issued: &AtomicU64,
-    budget: &InFlightBudget,
     detector: Option<&FailureDetector>,
     keys: ScrambledZipfian,
 ) -> io::Result<HealthGauge> {
+    let (selector, budget) = (&*wire.selector, &*wire.budget);
     let deadline: Nanos = Nanos::from(cfg.run_for);
     let wall_deadline = Instant::now() + cfg.run_for.saturating_sub(clock.now().into());
     let mut rng = SmallRng::seed_from_u64(SeedSeq::new(cfg.seed).thread_seed(w as u64));
-    let value = Bytes::from(vec![0x5Au8; cfg.value_bytes as usize]);
 
     // Quasi-open loop: this issuer's own Poisson arrival schedule. The
     // intended arrival time is the latency epoch, so lag a slow fleet
@@ -928,51 +916,18 @@ fn issuer_loop(
             group[0]
         };
 
-        let request = if is_read {
-            Request::Get {
-                id,
-                key: encode_key(key),
-            }
-        } else {
-            Request::Put {
-                id,
-                key: encode_key(key),
-                value: value.clone(),
-            }
-        };
-        let conn = (id as usize) % cfg.connections;
-        let sent_at = clock.now();
         let pending = Pending {
             measured: issue_index >= cfg.warmup_ops,
             is_read,
             created,
-            sent_at,
+            sent_at: clock.now(),
             replica: target,
             shard,
             key,
-            attempt: 0,
-            is_hedge: false,
-            op: Arc::new(OpToken::default()),
+            attempt: Attempt::Primary,
+            op: Arc::default(),
         };
-        tables[target][conn]
-            .lock()
-            .expect("table poisoned")
-            .live
-            .register(id, pending.clone())
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        if senders[target][conn].send(request).is_err() {
-            // Reclaim our registration — but only if it is still ours. A
-            // dying supervisor reaps its table as it exits; whoever
-            // removes the entry first owns its reap.
-            let reclaimed = tables[target][conn]
-                .lock()
-                .expect("table poisoned")
-                .live
-                .complete(id)
-                .is_ok();
-            if reclaimed {
-                reap_send(&pending, selector, budget, clock.now(), false);
-            }
+        if wire.send(id, pending, false, clock.now()).is_err() {
             return Err(io::Error::new(
                 io::ErrorKind::BrokenPipe,
                 "connection supervisor gone mid-run",
@@ -1014,78 +969,35 @@ fn select_read_target(
     }
 }
 
-/// A reaped wire attempt waiting out its backoff before re-issue.
-struct RetryItem {
-    due: Nanos,
-    pending: Pending,
-}
-
 /// The lifecycle reaper: every millisecond, sweep expired requests out
 /// of the correlation tables (tombstoning their ids) and charge them to
 /// the failure detector, queue retries behind their backoff, and issue
 /// hedge duplicates for slow reads. Runs only when a deadline is
 /// configured; returns its share of the lifecycle ledger.
-#[allow(clippy::too_many_arguments)]
 fn reaper_loop(
     cfg: &LiveConfig,
     clock: WallClock,
-    tables: &[Vec<Table>],
-    senders: &[Vec<mpsc::Sender<Request>>],
-    selector: &LiveSelector,
-    budget: &InFlightBudget,
+    wire: &Wire,
     detector: &FailureDetector,
     stop: &AtomicBool,
 ) -> LifecycleCounts {
+    let (tables, selector, budget) = (&*wire.tables, &*wire.selector, &*wire.budget);
     let deadline: Nanos = cfg
         .lifecycle
         .deadline
         .expect("reaper runs only with a deadline");
     let hedge_after: Option<Nanos> = cfg.lifecycle.hedge_after;
-    let value = Bytes::from(vec![0x5Au8; cfg.value_bytes as usize]);
     let mut rng = SmallRng::seed_from_u64(SeedSeq::new(cfg.seed).thread_seed(u64::from(u16::MAX)));
-    let mut queue: Vec<RetryItem> = Vec::new();
+    // Reaped primaries waiting out their backoff: (due, attempt).
+    let mut queue: Vec<(Nanos, Pending)> = Vec::new();
     let mut counts = LifecycleCounts::default();
     let mut scratch = Vec::new();
     // Wire ids disjoint from every issuer's block (those start below
     // `threads << 48`).
     let mut next_id = (cfg.threads as u64) << 48;
-
-    // Register and send one re-issued wire attempt; on a failed send
-    // (its supervisor exited) the registration is reclaimed and the
-    // attempt reaped (`Err(parked)`: whether that abandoned the op).
     let mut put_on_wire = |p: Pending, keep_permit_on_fail: bool, now: Nanos| {
         next_id += 1;
-        let id = next_id;
-        let request = if p.is_read {
-            Request::Get {
-                id,
-                key: encode_key(p.key),
-            }
-        } else {
-            Request::Put {
-                id,
-                key: encode_key(p.key),
-                value: value.clone(),
-            }
-        };
-        let conn = (id as usize) % cfg.connections;
-        let table = &tables[p.replica][conn];
-        table
-            .lock()
-            .expect("table poisoned")
-            .live
-            .register(id, p.clone())
-            .expect("reaper ids are unique");
-        if senders[p.replica][conn].send(request).is_err() {
-            let reclaimed = table
-                .lock()
-                .expect("table poisoned")
-                .live
-                .complete(id)
-                .is_ok();
-            return Err(reclaimed && reap_send(&p, selector, budget, now, keep_permit_on_fail));
-        }
-        Ok(())
+        wire.send(next_id, p, keep_permit_on_fail, now)
     };
 
     while !stop.load(Ordering::Acquire) {
@@ -1093,55 +1005,48 @@ fn reaper_loop(
         let now = clock.now();
 
         // 1. Deadline sweep: reap everything sent longer than `deadline`
-        // ago. A reaped original either retries (keeping the op's
-        // permit) or parks; a reaped hedge twin just frees its selector
-        // slot — the original owns the op's lifecycle.
+        // ago, freeing its selector slot. A reaped primary's expiry
+        // retries (the op keeps its permit) or parks (this sweep made it
+        // terminal, so it releases the permit); a hedge twin's is no
+        // expiry of the op — the primary owns the op's lifecycle.
         let cutoff = now.saturating_sub(deadline);
         for replica_tables in tables {
             for table in replica_tables {
-                let expired = {
-                    let mut t = table.lock().expect("table poisoned");
-                    let expired = t.live.take_matching(|p| p.sent_at <= cutoff);
-                    for (id, _) in &expired {
-                        t.reaped.insert(*id);
-                    }
-                    expired
-                };
+                let mut t = table.lock().expect("table poisoned");
+                let expired = t.reap(|p| p.sent_at <= cutoff);
+                drop(t);
                 for (_, p) in expired {
-                    if p.op.done.load(Ordering::Acquire) || p.is_hedge {
-                        reap_send(&p, selector, budget, now, true);
+                    reap_send(&p, selector, budget, now, true);
+                    if p.attempt == Attempt::Hedge {
                         continue;
                     }
-                    counts.timeouts += 1;
-                    counts.evictions += u64::from(detector.note_timeout(p.replica, now));
-                    let backoff = cfg
-                        .lifecycle
-                        .retry_backoff(p.attempt, || rng.gen_range(0.5..1.5));
-                    match backoff {
-                        Some(wait) => {
-                            reap_send(&p, selector, budget, now, true);
-                            queue.push(RetryItem {
-                                due: now + wait,
-                                pending: p,
-                            });
-                        }
-                        None => {
-                            counts.parked += u64::from(reap_send(&p, selector, budget, now, false));
-                        }
+                    let jitter = || rng.gen_range(0.5..1.5);
+                    let expiry = p.life().expire(&cfg.lifecycle, jitter, &mut counts);
+                    let expired = expiry != Expiry::Dead;
+                    counts.evictions += u64::from(expired && detector.note_timeout(p.replica, now));
+                    match expiry {
+                        Expiry::Retry(wait) => queue.push((now + wait, p)),
+                        Expiry::Park => budget.release(),
+                        Expiry::Dead => {}
                     }
                 }
             }
         }
 
-        // 2. Due retries: re-select among the detector's candidates,
-        // steering away from the replica that just timed out.
+        // 2. Due retries of ops still open (a late response, or the
+        // hedge, may have answered meanwhile): re-select among the
+        // detector's candidates, steering away from the replica that
+        // just timed out.
         let mut i = 0;
         while i < queue.len() {
-            if queue[i].due > now {
+            if queue[i].0 > now {
                 i += 1;
                 continue;
             }
-            let RetryItem { pending: p, .. } = queue.swap_remove(i);
+            let (_, p) = queue.swap_remove(i);
+            if !p.life().retry_due() {
+                continue;
+            }
             let target = if p.is_read {
                 let group = cfg.group_of(p.key);
                 let candidates = detector.candidates(&group, Some(p.replica), now, &mut scratch);
@@ -1149,10 +1054,7 @@ fn reaper_loop(
                     Selection::Server(s) => s,
                     Selection::Backpressure { .. } => {
                         // Everyone is full: try again next tick.
-                        queue.push(RetryItem {
-                            due: now + Nanos::from_millis(1),
-                            pending: p,
-                        });
+                        queue.push((now + Nanos::from_millis(1), p));
                         continue;
                     }
                 }
@@ -1160,7 +1062,11 @@ fn reaper_loop(
                 // Writes re-target their primary.
                 p.shard
             };
-            let np = reissue(&p, target, clock.now(), p.attempt + 1, false);
+            let np = Pending {
+                sent_at: clock.now(),
+                replica: target,
+                ..p
+            };
             // Counted when it goes out, as the simulator does: a retry
             // still queued at teardown is a park, not both.
             match put_on_wire(np, false, now) {
@@ -1170,8 +1076,8 @@ fn reaper_loop(
         }
 
         // 3. Hedging: reads past `hedge_after` with no response yet get
-        // one duplicate on a different replica; the `hedged` flag swap
-        // elects one hedge per op, rolled back when it cannot issue.
+        // one duplicate on a different replica; the op elects at most one
+        // hedge, handed back when the limiter refuses it.
         if let Some(hedge_after) = hedge_after {
             let hedge_cutoff = now.saturating_sub(hedge_after);
             let mut to_hedge: Vec<Pending> = Vec::new();
@@ -1180,10 +1086,9 @@ fn reaper_loop(
                     let t = table.lock().expect("table poisoned");
                     for (_, p) in t.live.iter() {
                         if p.is_read
-                            && !p.is_hedge
+                            && p.attempt == Attempt::Primary
                             && p.sent_at <= hedge_cutoff
-                            && !p.op.done.load(Ordering::Acquire)
-                            && !p.op.hedged.swap(true, Ordering::AcqRel)
+                            && p.life().elect_hedge()
                         {
                             to_hedge.push(p.clone());
                         }
@@ -1195,15 +1100,19 @@ fn reaper_loop(
                 let candidates = detector.candidates(&group, Some(p.replica), now, &mut scratch);
                 match selector.try_select(candidates, p.shard, now) {
                     Selection::Server(s) => {
-                        let hp = reissue(&p, s, clock.now(), p.attempt, true);
-                        match put_on_wire(hp, true, now) {
-                            Ok(()) => counts.hedges += 1,
-                            Err(parked) => counts.parked += u64::from(parked),
+                        // A hedge keeps the op's permit even when its send
+                        // fails: the primary still holds the op.
+                        let hp = Pending {
+                            sent_at: clock.now(),
+                            replica: s,
+                            attempt: Attempt::Hedge,
+                            ..p
+                        };
+                        if put_on_wire(hp, true, now).is_ok() {
+                            counts.hedges += 1;
                         }
                     }
-                    Selection::Backpressure { .. } => {
-                        p.op.hedged.store(false, Ordering::Release);
-                    }
+                    Selection::Backpressure { .. } => p.life().hedge_refused(),
                 }
             }
         }
@@ -1212,8 +1121,8 @@ fn reaper_loop(
     // Teardown: queued retries hold permits with no table entry left —
     // park them so the budget drains whole.
     let now = clock.now();
-    for item in queue {
-        counts.parked += u64::from(reap_send(&item.pending, selector, budget, now, false));
+    for (_, p) in queue {
+        counts.parked += u64::from(reap_send(&p, selector, budget, now, false));
     }
     counts
 }
@@ -1248,15 +1157,32 @@ fn connection_loop(
         if stop.load(Ordering::Acquire) {
             break;
         }
-        let stream = match std::net::TcpStream::connect(addr) {
-            Ok(s) => s,
-            Err(e) => {
-                if !faults_expected {
-                    reap_connection(table, selector, budget, clock.now());
-                    return Err(e);
+        // Remote nodes announce themselves before anything else; verify
+        // identity and config digest before a single request goes out.
+        // Response bytes that followed the hello stay in `buf` for the
+        // reader.
+        let mut buf = BytesMut::new();
+        let dialed = std::net::TcpStream::connect(addr).and_then(|stream| {
+            stream.set_nodelay(true)?;
+            stream.set_read_timeout(Some(READ_POLL))?;
+            match expect_hello {
+                Some(expected) if !await_hello(&stream, &mut buf, expected, stop)? => {
+                    Err(io::Error::new(
+                        io::ErrorKind::ConnectionAborted,
+                        "node died before its hello",
+                    ))
                 }
-                // The replica's fault window rejects dials: back off and
-                // keep trying — it restarts on script.
+                _ => Ok(stream),
+            }
+        });
+        let stream = match dialed {
+            Ok(stream) => stream,
+            // A dial the replica's fault window rejects, or a connection
+            // that dies before its hello, is severed like any other: back
+            // off and keep trying — the replica restarts on script. A
+            // *wrong* hello (`InvalidData`) aborts the run, as does any
+            // failure no fault window explains.
+            Err(e) if faults_expected && e.kind() != io::ErrorKind::InvalidData => {
                 if !hardened {
                     reap_connection(table, selector, budget, clock.now());
                 }
@@ -1264,39 +1190,11 @@ fn connection_loop(
                 redial = (redial * 2).min(Duration::from_millis(50));
                 continue;
             }
-        };
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(READ_POLL))?;
-        // Remote nodes announce themselves before anything else; verify
-        // identity and config digest before a single request goes out.
-        // Response bytes that followed the hello stay in `buf` for the
-        // reader. A connection that dies before its hello is a severed
-        // connection like any other; a *wrong* hello aborts the run.
-        let mut buf = BytesMut::new();
-        if let Some(expected) = expect_hello {
-            match await_hello(&stream, &mut buf, expected, stop) {
-                Ok(true) => {}
-                Ok(false) => {
-                    if !faults_expected {
-                        reap_connection(table, selector, budget, clock.now());
-                        return Err(io::Error::new(
-                            io::ErrorKind::ConnectionAborted,
-                            "node died before its hello",
-                        ));
-                    }
-                    if !hardened {
-                        reap_connection(table, selector, budget, clock.now());
-                    }
-                    std::thread::sleep(redial);
-                    redial = (redial * 2).min(Duration::from_millis(50));
-                    continue;
-                }
-                Err(e) => {
-                    reap_connection(table, selector, budget, clock.now());
-                    return Err(e);
-                }
+            Err(e) => {
+                reap_connection(table, selector, budget, clock.now());
+                return Err(e);
             }
-        }
+        };
         redial = Duration::from_millis(2);
         let conn_dead = AtomicBool::new(false);
         let read_res = std::thread::scope(|s| {
@@ -1338,27 +1236,23 @@ fn connection_loop(
             reap_connection(table, selector, budget, clock.now());
             return Err(e);
         }
-        if stop.load(Ordering::Acquire) {
+        if stop.load(Ordering::Acquire) || !conn_dead.load(Ordering::Acquire) {
+            // Stopping, or the writer saw disconnect and the reader came
+            // home clean: teardown.
             break;
         }
-        if conn_dead.load(Ordering::Acquire) {
-            out.reconnects += 1;
-            if !hardened {
-                // No reaper to sweep a dead connection's entries: reap
-                // them now through the same path deadlines use.
-                reap_connection(table, selector, budget, clock.now());
-            }
-            if !faults_expected {
-                // An unscripted death with nobody watching: release
-                // everything and end this connection — the old
-                // single-dial semantics.
-                reap_connection(table, selector, budget, clock.now());
-                break;
-            }
-            continue;
+        out.reconnects += 1;
+        if !hardened {
+            // No reaper to sweep a dead connection's entries: reap them
+            // now through the same path deadlines use.
+            reap_connection(table, selector, budget, clock.now());
         }
-        // Writer saw disconnect and the reader came home clean: teardown.
-        break;
+        if !faults_expected {
+            // An unscripted death with nobody watching: end this
+            // connection, releasing everything below — the old
+            // single-dial semantics.
+            break;
+        }
     }
     reap_connection(table, selector, budget, clock.now());
     Ok(out)
@@ -1423,8 +1317,9 @@ fn await_hello(
 
 /// The frame-decoding half of one connection: complete each response
 /// through the correlation table — discarding late arrivals for reaped
-/// (tombstoned) attempts — feed the selector, and let the op token
-/// decide whether this response owns the sample and the permit.
+/// (tombstoned) attempts — feed the selector, and let the op's
+/// [`OpLife`] decide whether this response owns the sample and the
+/// permit.
 ///
 /// Exits clean on stop or EOF (flagging the connection dead so the
 /// writer half stops too); returns an error only for protocol
@@ -1500,7 +1395,7 @@ fn read_responses(
         let now = clock.now();
         // Any response proves the replica alive (hardened runs only).
         if detector.is_some_and(|d| d.note_success(entry.replica)) {
-            out.reinstates += 1;
+            out.life.reinstates += 1;
         }
         if entry.is_read {
             let info = ResponseInfo {
@@ -1512,12 +1407,12 @@ fn read_responses(
             out.feedback_lag
                 .record(updated, updated.saturating_sub(now).as_nanos());
         }
-        // The op token race: only the first responder (across the
-        // original, its retries, and its hedge) samples and releases.
-        // Losers still fed the selector above — their on_send slots need
-        // the matching on_response either way.
-        if !entry.op.done.swap(true, Ordering::AcqRel) {
-            out.hedge_wins += u64::from(entry.is_hedge);
+        // The op decides: only the first responder (across the original,
+        // its retries, and its hedge) samples and releases. Losers still
+        // fed the selector above — their on_send slots need the matching
+        // on_response either way.
+        let outcome = entry.life().respond(entry.attempt, &mut out.life);
+        if let Outcome::Complete { .. } = outcome {
             out.samples.push(Sample {
                 completed_at: now,
                 latency: now.saturating_sub(entry.created),
@@ -1545,9 +1440,8 @@ mod tests {
             replica: 0,
             shard: 0,
             key: issue_index,
-            attempt: 0,
-            is_hedge: false,
-            op: Arc::new(OpToken::default()),
+            attempt: Attempt::Primary,
+            op: Arc::default(),
         }
     }
 
@@ -1623,7 +1517,7 @@ mod tests {
         let cfg = LiveConfig::default();
         let selector = build_selector(&cfg);
         let budget = InFlightBudget::new(4);
-        let table: Table = Mutex::new(TableState::new());
+        let table: Table = Mutex::default();
         let clock = WallClock::start();
         let stop = AtomicBool::new(false);
         let (_tx, rx) = mpsc::channel::<Request>();
@@ -1669,7 +1563,7 @@ mod tests {
         assert_eq!(budget.in_flight(), 0);
     }
 
-    /// The op token elects exactly one owner across the reap paths: a
+    /// The op's machine elects exactly one owner across the reap paths: a
     /// reap and a (simulated) completion race for the same op, and the
     /// permit comes back exactly once.
     #[test]
