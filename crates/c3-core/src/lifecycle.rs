@@ -224,8 +224,7 @@ pub enum Outcome {
 /// it decides (`timeouts`, `parked` at an expiry, `hedge_wins`) into the
 /// ledger it is handed. `retries` and `hedges` are counted by the driver
 /// when the send goes out. After a terminal fate every transition
-/// answers `Dead`, `Late` (or `HedgeLoss`) or `false` — save
-/// [`OpLife::elect_speculative`], which still elects for a parked op.
+/// answers `Dead`, `Late` (or `HedgeLoss`) or `false`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OpLife {
     attempts: u8,
@@ -284,10 +283,9 @@ impl OpLife {
         self.hedged = false;
     }
 
-    /// Elect a speculative duplicate: at most one per op, never for a
-    /// completed op.
+    /// Elect a speculative duplicate: at most one per open op.
     pub fn elect_speculative(&mut self) -> bool {
-        let elected = self.fate != Fate::Completed && !self.spec_sent;
+        let elected = self.fate == Fate::Open && !self.spec_sent;
         self.spec_sent |= elected;
         elected
     }
