@@ -999,6 +999,13 @@ fn reaper_loop(
         next_id += 1;
         wire.send(next_id, p, keep_permit_on_fail, now)
     };
+    // Re-select among the detector's candidates, steering away from the
+    // replica `p` went to.
+    let mut reselect = |p: &Pending, now: Nanos| {
+        let group = cfg.group_of(p.key);
+        let candidates = detector.candidates(&group, Some(p.replica), now, &mut scratch);
+        selector.try_select(candidates, p.shard, now)
+    };
 
     while !stop.load(Ordering::Acquire) {
         std::thread::sleep(Duration::from_millis(1));
@@ -1034,9 +1041,7 @@ fn reaper_loop(
         }
 
         // 2. Due retries of ops still open (a late response, or the
-        // hedge, may have answered meanwhile): re-select among the
-        // detector's candidates, steering away from the replica that
-        // just timed out.
+        // hedge, may have answered meanwhile).
         let mut i = 0;
         while i < queue.len() {
             if queue[i].0 > now {
@@ -1048,9 +1053,7 @@ fn reaper_loop(
                 continue;
             }
             let target = if p.is_read {
-                let group = cfg.group_of(p.key);
-                let candidates = detector.candidates(&group, Some(p.replica), now, &mut scratch);
-                match selector.try_select(candidates, p.shard, now) {
+                match reselect(&p, now) {
                     Selection::Server(s) => s,
                     Selection::Backpressure { .. } => {
                         // Everyone is full: try again next tick.
@@ -1096,9 +1099,7 @@ fn reaper_loop(
                 }
             }
             for p in to_hedge {
-                let group = cfg.group_of(p.key);
-                let candidates = detector.candidates(&group, Some(p.replica), now, &mut scratch);
-                match selector.try_select(candidates, p.shard, now) {
+                match reselect(&p, now) {
                     Selection::Server(s) => {
                         // A hedge keeps the op's permit even when its send
                         // fails: the primary still holds the op.
