@@ -158,22 +158,18 @@ struct OpState {
     life: OpLife,
     /// The op's `ClientReceive` was handled.
     received: bool,
-    /// The pending speculative-retry check timer, cancelled on completion
-    /// so no dead speculative checks survive on the hot path.
-    spec_timer: Option<TimerId>,
     /// The hedged duplicate's send, while its record lives.
     hedge_send: Option<SendId>,
-    /// Pending deadline *or* backoff-retry timer (mutually exclusive in
-    /// time), cancelled on completion so neither fires dead.
-    deadline_timer: Option<TimerId>,
-    /// Pending hedge-check timer, cancelled on completion/parking.
-    hedge_timer: Option<TimerId>,
+    /// Pending timer handles (see `OpState::handle`), cancelled on
+    /// completion and parking so no dead timer burdens the hot path.
+    timers: [Option<TimerId>; 3],
     /// Waiting in a coordinator backlog (set at `front.park`, cleared at
     /// `front.pop`).
     in_backlog: bool,
-    /// Lifecycle timers scheduled and neither fired nor cancelled. Counted rather than read off the handles above: a retry
-    /// re-dispatch arms a fresh speculative check over a pending one, whose
-    /// handle is overwritten but which still fires.
+    /// Lifecycle timers scheduled and neither fired nor cancelled.
+    /// Counted rather than read off the handles: a retry re-dispatch arms
+    /// a fresh speculative check over a pending one, whose handle is
+    /// overwritten but which still fires.
     armed: u8,
     /// Sends forwarded and not yet released.
     open_sends: u16,
@@ -183,11 +179,12 @@ impl OpState {
     /// The pending handle `timer` is kept under; a deadline and its
     /// backoff retry share one (they are mutually exclusive in time).
     fn handle(&mut self, timer: LifeTimer) -> &mut Option<TimerId> {
-        match timer {
-            LifeTimer::Deadline | LifeTimer::Retry => &mut self.deadline_timer,
-            LifeTimer::Hedge => &mut self.hedge_timer,
-            LifeTimer::Spec => &mut self.spec_timer,
-        }
+        let slot = match timer {
+            LifeTimer::Deadline | LifeTimer::Retry => 0,
+            LifeTimer::Hedge => 1,
+            LifeTimer::Spec => 2,
+        };
+        &mut self.timers[slot]
     }
 
     /// Cancel the pending `timer`, if there is one.
@@ -554,6 +551,7 @@ impl ClusterScenario {
     /// Assemble the public result from this scenario plus the runner's
     /// metrics and engine statistics.
     pub fn into_result(self, metrics: RunMetrics, stats: EngineStats) -> ClusterResult {
+        self.life.check();
         let backpressure = self.coords.iter().map(|c| c.front.activations()).sum();
         let dead_retries = self.dead_retries();
         let reads_completed = metrics.measured(READ_CHANNEL);
@@ -667,10 +665,8 @@ impl ClusterScenario {
             read_repair,
             life: OpLife::default(),
             received: false,
-            spec_timer: None,
             hedge_send: None,
-            deadline_timer: None,
-            hedge_timer: None,
+            timers: [None; 3],
             in_backlog: false,
             armed: 0,
             open_sends: 0,
@@ -964,7 +960,7 @@ impl ClusterScenario {
     ) {
         let op = self.ops[op_id];
         let node = op.primary_node as usize;
-        self.note_detector(op.coord as usize, node, true, now);
+        self.note_timeout(op.coord as usize, node, now);
         if let Some(rec) = &mut self.recorder {
             rec.record(
                 now,
@@ -1046,27 +1042,41 @@ impl ClusterScenario {
         }
     }
 
-    /// Tell `coord_id`'s detector that `node` timed out or — any
-    /// response proves a node alive; write acks and read-repair fan-out
-    /// keep probing evicted nodes, so recovery is observed without
-    /// dedicated probe traffic — responded. Counts and traces the
-    /// eviction or reinstatement that tips; a no-op without a deadline.
-    fn note_detector(&mut self, coord_id: usize, node: usize, timed_out: bool, now: Nanos) {
-        let Some(detector) = &self.coords[coord_id].detector else {
-            return;
-        };
-        let server = node as u32;
-        let point = if timed_out && detector.note_timeout(node, now) {
+    /// A deadline expiry charged to `node` in `coord_id`'s detector;
+    /// counts and traces the eviction it may tip over into.
+    fn note_timeout(&mut self, coord_id: usize, node: usize, now: Nanos) {
+        let detector = &self.coords[coord_id].detector;
+        if detector.as_ref().is_some_and(|d| d.note_timeout(node, now)) {
             self.life.evictions += 1;
-            TracePoint::Evict { server }
-        } else if !timed_out && detector.note_success(node) {
+            if let Some(rec) = &mut self.recorder {
+                rec.record(
+                    now,
+                    DETECTOR_OP,
+                    TracePoint::Evict {
+                        server: node as u32,
+                    },
+                );
+            }
+        }
+    }
+
+    /// Any response from `node` proves it alive (write acks and
+    /// read-repair fan-out keep probing evicted nodes, so recovery is
+    /// observed without dedicated probe traffic); counts and traces the
+    /// reinstatement when an eviction was standing.
+    fn note_success(&mut self, coord_id: usize, node: usize, now: Nanos) {
+        let detector = &self.coords[coord_id].detector;
+        if detector.as_ref().is_some_and(|d| d.note_success(node)) {
             self.life.reinstates += 1;
-            TracePoint::Reinstate { server }
-        } else {
-            return;
-        };
-        if let Some(rec) = &mut self.recorder {
-            rec.record(now, DETECTOR_OP, point);
+            if let Some(rec) = &mut self.recorder {
+                rec.record(
+                    now,
+                    DETECTOR_OP,
+                    TracePoint::Reinstate {
+                        server: node as u32,
+                    },
+                );
+            }
         }
     }
 
@@ -1191,7 +1201,9 @@ impl ClusterScenario {
         let rtt = now.saturating_sub(send.sent_at);
         let feedback = send.feedback;
 
-        self.note_detector(coord_id, node, false, now);
+        // Any response proves the node alive (a no-op without a deadline:
+        // there is no detector to tell).
+        self.note_success(coord_id, node, now);
 
         // Update the coordinator's selection state (reads only; writes are
         // fan-out sends the selector never chose).

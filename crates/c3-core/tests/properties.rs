@@ -1,8 +1,9 @@
 //! Property-based tests for the C3 core invariants.
 
 use c3_core::{
-    queue_size_estimate, score, C3Config, C3State, DynamicSnitch, Ewma, Nanos, RateLimiter,
-    SendDecision, SnitchConfig, TrackerSnapshot,
+    queue_size_estimate, score, Attempt, C3Config, C3State, DynamicSnitch, Ewma, Expiry, Fate,
+    LifecycleConfig, LifecycleCounts, Nanos, OpLife, Outcome, RateLimiter, SendDecision,
+    SnitchConfig, TrackerSnapshot,
 };
 use proptest::prelude::*;
 
@@ -177,5 +178,89 @@ proptest! {
         a.recompute(Nanos::from_millis(100));
         b.recompute(Nanos::from_millis(100));
         prop_assert!(b.score(0) >= a.score(0));
+    }
+
+    /// One op's lifecycle machine under any sequence of its transitions,
+    /// driven as a driver would (a hedge response only once a hedge went
+    /// out, a retry sent only after an expiry asked for one): one terminal
+    /// transition at most — a single completion, or a single park, and
+    /// `park` never after a completion — nothing but `Dead`, `Late`
+    /// (`HedgeLoss` after a completed hedged op) or `false` once terminal,
+    /// at most one hedge (net of refusals) and one speculative duplicate,
+    /// attempts within the retry budget, and a ledger that balances.
+    #[test]
+    fn op_life_decides_each_op_once(
+        retries in 0u32..4,
+        steps in proptest::collection::vec((0u8..7, 0u8..3), 1..60),
+    ) {
+        let cfg = LifecycleConfig::hardened(Nanos::from_millis(75), retries, None);
+        let mut life = OpLife::default();
+        let mut counts = LifecycleCounts::default();
+        let (mut completions, mut parks, mut hedges, mut specs, mut expiries) = (0, 0, 0, 0, 0);
+        let mut retry_waiting = false;
+        for (step, arg) in steps {
+            let before = life.fate();
+            let terminal = before != Fate::Open;
+            match step {
+                0 => {
+                    let expiry = life.expire(&cfg, || 1.0, &mut counts);
+                    prop_assert!(!terminal || expiry == Expiry::Dead, "{expiry:?} after {before:?}");
+                    expiries += u64::from(expiry != Expiry::Dead);
+                    parks += u32::from(expiry == Expiry::Park);
+                    retry_waiting |= matches!(expiry, Expiry::Retry(_));
+                }
+                1 => {
+                    let due = life.retry_due();
+                    prop_assert!(!(terminal && due), "a retry due after {before:?}");
+                    if retry_waiting && due {
+                        counts.retries += 1;
+                    }
+                    retry_waiting = false;
+                }
+                2 => {
+                    let elected = life.elect_hedge();
+                    prop_assert!(!(terminal && elected), "a hedge elected after {before:?}");
+                    if elected && arg == 0 {
+                        life.hedge_refused();
+                    } else if elected {
+                        hedges += 1;
+                        counts.hedges += 1;
+                    }
+                }
+                3 => {
+                    let elected = life.elect_speculative();
+                    prop_assert!(!(terminal && elected), "a duplicate elected after {before:?}");
+                    specs += u32::from(elected);
+                }
+                4 | 5 => {
+                    let from = match arg {
+                        0 => Attempt::Stale,
+                        1 if hedges > 0 => Attempt::Hedge,
+                        _ => Attempt::Primary,
+                    };
+                    match life.respond(from, &mut counts) {
+                        Outcome::Complete { hedge_win } => {
+                            prop_assert!(!terminal, "completed after {before:?}");
+                            prop_assert_eq!(hedge_win, from == Attempt::Hedge);
+                            completions += 1;
+                        }
+                        Outcome::HedgeLoss => {
+                            prop_assert!(before == Fate::Completed && hedges > 0 && from != Attempt::Stale);
+                        }
+                        Outcome::Late => {}
+                    }
+                }
+                _ => {
+                    let parked = life.park();
+                    prop_assert!(!(terminal && parked), "parked after {before:?}");
+                    parks += u32::from(parked);
+                }
+            }
+            prop_assert!(completions + parks <= 1, "{completions} completions, {parks} parks");
+            prop_assert!(hedges <= 1 && specs <= 1, "{hedges} hedges, {specs} duplicates");
+            prop_assert!(u32::from(life.attempts()) <= retries);
+        }
+        prop_assert_eq!(counts.timeouts, expiries);
+        counts.check();
     }
 }
