@@ -609,6 +609,33 @@ mod tests {
     }
 
     #[test]
+    fn a_stale_send_completes_only_once_a_duplicate_is_out() {
+        let mut counts = LifecycleCounts::default();
+        let mut life = OpLife::default();
+        assert_eq!(life.respond(Attempt::Stale, &mut counts), Outcome::Late);
+        assert!(life.elect_speculative());
+        let won = life.respond(Attempt::Stale, &mut counts);
+        assert_eq!(won, Outcome::Complete { hedge_win: false });
+        // A hedged op: the winner counts, the other half is the loss.
+        let mut life = OpLife::default();
+        assert!(life.elect_hedge());
+        let won = life.respond(Attempt::Hedge, &mut counts);
+        assert_eq!(won, Outcome::Complete { hedge_win: true });
+        assert_eq!(
+            life.respond(Attempt::Primary, &mut counts),
+            Outcome::HedgeLoss
+        );
+        assert_eq!(life.respond(Attempt::Stale, &mut counts), Outcome::Late);
+        assert_eq!(counts.hedge_wins, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "retry budget above 255")]
+    fn a_retry_budget_beyond_a_byte_is_rejected() {
+        LifecycleConfig::hardened(Nanos::from_millis(75), 256, None).validate();
+    }
+
+    #[test]
     #[should_panic(expected = "retries need a deadline")]
     fn retries_without_deadline_are_rejected() {
         LifecycleConfig {

@@ -584,9 +584,9 @@ impl Wire {
             &self.tables[p.replica][conn],
             &self.senders[p.replica][conn],
         );
-        (table.lock().expect("table poisoned").live)
-            .register(id, p)
-            .expect("wire ids are unique");
+        let mut t = table.lock().expect("table poisoned");
+        t.live.register(id, p).expect("wire ids are unique");
+        drop(t);
         if sender.send(request).is_ok() {
             return Ok(());
         }
@@ -988,7 +988,7 @@ fn reaper_loop(
         .expect("reaper runs only with a deadline");
     let hedge_after: Option<Nanos> = cfg.lifecycle.hedge_after;
     let mut rng = SmallRng::seed_from_u64(SeedSeq::new(cfg.seed).thread_seed(u64::from(u16::MAX)));
-    // Reaped primaries waiting out their backoff: (due, attempt).
+    // Reaped primaries waiting out their backoff, with their due time.
     let mut queue: Vec<(Nanos, Pending)> = Vec::new();
     let mut counts = LifecycleCounts::default();
     let mut scratch = Vec::new();
