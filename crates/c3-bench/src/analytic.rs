@@ -16,7 +16,7 @@ use crate::support::banner;
 /// 8 requests on the fast server (32 ms) and 4 on the slow one (40 ms →
 /// the paper quotes max latency 32 ms for its slightly different split;
 /// we print the whole frontier).
-pub fn fig01() {
+pub(crate) fn fig01() {
     banner(
         "F1",
         "LOR vs ideal allocation of a 12-request burst (Figure 1)",
@@ -64,7 +64,7 @@ pub fn fig01() {
 /// Figure 4: linear vs cubic scoring functions. Prints score curves for
 /// μ⁻¹ ∈ {4 ms, 20 ms} and the queue-size estimates at which the two
 /// servers score equally.
-pub fn fig04() {
+pub(crate) fn fig04() {
     banner("F4", "linear vs cubic scoring functions (Figure 4)");
     let snap = |q: f64, st: f64| TrackerSnapshot {
         outstanding: 0,
@@ -99,7 +99,7 @@ pub fn fig04() {
 }
 
 /// Figure 5: the cubic rate-growth curve and its three operating regions.
-pub fn fig05() {
+pub(crate) fn fig05() {
     banner("F5", "cubic sending-rate growth curve (Figure 5)");
     let r0 = 100.0;
     let beta = 0.2;
@@ -130,7 +130,7 @@ pub fn fig05() {
 
 /// Supplementary: the concurrency-compensation example from §3.1 — a
 /// heavier client projects a larger queue on the same server.
-pub fn concurrency_compensation_demo() {
+pub(crate) fn concurrency_compensation_demo() {
     banner("§3.1", "concurrency compensation: q̂ = 1 + os·w + q̄");
     let cfg = C3Config::for_clients(100);
     let mut table = Table::new(vec!["outstanding", "q̂ (w=100)", "score (μ̄⁻¹=4ms)"]);

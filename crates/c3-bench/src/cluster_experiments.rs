@@ -27,7 +27,7 @@ fn base_cfg(strategy: Strategy, mix: WorkloadMix, scale: Scale, seed: u64) -> Cl
 /// Figure 2: load oscillations under Dynamic Snitching — the per-100 ms
 /// request counts at the most-utilized node swing between ~0 and the whole
 /// cluster's attention.
-pub fn fig02(scale: Scale) {
+pub(crate) fn fig02(scale: Scale) {
     banner("F2", "Dynamic Snitching load oscillations (Figure 2)");
     let mut table = Table::new(vec![
         "strategy",
@@ -75,7 +75,7 @@ pub fn fig02(scale: Scale) {
 
 /// Table 1 + §2.2: the replica-selection landscape measured under one
 /// workload. Each row is a strategy emulating one of the popular stores.
-pub fn table1(scale: Scale) {
+pub(crate) fn table1(scale: Scale) {
     banner(
         "T1",
         "selection mechanisms in popular NoSQL stores, measured (Table 1)",
@@ -110,7 +110,7 @@ pub fn table1(scale: Scale) {
 
 /// Figures 6 and 7: latency profile and read throughput for C3 vs DS
 /// across the three workload mixes, averaged over seeds with 95% CIs.
-pub fn fig06_fig07(scale: Scale) {
+pub(crate) fn fig06_fig07(scale: Scale) {
     banner(
         "F6+F7",
         "latency profile and read throughput, C3 vs DS (Figures 6, 7)",
@@ -189,7 +189,7 @@ pub fn fig06_fig07(scale: Scale) {
 
 /// Figures 8 and 9: load conditioning — distribution and time series of the
 /// most-utilized node's per-100 ms served reads.
-pub fn fig08_fig09(scale: Scale) {
+pub(crate) fn fig08_fig09(scale: Scale) {
     banner(
         "F8+F9",
         "load distribution and time series on the busiest node (Figures 8, 9)",
@@ -236,7 +236,7 @@ pub fn fig08_fig09(scale: Scale) {
 
 /// Figure 10: degradation when the offered load rises from 120 to 210
 /// generators (read-heavy).
-pub fn fig10(scale: Scale) {
+pub(crate) fn fig10(scale: Scale) {
     banner(
         "F10",
         "performance at higher system utilization (Figure 10)",
@@ -281,7 +281,7 @@ pub fn fig10(scale: Scale) {
 
 /// Figure 11: an update-heavy workload joins a running read-heavy workload;
 /// the moving median of read latencies shows C3 degrading gracefully.
-pub fn fig11(scale: Scale) {
+pub(crate) fn fig11(scale: Scale) {
     banner("F11", "adaptation to dynamic workload change (Figure 11)");
     // Scaled-down timeline: the paper adds 40 generators at t = 640 s of a
     // long run; we add them mid-run.
@@ -336,7 +336,7 @@ pub fn fig11(scale: Scale) {
 }
 
 /// Figure 12: the SSD deployment at 210 generators.
-pub fn fig12(scale: Scale) {
+pub(crate) fn fig12(scale: Scale) {
     banner("F12", "SSD-backed cluster at 210 generators (Figure 12)");
     let mut table = Table::new(vec![
         "strategy",
@@ -372,7 +372,7 @@ pub fn fig12(scale: Scale) {
 
 /// Figure 13: sending-rate adaptation and backpressure on a 7-node cluster
 /// while one node's performance is artificially degraded three times.
-pub fn fig13(scale: Scale) {
+pub(crate) fn fig13(scale: Scale) {
     banner(
         "F13",
         "sending-rate adaptation of two coordinators to a degraded peer (Figure 13)",
@@ -448,7 +448,7 @@ pub fn fig13(scale: Scale) {
 
 /// §5 text: Zipfian-distributed record sizes (≤2 KB) — C3 should keep its
 /// advantage with variable-length records.
-pub fn extra_skewed_records(scale: Scale) {
+pub(crate) fn extra_skewed_records(scale: Scale) {
     banner("X1", "skewed record sizes (§5 text: ~2x p99 win)");
     let mut table = Table::new(vec!["strategy", "median ms", "p99 ms", "p99.9 ms"]);
     for strategy in [Strategy::c3(), Strategy::dynamic_snitching()] {
@@ -469,7 +469,7 @@ pub fn extra_skewed_records(scale: Scale) {
 
 /// §5 text: speculative retries on top of DS *degrade* latency under high
 /// utilization (up to 5x at p99 in the paper).
-pub fn extra_speculative_retry(scale: Scale) {
+pub(crate) fn extra_speculative_retry(scale: Scale) {
     banner(
         "X2",
         "speculative retries atop DS degrade the tail (§5 text)",

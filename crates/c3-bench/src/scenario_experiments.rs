@@ -11,17 +11,11 @@ use c3_scenarios::{ScenarioError, ScenarioRegistry, ScenarioReport};
 
 use crate::support::{banner, fan_out_threads, runs_from_env, Scale, SkipLog};
 
-/// Worker threads for scenario sweeps: the machine's parallelism, capped
-/// so CI runners are not oversubscribed. Results do not depend on this.
-pub fn sweep_threads() -> usize {
-    fan_out_threads()
-}
-
 /// The strategy × scenario matrix. Every built-in strategy name is
 /// swept against every scenario in the library; cells a frontend cannot
 /// drive (the simulator-global `ORA` on cluster-backed scenarios) are
 /// reported as unsupported rather than skipped silently.
-pub fn scenario_matrix(scale: Scale) {
+pub(crate) fn scenario_matrix(scale: Scale) {
     banner("SC", "strategy × scenario sweep (c3-scenarios)");
     let scenarios = ScenarioRegistry::with_defaults();
     let scenario_names = scenarios.names();
@@ -32,7 +26,7 @@ pub fn scenario_matrix(scale: Scale) {
     let runs = runs_from_env();
     let seeds: Vec<u64> = (1..=runs).collect();
     let ops = scale.scenario_ops();
-    let threads = sweep_threads();
+    let threads = fan_out_threads();
     println!(
         "{} scenarios × {} strategies × {} seeds at {} ops/run, {} worker threads",
         scenario_names.len(),
@@ -106,7 +100,7 @@ pub fn scenario_matrix(scale: Scale) {
 /// rate) and reports each tenant's slowdown-vs-isolated p99 factor and
 /// the Jain fairness index over those factors (1.0 = everyone pays the
 /// same relative price; 1/n = one tenant absorbs all the interference).
-pub fn multi_tenant_fairness(scale: Scale) {
+pub(crate) fn multi_tenant_fairness(scale: Scale) {
     use c3_engine::Strategy;
     use c3_scenarios::{
         run_multi_tenant, run_multi_tenant_isolated, MultiTenantConfig, RunOptions,
@@ -135,7 +129,7 @@ pub fn multi_tenant_fairness(scale: Scale) {
 
     // One fan-out cell per strategy (each cell runs shared + isolated
     // baselines serially; the strategies are independent).
-    let rows = c3_engine::fan_out(strategies.len(), sweep_threads(), |i| {
+    let rows = c3_engine::fan_out(strategies.len(), fan_out_threads(), |i| {
         let cfg = MultiTenantConfig {
             strategy: strategies[i].clone(),
             ..base.clone()
@@ -183,7 +177,7 @@ pub fn multi_tenant_fairness(scale: Scale) {
 /// verdict trivially "client-bound" in every cell. Under a paced load the
 /// verdict is diagnostic — occupancy rides up only when the fleet (or a
 /// blackout) stops absorbing the offered rate.
-pub fn live_client_health(_scale: Scale) {
+pub(crate) fn live_client_health(_scale: Scale) {
     use c3_engine::Strategy;
     use c3_live::{hetero_fleet_config, partition_flux_config, run_live};
     use c3_scenarios::{RunTuning, ScenarioParams};
@@ -269,7 +263,7 @@ pub fn live_client_health(_scale: Scale) {
 /// blackout DS's fresh recompute reads the same starved reservoir its
 /// frozen ranking does, so only the driver's ground truth can show the
 /// Fig. 2 herd: DS's tail queue regret should sit well above C3's.
-pub fn tail_attribution_matrix(scale: Scale) {
+pub(crate) fn tail_attribution_matrix(scale: Scale) {
     use c3_engine::Strategy;
     use c3_scenarios::ScenarioParams;
     use c3_telemetry::{attribute_tail, Recorder};
@@ -410,10 +404,5 @@ mod tests {
         let reg = ScenarioRegistry::with_defaults();
         let runs = reg.sweep(&["hetero-fleet"], &[Strategy::oracle()], &[1], 3_000, 1);
         assert!(summarize_cell(&runs).is_none());
-    }
-
-    #[test]
-    fn sweep_threads_is_positive() {
-        assert!(sweep_threads() >= 1);
     }
 }

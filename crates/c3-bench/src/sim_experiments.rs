@@ -46,7 +46,7 @@ fn p99_of(cfg: SimConfig) -> f64 {
 
 /// Figure 14: 99th-percentile latency across fluctuation intervals, client
 /// counts and utilizations for ORA / C3 / LOR / RR.
-pub fn fig14(scale: Scale) {
+pub(crate) fn fig14(scale: Scale) {
     banner(
         "F14",
         "p99 vs service-time fluctuation interval (Figure 14)",
@@ -99,7 +99,7 @@ pub fn fig14(scale: Scale) {
 
 /// Figure 15: heavy client demand skews (20% / 50% of clients generate 80%
 /// of the requests).
-pub fn fig15(scale: Scale) {
+pub(crate) fn fig15(scale: Scale) {
     banner("F15", "p99 under client demand skew (Figure 15)");
     let runs = runs_from_env();
     for skew_clients in [0.2, 0.5] {
@@ -143,7 +143,7 @@ pub fn fig15(scale: Scale) {
 
 /// Ablation A1: C3's components — full C3 vs no-rate-control vs
 /// no-concurrency-compensation vs queue exponents b ∈ {1, 2, 3, 4}.
-pub fn ablation_components(scale: Scale) {
+pub(crate) fn ablation_components(scale: Scale) {
     banner(
         "A1",
         "component ablation: ranking, rate control, concurrency compensation, exponent b",
@@ -177,7 +177,7 @@ pub fn ablation_components(scale: Scale) {
 
 /// Ablation A2: parameter sensitivity — the concurrency weight w and the
 /// multiplicative decrease β.
-pub fn ablation_params(scale: Scale) {
+pub(crate) fn ablation_params(scale: Scale) {
     banner("A2", "parameter sensitivity: w and β");
     let runs = runs_from_env();
     let mut table = Table::new(vec!["parameter", "value", "p99 ms"]);

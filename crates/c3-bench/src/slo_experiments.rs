@@ -33,7 +33,7 @@ use crate::support::{banner, fan_out_threads, Scale, SkipLog};
 
 /// One scenario's SLO sweep shape.
 #[derive(Clone, Copy, Debug)]
-pub struct SloScenario {
+pub(crate) struct SloScenario {
     /// Scenario registry name.
     pub name: &'static str,
     /// The latency SLO cells must hold.
@@ -68,7 +68,7 @@ pub struct SloScenario {
 ///   cell that sheds even at the bracket floor reports
 ///   `floor_reason: "timeout"` in the JSON. 400 ms clears the worst
 ///   permitted retry chain (75 ms × 4 + backoff).
-pub fn sim_slo_scenarios() -> Vec<SloScenario> {
+fn sim_slo_scenarios() -> Vec<SloScenario> {
     vec![
         SloScenario {
             name: HETERO_FLEET,
@@ -119,7 +119,7 @@ pub fn sim_slo_scenarios() -> Vec<SloScenario> {
 /// run's ops on a blacked-out replica whose queue now actually builds
 /// (the old serial client physically capped that queue at the worker
 /// count, which is why pre-multiplex DS numbers looked sustainable).
-pub fn live_slo_scenarios() -> Vec<SloScenario> {
+fn live_slo_scenarios() -> Vec<SloScenario> {
     vec![
         SloScenario {
             name: c3_live::LIVE_HETERO_FLEET,
@@ -152,7 +152,7 @@ pub fn live_slo_scenarios() -> Vec<SloScenario> {
 /// the cluster-backed scenarios skip through the shared cell-skip path —
 /// and the static baselines; the live tier keeps the wall-clock budget on
 /// the paper's headline pair.
-pub fn slo_strategies(live: bool) -> Vec<Strategy> {
+fn slo_strategies(live: bool) -> Vec<Strategy> {
     if live {
         vec![Strategy::c3(), Strategy::dynamic_snitching()]
     } else {
@@ -179,7 +179,7 @@ const WINDOW_HI_FRACTION: f64 = 1.25;
 /// probes measure wall time over real sockets, and a parallel sibling
 /// cell stealing CPU mid-probe would inflate its tail (the probes inside
 /// a cell are sequential anyway).
-pub fn sweep_scenario(
+fn sweep_scenario(
     spec: &SloScenario,
     registry: &ScenarioRegistry,
     seeds: &[u64],
@@ -263,7 +263,7 @@ fn calibrate_anchor(registry: &ScenarioRegistry, cell: &SloCell, ops: u64) -> Re
 /// Run the whole tier: every sim scenario (and, when `include_live`, the
 /// live twins), printing per-scenario tables and a deduped skip summary.
 /// Returns `(spec, report)` pairs in sweep order.
-pub fn throughput_at_slo(
+pub(crate) fn throughput_at_slo(
     scale: Scale,
     runs: u64,
     include_live: bool,
@@ -394,7 +394,7 @@ fn json_str(s: &str) -> String {
 }
 
 /// Serialize the sweep tier to the `BENCH_slo.json` schema.
-pub fn slo_json(results: &[(SloScenario, SloReport)]) -> String {
+pub(crate) fn slo_json(results: &[(SloScenario, SloReport)]) -> String {
     let mut json = String::new();
     json.push_str("{\n  \"schema\": 2,\n  \"scenarios\": [\n");
     for (i, (spec, report)) in results.iter().enumerate() {

@@ -1,6 +1,6 @@
 //! Shared harness support: experiment scale, repetition, aggregation.
 //!
-//! Every experiment binary honours two environment variables:
+//! Every experiment honours two environment variables:
 //!
 //! - `C3_SCALE`: `quick` (default), `full` — `full` uses paper-scale
 //!   operation counts (slower by ~20×),
@@ -17,7 +17,7 @@ use c3_metrics::RunSet;
 
 /// Operation-count scale for the experiments.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scale {
+pub(crate) enum Scale {
     /// CI-friendly: hundreds of thousands of simulated operations.
     Quick,
     /// Paper-scale operation counts.
@@ -27,12 +27,12 @@ pub enum Scale {
 impl Scale {
     /// Read the scale from `C3_SCALE` (default quick); panics on a value
     /// that is neither `quick` nor `full`.
-    pub fn from_env() -> Scale {
+    pub(crate) fn from_env() -> Scale {
         parse_scale(env_value("C3_SCALE").as_deref()).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Cluster operations per run.
-    pub fn cluster_ops(self) -> u64 {
+    pub(crate) fn cluster_ops(self) -> u64 {
         match self {
             Scale::Quick => 150_000,
             Scale::Full => 2_000_000,
@@ -40,7 +40,7 @@ impl Scale {
     }
 
     /// Simulator requests per run (the paper generates 600k).
-    pub fn sim_requests(self) -> u64 {
+    pub(crate) fn sim_requests(self) -> u64 {
         match self {
             Scale::Quick => 150_000,
             Scale::Full => 600_000,
@@ -50,7 +50,7 @@ impl Scale {
     /// Operations per scenario-library run (the sweep covers the whole
     /// strategy × scenario matrix, so each cell stays smaller than a
     /// figure reproduction).
-    pub fn scenario_ops(self) -> u64 {
+    pub(crate) fn scenario_ops(self) -> u64 {
         match self {
             Scale::Quick => 30_000,
             Scale::Full => 300_000,
@@ -60,7 +60,7 @@ impl Scale {
 
 /// Repetitions per configuration, from `C3_RUNS` (default 3); panics on
 /// a value that is not a positive integer.
-pub fn runs_from_env() -> u64 {
+pub(crate) fn runs_from_env() -> u64 {
     parse_runs(env_value("C3_RUNS").as_deref()).unwrap_or_else(|e| panic!("{e}"))
 }
 
@@ -89,7 +89,7 @@ fn parse_runs(value: Option<&str>) -> Result<u64, String> {
 
 /// Worker threads for seed fan-outs: the machine's parallelism, capped so
 /// CI runners are not oversubscribed. Results do not depend on this.
-pub fn fan_out_threads() -> usize {
+pub(crate) fn fan_out_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -101,7 +101,7 @@ pub fn fan_out_threads() -> usize {
 /// across runs. Each per-seed run is a pure function of its seed, so the
 /// aggregate is bit-identical to the old serial loop for any thread
 /// count — `fan_out` returns results in seed order.
-pub fn across_seeds(runs: u64, f: impl Fn(u64) -> f64 + Sync) -> RunSet {
+pub(crate) fn across_seeds(runs: u64, f: impl Fn(u64) -> f64 + Sync) -> RunSet {
     let mut set = RunSet::new();
     for value in fan_out(runs as usize, fan_out_threads(), |i| f(i as u64 + 1)) {
         set.push(value);
@@ -110,7 +110,7 @@ pub fn across_seeds(runs: u64, f: impl Fn(u64) -> f64 + Sync) -> RunSet {
 }
 
 /// Print an experiment banner.
-pub fn banner(id: &str, title: &str) {
+pub(crate) fn banner(id: &str, title: &str) {
     println!();
     println!("== {id}: {title} ==");
 }
@@ -120,42 +120,42 @@ pub fn banner(id: &str, title: &str) {
 /// Sweeps run each `(scenario, strategy)` cell once per seed, so a cell a
 /// backend cannot drive (the `ORA` oracle on cluster-backed scenarios,
 /// unknown strategies) used to surface one notice *per run*. Every sweep
-/// bin (`scenario_sweep`, `slo_sweep`, `run_all`) now funnels its skips
+/// command (`scenario_sweep`, `slo_sweep`, `all`) now funnels its skips
 /// through this log instead: identical `(scenario, strategy, reason)`
 /// triples collapse to a single line, printed once at the end of the
 /// sweep.
 #[derive(Debug, Default)]
-pub struct SkipLog {
+pub(crate) struct SkipLog {
     seen: BTreeSet<(String, String, String)>,
 }
 
 impl SkipLog {
     /// An empty log.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Note one skipped cell; duplicates (across seeds or repeated
     /// sweeps) collapse.
-    pub fn note(&mut self, scenario: &str, strategy: &str, reason: &str) {
+    pub(crate) fn note(&mut self, scenario: &str, strategy: &str, reason: &str) {
         self.seen
             .insert((scenario.into(), strategy.into(), reason.into()));
     }
 
     /// Whether anything was skipped.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.seen.is_empty()
     }
 
     /// Distinct skipped cells, in `(scenario, strategy)` order.
-    pub fn entries(&self) -> impl Iterator<Item = (&str, &str, &str)> {
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (&str, &str, &str)> {
         self.seen
             .iter()
             .map(|(sc, st, r)| (sc.as_str(), st.as_str(), r.as_str()))
     }
 
     /// Print the deduped summary (nothing when the log is empty).
-    pub fn print_summary(&self) {
+    pub(crate) fn print_summary(&self) {
         if self.is_empty() {
             return;
         }

@@ -159,8 +159,9 @@ fn fmt_ms(ns: f64) -> String {
     }
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+/// The `trace_explain` command: every headline cell's worst requests on
+/// stdout, the whole tail bucket to `TRACE_explain.jsonl`.
+pub(crate) fn run(quick: bool) {
     let out_path =
         std::env::var("TRACE_EXPLAIN_OUT").unwrap_or_else(|_| "TRACE_explain.jsonl".into());
     let ops: u64 = if quick { 8_000 } else { 60_000 };

@@ -377,6 +377,9 @@ pub struct ClusterScenario {
     /// Scratch for the replica group under dispatch (avoids allocating a
     /// group Vec per operation).
     group_scratch: Vec<ServerId>,
+    /// Scratch for the failure detector's filtered candidate list, taken
+    /// and put back around each selection like `group_scratch`.
+    candidate_scratch: Vec<ServerId>,
 }
 
 struct ThreadState {
@@ -487,6 +490,7 @@ impl ClusterScenario {
             score_probe: None,
             recorder: None,
             group_scratch: Vec::new(),
+            candidate_scratch: Vec::new(),
             wl_rng,
             life_rng,
             cfg,
@@ -499,7 +503,7 @@ impl ClusterScenario {
     }
 
     /// Record `(time, latency)` pairs for every completed read (Figure 11).
-    pub fn set_latency_trace(&mut self) {
+    pub(crate) fn set_latency_trace(&mut self) {
         self.record_trace = true;
     }
 
@@ -507,7 +511,7 @@ impl ClusterScenario {
     /// one sample per 50 ms of simulated time) into a `(time, scores)`
     /// trace. Only meaningful for C3-family runs; the sim-vs-live parity
     /// harness compares these rankings against the socket backend's.
-    pub fn set_score_probe(&mut self, coord: usize) {
+    pub(crate) fn set_score_probe(&mut self, coord: usize) {
         assert!(coord < self.cfg.nodes, "probe out of range");
         self.score_probe = Some(coord);
         // The trace lives on the recorder (the one sampling path); without
@@ -536,7 +540,7 @@ impl ClusterScenario {
 
     /// Install sending-rate probes: `(coordinator, target node)` pairs
     /// (Figure 13). Only meaningful for C3 runs.
-    pub fn set_rate_probes(&mut self, probes: Vec<(usize, usize)>) {
+    pub(crate) fn set_rate_probes(&mut self, probes: Vec<(usize, usize)>) {
         for &(c, n) in &probes {
             assert!(
                 c < self.cfg.nodes && n < self.cfg.nodes,
@@ -770,7 +774,7 @@ impl ClusterScenario {
         // deadline only runs after a primary send); the failure detector
         // additionally drops evicted nodes.
         let exclude = (op.life.attempts() > 0).then_some(op.primary_node as usize);
-        let mut scratch = Vec::new();
+        let mut scratch = std::mem::take(&mut self.candidate_scratch);
         let cand = self.candidates(coord_id, &group, exclude, now, &mut scratch);
 
         match self.coords[coord_id].selector.select(cand, now) {
@@ -797,6 +801,7 @@ impl ClusterScenario {
                 }
             }
         }
+        self.candidate_scratch = scratch;
         self.put_group(group);
     }
 
@@ -1322,7 +1327,7 @@ impl ClusterScenario {
         // Eviction state cannot change mid-drain (no responses are
         // processed inside the loop), so the filtered view is computed
         // once.
-        let mut scratch = Vec::new();
+        let mut scratch = std::mem::take(&mut self.candidate_scratch);
         let cand = self.candidates(coord_id, &group, None, now, &mut scratch);
         while let Some(op_id) = self.coords[coord_id].front.peek(group_id) {
             match self.coords[coord_id].selector.select(cand, now) {
@@ -1340,6 +1345,7 @@ impl ClusterScenario {
                 }
             }
         }
+        self.candidate_scratch = scratch;
         self.put_group(group);
     }
 

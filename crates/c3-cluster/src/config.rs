@@ -9,7 +9,7 @@ use c3_core::{C3Config, LifecycleConfig, Nanos};
 use c3_engine::Strategy;
 use c3_workload::WorkloadMix;
 
-use crate::fault::FaultPlan;
+use crate::fault::{FaultKind, FaultPlan};
 use crate::perturb::PerturbationSpec;
 use crate::storage::{DiskKind, DiskModel};
 
@@ -140,7 +140,7 @@ impl ClusterConfig {
     }
 
     /// The disk model for this config's hardware and mix.
-    pub fn disk_model(&self) -> DiskModel {
+    pub(crate) fn disk_model(&self) -> DiskModel {
         match self.disk {
             DiskKind::Spinning => DiskModel::spinning(self.mix.read_fraction()),
             DiskKind::Ssd => DiskModel::ssd(self.mix.read_fraction()),
@@ -178,6 +178,24 @@ impl ClusterConfig {
         self.lifecycle.validate();
         if let Err(e) = self.faults.validate(self.nodes) {
             panic!("{e}");
+        }
+        // A read lost to a crash, a reset or a dropped response neither
+        // completes nor parks without a deadline, and gossip keeps the
+        // event queue alive: the run would never end.
+        if self.lifecycle.deadline.is_none() {
+            let lossy = self.faults.events.iter().enumerate().find(|(_, e)| {
+                matches!(
+                    e.kind,
+                    FaultKind::Crash | FaultKind::ConnReset | FaultKind::RespDrop
+                )
+            });
+            if let Some((index, e)) = lossy {
+                panic!(
+                    "fault episode {index} ({:?}) loses reads, which never end without a \
+                     lifecycle deadline; set `lifecycle.deadline`",
+                    e.kind
+                );
+            }
         }
         self.c3.validate();
     }
@@ -241,6 +259,20 @@ mod tests {
             kind: crate::fault::FaultKind::Crash,
             start: Nanos::from_millis(200),
             end: Nanos::from_millis(100),
+            magnitude: 0.0,
+        });
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "fault episode 0 (ConnReset) loses reads")]
+    fn lossy_faults_without_a_deadline_are_rejected() {
+        let mut c = ClusterConfig::default();
+        c.faults.events.push(crate::fault::FaultEvent {
+            node: 0,
+            kind: crate::fault::FaultKind::ConnReset,
+            start: Nanos::from_millis(100),
+            end: Nanos::from_millis(200),
             magnitude: 0.0,
         });
         c.validate();

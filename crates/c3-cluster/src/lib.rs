@@ -7,7 +7,7 @@
 //! - [`Ring`]: equal-range token ring with successor replication (RF = 3),
 //! - [`DiskModel`]: spinning-disk (m1.xlarge RAID0) and SSD (m3.xlarge)
 //!   storage models with memtable-hit behaviour tied to the workload mix,
-//! - [`NodePerturbation`]: per-node GC pauses, compactions (which drive
+//! - [`PerturbationSpec`]: per-node GC pauses, compactions (which drive
 //!   `iowait`) and noisy-neighbour slowdowns — the §2.1 fluctuation
 //!   sources,
 //! - [`Cluster`]: coordinators running any strategy (C3, Dynamic
@@ -48,6 +48,6 @@ pub use c3_engine::Strategy;
 pub use cluster::{Cluster, ClusterResult, ClusterScenario, CLUSTER_CHANNELS};
 pub use config::{ClusterConfig, WorkloadPhase};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultState, InvalidFault, NodeFaults};
-pub use perturb::{EpisodeKind, EpisodeSpec, NodePerturbation, PerturbationSpec};
+pub use perturb::{EpisodeKind, EpisodeSpec, PerturbationSpec};
 pub use ring::Ring;
 pub use storage::{DiskKind, DiskModel};

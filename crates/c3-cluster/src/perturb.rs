@@ -115,7 +115,7 @@ const KINDS: [EpisodeKind; 3] = [
 
 /// Per-node perturbation state.
 #[derive(Clone, Debug)]
-pub struct NodePerturbation {
+pub(crate) struct NodePerturbation {
     spec: PerturbationSpec,
     /// Episode end time per kind; `None` when idle.
     active_until: [Option<Nanos>; 3],
@@ -123,7 +123,7 @@ pub struct NodePerturbation {
 
 impl NodePerturbation {
     /// Create idle state.
-    pub fn new(spec: PerturbationSpec) -> Self {
+    pub(crate) fn new(spec: PerturbationSpec) -> Self {
         Self {
             spec,
             active_until: [None; 3],
@@ -140,7 +140,7 @@ impl NodePerturbation {
 
     /// Sample the delay until the next episode of `kind` starts, or `None`
     /// if that class is disabled.
-    pub fn next_start_gap(&self, kind: EpisodeKind, rng: &mut SmallRng) -> Option<Nanos> {
+    pub(crate) fn next_start_gap(&self, kind: EpisodeKind, rng: &mut SmallRng) -> Option<Nanos> {
         let spec = self.spec_of(kind);
         if !spec.mean_interval_ms.is_finite() {
             return None;
@@ -152,7 +152,7 @@ impl NodePerturbation {
     }
 
     /// Begin an episode of `kind` at `now`; returns its end time.
-    pub fn begin(&mut self, kind: EpisodeKind, now: Nanos, rng: &mut SmallRng) -> Nanos {
+    pub(crate) fn begin(&mut self, kind: EpisodeKind, now: Nanos, rng: &mut SmallRng) -> Nanos {
         let spec = *self.spec_of(kind);
         let dur_ms = if spec.max_duration_ms > spec.min_duration_ms {
             rng.gen_range(spec.min_duration_ms..spec.max_duration_ms)
@@ -166,7 +166,7 @@ impl NodePerturbation {
     }
 
     /// End any expired episodes.
-    pub fn expire(&mut self, now: Nanos) {
+    pub(crate) fn expire(&mut self, now: Nanos) {
         for slot in &mut self.active_until {
             if let Some(end) = *slot {
                 if end <= now {
@@ -178,7 +178,7 @@ impl NodePerturbation {
 
     /// Current combined service-time multiplier of the stochastic
     /// episodes.
-    pub fn multiplier(&self, now: Nanos) -> f64 {
+    pub(crate) fn multiplier(&self, now: Nanos) -> f64 {
         let mut m = 1.0;
         for (i, kind) in KINDS.iter().enumerate() {
             if matches!(self.active_until[i], Some(end) if end > now) {
@@ -189,7 +189,7 @@ impl NodePerturbation {
     }
 
     /// Current iowait metric (what the node gossips).
-    pub fn iowait(&self, now: Nanos) -> f64 {
+    pub(crate) fn iowait(&self, now: Nanos) -> f64 {
         let mut io: f64 = 0.02; // baseline
         for (i, kind) in KINDS.iter().enumerate() {
             if matches!(self.active_until[i], Some(end) if end > now) {

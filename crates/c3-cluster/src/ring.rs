@@ -57,7 +57,7 @@ impl Ring {
     }
 
     /// The node owning the range containing `position`.
-    pub fn owner_of_position(&self, position: u64) -> ServerId {
+    pub(crate) fn owner_of_position(&self, position: u64) -> ServerId {
         // owner = floor(position / (2^64 / nodes)) via 128-bit multiply.
         ((position as u128 * self.nodes as u128) >> 64) as usize
     }
@@ -87,7 +87,7 @@ impl Ring {
     /// The members of the replica group whose primary is `primary`, in
     /// group order, without allocating — the hot-path form of
     /// [`Ring::group_of_primary`].
-    pub fn group_members(&self, primary: ServerId) -> impl Iterator<Item = ServerId> + '_ {
+    pub(crate) fn group_members(&self, primary: ServerId) -> impl Iterator<Item = ServerId> + '_ {
         let nodes = self.nodes;
         (0..self.replication_factor).map(move |k| (primary + k) % nodes)
     }

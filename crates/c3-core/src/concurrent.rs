@@ -45,7 +45,7 @@ pub const MAX_GROUP: usize = 16;
 /// All methods take `&self`; the EWMA cells store f64 bits in `AtomicU64`
 /// with NaN as the "no sample yet" sentinel, folded by compare-exchange.
 #[derive(Debug)]
-pub struct AtomicTracker {
+pub(crate) struct AtomicTracker {
     alpha: f64,
     outstanding: AtomicU32,
     queue_size: AtomicU64,
@@ -79,7 +79,7 @@ impl AtomicTracker {
     /// # Panics
     ///
     /// Panics if `ewma_alpha` is outside `(0, 1]` or not finite.
-    pub fn new(ewma_alpha: f64) -> Self {
+    pub(crate) fn new(ewma_alpha: f64) -> Self {
         assert!(
             ewma_alpha.is_finite() && ewma_alpha > 0.0 && ewma_alpha <= 1.0,
             "alpha must be in (0, 1], got {ewma_alpha}"
@@ -94,13 +94,13 @@ impl AtomicTracker {
     }
 
     /// Record that a request was sent to this server.
-    pub fn on_send(&self) {
+    pub(crate) fn on_send(&self) {
         self.outstanding.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Record a response: decrements the outstanding count and folds the
     /// piggybacked feedback and the observed response time into the EWMAs.
-    pub fn on_response(&self, response_time: Nanos, feedback: Option<&Feedback>) {
+    pub(crate) fn on_response(&self, response_time: Nanos, feedback: Option<&Feedback>) {
         // fetch_update instead of fetch_sub: concurrent completions must
         // saturate at zero like the single-threaded tracker, not wrap.
         let _ = self
@@ -124,7 +124,7 @@ impl AtomicTracker {
     }
 
     /// Record a response that never arrived: only releases the slot.
-    pub fn on_abandoned(&self) {
+    pub(crate) fn on_abandoned(&self) {
         let _ = self
             .outstanding
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |os| {
@@ -133,7 +133,7 @@ impl AtomicTracker {
     }
 
     /// Current outstanding request count `os_s`.
-    pub fn outstanding(&self) -> u32 {
+    pub(crate) fn outstanding(&self) -> u32 {
         self.outstanding.load(Ordering::Acquire)
     }
 
@@ -141,7 +141,7 @@ impl AtomicTracker {
     /// `ServerTracker::score` (one scoring core in `score.rs`), over one
     /// coherent load of each cell.
     #[inline]
-    pub fn score(&self, cfg: &C3Config) -> f64 {
+    pub(crate) fn score(&self, cfg: &C3Config) -> f64 {
         let outstanding = self.outstanding.load(Ordering::Acquire);
         let response_time = f64::from_bits(self.response_time_ms.load(Ordering::Acquire));
         let service_time = f64::from_bits(self.service_time_ms.load(Ordering::Acquire));
@@ -193,11 +193,6 @@ impl SharedC3State {
     /// The configuration in force.
     pub fn config(&self) -> &C3Config {
         &self.cfg
-    }
-
-    /// Number of servers tracked.
-    pub fn num_servers(&self) -> usize {
-        self.trackers.len()
     }
 
     /// Current C3 score of a server (lower is better). Lock-free.

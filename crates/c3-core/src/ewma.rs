@@ -54,7 +54,7 @@ impl Ewma {
     }
 
     /// Current smoothed value, or `default` before the first sample.
-    pub fn value_or(&self, default: f64) -> f64 {
+    pub(crate) fn value_or(&self, default: f64) -> f64 {
         self.value.unwrap_or(default)
     }
 

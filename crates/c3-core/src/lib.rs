@@ -87,18 +87,18 @@ pub mod strategies;
 mod time;
 mod tracker;
 
-pub use concurrent::{AtomicTracker, SharedC3State, MAX_GROUP};
+pub use concurrent::{SharedC3State, MAX_GROUP};
 pub use config::C3Config;
 pub use ewma::Ewma;
 pub use feedback::Feedback;
 pub use lifecycle::{
     Attempt, Expiry, FailureDetector, Fate, LifecycleConfig, LifecycleCounts, OpLife, Outcome,
 };
-pub use rate::{cubic_rate, RateLimiter, RatePhase, RateStats};
+pub use rate::{cubic_rate, RateLimiter, RateStats};
 pub use scheduler::{C3State, SendDecision, ServerId};
 pub use score::{queue_size_estimate, score};
 pub use selector::{C3Selector, ReplicaSelector, ReplicaView, ResponseInfo, Selection, Selector};
 pub use snitch::{DynamicSnitch, SnitchConfig, SnitchSelector};
 pub use stage::ServiceStage;
 pub use time::{Nanos, WallClock};
-pub use tracker::{ServerTracker, TrackerSnapshot};
+pub use tracker::TrackerSnapshot;

@@ -128,7 +128,11 @@ impl LifecycleConfig {
     /// # Panics
     ///
     /// Panics when no deadline is configured: nothing can have expired.
-    pub fn retry_backoff(&self, attempt: u32, jitter: impl FnOnce() -> f64) -> Option<Nanos> {
+    pub(crate) fn retry_backoff(
+        &self,
+        attempt: u32,
+        jitter: impl FnOnce() -> f64,
+    ) -> Option<Nanos> {
         if attempt >= self.retries {
             return None;
         }
@@ -245,7 +249,7 @@ impl OpLife {
     }
 
     /// The outstanding primary's deadline expired: count the timeout,
-    /// then retry after [`LifecycleConfig::retry_backoff`]'s wait (the
+    /// then retry after `LifecycleConfig::retry_backoff`'s wait (the
     /// only case that draws `jitter`) or park once the budget is spent.
     pub fn expire(
         &mut self,

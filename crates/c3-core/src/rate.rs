@@ -50,21 +50,6 @@
 use crate::config::C3Config;
 use crate::time::Nanos;
 
-/// Operating region of the limiter: slow start, then the regions of the
-/// cubic growth curve (Figure 5 of the paper).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RatePhase {
-    /// Before the first decrease: no saturation rate to anchor the cubic
-    /// on, so growth is capped only by `s_max` per step.
-    SlowStart,
-    /// Well below the saturation rate: steep recovery growth.
-    LowRate,
-    /// Near the saturation rate: conservative growth.
-    Saddle,
-    /// Past the saddle: aggressively probing for more capacity.
-    OptimisticProbing,
-}
-
 /// Per-server token-bucket rate limiter with cubic rate adaptation.
 ///
 /// Field order is hot-first: `try_acquire` runs once per selection for
@@ -148,38 +133,9 @@ impl RateLimiter {
         self.srate
     }
 
-    /// Receive rate measured over the last completed δ window.
-    pub fn rrate(&self) -> f64 {
-        self.meter.rrate
-    }
-
-    /// Actual send rate measured over the last completed δ window.
-    pub fn arate(&self) -> f64 {
-        self.meter.arate
-    }
-
     /// Behaviour counters.
     pub fn stats(&self) -> RateStats {
         self.stats
-    }
-
-    /// The operating region the limiter is currently in: slow start before
-    /// the first decrease, then judged by the elapsed time since the last
-    /// decrease relative to the saddle.
-    pub fn phase(&self, now: Nanos) -> RatePhase {
-        if self.r0.is_none() {
-            return RatePhase::SlowStart;
-        }
-        let k = self.cfg.saddle.as_millis_f64();
-        let dt = now.saturating_sub(self.t_decrease).as_millis_f64();
-        // The saddle spans roughly [K/2, 3K/2] around the inflection at K.
-        if dt < 0.5 * k {
-            RatePhase::LowRate
-        } else if dt <= 1.5 * k {
-            RatePhase::Saddle
-        } else {
-            RatePhase::OptimisticProbing
-        }
     }
 
     /// Roll the token window forward if `now` has crossed one or more
@@ -229,7 +185,7 @@ impl RateLimiter {
     /// accumulated fraction first reaches a whole token — otherwise a
     /// backlogged caller's retry timer would fire (and fail, and
     /// reschedule) up to `⌈1/srate⌉` times per actual send opportunity.
-    pub fn next_window(&self, now: Nanos) -> Nanos {
+    pub(crate) fn next_window(&self, now: Nanos) -> Nanos {
         let delta = self.delta_ns;
         let elapsed = now.saturating_sub(self.window_start).as_nanos();
         let base = elapsed / delta + 1;
@@ -663,11 +619,11 @@ mod tests {
         // demand 1 200 per δ, a server that answers 1 000 (a cubic
         // anchored on the starting 50 would need ≈ 22 windows).
         let mut rl = RateLimiter::new(&C3Config::default(), Nanos::ZERO);
-        assert_eq!(rl.phase(Nanos::ZERO), RatePhase::SlowStart);
+        assert_eq!(rl.r0, None, "in slow start");
         drive(&mut rl, 0, 3, 1_200, 1_000);
         assert!(rl.srate() >= 1_000.0, "srate {}", rl.srate());
         assert_eq!(rl.stats().decreases, 0);
-        assert_eq!(rl.phase(ms(60)), RatePhase::SlowStart);
+        assert_eq!(rl.r0, None, "still in slow start");
     }
 
     #[test]
@@ -754,7 +710,7 @@ mod tests {
                 rl.on_response(now);
                 match reference.as_mut() {
                     None if rl.stats().decreases == 0 => {
-                        assert_eq!(rl.phase(now), RatePhase::SlowStart);
+                        assert_eq!(rl.r0, None, "in slow start");
                     }
                     None => {
                         assert_eq!(rl.r0, Some(before), "R₀ is srate at the decrease");
@@ -802,19 +758,6 @@ mod tests {
     }
 
     #[test]
-    fn phases_progress_over_time() {
-        let mut rl = RateLimiter::new(&cfg(), Nanos::ZERO);
-        assert_eq!(rl.phase(ms(400)), RatePhase::SlowStart);
-        // Force a decrease to anchor t_decrease.
-        drive(&mut rl, 0, 10, 8, 2);
-        assert!(rl.stats().decreases >= 1, "test needs a decrease anchor");
-        let t0 = rl.t_decrease;
-        assert_eq!(rl.phase(t0 + ms(10)), RatePhase::LowRate);
-        assert_eq!(rl.phase(t0 + ms(100)), RatePhase::Saddle);
-        assert_eq!(rl.phase(t0 + ms(400)), RatePhase::OptimisticProbing);
-    }
-
-    #[test]
     fn receive_rate_measured_per_window() {
         let mut rl = RateLimiter::new(&cfg(), Nanos::ZERO);
         // 5 responses in window 0, then one at the start of window 1.
@@ -822,7 +765,7 @@ mod tests {
             rl.on_response(Nanos(i * 1_000_000));
         }
         rl.on_response(ms(20));
-        assert_eq!(rl.rrate(), 5.0);
+        assert_eq!(rl.meter.rrate, 5.0);
     }
 
     #[test]
@@ -833,7 +776,7 @@ mod tests {
         }
         // Crossing the window boundary closes it out.
         assert!(rl.try_acquire(ms(20)));
-        assert_eq!(rl.arate(), 4.0);
+        assert_eq!(rl.meter.arate, 4.0);
     }
 
     /// What one adaptation step did, read off the limiter's counters.
@@ -959,6 +902,10 @@ mod tests {
         }
         // Next response 10 windows later: rate should be spread thin.
         rl.on_response(ms(200));
-        assert!(rl.rrate() < 1.0, "rrate {} should be diluted", rl.rrate());
+        assert!(
+            rl.meter.rrate < 1.0,
+            "rrate {} should be diluted",
+            rl.meter.rrate
+        );
     }
 }

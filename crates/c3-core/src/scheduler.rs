@@ -66,11 +66,6 @@ impl C3State {
         &self.cfg
     }
 
-    /// Number of servers tracked.
-    pub fn num_servers(&self) -> usize {
-        self.trackers.len()
-    }
-
     /// Current C3 score of a server (lower is better).
     pub fn score_of(&self, server: ServerId) -> f64 {
         self.trackers[server].score(&self.cfg)
@@ -89,7 +84,7 @@ impl C3State {
 
     /// Read-only tracker snapshot of a server (EWMAs, outstanding count)
     /// for decision-time telemetry.
-    pub fn tracker_snapshot(&self, server: ServerId) -> crate::tracker::TrackerSnapshot {
+    pub(crate) fn tracker_snapshot(&self, server: ServerId) -> crate::tracker::TrackerSnapshot {
         self.trackers[server].snapshot()
     }
 

@@ -22,7 +22,7 @@ use crate::time::Nanos;
 /// request, so the per-`Ewma` `Option<f64>` + duplicated-alpha layout
 /// (two lines per tracker) was measurable cache pressure.
 #[derive(Clone, Debug)]
-pub struct ServerTracker {
+pub(crate) struct ServerTracker {
     alpha: f64,
     outstanding: u32,
     queue_size: f64,
@@ -52,7 +52,7 @@ fn cell(avg: f64) -> Option<f64> {
     }
 }
 
-/// A read-only snapshot of a [`ServerTracker`] used for scoring.
+/// A read-only snapshot of a server tracker used for scoring.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TrackerSnapshot {
     /// Outstanding requests from this client to the server.
@@ -71,7 +71,7 @@ impl ServerTracker {
     /// # Panics
     ///
     /// Panics if `ewma_alpha` is outside `(0, 1]` or not finite.
-    pub fn new(ewma_alpha: f64) -> Self {
+    pub(crate) fn new(ewma_alpha: f64) -> Self {
         assert!(
             ewma_alpha.is_finite() && ewma_alpha > 0.0 && ewma_alpha <= 1.0,
             "alpha must be in (0, 1], got {ewma_alpha}"
@@ -86,7 +86,7 @@ impl ServerTracker {
     }
 
     /// Record that a request was sent to this server.
-    pub fn on_send(&mut self) {
+    pub(crate) fn on_send(&mut self) {
         self.outstanding += 1;
     }
 
@@ -95,7 +95,7 @@ impl ServerTracker {
     ///
     /// Responses without feedback (e.g. errors or strategies that do not
     /// piggyback) still decrement the outstanding count and update `R̄_s`.
-    pub fn on_response(&mut self, response_time: Nanos, feedback: Option<&Feedback>) {
+    pub(crate) fn on_response(&mut self, response_time: Nanos, feedback: Option<&Feedback>) {
         debug_assert!(self.outstanding > 0, "response without outstanding request");
         self.outstanding = self.outstanding.saturating_sub(1);
         fold(
@@ -115,17 +115,17 @@ impl ServerTracker {
 
     /// Record a response that never arrived (timeout / connection error):
     /// only releases the outstanding slot.
-    pub fn on_abandoned(&mut self) {
+    pub(crate) fn on_abandoned(&mut self) {
         self.outstanding = self.outstanding.saturating_sub(1);
     }
 
     /// Current outstanding request count `os_s`.
-    pub fn outstanding(&self) -> u32 {
+    pub(crate) fn outstanding(&self) -> u32 {
         self.outstanding
     }
 
     /// Snapshot for scoring.
-    pub fn snapshot(&self) -> TrackerSnapshot {
+    pub(crate) fn snapshot(&self) -> TrackerSnapshot {
         TrackerSnapshot {
             outstanding: self.outstanding,
             queue_size: cell(self.queue_size),
@@ -140,7 +140,7 @@ impl ServerTracker {
     /// materializing the `Option`-based snapshot struct. This is the
     /// per-candidate call on the selection hot path.
     #[inline]
-    pub fn score(&self, cfg: &crate::config::C3Config) -> f64 {
+    pub(crate) fn score(&self, cfg: &crate::config::C3Config) -> f64 {
         let response_time = if self.response_time_ms.is_nan() {
             0.0
         } else {

@@ -164,8 +164,8 @@ impl Strategy {
 
     /// Build selector instance `index` for a frontend that keeps one
     /// selector per client (or coordinator, or shard), seeding the
-    /// instance's randomness from [`SeedSeq::client_seed`]. `None` is the
-    /// Oracle.
+    /// instance's randomness from the seed sequence's per-client seed.
+    /// `None` is the Oracle.
     ///
     /// # Panics
     ///

@@ -56,7 +56,7 @@ impl SeedSeq {
     }
 
     /// Seed for client/coordinator `i`'s selector randomness.
-    pub fn client_seed(&self, i: u64) -> u64 {
+    pub(crate) fn client_seed(&self, i: u64) -> u64 {
         self.seed ^ 0xa076_1d64_78bd_642fu64.wrapping_mul(i + 1)
     }
 
@@ -127,7 +127,7 @@ impl RunMetrics {
     /// the claims/figure tiers where close percentile comparisons matter;
     /// it costs O(completions) memory, which is why the streaming
     /// histogram stays the default.
-    pub fn with_exact_reservoir(mut self) -> Self {
+    pub(crate) fn with_exact_reservoir(mut self) -> Self {
         self.exact = Some(
             (0..self.channels.len())
                 .map(|_| std::cell::RefCell::new(ExactReservoir::new()))

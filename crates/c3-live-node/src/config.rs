@@ -82,7 +82,7 @@ impl FleetConfig {
     ///
     /// A fault plan that [`FaultPlan::validate`] refuses for this fleet
     /// is an error naming the first offending episode.
-    pub fn from_kv_map(kv: &mut KvMap) -> Result<Self, KvError> {
+    pub(crate) fn from_kv_map(kv: &mut KvMap) -> Result<Self, KvError> {
         let fleet = Self {
             replicas: kv.take_required("replicas", "usize")?,
             concurrency: kv.take_required("concurrency", "usize")?,

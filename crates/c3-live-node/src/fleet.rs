@@ -23,12 +23,12 @@ use crate::discovery::encode_addresses;
 
 /// Environment variable overriding where the `c3-live-node` binary
 /// lives (used when the coordinator is not a sibling of the node bin).
-pub const NODE_BIN_ENV: &str = "C3_NODE_BIN";
+pub(crate) const NODE_BIN_ENV: &str = "C3_NODE_BIN";
 
 /// Distinguishes this process's temp files from other fleets'.
 static FILE_COUNTER: AtomicUsize = AtomicUsize::new(0);
 
-/// Locate the node binary: [`NODE_BIN_ENV`] if set, else a
+/// Locate the node binary: `C3_NODE_BIN` if set, else a
 /// `c3-live-node` sibling of the current executable (the layout cargo
 /// produces for workspace binaries). `None` when neither exists.
 pub fn node_bin() -> Option<PathBuf> {
@@ -88,15 +88,10 @@ impl NodeFleet {
         })
     }
 
-    /// Replica-ordered node addresses. Stable across [`NodeFleet::respawn`]
-    /// (a respawned node rebinds its learned port).
+    /// Replica-ordered node addresses. Stable across respawns (a
+    /// respawned node rebinds its learned port).
     pub fn addrs(&self) -> &[SocketAddr] {
         &self.addrs
-    }
-
-    /// Path of the kv address file describing this fleet.
-    pub fn address_file(&self) -> &Path {
-        &self.address_file
     }
 
     /// Digest of the fleet configuration the nodes announce.
@@ -125,7 +120,7 @@ impl NodeFleet {
     /// Restart replica `id` on its original (learned) port, so clients
     /// redialing the address from before the crash reach the newcomer.
     /// Retries briefly while the kernel releases the port.
-    pub fn respawn(&mut self, id: usize) -> io::Result<()> {
+    pub(crate) fn respawn(&mut self, id: usize) -> io::Result<()> {
         let addr = self.addrs[id];
         let mut last = None;
         for _ in 0..20 {

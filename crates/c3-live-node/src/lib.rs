@@ -19,7 +19,7 @@
 //! - [`FleetConfig::digest`] (FNV-1a over the canonical fleet kv text)
 //!   rides in every node's hello frame, so a client refuses to blend a
 //!   stale or misconfigured node into an experiment;
-//! - [`run_node`] + [`register_node_scenarios`] surface all of it as
+//! - [`run_node`] + [`node_registry`] surface all of it as
 //!   ordinary registry scenarios (`node-hetero-fleet`,
 //!   `node-partition-flux`, `node-crash-flux`), with per-process
 //!   RSS/CPU sampled into recorder gauge channels — `scenario_sweep`
@@ -39,8 +39,5 @@ mod scenario;
 
 pub use config::{FleetConfig, NodeConfig};
 pub use discovery::{encode_addresses, parse_addresses, parse_env, DiscoveryError, NODES_ENV};
-pub use fleet::{node_bin, NodeFleet, NODE_BIN_ENV};
-pub use scenario::{
-    node_config, node_registry, register_node_scenarios, run_node, NODE_CRASH_FLUX,
-    NODE_HETERO_FLEET, NODE_PARTITION_FLUX,
-};
+pub use fleet::{node_bin, NodeFleet};
+pub use scenario::{node_config, node_registry, run_node, NODE_CRASH_FLUX, NODE_HETERO_FLEET};

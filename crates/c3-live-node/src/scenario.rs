@@ -34,7 +34,7 @@ use crate::fleet::NodeFleet;
 /// Registry name: the hetero-fleet script over a process fleet.
 pub const NODE_HETERO_FLEET: &str = "node-hetero-fleet";
 /// Registry name: the partition/flux blackout script over a process fleet.
-pub const NODE_PARTITION_FLUX: &str = "node-partition-flux";
+pub(crate) const NODE_PARTITION_FLUX: &str = "node-partition-flux";
 /// Registry name: crash-flux with real SIGKILL crashes and supervised
 /// respawns.
 pub const NODE_CRASH_FLUX: &str = "node-crash-flux";
@@ -209,7 +209,7 @@ fn spawn_crash_supervisor(
 /// Register the node-fleet scenarios into a registry, binding them to a
 /// node binary. `scenario_sweep`-style callers then fan multi-process
 /// cells out by name exactly like sim or in-process live cells.
-pub fn register_node_scenarios(registry: &mut ScenarioRegistry, bin: &Path) {
+pub(crate) fn register_node_scenarios(registry: &mut ScenarioRegistry, bin: &Path) {
     let node_bin: PathBuf = bin.to_path_buf();
     let bin = node_bin.clone();
     registry.register(NODE_HETERO_FLEET, move |p: &ScenarioParams| {

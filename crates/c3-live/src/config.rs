@@ -179,7 +179,7 @@ impl LiveConfig {
     }
 
     /// The replica group of `key`: primary plus successors.
-    pub fn group_of(&self, key: u64) -> Vec<usize> {
+    pub(crate) fn group_of(&self, key: u64) -> Vec<usize> {
         let primary = (key % self.replicas as u64) as usize;
         (0..self.replication_factor)
             .map(|k| (primary + k) % self.replicas)

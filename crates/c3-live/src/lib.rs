@@ -28,8 +28,8 @@
 //!   thread);
 //! - [`run_live`] drives a run through the engine's `ScenarioRunner`, so
 //!   results land in the same named `read`/`update` channels and the
-//!   same [`c3_scenarios::ScenarioReport`]; [`register_live_scenarios`]
-//!   makes [`LIVE_HETERO_FLEET`] and [`LIVE_PARTITION_FLUX`] ordinary
+//!   same [`c3_scenarios::ScenarioReport`]; [`live_registry`] makes
+//!   [`LIVE_HETERO_FLEET`] and [`LIVE_PARTITION_FLUX`] ordinary
 //!   registry names that `ScenarioRegistry::sweep` fans out like any sim
 //!   cell.
 //!
@@ -55,9 +55,9 @@ pub use client::Transport;
 pub use config::LiveConfig;
 pub use mux::{CorrelationTable, InFlightBudget, MuxError};
 pub use scenario::{
-    crash_flux_config, flaky_net_config, hetero_fleet_config, live_registry, partition_flux_config,
-    register_live_scenarios, run_live, run_live_on, LiveReport, HEALTH_FEEDBACK_LAG,
-    HEALTH_INFLIGHT, LIVE_CRASH_FLUX, LIVE_FLAKY_NET, LIVE_HETERO_FLEET, LIVE_PARTITION_FLUX,
+    crash_flux_config, hetero_fleet_config, live_registry, partition_flux_config, run_live,
+    run_live_on, LiveReport, LIVE_CRASH_FLUX, LIVE_FLAKY_NET, LIVE_HETERO_FLEET,
+    LIVE_PARTITION_FLUX,
 };
 pub use server::{encode_key, LiveCluster, NoSlowdown, ReplicaServer, ReplicaSpec};
 pub use wire::read_frame;

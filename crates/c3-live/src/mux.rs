@@ -94,13 +94,6 @@ impl<T> CorrelationTable<T> {
         self.pending.drain().map(|(_, v)| v).collect()
     }
 
-    /// Drain every still-pending entry together with its wire id — the
-    /// reap paths need the ids to tombstone, so late responses for
-    /// reaped requests can be told apart from correlation bugs.
-    pub fn drain_entries(&mut self) -> Vec<(u64, T)> {
-        self.pending.drain().collect()
-    }
-
     /// Iterate the in-flight entries (the hedging pass scans without
     /// removing).
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> + '_ {
@@ -109,7 +102,7 @@ impl<T> CorrelationTable<T> {
 
     /// Remove and return every entry matching `pred` (the deadline
     /// sweep: "everything sent before the cutoff").
-    pub fn take_matching(&mut self, mut pred: impl FnMut(&T) -> bool) -> Vec<(u64, T)> {
+    pub(crate) fn take_matching(&mut self, mut pred: impl FnMut(&T) -> bool) -> Vec<(u64, T)> {
         let ids: Vec<u64> = self
             .pending
             .iter()
@@ -196,7 +189,7 @@ impl InFlightBudget {
 
     /// Block until every permit is back (all in-flight requests done) or
     /// `timeout` elapses; returns whether the budget fully drained.
-    pub fn drained_within(&self, timeout: Duration) -> bool {
+    pub(crate) fn drained_within(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut permits = self.permits.lock().unwrap_or_else(PoisonError::into_inner);
         while *permits < self.capacity {
@@ -255,17 +248,6 @@ mod tests {
         assert_eq!(table.len(), 3);
         assert_eq!(table.complete(3).unwrap(), 3);
         assert_eq!(table.complete(0), Err(MuxError::UnknownId(0)));
-    }
-
-    #[test]
-    fn drain_entries_keeps_the_ids() {
-        let mut table = CorrelationTable::new();
-        table.register(9, "a").unwrap();
-        table.register(4, "b").unwrap();
-        let mut all = table.drain_entries();
-        all.sort_unstable();
-        assert_eq!(all, vec![(4, "b"), (9, "a")]);
-        assert!(table.is_empty());
     }
 
     #[test]

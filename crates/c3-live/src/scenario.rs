@@ -42,9 +42,9 @@ pub const LIVE_CRASH_FLUX: &str = "live-crash-flux";
 pub const LIVE_FLAKY_NET: &str = "live-flaky-net";
 
 /// Gauge-series name of the in-flight occupancy health channel.
-pub const HEALTH_INFLIGHT: &str = "inflight";
+pub(crate) const HEALTH_INFLIGHT: &str = "inflight";
 /// Gauge-series name of the feedback-update latency health channel.
-pub const HEALTH_FEEDBACK_LAG: &str = "feedback-lag";
+pub(crate) const HEALTH_FEEDBACK_LAG: &str = "feedback-lag";
 
 /// A live run as an engine scenario: one event, inside which the socket
 /// cluster spins up, the workers run to the stop condition, and every
@@ -136,7 +136,7 @@ pub struct LiveReport {
     ///   selector's concurrency story, per update.
     pub health: Vec<ChannelReport>,
     /// The flight recorder the run's sampling paths drained into. Its
-    /// [`HEALTH_INFLIGHT`] / [`HEALTH_FEEDBACK_LAG`] gauge series are the
+    /// `inflight` / `feedback-lag` gauge series are the
     /// two channels above *thinned* to one point per millisecond per
     /// thread — enough to plot, not what the summaries are computed from.
     pub recorder: Recorder,
@@ -279,7 +279,7 @@ pub fn crash_flux_config(params: &ScenarioParams) -> Result<LiveConfig, Scenario
 /// responses and delayed responses against wall time, hardened like the
 /// sim twin (100 ms deadline to ride out the injected response lag,
 /// 3 retries, 50 ms hedge) with the same early episodes.
-pub fn flaky_net_config(params: &ScenarioParams) -> Result<LiveConfig, ScenarioError> {
+pub(crate) fn flaky_net_config(params: &ScenarioParams) -> Result<LiveConfig, ScenarioError> {
     let mut cfg = base_config(LIVE_FLAKY_NET, params)?;
     let mut plan = FaultPlan::flaky_net(cfg.seed, cfg.replicas, Nanos::from_secs(60));
     plan.layer(&FaultPlan::FLAKY_NET_EARLY, cfg.replicas);
@@ -324,7 +324,7 @@ fn base_config(scenario: &str, params: &ScenarioParams) -> Result<LiveConfig, Sc
 /// Register the live scenarios into an existing registry, so
 /// `ScenarioRegistry::sweep` (and `run`) drive real sockets by name with
 /// no API change for callers.
-pub fn register_live_scenarios(registry: &mut ScenarioRegistry) {
+pub(crate) fn register_live_scenarios(registry: &mut ScenarioRegistry) {
     registry.register(LIVE_HETERO_FLEET, |p: &ScenarioParams| {
         Ok(run_live(LIVE_HETERO_FLEET, hetero_fleet_config(p)?).report)
     });

@@ -41,7 +41,7 @@ pub fn read_frame<R: Read>(stream: &mut R, buf: &mut BytesMut) -> io::Result<Opt
 /// writer threads (coalescing frames per syscall); this single-frame path
 /// remains for serial harnesses and the server tests.
 #[cfg_attr(not(test), allow(dead_code))]
-pub fn write_request(stream: &mut TcpStream, req: &Request) -> io::Result<()> {
+pub(crate) fn write_request(stream: &mut TcpStream, req: &Request) -> io::Result<()> {
     let mut out = BytesMut::new();
     encode_request(req, &mut out);
     stream.write_all(&out)

@@ -105,7 +105,7 @@ impl LogHistogram {
 
     /// Record `n` occurrences of `value`.
     #[inline]
-    pub fn record_n(&mut self, value: u64, n: u64) {
+    pub(crate) fn record_n(&mut self, value: u64, n: u64) {
         if n == 0 {
             return;
         }

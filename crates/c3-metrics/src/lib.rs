@@ -58,7 +58,7 @@ pub use timeseries::{GaugeSeries, WindowedCounts};
 /// Nanoseconds per millisecond, used throughout the harness when converting
 /// histogram values (recorded in nanoseconds) to the milliseconds the paper
 /// reports.
-pub const NANOS_PER_MILLI: u64 = 1_000_000;
+pub(crate) const NANOS_PER_MILLI: u64 = 1_000_000;
 
 /// Convert a nanosecond value to fractional milliseconds for reporting.
 pub fn ns_to_ms(ns: u64) -> f64 {

@@ -150,7 +150,7 @@ impl RunSet {
     }
 
     /// Unbiased sample standard deviation (0.0 for fewer than two runs).
-    pub fn stddev(&self) -> f64 {
+    pub(crate) fn stddev(&self) -> f64 {
         let n = self.values.len();
         if n < 2 {
             return 0.0;

@@ -31,11 +31,6 @@ impl WindowedCounts {
         }
     }
 
-    /// Window length in nanoseconds.
-    pub fn window_ns(&self) -> u64 {
-        self.window_ns
-    }
-
     /// Record one event at time `t_ns`.
     pub fn record(&mut self, t_ns: u64) {
         let idx = (t_ns / self.window_ns) as usize;

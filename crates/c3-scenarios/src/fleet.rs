@@ -613,7 +613,8 @@ pub(crate) fn run(spec: FleetSpec, options: RunOptions) -> RunOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MegaFleetConfig, MultiTenantConfig};
+    use crate::mega_fleet::MegaFleetConfig;
+    use crate::MultiTenantConfig;
 
     /// Run `spec` on a bare runner so the request table can be inspected
     /// afterwards.

@@ -18,7 +18,7 @@ use crate::options::{RunOptions, RunOutput};
 
 /// Configuration of a heterogeneous-fleet run.
 #[derive(Clone, Debug)]
-pub struct HeteroFleetConfig {
+pub(crate) struct HeteroFleetConfig {
     /// The underlying cluster (nodes, mix, disk, perturbations, ...).
     pub cluster: ClusterConfig,
     /// Service-time multiplier of each hardware tier; node `i` lands in
@@ -45,7 +45,7 @@ impl HeteroFleetConfig {
     /// # Panics
     ///
     /// Panics when no tiers are configured.
-    pub fn apply(&self) -> ClusterConfig {
+    pub(crate) fn apply(&self) -> ClusterConfig {
         let mut cfg = self.cluster.clone();
         let tiers = FaultPlan::tiers(&self.tier_multipliers, cfg.nodes);
         cfg.faults.events.extend(tiers.events);
@@ -61,7 +61,7 @@ impl HeteroFleetConfig {
 ///
 /// Panics when the configured strategy is unknown or needs
 /// simulator-global state (`ORA`).
-pub fn run(cfg: &HeteroFleetConfig, options: RunOptions) -> RunOutput {
+pub(crate) fn run(cfg: &HeteroFleetConfig, options: RunOptions) -> RunOutput {
     cluster_backed::run(super::HETERO_FLEET, cfg.apply(), options)
 }
 

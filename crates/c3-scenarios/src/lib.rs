@@ -11,16 +11,14 @@
 //! - [`MULTI_TENANT`] ([`MultiTenantConfig`]): several tenant classes with
 //!   distinct Zipf skew, arrival rates and value sizes sharing one fleet,
 //!   reporting latency into one **named channel per tenant**;
-//! - [`MEGA_FLEET`] ([`MegaFleetConfig`]): hundreds of replicas serving
-//!   100k+ closed-loop clients through a pool of shared selector shards —
-//!   the kernel's sustained 100k-pending-event regime;
-//! - [`HETERO_FLEET`] ([`HeteroFleetConfig`]): permanent fast/slow
-//!   hardware tiers layered on the §5 cluster's ring as whole-run slow
-//!   windows of its fault plan;
-//! - [`PARTITION_FLUX`] ([`PartitionFluxConfig`]): replica blackouts and
-//!   recoveries — stochastic ones from the cluster's perturbation
-//!   episodes, scripted ones as slow windows of its fault plan —
-//!   exercising C3's rate-control recovery path;
+//! - [`MEGA_FLEET`]: hundreds of replicas serving 100k+ closed-loop
+//!   clients through a pool of shared selector shards — the kernel's
+//!   sustained 100k-pending-event regime;
+//! - [`HETERO_FLEET`]: permanent fast/slow hardware tiers layered on the
+//!   §5 cluster's ring as whole-run slow windows of its fault plan;
+//! - [`PARTITION_FLUX`]: replica blackouts and recoveries — stochastic
+//!   ones from the cluster's perturbation episodes, scripted ones as slow
+//!   windows of its fault plan — exercising C3's rate-control recovery path;
 //! - [`CRASH_FLUX`] and [`FLAKY_NET`] ([`FaultFluxConfig`]): deterministic
 //!   fault-injection timelines (node crashes; connection resets, dropped
 //!   and delayed responses) replayed against the hardened request
@@ -65,14 +63,11 @@ mod registry;
 mod report;
 
 pub use faults::{run as run_fault_flux, FaultFlavor, FaultFluxConfig};
-pub use hetero::{run as run_hetero_fleet, HeteroFleetConfig};
-pub use mega_fleet::{run as run_mega_fleet, MegaFleetConfig};
 pub use multi_tenant::{
     run as run_multi_tenant, run_isolated as run_multi_tenant_isolated, MultiTenantConfig,
     TenantSpec,
 };
 pub use options::{RunOptions, RunOutput, RunTuning};
-pub use partition::{run as run_partition_flux, PartitionFluxConfig};
 pub use registry::{ScenarioError, ScenarioParams, ScenarioRegistry};
 pub use report::{ChannelReport, ScenarioReport};
 

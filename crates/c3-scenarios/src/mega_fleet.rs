@@ -32,7 +32,7 @@ use crate::options::{RunOptions, RunOutput};
 
 /// Full configuration of one mega-fleet run.
 #[derive(Clone, Debug)]
-pub struct MegaFleetConfig {
+pub(crate) struct MegaFleetConfig {
     /// Replica servers in the fleet.
     pub servers: usize,
     /// Closed-loop simulated clients; each holds exactly one pending
@@ -103,14 +103,9 @@ impl Default for MegaFleetConfig {
 }
 
 impl MegaFleetConfig {
-    /// Fleet capacity in requests/second.
-    pub fn capacity(&self) -> f64 {
-        self.servers as f64 * self.server_concurrency as f64 * 1000.0 / self.mean_service_ms
-    }
-
     /// The mean think time actually used: the configured one, or the
     /// `offered_rate` pacing override.
-    pub fn effective_think_ms(&self) -> f64 {
+    pub(crate) fn effective_think_ms(&self) -> f64 {
         match self.offered_rate {
             Some(rate) => self.clients as f64 / rate * 1000.0,
             None => self.mean_think_ms,
@@ -122,7 +117,7 @@ impl MegaFleetConfig {
     /// # Panics
     ///
     /// Panics when a parameter is out of range.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         fleet::validate_id_widths(self.servers, self.clients, 1);
         assert!(self.servers >= self.replication_factor, "too few servers");
         assert!(self.clients >= 1, "need clients");
@@ -189,7 +184,7 @@ impl MegaFleetConfig {
 /// Attach a recorder via [`RunOptions::recorded`] to capture the request
 /// lifecycle trace and decision snapshots; the report is bit-identical
 /// either way.
-pub fn run(cfg: MegaFleetConfig, options: RunOptions) -> RunOutput {
+pub(crate) fn run(cfg: MegaFleetConfig, options: RunOptions) -> RunOutput {
     fleet::run(cfg.lower(), options)
 }
 

@@ -148,7 +148,7 @@ impl Default for MultiTenantConfig {
 impl MultiTenantConfig {
     /// Mean service time in ms averaged over tenant demand (value sizes
     /// scale service linearly; 1 KB is the base).
-    pub fn effective_service_ms(&self) -> f64 {
+    pub(crate) fn effective_service_ms(&self) -> f64 {
         self.tenants
             .iter()
             .map(|t| t.demand_fraction * self.mean_service_ms * f64::from(t.value_bytes) / 1024.0)

@@ -20,7 +20,7 @@ use crate::options::{RunOptions, RunOutput};
 
 /// Configuration of a partition/flux run.
 #[derive(Clone, Debug)]
-pub struct PartitionFluxConfig {
+pub(crate) struct PartitionFluxConfig {
     /// The underlying cluster. [`PartitionFluxConfig::apply`] overwrites
     /// its `perturbations` and appends the scripted blackouts to its
     /// `faults`.
@@ -75,7 +75,7 @@ impl PartitionFluxConfig {
     /// stochastic blackout rides on the perturbation machinery's
     /// `slowdown` class, and the scripted windows are appended to the
     /// fault plan.
-    pub fn apply(&self) -> ClusterConfig {
+    pub(crate) fn apply(&self) -> ClusterConfig {
         assert!(self.blackout.multiplier > 1.0, "a blackout must slow reads");
         let mut cfg = self.cluster.clone();
         let off = PerturbationSpec::none();
@@ -97,7 +97,7 @@ impl PartitionFluxConfig {
 ///
 /// Panics when the configured strategy is unknown or needs
 /// simulator-global state (`ORA`).
-pub fn run(cfg: &PartitionFluxConfig, options: RunOptions) -> RunOutput {
+pub(crate) fn run(cfg: &PartitionFluxConfig, options: RunOptions) -> RunOutput {
     cluster_backed::run(super::PARTITION_FLUX, cfg.apply(), options)
 }
 

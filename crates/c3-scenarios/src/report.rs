@@ -88,7 +88,7 @@ impl ScenarioReport {
 
     /// Attach the scenario's dead-event count (see
     /// [`ScenarioReport::dead_events`]).
-    pub fn with_dead_events(mut self, dead_events: u64) -> Self {
+    pub(crate) fn with_dead_events(mut self, dead_events: u64) -> Self {
         self.dead_events = dead_events;
         self
     }

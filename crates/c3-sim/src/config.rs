@@ -131,7 +131,7 @@ impl SimConfig {
 
     /// Mean per-server service rate in requests/sec, averaged over the
     /// bimodal fluctuation: `concurrency × (μ + μ·D)/2`.
-    pub fn mean_server_rate(&self) -> f64 {
+    pub(crate) fn mean_server_rate(&self) -> f64 {
         let mu = 1000.0 / self.mean_service_ms; // req/s per execution slot
         self.server_concurrency as f64 * mu * (1.0 + self.range_d) / 2.0
     }

@@ -34,7 +34,7 @@ const REL_FLOOR: f64 = 1.0;
 
 /// A request's lifecycle events, joined.
 #[derive(Clone, Debug, Default)]
-pub struct RequestJoin {
+pub(crate) struct RequestJoin {
     /// Driver request id.
     pub request: u64,
     /// When the client issued it.
@@ -203,7 +203,7 @@ fn finite_mean(values: impl Iterator<Item = f64>) -> f64 {
 }
 
 /// Join raw events into per-request records (completed or not).
-pub fn join_requests(events: impl Iterator<Item = TraceEvent>) -> Vec<RequestJoin> {
+pub(crate) fn join_requests(events: impl Iterator<Item = TraceEvent>) -> Vec<RequestJoin> {
     let mut map: HashMap<u64, RequestJoin> = HashMap::new();
     let mut order: Vec<u64> = Vec::new();
     for ev in events {

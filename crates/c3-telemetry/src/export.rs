@@ -9,7 +9,7 @@ use crate::attribution::{Attribution, TailAttribution};
 use crate::recorder::NO_SERVER;
 
 /// Escape a string for embedding in a JSON double-quoted literal.
-pub fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -45,7 +45,7 @@ fn json_server(s: u32) -> String {
 
 impl Attribution {
     /// One JSON object (single line, stable key order).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(self) -> String {
         format!(
             concat!(
                 "{{\"request\":{},\"latency_ns\":{},\"wait_for_permit_ns\":{},",

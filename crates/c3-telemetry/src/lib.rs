@@ -40,10 +40,9 @@ mod export;
 mod process;
 mod recorder;
 
-pub use attribution::{attribute_tail, join_requests, Attribution, RequestJoin, TailAttribution};
-pub use export::json_escape;
+pub use attribution::{attribute_tail, Attribution, TailAttribution};
 pub use process::{node_cpu_gauge, node_rss_gauge, sample_process, ProcessSample};
 pub use recorder::{
-    summarize_gauge, GaugeSeries, GaugeSummary, Recorder, ReplicaSnap, SharedRecorder, TraceEvent,
-    TracePoint, NO_SERVER, TRACE_GROUP,
+    summarize_gauge, GaugeSeries, GaugeSummary, Recorder, ReplicaSnap, TraceEvent, TracePoint,
+    NO_SERVER,
 };

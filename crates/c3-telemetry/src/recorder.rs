@@ -1,7 +1,6 @@
 //! The flight recorder: a fixed-capacity ring of lifecycle events plus the
 //! unified score-trace and gauge-series sampling paths.
 
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use c3_core::{Nanos, ReplicaView};
@@ -14,7 +13,7 @@ use c3_metrics::{ExactReservoir, LatencySummary};
 /// an underestimate, never an overestimate, on wide groups). Kept tight
 /// deliberately: every ring slot is the size of the `Decision` variant,
 /// so this constant is the recorder's cache footprint.
-pub const TRACE_GROUP: usize = 4;
+pub(crate) const TRACE_GROUP: usize = 4;
 
 /// Sentinel server id: "no server" (backpressure decisions, unknown
 /// pending depth).
@@ -55,7 +54,7 @@ pub struct ReplicaSnap {
 
 impl ReplicaSnap {
     /// Pack a selector's [`ReplicaView`] into a recorded snapshot.
-    pub fn from_view(server: u32, view: &ReplicaView, pending: u32) -> Self {
+    pub(crate) fn from_view(server: u32, view: &ReplicaView, pending: u32) -> Self {
         Self {
             server,
             pending,
@@ -268,7 +267,7 @@ pub struct GaugeSeries {
 /// then drops the **oldest** event per push (`dropped` counts them). A
 /// capacity of 0 records no events at all — the shape the score-probe
 /// path uses. Score samples and gauge values are bounded separately
-/// ([`Recorder::SCORE_CAP`], [`Recorder::GAUGE_CAP`]); past the cap new
+/// (65 536 samples, 2²⁰ values per gauge series); past the cap new
 /// samples are counted but not stored, keeping early blackout windows
 /// intact for the parity harness.
 #[derive(Clone, Debug)]
@@ -298,14 +297,14 @@ impl Recorder {
     /// that want every request joined (`trace_explain`, the experiment
     /// tables) size the ring explicitly at ~6 slots per expected request
     /// and knowingly pay the larger cache footprint.
-    pub const DEFAULT_CAPACITY: usize = 2_048;
+    pub(crate) const DEFAULT_CAPACITY: usize = 2_048;
     /// Score-trace sampling interval: the cadence the sim-vs-live parity
     /// harness was pinned at.
     const SCORE_INTERVAL: Nanos = Nanos::from_millis(50);
     /// Retained score samples (50 ms cadence ⇒ days of sim time).
-    pub const SCORE_CAP: usize = 65_536;
+    pub(crate) const SCORE_CAP: usize = 65_536;
     /// Retained values per gauge series.
-    pub const GAUGE_CAP: usize = 1 << 20;
+    pub(crate) const GAUGE_CAP: usize = 1 << 20;
 
     /// A recorder with `capacity` ring slots (0 = score/gauge sampling
     /// only, no lifecycle events).
@@ -324,7 +323,7 @@ impl Recorder {
         }
     }
 
-    /// A recorder at [`Recorder::DEFAULT_CAPACITY`].
+    /// A recorder at the default capacity of 2 048 events.
     pub fn with_default_capacity() -> Self {
         Self::new(Self::DEFAULT_CAPACITY)
     }
@@ -395,12 +394,12 @@ impl Recorder {
     /// candidate plus the ground-truth pending depth at each, as a
     /// [`TracePoint::Decision`]. `chosen == None` is a backpressure
     /// verdict ([`NO_SERVER`]). The chosen replica is snapshotted first,
-    /// so truncating a wide group to [`TRACE_GROUP`] can never drop it.
-    /// `probe` yields a candidate's `(selector view, pending depth)`; a
-    /// selector that exposes no view (the Oracle, LOR, random) leaves a
-    /// [`ReplicaSnap::blind`] snapshot, so queue-regret still works where
-    /// score-regret cannot. No-op (and `probe` is never called) at
-    /// capacity 0.
+    /// so truncating a wide group to its first four replicas can never
+    /// drop it. `probe` yields a candidate's `(selector view, pending
+    /// depth)`; a selector that exposes no view (the Oracle, LOR, random)
+    /// leaves a [`ReplicaSnap::blind`] snapshot, so queue-regret still
+    /// works where score-regret cannot. No-op (and `probe` is never
+    /// called) at capacity 0.
     #[inline]
     pub fn record_decision(
         &mut self,
@@ -605,36 +604,6 @@ pub fn summarize_gauge(values: &[(Nanos, u64)], duration: Duration) -> GaugeSumm
     }
 }
 
-/// A recorder behind `Arc<Mutex<_>>` for the live client's threads. The
-/// hot paths keep their thread-local buffers; this is the aggregation
-/// and reporting handle they drain into.
-#[derive(Clone, Debug)]
-pub struct SharedRecorder(Arc<Mutex<Recorder>>);
-
-impl SharedRecorder {
-    /// Wrap a recorder for sharing.
-    pub fn new(recorder: Recorder) -> Self {
-        Self(Arc::new(Mutex::new(recorder)))
-    }
-
-    /// Run `f` with the locked recorder.
-    pub fn with<T>(&self, f: impl FnOnce(&mut Recorder) -> T) -> T {
-        f(&mut self.0.lock().expect("recorder lock poisoned"))
-    }
-
-    /// Unwrap the recorder once all other handles are gone.
-    ///
-    /// # Panics
-    ///
-    /// Panics when other clones are still alive.
-    pub fn into_inner(self) -> Recorder {
-        Arc::try_unwrap(self.0)
-            .expect("other SharedRecorder handles still alive")
-            .into_inner()
-            .expect("recorder lock poisoned")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -774,13 +743,5 @@ mod tests {
         }
         let back: Vec<TracePoint> = rec.events().map(|e| e.point).collect();
         assert_eq!(back, pts.to_vec());
-    }
-
-    #[test]
-    fn shared_recorder_round_trips() {
-        let shared = SharedRecorder::new(Recorder::new(2));
-        shared.with(|r| r.record(Nanos(1), 7, TracePoint::Issue));
-        let rec = shared.into_inner();
-        assert_eq!(rec.len(), 1);
     }
 }

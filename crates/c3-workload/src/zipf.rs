@@ -10,7 +10,7 @@
 use rand::Rng;
 
 /// Default Zipfian constant; YCSB's and the paper's ρ.
-pub const DEFAULT_THETA: f64 = 0.99;
+pub(crate) const DEFAULT_THETA: f64 = 0.99;
 
 /// A Zipfian distribution over `0..n` (rank 0 is the hottest item).
 #[derive(Clone, Debug)]

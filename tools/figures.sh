@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Figure digests: run every figure, table, ablation and extra bin of
-# c3-bench at C3_SCALE=quick C3_RUNS=1 and print one `sha256  <bin>` line
-# per bin (the SHA-256 of the bin's stdout, which carries no wall-clock).
+# Figure digests: run every figure, table, ablation and extra that
+# `c3-figures --list` names (c3-bench's one binary) at C3_SCALE=quick
+# C3_RUNS=1 and print one `sha256  <name>` line per figure, sorted by name
+# (the SHA-256 of `c3-figures <name>`'s stdout, which carries no
+# wall-clock).
 #
 #   tools/figures.sh            print the table (≈ 40 s on 2 vCPU after the
 #                               release build)
 #   tools/figures.sh --check    compare against the committed
 #                               crates/c3-bench/FIGURES.sha256, name the
-#                               bins whose output differs, exit 1 if any
+#                               figures whose output differs, exit 1 if any
 #
 # To regenerate the committed table after a declared behaviour change:
 #   tools/figures.sh > crates/c3-bench/FIGURES.sha256
@@ -27,27 +29,17 @@ case "${1:-}" in
   *) echo "usage: tools/figures.sh [--check]" >&2; exit 2 ;;
 esac
 
-bins=(
-  ablation_components ablation_params
-  extra_skewed_records extra_speculative_retry
-  fig01_lor_vs_ideal fig02_ds_oscillation fig04_scoring_functions
-  fig05_cubic_rate_curve fig06_latency_profiles fig08_load_conditioning
-  fig10_higher_utilization fig11_dynamic_workload fig12_ssd
-  fig13_rate_adaptation fig14_fluctuation_sweep fig15_demand_skew
-  table1_selection_landscape
-)
-
 target=${CARGO_TARGET_DIR:-$root/target}
 case $target in /*) ;; *) target=$root/$target ;; esac
 
-build=(cargo build --release --quiet -p c3-bench)
-for bin in "${bins[@]}"; do build+=(--bin "$bin"); done
-"${build[@]}" >&2
+cargo build --release --quiet -p c3-bench >&2
+figures=$target/release/c3-figures
+mapfile -t names < <("$figures" --list | LC_ALL=C sort)
 
 digests() {
-  for bin in "${bins[@]}"; do
-    sum=$(C3_SCALE=quick C3_RUNS=1 "$target/release/$bin" | sha256sum)
-    echo "${sum%% *}  $bin"
+  for name in "${names[@]}"; do
+    sum=$(C3_SCALE=quick C3_RUNS=1 "$figures" "$name" | sha256sum)
+    echo "${sum%% *}  $name"
   done
 }
 
@@ -58,12 +50,12 @@ fi
 
 [ -f "$table" ] || { echo "figures: $table is missing" >&2; exit 1; }
 differ=()
-while read -r sum bin; do
-  want=$(awk -v b="$bin" '$2 == b { print $1 }' "$table")
-  if [ "$sum" != "$want" ]; then differ+=("$bin"); fi
+while read -r sum name; do
+  want=$(awk -v n="$name" '$2 == n { print $1 }' "$table")
+  if [ "$sum" != "$want" ]; then differ+=("$name"); fi
 done < <(digests)
 if [ "${#differ[@]}" -gt 0 ]; then
   echo "figures: output differs from $table in: ${differ[*]}" >&2
   exit 1
 fi
-echo "figures: all ${#bins[@]} bins match $table"
+echo "figures: all ${#names[@]} figures match $table"
