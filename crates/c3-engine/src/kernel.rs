@@ -27,7 +27,7 @@
 //!   current epoch after the refill (latecomers);
 //! * a **fine ring** of `NUM_BUCKETS` unsorted epoch buckets, each
 //!   holding exactly one epoch's events (O(1) insert, whole-bucket
-//!   `swap` + `sort_unstable` on drain — no per-node filtering);
+//!   gather + `sort_unstable` on drain — no per-node filtering);
 //! * a **coarse ring** of `NUM_COARSE` unsorted buckets of 2^10 epochs
 //!   each (≈ 33.5 ms; ≈ 4.3 s in all) — the second level of a
 //!   hierarchical timing wheel (Varghese & Lauck, SOSP '87). A far timer
@@ -48,10 +48,27 @@
 //! fine window `[horizon, horizon + NUM_BUCKETS)`. With the fine ring
 //! empty the horizon jumps to the next occupied coarse bucket's due
 //! point; with the coarse ring empty too, the coarse window first jumps
-//! to the overflow minimum. A cascading bucket's storage is freed, not
-//! kept as the fine ring's is: kept, each bucket holds its peak, and a
-//! 400k-op mega-fleet cell grew resident memory by ≈ 32 MB instead of
-//! ≈ 23 MB (`tests/sim_memory.rs` rejects it).
+//! to the overflow minimum.
+//!
+//! **Storage: one chunk pool.** Both rings draw node storage from one
+//! pool of fixed-size chunks (`CHUNK` = 32 nodes, each allocated once)
+//! and hand it back: a fine bucket keeps an inline part of its own
+//! (`INLINE` = 32 nodes) and spills the rest of a busy epoch into chunks;
+//! a coarse bucket is chunks only. Draining or cascading a bucket returns
+//! its chunks, so the wheel's storage follows the peak number of *live*
+//! nodes, not the sum of every bucket's own peak, and once warm the wheel
+//! allocates nothing. A bucket that never spilled still drains with one
+//! `swap`, as a single-ring queue does. Before the pool, each of the 2048
+//! fine buckets kept the capacity of its busiest epoch (≈ 10.6 MB of
+//! 4–8 KB blocks at the mega-fleet's peak, for a ring that holds ≈ 67 ms
+//! of events), and each coarse bucket freed its storage as it cascaded
+//! and regrew it by doubling: each extra event cost ≈ 18 B and 0.0006
+//! allocations on a mega-fleet cell, ≈ 15 B and 0.006 on a recorded
+//! crash-flux cell (the runs `tests/alloc_budget.rs` makes). With it,
+//! `sim-mega-fleet`'s peak RSS fell from ≈ 38.7 to ≈ 27 MB, and an extra
+//! event costs at most 1 B and 0.0005 allocations. Coarse buckets that kept their own
+//! storage, each at its own peak, grew a 400k-op mega-fleet cell by
+//! ≈ 32 MB; `tests/sim_memory.rs` rejects that.
 //!
 //! The heap stays for what lies beyond 4.3 s — fault plans and hour-long
 //! test timers, which no simulated loop schedules by the thousand — so a
@@ -90,6 +107,13 @@ const COARSE_SHIFT: u32 = 10;
 /// Number of coarse buckets (must be a power of two): ≈ 4.3 s of horizon.
 /// Events beyond that park in the overflow heap.
 const NUM_COARSE: usize = 128;
+
+/// Nodes a fine bucket keeps in storage of its own; an epoch busier than
+/// this spills the rest into pooled chunks.
+const INLINE: usize = 32;
+
+/// Nodes per pooled chunk.
+const CHUNK: usize = 32;
 
 // The cascade rule relies on a coarse bucket being half the fine ring.
 const _: () = assert!(NUM_BUCKETS == 2 << COARSE_SHIFT);
@@ -178,6 +202,77 @@ enum Slot<E> {
     Vacant { next_free: u32 },
 }
 
+/// A pooled chunk: at most [`CHUNK`] nodes, allocated once, plus the link
+/// to the next chunk of its chain (a bucket's, or the free list).
+#[derive(Debug)]
+struct Chunk<E> {
+    nodes: Vec<Node<E>>,
+    next: u32,
+}
+
+/// The chunks both wheel rings draw from and hand back: its size is the
+/// peak number of nodes parked in chunks at once, not a sum of per-bucket
+/// peaks.
+#[derive(Debug)]
+struct ChunkPool<E> {
+    chunks: Vec<Chunk<E>>,
+    /// Head of the free list (`NIL`: every chunk is in a chain).
+    free: u32,
+}
+
+impl<E> ChunkPool<E> {
+    /// Push `node` onto the chain headed by `*head`, linking a fresh chunk
+    /// in front when the head chunk is full (or the chain is empty). Kept
+    /// out of line so the inlined filing path stays as small as a
+    /// one-ring queue's.
+    #[inline(never)]
+    fn push(&mut self, head: &mut u32, node: Node<E>) {
+        if *head == NIL || self.chunks[*head as usize].nodes.len() == CHUNK {
+            *head = self.take(*head);
+        }
+        self.chunks[*head as usize].nodes.push(node);
+    }
+
+    /// A free chunk linked in front of `next`: recycled, or allocated when
+    /// the pool is dry.
+    fn take(&mut self, next: u32) -> u32 {
+        let c = if self.free != NIL {
+            let c = self.free;
+            self.free = self.chunks[c as usize].next;
+            c
+        } else {
+            assert!(self.chunks.len() < NIL as usize, "chunk pool full");
+            self.chunks.push(Chunk {
+                nodes: Vec::with_capacity(CHUNK),
+                next: NIL,
+            });
+            (self.chunks.len() - 1) as u32
+        };
+        self.chunks[c as usize].next = next;
+        c
+    }
+
+    /// Return chunk `c` (emptied) to the free list; returns the chunk it
+    /// was linked in front of.
+    #[inline]
+    fn give_back(&mut self, c: u32) -> u32 {
+        let chunk = &mut self.chunks[c as usize];
+        debug_assert!(chunk.nodes.is_empty());
+        let next = std::mem::replace(&mut chunk.next, self.free);
+        self.free = c;
+        next
+    }
+
+    /// Move every node of the chain headed by `head` into `out`, handing
+    /// its chunks back.
+    fn drain_into(&mut self, mut head: u32, out: &mut Vec<Node<E>>) {
+        while head != NIL {
+            out.append(&mut self.chunks[head as usize].nodes);
+            head = self.give_back(head);
+        }
+    }
+}
+
 /// Handle to a cancellable scheduled event, usable to cancel it before it
 /// fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -196,6 +291,11 @@ pub struct EventQueue<E> {
     /// *descending* by `(time, seq)` so the minimum pops off the end in
     /// O(1). Epochs here are `< horizon_epoch`.
     sorted: Vec<Node<E>>,
+    /// The near tier's second bulk buffer, empty outside `advance`. Epochs
+    /// that spilled are gathered into whichever of `sorted` and `wide` is
+    /// the large one; an epoch that did not is swapped into the small one,
+    /// so no fine bucket ever holds more than [`INLINE`] nodes of storage.
+    wide: Vec<Node<E>>,
     /// Near tier, latecomer half: events filed into an epoch below the
     /// horizon *after* that epoch's bucket was drained (a pop at time `t`
     /// scheduling a follow-up inside `t`'s own epoch). Usually tiny; a
@@ -205,19 +305,27 @@ pub struct EventQueue<E> {
     /// below `cascaded` — all inside `[horizon_epoch, horizon_epoch +
     /// NUM_BUCKETS)` — ring-indexed by `epoch & (NUM_BUCKETS - 1)`. Each
     /// bucket holds exactly one epoch's events.
+    /// A bucket keeps up to [`INLINE`] nodes in its own storage and spills
+    /// the rest into the chunk chain headed by its `spill` entry.
     buckets: Vec<Vec<Node<E>>>,
+    /// Per fine bucket, the head of its spilled chunk chain (`NIL`:
+    /// nothing spilled).
+    spill: Vec<u32>,
     /// One bit per fine bucket: set iff the bucket is non-empty.
     occupied: Vec<u64>,
     /// Nodes currently parked in `buckets` (including cancelled stale
     /// ones, which are dropped when their epoch drains).
     far: usize,
     /// Coarse ring: events with coarse index in `[cascaded, cascaded +
-    /// NUM_COARSE)`, ring-indexed by `coarse & (NUM_COARSE - 1)`.
-    coarse: Vec<Vec<Node<E>>>,
+    /// NUM_COARSE)`, ring-indexed by `coarse & (NUM_COARSE - 1)`. Each
+    /// bucket is the head of a chunk chain (`NIL` when empty).
+    coarse: Vec<u32>,
     /// One bit per coarse bucket: set iff the bucket is non-empty.
     coarse_occupied: [u64; NUM_COARSE / 64],
     /// Nodes currently parked in `coarse`.
     coarse_len: usize,
+    /// The chunks behind spilled fine buckets and every coarse bucket.
+    pool: ChunkPool<E>,
     /// The first coarse index not yet cascaded into the fine ring.
     cascaded: u64,
     /// Overflow tier: events with coarse index `≥ cascaded + NUM_COARSE`,
@@ -249,13 +357,19 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         Self {
             sorted: Vec::new(),
+            wide: Vec::new(),
             staging: BinaryHeap::new(),
             buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            spill: vec![NIL; NUM_BUCKETS],
             occupied: vec![0u64; NUM_BUCKETS / 64],
             far: 0,
-            coarse: (0..NUM_COARSE).map(|_| Vec::new()).collect(),
+            coarse: vec![NIL; NUM_COARSE],
             coarse_occupied: [0; NUM_COARSE / 64],
             coarse_len: 0,
+            pool: ChunkPool {
+                chunks: Vec::new(),
+                free: NIL,
+            },
             // Coarse buckets 0 and 1 are due at horizon 0: the fine ring
             // starts out covering `[0, NUM_BUCKETS)`.
             cascaded: 2,
@@ -315,7 +429,12 @@ impl<E> EventQueue<E> {
     #[inline]
     fn file_fine(&mut self, node: Node<E>, e: u64) {
         let b = (e as usize) & (NUM_BUCKETS - 1);
-        self.buckets[b].push(node);
+        let bucket = &mut self.buckets[b];
+        if bucket.len() < INLINE {
+            bucket.push(node);
+        } else {
+            self.pool.push(&mut self.spill[b], node);
+        }
         self.occupied[b / 64] |= 1u64 << (b % 64);
         self.far += 1;
     }
@@ -324,7 +443,7 @@ impl<E> EventQueue<E> {
     #[inline]
     fn file_coarse(&mut self, node: Node<E>, c: u64) {
         let b = (c as usize) & (NUM_COARSE - 1);
-        self.coarse[b].push(node);
+        self.pool.push(&mut self.coarse[b], node);
         self.coarse_occupied[b / 64] |= 1u64 << (b % 64);
         self.coarse_len += 1;
     }
@@ -377,14 +496,31 @@ impl<E> EventQueue<E> {
             self.cascade();
         }
         // Jump to the nearest occupied epoch (single-epoch buckets make
-        // slot distance equal epoch distance) and take its whole bucket;
-        // the swap hands `sorted`'s spent capacity back to the ring, so
-        // the steady state allocates nothing.
+        // slot distance equal epoch distance) and take its whole bucket.
         let slot = (self.horizon_epoch as usize) & (NUM_BUCKETS - 1);
         let d = distance_to_occupied(&self.occupied, slot);
         self.horizon_epoch += d as u64;
         let b = (self.horizon_epoch as usize) & (NUM_BUCKETS - 1);
-        std::mem::swap(&mut self.sorted, &mut self.buckets[b]);
+        let bucket = &mut self.buckets[b];
+        // Only a full inline part can have spilled.
+        if bucket.len() < INLINE || self.spill[b] == NIL {
+            // One swap, as in a single-ring queue: the bucket gets the
+            // small buffer's spent capacity back, so it never grows past
+            // its inline part.
+            if self.sorted.capacity() > INLINE {
+                std::mem::swap(&mut self.sorted, &mut self.wide);
+            }
+            std::mem::swap(&mut self.sorted, bucket);
+        } else {
+            // Gathered into the large buffer; the chunks go back to the
+            // pool.
+            if self.sorted.capacity() <= INLINE {
+                std::mem::swap(&mut self.sorted, &mut self.wide);
+            }
+            self.sorted.append(bucket);
+            let head = std::mem::replace(&mut self.spill[b], NIL);
+            self.pool.drain_into(head, &mut self.sorted);
+        }
         self.occupied[b / 64] &= !(1u64 << (b % 64));
         self.far -= self.sorted.len();
         self.sorted.sort_unstable_by(|a, b| b.cmp(a));
@@ -415,13 +551,19 @@ impl<E> EventQueue<E> {
         }
         while self.cascaded <= (self.horizon_epoch >> COARSE_SHIFT) + 1 {
             let b = (self.cascaded as usize) & (NUM_COARSE - 1);
-            // Taken, not swapped: the bucket's storage is freed.
-            let bucket = std::mem::take(&mut self.coarse[b]);
+            let mut chunk = std::mem::replace(&mut self.coarse[b], NIL);
             self.coarse_occupied[b / 64] &= !(1u64 << (b % 64));
-            self.coarse_len -= bucket.len();
-            for node in bucket {
-                let e = epoch(node.time);
-                self.file_fine(node, e);
+            while chunk != NIL {
+                // Out of the pool while its nodes are filed (which may draw
+                // chunks), then handed back with its capacity.
+                let mut nodes = std::mem::take(&mut self.pool.chunks[chunk as usize].nodes);
+                self.coarse_len -= nodes.len();
+                for node in nodes.drain(..) {
+                    let e = epoch(node.time);
+                    self.file_fine(node, e);
+                }
+                self.pool.chunks[chunk as usize].nodes = nodes;
+                chunk = self.pool.give_back(chunk);
             }
             self.cascaded += 1;
             self.refill_coarse();
@@ -845,18 +987,17 @@ mod tests {
         assert_eq!(q.filed[Tier::Coarse as usize], 2);
     }
 
-    /// Drive the mega-fleet's timer pattern for `pops` events: `clients`
-    /// closed loops, each an exp(200 ms) think, then a 0.25 ms hop, an
-    /// exp(2 ms) service and a 0.25 ms hop back. Returns the queue, still
-    /// holding one pending event per client, and how many of the request
+    /// Drive the mega-fleet's timer pattern on `q` for `pops` events:
+    /// `clients` closed loops, each an exp(200 ms) think, then a 0.25 ms
+    /// hop, an exp(2 ms) service and a 0.25 ms hop back. Leaves one
+    /// pending event per client and returns how many of the request
     /// chain's three steps were filed past the fine ring.
-    fn mega_fleet_churn(clients: u64, pops: u64, seed: u64) -> (EventQueue<u64>, u64) {
+    fn mega_fleet_churn(q: &mut EventQueue<u64>, clients: u64, pops: u64, seed: u64) -> u64 {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut exp =
             |mean_ms: f64| Nanos::from_millis_f64(-mean_ms * (1.0 - rng.gen::<f64>()).ln());
-        let mut q = EventQueue::new();
         for client in 0..clients {
             q.schedule_in(exp(200.0), client << 2);
         }
@@ -871,18 +1012,19 @@ mod tests {
             let far = |q: &EventQueue<u64>| {
                 q.filed[Tier::Coarse as usize] + q.filed[Tier::Overflow as usize]
             };
-            let before = far(&q);
+            let before = far(q);
             q.schedule_in(delay, (ev & !3) | ((ev + 1) & 3));
             if ev & 3 != 3 {
-                chain_past_fine += far(&q) - before;
+                chain_past_fine += far(q) - before;
             }
         }
-        (q, chain_past_fine)
+        chain_past_fine
     }
 
     #[test]
     fn mega_fleet_timers_never_touch_the_overflow_heap() {
-        let (q, chain_past_fine) = mega_fleet_churn(120_000, 480_000, 1);
+        let mut q = EventQueue::new();
+        let chain_past_fine = mega_fleet_churn(&mut q, 120_000, 480_000, 1);
         assert_eq!(q.filed[Tier::Overflow as usize], 0, "{:?}", q.filed);
         // ≈ 72% of the think timers land past the fine ring; the request
         // chain never does, because coarse buckets cascade a bucket-width
@@ -892,22 +1034,30 @@ mod tests {
     }
 
     #[test]
-    fn cascaded_coarse_buckets_free_their_storage() {
-        let coarse_capacity =
-            |q: &EventQueue<u64>| q.coarse.iter().map(Vec::capacity).sum::<usize>();
-        let (mut q, _) = mega_fleet_churn(120_000, 240_000, 2);
-        // Live buckets hold at most doubling slack (4 nodes when tiny).
-        let live = q.coarse.iter().filter(|b| !b.is_empty()).count();
-        assert!(q.coarse_len > 0);
+    fn wheel_storage_follows_live_nodes_and_is_recycled() {
+        // Node storage of both rings: the fine buckets' own parts and the
+        // chunk pool.
+        let capacity = |q: &EventQueue<u64>| {
+            q.buckets.iter().map(Vec::capacity).sum::<usize>() + q.pool.chunks.len() * CHUNK
+        };
+        let occupied = |bits: &[u64]| bits.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+        let mut q = EventQueue::new();
+        mega_fleet_churn(&mut q, 120_000, 480_000, 2);
+        // Live nodes, one inline part per fine bucket and one partly
+        // filled chunk per occupied bucket: per-bucket peaks would hold
+        // several times that.
+        let buckets = occupied(&q.occupied) + occupied(&q.coarse_occupied);
+        let bound = q.live + NUM_BUCKETS * INLINE + buckets * CHUNK;
         assert!(
-            coarse_capacity(&q) <= 2 * q.coarse_len + 4 * live,
-            "{} slots for {} nodes",
-            coarse_capacity(&q),
-            q.coarse_len
+            capacity(&q) <= bound,
+            "{} node slots for {} live nodes in {buckets} buckets",
+            capacity(&q),
+            q.live
         );
-        while q.pop().is_some() {}
-        assert_eq!(q.coarse_len, 0);
-        assert_eq!(coarse_capacity(&q), 0, "cascaded buckets kept storage");
+        // Warm: the same population churning on draws no new chunk.
+        let chunks = q.pool.chunks.len();
+        mega_fleet_churn(&mut q, 0, 480_000, 3);
+        assert_eq!(q.pool.chunks.len(), chunks, "the second churn allocated");
     }
 
     #[test]

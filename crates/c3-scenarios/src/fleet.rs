@@ -127,12 +127,9 @@ pub(crate) enum FleetEvent {
     Arrive { source: u32 },
     /// A request reaches its server.
     ServerArrive { req: ReqId },
-    /// A request finishes executing at its server.
-    ServiceDone {
-        server: u32,
-        req: ReqId,
-        service_time: Nanos,
-    },
+    /// A request finishes executing at its server (its service time waits
+    /// in the request record's `feedback`).
+    ServiceDone { server: u32, req: ReqId },
     /// A response reaches its client.
     ClientReceive { req: ReqId },
     /// A selector retries the backlog of one replica group.
@@ -408,19 +405,19 @@ impl DirectFleet {
     }
 
     /// `req` took an execution slot at `server`: sample its service time
-    /// and schedule its completion.
+    /// into the record's feedback and schedule its completion.
     fn start_service(&mut self, server: usize, req: ReqId, engine: &mut EventQueue<FleetEvent>) {
-        let class = self.requests[req].class as usize;
+        let r = &mut self.requests[req];
         let service_time = Nanos::from_millis_f64(exp_sample(
             &mut self.srv_rng,
-            self.spec.classes[class].mean_service_ms,
+            self.spec.classes[r.class as usize].mean_service_ms,
         ));
+        r.feedback.service_time = service_time;
         engine.schedule_in(
             service_time,
             FleetEvent::ServiceDone {
                 server: server as u32,
                 req,
-                service_time,
             },
         );
     }
@@ -436,7 +433,6 @@ impl DirectFleet {
         &mut self,
         server: usize,
         req: ReqId,
-        service_time: Nanos,
         now: Nanos,
         engine: &mut EventQueue<FleetEvent>,
         metrics: &mut RunMetrics,
@@ -446,7 +442,7 @@ impl DirectFleet {
             self.start_service(server, next, engine);
         }
         let pending = self.servers[server].pending() as u32;
-        self.requests[req].feedback = Feedback::new(pending, service_time);
+        self.requests[req].feedback.queue_size = pending;
         engine.schedule_in(self.spec.one_way_latency, FleetEvent::ClientReceive { req });
     }
 
@@ -570,11 +566,9 @@ impl Scenario for DirectFleet {
         match event {
             FleetEvent::Arrive { source } => self.on_arrive(source, now, engine, metrics),
             FleetEvent::ServerArrive { req } => self.on_server_arrive(req, engine),
-            FleetEvent::ServiceDone {
-                server,
-                req,
-                service_time,
-            } => self.on_service_done(server as usize, req, service_time, now, engine, metrics),
+            FleetEvent::ServiceDone { server, req } => {
+                self.on_service_done(server as usize, req, now, engine, metrics)
+            }
             FleetEvent::ClientReceive { req } => self.on_client_receive(req, now, engine, metrics),
             FleetEvent::RetryBacklog { selector, group } => {
                 self.drain(selector as usize, group as usize, now, engine, true)
@@ -692,7 +686,7 @@ mod tests {
         // The kernel moves events by value, and the response path copies
         // the request record (issue index and feedback inline) out of its
         // table: one cache line.
-        assert!(std::mem::size_of::<FleetEvent>() <= 24);
+        assert!(std::mem::size_of::<FleetEvent>() <= 16);
         assert!(std::mem::size_of::<Request>() <= 64);
     }
 }
