@@ -89,14 +89,15 @@ pub struct RunMetrics {
     latency: Vec<LogHistogram>,
     /// Optional exact-percentile recorders, one per channel, running
     /// alongside the streaming histograms (see
-    /// [`RunMetrics::with_exact_reservoir`]). `RefCell` so the reservoir's
-    /// deferred-sort cache persists across `&self` summary queries —
-    /// without it every summary would clone and re-sort the full sample
-    /// vector.
+    /// [`RunMetrics::with_exact_reservoir`]). `RefCell` so a `&self`
+    /// summary query can sort the reservoir's partial chunk in place —
+    /// without it every summary would clone the reservoir.
     exact: Option<Vec<std::cell::RefCell<ExactReservoir>>>,
     completions: Vec<u64>,
     server_load: Vec<WindowedCounts>,
-    first_completion: Option<Nanos>,
+    /// Earliest and latest measured completion, a min and a max so records
+    /// may come in any order; [`Nanos::MAX`] before the first.
+    first_completion: Nanos,
     last_completion: Nanos,
 }
 
@@ -116,7 +117,7 @@ impl RunMetrics {
             server_load: (0..servers)
                 .map(|_| WindowedCounts::new(load_window.as_nanos()))
                 .collect(),
-            first_completion: None,
+            first_completion: Nanos::MAX,
             last_completion: Nanos::ZERO,
         }
     }
@@ -125,8 +126,9 @@ impl RunMetrics {
     /// (every-sample) reservoir per channel, so [`RunMetrics::summary`]
     /// reports exact order statistics instead of bucketed ones. Use for
     /// the claims/figure tiers where close percentile comparisons matter;
-    /// it costs O(completions) memory, which is why the streaming
-    /// histogram stays the default.
+    /// it costs O(completions) memory (4 B per value, see
+    /// [`ExactReservoir`]), which is why the streaming histogram stays the
+    /// default.
     pub(crate) fn with_exact_reservoir(mut self) -> Self {
         self.exact = Some(
             (0..self.channels.len())
@@ -158,8 +160,10 @@ impl RunMetrics {
     }
 
     /// Record a completed unit on `channel`. Only `measured` completions
-    /// (past warm-up) enter the histogram and the measured time window;
-    /// every completion advances the total count used by stop conditions.
+    /// (past warm-up) enter the histogram and the measured time window,
+    /// whose ends are the least and the greatest `now` seen, so the order
+    /// of the records does not matter; every completion advances the total
+    /// count used by stop conditions.
     pub fn record_completion(
         &mut self,
         channel: ChannelId,
@@ -173,10 +177,8 @@ impl RunMetrics {
             if let Some(exact) = &mut self.exact {
                 exact[channel.index()].get_mut().record(latency.as_nanos());
             }
-            if self.first_completion.is_none() {
-                self.first_completion = Some(now);
-            }
-            self.last_completion = now;
+            self.first_completion = self.first_completion.min(now);
+            self.last_completion = self.last_completion.max(now);
         }
     }
 
@@ -222,10 +224,10 @@ impl RunMetrics {
         LatencySummary::from_histogram(&self.latency[channel.index()])
     }
 
-    /// Measured duration: first to last measured completion.
+    /// Measured duration: the earliest to the latest measured completion
+    /// (zero before two of them).
     pub fn duration(&self) -> Nanos {
-        self.last_completion
-            .saturating_sub(self.first_completion.unwrap_or(Nanos::ZERO))
+        self.last_completion.saturating_sub(self.first_completion)
     }
 
     /// Measured throughput of a channel in completions/second.
@@ -591,6 +593,80 @@ mod tests {
         m.record_service(0, Nanos::from_micros(5));
         assert_eq!(m.busiest_server(), 1);
         assert!(!m.busiest_server_load_ecdf().is_empty());
+    }
+
+    /// A live run's readers fold their completions in reader-sized
+    /// batches, in whatever order the batches fill: the metrics must read
+    /// exactly as if every completion had been recorded in time order.
+    #[test]
+    fn batched_records_in_any_order_equal_time_order() {
+        use rand::Rng;
+        const READERS: usize = 6;
+        const BATCH: usize = 256;
+        let mut rng = SmallRng::seed_from_u64(50);
+        // (channel, completed at, latency, measured, server) in time order:
+        // two channels, a warm-up, a heavy tail, ties in time.
+        let mut at = 0u64;
+        let records: Vec<(ChannelId, Nanos, Nanos, bool, usize)> = (0..40_000u64)
+            .map(|i| {
+                at += rng.gen_range(0..20_000u64);
+                let base = 200_000 + rng.gen_range(0..1_000_000u64);
+                let latency = if rng.gen_bool(0.01) { base * 40 } else { base };
+                let channel = ChannelId::new(usize::from(rng.gen_bool(0.2)));
+                (
+                    channel,
+                    Nanos(at),
+                    Nanos(latency),
+                    i >= 500,
+                    rng.gen_range(0..3),
+                )
+            })
+            .collect();
+        // Each completion lands in one reader's batch; a full batch is
+        // handed over, and the hand-overs are then shuffled.
+        let mut open: Vec<Vec<_>> = vec![Vec::new(); READERS];
+        let mut batches = Vec::new();
+        for &r in &records {
+            let reader = &mut open[rng.gen_range(0..READERS)];
+            reader.push(r);
+            if reader.len() == BATCH {
+                batches.push(std::mem::take(reader));
+            }
+        }
+        batches.extend(open.into_iter().filter(|b| !b.is_empty()));
+        for i in (1..batches.len()).rev() {
+            batches.swap(i, rng.gen_range(0..=i));
+        }
+        let record =
+            |records: &mut dyn Iterator<Item = &(ChannelId, Nanos, Nanos, bool, usize)>| {
+                let channels = ChannelSet::of(["read", "update"]);
+                let mut m =
+                    RunMetrics::new(channels, 3, Nanos::from_millis(100), 0).with_exact_reservoir();
+                for &(channel, now, latency, measured, server) in records {
+                    m.record_completion(channel, now, latency, measured);
+                    m.record_service(server, now);
+                }
+                m
+            };
+        let in_order = record(&mut records.iter());
+        let batched = record(&mut batches.iter().flatten());
+        assert!(batches.len() > 100);
+        for ch in [ChannelId::new(0), ChannelId::new(1)] {
+            assert_eq!(in_order.summary(ch), batched.summary(ch));
+            assert_eq!(
+                in_order.streaming_summary(ch),
+                batched.streaming_summary(ch)
+            );
+            assert_eq!(in_order.completions(ch), batched.completions(ch));
+        }
+        assert_eq!(in_order.duration(), batched.duration());
+        assert_eq!(
+            in_order.duration(),
+            records.last().unwrap().1 - records[500].1
+        );
+        for (a, b) in in_order.server_load().iter().zip(batched.server_load()) {
+            assert_eq!(a.counts(), b.counts());
+        }
     }
 
     #[test]

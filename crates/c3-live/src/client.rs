@@ -50,6 +50,10 @@
 //! through [`reap_send`]; `execute` asserts at teardown that the budget
 //! came back whole and the ledger balances ([`LifecycleCounts::check`]).
 //!
+//! A run keeps in-flight state, not run-length state: readers fold each
+//! op's sample into the run's `RunMetrics`, which [`execute_on`]'s scoped
+//! threads share behind a `Mutex`, a batch at a time.
+//!
 //! On `Backpressure` an issuer sleeps until the returned token time and
 //! retries, and the waiting time lands in the recorded latency. That is
 //! *not* Algorithm 1's backlog: a sleeping issuer also delays every
@@ -76,7 +80,7 @@ use c3_core::{
     Attempt, Expiry, FailureDetector, LifecycleCounts, Nanos, OpLife, Outcome, RateStats,
     ResponseInfo, Selection, Selector, SharedC3State, SnitchConfig, WallClock,
 };
-use c3_engine::SeedSeq;
+use c3_engine::{ChannelId, RunMetrics, SeedSeq};
 use c3_metrics::LogHistogram;
 use c3_net::proto::{encode_request, Frame, Request};
 use c3_telemetry::Recorder;
@@ -119,76 +123,64 @@ struct ExpectedHello {
     digest: u64,
 }
 
-/// One completed operation, as the metrics replay sees it. A run keeps
-/// one of these per operation, so it is kept to 24 bytes.
+/// One completed operation, buffered by its reader until the next batch
+/// folds it into the run's metrics.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Sample {
-    pub completed_at: Nanos,
-    pub latency: Nanos,
-    pub replica: u32,
+struct Sample {
+    completed_at: Nanos,
+    latency: Nanos,
+    replica: u32,
     /// `true` = GET (read channel), `false` = PUT (update channel).
-    pub is_read: bool,
+    is_read: bool,
     /// Issued after the warm-up.
-    pub measured: bool,
+    measured: bool,
 }
 
-/// Samples per chunk of a [`SampleRun`]: 2 048 × 24 B = 48 KiB, under
-/// glibc's 128 KiB mmap threshold. A run that grew one vector by doubling
-/// would hand out multi-MB blocks, which raise the allocator's dynamic
-/// threshold and leave the memory in per-thread arenas across runs, so
-/// back-to-back runs in one process would ratchet peak RSS upward.
-const SAMPLE_CHUNK: usize = 2_048;
+/// Completions a reader buffers before folding them into the run's
+/// metrics under one lock: 256 × 24 B.
+const BATCH: usize = 256;
 
-/// One connection supervisor's completions, in completion order, held in
-/// fixed-size chunks. Its reader is the only writer, and it stamps each
-/// sample from the monotonic run clock, so `completed_at` never
-/// decreases along a run.
-#[derive(Default)]
-pub(crate) struct SampleRun {
-    chunks: Vec<Vec<Sample>>,
+/// The run's metrics, shared by every connection reader.
+type SharedMetrics<'m> = Mutex<&'m mut RunMetrics>;
+
+/// One connection supervisor's completions not yet in the run's metrics.
+/// Full, it folds them in under one lock; dropped — on every exit path of
+/// its supervisor — it folds in the rest. Readers fold in whatever order
+/// their batches fill, which `RunMetrics` does not depend on.
+struct Batch<'a, 'm> {
+    samples: Vec<Sample>,
+    metrics: &'a SharedMetrics<'m>,
 }
 
-impl SampleRun {
+impl Batch<'_, '_> {
     fn push(&mut self, sample: Sample) {
-        debug_assert!(self
-            .chunks
-            .last()
-            .and_then(|chunk| chunk.last())
-            .is_none_or(|last| last.completed_at <= sample.completed_at));
-        match self.chunks.last_mut() {
-            Some(chunk) if chunk.len() < SAMPLE_CHUNK => chunk.push(sample),
-            _ => {
-                let mut chunk = Vec::with_capacity(SAMPLE_CHUNK);
-                chunk.push(sample);
-                self.chunks.push(chunk);
-            }
+        self.samples.push(sample);
+        if self.samples.len() == BATCH {
+            self.flush();
         }
     }
 
-    fn iter(&self) -> impl Iterator<Item = &Sample> {
-        self.chunks.iter().flatten()
-    }
-
-    #[cfg(test)]
-    fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
+    /// Fold the buffered samples in. The lock is poisoned only when
+    /// another reader panicked while folding, which fails the run anyway.
+    fn flush(&mut self) {
+        let Ok(mut metrics) = self.metrics.lock() else {
+            return;
+        };
+        for s in self.samples.drain(..) {
+            // The §5 cluster's channels: `read`, then `update`.
+            let channel = ChannelId::new(usize::from(!s.is_read));
+            metrics.record_completion(channel, s.completed_at, s.latency, s.measured);
+            if s.is_read {
+                metrics.record_service(s.replica as usize, s.completed_at);
+            }
+        }
     }
 }
 
-/// Every run's samples in completion order, the order the metrics'
-/// first/last window needs from the replay: a k-way merge over runs that
-/// are each already in completion order (ties go to the lower run index),
-/// so the replay needs neither a merged copy nor a sort.
-pub(crate) fn completion_order(runs: &[SampleRun]) -> impl Iterator<Item = &Sample> {
-    let mut heads: Vec<_> = runs.iter().map(|r| r.iter().peekable()).collect();
-    std::iter::from_fn(move || {
-        let (_, next) = heads
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, head)| head.peek().map(|s| (s.completed_at, i)))
-            .min()?;
-        heads[next].next()
-    })
+impl Drop for Batch<'_, '_> {
+    fn drop(&mut self) {
+        self.flush();
+    }
 }
 
 /// One thread's share of a client-health channel. Every sample lands in
@@ -221,11 +213,9 @@ impl HealthGauge {
     }
 }
 
-/// Everything a live run produces besides the uniform report.
+/// Everything a live run produces besides what its readers folded into
+/// the run's metrics.
 pub(crate) struct ClientArtifacts {
-    /// One completion-ordered run per connection supervisor; replay them
-    /// through [`completion_order`].
-    pub samples: Vec<SampleRun>,
     pub backpressure_waits: u64,
     /// Nanos the issuers spent asleep on backpressure, summed over them.
     pub backpressure_sleep_ns: u64,
@@ -505,7 +495,6 @@ fn build_selector(cfg: &LiveConfig) -> LiveSelector {
 /// What one connection supervisor hands back at join.
 #[derive(Default)]
 struct ReaderOut {
-    samples: SampleRun,
     feedback_lag: HealthGauge,
     /// The readers' share of the lifecycle ledger: hedge wins, reinstates.
     life: LifecycleCounts,
@@ -556,16 +545,16 @@ fn reap_connection(table: &Table, selector: &LiveSelector, budget: &InFlightBudg
 /// clones, so the supervisors see the issue side close once the last one
 /// exits — and the selector and budget a failed send hands back to.
 #[derive(Clone)]
-struct Wire {
-    tables: Arc<Vec<Vec<Table>>>,
+struct Wire<'a> {
+    tables: &'a [Vec<Table>],
     senders: Vec<Vec<mpsc::Sender<Request>>>,
-    selector: Arc<LiveSelector>,
-    budget: Arc<InFlightBudget>,
+    selector: &'a LiveSelector,
+    budget: &'a InFlightBudget,
     /// The PUT payload.
     value: Bytes,
 }
 
-impl Wire {
+impl Wire<'_> {
     /// Register a wire attempt under `id` on connection `id % connections`
     /// of its replica and hand its frame to that supervisor. If it is gone,
     /// the registration is reclaimed — when still ours: a dying supervisor
@@ -591,14 +580,24 @@ impl Wire {
             return Ok(());
         }
         let reclaimed = table.lock().expect("table poisoned").live.complete(id);
-        Err(reclaimed.is_ok_and(|p| reap_send(&p, &self.selector, &self.budget, now, keep_permit)))
+        Err(reclaimed.is_ok_and(|p| reap_send(&p, self.selector, self.budget, now, keep_permit)))
+    }
+}
+
+/// Raises the run's stop flag when dropped.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
     }
 }
 
 /// Run the multiplexed client against `transport` — an in-process fleet
 /// spawned (and torn down) here, or remote node processes attached to
 /// over the network — to the configured stop condition, drain, and hand
-/// back the artifacts.
+/// back the artifacts. Every completion lands in `metrics` as its reader
+/// folds it in, a batch at a time; nothing is kept per operation.
 ///
 /// # Panics
 ///
@@ -606,7 +605,11 @@ impl Wire {
 /// this backend cannot provide (`ORA`) — mirroring the §5 cluster — and
 /// when the in-flight budget comes back short at teardown (a permit or
 /// correlation-entry leak; the invariant the randomized kill tests pin).
-pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<ClientArtifacts> {
+pub(crate) fn execute_on(
+    cfg: &LiveConfig,
+    transport: &Transport,
+    metrics: &mut RunMetrics,
+) -> io::Result<ClientArtifacts> {
     cfg.validate();
     let clock = WallClock::start();
     let (cluster, addrs) = match transport {
@@ -630,176 +633,166 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
         }
     };
 
-    let selector = Arc::new(build_selector(cfg));
-    let is_ds = selector.is_ds();
-    let budget = Arc::new(InFlightBudget::new(cfg.in_flight));
+    let selector = build_selector(cfg);
+    let budget = InFlightBudget::new(cfg.in_flight);
     // The detector exists only with a deadline; so does the reaper, the
     // one thread that can charge it a timeout.
-    let detector = cfg.lifecycle.detector(cfg.replicas).map(Arc::new);
+    let detector = cfg.lifecycle.detector(cfg.replicas);
     // Slow windows only stretch service times: a plan of nothing else
     // expects every connection to hold, exactly like the empty plan.
     let faults_expected = cfg.faults.events.iter().any(|e| e.kind != FaultKind::Slow);
-
-    let issued = Arc::new(AtomicU64::new(0));
-    let stop = Arc::new(AtomicBool::new(false));
+    let issued = AtomicU64::new(0);
+    let stop = AtomicBool::new(false);
     let key_template = ScrambledZipfian::new(cfg.keys, cfg.keys, cfg.zipf_theta);
-
+    let metrics: SharedMetrics = Mutex::new(metrics);
     // One correlation table + supervisor thread per connection,
     // `cfg.connections` connections per replica.
-    let tables: Arc<Vec<Vec<Table>>> = Arc::new(
-        (0..cfg.replicas)
-            .map(|_| (0..cfg.connections).map(|_| Mutex::default()).collect())
-            .collect(),
-    );
-    let mut senders: Vec<Vec<mpsc::Sender<Request>>> = Vec::with_capacity(cfg.replicas);
-    let mut supervisors = Vec::new();
-    for (replica, addr) in addrs.iter().enumerate() {
-        let expect_hello = match transport {
-            Transport::InProcess => None,
-            Transport::Remote { config_digest, .. } => Some(ExpectedHello {
-                replica: replica as u32,
-                digest: *config_digest,
-            }),
-        };
-        let mut replica_senders = Vec::with_capacity(cfg.connections);
-        for conn in 0..cfg.connections {
-            let addr = *addr;
-            let (tx, rx) = mpsc::channel::<Request>();
-            let tables = Arc::clone(&tables);
-            let selector = Arc::clone(&selector);
-            let budget = Arc::clone(&budget);
-            let detector = detector.clone();
-            let stop = Arc::clone(&stop);
-            supervisors.push(std::thread::spawn(move || {
-                connection_loop(
-                    addr,
-                    &rx,
-                    &tables[replica][conn],
-                    &selector,
-                    &budget,
-                    detector.as_deref(),
-                    clock,
-                    &stop,
-                    faults_expected,
-                    expect_hello,
-                )
-            }));
-            replica_senders.push(tx);
-        }
-        senders.push(replica_senders);
-    }
-    let mut wire = Wire {
-        tables,
-        senders,
-        selector,
-        budget,
-        value: Bytes::from(vec![0x5Au8; cfg.value_bytes as usize]),
-    };
-
-    // The reaper enforces the lifecycle: deadline sweep, retry queue,
-    // hedging pass. Its sender clones drop when it exits at teardown.
-    let reaper = detector.clone().map(|detector| {
-        let (cfg, wire, stop) = (cfg.clone(), wire.clone(), Arc::clone(&stop));
-        std::thread::spawn(move || reaper_loop(&cfg, clock, &wire, &detector, &stop))
-    });
-
-    // Dynamic Snitching gets its periodic recompute from a ticker thread
-    // (the cluster delivers the same through gossip/snitch tick events).
-    let ticker = is_ds.then(|| {
-        let selector = Arc::clone(&wire.selector);
-        let stop = Arc::clone(&stop);
-        let interval = SnitchConfig::default().update_interval;
-        std::thread::spawn(move || {
-            // Sleep in short slices for stop responsiveness, but hold the
-            // *recompute cadence* to the snitch's update interval — the
-            // sim's SnitchTick fires exactly that often, and the parity
-            // comparison assumes live DS is no better informed.
-            let mut last_recompute = Nanos::ZERO;
-            while !stop.load(Ordering::Acquire) {
-                std::thread::sleep(Duration::from_millis(10).min(interval.into()));
-                let now = clock.now();
-                if now.saturating_sub(last_recompute) < interval {
-                    continue;
-                }
-                last_recompute = now;
-                selector.ds_tick(now);
-            }
-        })
-    });
-
-    let issuers: Vec<_> = (0..cfg.threads)
-        .map(|w| {
-            let (cfg, wire, issued) = (cfg.clone(), wire.clone(), Arc::clone(&issued));
-            let (detector, keys) = (detector.clone(), key_template.clone());
-            std::thread::spawn(move || {
-                issuer_loop(w, &cfg, clock, &wire, &issued, detector.as_deref(), keys)
-            })
-        })
+    let tables: Vec<Vec<Table>> = (0..cfg.replicas)
+        .map(|_| (0..cfg.connections).map(|_| Mutex::default()).collect())
         .collect();
 
-    let mut occupancy = HealthGauge::default();
-    let mut issuer_err = None;
-    for issuer in issuers {
-        match issuer.join().expect("issuer panicked") {
-            Ok(occ) => occupancy.merge(occ),
-            Err(e) => issuer_err = issuer_err.or(Some(e)),
-        }
-    }
-
-    // Teardown: close the issue side, wait for in-flight requests to
-    // drain — the reaper keeps sweeping expiries meanwhile, so a crashed
-    // replica's swallowed requests cannot stall the drain — then stop
-    // everyone. The reaper goes first (flushing its retry queue as
-    // parks); its sender clones drop with it, so the supervisors' write
-    // loops see disconnect and finish their drain.
-    wire.senders.clear();
-    let _ = wire.budget.drained_within(Duration::from_secs(3));
-    stop.store(true, Ordering::Release);
-    let mut lifecycle = match reaper {
-        Some(r) => r.join().expect("reaper panicked"),
-        None => LifecycleCounts::default(),
-    };
-    let mut reconnects = 0;
-    let mut samples = Vec::with_capacity(supervisors.len());
-    let mut feedback_lag = HealthGauge::default();
-    let mut supervisor_err = None;
-    for handle in supervisors {
-        match handle.join().expect("connection supervisor panicked") {
-            Ok(out) => {
-                samples.push(out.samples);
-                feedback_lag.merge(out.feedback_lag);
-                lifecycle.hedge_wins += out.life.hedge_wins;
-                lifecycle.reinstates += out.life.reinstates;
-                reconnects += out.reconnects;
+    let (mut occupancy, mut feedback_lag, lifecycle, reconnects, err) = std::thread::scope(|s| {
+        let (selector, budget, detector) = (&selector, &budget, detector.as_ref());
+        let (stop, issued, metrics) = (&stop, &issued, &metrics);
+        // A panic below must still stop every thread, or the scope, which
+        // joins them before it rethrows, would wait forever.
+        let _stop = StopOnDrop(stop);
+        let mut senders: Vec<Vec<mpsc::Sender<Request>>> = Vec::with_capacity(cfg.replicas);
+        let mut supervisors = Vec::new();
+        for (replica, &addr) in addrs.iter().enumerate() {
+            let expect_hello = match transport {
+                Transport::InProcess => None,
+                Transport::Remote { config_digest, .. } => Some(ExpectedHello {
+                    replica: replica as u32,
+                    digest: *config_digest,
+                }),
+            };
+            let mut replica_senders = Vec::with_capacity(cfg.connections);
+            for table in &tables[replica] {
+                let (tx, rx) = mpsc::channel::<Request>();
+                supervisors.push(s.spawn(move || {
+                    connection_loop(
+                        addr,
+                        &rx,
+                        table,
+                        selector,
+                        budget,
+                        detector,
+                        clock,
+                        stop,
+                        faults_expected,
+                        expect_hello,
+                        metrics,
+                    )
+                }));
+                replica_senders.push(tx);
             }
-            Err(e) => supervisor_err = supervisor_err.or(Some(e)),
+            senders.push(replica_senders);
         }
-    }
+        let mut wire = Wire {
+            tables: &tables,
+            senders,
+            selector,
+            budget,
+            value: Bytes::from(vec![0x5Au8; cfg.value_bytes as usize]),
+        };
+
+        // The reaper enforces the lifecycle: deadline sweep, retry queue,
+        // hedging pass. Its sender clones drop when it exits at teardown.
+        let reaper = detector.map(|detector| {
+            let wire = wire.clone();
+            s.spawn(move || reaper_loop(cfg, clock, &wire, detector, stop))
+        });
+
+        // Dynamic Snitching gets its periodic recompute from a ticker
+        // thread (the cluster delivers the same through gossip/snitch tick
+        // events); the scope joins it.
+        if selector.is_ds() {
+            let interval = SnitchConfig::default().update_interval;
+            s.spawn(move || {
+                // Sleep in short slices for stop responsiveness, but hold
+                // the *recompute cadence* to the snitch's update interval —
+                // the sim's SnitchTick fires exactly that often, and the
+                // parity comparison assumes live DS is no better informed.
+                let mut last_recompute = Nanos::ZERO;
+                while !stop.load(Ordering::Acquire) {
+                    std::thread::sleep(Duration::from_millis(10).min(interval.into()));
+                    let now = clock.now();
+                    if now.saturating_sub(last_recompute) < interval {
+                        continue;
+                    }
+                    last_recompute = now;
+                    selector.ds_tick(now);
+                }
+            });
+        }
+
+        let issuers: Vec<_> = (0..cfg.threads)
+            .map(|w| {
+                let (wire, keys) = (wire.clone(), key_template.clone());
+                s.spawn(move || issuer_loop(w, cfg, clock, &wire, issued, detector, keys))
+            })
+            .collect();
+
+        let mut occupancy = HealthGauge::default();
+        let mut issuer_err = None;
+        for issuer in issuers {
+            match issuer.join().expect("issuer panicked") {
+                Ok(occ) => occupancy.merge(occ),
+                Err(e) => issuer_err = issuer_err.or(Some(e)),
+            }
+        }
+
+        // Teardown: close the issue side, wait for in-flight requests to
+        // drain — the reaper keeps sweeping expiries meanwhile, so a
+        // crashed replica's swallowed requests cannot stall the drain —
+        // then stop everyone. The reaper goes first (flushing its retry
+        // queue as parks); its sender clones drop with it, so the
+        // supervisors' write loops see disconnect and finish their drain.
+        wire.senders.clear();
+        let _ = budget.drained_within(Duration::from_secs(3));
+        stop.store(true, Ordering::Release);
+        let mut lifecycle = match reaper {
+            Some(r) => r.join().expect("reaper panicked"),
+            None => LifecycleCounts::default(),
+        };
+        let mut reconnects = 0;
+        let mut feedback_lag = HealthGauge::default();
+        let mut supervisor_err = None;
+        for handle in supervisors {
+            match handle.join().expect("connection supervisor panicked") {
+                Ok(out) => {
+                    feedback_lag.merge(out.feedback_lag);
+                    lifecycle.hedge_wins += out.life.hedge_wins;
+                    lifecycle.reinstates += out.life.reinstates;
+                    reconnects += out.reconnects;
+                }
+                Err(e) => supervisor_err = supervisor_err.or(Some(e)),
+            }
+        }
+        // A supervisor's hard error (dial refused, hello identity/digest
+        // mismatch) is the root cause; an issuer's send-to-dead-channel
+        // is its symptom. Surface the cause.
+        let err = supervisor_err.or(issuer_err);
+        (occupancy, feedback_lag, lifecycle, reconnects, err)
+    });
     // Supervisors reap their own tables on exit; what's left here are
     // entries registered in the race window after a supervisor was
     // already gone. Their permits come back like any other straggler's.
-    for replica_tables in wire.tables.iter() {
-        for table in replica_tables {
-            reap_connection(table, &wire.selector, &wire.budget, clock.now());
-        }
-    }
-    if let Some(t) = ticker {
-        let _ = t.join();
+    for table in tables.iter().flatten() {
+        reap_connection(table, &selector, &budget, clock.now());
     }
     if let Some(cluster) = cluster {
         cluster.shutdown();
     }
-    // A supervisor's hard error (dial refused, hello identity/digest
-    // mismatch) is the root cause; an issuer's send-to-dead-channel is
-    // its symptom. Surface the cause.
-    if let Some(e) = supervisor_err.or(issuer_err) {
+    if let Some(e) = err {
         return Err(e);
     }
     // The leak invariant: every permit funneled back through a response
     // or reap_send. A shortfall means a correlation entry or op got
     // lost — fail loudly rather than ship corrupt accounting.
     assert_eq!(
-        wire.budget.in_flight(),
+        budget.in_flight(),
         0,
         "in-flight permits leaked at teardown"
     );
@@ -807,9 +800,6 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
 
     occupancy.series.sort_unstable_by_key(|&(at, _)| at);
     feedback_lag.series.sort_unstable_by_key(|&(at, _)| at);
-    let selector = Arc::try_unwrap(wire.selector)
-        .map_err(|_| "selector still shared")
-        .expect("all workers joined");
     let parts = selector.into_artifact_parts();
     // One sampling/reporting path: the per-thread buffers pour into the
     // flight recorder (capacity 0 — live runs carry series, not lifecycle
@@ -821,13 +811,12 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
     recorder.gauge_extend(crate::scenario::HEALTH_INFLIGHT, &occupancy.series);
     recorder.gauge_extend(crate::scenario::HEALTH_FEEDBACK_LAG, &feedback_lag.series);
     Ok(ClientArtifacts {
-        samples,
         inflight: occupancy.hist,
         feedback_lag: feedback_lag.hist,
         backpressure_waits: parts.backpressure_waits,
         backpressure_sleep_ns: parts.backpressure_sleep_ns,
         rate_stats: parts.rate_stats,
-        issued: issued.load(Ordering::Acquire),
+        issued: issued.into_inner(),
         lifecycle,
         reconnects,
         recorder,
@@ -847,7 +836,7 @@ fn issuer_loop(
     detector: Option<&FailureDetector>,
     keys: ScrambledZipfian,
 ) -> io::Result<HealthGauge> {
-    let (selector, budget) = (&*wire.selector, &*wire.budget);
+    let (selector, budget) = (wire.selector, wire.budget);
     let deadline: Nanos = Nanos::from(cfg.run_for);
     let wall_deadline = Instant::now() + cfg.run_for.saturating_sub(clock.now().into());
     let mut rng = SmallRng::seed_from_u64(SeedSeq::new(cfg.seed).thread_seed(w as u64));
@@ -981,7 +970,7 @@ fn reaper_loop(
     detector: &FailureDetector,
     stop: &AtomicBool,
 ) -> LifecycleCounts {
-    let (tables, selector, budget) = (&*wire.tables, &*wire.selector, &*wire.budget);
+    let (tables, selector, budget) = (wire.tables, wire.selector, wire.budget);
     let deadline: Nanos = cfg
         .lifecycle
         .deadline
@@ -1132,7 +1121,8 @@ fn reaper_loop(
 /// connection dies or the run ends, and — when fault windows are in play
 /// — redial and carry on. Frames still queued at a death replay onto the
 /// fresh connection; responses to attempts reaped meanwhile are
-/// tombstone-discarded.
+/// tombstone-discarded. Completions fold into `metrics` a batch at a
+/// time; the last batch on the way out, whichever way that is.
 #[allow(clippy::too_many_arguments)]
 fn connection_loop(
     addr: std::net::SocketAddr,
@@ -1145,6 +1135,7 @@ fn connection_loop(
     stop: &AtomicBool,
     faults_expected: bool,
     expect_hello: Option<ExpectedHello>,
+    metrics: &SharedMetrics,
 ) -> io::Result<ReaderOut> {
     const WRITE_POLL: Duration = Duration::from_millis(20);
     const READ_POLL: Duration = Duration::from_millis(50);
@@ -1153,6 +1144,10 @@ fn connection_loop(
     // this connection's table.
     let hardened = detector.is_some();
     let mut out = ReaderOut::default();
+    let mut batch = Batch {
+        samples: Vec::with_capacity(BATCH),
+        metrics,
+    };
     let mut redial = Duration::from_millis(2);
     loop {
         if stop.load(Ordering::Acquire) {
@@ -1202,7 +1197,7 @@ fn connection_loop(
             let reader = s.spawn(|| {
                 read_responses(
                     &stream, buf, table, selector, budget, detector, clock, stop, &conn_dead,
-                    &mut out,
+                    &mut out, &mut batch,
                 )
             });
             loop {
@@ -1319,8 +1314,8 @@ fn await_hello(
 /// The frame-decoding half of one connection: complete each response
 /// through the correlation table — discarding late arrivals for reaped
 /// (tombstoned) attempts — feed the selector, and let the op's
-/// [`OpLife`] decide whether this response owns the sample and the
-/// permit.
+/// [`OpLife`] decide whether this response owns the sample — pushed onto
+/// `batch` — and the permit.
 ///
 /// Exits clean on stop or EOF (flagging the connection dead so the
 /// writer half stops too); returns an error only for protocol
@@ -1337,6 +1332,7 @@ fn read_responses(
     stop: &AtomicBool,
     conn_dead: &AtomicBool,
     out: &mut ReaderOut,
+    batch: &mut Batch,
 ) -> io::Result<()> {
     let mut reader = stream;
     loop {
@@ -1414,7 +1410,7 @@ fn read_responses(
         // on_response either way.
         let outcome = entry.life().respond(entry.attempt, &mut out.life);
         if let Outcome::Complete { .. } = outcome {
-            out.samples.push(Sample {
+            batch.push(Sample {
                 completed_at: now,
                 latency: now.saturating_sub(entry.created),
                 replica: entry.replica as u32,
@@ -1446,10 +1442,17 @@ mod tests {
         }
     }
 
-    /// The two per-operation costs a live run's memory is allowed: one
-    /// 24-byte sample, and nothing for the health channels.
+    /// A run's metrics as `run_live` builds them.
+    fn run_metrics(cfg: &LiveConfig) -> RunMetrics {
+        let channels = c3_engine::ChannelSet::of(c3_cluster::CLUSTER_CHANNELS);
+        RunMetrics::new(channels, cfg.replicas, Nanos::from_millis(100), 0)
+    }
+
+    /// What a live run keeps per operation: nothing. A reader buffers at
+    /// most one batch of 24-byte samples, and the health channels keep a
+    /// histogram and a per-millisecond series.
     #[test]
-    fn per_op_state_is_one_small_sample() {
+    fn batched_samples_and_health_channels_stay_small() {
         assert!(std::mem::size_of::<Sample>() <= 24);
         // 100 000 samples over 50 ms of run time: every one is counted,
         // at most one per millisecond is kept for the recorder.
@@ -1463,47 +1466,37 @@ mod tests {
         assert_eq!(gauge.series[0], (Nanos::ZERO, 0));
     }
 
-    /// The replay's k-way merge reads back exactly what the old
-    /// concatenate-and-sort produced: the same samples, completion order.
+    /// A batch folds into the metrics when it fills and when it drops,
+    /// reads feeding the server-load series too.
     #[test]
-    fn merged_runs_replay_in_completion_order() {
-        let mut rng = SmallRng::seed_from_u64(9);
-        let mut runs: Vec<SampleRun> = (0..6).map(|_| SampleRun::default()).collect();
-        let mut flat = Vec::new();
-        let mut id = 0u64;
-        for (r, run) in runs.iter_mut().enumerate() {
-            // Runs of different lengths, several spanning chunk
-            // boundaries, with ties inside and across runs.
-            let mut at = 0u64;
-            for _ in 0..(r * 2_500) {
-                at += rng.gen_range(0..4u64);
-                id += 1;
-                let sample = Sample {
-                    completed_at: Nanos(at),
-                    latency: Nanos(id),
-                    replica: r as u32,
-                    is_read: !id.is_multiple_of(3),
-                    measured: !id.is_multiple_of(5),
-                };
-                run.push(sample);
-                flat.push(sample);
-            }
+    fn batches_fold_when_full_and_when_dropped() {
+        let cfg = LiveConfig::default();
+        let mut metrics = run_metrics(&cfg);
+        let shared: SharedMetrics = Mutex::new(&mut metrics);
+        let mut batch = Batch {
+            samples: Vec::new(),
+            metrics: &shared,
+        };
+        let sample = |i: u64| Sample {
+            completed_at: Nanos(i),
+            latency: Nanos(10 + i),
+            replica: (i % 3) as u32,
+            is_read: !i.is_multiple_of(4),
+            measured: i >= 10,
+        };
+        for i in 0..BATCH as u64 {
+            batch.push(sample(i));
         }
-        assert!(runs[5].chunks.len() > 1, "runs must cross chunk boundaries");
-        let merged: Vec<Sample> = completion_order(&runs).copied().collect();
-        assert_eq!(merged.len(), flat.len());
-        assert!(merged
-            .windows(2)
-            .all(|w| w[0].completed_at <= w[1].completed_at));
-        let key = |s: &Sample| (s.completed_at, s.latency, s.replica, s.is_read, s.measured);
-        flat.sort_unstable_by_key(|s| s.completed_at);
-        let by_time = |v: &[Sample]| v.iter().map(|s| s.completed_at).collect::<Vec<_>>();
-        assert_eq!(by_time(&merged), by_time(&flat));
-        let mut merged_keys: Vec<_> = merged.iter().map(key).collect();
-        let mut flat_keys: Vec<_> = flat.iter().map(key).collect();
-        merged_keys.sort_unstable();
-        flat_keys.sort_unstable();
-        assert_eq!(merged_keys, flat_keys);
+        assert!(batch.samples.is_empty(), "a full batch folds in");
+        assert_eq!(shared.lock().unwrap().total_completions(), BATCH as u64);
+        batch.push(sample(BATCH as u64));
+        drop(batch);
+        let n = BATCH as u64 + 1;
+        assert_eq!(metrics.total_completions(), n);
+        assert_eq!(metrics.completions(ChannelId::new(0)), n - n.div_ceil(4));
+        let served: u64 = metrics.server_load().iter().map(|w| w.total()).sum();
+        assert_eq!(served, metrics.completions(ChannelId::new(0)));
+        assert_eq!(metrics.duration(), Nanos(n - 1 - 10));
     }
 
     /// Kill a connection with requests still in flight: the dying
@@ -1522,6 +1515,8 @@ mod tests {
         let clock = WallClock::start();
         let stop = AtomicBool::new(false);
         let (_tx, rx) = mpsc::channel::<Request>();
+        let mut metrics = run_metrics(&cfg);
+        let shared: SharedMetrics = Mutex::new(&mut metrics);
 
         // Three writes in flight through this one connection. (Writes keep
         // the test independent of selector bookkeeping; reads take the
@@ -1544,17 +1539,18 @@ mod tests {
 
         std::thread::scope(|s| {
             let (table, selector, budget, stop) = (&table, &selector, &budget, &stop);
+            let shared = &shared;
             let supervisor = s.spawn(move || {
                 connection_loop(
-                    addr, &rx, table, selector, budget, None, clock, stop, false, None,
+                    addr, &rx, table, selector, budget, None, clock, stop, false, None, shared,
                 )
             });
             // Mid-run kill: the server side of the connection goes away.
             let (server_end, _) = listener.accept().unwrap();
             drop(server_end);
-            let out = supervisor.join().unwrap().expect("EOF is a clean exit");
-            assert!(out.samples.is_empty(), "nothing ever completed");
+            supervisor.join().unwrap().expect("EOF is a clean exit");
         });
+        assert_eq!(metrics.total_completions(), 0, "nothing ever completed");
 
         assert!(
             budget.drained_within(Duration::from_millis(500)),
@@ -1630,11 +1626,12 @@ mod tests {
                     },
                 ],
             };
-            let artifacts =
-                execute_on(&cfg, &Transport::InProcess).expect("hardened runs survive kills");
+            let mut metrics = run_metrics(&cfg);
+            let artifacts = execute_on(&cfg, &Transport::InProcess, &mut metrics)
+                .expect("hardened runs survive kills");
             assert!(artifacts.issued > 0, "seed {seed} issued nothing");
             assert!(
-                !artifacts.samples.iter().all(SampleRun::is_empty),
+                metrics.total_completions() > 0,
                 "seed {seed} completed nothing"
             );
             reconnects += artifacts.reconnects;

@@ -74,7 +74,9 @@ pub struct LiveConfig {
     /// Record measured latencies into exact (every-sample) reservoirs so
     /// summaries report exact order statistics — the SLO controller's
     /// probes use this so a pass/fail at the bound is not decided by
-    /// histogram bucket quantization.
+    /// histogram bucket quantization. It is the one thing a run keeps per
+    /// measured operation: 4 B, 8 B in a chunk whose range exceeds a `u32`
+    /// (`c3_metrics::ExactReservoir`).
     pub exact_latency: bool,
     /// Wall-clock run length.
     pub run_for: Duration,

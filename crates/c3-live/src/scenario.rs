@@ -5,9 +5,9 @@
 //! `ScenarioRunner` owns the metrics, and the run reports through the
 //! same named channels (`read`/`update`) the §5 cluster declares. The
 //! whole live run executes inside the scenario's single event — real
-//! sockets cannot be event-stepped, but their completions *can* be
-//! replayed into `RunMetrics` in completion order, which is all the
-//! uniform reporting needs.
+//! sockets cannot be event-stepped, but the connection readers can fold
+//! their completions into the event's `RunMetrics` as they happen, a
+//! batch at a time, which is all the uniform reporting needs.
 //!
 //! [`register_live_scenarios`] then mirrors the sim-backed scenario
 //! library on the live axis: `live-hetero-fleet` and
@@ -19,18 +19,15 @@ use std::time::Duration;
 
 use c3_cluster::{FaultEvent, FaultKind, FaultPlan, CLUSTER_CHANNELS};
 use c3_core::{LifecycleConfig, LifecycleCounts, Nanos, RateStats};
-use c3_engine::{ChannelId, ChannelSet, EventQueue, RunMetrics, Scenario, ScenarioRunner};
+use c3_engine::{ChannelSet, EventQueue, RunMetrics, Scenario, ScenarioRunner};
 use c3_metrics::{LatencySummary, LogHistogram};
 use c3_scenarios::{
     ChannelReport, ScenarioError, ScenarioParams, ScenarioRegistry, ScenarioReport,
 };
 use c3_telemetry::Recorder;
 
-use crate::client::{completion_order, execute_on, ClientArtifacts, Transport};
+use crate::client::{execute_on, ClientArtifacts, Transport};
 use crate::config::LiveConfig;
-
-const READ_CHANNEL: ChannelId = ChannelId::new(0);
-const UPDATE_CHANNEL: ChannelId = ChannelId::new(1);
 
 /// Registry name of the live heterogeneous-fleet scenario.
 pub const LIVE_HETERO_FLEET: &str = "live-hetero-fleet";
@@ -47,8 +44,8 @@ pub(crate) const HEALTH_INFLIGHT: &str = "inflight";
 pub(crate) const HEALTH_FEEDBACK_LAG: &str = "feedback-lag";
 
 /// A live run as an engine scenario: one event, inside which the socket
-/// cluster spins up, the workers run to the stop condition, and every
-/// completion is replayed into the runner's metrics.
+/// cluster spins up and the workers run to the stop condition, every
+/// completion landing in the runner's metrics.
 struct LiveScenario {
     cfg: LiveConfig,
     transport: Transport,
@@ -73,18 +70,7 @@ impl Scenario for LiveScenario {
         _engine: &mut EventQueue<()>,
         metrics: &mut RunMetrics,
     ) {
-        let artifacts = execute_on(&self.cfg, &self.transport).expect("live run failed");
-        for s in completion_order(&artifacts.samples) {
-            let channel = if s.is_read {
-                READ_CHANNEL
-            } else {
-                UPDATE_CHANNEL
-            };
-            metrics.record_completion(channel, s.completed_at, s.latency, s.measured);
-            if s.is_read {
-                metrics.record_service(s.replica as usize, s.completed_at);
-            }
-        }
+        let artifacts = execute_on(&self.cfg, &self.transport, metrics).expect("live run failed");
         self.artifacts = Some(artifacts);
     }
 

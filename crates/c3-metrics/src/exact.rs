@@ -6,24 +6,25 @@
 //! operations are recorded per run. The claims and figure tiers, however,
 //! state numeric percentile comparisons between strategies whose gaps can
 //! be a few percent; for those an [`ExactReservoir`] keeps every sample
-//! and reports *exact* order statistics. It costs O(n) memory and an
-//! O(n log n) sort per summary, which is why it sits behind a flag
-//! (`ScenarioRunner::with_exact_latency` in `c3-engine`) instead of being
-//! the default recorder.
+//! and reports *exact* order statistics. It costs O(n) memory (4 B per
+//! value, mostly) and an O(n log n) sort, which is why it sits behind a
+//! flag (`ScenarioRunner::with_exact_latency` in `c3-engine`) instead of
+//! being the default recorder.
 //!
 //! Percentile convention matches the histogram's: the value at 1-based
 //! rank `ceil(q·n)` (clamped to at least 1), so the two recorders differ
 //! only by bucket quantization — a property the parity tests pin down.
 //!
-//! Values are held in fixed chunks of 8 192 (64 KiB each), never in
-//! one vector grown by doubling: a process that fills a reservoir per run
+//! Values are recorded into one reused 64 KiB buffer, never into one
+//! vector grown by doubling: a process that fills a reservoir per run
 //! window would otherwise free multi-MB blocks, which raises glibc's
 //! dynamic mmap threshold so later blocks that size come from the heap
-//! and stay resident — peak RSS ratcheting up window after window. Each
-//! chunk is sorted on demand, and the rank-r order statistic is the least
-//! value `v` whose count `Σ chunk.partition_point(≤ v)` reaches r, found
-//! by binary search over the value range: no merged copy is ever built,
-//! and every percentile equals a sort of all values.
+//! and stay resident — peak RSS ratcheting up window after window. A full
+//! buffer is sorted and retired as `u32` offsets from its minimum when
+//! its range fits (4 B per value), else as its `u64` values. The rank-r
+//! order statistic is the least value `v` whose count of values `≤ v`
+//! reaches r, found by binary search over the value range: no merged
+//! copy is ever built, and every percentile equals a sort of all values.
 
 use crate::LatencySummary;
 
@@ -33,14 +34,16 @@ const CHUNK: usize = 8_192;
 /// Every recorded value, with exact order-statistic summaries.
 #[derive(Clone, Debug, Default)]
 pub struct ExactReservoir {
-    /// The chunk taking records, held inline so a record touches no more
-    /// memory than a push onto one vector would.
+    /// The buffer taking records, held inline so a record touches no more
+    /// memory than a push onto one vector would. Unsorted between
+    /// queries; a query sorts it in place.
     current: Vec<u64>,
-    /// Chunks retired from `current`.
-    full: Vec<Vec<u64>>,
+    /// Retired chunks whose range fits in a `u32`: their minimum and
+    /// their values' sorted offsets from it.
+    narrow: Vec<(u64, Vec<u32>)>,
+    /// Retired chunks whose range does not, sorted.
+    wide: Vec<Vec<u64>>,
     sum: u128,
-    /// Leading `full` chunks known sorted.
-    sorted: usize,
 }
 
 impl ExactReservoir {
@@ -59,26 +62,37 @@ impl ExactReservoir {
         self.sum += value as u128;
     }
 
-    /// `current` has no room left: retire it (unless nothing was recorded
-    /// yet) and start a chunk. A clone's `current` keeps no spare capacity,
-    /// so chunks retired after a clone may be partial.
+    /// `current` has no room left: retire it, sorted (unless nothing was
+    /// recorded yet), and make room for a chunk. A clone's `current` keeps
+    /// no spare capacity, so chunks retired after a clone may be partial.
     #[cold]
     fn next_chunk(&mut self) {
-        let chunk = std::mem::replace(&mut self.current, Vec::with_capacity(CHUNK));
-        if !chunk.is_empty() {
-            self.full.push(chunk);
+        let values = &mut self.current;
+        values.sort_unstable();
+        if let (Some(&base), Some(&top)) = (values.first(), values.last()) {
+            if top - base <= u64::from(u32::MAX) {
+                let offsets = values.iter().map(|&v| (v - base) as u32).collect();
+                self.narrow.push((base, offsets));
+                values.clear();
+            } else {
+                self.wide.push(std::mem::take(values));
+            }
         }
+        self.current.reserve_exact(CHUNK);
     }
 
-    /// Every non-empty chunk.
-    fn chunks(&self) -> impl Iterator<Item = &[u64]> {
-        let current = Some(self.current.as_slice()).filter(|c| !c.is_empty());
-        self.full.iter().map(Vec::as_slice).chain(current)
+    /// The sorted `u64` runs: every wide chunk, and `current` once a
+    /// query has sorted it.
+    fn wide_runs(&self) -> impl Iterator<Item = &[u64]> {
+        let runs = self.wide.iter().map(Vec::as_slice);
+        runs.chain([self.current.as_slice()])
+            .filter(|run| !run.is_empty())
     }
 
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
-        self.chunks().map(|c| c.len() as u64).sum()
+        let narrow: usize = self.narrow.iter().map(|(_, o)| o.len()).sum();
+        (narrow + self.wide_runs().map(<[u64]>::len).sum::<usize>()) as u64
     }
 
     /// Whether nothing has been recorded.
@@ -94,25 +108,20 @@ impl ExactReservoir {
         self.sum as f64 / self.count() as f64
     }
 
-    /// Sort every chunk not yet known sorted. `current` is sorted again on
-    /// every query: records may have landed in it since.
-    fn ensure_sorted(&mut self) {
-        for chunk in &mut self.full[self.sorted..] {
-            chunk.sort_unstable();
-        }
-        self.sorted = self.full.len();
-        self.current.sort_unstable();
-    }
-
-    /// The 1-based `rank`-th smallest value; chunks sorted, `rank` in
+    /// The 1-based `rank`-th smallest value; `current` sorted, `rank` in
     /// `1..=count`.
     fn order_statistic(&self, rank: u64) -> u64 {
         let count_le = |v: u64| -> u64 {
-            self.chunks()
-                .map(|c| c.partition_point(|&x| x <= v) as u64)
-                .sum()
+            let narrow = self
+                .narrow
+                .iter()
+                .map(|(base, offsets)| offsets.partition_point(|&o| base + u64::from(o) <= v));
+            let wide = self.wide_runs().map(|run| run.partition_point(|&x| x <= v));
+            narrow.chain(wide).sum::<usize>() as u64
         };
-        let mut lo = self.chunks().map(|c| c[0]).min().unwrap_or(0);
+        let narrow_min = self.narrow.iter().map(|&(base, _)| base);
+        let wide_min = self.wide_runs().map(|run| run[0]);
+        let mut lo = narrow_min.chain(wide_min).min().unwrap_or(0);
         let mut hi = self.max();
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
@@ -125,9 +134,14 @@ impl ExactReservoir {
         lo
     }
 
-    /// Largest value; chunks sorted.
+    /// Largest value; `current` sorted.
     fn max(&self) -> u64 {
-        self.chunks().map(|c| c[c.len() - 1]).max().unwrap_or(0)
+        let narrow = self
+            .narrow
+            .iter()
+            .map(|(base, o)| base + u64::from(o[o.len() - 1]));
+        let wide = self.wide_runs().map(|run| run[run.len() - 1]);
+        narrow.chain(wide).max().unwrap_or(0)
     }
 
     /// Exact value at quantile `q` ∈ [0, 1] (0 when empty), using the
@@ -136,7 +150,7 @@ impl ExactReservoir {
         if self.is_empty() {
             return 0;
         }
-        self.ensure_sorted();
+        self.current.sort_unstable();
         let q = q.clamp(0.0, 1.0);
         let n = self.count();
         let rank = ((q * n as f64).ceil() as u64).max(1).min(n);
@@ -145,7 +159,6 @@ impl ExactReservoir {
 
     /// Exact latency summary at the paper's percentiles.
     pub fn summary(&mut self) -> LatencySummary {
-        self.ensure_sorted();
         LatencySummary {
             count: self.count(),
             mean_ns: self.mean(),
@@ -254,6 +267,54 @@ mod tests {
             values.iter().for_each(|&v| r.record(v));
             assert_same(r.summary(), sorted_summary(&values), what);
         }
+    }
+
+    /// A chunk whose range is exactly `u32::MAX` retires as offsets, one
+    /// whose range is one more as `u64` values; either way every order
+    /// statistic is the sorted vector's, alone or beside the other kind.
+    #[test]
+    fn chunks_narrow_up_to_a_u32_range() {
+        let base = 3_000_000_000u64;
+        // Evenly spaced from `base` to `base + range`, in reverse order.
+        let chunk_of = |range: u64| -> Vec<u64> {
+            let last = CHUNK as u128 - 1;
+            (0..=last)
+                .rev()
+                .map(|i| base + (u128::from(range) * i / last) as u64)
+                .collect()
+        };
+        let at_limit = chunk_of(u64::from(u32::MAX));
+        let past_limit = chunk_of(u64::from(u32::MAX) + 1);
+        let mut both = Vec::new();
+        for (values, narrow) in [(&at_limit, true), (&past_limit, false)] {
+            let mut r = ExactReservoir::new();
+            values.iter().for_each(|&v| r.record(v));
+            // One more record retires the full buffer.
+            r.record(base + 1);
+            assert_eq!(
+                (r.narrow.len(), r.wide.len()),
+                (usize::from(narrow), usize::from(!narrow))
+            );
+            let mut all = values.clone();
+            all.push(base + 1);
+            assert_same(r.summary(), sorted_summary(&all), "one chunk");
+            for rank in [1, 2, CHUNK / 2, CHUNK - 1, CHUNK, CHUNK + 1] {
+                let q = rank as f64 / all.len() as f64;
+                let mut sorted = all.clone();
+                sorted.sort_unstable();
+                assert_eq!(r.value_at_quantile(q), sorted[rank - 1], "rank {rank}");
+            }
+            both.extend_from_slice(values);
+        }
+        let mut r = ExactReservoir::new();
+        both.iter().for_each(|&v| r.record(v));
+        r.record(0);
+        both.push(0);
+        assert_same(
+            r.summary(),
+            sorted_summary(&both),
+            "a narrow and a wide chunk",
+        );
     }
 
     #[test]

@@ -102,7 +102,13 @@ fn simulated_loops_allocate_nothing_per_event_once_warm() {
         result.events_processed
     });
     let registry = ScenarioRegistry::with_defaults();
-    // Measured 0.996 B per event (100k → 400k ops; 120k clients).
+    // Measured 0.996 B per event (100k → 400k ops; 120k clients). Of
+    // that, 0.75 B is one block: the request-record table (`fleet.rs`'s
+    // `SlotTable<Request>`, 56 B a record) doubling from 8 192 to 16 384
+    // slots. It is in-flight state, not result data: the table already
+    // recycles every vacated slot, but this cell's queues build over the
+    // run, so its in-flight high-water mark follows the run's length
+    // (5 429 records at 100k ops, 15 102 at 400k, 25 743 at 800k).
     check_marginal("mega-fleet", 100_000, 1.25, |ops| {
         let params = ScenarioParams::sized(Strategy::c3(), 1, ops);
         let report = registry.run(MEGA_FLEET, &params).expect("stock scenario");

@@ -10,7 +10,8 @@
 //! each run's fixed footprint — kernel tiers, histograms and selectors
 //! (≈ 6 MB), plus, for the mega-fleet, 120k pending think timers and 128
 //! selector shards × 256 servers (≈ 10 MB), and, for the exact-latency
-//! cluster cell, one 8-byte reservoir sample per measured op (≈ 3 MB).
+//! cluster cell, the reservoir's 4 bytes per measured op (≈ 1.5 MB; at
+//! 8 bytes the cell grew by 5.3–5.5 MB, now by 3.8–4.3).
 //! Most think timers wait in the kernel's coarse ring. Both of the
 //! kernel's rings draw node storage from one recycled chunk pool, so the
 //! wheel holds what is pending, not each bucket's busiest epoch: before
@@ -98,8 +99,12 @@ fn simulated_runs_grow_by_what_is_in_flight() {
         fleet < 13.3,
         "mega-fleet cell of {REQUESTS} ops grew RSS by {fleet:.1} MB"
     );
+    // Measured 4.25 MB (debug; 3.78 in release), plus 25%. Its smaller
+    // footprint leaves less freed heap for the two cells after it, which
+    // read ≈ 1.2 MB more than behind an 8-byte reservoir (and the same
+    // when run alone).
     assert!(
-        cluster < 16.0,
+        cluster < 5.3,
         "recorded crash-flux cell of {REQUESTS} ops grew RSS by {cluster:.1} MB"
     );
 }
