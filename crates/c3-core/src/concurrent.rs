@@ -9,15 +9,17 @@
 //!
 //! [`SharedC3State`] is the `&self` twin of `C3State`:
 //!
-//! - the per-server tracker fields — the packed EWMA cache line plus the
-//!   outstanding count — live in [`AtomicTracker`]s. Feedback folds are
-//!   compare-exchange loops over the f64 *bits* (NaN keeps standing for
-//!   "no sample yet", exactly as in `ServerTracker`), so score reads and
-//!   feedback updates never take a lock;
+//! - the per-server tracker fields — the three EWMA cells plus the
+//!   outstanding count, 32 bytes — live in [`AtomicTracker`]s. Feedback
+//!   folds are compare-exchange loops over the f64 *bits* (NaN keeps
+//!   standing for "no sample yet", exactly as in `ServerTracker`), so
+//!   score reads and feedback updates never take a lock;
 //! - the per-server [`RateLimiter`]s keep their token-bucket semantics
-//!   behind one tiny mutex *each* — token acquisition is a few loads and
-//!   stores, and the lock is per server, so two threads only contend when
-//!   they race for the same replica's token in the same instant.
+//!   behind one tiny mutex *each*, beside that server's [`RateStats`] —
+//!   token acquisition is a few loads and stores, and the lock is per
+//!   server, so two threads only contend when they race for the same
+//!   replica's token in the same instant. As in `C3State`, the constants
+//!   trackers and limiters read stay once in the shared `C3Config`.
 //!
 //! Interleaving semantics: an EWMA fold is atomic per cell, but a scorer
 //! running concurrently with a responder may see one cell folded and the
@@ -43,10 +45,10 @@ pub const MAX_GROUP: usize = 16;
 /// A [`ServerTracker`](crate::ServerTracker) whose fields are atomics.
 ///
 /// All methods take `&self`; the EWMA cells store f64 bits in `AtomicU64`
-/// with NaN as the "no sample yet" sentinel, folded by compare-exchange.
+/// with NaN as the "no sample yet" sentinel, folded by compare-exchange
+/// with the owner's `ewma_alpha`.
 #[derive(Debug)]
 pub(crate) struct AtomicTracker {
-    alpha: f64,
     outstanding: AtomicU32,
     queue_size: AtomicU64,
     service_time_ms: AtomicU64,
@@ -74,18 +76,9 @@ fn fold_cell(alpha: f64, cell: &AtomicU64, sample: f64) {
 }
 
 impl AtomicTracker {
-    /// Create a tracker whose EWMAs use the given new-sample weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ewma_alpha` is outside `(0, 1]` or not finite.
-    pub(crate) fn new(ewma_alpha: f64) -> Self {
-        assert!(
-            ewma_alpha.is_finite() && ewma_alpha > 0.0 && ewma_alpha <= 1.0,
-            "alpha must be in (0, 1], got {ewma_alpha}"
-        );
+    /// A tracker with no outstanding requests and no samples.
+    pub(crate) fn new() -> Self {
         Self {
-            alpha: ewma_alpha,
             outstanding: AtomicU32::new(0),
             queue_size: AtomicU64::new(f64::NAN.to_bits()),
             service_time_ms: AtomicU64::new(f64::NAN.to_bits()),
@@ -99,8 +92,15 @@ impl AtomicTracker {
     }
 
     /// Record a response: decrements the outstanding count and folds the
-    /// piggybacked feedback and the observed response time into the EWMAs.
-    pub(crate) fn on_response(&self, response_time: Nanos, feedback: Option<&Feedback>) {
+    /// piggybacked feedback and the observed response time into the EWMAs,
+    /// weighted by `cfg.ewma_alpha`.
+    pub(crate) fn on_response(
+        &self,
+        cfg: &C3Config,
+        response_time: Nanos,
+        feedback: Option<&Feedback>,
+    ) {
+        let alpha = cfg.ewma_alpha;
         // fetch_update instead of fetch_sub: concurrent completions must
         // saturate at zero like the single-threaded tracker, not wrap.
         let _ = self
@@ -108,15 +108,11 @@ impl AtomicTracker {
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |os| {
                 Some(os.saturating_sub(1))
             });
-        fold_cell(
-            self.alpha,
-            &self.response_time_ms,
-            response_time.as_millis_f64(),
-        );
+        fold_cell(alpha, &self.response_time_ms, response_time.as_millis_f64());
         if let Some(fb) = feedback {
-            fold_cell(self.alpha, &self.queue_size, fb.queue_size as f64);
+            fold_cell(alpha, &self.queue_size, fb.queue_size as f64);
             fold_cell(
-                self.alpha,
+                alpha,
                 &self.service_time_ms,
                 fb.service_time.as_millis_f64(),
             );
@@ -172,7 +168,27 @@ impl AtomicTracker {
 pub struct SharedC3State {
     cfg: C3Config,
     trackers: Vec<AtomicTracker>,
-    limiters: Vec<Mutex<RateLimiter>>,
+    limiters: Vec<Mutex<Limiter>>,
+}
+
+/// One server's limiter and the counters its return values feed, under
+/// one lock.
+#[derive(Debug)]
+struct Limiter {
+    limiter: RateLimiter,
+    stats: RateStats,
+}
+
+impl Limiter {
+    fn try_acquire(&mut self, cfg: &C3Config, now: Nanos) -> bool {
+        let acquired = self.limiter.try_acquire(cfg, now);
+        self.stats.acquire(acquired)
+    }
+
+    fn on_response(&mut self, cfg: &C3Config, now: Nanos) {
+        let step = self.limiter.on_response(cfg, now);
+        self.stats.step(step);
+    }
 }
 
 impl SharedC3State {
@@ -180,11 +196,14 @@ impl SharedC3State {
     pub fn new(num_servers: usize, cfg: C3Config, now: Nanos) -> Self {
         cfg.validate();
         Self {
-            trackers: (0..num_servers)
-                .map(|_| AtomicTracker::new(cfg.ewma_alpha))
-                .collect(),
+            trackers: (0..num_servers).map(|_| AtomicTracker::new()).collect(),
             limiters: (0..num_servers)
-                .map(|_| Mutex::new(RateLimiter::new(&cfg, now)))
+                .map(|_| {
+                    Mutex::new(Limiter {
+                        limiter: RateLimiter::new(&cfg, now),
+                        stats: RateStats::default(),
+                    })
+                })
                 .collect(),
             cfg,
         }
@@ -246,7 +265,7 @@ impl SharedC3State {
                 let acquired = self.limiters[s]
                     .lock()
                     .expect("limiter poisoned")
-                    .try_acquire(now);
+                    .try_acquire(&self.cfg, now);
                 if acquired {
                     return SendDecision::Send(s);
                 }
@@ -257,7 +276,8 @@ impl SharedC3State {
                     self.limiters[s]
                         .lock()
                         .expect("limiter poisoned")
-                        .next_window(now)
+                        .limiter
+                        .next_window(&self.cfg, now)
                 })
                 .min()
                 .expect("non-empty group");
@@ -288,11 +308,11 @@ impl SharedC3State {
         feedback: Option<&Feedback>,
         now: Nanos,
     ) {
-        self.trackers[server].on_response(response_time, feedback);
+        self.trackers[server].on_response(&self.cfg, response_time, feedback);
         self.limiters[server]
             .lock()
             .expect("limiter poisoned")
-            .on_response(now);
+            .on_response(&self.cfg, now);
     }
 
     /// Record that a request to `server` was abandoned. Lock-free.
@@ -304,10 +324,7 @@ impl SharedC3State {
     pub fn rate_stats(&self) -> RateStats {
         let mut total = RateStats::default();
         for l in &self.limiters {
-            let s = l.lock().expect("limiter poisoned").stats();
-            total.decreases += s.decreases;
-            total.increases += s.increases;
-            total.throttled += s.throttled;
+            total.add(l.lock().expect("limiter poisoned").stats);
         }
         total
     }
@@ -369,28 +386,28 @@ mod tests {
     fn atomic_tracker_matches_server_tracker() {
         use crate::tracker::ServerTracker;
         let cfg = C3Config::default();
-        let mut st = ServerTracker::new(cfg.ewma_alpha);
-        let at = AtomicTracker::new(cfg.ewma_alpha);
+        let mut st = ServerTracker::new();
+        let at = AtomicTracker::new();
         assert_eq!(st.score(&cfg).to_bits(), at.score(&cfg).to_bits());
         st.on_send();
         at.on_send();
         assert_eq!(st.score(&cfg).to_bits(), at.score(&cfg).to_bits());
-        st.on_response(Nanos::from_millis(7), None);
-        at.on_response(Nanos::from_millis(7), None);
+        st.on_response(&cfg, Nanos::from_millis(7), None);
+        at.on_response(&cfg, Nanos::from_millis(7), None);
         st.on_send();
         at.on_send();
-        st.on_response(Nanos::from_millis(9), Some(&fb(5, 3)));
-        at.on_response(Nanos::from_millis(9), Some(&fb(5, 3)));
+        st.on_response(&cfg, Nanos::from_millis(9), Some(&fb(5, 3)));
+        at.on_response(&cfg, Nanos::from_millis(9), Some(&fb(5, 3)));
         assert_eq!(st.score(&cfg).to_bits(), at.score(&cfg).to_bits());
         assert_eq!(st.outstanding(), at.outstanding());
     }
 
     #[test]
     fn abandoned_and_overshoot_saturate_at_zero() {
-        let t = AtomicTracker::new(0.5);
+        let t = AtomicTracker::new();
         t.on_abandoned();
         assert_eq!(t.outstanding(), 0);
-        t.on_response(Nanos::from_millis(1), None);
+        t.on_response(&C3Config::default(), Nanos::from_millis(1), None);
         assert_eq!(t.outstanding(), 0);
     }
 

@@ -52,44 +52,43 @@ use crate::time::Nanos;
 
 /// Per-server token-bucket rate limiter with cubic rate adaptation.
 ///
-/// Field order is hot-first: `try_acquire` runs once per selection for
-/// every C3 client × server pair, and its working set (tokens, window
-/// start, the δ copy, the meter) packs into the limiter's first cache
-/// line; the adaptation anchors and introspection counters trail behind.
+/// A limiter holds only what changes per server. A C3 client keeps one per
+/// server, so this is per-(client, server) state (128 selector shards ×
+/// 256 servers in the `mega-fleet` cell): the constants — δ, β, the saddle,
+/// `s_max`, the hysteresis and the floor — stay once in the owner's
+/// [`C3Config`], lent to every call, and the owner counts [`RateStats`]
+/// from the return values. `try_acquire` runs once per selection for every
+/// candidate, and its working set (tokens, window start, `srate`, the
+/// meter) leads the struct; the adaptation anchors trail behind.
 #[derive(Clone, Debug)]
 pub struct RateLimiter {
     /// Tokens remaining in the current δ window.
     tokens: f64,
     /// Start of the current token window.
     window_start: Nanos,
-    /// δ in nanoseconds, copied next to the token state so the per-send
-    /// path does not reach into `cfg`'s cache line.
-    delta_ns: u64,
     /// Current sending-rate limit, requests per δ.
     srate: f64,
     /// Per-window traffic measurement (sends, receives, throttles).
     meter: WindowMeter,
-    cfg: RateParams,
     /// Saturation rate `R₀`: srate at the moment of the last decrease;
-    /// `None` until the first one (slow start).
-    r0: Option<f64>,
+    /// NaN until the first one (slow start).
+    r0: f64,
     /// Time of the last multiplicative decrease (construction time until
     /// the first one, which keeps the hysteresis rule for it).
     t_decrease: Nanos,
     /// Time of the last rate increase.
     t_increase: Nanos,
-    /// Counters for introspection.
-    stats: RateStats,
 }
 
-/// Subset of [`C3Config`] the limiter needs; copied at construction.
-#[derive(Clone, Copy, Debug)]
-struct RateParams {
-    beta: f64,
-    saddle: Nanos,
-    smax: f64,
-    hysteresis: Nanos,
-    min_rate: f64,
+/// What one [`RateLimiter::on_response`] did to the limit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum RateStep {
+    /// The limit stands.
+    Hold,
+    /// Multiplicative decrease.
+    Decrease,
+    /// Growth, by slow start or along the cubic.
+    Increase,
 }
 
 /// Counters describing the limiter's behaviour over a run.
@@ -103,39 +102,52 @@ pub struct RateStats {
     pub throttled: u64,
 }
 
+impl RateStats {
+    /// Count one [`RateLimiter::try_acquire`] outcome; returns it.
+    #[inline]
+    pub(crate) fn acquire(&mut self, acquired: bool) -> bool {
+        self.throttled += u64::from(!acquired);
+        acquired
+    }
+
+    /// Count one [`RateLimiter::on_response`] outcome.
+    #[inline]
+    pub(crate) fn step(&mut self, step: RateStep) {
+        match step {
+            RateStep::Hold => {}
+            RateStep::Decrease => self.decreases += 1,
+            RateStep::Increase => self.increases += 1,
+        }
+    }
+
+    /// Fold another owner's counters into these.
+    pub(crate) fn add(&mut self, other: RateStats) {
+        self.decreases += other.decreases;
+        self.increases += other.increases;
+        self.throttled += other.throttled;
+    }
+}
+
 impl RateLimiter {
     /// Create a limiter from a C3 configuration, starting at
-    /// `cfg.initial_rate` requests per δ in slow start.
+    /// `cfg.initial_rate` requests per δ in slow start. Every later call
+    /// must pass the same configuration.
     pub fn new(cfg: &C3Config, now: Nanos) -> Self {
         cfg.validate();
         Self {
-            cfg: RateParams {
-                beta: cfg.beta,
-                saddle: cfg.saddle,
-                smax: cfg.smax,
-                hysteresis: cfg.hysteresis,
-                min_rate: cfg.min_rate,
-            },
             srate: cfg.initial_rate,
             tokens: cfg.initial_rate,
             window_start: now,
-            delta_ns: cfg.delta.as_nanos(),
             meter: WindowMeter::new(now),
-            r0: None,
+            r0: f64::NAN,
             t_decrease: now,
             t_increase: now,
-            stats: RateStats::default(),
         }
     }
 
     /// Current sending-rate limit (requests per δ).
     pub fn srate(&self) -> f64 {
         self.srate
-    }
-
-    /// Behaviour counters.
-    pub fn stats(&self) -> RateStats {
-        self.stats
     }
 
     /// Roll the token window forward if `now` has crossed one or more
@@ -149,8 +161,7 @@ impl RateLimiter {
     /// usable at all: a whole token is needed to send, so a window that
     /// refilled *to* `0.5` tokens could never send — the limiter starved
     /// permanently instead of sending every other window.
-    fn roll_window(&mut self, now: Nanos) {
-        let delta = self.delta_ns;
+    fn roll_window(&mut self, delta: u64, now: Nanos) {
         let elapsed = now.saturating_sub(self.window_start).as_nanos();
         if elapsed >= delta {
             let windows = elapsed / delta;
@@ -161,16 +172,17 @@ impl RateLimiter {
 
     /// Try to consume one send token. Returns `true` when the request may
     /// be sent to the server now; `false` means the server's rate is
-    /// saturated for the remainder of the window.
-    pub fn try_acquire(&mut self, now: Nanos) -> bool {
-        self.roll_window(now);
-        self.meter.roll(now, Nanos(self.delta_ns));
+    /// saturated for the remainder of the window (a throttle, for the
+    /// owner's [`RateStats`]).
+    pub fn try_acquire(&mut self, cfg: &C3Config, now: Nanos) -> bool {
+        let delta = cfg.delta.as_nanos();
+        self.roll_window(delta, now);
+        self.meter.roll(now, delta);
         if self.tokens >= 1.0 {
             self.tokens -= 1.0;
             self.meter.sent += 1;
             true
         } else {
-            self.stats.throttled += 1;
             self.meter.throttled += 1;
             false
         }
@@ -185,8 +197,8 @@ impl RateLimiter {
     /// accumulated fraction first reaches a whole token — otherwise a
     /// backlogged caller's retry timer would fire (and fail, and
     /// reschedule) up to `⌈1/srate⌉` times per actual send opportunity.
-    pub(crate) fn next_window(&self, now: Nanos) -> Nanos {
-        let delta = self.delta_ns;
+    pub(crate) fn next_window(&self, cfg: &C3Config, now: Nanos) -> Nanos {
+        let delta = cfg.delta.as_nanos();
         let elapsed = now.saturating_sub(self.window_start).as_nanos();
         let base = elapsed / delta + 1;
         let windows_ahead = if self.srate >= 1.0 {
@@ -199,7 +211,8 @@ impl RateLimiter {
     }
 
     /// Record a response from the server and run the adaptation step
-    /// (Algorithm 2, lines 3–11).
+    /// (Algorithm 2, lines 3–11); returns what the step did, for the
+    /// owner's [`RateStats`].
     ///
     /// One deliberate deviation from the paper's pseudocode (§3.2,
     /// Algorithm 2): it compares the rate *limit* (`srate`) against
@@ -213,8 +226,8 @@ impl RateLimiter {
     /// stands in for) and grows — by `s_max` in slow start, along the cubic
     /// curve after — when the budget was actually exhausted while the
     /// server kept pace.
-    pub fn on_response(&mut self, now: Nanos) {
-        self.meter.roll(now, Nanos(self.delta_ns));
+    pub(crate) fn on_response(&mut self, cfg: &C3Config, now: Nanos) -> RateStep {
+        self.meter.roll(now, cfg.delta.as_nanos());
         self.meter.recv += 1;
         let arate = self.meter.arate;
         let rrate = self.meter.rrate;
@@ -222,35 +235,39 @@ impl RateLimiter {
         let band = DEAD_BAND.max((rrate - BAND_KNEE) * DEAD_BAND_SHARE);
 
         if arate > rrate + band
-            && now.saturating_sub(self.t_increase) > self.cfg.hysteresis
-            && now.saturating_sub(self.t_decrease) > self.cfg.hysteresis
+            && now.saturating_sub(self.t_increase) > cfg.hysteresis
+            && now.saturating_sub(self.t_decrease) > cfg.hysteresis
         {
             // The server fell behind what we actually sent: multiplicative
             // decrease, anchored at the observed saturation rate (which
             // ends slow start).
-            self.r0 = Some(self.srate);
-            self.srate = (self.srate * self.cfg.beta).max(self.cfg.min_rate);
+            self.r0 = self.srate;
+            self.srate = (self.srate * cfg.beta).max(cfg.min_rate);
             self.t_decrease = now;
-            self.stats.decreases += 1;
+            RateStep::Decrease
         } else if was_throttled && rrate + band >= arate {
             // The budget was binding and the server kept pace: grow by at
             // most `smax` per step, along the cubic curve once a decrease
             // has anchored it.
             self.t_increase = now;
-            let mut stepped = self.srate + self.cfg.smax;
-            if let Some(r0) = self.r0 {
+            let mut stepped = self.srate + cfg.smax;
+            if !self.r0.is_nan() {
                 let dt = now.saturating_sub(self.t_decrease);
                 stepped = stepped.min(cubic_rate(
-                    r0,
-                    self.cfg.beta,
-                    self.cfg.saddle.as_millis_f64(),
+                    self.r0,
+                    cfg.beta,
+                    cfg.saddle.as_millis_f64(),
                     dt.as_millis_f64(),
                 ));
             }
             if stepped > self.srate {
                 self.srate = stepped;
-                self.stats.increases += 1;
+                RateStep::Increase
+            } else {
+                RateStep::Hold
             }
+        } else {
+            RateStep::Hold
         }
     }
 }
@@ -309,8 +326,7 @@ impl WindowMeter {
 
     /// Close out completed windows if `now` has moved past them. Counts
     /// from a window followed by idle windows are spread over the gap.
-    fn roll(&mut self, now: Nanos, delta: Nanos) {
-        let delta_ns = delta.as_nanos();
+    fn roll(&mut self, now: Nanos, delta_ns: u64) {
         let elapsed = now.saturating_sub(self.window_start).as_nanos();
         if elapsed < delta_ns {
             return;
@@ -355,9 +371,63 @@ mod tests {
         Nanos::from_millis(v)
     }
 
+    /// A limiter with what its owner keeps for it — the configuration it
+    /// is lent and the counters its return values feed — as `C3State`
+    /// keeps them, so the tests below read `srate`, the meter and the
+    /// counters off one value.
+    struct Owned {
+        rl: RateLimiter,
+        cfg: C3Config,
+        stats: RateStats,
+    }
+
+    impl Owned {
+        fn new(cfg: &C3Config, now: Nanos) -> Self {
+            Self {
+                rl: RateLimiter::new(cfg, now),
+                cfg: *cfg,
+                stats: RateStats::default(),
+            }
+        }
+
+        fn try_acquire(&mut self, now: Nanos) -> bool {
+            self.stats.acquire(self.rl.try_acquire(&self.cfg, now))
+        }
+
+        fn on_response(&mut self, now: Nanos) {
+            self.stats.step(self.rl.on_response(&self.cfg, now));
+        }
+
+        fn next_window(&self, now: Nanos) -> Nanos {
+            self.rl.next_window(&self.cfg, now)
+        }
+
+        fn stats(&self) -> RateStats {
+            self.stats
+        }
+
+        /// `R₀`, `None` in slow start.
+        fn r0(&self) -> Option<f64> {
+            (!self.rl.r0.is_nan()).then_some(self.rl.r0)
+        }
+    }
+
+    impl std::ops::Deref for Owned {
+        type Target = RateLimiter;
+        fn deref(&self) -> &RateLimiter {
+            &self.rl
+        }
+    }
+
+    impl std::ops::DerefMut for Owned {
+        fn deref_mut(&mut self) -> &mut RateLimiter {
+            &mut self.rl
+        }
+    }
+
     #[test]
     fn token_bucket_enforces_rate_per_window() {
-        let mut rl = RateLimiter::new(&cfg(), Nanos::ZERO);
+        let mut rl = Owned::new(&cfg(), Nanos::ZERO);
         let mut sent = 0;
         for _ in 0..50 {
             if rl.try_acquire(ms(1)) {
@@ -370,7 +440,7 @@ mod tests {
 
     #[test]
     fn window_refills_budget() {
-        let mut rl = RateLimiter::new(&cfg(), Nanos::ZERO);
+        let mut rl = Owned::new(&cfg(), Nanos::ZERO);
         for _ in 0..10 {
             assert!(rl.try_acquire(ms(0)));
         }
@@ -380,7 +450,7 @@ mod tests {
 
     #[test]
     fn next_window_is_boundary() {
-        let rl = RateLimiter::new(&cfg(), Nanos::ZERO);
+        let rl = Owned::new(&cfg(), Nanos::ZERO);
         assert_eq!(rl.next_window(ms(0)), ms(20));
         assert_eq!(rl.next_window(ms(19)), ms(20));
         assert_eq!(rl.next_window(ms(20)), ms(40));
@@ -397,7 +467,7 @@ mod tests {
             min_rate: 0.25,
             ..C3Config::default()
         };
-        let mut rl = RateLimiter::new(&c, Nanos::ZERO);
+        let mut rl = Owned::new(&c, Nanos::ZERO);
         assert!(!rl.try_acquire(ms(1)), "0.25 tokens cannot send");
         assert_eq!(rl.next_window(ms(1)), ms(60), "3 more windows to 1.0");
         // After the token is spent the full 1/srate wait applies.
@@ -430,7 +500,7 @@ mod tests {
     /// window and let a server of the given per-window capacity respond to
     /// what actually went out.
     fn drive(
-        rl: &mut RateLimiter,
+        rl: &mut Owned,
         start_ms: u64,
         windows: u64,
         attempts: u64,
@@ -458,30 +528,30 @@ mod tests {
     /// force its first decrease (exactly one) at 60 ms, from `rate` to
     /// `β·rate`, anchoring the cubic at R₀ = `rate`. Returns the limiter
     /// and the next window boundary in milliseconds.
-    fn past_slow_start(rate: f64) -> (RateLimiter, u64) {
+    fn past_slow_start(rate: f64) -> (Owned, u64) {
         let c = C3Config {
             initial_rate: rate,
             ..C3Config::default()
         };
-        let mut rl = RateLimiter::new(&c, Nanos::ZERO);
+        let mut rl = Owned::new(&c, Nanos::ZERO);
         for i in 0..10 {
             assert!(rl.try_acquire(ms(1) + Nanos(i)));
         }
         rl.on_response(ms(60));
         assert_eq!(rl.stats().decreases, 1);
-        assert_eq!(rl.r0, Some(rate));
+        assert_eq!(rl.r0(), Some(rate));
         (rl, 80)
     }
 
     #[test]
     fn overload_triggers_multiplicative_decrease() {
-        let mut rl = RateLimiter::new(&cfg(), Nanos::ZERO);
+        let mut rl = Owned::new(&cfg(), Nanos::ZERO);
         // Send 8 per window but only 2 responses come back: the server is
         // falling behind the actual send rate ⇒ multiplicative decrease.
         drive(&mut rl, 0, 10, 8, 2);
         assert!(rl.stats().decreases >= 1, "should have decreased");
         assert!(rl.srate() < 10.0);
-        assert!(rl.r0.is_some_and(|r0| r0 >= rl.srate()));
+        assert!(rl.r0().is_some_and(|r0| r0 >= rl.srate()));
     }
 
     #[test]
@@ -489,7 +559,7 @@ mod tests {
         // The pathology the implementation deliberately avoids (documented
         // deviation from the paper's pseudocode): a client sending far
         // below its limit must not decay the limit to the floor.
-        let mut rl = RateLimiter::new(&cfg(), Nanos::ZERO);
+        let mut rl = Owned::new(&cfg(), Nanos::ZERO);
         drive(&mut rl, 0, 50, 1, 10); // light traffic, healthy server
         assert_eq!(rl.stats().decreases, 0, "healthy idle traffic decreased");
         assert_eq!(rl.srate(), 10.0);
@@ -505,7 +575,7 @@ mod tests {
             min_rate: 0.25,
             ..C3Config::default()
         };
-        let mut rl = RateLimiter::new(&c, Nanos::ZERO);
+        let mut rl = Owned::new(&c, Nanos::ZERO);
         let mut sent = 0;
         for w in 0..40u64 {
             if rl.try_acquire(ms(w * 20)) {
@@ -527,7 +597,7 @@ mod tests {
             min_rate: 0.5,
             ..C3Config::default()
         };
-        let mut rl = RateLimiter::new(&c, Nanos::ZERO);
+        let mut rl = Owned::new(&c, Nanos::ZERO);
         // 100 windows of idling bank at most 1.0 token.
         assert!(rl.try_acquire(ms(2_000)));
         assert!(!rl.try_acquire(ms(2_001)), "only one token banked");
@@ -541,7 +611,7 @@ mod tests {
         // For srate >= 1 the accumulate-with-cap refill is bit-identical
         // to the historical "reset to srate" refill: unspent tokens never
         // carry past the cap.
-        let mut rl = RateLimiter::new(&cfg(), Nanos::ZERO);
+        let mut rl = Owned::new(&cfg(), Nanos::ZERO);
         // Spend 3 of 10 tokens in window 0.
         for _ in 0..3 {
             assert!(rl.try_acquire(ms(1)));
@@ -563,7 +633,7 @@ mod tests {
             min_rate: 1.0,
             ..C3Config::default()
         };
-        let mut rl = RateLimiter::new(&c, Nanos::ZERO);
+        let mut rl = Owned::new(&c, Nanos::ZERO);
         let mut t = ms(0);
         for _ in 0..50 {
             t += ms(50);
@@ -592,7 +662,7 @@ mod tests {
             smax: 3.0,
             ..C3Config::default()
         };
-        let mut rl = RateLimiter::new(&c, Nanos::ZERO);
+        let mut rl = Owned::new(&c, Nanos::ZERO);
         let mut prev = rl.srate();
         for w in 0..60u64 {
             let base = w * 20;
@@ -618,12 +688,12 @@ mod tests {
         // The paper's defaults against the loopback closed loop's shape:
         // demand 1 200 per δ, a server that answers 1 000 (a cubic
         // anchored on the starting 50 would need ≈ 22 windows).
-        let mut rl = RateLimiter::new(&C3Config::default(), Nanos::ZERO);
-        assert_eq!(rl.r0, None, "in slow start");
+        let mut rl = Owned::new(&C3Config::default(), Nanos::ZERO);
+        assert_eq!(rl.r0(), None, "in slow start");
         drive(&mut rl, 0, 3, 1_200, 1_000);
         assert!(rl.srate() >= 1_000.0, "srate {}", rl.srate());
         assert_eq!(rl.stats().decreases, 0);
-        assert_eq!(rl.r0, None, "still in slow start");
+        assert_eq!(rl.r0(), None, "still in slow start");
     }
 
     #[test]
@@ -634,7 +704,7 @@ mod tests {
         // responses each, on top of a limit still under D.
         let c = C3Config::default();
         for demand in [60, 200, 1_200, 5_000] {
-            let mut rl = RateLimiter::new(&c, Nanos::ZERO);
+            let mut rl = Owned::new(&c, Nanos::ZERO);
             drive(&mut rl, 0, 10, demand, u64::MAX);
             let settled = rl.srate();
             assert!(
@@ -692,7 +762,7 @@ mod tests {
         // from then on every response moves `srate` exactly as the cubic
         // does — through further decreases and regrowth.
         let c = C3Config::default();
-        let mut rl = RateLimiter::new(&c, Nanos::ZERO);
+        let mut rl = Owned::new(&c, Nanos::ZERO);
         let mut reference: Option<CubicReference> = None;
         let mut cubic_growth = 0;
         for w in 0..100u64 {
@@ -710,10 +780,10 @@ mod tests {
                 rl.on_response(now);
                 match reference.as_mut() {
                     None if rl.stats().decreases == 0 => {
-                        assert_eq!(rl.r0, None, "in slow start");
+                        assert_eq!(rl.r0(), None, "in slow start");
                     }
                     None => {
-                        assert_eq!(rl.r0, Some(before), "R₀ is srate at the decrease");
+                        assert_eq!(rl.r0(), Some(before), "R₀ is srate at the decrease");
                         assert_eq!(rl.srate(), before * c.beta);
                         reference = Some(CubicReference {
                             srate: rl.srate(),
@@ -725,7 +795,7 @@ mod tests {
                     Some(cubic) => {
                         cubic.on_response(&c, now, &rl.meter);
                         assert_eq!(rl.srate().to_bits(), cubic.srate.to_bits(), "at {now:?}");
-                        assert_eq!(rl.r0, Some(cubic.r0));
+                        assert_eq!(rl.r0(), Some(cubic.r0));
                         cubic_growth += usize::from(rl.srate() > before);
                     }
                 }
@@ -759,7 +829,7 @@ mod tests {
 
     #[test]
     fn receive_rate_measured_per_window() {
-        let mut rl = RateLimiter::new(&cfg(), Nanos::ZERO);
+        let mut rl = Owned::new(&cfg(), Nanos::ZERO);
         // 5 responses in window 0, then one at the start of window 1.
         for i in 0..5 {
             rl.on_response(Nanos(i * 1_000_000));
@@ -770,7 +840,7 @@ mod tests {
 
     #[test]
     fn send_rate_measured_per_window() {
-        let mut rl = RateLimiter::new(&cfg(), Nanos::ZERO);
+        let mut rl = Owned::new(&cfg(), Nanos::ZERO);
         for i in 0..4 {
             assert!(rl.try_acquire(Nanos(i * 1_000_000)));
         }
@@ -792,7 +862,7 @@ mod tests {
     /// clocks long expired.
     fn step_after_window(sent: u32, recv: u32, throttled: u32) -> Step {
         let now = ms(1_000);
-        let mut rl = RateLimiter::new(&cfg(), Nanos::ZERO);
+        let mut rl = Owned::new(&cfg(), Nanos::ZERO);
         rl.t_increase = Nanos::ZERO;
         rl.t_decrease = Nanos::ZERO;
         rl.meter.window_start = now;
@@ -839,12 +909,7 @@ mod tests {
     /// (twice `srate` attempted): the server returns `recv_share(w)` of
     /// window `w`'s sends inside the same window. Demand that follows
     /// `srate` never stops growing in slow start, so callers start past it.
-    fn drive_shares(
-        rl: &mut RateLimiter,
-        start_ms: u64,
-        windows: u64,
-        recv_share: impl Fn(u64) -> f64,
-    ) {
+    fn drive_shares(rl: &mut Owned, start_ms: u64, windows: u64, recv_share: impl Fn(u64) -> f64) {
         for w in 0..windows {
             let base = start_ms + w * 20;
             let attempts = (2.0 * rl.srate()) as u64 + 2;
@@ -896,7 +961,7 @@ mod tests {
 
     #[test]
     fn idle_gap_dilutes_receive_rate() {
-        let mut rl = RateLimiter::new(&cfg(), Nanos::ZERO);
+        let mut rl = Owned::new(&cfg(), Nanos::ZERO);
         for i in 0..8 {
             rl.on_response(Nanos(i * 1_000_000));
         }
@@ -907,5 +972,128 @@ mod tests {
             "rrate {} should be diluted",
             rl.meter.rrate
         );
+    }
+
+    /// FNV-1a over little-endian 64-bit words: the trace digest below.
+    fn fnv(h: &mut u64, word: u64) {
+        for b in word.to_le_bytes() {
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn fnv_stats(h: &mut u64, s: RateStats) {
+        for word in [s.decreases, s.increases, s.throttled] {
+            fnv(h, word);
+        }
+    }
+
+    #[test]
+    fn limiter_trace_matches_its_pinned_digest() {
+        // One lone limiter and one 6-server `C3State` under a seeded mix of
+        // every entry point at random times: steps inside a window, onto
+        // exact window and hysteresis edges, idle gaps of several δ and the
+        // odd stale `now`. A fractional floor lets decreases push `srate`
+        // below one token per window. Every decision, `retry_at`, `srate`
+        // bit pattern and counter is folded into one digest, pinned on the
+        // limiter as it stood before its constants moved to the owner: an
+        // arithmetic or call-order drift fails here, by name, before any
+        // simulator golden reports it as a moved digest.
+        use crate::feedback::Feedback;
+        use crate::scheduler::{C3State, SendDecision};
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let c = C3Config {
+            initial_rate: 4.0,
+            min_rate: 0.3,
+            ..C3Config::default()
+        };
+        let delta = c.delta.as_nanos();
+        let mut rng = SmallRng::seed_from_u64(51);
+        let mut rl = Owned::new(&c, Nanos::ZERO);
+        let mut st = C3State::new(6, c, Nanos::ZERO);
+        let mut pending: Vec<usize> = Vec::new();
+        let mut now = Nanos::ZERO;
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut fractional = 0u32;
+        for _ in 0..20_000 {
+            now += Nanos(match rng.gen_range(0..10u32) {
+                0..=3 => rng.gen_range(0..delta / 8),
+                4 => 0,
+                5 => delta - now.as_nanos() % delta,
+                6 | 7 => {
+                    // Onto the lone limiter's hysteresis edge, or just past.
+                    let anchor = if rng.gen_range(0..2u32) == 0 {
+                        rl.t_increase
+                    } else {
+                        rl.t_decrease
+                    };
+                    let edge = anchor + c.hysteresis + Nanos(rng.gen_range(0..2u64));
+                    edge.saturating_sub(now).as_nanos()
+                }
+                8 => rng.gen_range(2..6u64) * delta,
+                _ => rng.gen_range(0..delta),
+            });
+            let at = if rng.gen_range(0..20u32) == 0 {
+                now.saturating_sub(Nanos(rng.gen_range(0..delta)))
+            } else {
+                now
+            };
+            match rng.gen_range(0..6u32) {
+                0..=2 => fnv(&mut h, u64::from(rl.try_acquire(at))),
+                3 | 4 => rl.on_response(at),
+                _ => fnv(&mut h, rl.next_window(at).as_nanos()),
+            }
+            fnv(&mut h, rl.srate().to_bits());
+            fnv_stats(&mut h, rl.stats());
+            fractional += u32::from(rl.srate() < 1.0);
+
+            match rng.gen_range(0..6u32) {
+                0..=2 => {
+                    let mut servers = [0usize, 1, 2, 3, 4, 5];
+                    let len = rng.gen_range(1..=3usize);
+                    for i in 0..len {
+                        let j = rng.gen_range(i..6usize);
+                        servers.swap(i, j);
+                    }
+                    match st.try_send(&servers[..len], at) {
+                        SendDecision::Send(s) => {
+                            fnv(&mut h, s as u64);
+                            st.record_send(s);
+                            pending.push(s);
+                        }
+                        SendDecision::Backpressure { retry_at } => {
+                            fnv(&mut h, retry_at.as_nanos() | 1 << 63);
+                        }
+                    }
+                }
+                3 | 4 if !pending.is_empty() => {
+                    let s = pending.swap_remove(rng.gen_range(0..pending.len()));
+                    let rt = Nanos(rng.gen_range(100_000..30_000_000u64));
+                    let feedback = Feedback::new(
+                        rng.gen_range(0..12u32),
+                        Nanos(rng.gen_range(50_000..10_000_000u64)),
+                    );
+                    let feedback = (rng.gen_range(0..4u32) > 0).then_some(feedback);
+                    st.on_response(s, rt, feedback.as_ref(), at);
+                }
+                5 if !pending.is_empty() => {
+                    st.on_abandoned(pending.swap_remove(rng.gen_range(0..pending.len())));
+                }
+                _ => {}
+            }
+            for s in 0..6 {
+                fnv(&mut h, st.limiter(s).srate().to_bits());
+                fnv(&mut h, st.score_of(s).to_bits());
+            }
+            fnv_stats(&mut h, st.rate_stats());
+        }
+        // The trace reaches every branch it is meant to pin.
+        let (lone, fleet) = (rl.stats(), st.rate_stats());
+        assert!(lone.decreases > 0 && lone.increases > 0 && lone.throttled > 0);
+        assert!(fleet.decreases > 0 && fleet.increases > 0 && fleet.throttled > 0);
+        assert!(fractional > 0, "srate never fell below one per window");
+        assert_eq!(h, 0x8387_128f_f875_33f8, "trace digest {h:#018x}");
     }
 }

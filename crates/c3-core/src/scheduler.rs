@@ -34,11 +34,15 @@ pub enum SendDecision {
 }
 
 /// Per-client C3 state: one tracker and one rate limiter per server.
+///
+/// The per-server entries hold only what changes; the constants they read
+/// (`cfg`) and the limiters' counters (`stats`) are kept here once.
 #[derive(Clone, Debug)]
 pub struct C3State {
     cfg: C3Config,
     trackers: Vec<ServerTracker>,
     limiters: Vec<RateLimiter>,
+    stats: RateStats,
     /// Scratch scores aligned with the group passed to `try_send`,
     /// computed once per call and reused across calls — the selection hot
     /// path performs no allocation.
@@ -50,12 +54,11 @@ impl C3State {
     pub fn new(num_servers: usize, cfg: C3Config, now: Nanos) -> Self {
         cfg.validate();
         Self {
-            trackers: (0..num_servers)
-                .map(|_| ServerTracker::new(cfg.ewma_alpha))
-                .collect(),
+            trackers: (0..num_servers).map(|_| ServerTracker::new()).collect(),
             limiters: (0..num_servers)
                 .map(|_| RateLimiter::new(&cfg, now))
                 .collect(),
+            stats: RateStats::default(),
             cfg,
             scores: Vec::new(),
         }
@@ -131,7 +134,8 @@ impl C3State {
                 let Some((_, i)) = best else { break };
                 self.scores[i] = f64::NAN;
                 let s = group[i];
-                if self.limiters[s].try_acquire(now) {
+                let acquired = self.limiters[s].try_acquire(&self.cfg, now);
+                if self.stats.acquire(acquired) {
                     decision = Some(s);
                     break;
                 }
@@ -151,7 +155,7 @@ impl C3State {
             None => {
                 let retry_at = group
                     .iter()
-                    .map(|&s| self.limiters[s].next_window(now))
+                    .map(|&s| self.limiters[s].next_window(&self.cfg, now))
                     .min()
                     .expect("non-empty group");
                 SendDecision::Backpressure { retry_at }
@@ -176,8 +180,9 @@ impl C3State {
         feedback: Option<&Feedback>,
         now: Nanos,
     ) {
-        self.trackers[server].on_response(response_time, feedback);
-        self.limiters[server].on_response(now);
+        self.trackers[server].on_response(&self.cfg, response_time, feedback);
+        let step = self.limiters[server].on_response(&self.cfg, now);
+        self.stats.step(step);
     }
 
     /// Record that a request to `server` was abandoned (timeout/error):
@@ -188,14 +193,7 @@ impl C3State {
 
     /// Aggregate rate-limiter statistics across servers.
     pub fn rate_stats(&self) -> RateStats {
-        let mut total = RateStats::default();
-        for l in &self.limiters {
-            let s = l.stats();
-            total.decreases += s.decreases;
-            total.increases += s.increases;
-            total.throttled += s.throttled;
-        }
-        total
+        self.stats
     }
 }
 
@@ -322,6 +320,16 @@ mod tests {
     fn empty_group_panics() {
         let mut st = state(1, 10.0);
         let _ = st.try_send(&[], Nanos::ZERO);
+    }
+
+    #[test]
+    fn per_server_records_stay_compact() {
+        // A client keeps one tracker and one limiter per server — in the
+        // mega-fleet cell 128 selector shards × 256 servers of them — so
+        // each holds only what changes; the constants stay in `cfg` and
+        // the counters in `stats`, once per client.
+        assert_eq!(std::mem::size_of::<ServerTracker>(), 32);
+        assert!(std::mem::size_of::<RateLimiter>() <= 88);
     }
 
     #[test]

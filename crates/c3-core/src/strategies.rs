@@ -127,7 +127,8 @@ impl ReplicaSelector for UniformRandom {
 pub struct RoundRobinRate {
     limiters: Vec<RateLimiter>,
     next: usize,
-    rate_control: bool,
+    /// The limiters' constants (and the rate-control switch), kept once.
+    cfg: C3Config,
 }
 
 impl RoundRobinRate {
@@ -138,7 +139,7 @@ impl RoundRobinRate {
                 .map(|_| RateLimiter::new(cfg, now))
                 .collect(),
             next: 0,
-            rate_control: cfg.rate_control,
+            cfg: *cfg,
         }
     }
 }
@@ -148,18 +149,18 @@ impl ReplicaSelector for RoundRobinRate {
         assert!(!group.is_empty());
         let start = self.next;
         self.next = self.next.wrapping_add(1);
-        if !self.rate_control {
+        if !self.cfg.rate_control {
             return Selection::Server(group[start % group.len()]);
         }
         for i in 0..group.len() {
             let s = group[(start + i) % group.len()];
-            if self.limiters[s].try_acquire(now) {
+            if self.limiters[s].try_acquire(&self.cfg, now) {
                 return Selection::Server(s);
             }
         }
         let retry_at = group
             .iter()
-            .map(|&s| self.limiters[s].next_window(now))
+            .map(|&s| self.limiters[s].next_window(&self.cfg, now))
             .min()
             .expect("non-empty group");
         Selection::Backpressure { retry_at }
@@ -168,7 +169,7 @@ impl ReplicaSelector for RoundRobinRate {
     fn on_send(&mut self, _server: ServerId, _now: Nanos) {}
 
     fn on_response(&mut self, server: ServerId, _info: &ResponseInfo, now: Nanos) {
-        self.limiters[server].on_response(now);
+        self.limiters[server].on_response(&self.cfg, now);
     }
 
     fn on_abandoned(&mut self, _server: ServerId, _now: Nanos) {}

@@ -10,20 +10,21 @@
 //! [`ServerTracker`] owns that state; [`TrackerSnapshot`] is a cheap copy
 //! handed to the scoring function.
 
+use crate::config::C3Config;
 use crate::feedback::Feedback;
 use crate::time::Nanos;
 
 /// Per-server client state feeding the C3 scoring function.
 ///
-/// The three EWMAs share one `alpha` and store their averages as plain
-/// `f64`s with NaN standing for "no sample yet" (EWMA inputs are finite
-/// times and queue sizes, so NaN is free to repurpose). That packs a
-/// tracker into a single cache line — `C3State` scores three of these per
-/// request, so the per-`Ewma` `Option<f64>` + duplicated-alpha layout
-/// (two lines per tracker) was measurable cache pressure.
+/// A tracker holds only what changes per server: the three EWMAs store
+/// their averages as plain `f64`s with NaN standing for "no sample yet"
+/// (EWMA inputs are finite times and queue sizes, so NaN is free to
+/// repurpose), and their shared weight stays once in the owner's
+/// [`C3Config::ewma_alpha`], lent to every fold. A client keeps one per
+/// server, so this is per-(client, server) state: 32 bytes, two trackers
+/// to a cache line, and `C3State` scores three per request.
 #[derive(Clone, Debug)]
 pub(crate) struct ServerTracker {
-    alpha: f64,
     outstanding: u32,
     queue_size: f64,
     service_time_ms: f64,
@@ -66,18 +67,9 @@ pub struct TrackerSnapshot {
 }
 
 impl ServerTracker {
-    /// Create a tracker whose EWMAs use the given new-sample weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ewma_alpha` is outside `(0, 1]` or not finite.
-    pub(crate) fn new(ewma_alpha: f64) -> Self {
-        assert!(
-            ewma_alpha.is_finite() && ewma_alpha > 0.0 && ewma_alpha <= 1.0,
-            "alpha must be in (0, 1], got {ewma_alpha}"
-        );
+    /// A tracker with no outstanding requests and no samples.
+    pub(crate) fn new() -> Self {
         Self {
-            alpha: ewma_alpha,
             outstanding: 0,
             queue_size: f64::NAN,
             service_time_ms: f64::NAN,
@@ -91,22 +83,29 @@ impl ServerTracker {
     }
 
     /// Record a response: decrements the outstanding count and folds the
-    /// piggybacked feedback and the observed response time into the EWMAs.
+    /// piggybacked feedback and the observed response time into the EWMAs,
+    /// weighted by `cfg.ewma_alpha`.
     ///
     /// Responses without feedback (e.g. errors or strategies that do not
     /// piggyback) still decrement the outstanding count and update `R̄_s`.
-    pub(crate) fn on_response(&mut self, response_time: Nanos, feedback: Option<&Feedback>) {
+    pub(crate) fn on_response(
+        &mut self,
+        cfg: &C3Config,
+        response_time: Nanos,
+        feedback: Option<&Feedback>,
+    ) {
         debug_assert!(self.outstanding > 0, "response without outstanding request");
+        let alpha = cfg.ewma_alpha;
         self.outstanding = self.outstanding.saturating_sub(1);
         fold(
-            self.alpha,
+            alpha,
             &mut self.response_time_ms,
             response_time.as_millis_f64(),
         );
         if let Some(fb) = feedback {
-            fold(self.alpha, &mut self.queue_size, fb.queue_size as f64);
+            fold(alpha, &mut self.queue_size, fb.queue_size as f64);
             fold(
-                self.alpha,
+                alpha,
                 &mut self.service_time_ms,
                 fb.service_time.as_millis_f64(),
             );
@@ -140,7 +139,7 @@ impl ServerTracker {
     /// materializing the `Option`-based snapshot struct. This is the
     /// per-candidate call on the selection hot path.
     #[inline]
-    pub(crate) fn score(&self, cfg: &crate::config::C3Config) -> f64 {
+    pub(crate) fn score(&self, cfg: &C3Config) -> f64 {
         let response_time = if self.response_time_ms.is_nan() {
             0.0
         } else {
@@ -168,13 +167,22 @@ mod tests {
         Feedback::new(q, Nanos::from_millis(ms))
     }
 
+    /// The default configuration with EWMA weight `a`.
+    fn alpha(a: f64) -> C3Config {
+        C3Config {
+            ewma_alpha: a,
+            ..C3Config::default()
+        }
+    }
+
     #[test]
     fn outstanding_counts_sends_and_responses() {
-        let mut t = ServerTracker::new(0.5);
+        let c = alpha(0.5);
+        let mut t = ServerTracker::new();
         t.on_send();
         t.on_send();
         assert_eq!(t.outstanding(), 2);
-        t.on_response(Nanos::from_millis(5), Some(&fb(1, 4)));
+        t.on_response(&c, Nanos::from_millis(5), Some(&fb(1, 4)));
         assert_eq!(t.outstanding(), 1);
         t.on_abandoned();
         assert_eq!(t.outstanding(), 0);
@@ -182,9 +190,10 @@ mod tests {
 
     #[test]
     fn feedback_updates_ewmas() {
-        let mut t = ServerTracker::new(1.0); // track exactly
+        let c = alpha(1.0); // track exactly
+        let mut t = ServerTracker::new();
         t.on_send();
-        t.on_response(Nanos::from_millis(10), Some(&fb(6, 4)));
+        t.on_response(&c, Nanos::from_millis(10), Some(&fb(6, 4)));
         let s = t.snapshot();
         assert_eq!(s.queue_size, Some(6.0));
         assert_eq!(s.service_time_ms, Some(4.0));
@@ -194,9 +203,10 @@ mod tests {
 
     #[test]
     fn response_without_feedback_updates_response_time_only() {
-        let mut t = ServerTracker::new(1.0);
+        let c = alpha(1.0);
+        let mut t = ServerTracker::new();
         t.on_send();
-        t.on_response(Nanos::from_millis(8), None);
+        t.on_response(&c, Nanos::from_millis(8), None);
         let s = t.snapshot();
         assert_eq!(s.response_time_ms, Some(8.0));
         assert_eq!(s.queue_size, None);
@@ -205,10 +215,11 @@ mod tests {
 
     #[test]
     fn ewma_smooths_feedback_sequence() {
-        let mut t = ServerTracker::new(0.5);
+        let c = alpha(0.5);
+        let mut t = ServerTracker::new();
         for (q, st) in [(0u32, 2u64), (8, 6)] {
             t.on_send();
-            t.on_response(Nanos::from_millis(st), Some(&fb(q, st)));
+            t.on_response(&c, Nanos::from_millis(st), Some(&fb(q, st)));
         }
         let s = t.snapshot();
         assert_eq!(s.queue_size, Some(4.0)); // 0.5·8 + 0.5·0
@@ -217,21 +228,20 @@ mod tests {
 
     #[test]
     fn abandoned_never_underflows() {
-        let mut t = ServerTracker::new(0.5);
+        let mut t = ServerTracker::new();
         t.on_abandoned();
         assert_eq!(t.outstanding(), 0);
     }
 
     #[test]
     fn packed_score_matches_snapshot_score() {
-        use crate::config::C3Config;
         use crate::score::score;
         for cfg in [
             C3Config::for_clients(40),
             C3Config::default().without_concurrency_compensation(),
             C3Config::default().with_queue_exponent(2),
         ] {
-            let mut t = ServerTracker::new(cfg.ewma_alpha);
+            let mut t = ServerTracker::new();
             // Cold start, partial state, and fully-warmed state must all
             // agree with the snapshot-based scoring function bit-for-bit.
             assert_eq!(
@@ -243,13 +253,13 @@ mod tests {
                 t.score(&cfg).to_bits(),
                 score(&cfg, &t.snapshot()).to_bits()
             );
-            t.on_response(Nanos::from_millis(7), None);
+            t.on_response(&cfg, Nanos::from_millis(7), None);
             assert_eq!(
                 t.score(&cfg).to_bits(),
                 score(&cfg, &t.snapshot()).to_bits()
             );
             t.on_send();
-            t.on_response(Nanos::from_millis(9), Some(&fb(5, 3)));
+            t.on_response(&cfg, Nanos::from_millis(9), Some(&fb(5, 3)));
             assert_eq!(
                 t.score(&cfg).to_bits(),
                 score(&cfg, &t.snapshot()).to_bits()
@@ -259,7 +269,7 @@ mod tests {
 
     #[test]
     fn fresh_tracker_snapshot_is_empty() {
-        let t = ServerTracker::new(0.5);
+        let t = ServerTracker::new();
         let s = t.snapshot();
         assert_eq!(s.outstanding, 0);
         assert!(s.queue_size.is_none());

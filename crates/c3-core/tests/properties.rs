@@ -82,7 +82,7 @@ proptest! {
         let mut rl = RateLimiter::new(&cfg, Nanos::ZERO);
         let mut granted = 0;
         for i in 0..attempts {
-            if rl.try_acquire(Nanos(i as u64)) {
+            if rl.try_acquire(&cfg, Nanos(i as u64)) {
                 granted += 1;
             }
         }

@@ -27,8 +27,20 @@ use c3_core::Nanos;
 
 use crate::kernel::{EventQueue, TimerId};
 
+/// A group that holds no [`Backlog`].
+const IDLE: u32 = u32::MAX;
+
 /// Per-selector backpressure state: one FIFO backlog and at most one
 /// pending cancellable retry timer per replica group.
+///
+/// A selector instance keeps one front over every replica group (the
+/// `mega-fleet` cell: 128 selector shards × 256 groups), and most groups
+/// never backlog. So a group holds only a `u32`: the index of its entry in
+/// a pool of backlogs (a queue and a retry timer each), or a sentinel. A
+/// group takes an entry when it backlogs and hands it back once its queue
+/// is empty and no retry timer is pending; a released entry keeps its
+/// queue's capacity for the next group that backlogs, so a later episode
+/// allocates nothing.
 ///
 /// `R` is the caller's request id, `E` its event type; `retry_event`
 /// builds the caller's "retry this front's backlog for this group" event.
@@ -36,12 +48,24 @@ use crate::kernel::{EventQueue, TimerId};
 pub struct BackpressureFront<R, E> {
     id: usize,
     retry_event: fn(front: usize, group: usize) -> E,
-    backlogs: Vec<BacklogQueue<R>>,
-    retry_timer: Vec<Option<TimerId>>,
+    /// Per group: its entry in `pool`, or [`IDLE`].
+    held: Vec<u32>,
+    pool: Vec<Backlog<R>>,
+    /// Entries of `pool` no group holds.
+    free: Vec<u32>,
     /// Number of non-empty backlogs: lets the per-response drain skip the
     /// group walk entirely in the common no-backpressure case.
     backlogged: u32,
+    /// Empty → non-empty backlog transitions across all groups.
+    activations: u64,
     dead_retries: u64,
+}
+
+/// A backlogged group's FIFO and its pending retry timer.
+#[derive(Debug)]
+struct Backlog<R> {
+    queue: VecDeque<R>,
+    retry_timer: Option<TimerId>,
 }
 
 impl<R: Copy, E> BackpressureFront<R, E> {
@@ -50,10 +74,42 @@ impl<R: Copy, E> BackpressureFront<R, E> {
         Self {
             id,
             retry_event,
-            backlogs: (0..groups).map(|_| BacklogQueue::new()).collect(),
-            retry_timer: vec![None; groups],
+            held: vec![IDLE; groups],
+            pool: Vec::new(),
+            free: Vec::new(),
             backlogged: 0,
+            activations: 0,
             dead_retries: 0,
+        }
+    }
+
+    /// `group`'s entry, if it holds one.
+    fn entry(&self, group: usize) -> Option<&Backlog<R>> {
+        self.pool.get(self.held[group] as usize)
+    }
+
+    /// `group`'s entry index, taking a free entry (or a new one) if the
+    /// group holds none.
+    fn hold(&mut self, group: usize) -> usize {
+        if self.held[group] == IDLE {
+            self.held[group] = self.free.pop().unwrap_or_else(|| {
+                self.pool.push(Backlog {
+                    queue: VecDeque::new(),
+                    retry_timer: None,
+                });
+                u32::try_from(self.pool.len() - 1).expect("fewer than 2^32 backlogs")
+            });
+        }
+        self.held[group] as usize
+    }
+
+    /// Hand `group`'s entry back if it is idle: queue empty, no timer.
+    fn release_if_idle(&mut self, group: usize) {
+        let i = self.held[group];
+        let b = &self.pool[i as usize];
+        if b.queue.is_empty() && b.retry_timer.is_none() {
+            self.held[group] = IDLE;
+            self.free.push(i);
         }
     }
 
@@ -68,11 +124,14 @@ impl<R: Copy, E> BackpressureFront<R, E> {
         now: Nanos,
         engine: &mut EventQueue<E>,
     ) -> bool {
-        let entered = self.backlogs[group].is_empty();
+        let i = self.hold(group);
+        let queue = &mut self.pool[i].queue;
+        let entered = queue.is_empty();
+        queue.push_back(req);
         if entered {
             self.backlogged += 1;
+            self.activations += 1;
         }
-        self.backlogs[group].push(req);
         self.stall(group, retry_at, now, engine);
         entered
     }
@@ -89,31 +148,42 @@ impl<R: Copy, E> BackpressureFront<R, E> {
         from_timer: bool,
         engine: &mut EventQueue<E>,
     ) -> bool {
+        let i = self.held[group];
+        if i == IDLE {
+            self.dead_retries += u64::from(from_timer);
+            return !from_timer;
+        }
+        let b = &mut self.pool[i as usize];
         if from_timer {
             // The timer owning this event has fired; forget its handle.
-            self.retry_timer[group] = None;
-            if self.backlogs[group].is_empty() {
+            b.retry_timer = None;
+            if b.queue.is_empty() {
                 self.dead_retries += 1;
+                self.release_if_idle(group);
                 return false;
             }
-        } else if let Some(timer) = self.retry_timer[group].take() {
+        } else if let Some(timer) = b.retry_timer.take() {
             // A response beat the retry timer to this backlog: the drain
             // supersedes it, so the timer must not fire dead.
             engine.cancel(timer);
+            self.release_if_idle(group);
         }
         true
     }
 
     /// The oldest request waiting behind `group`.
     pub fn peek(&self, group: usize) -> Option<R> {
-        self.backlogs[group].peek().copied()
+        self.entry(group).and_then(|b| b.queue.front().copied())
     }
 
     /// The head of `group` was admitted: take it off the backlog.
     pub fn pop(&mut self, group: usize) {
-        self.backlogs[group].pop();
-        if self.backlogs[group].is_empty() {
+        debug_assert!(self.is_backlogged(group), "pop on an empty backlog");
+        let queue = &mut self.pool[self.held[group] as usize].queue;
+        queue.pop_front();
+        if queue.is_empty() {
             self.backlogged -= 1;
+            self.release_if_idle(group);
         }
     }
 
@@ -122,10 +192,11 @@ impl<R: Copy, E> BackpressureFront<R, E> {
     /// one per group, never at or before `now` (the limiter may report a
     /// `retry_at` already in the past).
     pub fn stall(&mut self, group: usize, retry_at: Nanos, now: Nanos, engine: &mut EventQueue<E>) {
-        if self.retry_timer[group].is_none() {
+        let i = self.hold(group);
+        if self.pool[i].retry_timer.is_none() {
             let at = retry_at.max(now + Nanos(1));
             let event = (self.retry_event)(self.id, group);
-            self.retry_timer[group] = Some(engine.schedule_cancellable(at, event));
+            self.pool[i].retry_timer = Some(engine.schedule_cancellable(at, event));
         }
     }
 
@@ -138,59 +209,19 @@ impl<R: Copy, E> BackpressureFront<R, E> {
     /// Whether `group` has requests waiting.
     #[inline]
     pub fn is_backlogged(&self, group: usize) -> bool {
-        !self.backlogs[group].is_empty()
+        self.entry(group).is_some_and(|b| !b.queue.is_empty())
     }
 
     /// Empty → non-empty backlog transitions across all groups (the
     /// "backpressure mode entered" events of the paper's Figure 13).
     pub fn activations(&self) -> u64 {
-        self.backlogs.iter().map(|b| b.activations()).sum()
+        self.activations
     }
 
     /// Retry timers that fired against an already-drained backlog. Stays
     /// zero; see [`BackpressureFront::begin_drain`].
     pub fn dead_retries(&self) -> u64 {
         self.dead_retries
-    }
-}
-
-/// A FIFO backlog for one replica group, counting its empty → non-empty
-/// transitions (the "backpressure mode entered" events of Figure 13).
-#[derive(Debug)]
-struct BacklogQueue<R> {
-    queue: VecDeque<R>,
-    activations: u64,
-}
-
-impl<R> BacklogQueue<R> {
-    fn new() -> Self {
-        Self {
-            queue: VecDeque::new(),
-            activations: 0,
-        }
-    }
-
-    fn push(&mut self, req: R) {
-        if self.queue.is_empty() {
-            self.activations += 1;
-        }
-        self.queue.push_back(req);
-    }
-
-    fn pop(&mut self) -> Option<R> {
-        self.queue.pop_front()
-    }
-
-    fn peek(&self) -> Option<&R> {
-        self.queue.front()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    fn activations(&self) -> u64 {
-        self.activations
     }
 }
 
@@ -286,16 +317,103 @@ mod tests {
 
     #[test]
     fn backlog_queue_tracks_activations_and_depth() {
-        let mut q: BacklogQueue<u32> = BacklogQueue::new();
-        assert!(q.is_empty());
-        q.push(1);
-        q.push(2);
-        assert_eq!(q.activations(), 1);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
-        q.push(3);
-        assert_eq!(q.activations(), 2, "re-entering backpressure counts again");
-        assert_eq!(q.peek(), Some(&3));
+        let mut engine = EventQueue::new();
+        let mut f = front();
+        assert!(!f.is_backlogged(1));
+        f.park(1, 1, Nanos(10), Nanos(0), &mut engine);
+        f.park(1, 2, Nanos(10), Nanos(0), &mut engine);
+        assert_eq!(f.activations(), 1);
+        assert!(f.begin_drain(1, false, &mut engine));
+        for req in [1, 2] {
+            assert_eq!(f.peek(1), Some(req));
+            f.pop(1);
+        }
+        assert_eq!(f.peek(1), None);
+        f.park(1, 3, Nanos(10), Nanos(0), &mut engine);
+        assert_eq!(f.activations(), 2, "re-entering backpressure counts again");
+        assert_eq!(f.peek(1), Some(3));
+    }
+
+    #[test]
+    fn a_pending_timer_keeps_its_group_entry() {
+        // A backlog emptied without a drain (so its timer still pends)
+        // keeps its entry: another group that backlogs next must arm its
+        // own timer, and the group's next park must arm none.
+        let mut engine = EventQueue::new();
+        let mut f = front();
+        f.park(0, 1, Nanos(50), Nanos(0), &mut engine);
+        f.pop(0);
+        assert!(!f.is_backlogged(0));
+        f.park(1, 2, Nanos(70), Nanos(10), &mut engine);
+        f.park(0, 3, Nanos(90), Nanos(10), &mut engine);
+        assert_eq!(engine.len(), 2, "one timer per group");
+        for (at, group, req) in [(50, 0, 3), (70, 1, 2)] {
+            assert_eq!(engine.pop(), Some((Nanos(at), (7, group))));
+            assert!(f.begin_drain(group, true, &mut engine));
+            assert_eq!(f.peek(group), Some(req));
+        }
+        assert_eq!(f.dead_retries(), 0);
+    }
+
+    /// Park `depth` requests on every group in `order`, then drain them
+    /// all by response (cancelling each retry timer).
+    fn episode(
+        f: &mut BackpressureFront<u64, Retry>,
+        engine: &mut EventQueue<Retry>,
+        order: impl Iterator<Item = usize> + Clone,
+        depth: u64,
+    ) {
+        for group in order.clone() {
+            for req in 0..depth {
+                f.park(group, req, Nanos(100), Nanos(0), engine);
+            }
+        }
+        for group in order {
+            assert!(f.begin_drain(group, false, engine));
+            while f.peek(group).is_some() {
+                f.pop(group);
+            }
+        }
+        assert!(!f.any_backlogged());
+    }
+
+    #[test]
+    fn a_second_backlog_episode_allocates_no_queue_storage() {
+        const GROUPS: usize = 256;
+        let mut engine = EventQueue::new();
+        let mut f: BackpressureFront<u64, Retry> =
+            BackpressureFront::new(0, GROUPS, |front, group| (front, group));
+        let storage = |f: &BackpressureFront<u64, Retry>| -> Vec<(usize, *const u64)> {
+            f.pool
+                .iter()
+                .map(|b| (b.queue.capacity(), b.queue.as_slices().0.as_ptr()))
+                .collect()
+        };
+        // One group at a time: one entry serves all 256 episodes.
+        for group in 0..GROUPS {
+            episode(&mut f, &mut engine, group..group + 1, 3);
+        }
+        assert_eq!(f.pool.len(), 1);
+        // Every group at once, then again in the opposite order: the second
+        // episode's groups take other groups' entries and reuse their
+        // queues as they are.
+        episode(&mut f, &mut engine, 0..GROUPS, 3);
+        assert_eq!(f.pool.len(), GROUPS);
+        let before = storage(&f);
+        episode(&mut f, &mut engine, (0..GROUPS).rev(), 3);
+        assert_eq!(storage(&f), before, "an episode grew or moved a queue");
+        assert_eq!(f.free.len(), GROUPS, "every entry handed back");
+        assert_eq!(f.activations(), 3 * GROUPS as u64);
+        assert_eq!(engine.cancelled(), 3 * GROUPS as u64);
+    }
+
+    #[test]
+    fn never_backlogged_group_records_stay_compact() {
+        // A group that never backlogs costs the front one `u32`; queues and
+        // timers live in the pool, which only backlogged groups draw on.
+        let f: BackpressureFront<u64, Retry> =
+            BackpressureFront::new(0, 256, |front, group| (front, group));
+        assert_eq!(std::mem::size_of_val(f.held.as_slice()), 256 * 4);
+        assert!(f.pool.is_empty() && f.free.is_empty());
     }
 }

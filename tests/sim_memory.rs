@@ -9,7 +9,11 @@
 //! cell (the `cluster-faults-recorded` shape) by ≈ 76 MB; what is left is
 //! each run's fixed footprint — kernel tiers, histograms and selectors
 //! (≈ 6 MB), plus, for the mega-fleet, 120k pending think timers and 128
-//! selector shards × 256 servers (≈ 10 MB), and, for the exact-latency
+//! selector shards × 256 servers at 124 bytes per (shard, server) pair — a
+//! 32-byte tracker, an 88-byte rate limiter and the backpressure front's
+//! 4-byte group slot (≈ 4 MB; 272 bytes, ≈ 8.9 MB, while every pair
+//! carried its own copy of the configuration, its limiter's counters and
+//! an empty backlog with its timer slot) — and, for the exact-latency
 //! cluster cell, the reservoir's 4 bytes per measured op (≈ 1.5 MB; at
 //! 8 bytes the cell grew by 5.3–5.5 MB, now by 3.8–4.3).
 //! Most think timers wait in the kernel's coarse ring. Both of the
@@ -92,11 +96,12 @@ fn simulated_runs_grow_by_what_is_in_flight() {
         sim < 16.0,
         "§6 run of {REQUESTS} requests grew RSS by {sim:.1} MB"
     );
-    // Measured 10.6 MB (debug and release), plus 25%: tight enough to
-    // reject a wheel whose buckets keep their own storage (≈ 22.4 MB,
-    // ≈ 32 MB if coarse buckets keep theirs too).
+    // Measured 7.4–7.5 MB (debug and release), plus 25%: tight enough to
+    // reject per-(shard, server) state at 272 bytes a pair (11.5–12.0 MB)
+    // and a wheel whose buckets keep their own storage (≈ 22.4 MB, ≈ 32 MB
+    // if coarse buckets keep theirs too).
     assert!(
-        fleet < 13.3,
+        fleet < 9.4,
         "mega-fleet cell of {REQUESTS} ops grew RSS by {fleet:.1} MB"
     );
     // Measured 4.25 MB (debug; 3.78 in release), plus 25%. Its smaller
