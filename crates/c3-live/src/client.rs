@@ -1,6 +1,6 @@
 //! The multiplexed C3 client: issue/complete split over per-replica
 //! connection supervisors, with a correlation table matching out-of-order
-//! responses back to requests and a reaper enforcing the request
+//! responses back to requests and a timer thread enforcing the request
 //! lifecycle (deadlines, retries, hedging, replica eviction).
 //!
 //! Architecture (one process, thousands of requests in flight):
@@ -21,17 +21,16 @@
 //!   instead of head-of-line blocking, which is exactly the
 //!   coordinated-omission regime the old one-request-per-worker client
 //!   could not reach.
-//! - **Reaper**: when the [`LifecycleConfig`] deadline is set, one
-//!   thread sweeps every correlation table each millisecond. An expired
-//!   request is reaped — its selector slot abandoned, its id tombstoned
-//!   so a late response is discarded rather than tripping the
-//!   correlation check — and, budget permitting, re-issued to a
-//!   *different* replica with exponential backoff and jitter. Reads
-//!   still unanswered after `hedge_after` get a duplicate on a second
-//!   replica; whichever response arrives first owns the sample. Each
-//!   decision is the op's [`OpLife`] or the [`FailureDetector`]'s —
-//!   `c3_core`'s one lifecycle policy, shared with the cluster simulator;
-//!   without a deadline none of it runs.
+//! - **Timer**: with a [`LifecycleConfig`] deadline or Dynamic
+//!   Snitching, one thread sleeps until its earliest due event. A send
+//!   arms its deadline (and a primary read its hedge). An expired request
+//!   is reaped — its selector slot abandoned, its id tombstoned so a late
+//!   response is discarded — and, budget permitting, retried on a
+//!   *different* replica after backoff and jitter, or at the limiter's
+//!   `retry_at`. Reads unanswered after `hedge_after` get a duplicate on
+//!   a second replica; the first response owns the sample. Each decision
+//!   is the op's [`OpLife`] or the [`FailureDetector`]'s — `c3_core`'s one
+//!   lifecycle policy, shared with the cluster simulator.
 //! - **Selector state**: C3-family strategies run on
 //!   [`SharedC3State`] — the packed EWMA tracker fields and outstanding
 //!   counts are atomics, so issuers read scores and readers fold
@@ -39,12 +38,12 @@
 //!   only). Non-C3 strategies are sharded one selector instance per
 //!   replica group (keyed by the group's primary), the paper's
 //!   independent-clients shape; completions route back to the shard
-//!   that issued them. The DS recompute ticker walks every shard at the
+//!   that issued them. The DS recompute tick walks every shard at the
 //!   snitch's configured cadence.
 //!
 //! Permit accounting is per *operation*, not per wire attempt: retries
 //! and hedges share the original's `Mutex<OpLife>`, and whoever makes it
-//! terminal — a response, an expiry that parks, a sweep that wins
+//! terminal — a response, an expiry that parks, a reap that wins
 //! [`OpLife::park`] — owns the op's single sample or permit release.
 //! Every path a request can leave a table without a response funnels
 //! through [`reap_send`]; `execute` asserts at teardown that the budget
@@ -68,17 +67,18 @@
 //! few issuer sleeps left in a closed-loop run (≈ 100–150 ms, summed over
 //! the issuers, at 1.25 s and at 5 s alike) are those windows.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
 use c3_cluster::FaultKind;
 use c3_core::{
-    Attempt, Expiry, FailureDetector, LifecycleCounts, Nanos, OpLife, Outcome, RateStats,
-    ResponseInfo, Selection, Selector, SharedC3State, SnitchConfig, WallClock,
+    Attempt, Expiry, FailureDetector, LifecycleConfig, LifecycleCounts, Nanos, OpLife, Outcome,
+    RateStats, ResponseInfo, Selection, Selector, SharedC3State, SnitchConfig, WallClock,
 };
 use c3_engine::{ChannelId, RunMetrics, SeedSeq};
 use c3_metrics::LogHistogram;
@@ -97,7 +97,7 @@ use crate::wire::read_frame;
 /// Where the replica fleet lives relative to the client.
 ///
 /// The multiplexed client is transport-agnostic past the dial: the same
-/// supervisors, correlation tables and lifecycle reaper drive an
+/// supervisors, correlation tables and lifecycle timer drive an
 /// in-process [`LiveCluster`] or a fleet of `c3-live-node` processes.
 #[derive(Clone, Debug)]
 pub enum Transport {
@@ -272,7 +272,8 @@ struct Pending {
 }
 
 impl Pending {
-    /// The op's machine, locked; no other lock is taken while it is held.
+    /// The op's machine, locked; no other lock is taken while it is held,
+    /// and it is taken while holding none.
     fn life(&self) -> MutexGuard<'_, OpLife> {
         self.op.lock().expect("op poisoned")
     }
@@ -286,15 +287,6 @@ impl Pending {
 struct TableState {
     live: CorrelationTable<Pending>,
     reaped: HashSet<u64>,
-}
-
-impl TableState {
-    /// Take the entries `pick` selects off the table, tombstoning them.
-    fn reap(&mut self, pick: impl FnMut(&Pending) -> bool) -> Vec<(u64, Pending)> {
-        let entries = self.live.take_matching(pick);
-        self.reaped.extend(entries.iter().map(|&(id, _)| id));
-        entries
-    }
 }
 
 type Table = Mutex<TableState>;
@@ -421,7 +413,7 @@ impl LiveSelector {
         }
     }
 
-    /// Whether the shards are Dynamic Snitches, which need the ticker.
+    /// Whether the shards are Dynamic Snitches, which need the timer.
     fn is_ds(&self) -> bool {
         match &self.kind {
             SelectorKind::Sharded { shards } => shards
@@ -503,8 +495,8 @@ struct ReaderOut {
 }
 
 /// THE reap path: every wire attempt that leaves a table without a
-/// response funnels through here — deadline sweeps, dead-connection
-/// reaps, failed re-sends, and the end-of-run straggler sweep alike.
+/// response funnels through here — deadline expiries, dead-connection
+/// reaps, failed re-sends, and the end-of-run straggler reap alike.
 /// Abandons the read's selector slot; unless the permit is being kept
 /// (a retry inherits it, or an expiry already decided the op's fate),
 /// races for [`OpLife::park`] and the single release. Returns whether
@@ -533,33 +525,40 @@ fn reap_send(
 /// [`reap_send`], tombstoning the ids so responses that straggle in
 /// after a redial are discarded instead of failing correlation.
 fn reap_connection(table: &Table, selector: &LiveSelector, budget: &InFlightBudget, now: Nanos) {
-    let entries = table.lock().expect("table poisoned").reap(|_| true);
+    let mut t = table.lock().expect("table poisoned");
+    let entries = t.live.drain();
+    t.reaped.extend(entries.iter().map(|&(id, _)| id));
+    drop(t);
     for (_, p) in entries {
         reap_send(&p, selector, budget, now, false);
     }
 }
 
 /// The issue side's handle on the wire, cloned into every issuing thread
-/// (the issuers and the reaper): the correlation tables and supervisor
+/// (the issuers and the timer): the correlation tables and supervisor
 /// channels per replica and connection — each holder owns its sender
 /// clones, so the supervisors see the issue side close once the last one
-/// exits — and the selector and budget a failed send hands back to.
+/// exits — the selector and budget a failed send hands back to, and the
+/// timers a send arms `lifecycle`'s deadline and hedge on.
 #[derive(Clone)]
 struct Wire<'a> {
     tables: &'a [Vec<Table>],
     senders: Vec<Vec<mpsc::Sender<Request>>>,
     selector: &'a LiveSelector,
     budget: &'a InFlightBudget,
+    timers: Option<&'a Timers>,
+    lifecycle: &'a LifecycleConfig,
     /// The PUT payload.
     value: Bytes,
 }
 
 impl Wire<'_> {
     /// Register a wire attempt under `id` on connection `id % connections`
-    /// of its replica and hand its frame to that supervisor. If it is gone,
-    /// the registration is reclaimed — when still ours: a dying supervisor
-    /// reaps its table, and whoever removes the entry owns its reap — and
-    /// reaped; `Err` carries whether that made the op terminal.
+    /// of its replica, hand its frame to that supervisor and arm its
+    /// timers. If the supervisor is gone, the registration is reclaimed —
+    /// when still ours: a dying supervisor reaps its table, and whoever
+    /// removes the entry owns its reap — and reaped; `Err` carries whether
+    /// that made the op terminal.
     fn send(&self, id: u64, p: Pending, keep_permit: bool, now: Nanos) -> Result<(), bool> {
         let key = encode_key(p.key);
         let request = if p.is_read {
@@ -568,15 +567,20 @@ impl Wire<'_> {
             let value = self.value.clone();
             Request::Put { id, key, value }
         };
-        let conn = id as usize % self.senders[p.replica].len();
-        let (table, sender) = (
-            &self.tables[p.replica][conn],
-            &self.senders[p.replica][conn],
-        );
+        let (replica, sent_at) = (p.replica, p.sent_at);
+        let hedged = p.is_read && p.attempt == Attempt::Primary;
+        let conn = id as usize % self.senders[replica].len();
+        let (table, sender) = (&self.tables[replica][conn], &self.senders[replica][conn]);
         let mut t = table.lock().expect("table poisoned");
         t.live.register(id, p).expect("wire ids are unique");
         drop(t);
         if sender.send(request).is_ok() {
+            if let (Some(timers), Some(deadline)) = (self.timers, self.lifecycle.deadline) {
+                timers.arm(sent_at + deadline, Timer::Deadline(replica, id));
+                if let Some(hedge_after) = self.lifecycle.hedge_after.filter(|_| hedged) {
+                    timers.arm(sent_at + hedge_after, Timer::Hedge(replica, id));
+                }
+            }
             return Ok(());
         }
         let reclaimed = table.lock().expect("table poisoned").live.complete(id);
@@ -584,13 +588,107 @@ impl Wire<'_> {
     }
 }
 
-/// Raises the run's stop flag when dropped.
-struct StopOnDrop<'a>(&'a AtomicBool);
+/// A due-time event of the timer thread. Deadlines and hedges name their
+/// wire attempt by `(replica, wire id)` — the id picks the connection, as
+/// in [`Wire::send`]. One that has left its table was answered or reaped,
+/// and fires as a no-op, so nothing is ever cancelled.
+enum Timer {
+    Deadline(usize, u64),
+    Hedge(usize, u64),
+    /// A reaped primary whose backoff (or the limiter's `retry_at`) ended.
+    Retry(Pending),
+    /// Dynamic Snitching's periodic recompute.
+    SnitchTick,
+}
+
+/// The timer's events by `(due, arm order)`, earliest first.
+#[derive(Default)]
+struct TimerState {
+    events: BTreeMap<(Nanos, u64), Timer>,
+    armed: u64,
+    /// The instant the thread sleeps toward; `Nanos::ZERO` while it is
+    /// awake (it re-reads the events before it sleeps again).
+    wake_at: Nanos,
+    stop: bool,
+}
+
+/// The client's one timer service: events behind a mutex, and the condvar
+/// its thread sleeps on until the earliest is due. Shrugs off poisoning,
+/// as [`InFlightBudget`] does: teardown must stop it whatever panicked.
+#[derive(Default)]
+struct Timers {
+    state: Mutex<TimerState>,
+    wake: Condvar,
+}
+
+impl Timers {
+    fn lock(&self) -> MutexGuard<'_, TimerState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Arm `timer` at `due`, waking the thread only when that precedes
+    /// the instant it sleeps toward (the replica service thread's rule).
+    fn arm(&self, due: Nanos, timer: Timer) {
+        let mut state = self.lock();
+        state.armed += 1;
+        let seq = state.armed;
+        state.events.insert((due, seq), timer);
+        let wake = due < state.wake_at;
+        state.wake_at = state.wake_at.min(due);
+        drop(state);
+        if wake {
+            self.wake.notify_one();
+        }
+    }
+
+    /// End the thread's wait, wherever it sleeps.
+    fn stop(&self) {
+        self.lock().stop = true;
+        self.wake.notify_one();
+    }
+
+    /// Sleep until the earliest event is due and take it; `None` once
+    /// stopped.
+    fn next(&self, clock: WallClock) -> Option<Timer> {
+        let mut state = self.lock();
+        while !state.stop {
+            let now = clock.now();
+            let first = state.events.keys().next();
+            let due = first.map_or(Nanos::MAX, |&(due, _)| due);
+            if due <= now {
+                state.wake_at = Nanos::ZERO;
+                return state.events.pop_first().map(|(_, timer)| timer);
+            }
+            state.wake_at = due;
+            let woken = self.wake.wait_timeout(state, (due - now).into());
+            state = woken.unwrap_or_else(PoisonError::into_inner).0;
+        }
+        None
+    }
+}
+
+/// Raises the run's stop flag and stops the timer thread when dropped: at
+/// teardown, or by a panic or error on the way out.
+struct StopOnDrop<'a>(&'a AtomicBool, Option<&'a Timers>);
 
 impl Drop for StopOnDrop<'_> {
     fn drop(&mut self) {
         self.0.store(true, Ordering::Release);
+        self.1.map(Timers::stop);
     }
+}
+
+/// Spawn one of the client's threads under a name (`c-<role>`) that
+/// `/proc/<pid>/task/*/comm` shows.
+fn spawn_named<'s, T: Send + 's>(
+    s: &'s Scope<'s, '_>,
+    name: String,
+    body: impl FnOnce() -> T + Send + 's,
+) -> ScopedJoinHandle<'s, T> {
+    let builder = thread::Builder::new().name(name);
+    builder
+        .spawn_scoped(s, body)
+        .expect("failed to spawn thread")
 }
 
 /// Run the multiplexed client against `transport` — an in-process fleet
@@ -635,9 +733,14 @@ pub(crate) fn execute_on(
 
     let selector = build_selector(cfg);
     let budget = InFlightBudget::new(cfg.in_flight);
-    // The detector exists only with a deadline; so does the reaper, the
-    // one thread that can charge it a timeout.
+    // The detector exists only with a deadline; so do the expiries, the
+    // one timer event that can charge it a timeout.
     let detector = cfg.lifecycle.detector(cfg.replicas);
+    let ds = selector.is_ds();
+    let timers = (detector.is_some() || ds).then(Timers::default);
+    if let Some(timers) = timers.as_ref().filter(|_| ds) {
+        timers.arm(SnitchConfig::default().update_interval, Timer::SnitchTick);
+    }
     // Slow windows only stretch service times: a plan of nothing else
     // expects every connection to hold, exactly like the empty plan.
     let faults_expected = cfg.faults.events.iter().any(|e| e.kind != FaultKind::Slow);
@@ -653,10 +756,10 @@ pub(crate) fn execute_on(
 
     let (mut occupancy, mut feedback_lag, lifecycle, reconnects, err) = std::thread::scope(|s| {
         let (selector, budget, detector) = (&selector, &budget, detector.as_ref());
-        let (stop, issued, metrics) = (&stop, &issued, &metrics);
-        // A panic below must still stop every thread, or the scope, which
-        // joins them before it rethrows, would wait forever.
-        let _stop = StopOnDrop(stop);
+        let (stop, issued, metrics, timers) = (&stop, &issued, &metrics, timers.as_ref());
+        // A panic or error below must still stop every thread, the timer
+        // too, or the scope, which joins them first, would wait forever.
+        let stopper = StopOnDrop(stop, timers);
         let mut senders: Vec<Vec<mpsc::Sender<Request>>> = Vec::with_capacity(cfg.replicas);
         let mut supervisors = Vec::new();
         for (replica, &addr) in addrs.iter().enumerate() {
@@ -668,9 +771,10 @@ pub(crate) fn execute_on(
                 }),
             };
             let mut replica_senders = Vec::with_capacity(cfg.connections);
-            for table in &tables[replica] {
+            for (conn, table) in tables[replica].iter().enumerate() {
                 let (tx, rx) = mpsc::channel::<Request>();
-                supervisors.push(s.spawn(move || {
+                let name = format!("c-conn-{replica}-{conn}");
+                supervisors.push(spawn_named(s, name, move || {
                     connection_loop(
                         addr,
                         &rx,
@@ -694,43 +798,23 @@ pub(crate) fn execute_on(
             senders,
             selector,
             budget,
+            timers,
+            lifecycle: &cfg.lifecycle,
             value: Bytes::from(vec![0x5Au8; cfg.value_bytes as usize]),
         };
 
-        // The reaper enforces the lifecycle: deadline sweep, retry queue,
-        // hedging pass. Its sender clones drop when it exits at teardown.
-        let reaper = detector.map(|detector| {
+        // The timer's sender clones drop when it exits at teardown.
+        let timer = timers.map(|timers| {
             let wire = wire.clone();
-            s.spawn(move || reaper_loop(cfg, clock, &wire, detector, stop))
+            let body = move || timer_loop(cfg, clock, &wire, timers, detector);
+            spawn_named(s, "c-timer".into(), body)
         });
-
-        // Dynamic Snitching gets its periodic recompute from a ticker
-        // thread (the cluster delivers the same through gossip/snitch tick
-        // events); the scope joins it.
-        if selector.is_ds() {
-            let interval = SnitchConfig::default().update_interval;
-            s.spawn(move || {
-                // Sleep in short slices for stop responsiveness, but hold
-                // the *recompute cadence* to the snitch's update interval —
-                // the sim's SnitchTick fires exactly that often, and the
-                // parity comparison assumes live DS is no better informed.
-                let mut last_recompute = Nanos::ZERO;
-                while !stop.load(Ordering::Acquire) {
-                    std::thread::sleep(Duration::from_millis(10).min(interval.into()));
-                    let now = clock.now();
-                    if now.saturating_sub(last_recompute) < interval {
-                        continue;
-                    }
-                    last_recompute = now;
-                    selector.ds_tick(now);
-                }
-            });
-        }
 
         let issuers: Vec<_> = (0..cfg.threads)
             .map(|w| {
                 let (wire, keys) = (wire.clone(), key_template.clone());
-                s.spawn(move || issuer_loop(w, cfg, clock, &wire, issued, detector, keys))
+                let body = move || issuer_loop(w, cfg, clock, &wire, issued, detector, keys);
+                spawn_named(s, format!("c-issuer-{w}"), body)
             })
             .collect();
 
@@ -744,16 +828,17 @@ pub(crate) fn execute_on(
         }
 
         // Teardown: close the issue side, wait for in-flight requests to
-        // drain — the reaper keeps sweeping expiries meanwhile, so a
-        // crashed replica's swallowed requests cannot stall the drain —
-        // then stop everyone. The reaper goes first (flushing its retry
-        // queue as parks); its sender clones drop with it, so the
-        // supervisors' write loops see disconnect and finish their drain.
+        // drain — the timer keeps firing expiries meanwhile, so a crashed
+        // replica's swallowed requests cannot stall the drain — then stop
+        // everyone. The timer thread goes first (parking the retries still
+        // waiting out their backoff); its sender clones drop with it, so
+        // the supervisors' write loops see disconnect and finish their
+        // drain.
         wire.senders.clear();
         let _ = budget.drained_within(Duration::from_secs(3));
-        stop.store(true, Ordering::Release);
-        let mut lifecycle = match reaper {
-            Some(r) => r.join().expect("reaper panicked"),
+        drop(stopper);
+        let mut lifecycle = match timer {
+            Some(t) => t.join().expect("timer thread panicked"),
             None => LifecycleCounts::default(),
         };
         let mut reconnects = 0;
@@ -958,163 +1043,161 @@ fn select_read_target(
     }
 }
 
-/// The lifecycle reaper: every millisecond, sweep expired requests out
-/// of the correlation tables (tombstoning their ids) and charge them to
-/// the failure detector, queue retries behind their backoff, and issue
-/// hedge duplicates for slow reads. Runs only when a deadline is
-/// configured; returns its share of the lifecycle ledger.
-fn reaper_loop(
+/// The timer thread: fire each event as it falls due until stopped, then
+/// park the retries still waiting — they hold permits with no table entry
+/// left — so the budget drains whole. Returns its share of the ledger.
+fn timer_loop(
     cfg: &LiveConfig,
     clock: WallClock,
     wire: &Wire,
-    detector: &FailureDetector,
-    stop: &AtomicBool,
+    timers: &Timers,
+    detector: Option<&FailureDetector>,
 ) -> LifecycleCounts {
-    let (tables, selector, budget) = (wire.tables, wire.selector, wire.budget);
-    let deadline: Nanos = cfg
-        .lifecycle
-        .deadline
-        .expect("reaper runs only with a deadline");
-    let hedge_after: Option<Nanos> = cfg.lifecycle.hedge_after;
-    let mut rng = SmallRng::seed_from_u64(SeedSeq::new(cfg.seed).thread_seed(u64::from(u16::MAX)));
-    // Reaped primaries waiting out their backoff, with their due time.
-    let mut queue: Vec<(Nanos, Pending)> = Vec::new();
-    let mut counts = LifecycleCounts::default();
-    let mut scratch = Vec::new();
-    // Wire ids disjoint from every issuer's block (those start below
-    // `threads << 48`).
-    let mut next_id = (cfg.threads as u64) << 48;
-    let mut put_on_wire = |p: Pending, keep_permit_on_fail: bool, now: Nanos| {
-        next_id += 1;
-        wire.send(next_id, p, keep_permit_on_fail, now)
+    let seed = SeedSeq::new(cfg.seed).thread_seed(u64::from(u16::MAX));
+    let mut fire = Fire {
+        cfg,
+        wire,
+        detector,
+        rng: SmallRng::seed_from_u64(seed),
+        counts: LifecycleCounts::default(),
+        scratch: Vec::new(),
+        // Wire ids disjoint from every issuer's block (those start below
+        // `threads << 48`).
+        next_id: (cfg.threads as u64) << 48,
     };
-    // Re-select among the detector's candidates, steering away from the
-    // replica `p` went to.
-    let mut reselect = |p: &Pending, now: Nanos| {
-        let group = cfg.group_of(p.key);
-        let candidates = detector.candidates(&group, Some(p.replica), now, &mut scratch);
-        selector.try_select(candidates, p.shard, now)
-    };
+    while let Some(timer) = timers.next(clock) {
+        fire.fire(timer, clock.now());
+    }
+    let left = std::mem::take(&mut timers.lock().events);
+    for timer in left.into_values() {
+        if let Timer::Retry(p) = timer {
+            let parked = reap_send(&p, wire.selector, wire.budget, clock.now(), false);
+            fire.counts.parked += u64::from(parked);
+        }
+    }
+    fire.counts
+}
 
-    while !stop.load(Ordering::Acquire) {
-        std::thread::sleep(Duration::from_millis(1));
-        let now = clock.now();
+/// The timer thread's lifecycle state. Expiry, retry, hedge and park run
+/// the same [`OpLife`] calls, [`reap_send`] and [`Wire::send`] as the rest
+/// of the client.
+struct Fire<'w, 'a> {
+    cfg: &'w LiveConfig,
+    wire: &'w Wire<'a>,
+    detector: Option<&'w FailureDetector>,
+    rng: SmallRng,
+    counts: LifecycleCounts,
+    scratch: Vec<usize>,
+    next_id: u64,
+}
 
-        // 1. Deadline sweep: reap everything sent longer than `deadline`
-        // ago, freeing its selector slot. A reaped primary's expiry
-        // retries (the op keeps its permit) or parks (this sweep made it
-        // terminal, so it releases the permit); a hedge twin's is no
-        // expiry of the op — the primary owns the op's lifecycle.
-        let cutoff = now.saturating_sub(deadline);
-        for replica_tables in tables {
-            for table in replica_tables {
-                let mut t = table.lock().expect("table poisoned");
-                let expired = t.reap(|p| p.sent_at <= cutoff);
+impl Fire<'_, '_> {
+    fn fire(&mut self, timer: Timer, now: Nanos) {
+        let wire = self.wire;
+        let timers = wire.timers.expect("the timer thread's wire arms timers");
+        let table = |replica: usize, id: u64| {
+            let conns = &wire.tables[replica];
+            conns[id as usize % conns.len()]
+                .lock()
+                .expect("table poisoned")
+        };
+        match timer {
+            // Reap the attempt, freeing its selector slot. A primary's
+            // expiry retries (the op keeps its permit) or parks (this
+            // expiry made it terminal, so it releases the permit); a hedge
+            // twin's is no expiry of the op — the primary owns its fate.
+            Timer::Deadline(replica, id) => {
+                let mut t = table(replica, id);
+                let Ok(p) = t.live.complete(id) else {
+                    return;
+                };
+                t.reaped.insert(id);
                 drop(t);
-                for (_, p) in expired {
-                    reap_send(&p, selector, budget, now, true);
-                    if p.attempt == Attempt::Hedge {
-                        continue;
-                    }
-                    let jitter = || rng.gen_range(0.5..1.5);
-                    let expiry = p.life().expire(&cfg.lifecycle, jitter, &mut counts);
-                    let expired = expiry != Expiry::Dead;
-                    counts.evictions += u64::from(expired && detector.note_timeout(p.replica, now));
-                    match expiry {
-                        Expiry::Retry(wait) => queue.push((now + wait, p)),
-                        Expiry::Park => budget.release(),
-                        Expiry::Dead => {}
-                    }
+                reap_send(&p, wire.selector, wire.budget, now, true);
+                if p.attempt == Attempt::Hedge {
+                    return;
+                }
+                let (rng, lifecycle) = (&mut self.rng, &self.cfg.lifecycle);
+                let jitter = || rng.gen_range(0.5..1.5);
+                let expiry = p.life().expire(lifecycle, jitter, &mut self.counts);
+                let timeout = |d: &FailureDetector| d.note_timeout(p.replica, now);
+                let evicted = expiry != Expiry::Dead && self.detector.is_some_and(timeout);
+                self.counts.evictions += u64::from(evicted);
+                match expiry {
+                    Expiry::Retry(wait) => timers.arm(now + wait, Timer::Retry(p)),
+                    Expiry::Park => wire.budget.release(),
+                    Expiry::Dead => {}
                 }
             }
-        }
-
-        // 2. Due retries of ops still open (a late response, or the
-        // hedge, may have answered meanwhile).
-        let mut i = 0;
-        while i < queue.len() {
-            if queue[i].0 > now {
-                i += 1;
-                continue;
-            }
-            let (_, p) = queue.swap_remove(i);
-            if !p.life().retry_due() {
-                continue;
-            }
-            let target = if p.is_read {
-                match reselect(&p, now) {
-                    Selection::Server(s) => s,
-                    Selection::Backpressure { .. } => {
-                        // Everyone is full: try again next tick.
-                        queue.push((now + Nanos::from_millis(1), p));
-                        continue;
-                    }
-                }
-            } else {
-                // Writes re-target their primary.
-                p.shard
-            };
-            let np = Pending {
-                sent_at: clock.now(),
-                replica: target,
-                ..p
-            };
-            // Counted when it goes out, as the simulator does: a retry
-            // still queued at teardown is a park, not both.
-            match put_on_wire(np, false, now) {
-                Ok(()) => counts.retries += 1,
-                Err(parked) => counts.parked += u64::from(parked),
-            }
-        }
-
-        // 3. Hedging: reads past `hedge_after` with no response yet get
-        // one duplicate on a different replica; the op elects at most one
-        // hedge, handed back when the limiter refuses it.
-        if let Some(hedge_after) = hedge_after {
-            let hedge_cutoff = now.saturating_sub(hedge_after);
-            let mut to_hedge: Vec<Pending> = Vec::new();
-            for replica_tables in tables {
-                for table in replica_tables {
-                    let t = table.lock().expect("table poisoned");
-                    for (_, p) in t.live.iter() {
-                        if p.is_read
-                            && p.attempt == Attempt::Primary
-                            && p.sent_at <= hedge_cutoff
-                            && p.life().elect_hedge()
-                        {
-                            to_hedge.push(p.clone());
+            // A retry of an op still open (a late response, or the hedge,
+            // may have answered meanwhile), counted when it goes out, as
+            // the simulator does: one still armed at teardown is a park.
+            // Writes re-target their primary.
+            Timer::Retry(mut p) if p.life().retry_due() => {
+                let replica = if p.is_read {
+                    match self.reselect(&p, now) {
+                        Selection::Server(s) => s,
+                        Selection::Backpressure { retry_at } => {
+                            return timers.arm(retry_at, Timer::Retry(p));
                         }
                     }
+                } else {
+                    p.shard
+                };
+                (p.sent_at, p.replica) = (now, replica);
+                match self.put_on_wire(p) {
+                    Ok(()) => self.counts.retries += 1,
+                    Err(parked) => self.counts.parked += u64::from(parked),
                 }
             }
-            for p in to_hedge {
-                match reselect(&p, now) {
+            Timer::Retry(_) => {}
+            // One duplicate on a different replica per op, handed back and
+            // re-armed at `retry_at` when the limiter refuses it. The entry
+            // is copied out of its table before the op is locked.
+            Timer::Hedge(replica, id) => {
+                let entry = table(replica, id).live.get(id).cloned();
+                let Some(mut p) = entry.filter(|p| p.life().elect_hedge()) else {
+                    return;
+                };
+                match self.reselect(&p, now) {
                     Selection::Server(s) => {
-                        // A hedge keeps the op's permit even when its send
-                        // fails: the primary still holds the op.
-                        let hp = Pending {
-                            sent_at: clock.now(),
-                            replica: s,
-                            attempt: Attempt::Hedge,
-                            ..p
-                        };
-                        if put_on_wire(hp, true, now).is_ok() {
-                            counts.hedges += 1;
-                        }
+                        (p.sent_at, p.replica, p.attempt) = (now, s, Attempt::Hedge);
+                        self.counts.hedges += u64::from(self.put_on_wire(p).is_ok());
                     }
-                    Selection::Backpressure { .. } => p.life().hedge_refused(),
+                    Selection::Backpressure { retry_at } => {
+                        p.life().hedge_refused();
+                        timers.arm(retry_at, Timer::Hedge(replica, id));
+                    }
                 }
+            }
+            // The sim's SnitchTick cadence: the parity comparison assumes
+            // live DS is no better informed.
+            Timer::SnitchTick => {
+                wire.selector.ds_tick(now);
+                let interval = SnitchConfig::default().update_interval;
+                timers.arm(now + interval, Timer::SnitchTick);
             }
         }
     }
 
-    // Teardown: queued retries hold permits with no table entry left —
-    // park them so the budget drains whole.
-    let now = clock.now();
-    for (_, p) in queue {
-        counts.parked += u64::from(reap_send(&p, selector, budget, now, false));
+    /// Re-select among the detector's candidates, steering away from the
+    /// replica `p` went to.
+    fn reselect(&mut self, p: &Pending, now: Nanos) -> Selection {
+        let group = self.cfg.group_of(p.key);
+        let candidates = match self.detector {
+            Some(d) => d.candidates(&group, Some(p.replica), now, &mut self.scratch),
+            None => &group,
+        };
+        self.wire.selector.try_select(candidates, p.shard, now)
     }
-    counts
+
+    /// Send `p` under a fresh wire id. A hedge keeps the op's permit even
+    /// when its send fails: the primary still holds the op.
+    fn put_on_wire(&mut self, p: Pending) -> Result<(), bool> {
+        self.next_id += 1;
+        let (keep_permit, now) = (p.attempt == Attempt::Hedge, p.sent_at);
+        self.wire.send(self.next_id, p, keep_permit, now)
+    }
 }
 
 /// One connection supervisor: dial, run the write/read halves until the
@@ -1140,8 +1223,8 @@ fn connection_loop(
     const WRITE_POLL: Duration = Duration::from_millis(20);
     const READ_POLL: Duration = Duration::from_millis(50);
     const COALESCE_LIMIT: usize = 64 * 1024;
-    // A detector means a deadline, and a deadline means a reaper sweeping
-    // this connection's table.
+    // A detector means a deadline, and a deadline means every entry of
+    // this connection's table has its expiry armed on the timer.
     let hardened = detector.is_some();
     let mut out = ReaderOut::default();
     let mut batch = Batch {
@@ -1194,7 +1277,7 @@ fn connection_loop(
         redial = Duration::from_millis(2);
         let conn_dead = AtomicBool::new(false);
         let read_res = std::thread::scope(|s| {
-            let reader = s.spawn(|| {
+            let reader = spawn_named(s, "c-read".into(), || {
                 read_responses(
                     &stream, buf, table, selector, budget, detector, clock, stop, &conn_dead,
                     &mut out, &mut batch,
@@ -1239,8 +1322,8 @@ fn connection_loop(
         }
         out.reconnects += 1;
         if !hardened {
-            // No reaper to sweep a dead connection's entries: reap them
-            // now through the same path deadlines use.
+            // No deadline will ever expire a dead connection's entries:
+            // reap them now through the same path deadlines use.
             reap_connection(table, selector, budget, clock.now());
         }
         if !faults_expected {
@@ -1581,6 +1664,326 @@ mod tests {
         // ...and the twin attempt finds the op already owned.
         assert!(!reap_send(&twin, &selector, &budget, clock.now(), false));
         assert_eq!(budget.in_flight(), 0);
+    }
+
+    /// Run `cycle` on its own thread and fail — rather than hang — when
+    /// it has not returned within two seconds.
+    fn within_watchdog(what: &str, cycle: impl FnOnce() + Send + 'static) {
+        let (done, finished) = mpsc::channel();
+        let worker = thread::spawn(move || {
+            cycle();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(Duration::from_secs(2)) {
+            Ok(()) => worker.join().unwrap(),
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("{what} hung"),
+            // The cycle panicked: surface its message, not ours.
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(worker.join().unwrap_err())
+            }
+        }
+    }
+
+    /// Spin until `ready` holds: the other thread has reached the state
+    /// the test means to interleave against.
+    fn await_state(ready: impl Fn() -> bool) {
+        while !ready() {
+            thread::yield_now();
+        }
+    }
+
+    fn deadline_id(timer: Option<Timer>) -> u64 {
+        match timer {
+            Some(Timer::Deadline(_, id)) => id,
+            _ => panic!("expected a deadline"),
+        }
+    }
+
+    #[test]
+    fn timer_fires_in_due_then_arm_order() {
+        let timers = Timers::default();
+        let clock = WallClock::start();
+        for (due, id) in [(5, 1), (5, 2), (3, 3), (5, 4), (1, 5)] {
+            timers.arm(Nanos(due), Timer::Deadline(0, id));
+        }
+        let order: Vec<u64> = (0..5).map(|_| deadline_id(timers.next(clock))).collect();
+        assert_eq!(order, [5, 3, 1, 2, 4]);
+    }
+
+    /// The thread sleeps toward its earliest event, or idles with none:
+    /// an earlier arm and a stop each end that sleep at once.
+    #[test]
+    fn timer_stop_and_earlier_arms_wake_its_sleep() {
+        within_watchdog("the timer's wake-ups", || {
+            let clock = WallClock::start();
+            let far = Nanos::from_secs(3_600);
+            let timers = Timers::default();
+            timers.arm(far, Timer::SnitchTick);
+            let asleep = || {
+                let state = timers.lock();
+                state.wake_at == far && state.events.len() == 1
+            };
+            thread::scope(|s| {
+                let sleeper = s.spawn(|| (deadline_id(timers.next(clock)), timers.next(clock)));
+                await_state(asleep);
+                timers.arm(Nanos::ZERO, Timer::Deadline(0, 7));
+                await_state(asleep);
+                timers.stop();
+                let (woken_for, after_stop) = sleeper.join().unwrap();
+                assert_eq!(woken_for, 7);
+                assert!(after_stop.is_none());
+            });
+            let idle = Timers::default();
+            thread::scope(|s| {
+                let sleeper = s.spawn(|| idle.next(clock).is_none());
+                await_state(|| idle.lock().wake_at == Nanos::MAX);
+                idle.stop();
+                assert!(sleeper.join().unwrap());
+            });
+        });
+    }
+
+    /// A client's timer side without sockets: the wire's supervisor
+    /// channels end in receivers the test reads.
+    struct Rig {
+        cfg: LiveConfig,
+        tables: Vec<Vec<Table>>,
+        selector: LiveSelector,
+        budget: InFlightBudget,
+        detector: FailureDetector,
+        timers: Timers,
+    }
+
+    fn rig() -> Rig {
+        let cfg = LiveConfig {
+            replicas: 3,
+            lifecycle: LifecycleConfig::hardened(
+                Nanos::from_millis(40),
+                2,
+                Some(Nanos::from_millis(20)),
+            ),
+            ..LiveConfig::default()
+        };
+        Rig {
+            tables: (0..cfg.replicas).map(|_| vec![Mutex::default()]).collect(),
+            selector: build_selector(&cfg),
+            budget: InFlightBudget::new(8),
+            detector: cfg.lifecycle.detector(cfg.replicas).unwrap(),
+            timers: Timers::default(),
+            cfg,
+        }
+    }
+
+    impl Rig {
+        fn wire(&self) -> (Wire<'_>, Vec<mpsc::Receiver<Request>>) {
+            let (senders, receivers): (Vec<_>, Vec<_>) =
+                (0..self.cfg.replicas).map(|_| mpsc::channel()).unzip();
+            let wire = Wire {
+                tables: &self.tables,
+                senders: senders.into_iter().map(|tx| vec![tx]).collect(),
+                selector: &self.selector,
+                budget: &self.budget,
+                timers: Some(&self.timers),
+                lifecycle: &self.cfg.lifecycle,
+                value: Bytes::from_static(b"v"),
+            };
+            (wire, receivers)
+        }
+
+        fn fire<'w, 'a>(&'w self, wire: &'w Wire<'a>) -> Fire<'w, 'a> {
+            Fire {
+                cfg: &self.cfg,
+                wire,
+                detector: Some(&self.detector),
+                rng: SmallRng::seed_from_u64(1),
+                counts: LifecycleCounts::default(),
+                scratch: Vec::new(),
+                next_id: 1 << 48,
+            }
+        }
+
+        /// Put a primary read of key 0 (group `[0, 1, 2]`) on the wire
+        /// under `id`, as an issuer does.
+        fn send_read(&self, wire: &Wire, id: u64, now: Nanos) -> Pending {
+            let Selection::Server(replica) = self.selector.try_select(&[0, 1, 2], 0, now) else {
+                panic!("a fresh limiter grants the first send");
+            };
+            let p = read_entry(replica, now);
+            wire.send(id, p.clone(), false, now).unwrap();
+            p
+        }
+
+        fn armed(&self) -> Vec<(Nanos, &'static str)> {
+            let state = self.timers.lock();
+            let kind = |t: &Timer| match t {
+                Timer::Deadline(..) => "deadline",
+                Timer::Hedge(..) => "hedge",
+                Timer::Retry(_) => "retry",
+                Timer::SnitchTick => "snitch",
+            };
+            state
+                .events
+                .iter()
+                .map(|(&(due, _), t)| (due, kind(t)))
+                .collect()
+        }
+    }
+
+    fn read_entry(replica: usize, now: Nanos) -> Pending {
+        Pending {
+            is_read: true,
+            created: now,
+            sent_at: now,
+            replica,
+            ..write_entry(WallClock::start(), 0)
+        }
+    }
+
+    fn sent_frames(receivers: &[mpsc::Receiver<Request>]) -> Vec<(usize, u64)> {
+        let mut sent = Vec::new();
+        for (replica, rx) in receivers.iter().enumerate() {
+            for req in rx.try_iter() {
+                let (Request::Get { id, .. } | Request::Put { id, .. }) = req;
+                sent.push((replica, id));
+            }
+        }
+        sent
+    }
+
+    /// A deadline or hedge whose attempt already left its table (answered
+    /// or reaped) does nothing: nothing counted, sent, armed, tombstoned
+    /// or released.
+    #[test]
+    fn timer_ignores_attempts_that_left_their_table() {
+        let rig = rig();
+        let (wire, receivers) = rig.wire();
+        assert!(rig
+            .budget
+            .acquire_until(Instant::now() + Duration::from_secs(1)));
+        let mut fire = rig.fire(&wire);
+        fire.fire(Timer::Deadline(1, 99), Nanos::from_millis(50));
+        fire.fire(Timer::Hedge(1, 99), Nanos::from_millis(50));
+        assert_eq!(fire.counts, LifecycleCounts::default());
+        assert!(sent_frames(&receivers).is_empty());
+        assert!(rig.armed().is_empty());
+        assert!(rig.tables[1][0].lock().unwrap().reaped.is_empty());
+        assert_eq!(rig.budget.in_flight(), 1);
+    }
+
+    /// A send arms its deadline and hedge; the hedge goes out once to
+    /// another replica, and a second hedge event for the op is a no-op.
+    #[test]
+    fn timer_elects_one_hedge_per_op() {
+        let rig = rig();
+        let (wire, receivers) = rig.wire();
+        let now = Nanos::from_millis(1);
+        let p = rig.send_read(&wire, 7, now);
+        let armed = rig.armed();
+        assert_eq!(
+            armed,
+            [
+                (now + Nanos::from_millis(20), "hedge"),
+                (now + Nanos::from_millis(40), "deadline")
+            ]
+        );
+        let mut fire = rig.fire(&wire);
+        fire.fire(Timer::Hedge(p.replica, 7), armed[0].0);
+        fire.fire(Timer::Hedge(p.replica, 7), armed[0].0 + Nanos(1));
+        assert_eq!(fire.counts.hedges, 1);
+        let sent = sent_frames(&receivers);
+        assert_eq!(sent.len(), 2, "{sent:?}");
+        assert!(sent.contains(&(p.replica, 7)));
+        let hedge = sent.iter().find(|&&(_, id)| id != 7).unwrap();
+        assert_ne!(hedge.0, p.replica, "a hedge goes to another replica");
+        // The hedge twin got a deadline of its own and no hedge.
+        assert_eq!(rig.armed().iter().filter(|a| a.1 == "hedge").count(), 1);
+        assert_eq!(rig.armed().len(), 3);
+    }
+
+    /// A retry every candidate's limiter refuses waits for the limiter's
+    /// `retry_at`, not for a fixed tick.
+    #[test]
+    fn timer_rearms_a_refused_retry_at_retry_at() {
+        let rig = rig();
+        let (wire, receivers) = rig.wire();
+        let now = Nanos::from_millis(5);
+        let candidates = [1, 2]; // the group minus the replica it left
+        let retry_at = (0..100_000)
+            .find_map(|_| match rig.selector.try_select(&candidates, 1, now) {
+                Selection::Backpressure { retry_at } => Some(retry_at),
+                Selection::Server(_) => None,
+            })
+            .expect("the limiters run dry");
+        assert!(retry_at > now + Nanos::from_millis(1), "{retry_at:?}");
+        let mut fire = rig.fire(&wire);
+        fire.fire(Timer::Retry(read_entry(0, now)), now);
+        assert_eq!(rig.armed(), [(retry_at, "retry")]);
+        assert!(sent_frames(&receivers).is_empty());
+        assert_eq!(fire.counts, LifecycleCounts::default());
+    }
+
+    /// `Pending::life`'s lock rule on the hedge path: the op is locked
+    /// under no table lock. The test holds the op while a hedge fires; if
+    /// the firing thread kept the table locked while it waits for the op,
+    /// the test's own table lock would deadlock and the watchdog fail.
+    #[test]
+    fn timer_hedge_locks_the_op_under_no_table_lock() {
+        within_watchdog("a hedge against a held op", || {
+            let rig = rig();
+            let (wire, _receivers) = rig.wire();
+            let now = Nanos::from_millis(1);
+            let p = rig.send_read(&wire, 7, now);
+            let table = &rig.tables[p.replica][0];
+            thread::scope(|s| {
+                let op = p.life();
+                let firer = s.spawn(|| {
+                    let mut fire = rig.fire(&wire);
+                    fire.fire(Timer::Hedge(p.replica, 7), now + Nanos::from_millis(20));
+                    fire.counts.hedges
+                });
+                // The table's entry, `p` and the firer's copy.
+                await_state(|| Arc::strong_count(&p.op) == 3);
+                drop(table.lock().unwrap());
+                drop(op);
+                assert_eq!(firer.join().unwrap(), 1);
+            });
+        });
+    }
+
+    /// Stop wakes the timer thread: a run with a deadline, a hedge and DS
+    /// whose every dial is refused returns its error, not a hung join.
+    #[test]
+    fn timer_run_with_refused_dials_errs_within_the_watchdog() {
+        within_watchdog("a timed DS run against refused dials", || {
+            // Addresses nobody listens on any more.
+            let addrs: Vec<SocketAddr> = (0..3)
+                .map(|_| {
+                    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+                    listener.local_addr().unwrap()
+                })
+                .collect();
+            let cfg = LiveConfig {
+                replicas: 3,
+                replication_factor: 2,
+                threads: 2,
+                in_flight: 16,
+                strategy: c3_engine::Strategy::dynamic_snitching(),
+                lifecycle: LifecycleConfig::hardened(
+                    Nanos::from_secs(10),
+                    2,
+                    Some(Nanos::from_secs(5)),
+                ),
+                run_for: Duration::from_secs(10),
+                warmup_ops: 0,
+                ..LiveConfig::default()
+            };
+            let mut metrics = run_metrics(&cfg);
+            let transport = Transport::Remote {
+                addrs,
+                config_digest: 0,
+            };
+            assert!(execute_on(&cfg, &transport, &mut metrics).is_err());
+        });
     }
 
     /// The leak regression: full hardened runs with crash and reset

@@ -6,7 +6,9 @@
 //! the table sits between them. The issuing side registers the request's
 //! bookkeeping under its wire id before the frame is written; the reader
 //! completes whatever id each response frame carries, in whatever order
-//! the server finished them. Protocol violations — a response for an id
+//! the server finished them. The client's timer thread is the table's
+//! third user: it completes an id whose deadline passed and reads one
+//! whose hedge delay did, each by its wire id — no scan. Protocol violations — a response for an id
 //! never registered (or already completed), or an attempt to reuse an id
 //! still in flight — are hard errors, not silent drops: each one means a
 //! correlation bug that would otherwise corrupt latency accounting.
@@ -89,29 +91,16 @@ impl<T> CorrelationTable<T> {
         self.pending.is_empty()
     }
 
-    /// Drain every still-pending entry (end-of-run abandonment).
-    pub fn drain(&mut self) -> Vec<T> {
-        self.pending.drain().map(|(_, v)| v).collect()
+    /// The bookkeeping of the request in flight under `id` (the timer's
+    /// hedge check reads it without completing it).
+    pub(crate) fn get(&self, id: u64) -> Option<&T> {
+        self.pending.get(&id)
     }
 
-    /// Iterate the in-flight entries (the hedging pass scans without
-    /// removing).
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> + '_ {
-        self.pending.iter().map(|(&id, v)| (id, v))
-    }
-
-    /// Remove and return every entry matching `pred` (the deadline
-    /// sweep: "everything sent before the cutoff").
-    pub(crate) fn take_matching(&mut self, mut pred: impl FnMut(&T) -> bool) -> Vec<(u64, T)> {
-        let ids: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, v)| pred(v))
-            .map(|(&id, _)| id)
-            .collect();
-        ids.into_iter()
-            .map(|id| (id, self.pending.remove(&id).expect("id just seen")))
-            .collect()
+    /// Drain every still-pending entry with its wire id (dead-connection
+    /// and end-of-run abandonment).
+    pub fn drain(&mut self) -> Vec<(u64, T)> {
+        self.pending.drain().collect()
     }
 }
 
@@ -237,20 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn take_matching_removes_only_the_matches() {
-        let mut table = CorrelationTable::new();
-        for id in 0..6u64 {
-            table.register(id, id).unwrap();
-        }
-        let mut taken = table.take_matching(|&v| v % 2 == 0);
-        taken.sort_unstable();
-        assert_eq!(taken, vec![(0, 0), (2, 2), (4, 4)]);
-        assert_eq!(table.len(), 3);
-        assert_eq!(table.complete(3).unwrap(), 3);
-        assert_eq!(table.complete(0), Err(MuxError::UnknownId(0)));
-    }
-
-    #[test]
     fn drain_returns_the_stragglers() {
         let mut table = CorrelationTable::new();
         for id in 0..4u64 {
@@ -259,7 +234,7 @@ mod tests {
         table.complete(1).unwrap();
         let mut left = table.drain();
         left.sort_unstable();
-        assert_eq!(left, vec![0, 20, 30]);
+        assert_eq!(left, vec![(0, 0), (2, 20), (3, 30)]);
         assert!(table.is_empty());
     }
 

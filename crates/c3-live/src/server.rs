@@ -192,8 +192,8 @@ impl Replica {
     /// plan's `slow` factor) and schedule its completion. Returns the
     /// completion instant, or `None` when a crash window ate the request —
     /// a crashed replica does no work, so the request vanishes without
-    /// holding a slot and the client's deadline reaper is what gets its
-    /// permit back.
+    /// holding a slot and the client's deadline is what gets its permit
+    /// back.
     fn start(&self, state: &mut ServiceState, job: Job) -> Option<Nanos> {
         let now = self.clock.now();
         let fault = self.faults.at(now);
